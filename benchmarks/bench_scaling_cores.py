@@ -6,7 +6,7 @@ should scale near-linearly until another resource binds.
 """
 
 from repro.analysis.tables import render_table
-from repro.radio.sdr_platform import ChannelConfig, SdrPlatform
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 
@@ -22,7 +22,7 @@ def _throughput(core_count: int, packets: int = 6) -> float:
         )
         for _ in range(core_count)
     ]
-    report = plat.run_workload(configs)
+    report = plat.run_workload(WorkloadSpec(configs))
     return report.throughput_mbps()
 
 

@@ -7,7 +7,7 @@ with round-robin and priority-reservation on voice p99 latency.
 
 from repro.analysis.latency import latency_stats
 from repro.analysis.tables import render_table
-from repro.radio.sdr_platform import ChannelConfig, SdrPlatform
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 from repro.sched import FirstIdlePolicy, PriorityReservePolicy, RoundRobinPolicy
@@ -34,7 +34,7 @@ def _run(policy):
             for _ in range(3)
         ],
     ]
-    report = plat.run_workload(configs)
+    report = plat.run_workload(WorkloadSpec(configs))
     voice_chan = 0
     voice_latencies = [
         t.download_done_cycle - t.request.submit_cycle

@@ -15,7 +15,7 @@ across the batched and pipelined dataplanes and across repeats,
 admitted packets are byte-identical (payload, tag, per-channel order)
 to the unthrottled run, and the SLA holds (control-class protected,
 bulk absorbs the shedding).  This script additionally pins the shed
-set *across execution backends* — inline, thread and process must shed
+set *across execution backends* — inline and process must shed
 the exact same ``(channel, sequence)`` pairs.
 """
 
@@ -66,7 +66,7 @@ def main(argv=None) -> int:
     configs = _configs("saturating", args.packets)
     spec = _spec(configs, args.capacity, None, "batched")
     shed_sets = {}
-    for backend in ("inline", "thread:2", "process:2"):
+    for backend in ("inline", "process:2"):
         report = SdrPlatform(core_count=4, seed=args.seed).run_workload(
             replace(spec, backend=backend)
         )

@@ -90,35 +90,32 @@ def main(argv=None) -> Path:
                 )
         # Backend-parametrized batch kernels: speedup over the inline
         # batch kernel with the same packets (the CI gate's numbers).
-        pooled = re.fullmatch(r"(.+_batch\d+)_(thread|process|arena)_fast", name)
+        pooled = re.fullmatch(r"(.+_batch\d+)_process_fast", name)
         if pooled and f"{pooled[1]}_fast" in results:
             base = results[f"{pooled[1]}_fast"]["ops_per_s"]
             if base:
-                speedups[f"{pooled[1]}_{pooled[2]}_over_inline"] = round(
+                speedups[f"{pooled[1]}_process_over_inline"] = round(
                     results[name]["ops_per_s"] / base, 2
                 )
         # Pipelined dataplane kernels vs their synchronous backend twin.
         # Ops aren't packet-comparable (a pipelined op streams
         # PIPELINE_STREAM_PACKETS, the sync twin BATCH_PACKETS), so the
         # ratio is packets/s over packets/s.
-        piped = re.fullmatch(
-            r"(.+_batch\d+)_pipelined_(thread|process)_fast", name
-        )
-        if piped and f"{piped[1]}_{piped[2]}_fast" in results:
-            base = results[f"{piped[1]}_{piped[2]}_fast"]["ops_per_s"]
+        piped = re.fullmatch(r"(.+_batch\d+)_pipelined_process_fast", name)
+        if piped and f"{piped[1]}_process_fast" in results:
+            base = results[f"{piped[1]}_process_fast"]["ops_per_s"]
             if base:
                 pipelined_pps = results[name]["ops_per_s"] * PIPELINE_STREAM_PACKETS
-                speedups[f"{piped[1]}_pipelined_{piped[2]}_over_sync"] = round(
+                speedups[f"{piped[1]}_pipelined_process_over_sync"] = round(
                     pipelined_pps / (base * BATCH_PACKETS), 2
                 )
     for pair, ratio in sorted(speedups.items()):
         print(f"speedup {pair:34s} {ratio:8.1f}x")
 
     # Execution-backend context: cross-machine comparisons of the
-    # *_thread/*_process kernels are meaningless without the worker
-    # and CPU counts (a 1-CPU runner can never beat inline).
+    # *_process kernels are meaningless without the worker and CPU
+    # counts (a 1-CPU runner can never beat inline).
     process_backend = bench_backend("process")
-    arena_backend = bench_backend("process-arena")
     snapshot = {
         "date": _dt.date.today().isoformat(),
         "python": platform.python_version(),
@@ -127,15 +124,12 @@ def main(argv=None) -> Path:
         "have_numpy": HAVE_NUMPY,
         "window_seconds": window,
         "backend": default_backend().name,
-        "backend_workers": {
-            "thread": bench_backend("thread").workers,
-            "process": process_backend.workers,
-        },
+        "backend_workers": {"process": process_backend.workers},
         "process_degraded": process_backend.degraded_reason,
-        # The *_arena kernels are meaningless without knowing whether
-        # the shared-memory dataplane actually engaged on this host.
-        "arena_active": arena_backend.dispatch_arena() is not None,
-        "arena_degraded": arena_backend.arena_degraded_reason,
+        # The *_process kernels are meaningless without knowing whether
+        # the shared-memory arena actually engaged on this host.
+        "arena_active": process_backend.dispatch_arena() is not None,
+        "arena_degraded": process_backend.arena_degraded_reason,
         "cpu_count": os.cpu_count(),
         # Recovery counters accrued while benchmarking: a non-zero
         # retry/degradation count here flags that the timing numbers

@@ -1,9 +1,9 @@
-"""Execution backends: the same batch, three places to run it.
+"""Execution backends: the same batch, two places to run it.
 
 Shows the `repro.crypto.fast.exec` seam end to end — seal a mixed
-seal+open CCM batch on the inline, thread and process backends, verify
-the byte-identical guarantee, then drive a small radio workload with
-`run_workload(backend=...)` plus receive-side traffic (loss and tag
+seal+open CCM batch on the inline and process backends, verify the
+byte-identical guarantee, then drive a small radio workload with
+`WorkloadSpec(backend=...)` plus receive-side traffic (loss and tag
 corruption) and read the report.
 
 Run:  python examples/execution_backends.py
@@ -13,13 +13,9 @@ import os
 import random
 
 from repro.crypto.fast.batch import ccm_seal_many, seal_open_many
-from repro.crypto.fast.exec import (
-    InlineBackend,
-    ProcessPoolBackend,
-    ThreadPoolBackend,
-)
+from repro.crypto.fast.exec import InlineBackend, ProcessPoolBackend
 from repro.mccp.channel import FlushPolicy
-from repro.radio.sdr_platform import ChannelConfig, SdrPlatform
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 
@@ -40,11 +36,7 @@ def crypto_layer() -> None:
         for (nonce, _), (ciphertext, tag) in zip(seal_packets, sealed)
     ]
 
-    backends = {
-        "inline": InlineBackend(),
-        "thread": ThreadPoolBackend(),
-        "process": ProcessPoolBackend(),
-    }
+    backends = {"inline": InlineBackend(), "process": ProcessPoolBackend()}
     results = {}
     try:
         for name, backend in backends.items():
@@ -62,13 +54,13 @@ def crypto_layer() -> None:
     finally:
         for backend in backends.values():
             backend.close()
-    assert results["inline"] == results["thread"] == results["process"]
-    print("  all three backends byte-identical "
+    assert results["inline"] == results["process"]
+    print("  both backends byte-identical "
           f"({WIDTH // 2} seals + {WIDTH // 2} opens)")
 
 
 def dataplane_layer() -> None:
-    """run_workload(backend=...) with receive-side traffic."""
+    """WorkloadSpec(backend=...) with receive-side traffic."""
     configs = [
         ChannelConfig(
             RadioStandard.WIFI, bytes(16), TrafficPattern.SATURATING,
@@ -81,13 +73,15 @@ def dataplane_layer() -> None:
     ]
     platform = SdrPlatform(core_count=4, seed=42)
     report = platform.run_workload(
-        configs,
-        dataplane="batched",
-        flush_policy=FlushPolicy(coalesce_limit=8, flush_deadline=4096),
-        backend="thread",
-        rx_fraction=0.5,
-        loss_rate=0.1,
-        corrupt_rate=0.2,
+        WorkloadSpec(
+            configs,
+            dataplane="batched",
+            flush_policy=FlushPolicy(coalesce_limit=8, flush_deadline=4096),
+            backend="process",
+            rx_fraction=0.5,
+            loss_rate=0.1,
+            corrupt_rate=0.2,
+        )
     )
     print(f"  packets done      {report.packets_done}")
     print(f"  rx packets        {report.rx_packets} ({report.rx_lost} lost)")

@@ -17,6 +17,7 @@ Run:  python examples/multichannel_radio.py
 from repro import ChannelConfig, SdrPlatform
 from repro.analysis.latency import latency_stats
 from repro.mccp.channel import FlushPolicy
+from repro.radio.sdr_platform import WorkloadSpec
 from repro.radio.standards import STANDARD_PROFILES, RadioStandard
 from repro.radio.traffic import TrafficPattern
 
@@ -37,7 +38,7 @@ def _configs():
 def main() -> None:
     platform = SdrPlatform(core_count=4, seed=42)
     configs = _configs()
-    report = platform.run_workload(configs)
+    report = platform.run_workload(WorkloadSpec(configs))
 
     print("channel results")
     print("---------------")
@@ -68,9 +69,11 @@ def main() -> None:
     # transparently rides the cores path at width 1).
     batched = SdrPlatform(core_count=4, seed=42)
     breport = batched.run_workload(
-        _configs(),
-        dataplane="batched",
-        flush_policy=FlushPolicy(coalesce_limit=8, flush_deadline=4096),
+        WorkloadSpec(
+            _configs(),
+            dataplane="batched",
+            flush_policy=FlushPolicy(coalesce_limit=8, flush_deadline=4096),
+        )
     )
     bstats = latency_stats(breport.latencies)
     print()

@@ -11,6 +11,7 @@ Run:  python examples/scheduling_policies.py
 from repro import ChannelConfig, SdrPlatform
 from repro.analysis.latency import latency_stats
 from repro.analysis.tables import render_table
+from repro.radio.sdr_platform import WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 from repro.sched import FirstIdlePolicy, PriorityReservePolicy, RoundRobinPolicy
@@ -31,7 +32,7 @@ def run_policy(policy):
             for _ in range(3)
         ],
     ]
-    report = platform.run_workload(configs)
+    report = platform.run_workload(WorkloadSpec(configs))
     voice = [
         t.download_done_cycle - t.request.submit_cycle
         for t in platform.comm.completed.values()

@@ -76,9 +76,9 @@ class WorkloadReport:
     retries: int = 0
     #: Wall-clock watchdogs that expired a backend span.
     watchdog_fires: int = 0
-    #: Backend degradations down the process -> thread -> inline chain.
+    #: Backend degradations from process to inline.
     degradations: int = 0
-    #: Degradation reasons, in order (e.g. "process -> thread: ...").
+    #: Degradation reasons, in order (e.g. "process -> inline: ...").
     degradation_reasons: List[str] = field(default_factory=list)
     #: Packets bisect-isolated out of a poisoned batch.
     quarantined: int = 0

@@ -83,8 +83,8 @@ def clear_caches() -> None:
 
 if hasattr(os, "register_at_fork"):
     # Fork safety: a child must never inherit a parent LRU that a
-    # sibling thread had mid-mutation (ProcessPoolBackend forks while
-    # thread shards may be warming caches).  Children start cold and
+    # sibling thread had mid-mutation (ProcessPoolBackend may fork
+    # while another thread is warming caches).  Children start cold and
     # rebuild lazily; the pool initializer repeats this for spawn-based
     # pools, where there is no fork to hook.
     os.register_at_fork(after_in_child=clear_caches)
@@ -149,7 +149,6 @@ from repro.crypto.fast.exec import (  # noqa: E402
     ExecutionBackend,
     InlineBackend,
     ProcessPoolBackend,
-    ThreadPoolBackend,
     default_backend,
     make_backend,
     resolve_backend,
@@ -188,7 +187,6 @@ __all__ = [
     "bump_key_epoch",
     "ExecutionBackend",
     "InlineBackend",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
     "make_backend",
     "resolve_backend",

@@ -1,15 +1,12 @@
 """Shared-memory packet arena for the process backend's zero-copy path.
 
-The pickling dataplane ships every packet's payload bytes through a
-``ProcessPoolExecutor`` twice (args in, results out) — at 2 KB radio
-widths that serialisation tax is why ``ProcessPoolBackend`` loses to
-inline (the ROADMAP item PR 9 closed).  The arena removes the payload
-from the
-wire entirely: one batch's scatter-gather inputs and result regions
-live in a ``multiprocessing.shared_memory`` slab, the only thing
-pickled per shard is a tuple of **span descriptors** (slab name +
-offsets/lengths), and workers read and write ``memoryview``s over the
-mapped slab in place.
+Pickling every packet's payload bytes through a ``ProcessPoolExecutor``
+costs two copies per packet (args in, results out).  The arena removes
+the payload from the wire entirely: one batch's scatter-gather inputs
+and result regions live in a ``multiprocessing.shared_memory`` slab,
+the only thing pickled per shard is a tuple of **span descriptors**
+(slab name + offsets/lengths), and workers read and write
+``memoryview``s over the mapped slab in place.
 
 Allocation model
 ----------------
@@ -170,8 +167,8 @@ class Generation:
 
 
 #: Owner-side registry: slab name -> SharedMemory, so executing arena
-#: calls in the owning process (inline fall-through, thread fallback,
-#: the serial guard) resolves views locally instead of re-attaching.
+#: calls in the owning process (inline fall-through after a
+#: degradation, the serial guard) resolves views locally instead of re-attaching.
 _OWNED: Dict[str, object] = {}
 
 #: Worker-side attach cache: slab name -> SharedMemory (one mapping

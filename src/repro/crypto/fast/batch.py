@@ -37,24 +37,20 @@ batch == sequential == reference across modes, packet counts and
 ragged length mixes.
 
 Every ``*_many`` entry point additionally accepts a ``backend=``
-(:mod:`repro.crypto.fast.exec`): packets shard into contiguous spans,
-each span runs the unsharded engine on a worker, and the span results
-are concatenated in span order — so the merged output is positionally
-and byte-identical to the inline run (per-packet outputs never depend
-on lane packing).  :func:`seal_open_many` is the mixed-direction form
-the MCCP dispatch uses: seal shards and open shards of one coalesced
-batch join a single backend pass, so the two sweeps genuinely overlap
-on thread/process workers.
-
-Process backends with a packet arena (:mod:`repro.crypto.fast.arena`)
-additionally get the **descriptor dataplane**: the batch stages every
-payload into one shared-memory generation and each shard call pickles
-only ``(slab name, offsets, lengths)`` descriptors; workers compute
-over ``memoryview``s of the mapped slab and write results back in
-place, so neither inputs nor outputs ever cross the process boundary
-through pickle.  The merged results — and the fault-plan decisions,
-which key on the same span-leading nonces — are byte-identical to the
-pickling dataplane and to inline.
+(:mod:`repro.crypto.fast.exec`).  On a process backend with a packet
+arena (:mod:`repro.crypto.fast.arena`) packets shard into contiguous
+spans, each span runs the unsharded engine on a worker, and the span
+results are read back in span order — so the merged output is
+positionally and byte-identical to the inline run (per-packet outputs
+never depend on lane packing).  The batch stages every payload into
+one shared-memory generation and each shard call pickles only
+``(slab name, offsets, lengths)`` descriptors; workers compute over
+``memoryview``s of the mapped slab and write results back in place, so
+neither inputs nor outputs ever cross the process boundary through
+pickle.  Every other backend runs the batch inline.
+:func:`seal_open_many` is the mixed-direction form the MCCP dispatch
+uses: seal shards and open shards of one coalesced batch join a single
+backend pass, so the two sweeps genuinely overlap on process workers.
 """
 
 from __future__ import annotations
@@ -122,15 +118,14 @@ def gather(data: Buffers) -> bytes:
 # Every packet's outputs depend only on its own (nonce, data, aad[, tag])
 # under the shared key — never on which lanes it shares a sweep with —
 # so a batch may split into contiguous spans, each span run the inline
-# engine on any worker, and the span results concatenate back in span
-# order, positionally and byte-identical to the unsharded run.  Shard
-# workers are top-level functions over plain-bytes packets (pickle for
-# the process backend) and execute with ``backend=INLINE`` so a worker
-# can never recursively re-enter its own pool.
+# engine on any worker, and the span results read back in span order,
+# positionally and byte-identical to the unsharded run.  Shard workers
+# are top-level functions and execute with ``backend=INLINE`` so a
+# worker can never recursively re-enter its own pool.
 
 
 def _norm_seal_packet(packet: Sequence) -> Tuple[bytes, bytes, bytes]:
-    """``(nonce, data, aad)`` as plain bytes (pickle-safe, no views)."""
+    """``(nonce, data, aad)`` as plain bytes (no views)."""
     return (
         bytes(packet[0]),
         gather(packet[1]),
@@ -146,18 +141,6 @@ def _norm_open_packet(packet: Sequence) -> Tuple[bytes, bytes, bytes, bytes]:
         bytes(packet[2]),
         gather(packet[3]) if len(packet) > 3 else b"",
     )
-
-
-def _seal_shard(mode: str, key: bytes, packets, tag_length: int, fault=None):
-    """One span of a sharded seal batch, run inline on a worker."""
-    with _faults.executing(fault):
-        return _SEAL_MANY[mode](key, packets, tag_length, backend=INLINE)
-
-
-def _open_shard(mode: str, key: bytes, packets, fault=None):
-    """One span of a sharded open batch, run inline on a worker."""
-    with _faults.executing(fault):
-        return _OPEN_MANY[mode](key, packets, backend=INLINE)
 
 
 def _check_poisoned(packets) -> None:
@@ -320,7 +303,7 @@ def _arena_packets(generation, seal_descs, open_descs):
 
     Workers never write input regions, so these are byte-identical to
     what was staged — the quarantine bisect therefore converges on the
-    same packets it would have seen on the pickling dataplane.
+    same packets it would have seen inline.
     """
     view = generation.view
     seals = [
@@ -386,82 +369,24 @@ def _arena_submit(backend, arena, mode: str, key: bytes, key_ref,
     )
 
 
-def _sharded_calls(backend, mode: str, key: bytes, seals, opens,
-                   tag_length: int):
-    """Build per-span shard calls over *normalized* packet lists.
-
-    Returns ``(calls, n_seal_spans)``, or None when the work collapses
-    to a single call (caller falls through to a whole-dispatch run):
-    two single-span direction halves still ship as two calls, so a
-    small mixed dispatch's seal and open sweeps overlap on the workers
-    even when neither half is wide enough to shard by itself.
-
-    When a fault plan is active each shard call carries a
-    :class:`FaultPoint` keyed by the span's first nonce: the executing
-    backend stamps in the live attempt number, and the worker applies
-    crash/hang/slow faults locally with the plan installed
-    thread-locally (so nonce-poison checks cross process boundaries).
-    """
-    seal_spans = backend.shard_spans(len(seals))
-    open_spans = backend.shard_spans(len(opens))
-    if len(seal_spans) + len(open_spans) <= 1:
-        return None
-    plan = _faults.active_plan()
-
-    def _call(fn, args, span_nonce):
-        if plan is None:
-            return (fn, args)
-        return (fn, args, _faults.FaultPoint(plan, (span_nonce,)))
-
-    calls = [
-        _call(_seal_shard, (mode, key, seals[start:stop], tag_length),
-              seals[start][0])
-        for start, stop in seal_spans
-    ] + [
-        _call(_open_shard, (mode, key, opens[start:stop]), opens[start][0])
-        for start, stop in open_spans
-    ]
-    return calls, len(seal_spans)
-
-
-def _merge_shards(shards, n_seal_spans):
-    """Concatenate span results back into ``(sealed, opened)`` order."""
-    sealed: List[Tuple[bytes, bytes]] = []
-    for shard in shards[:n_seal_spans]:
-        sealed.extend(shard)
-    opened: List[Optional[bytes]] = []
-    for shard in shards[n_seal_spans:]:
-        opened.extend(shard)
-    return sealed, opened
-
-
 def _run_sharded(backend, mode: str, key: bytes, seal_packets, open_packets,
                  tag_length: int):
-    """Shard both direction lists into one backend pass; merge in order.
+    """Shard both direction lists into one arena pass; merge in order.
 
     Returns ``(sealed, opened)`` — each positionally identical to the
-    inline ``*_many`` result for its list — or None when the work
-    collapses to a single call (see :func:`_sharded_calls`).  Backends
-    offering a packet arena take the descriptor dataplane instead of
-    pickling the payloads; results are byte-identical either way.
+    inline ``*_many`` result for its list — or None when the backend
+    offers no packet arena or the work collapses to a single call (the
+    caller then runs the batch inline).
     """
-    key = bytes(key)
     arena = _dispatch_arena(backend)
-    if arena is not None:
-        handle = _arena_submit(
-            backend, arena, mode, key, None,
-            list(seal_packets), list(open_packets), tag_length,
-            isolate=False,
-        )
-        if handle is not None:
-            return handle.result()
-    seals = [_norm_seal_packet(p) for p in seal_packets]
-    opens = [_norm_open_packet(p) for p in open_packets]
-    built = _sharded_calls(backend, mode, key, seals, opens, tag_length)
-    if built is None:
+    if arena is None:
         return None
-    calls, n_seal_spans = built
-    return _merge_shards(backend.run(calls), n_seal_spans)
+    handle = _arena_submit(
+        backend, arena, mode, bytes(key), None,
+        list(seal_packets), list(open_packets), tag_length,
+        isolate=False,
+    )
+    return None if handle is None else handle.result()
 
 
 def _quarantine_split(packets: List, runner) -> List:
@@ -522,8 +447,7 @@ def seal_open_many(
     :meth:`repro.crypto.fast.exec.ExecutionBackend.run` call, so mixed
     seal+open traffic overlaps across workers instead of serialising
     direction by direction.  Results are positionally and
-    byte-identical to calling the two ``*_many`` APIs inline —
-    whichever dataplane (descriptor arena or pickling) carried them.
+    byte-identical to calling the two ``*_many`` APIs inline.
 
     With ``isolate=True`` a packet-level :class:`ReproError` (a
     poisoned packet, a malformed nonce) no longer fails the whole
@@ -547,11 +471,10 @@ def seal_open_many(
 def _seal_open_whole(mode, key, seals, opens, tag_length):
     """Both directions of one dispatch as a single worker call.
 
-    The un-sharded form :func:`seal_open_submit` uses when the span
-    count collapses to one: thanks to the backends' serial guard a
-    single call always executes in the submitting thread, where the
-    caller's fault plan is already installed — the same context the
-    synchronous fall-through runs in.
+    The un-sharded form :func:`seal_open_submit` uses whenever the
+    dispatch does not cross to arena workers: thanks to the backends'
+    serial guard a single call always executes in the submitting
+    thread, where the caller's fault plan is already installed.
     """
     return (
         _SEAL_MANY[mode](key, seals, tag_length, backend=INLINE),
@@ -627,18 +550,18 @@ def seal_open_submit(
     ``(sealed, opened)`` result (byte-identical, including the
     ``isolate=True`` quarantine behaviour), but the backend pass is
     *submitted* and the caller gets the handle back immediately, so a
-    simulator can keep coalescing the next batch while thread/process
-    workers chew on this one.  Packets are captured eagerly — staged
-    into the arena, or normalized to plain bytes — as submission-time
-    state, immune to later caller mutation; recovery — retries,
-    watchdog, degradation, quarantine bisection — all runs inside
-    ``result()``.
+    simulator can keep coalescing the next batch while process workers
+    chew on this one.  Packets are captured eagerly — staged into the
+    arena, or normalized to plain bytes — as submission-time state,
+    immune to later caller mutation; recovery — retries, watchdog,
+    degradation, quarantine bisection — all runs inside ``result()``.
 
     When the backend offers a packet arena the dispatch ships as span
     descriptors over one shared-memory generation (released when the
-    handle resolves); otherwise the packets pickle per shard.  *key_ref*
+    handle resolves); otherwise it is one :func:`_seal_open_whole`
+    call, which runs in the calling thread.  *key_ref*
     (``(key_id, epoch)``) rides along to the warm workers' rekey
-    protocol on the arena dataplane.
+    protocol.
     """
     if mode not in _SEAL_MANY:
         raise ValueError(f"unknown batch mode {mode!r}; valid: gcm, ccm")
@@ -654,21 +577,15 @@ def seal_open_submit(
             return handle
     seals = [_norm_seal_packet(p) for p in seal_packets]
     opens = [_norm_open_packet(p) for p in open_packets]
-    built = None
-    if backend.workers > 1:
-        built = _sharded_calls(backend, mode, key, seals, opens, tag_length)
-    if built is not None:
-        calls, n_seal_spans = built
-        collect = lambda shards: _merge_shards(shards, n_seal_spans)  # noqa: E731
-    else:
-        calls = [(_seal_open_whole, (mode, key, seals, opens, tag_length))]
-        collect = lambda shards: shards[0]  # noqa: E731
     quarantine = None
     if isolate:
         quarantine = lambda: _quarantine_pair(  # noqa: E731
             mode, key, seals, opens, tag_length
         )
-    return SealOpenHandle(backend.submit(calls), collect, quarantine)
+    whole = backend.submit(
+        [(_seal_open_whole, (mode, key, seals, opens, tag_length))]
+    )
+    return SealOpenHandle(whole, lambda shards: shards[0], quarantine)
 
 
 # -- lane-parallel CBC-MAC -------------------------------------------------

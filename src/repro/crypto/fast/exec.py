@@ -8,32 +8,22 @@ paper's many-core parallelism stopped at one core.  An
 an ordered list of independent ``(fn, args)`` calls (typically one per
 packet shard, or one per seal/open direction of a coalesced dispatch)
 and get the results back **in submission order**, whatever ran where.
-Three implementations:
+Two implementations:
 
 - :class:`InlineBackend` — run the calls sequentially in the calling
-  thread.  Today's behaviour, and the default (``REPRO_BACKEND=inline``).
-- :class:`ThreadPoolBackend` — a bounded ``ThreadPoolExecutor``.  The
-  numpy gather/XOR sweeps under the batch engine release the GIL, so
-  shards genuinely overlap on multi-core hosts; shared state (the LRU
-  key-schedule/Shoup/H-power caches, channel statistics) stays visible,
-  which is why this backend is also allowed to overlap whole
-  per-channel dispatches (:meth:`ExecutionBackend.supports_shared_state`).
+  thread.  The default (``REPRO_BACKEND=inline``).
 - :class:`ProcessPoolBackend` — shared-nothing worker processes.  Each
   worker starts with cold memo caches (the pool initializer and the
   ``os.register_at_fork`` hook in :mod:`repro.crypto.fast` both call
   ``clear_caches``) and rebuilds them lazily, so a fork can never
-  observe a cache mid-mutation.  Two dataplanes share the pool:
-
-  - the **arena dataplane** (default): payloads live in a
-    shared-memory packet arena (:mod:`repro.crypto.fast.arena`) and
-    shard calls pickle only span descriptors; workers stay warm
-    across dispatches, so key-schedule/H-power caches persist
-    (:attr:`ProcessPoolBackend.worker_expansions` counts rebuilds).
-  - the **pickling dataplane**: arguments pickle in full — the
-    fallback whenever shared memory is unavailable
-    (:attr:`ProcessPoolBackend.arena_degraded_reason` records why,
-    structurally, results byte-identical), or on request
-    (``REPRO_ARENA=0`` / the ``process-pickle`` spec).
+  observe a cache mid-mutation.  Payloads live in a shared-memory
+  packet arena (:mod:`repro.crypto.fast.arena`) and shard calls pickle
+  only span descriptors; workers stay warm across dispatches, so
+  key-schedule/H-power caches persist
+  (:attr:`ProcessPoolBackend.worker_expansions` counts rebuilds).
+  When shared memory is unusable the backend runs dispatches inline
+  instead, byte-identically, and
+  :attr:`ProcessPoolBackend.arena_degraded_reason` records why.
 
   Where child processes are impossible (daemonic workers of an outer
   multiprocessing pool, sandboxed runners) the backend degrades to
@@ -43,8 +33,8 @@ Three implementations:
 
 Determinism contract: a backend only ever changes *where* calls run,
 never what they compute or the order results come back in — the
-equivalence suite pins inline == thread == process byte-for-byte
-across the crypto, MCCP and radio layers.
+equivalence suite pins inline == process byte-for-byte across the
+crypto, MCCP and radio layers.
 
 Asynchronous half: :meth:`ExecutionBackend.submit` is the futures
 form of :meth:`ExecutionBackend.run` — it hands the calls to the pool
@@ -65,20 +55,18 @@ Self-healing: :meth:`ExecutionBackend.run` owns the recovery loop.
 Infrastructure failures (:class:`repro.errors.BackendError`: a worker
 crash, a watchdog timeout, an injected fault) are retried per span
 with exponential backoff under a :class:`ResiliencePolicy`; when the
-retries are exhausted the backend degrades down the chain ``process``
-→ ``thread`` → ``inline`` (sticky, reason recorded in
-:attr:`ExecutionBackend.degradations`) instead of failing the
-dispatch.  Crypto errors are never retried or swallowed — a backend
-changes where calls run and how infrastructure failures heal, never
-what correct calls compute.
+retries are exhausted the backend degrades ``process`` → ``inline``
+(sticky, reason recorded in :attr:`ExecutionBackend.degradations`)
+instead of failing the dispatch.  Crypto errors are never retried or
+swallowed — a backend changes where calls run and how infrastructure
+failures heal, never what correct calls compute.
 
-Selection: ``REPRO_BACKEND`` in the environment (``inline``,
-``thread``/``thread:N``, ``process``/``process:N`` with ``N`` worker
-cap; ``process-arena``/``process-pickle`` pin the process dataplane,
-and ``REPRO_ARENA=0`` flips bare ``process`` to pickling) seeds the
-process-wide default; every ``backend=`` parameter up the stack
-(``*_many`` APIs, ``Mccp.dispatch_jobs``, ``SdrPlatform.run_workload``)
-accepts a backend instance, a spec string, or ``None`` for the default.
+Selection: ``REPRO_BACKEND`` in the environment (``inline``, or
+``process``/``process:N`` with ``N`` worker cap; ``process-arena`` is
+an alias of ``process``) seeds the process-wide default; every
+``backend=`` parameter up the stack (``*_many`` APIs,
+``Mccp.dispatch_jobs``, ``SdrPlatform.run_workload``) accepts a
+backend instance, a spec string, or ``None`` for the default.
 """
 
 from __future__ import annotations
@@ -102,11 +90,11 @@ from repro.resilience.policy import DEFAULT_POLICY, ResiliencePolicy
 Call = Union[Tuple[Callable, tuple], Tuple[Callable, tuple, FaultPoint]]
 
 #: A backend parameter anywhere up the stack: an instance, a spec
-#: string ("thread:4"), or None for the process-wide default.
+#: string ("process:4"), or None for the process-wide default.
 BackendSpec = Union["ExecutionBackend", str, None]
 
 #: Smallest shard worth shipping to a worker: below this the dispatch
-#: overhead (task hand-off, and pickling for processes) beats the win.
+#: overhead (task hand-off to a worker process) beats the win.
 DEFAULT_MIN_SHARD = 4
 
 
@@ -261,12 +249,6 @@ class ExecutionBackend(ABC):
     #: Stable identifier recorded in bench metadata and artifacts.
     name: str = "abstract"
 
-    #: True when workers share the caller's address space (inline,
-    #: threads): callers may then hand the backend closures over live
-    #: objects (e.g. whole per-channel flushes).  Process backends get
-    #: only picklable top-level calls.
-    supports_shared_state: bool = True
-
     def __init__(self) -> None:
         #: Per-instance recovery budget (None = module default).
         self.resilience: Optional[ResiliencePolicy] = None
@@ -344,8 +326,8 @@ class ExecutionBackend(ABC):
         healed instead: failed spans retry with exponential backoff, a
         watchdogged span that overruns is abandoned and retried, and
         when retries are exhausted the span completes on the fallback
-        chain (``process`` → ``thread`` → ``inline``) with the reason
-        recorded — degradation is sticky for the instance.
+        (``process`` → ``inline``) with the reason recorded —
+        degradation is sticky for the instance.
         """
         return self.submit(calls, policy).result()
 
@@ -411,9 +393,10 @@ class ExecutionBackend(ABC):
 
         Raises :class:`BackendError` for pool-level failures exactly
         as :meth:`_execute` would — the retry loop treats a collected
-        first attempt and a blocking attempt identically.
+        first attempt and a blocking attempt identically.  Only
+        backends whose :meth:`_launch` returns tokens implement it.
         """
-        return _pooled_outcomes(token, timeout)
+        raise NotImplementedError
 
     def _collect(
         self,
@@ -575,7 +558,6 @@ class InlineBackend(ExecutionBackend):
     """
 
     name = "inline"
-    supports_shared_state = True
 
     @property
     def workers(self) -> int:
@@ -628,62 +610,6 @@ def _pooled_outcomes(futures, timeout: Optional[float]):
     return outcomes
 
 
-class ThreadPoolBackend(ExecutionBackend):
-    """Bounded thread pool; numpy sweeps release the GIL and overlap."""
-
-    name = "thread"
-    supports_shared_state = True
-
-    def __init__(self, workers: Optional[int] = None):
-        super().__init__()
-        if workers is not None and workers < 1:
-            raise ValueError(f"thread backend needs >= 1 worker, got {workers}")
-        self._requested = workers
-        self._pool = None
-
-    @property
-    def workers(self) -> int:
-        return self._requested or (os.cpu_count() or 1)
-
-    def fallback(self) -> Optional[ExecutionBackend]:
-        return INLINE
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-exec"
-            )
-        return self._pool
-
-    def _execute(
-        self,
-        calls: Sequence[Tuple[Callable, tuple]],
-        timeout: Optional[float],
-    ) -> List[object]:
-        if len(calls) <= 1 or self.workers <= 1:
-            return _serial_outcomes(calls)
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, *args) for fn, args in calls]
-        return _pooled_outcomes(futures, timeout)
-
-    def _launch(self, calls: List[Call]) -> Optional[object]:
-        if len(calls) <= 1 or self.workers <= 1:
-            return None
-        pool = self._ensure_pool()
-        futures = []
-        for call in calls:
-            fn, args = self._prepare(call, 0)
-            futures.append(pool.submit(fn, *args))
-        return futures
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 class ProcessPoolBackend(ExecutionBackend):
     """Shared-nothing worker processes with fork-safe cold caches.
 
@@ -695,33 +621,24 @@ class ProcessPoolBackend(ExecutionBackend):
     """
 
     name = "process"
-    supports_shared_state = False
 
-    def __init__(
-        self, workers: Optional[int] = None, arena: Optional[bool] = None
-    ):
+    def __init__(self, workers: Optional[int] = None):
         super().__init__()
         if workers is not None and workers < 1:
             raise ValueError(f"process backend needs >= 1 worker, got {workers}")
         self._requested = workers
         self._pool = None
-        self._fallback: Optional[ThreadPoolBackend] = None
         #: Why the backend fell back to inline execution (None = it
         #: has not; pools are created lazily on the first wide run).
         #: This is the *structural* fallback — child processes are
         #: impossible here, full stop — distinct from the crash-driven
         #: chain degradation recorded in :attr:`degradations`.
         self.degraded_reason: Optional[str] = None
-        #: Arena dataplane switch: True/False pin it; None follows
-        #: ``REPRO_ARENA`` (default on).
-        self._arena_requested = (
-            _env_arena_default() if arena is None else bool(arena)
-        )
         self._arena = None
-        #: Why arena dispatches fell back to the pickling dataplane
-        #: (None = they have not).  Structural and sticky, like
+        #: Why dispatches run inline instead of through the packet
+        #: arena (None = they do not).  Structural and sticky, like
         #: :attr:`degraded_reason`: shared memory is unusable on this
-        #: host, results stay byte-identical over pickling.
+        #: host, results stay byte-identical.
         self.arena_degraded_reason: Optional[str] = None
         #: Key-schedule expansions reported by arena shard workers —
         #: the warm-cache observable: a steady-state same-key storm
@@ -738,16 +655,14 @@ class ProcessPoolBackend(ExecutionBackend):
     def dispatch_arena(self):
         """The packet arena for descriptor-based dispatches, or None.
 
-        None routes the caller to the pickling dataplane: the arena is
-        off (``REPRO_ARENA=0`` / ``process-pickle`` / ``arena=False``),
-        this backend cannot run concurrent workers anyway (degraded or
+        None makes the caller run the dispatch inline: this backend
+        cannot run concurrent workers anyway (degraded or
         single-worker — descriptors would only add indirection), or
         shared memory turned out to be unusable here, in which case
         :attr:`arena_degraded_reason` records why, exactly once.
         """
         if (
-            not self._arena_requested
-            or self._degraded_to is not None
+            self._degraded_to is not None
             or self.arena_degraded_reason is not None
             or self.workers <= 1
         ):
@@ -769,10 +684,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self.worker_expansions += count
 
     def fallback(self) -> Optional[ExecutionBackend]:
-        """Degrade to threads first: overlap survives a broken pool."""
-        if self._fallback is None:
-            self._fallback = ThreadPoolBackend(self._requested)
-        return self._fallback
+        return INLINE
 
     def _ensure_pool(self):
         if self._pool is not None or self.degraded_reason is not None:
@@ -869,8 +781,6 @@ class ProcessPoolBackend(ExecutionBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._fallback is not None:
-            self._fallback.close()
         if self._arena is not None:
             self._arena.close()
             self._arena = None
@@ -881,20 +791,12 @@ class ProcessPoolBackend(ExecutionBackend):
 INLINE = InlineBackend()
 
 
-def _env_arena_default() -> bool:
-    """Whether bare ``process`` backends use the arena (``REPRO_ARENA``)."""
-    text = os.environ.get("REPRO_ARENA", "1").strip().lower()
-    return text not in ("0", "off", "false", "no", "pickle")
-
-
 def make_backend(spec: Union[ExecutionBackend, str]) -> ExecutionBackend:
     """Build a backend from a spec: instance, or ``name[:workers]``.
 
-    Accepted names: ``inline``, ``thread``, ``process`` (a ``:N``
-    suffix caps the worker count, e.g. ``thread:4``).  The process
-    dataplane can be pinned regardless of ``REPRO_ARENA``:
-    ``process-arena`` forces the shared-memory arena and
-    ``process-pickle`` forces per-call pickling.
+    Accepted names: ``inline`` and ``process`` (a ``:N`` suffix caps
+    the worker count, e.g. ``process:4``); ``process-arena`` is an
+    alias of ``process``.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
@@ -904,24 +806,18 @@ def make_backend(spec: Union[ExecutionBackend, str]) -> ExecutionBackend:
         workers = int(workers_text) if workers_text else None
     except ValueError:
         raise ValueError(
-            f"bad worker count in backend spec {spec!r}; use e.g. 'thread:4'"
+            f"bad worker count in backend spec {spec!r}; use e.g. 'process:4'"
         ) from None
     if name in ("", "inline"):
         if workers not in (None, 1):
             raise ValueError("the inline backend has exactly one worker")
         return InlineBackend()
-    if name in ("thread", "threads", "threadpool"):
-        return ThreadPoolBackend(workers)
-    if name in ("process", "processes", "processpool"):
+    if name in ("process", "processes", "processpool", "process-arena",
+                "process_arena"):
         return ProcessPoolBackend(workers)
-    if name in ("process-arena", "process_arena"):
-        return ProcessPoolBackend(workers, arena=True)
-    if name in ("process-pickle", "process_pickle"):
-        return ProcessPoolBackend(workers, arena=False)
     raise ValueError(
-        f"unknown execution backend {spec!r}; valid: inline, "
-        "thread[:N], process[:N], process-arena[:N], process-pickle[:N] "
-        "(REPRO_BACKEND uses the same syntax)"
+        f"unknown execution backend {spec!r}; valid: inline, process[:N], "
+        "process-arena[:N] (REPRO_BACKEND uses the same syntax)"
     )
 
 
@@ -951,7 +847,7 @@ def set_default_backend(spec: BackendSpec) -> Optional[ExecutionBackend]:
 
 
 #: Memoized spec-string resolutions.  Layers may *store* a spec string
-#: (e.g. ``CommController.backend = "thread:2"``) and resolve it on
+#: (e.g. ``CommController.backend = "process:2"``) and resolve it on
 #: every dispatch; constructing a fresh pool-backed instance each time
 #: would leak one executor per dispatch, so equal specs share one
 #: instance for the life of the process.
@@ -972,7 +868,7 @@ def resolve_backend(backend: BackendSpec = None) -> ExecutionBackend:
       pass-through — the very same object comes back, its lifetime
       stays with whoever constructed it, and resolving twice is
       therefore always safe and free;
-    - a **spec string** (``"thread:4"``) resolves to a process-shared
+    - a **spec string** (``"process:4"``) resolves to a process-shared
       instance, memoized per normalized spec, so layers that *store* a
       spec and resolve per dispatch reuse one warm pool instead of
       leaking an executor each time;
@@ -1022,7 +918,6 @@ __all__ = [
     "BatchHandle",
     "ExecutionBackend",
     "InlineBackend",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
     "INLINE",
     "make_backend",

@@ -73,7 +73,7 @@ _KERNEL_EVENTS = 2000
 
 
 def bench_backend(spec: str):
-    """Shared backend instance for *spec* ("thread" / "process").
+    """Shared backend instance for *spec* (e.g. "process").
 
     The process-wide spec memo in :func:`repro.crypto.fast.exec
     .resolve_backend`: every iteration of one kernel reuses the same
@@ -161,7 +161,7 @@ def _radio_ccm_dataplane(
     time), so ops/s x npackets is end-to-end radio packets/s — the
     number the ``radio_ccm_2kb_batch32_per_packet`` speedup compares
     against the width-1 (sequential) path.  *backend* routes the
-    dispatches through a worker pool (the ``_thread`` kernel variant);
+    dispatches through a worker pool (the ``_process`` kernel variant);
     *pipelined* switches the CommController to the async submit/reap
     dataplane (the ``_pipelined_<backend>`` variants stream
     ``PIPELINE_STREAM_PACKETS`` so batches overlap).
@@ -181,7 +181,7 @@ def _radio_ccm_dataplane(
 
 
 def measure_pipelined(
-    width: int, window: float, backend: str = "thread"
+    width: int, window: float, backend: str = "process"
 ) -> dict:
     """Pipelined vs synchronous radio dataplane on one backend.
 
@@ -192,8 +192,8 @@ def measure_pipelined(
     ``identical`` bool (payload, tag, per-channel fan-out order,
     completion cycles and final sim time must all match — the async
     dataplane's determinism contract), plus ``cpu_count``.  Shared by
-    ``benchmarks/gate_backends.py``'s warn-level pipelined check so the
-    gate measures exactly what the bench kernels measure.
+    ``benchmarks/gate_backends.py``'s pipelined check so the gate
+    measures exactly what the bench kernels measure.
     """
     import os
 
@@ -230,12 +230,12 @@ def measure_autotune(width: int, window: float) -> dict:
     """Adaptive-vs-static radio dataplane, shared with the CI gate.
 
     Streams ``PIPELINE_STREAM_PACKETS`` 2 KB CCM packets per op on the
-    thread and process backends, once with the static width-*width*
-    policy and once with ``FlushPolicy(mode="auto")`` starting from the
-    same knobs (the auto rig persists across iterations, so the
-    controller's decisions converge before the steady state is
-    measured).  Returns per-leg packets/s ``rates``
-    (``{static,auto}_{thread,process}``), the byte-identity bool
+    process backend, once with the static width-*width* policy and
+    once with ``FlushPolicy(mode="auto")`` starting from the same knobs
+    (the auto rig persists across iterations, so the controller's
+    decisions converge before the steady state is measured).  Returns
+    packets/s ``rates`` (``static_process`` / ``auto_process``), the
+    byte-identity bool
     ``identical`` (the auto transcript must match the static one —
     the controller moves batching geometry, never bytes), the auto
     rig's decision ``trace`` (JSON-safe dicts, for the bench artifact),
@@ -247,7 +247,7 @@ def measure_autotune(width: int, window: float) -> dict:
 
     def _transcript(auto: bool):
         sim, comm, channel, packets = _radio_ccm_setup(
-            width, PIPELINE_STREAM_PACKETS, "thread", auto=auto
+            width, PIPELINE_STREAM_PACKETS, "process", auto=auto
         )
         _radio_ccm_round(sim, comm, channel, packets)
         transcript = [
@@ -260,13 +260,12 @@ def measure_autotune(width: int, window: float) -> dict:
     static_transcript, _ = _transcript(False)
     auto_transcript, trace = _transcript(True)
     rates = {}
-    for backend in ("thread", "process"):
-        for variant, auto in (("static", False), ("auto", True)):
-            fn = _radio_ccm_dataplane(
-                width, PIPELINE_STREAM_PACKETS, backend, auto=auto
-            )
-            ops_per_s, _ = measure(fn, window)
-            rates[f"{variant}_{backend}"] = ops_per_s * PIPELINE_STREAM_PACKETS
+    for variant, auto in (("static", False), ("auto", True)):
+        fn = _radio_ccm_dataplane(
+            width, PIPELINE_STREAM_PACKETS, "process", auto=auto
+        )
+        ops_per_s, _ = measure(fn, window)
+        rates[f"{variant}_process"] = ops_per_s * PIPELINE_STREAM_PACKETS
     return {
         "identical": auto_transcript == static_transcript,
         "rates": rates,
@@ -309,7 +308,7 @@ def measure_chaos_identity(width: int) -> dict:
         # A fresh backend per leg: the crash may stick a degradation to
         # the instance, which must never leak into the shared bench
         # pools resolve_backend memoizes.
-        backend = ProcessPoolBackend(workers=2, arena=True)
+        backend = ProcessPoolBackend(workers=2)
         backend.resilience = ResiliencePolicy(
             max_retries=2, backoff_base=0.0, backoff_cap=0.0
         )
@@ -372,59 +371,36 @@ def build_kernels() -> Dict[str, Callable[[], object]]:
         # derives the `<base>_batch<N>_per_packet` speedups from this).
         "gcm_2kb_batch32_fast": lambda: gcm_seal_many(KEY, GCM_BATCH, 16),
         "ccm_2kb_batch32_fast": lambda: ccm_seal_many(KEY, CCM_BATCH, 8),
-        # Backend-parametrized twins of the batch kernels: same packets
-        # sharded across a worker pool (run_bench derives the
-        # `<base>_batch<N>_<backend>_over_inline` speedups; the CI gate
-        # requires thread >= 1.3x inline on the 2-vCPU runner).
-        "gcm_2kb_batch32_thread_fast": lambda: gcm_seal_many(
-            KEY, GCM_BATCH, 16, backend=bench_backend("thread")
-        ),
-        "ccm_2kb_batch32_thread_fast": lambda: ccm_seal_many(
-            KEY, CCM_BATCH, 8, backend=bench_backend("thread")
+        # Process-backend twins of the batch kernels: same packets
+        # sharded across arena workers (run_bench derives the
+        # `<base>_batch<N>_process_over_inline` speedups).
+        "gcm_2kb_batch32_process_fast": lambda: gcm_seal_many(
+            KEY, GCM_BATCH, 16, backend=bench_backend("process")
         ),
         "ccm_2kb_batch32_process_fast": lambda: ccm_seal_many(
             KEY, CCM_BATCH, 8, backend=bench_backend("process")
         ),
-        # Dataplane-pinned process twins: `_arena_` ships descriptors
-        # over a shared-memory slab (zero payload pickling), the plain
-        # `_process_` kernel above rides the backend default.  The CI
-        # gate requires arena >= 1.5x the pickling path on >= 4 CPUs.
-        "gcm_2kb_batch32_arena_fast": lambda: gcm_seal_many(
-            KEY, GCM_BATCH, 16, backend=bench_backend("process-arena")
-        ),
-        "ccm_2kb_batch32_arena_fast": lambda: ccm_seal_many(
-            KEY, CCM_BATCH, 8, backend=bench_backend("process-arena")
-        ),
         # End-to-end radio dataplane: one op = enqueue + flush through
         # the MCCP channel layer (sequential width-1 vs coalesced 32,
-        # plus the coalesced dispatch on the thread backend).
+        # plus the coalesced dispatch on the process backend).
         "radio_ccm_2kb_fast": _radio_ccm_dataplane(1, 1),
         "radio_ccm_2kb_batch32_fast": _radio_ccm_dataplane(32, BATCH_PACKETS),
-        "radio_ccm_2kb_batch32_thread_fast": _radio_ccm_dataplane(
-            32, BATCH_PACKETS, backend="thread"
+        "radio_ccm_2kb_batch32_process_fast": _radio_ccm_dataplane(
+            32, BATCH_PACKETS, backend="process"
         ),
-        "radio_ccm_2kb_batch32_arena_fast": _radio_ccm_dataplane(
-            32, BATCH_PACKETS, backend="process-arena"
-        ),
-        # Pipelined twins: same dataplane in async submit/reap mode,
+        # Pipelined twin: same dataplane in async submit/reap mode,
         # streaming PIPELINE_STREAM_PACKETS (4 batches) per op so the
         # simulator coalesces batch N+1 while workers run batch N.
-        # run_bench derives `<base>_pipelined_<backend>_over_sync` from
-        # the packets/s ratio against the synchronous backend twin.
-        "radio_ccm_2kb_batch32_pipelined_thread_fast": _radio_ccm_dataplane(
-            32, PIPELINE_STREAM_PACKETS, backend="thread", pipelined=True
-        ),
+        # run_bench derives `<base>_pipelined_process_over_sync` from
+        # the packets/s ratio against the synchronous process twin.
         "radio_ccm_2kb_batch32_pipelined_process_fast": _radio_ccm_dataplane(
             32, PIPELINE_STREAM_PACKETS, backend="process", pipelined=True
         ),
-        # Adaptive twins: FlushPolicy(mode="auto") starting from the
+        # Adaptive twin: FlushPolicy(mode="auto") starting from the
         # static width-32 knobs on the same 4-batch stream.  The rig
         # persists across iterations, so the controller converges in
         # the warm-up and the steady state is what gets measured; the
-        # CI gate requires auto within 5% of the best static kernel.
-        "radio_ccm_2kb_auto_thread_fast": _radio_ccm_dataplane(
-            32, PIPELINE_STREAM_PACKETS, backend="thread", auto=True
-        ),
+        # CI gate warns below 95% of the static kernel.
         "radio_ccm_2kb_auto_process_fast": _radio_ccm_dataplane(
             32, PIPELINE_STREAM_PACKETS, backend="process", auto=True
         ),
@@ -451,18 +427,12 @@ KERNEL_NAMES = (
     "ccm_2kb_fast",
     "gcm_2kb_batch32_fast",
     "ccm_2kb_batch32_fast",
-    "gcm_2kb_batch32_thread_fast",
-    "ccm_2kb_batch32_thread_fast",
+    "gcm_2kb_batch32_process_fast",
     "ccm_2kb_batch32_process_fast",
-    "gcm_2kb_batch32_arena_fast",
-    "ccm_2kb_batch32_arena_fast",
     "radio_ccm_2kb_fast",
     "radio_ccm_2kb_batch32_fast",
-    "radio_ccm_2kb_batch32_thread_fast",
-    "radio_ccm_2kb_batch32_arena_fast",
-    "radio_ccm_2kb_batch32_pipelined_thread_fast",
+    "radio_ccm_2kb_batch32_process_fast",
     "radio_ccm_2kb_batch32_pipelined_process_fast",
-    "radio_ccm_2kb_auto_thread_fast",
     "radio_ccm_2kb_auto_process_fast",
     "sim_kernel_8k_events",
 )
@@ -512,17 +482,11 @@ def correctness_check(name: str) -> bool:
         sequential = [ccm_seal(KEY, nonce, data, b"", 8) for nonce, data in CCM_BATCH]
         reference = ccm_encrypt(KEY, CCM_BATCH[0][0], PACKET, b"", 8, False)
         return batch == sequential and batch[0] == reference
-    backend_kernel = re.fullmatch(
-        r"(gcm|ccm)_2kb_batch32_(thread|process|arena)_fast", name
-    )
+    backend_kernel = re.fullmatch(r"(gcm|ccm)_2kb_batch32_process_fast", name)
     if backend_kernel:
         # The sharded batch must merge byte-identical to the inline run
-        # (the arena kernel additionally crosses the descriptor
-        # dataplane: payloads come back out of the shared-memory slab).
-        spec = {"arena": "process-arena"}.get(
-            backend_kernel[2], backend_kernel[2]
-        )
-        backend = bench_backend(spec)
+        # (payloads come back out of the shared-memory slab).
+        backend = bench_backend("process")
         if backend_kernel[1] == "gcm":
             inline = gcm_seal_many(KEY, GCM_BATCH, 16)
             return gcm_seal_many(KEY, GCM_BATCH, 16, backend=backend) == inline
@@ -531,11 +495,8 @@ def correctness_check(name: str) -> bool:
     if name in (
         "radio_ccm_2kb_fast",
         "radio_ccm_2kb_batch32_fast",
-        "radio_ccm_2kb_batch32_thread_fast",
-        "radio_ccm_2kb_batch32_arena_fast",
-        "radio_ccm_2kb_batch32_pipelined_thread_fast",
+        "radio_ccm_2kb_batch32_process_fast",
         "radio_ccm_2kb_batch32_pipelined_process_fast",
-        "radio_ccm_2kb_auto_thread_fast",
         "radio_ccm_2kb_auto_process_fast",
     ):
         # The full dataplane (jobs, flush policy, batch engine) must
@@ -547,13 +508,7 @@ def correctness_check(name: str) -> bool:
         width = 1 if name == "radio_ccm_2kb_fast" else 32
         pipelined = "_pipelined_" in name
         auto = "_auto_" in name
-        backend = None
-        if name.endswith("_thread_fast"):
-            backend = "thread"
-        elif name.endswith("_arena_fast"):
-            backend = "process-arena"
-        elif name.endswith("_process_fast"):
-            backend = "process"
+        backend = "process" if name.endswith("_process_fast") else None
         npackets = (
             PIPELINE_STREAM_PACKETS if (pipelined or auto) else BATCH_PACKETS
         )

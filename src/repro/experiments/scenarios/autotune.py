@@ -132,7 +132,7 @@ def _run(configs, seed, backend, policy=None, autotune=False):
     "backends — violations raise inside the scenario.",
     grid={
         "profile": ["steady", "bursty", "mixed"],
-        "backend": ["inline", "thread"],
+        "backend": ["inline", "process"],
     },
     quick_grid={
         "profile": ["steady", "bursty", "mixed"],

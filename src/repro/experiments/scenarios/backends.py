@@ -1,16 +1,14 @@
 """Execution-backend comparison as a sweepable scenario.
 
 One case = one coalesce width: a mixed seal+open 2 KB packet batch runs
-through :func:`repro.crypto.fast.batch.seal_open_many` on the inline,
-thread and process backends — the process leg twice, once on the
-default shared-memory arena dataplane and once pinned to the legacy
-payload-pickling path — measuring packets/s each way.  The
-``correct`` bool (deterministic — baseline comparison fails hard on it)
-pins all three backends byte-identical; the packets/s numbers and the
-derived speedups are timing metrics, so drift warns.  CI's dedicated
-thread-over-inline gate lives in ``benchmarks/gate_backends.py``; this
-scenario records the same comparison inside every sweep artifact, plus
-the worker/CPU context needed to read the numbers across machines.
+through :func:`repro.crypto.fast.batch.seal_open_many` on the inline
+and process backends, measuring packets/s each way.  The ``correct``
+bool (deterministic — baseline comparison fails hard on it) pins both
+backends byte-identical; the packets/s numbers and the derived speedup
+are timing metrics, so drift warns.  ``benchmarks/gate_backends.py``
+runs the same measurement in CI; this scenario records it inside every
+sweep artifact, plus the worker/CPU context needed to read the numbers
+across machines.
 """
 
 from __future__ import annotations
@@ -18,11 +16,7 @@ from __future__ import annotations
 import os
 
 from repro.crypto.fast.batch import seal_open_many
-from repro.crypto.fast.exec import (
-    InlineBackend,
-    ProcessPoolBackend,
-    ThreadPoolBackend,
-)
+from repro.crypto.fast.exec import InlineBackend, ProcessPoolBackend
 from repro.experiments.kernels import measure
 from repro.experiments.scenario import register
 from repro.experiments.scenarios._util import deterministic_bytes
@@ -52,7 +46,7 @@ def _mixed_batch(width: int, seed: int):
 
 
 def measure_backends(width: int, window: float, seed: int = 0) -> dict:
-    """Measure the mixed batch on inline/thread/process; one source of
+    """Measure the mixed batch on inline and process; one source of
     truth shared by the ``backend_sweep`` scenario and CI's
     ``benchmarks/gate_backends.py`` so the gate and the sweep artifact
     can never drift apart on what they measure.
@@ -63,16 +57,7 @@ def measure_backends(width: int, window: float, seed: int = 0) -> dict:
     it ran real workers).
     """
     seal_packets, open_packets = _mixed_batch(width, seed)
-    backends = {
-        "inline": InlineBackend(),
-        "thread": ThreadPoolBackend(),
-        # "process" rides the backend default dataplane (the
-        # shared-memory arena unless REPRO_ARENA opts out);
-        # "process_pickle" pins the payload-pickling path so the
-        # arena's win over it stays a measured, gateable number.
-        "process": ProcessPoolBackend(),
-        "process_pickle": ProcessPoolBackend(arena=False),
-    }
+    backends = {"inline": InlineBackend(), "process": ProcessPoolBackend()}
     try:
         outputs = {}
         rates = {}
@@ -110,19 +95,15 @@ def measure_backends(width: int, window: float, seed: int = 0) -> dict:
     name="backend_sweep",
     title="Execution backends: mixed seal+open packets/s per backend",
     description="2 KB CCM seal+open batches through seal_open_many on "
-    "the inline, thread and process backends; byte equality is the "
-    "deterministic gate, packets/s and speedups are timing metrics.",
+    "the inline and process backends; byte equality is the "
+    "deterministic gate, packets/s and the speedup are timing metrics.",
     grid={"width": [8, 32]},
     quick_grid={"width": [32]},
     tags=("timing", "perf", "backend"),
     timing_metrics=(
         "inline_pps",
-        "thread_pps",
         "process_pps",
-        "process_pickle_pps",
-        "thread_speedup",
         "process_speedup",
-        "arena_speedup_over_pickle",
         "arena_active",
         "arena_degraded",
         "workers",
@@ -137,17 +118,11 @@ def backend_sweep(params, seed, quick):
     return {
         "correct": measured["correct"],
         "inline_pps": round(rates["inline"], 2),
-        "thread_pps": round(rates["thread"], 2),
         "process_pps": round(rates["process"], 2),
-        "process_pickle_pps": round(rates["process_pickle"], 2),
-        "thread_speedup": round(rates["thread"] / rates["inline"], 3),
         "process_speedup": round(rates["process"] / rates["inline"], 3),
-        "arena_speedup_over_pickle": round(
-            rates["process"] / rates["process_pickle"], 3
-        ),
         "arena_active": measured["arena_active"],
         "arena_degraded": measured["arena_degraded"],
-        "workers": measured["workers"]["thread"],
+        "workers": measured["workers"]["process"],
         "cpu_count": measured["cpu_count"],
         "process_degraded": measured["process_degraded"],
     }

@@ -13,9 +13,9 @@ unless the resilience invariant holds:
 * per-channel completion order is preserved.
 
 The ``crash_storm`` site scripts a worker crash on *every* attempt, so
-the case can only complete by degrading down the process -> thread ->
-inline chain; the scenario additionally asserts that degradation was
-recorded.  The recovery counters (retries, degradations, watchdog
+the case can only complete by degrading from process to inline; the
+scenario additionally asserts that degradation was recorded.  The
+recovery counters (retries, degradations, watchdog
 fires) depend on pool scheduling and on whether the harness itself
 runs the case in a daemonic sweep worker, so they are declared timing
 metrics; the invariant bools are the deterministic gate CI compares.
@@ -30,7 +30,7 @@ from repro.errors import ExperimentError
 from repro.experiments.scenario import register
 from repro.experiments.scenarios._util import deterministic_bytes
 from repro.mccp.channel import FlushPolicy
-from repro.radio.sdr_platform import ChannelConfig, SdrPlatform
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 from repro.resilience import FaultPlan, ScriptedFault, set_fault_plan
@@ -99,10 +99,12 @@ def _run_cell(configs, seed, plan, backend, dataplane):
     try:
         platform = SdrPlatform(core_count=4, seed=seed)
         report = platform.run_workload(
-            configs,
-            dataplane=dataplane,
-            flush_policy=FlushPolicy(coalesce_limit=32, flush_deadline=8192),
-            backend=backend,
+            WorkloadSpec(
+                configs,
+                dataplane=dataplane,
+                flush_policy=FlushPolicy(coalesce_limit=32, flush_deadline=8192),
+                backend=backend,
+            )
         )
         transfers: Dict[Tuple[int, int], Tuple[bytes, Optional[bytes], bool]] = {}
         order: Dict[int, List[int]] = {}
@@ -149,12 +151,12 @@ def _check_invariant(site, baseline, faulted, base_order, fault_order):
     grid={
         "site": list(CHAOS_SITES),
         "rate": [0.25],
-        "backend": ["thread", "process"],
+        "backend": ["process"],
     },
     quick_grid={
         "site": ["none", "worker_crash", "batch_error", "crash_storm"],
         "rate": [0.3],
-        "backend": ["thread", "process"],
+        "backend": ["process"],
     },
     tags=("resilience", "chaos", "radio"),
     timing_metrics=(

@@ -256,12 +256,12 @@ def run_overload_cell(
     grid={
         "arrival": list(ARRIVALS),
         "capacity": [4, 8],
-        "backend": ["inline", "thread"],
+        "backend": ["inline", "process"],
     },
     quick_grid={
         "arrival": ["saturating", "bursty"],
         "capacity": [4],
-        "backend": ["inline", "thread"],
+        "backend": ["inline", "process"],
     },
     tags=("overload", "admission", "sla", "radio"),
     timing_metrics=("total_cycles", "baseline_cycles", "overload_factor"),

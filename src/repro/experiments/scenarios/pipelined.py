@@ -88,11 +88,11 @@ def _run(spec_kwargs: dict, seed: int):
     "cycle stamps, total cycles) must equal the synchronous batched "
     "run's, while wall-clock overlap is a timing metric.",
     grid={
-        "backend": ["inline", "thread"],
+        "backend": ["inline", "process"],
         "depth": [1, 2, 4],
         "channels": [2, 4],
     },
-    quick_grid={"backend": ["thread"], "depth": [2], "channels": [4]},
+    quick_grid={"backend": ["process"], "depth": [2], "channels": [4]},
     tags=("radio", "dataplane", "pipeline", "timing"),
     timing_metrics=(
         "batched_seconds",

@@ -15,7 +15,7 @@ from repro.experiments.scenarios._util import CLOCK_HZ, deterministic_bytes
 from repro.mccp.mccp import Mccp
 from repro.radio.comm_controller import CommController
 from repro.radio.packet import Packet
-from repro.radio.sdr_platform import ChannelConfig, SdrPlatform
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 from repro.sched import FirstIdlePolicy, PriorityReservePolicy, RoundRobinPolicy
@@ -71,7 +71,7 @@ def scheduling_policies(params, seed, quick):
             for _ in range(3)
         ],
     ]
-    report = platform.run_workload(configs)
+    report = platform.run_workload(WorkloadSpec(configs))
     voice = [
         t.download_done_cycle - t.request.submit_cycle
         for t in platform.comm.completed.values()
@@ -107,7 +107,7 @@ def core_scaling(params, seed, quick):
         )
         for _ in range(cores)
     ]
-    report = platform.run_workload(configs)
+    report = platform.run_workload(WorkloadSpec(configs))
     return _report_metrics(report)
 
 
@@ -215,7 +215,7 @@ def mixed_channel_radio(params, seed, quick):
                 priority=0 if standard is RadioStandard.TACTICAL_VOICE else 1,
             )
         )
-    report = platform.run_workload(configs)
+    report = platform.run_workload(WorkloadSpec(configs))
     metrics = _report_metrics(report)
     metrics["channels"] = len(configs)
     return metrics

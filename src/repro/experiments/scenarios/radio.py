@@ -1,7 +1,7 @@
 """The batched radio dataplane as a sweepable scenario.
 
 Drives realistic multi-channel radio traffic end to end through the
-coalescing pipeline — ``SdrPlatform.run_workload(dataplane="batched")``
+coalescing pipeline — ``WorkloadSpec(dataplane="batched")``
 → per-channel job queues → :class:`repro.mccp.channel.FlushPolicy` →
 :mod:`repro.crypto.fast.batch` — sweeping the three knobs that shape
 it: coalesce width, channel count and the sim-time idle deadline.
@@ -20,7 +20,7 @@ from repro.crypto.fast.bulk import ccm_seal, gcm_seal
 from repro.experiments.scenario import register
 from repro.experiments.scenarios._util import deterministic_bytes
 from repro.mccp.channel import FlushPolicy
-from repro.radio.sdr_platform import ChannelConfig, SdrPlatform
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 
@@ -65,12 +65,14 @@ def radio_batch(params, seed, quick):
         )
     platform = SdrPlatform(core_count=4, seed=seed)
     report = platform.run_workload(
-        configs,
-        dataplane="batched",
-        flush_policy=FlushPolicy(
-            coalesce_limit=params["coalesce"],
-            flush_deadline=params["deadline"],
-        ),
+        WorkloadSpec(
+            configs,
+            dataplane="batched",
+            flush_policy=FlushPolicy(
+                coalesce_limit=params["coalesce"],
+                flush_deadline=params["deadline"],
+            ),
+        )
     )
 
     channels = platform.mccp.scheduler.channels

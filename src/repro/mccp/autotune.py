@@ -15,9 +15,9 @@ the workload reports already expose:
   ``flush_deadline`` at window boundaries.  Every decision is recorded
   in a trace (window stats in, knobs out, cause) so "why did it widen
   here" is answerable offline from any sweep artifact.
-- :func:`advise_backend` is the optional workload-level advisor: a
-  scored policy table keyed on a :class:`TrafficProfile` that picks
-  the execution ``backend`` and ``pipeline_depth`` for a whole run
+- :func:`advise_backend` is the optional workload-level advisor: one
+  rule over a :class:`TrafficProfile` that picks the execution
+  ``backend`` and ``pipeline_depth`` for a whole run
   (``WorkloadSpec(autotune=AutotuneConfig(advise_backend=True))``).
 
 Determinism contract
@@ -50,17 +50,14 @@ the defaults on throughput:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "AutotuneConfig",
     "BackendAdvice",
-    "BackendPolicy",
     "Decision",
     "FlushController",
-    "POLICY_TABLE",
     "TrafficProfile",
     "WindowStats",
     "advise_backend",
@@ -446,86 +443,23 @@ class TrafficProfile:
 
 
 @dataclass(frozen=True)
-class BackendPolicy:
-    """One scored row of the advisor's policy table."""
-
-    name: str
-    #: Execution-backend spec (:mod:`repro.crypto.fast.exec` string).
-    backend: str
-    pipeline_depth: int
-    #: Minimum host CPUs for the row to be eligible at all.
-    min_cpus: int
-    #: Score weights: ``bias + work_weight * log10(total_bytes + 1)
-    #: + sustained_weight * sustained_fraction + bulk_weight *
-    #: [mean packet >= 1 KB]``.
-    bias: float
-    work_weight: float
-    sustained_weight: float
-    bulk_weight: float
-
-    def score(self, profile: TrafficProfile) -> float:
-        bulky = 1.0 if profile.mean_packet_bytes >= 1024 else 0.0
-        return (
-            self.bias
-            + self.work_weight * math.log10(profile.total_bytes + 1)
-            + self.sustained_weight * profile.sustained_fraction
-            + self.bulk_weight * bulky
-        )
-
-
-#: The advisor's policy table, in preference order for ties.  Inline
-#: wins small workloads (pool dispatch overhead dominates); the thread
-#: pool takes over once there is real work to overlap; the zero-copy
-#: arena process pool wins sustained bulk on hosts with enough cores to
-#: outnumber GIL-sharing threads.
-POLICY_TABLE: Tuple[BackendPolicy, ...] = (
-    BackendPolicy(
-        name="inline-small",
-        backend="inline",
-        pipeline_depth=1,
-        min_cpus=1,
-        bias=6.0,
-        work_weight=0.0,
-        sustained_weight=0.0,
-        bulk_weight=0.0,
-    ),
-    BackendPolicy(
-        name="thread-medium",
-        backend="thread",
-        pipeline_depth=2,
-        min_cpus=2,
-        bias=0.0,
-        work_weight=1.2,
-        sustained_weight=0.4,
-        bulk_weight=0.3,
-    ),
-    BackendPolicy(
-        name="process-arena-bulk",
-        backend="process-arena",
-        pipeline_depth=4,
-        min_cpus=4,
-        bias=-2.5,
-        work_weight=1.3,
-        sustained_weight=1.5,
-        bulk_weight=1.0,
-    ),
-)
-
-
-@dataclass(frozen=True)
 class BackendAdvice:
-    """The advisor's pick plus the full score table (for the report)."""
+    """The advisor's pick (recorded in the workload report)."""
 
     policy: str
     backend: str
     pipeline_depth: int
-    scores: Tuple[Tuple[str, float], ...]
 
 
 def advise_backend(
     profile: TrafficProfile, cpu_count: Optional[int] = None
 ) -> BackendAdvice:
-    """Pick ``(backend, pipeline_depth)`` for *profile* from the table.
+    """Pick ``(backend, pipeline_depth)`` for *profile*.
+
+    Sustained bulk traffic (at least half the packets on saturating
+    channels, mean packet >= 1 KB) on a host with 4 or more CPUs goes
+    to the arena process pool, pipelined 4 deep; everything else runs
+    inline, where pool dispatch overhead cannot dominate.
 
     Deterministic given ``(profile, cpu_count)``; pass *cpu_count*
     explicitly for reproducible sweeps and tests (None reads the
@@ -537,12 +471,10 @@ def advise_backend(
         import os
 
         cpu_count = os.cpu_count() or 1
-    eligible = [row for row in POLICY_TABLE if cpu_count >= row.min_cpus]
-    scores = tuple((row.name, round(row.score(profile), 3)) for row in eligible)
-    best = max(eligible, key=lambda row: row.score(profile))
-    return BackendAdvice(
-        policy=best.name,
-        backend=best.backend,
-        pipeline_depth=best.pipeline_depth,
-        scores=scores,
-    )
+    if (
+        cpu_count >= 4
+        and profile.sustained_fraction >= 0.5
+        and profile.mean_packet_bytes >= 1024
+    ):
+        return BackendAdvice("process-arena-bulk", "process-arena", 4)
+    return BackendAdvice("inline-small", "inline", 1)

@@ -27,10 +27,9 @@ class KeyMemory:
         self._sealed = False
         #: Read counter per key id (audit trail).
         self.read_counts: Dict[int, int] = {}
-        # The audit trail must stay exact when concurrent per-channel
-        # drains (Mccp.flush_batches on a thread backend) fetch keys —
-        # channels may share a key id, and an unlocked read-modify-
-        # write would lose counts.
+        # The audit trail must stay exact when several threads fetch
+        # keys — channels may share a key id, and an unlocked
+        # read-modify-write would lose counts.
         self._read_lock = threading.Lock()
 
     # -- main-controller (red side) interface --------------------------------

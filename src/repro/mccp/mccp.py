@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.crypto_core import CryptoCore
 from repro.core.params import Algorithm, Direction
-from repro.crypto.fast.exec import INLINE, BackendSpec, resolve_backend
+from repro.crypto.fast.exec import BackendSpec, resolve_backend
 from repro.crypto.modes.ccm import _check_params as _ccm_check_params
 from repro.crypto.modes.gcm import VALID_TAG_LENGTHS as _GCM_VALID_TAG_LENGTHS
 from repro.errors import (
@@ -407,7 +407,7 @@ class Mccp:
 
         The futures form of :meth:`dispatch_jobs`: the key fetch (with
         its retry loop) and the backend submission happen here, then
-        the caller gets the handle back while thread/process workers
+        the caller gets the handle back while process workers
         run the crypto — the pipelined dataplane keeps coalescing the
         *next* batch meanwhile.  Job stamping, channel counters and the
         quarantine/dead-letter routing all run inside
@@ -504,16 +504,9 @@ class Mccp:
         The all-channels form of :meth:`flush_channel` — the same
         *explicit force* trigger of the canonical flush lifecycle
         documented on :class:`repro.mccp.channel.FlushPolicy`, applied
-        to every non-empty queue in channel-id order.
-
-        Per-channel flushes are mutually independent (disjoint queues,
-        stats and keys), so a shared-state backend with more than one
-        worker drains the channels concurrently — each channel's own
-        dispatches stay inline on its worker, which keeps the per-pool
-        work non-reentrant.  Process backends (and inline) drain
-        channels sequentially and parallelise inside each dispatch
-        instead.  Either way the mapping and every result list are
-        identical to the sequential drain.
+        to every non-empty queue in channel-id order.  Channels drain
+        sequentially; a process backend parallelises inside each
+        dispatch.
         """
         resolved = resolve_backend(backend if backend is not None else self.backend)
         pending_ids = [
@@ -521,15 +514,6 @@ class Mccp:
             for channel_id, channel in sorted(self.scheduler.channels.items())
             if channel.pending
         ]
-        if (
-            resolved.supports_shared_state
-            and resolved.workers > 1
-            and len(pending_ids) > 1
-        ):
-            results = resolved.run(
-                [(self.flush_channel, (cid, INLINE)) for cid in pending_ids]
-            )
-            return dict(zip(pending_ids, results))
         return {
             channel_id: self.flush_channel(channel_id, resolved)
             for channel_id in pending_ids

@@ -21,7 +21,7 @@ pipeline built around :class:`repro.mccp.channel.PacketJob`:
   correct per-packet latency accounting;
 - with :attr:`CommController.pipelined` set, each dispatch is instead
   *submitted* (:meth:`repro.mccp.mccp.Mccp.dispatch_jobs_async`) and
-  the drain keeps coalescing the next batch while thread/process
+  the drain keeps coalescing the next batch while process
   workers run the current one — out-of-order wall-clock completion,
   strictly in-order per-channel fan-out, identical bytes and cycle
   stamps (the paper's pipelining lifted to the system level);
@@ -145,7 +145,7 @@ class CommController:
         #: When True, drains *submit* each dispatch through
         #: :meth:`Mccp.dispatch_jobs_async` and keep going — the
         #: simulator coalesces and flushes the next batch while
-        #: thread/process workers run the current one.  Completions fan
+        #: process workers run the current one.  Completions fan
         #: out strictly in per-channel submission order whatever
         #: wall-clock order batches finish in, stamped with the cycles
         #: the synchronous dataplane would have stamped.

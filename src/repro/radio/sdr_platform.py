@@ -20,15 +20,13 @@ on the same :class:`repro.mccp.channel.PacketJob` pipeline:
   cores path;
 - ``dataplane="pipelined"`` — the batched pipeline with asynchronous
   dispatch: each batch is *submitted* to the execution backend and
-  the simulator keeps coalescing the next one while thread/process
-  workers run the current one (``WorkloadSpec.pipeline_depth`` bounds
+  the simulator keeps coalescing the next one while process workers
+  run the current one (``WorkloadSpec.pipeline_depth`` bounds
   the overlap).  Same bytes, same per-channel completion order, same
   cycle stamps as ``"batched"`` — only wall-clock overlaps.
 
-The preferred calling convention is a :class:`WorkloadSpec` —
-``platform.run_workload(WorkloadSpec(configs, dataplane="pipelined"))``
-— which consolidates what used to be a sprawl of keyword arguments;
-the old kwargs still work as a thin deprecated shim.
+Every run is described by one :class:`WorkloadSpec` —
+``platform.run_workload(WorkloadSpec(configs, dataplane="pipelined"))``.
 
 Both dataplanes secure every packet under the same deterministic
 per-(channel, sequence) nonce, so they produce byte-identical secured
@@ -48,16 +46,14 @@ authentications are per-packet isolated and tallied in
 from ``(seed, channel, sequence)``, so both dataplanes and every
 execution backend replay the identical mixed workload.
 
-``run_workload(backend=...)`` selects where the batched dispatches'
-seal/open sweeps execute (:mod:`repro.crypto.fast.exec`): inline,
-a thread pool, or a process pool — outputs and completion order are
-identical across all three.
+``WorkloadSpec(backend=...)`` selects where the batched dispatches'
+seal/open sweeps execute (:mod:`repro.crypto.fast.exec`): inline or a
+process pool — outputs and completion order are identical on both.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Union
 
@@ -119,9 +115,8 @@ class ChannelConfig:
 class WorkloadSpec:
     """Everything one :meth:`SdrPlatform.run_workload` replay needs.
 
-    Consolidates the run-level knobs that used to travel as separate
-    keyword arguments; a spec is a value object, so the same workload
-    can be replayed across dataplanes/backends with
+    A spec is a value object, so the same workload can be replayed
+    across dataplanes/backends with
     ``dataclasses.replace(spec, dataplane=...)``.
     """
 
@@ -153,8 +148,8 @@ class WorkloadSpec:
     #: or an :class:`AutotuneConfig` installs the config on the
     #: communication controller and defaults the run-level flush policy
     #: to ``FlushPolicy(mode="auto")`` when none is given; with
-    #: ``advise_backend`` set and no pinned :attr:`backend`, the scored
-    #: policy table also picks the run's backend and pipeline depth.
+    #: ``advise_backend`` set and no pinned :attr:`backend`, the
+    #: advisor also picks the run's backend and pipeline depth.
     autotune: Union[bool, AutotuneConfig, None] = None
 
     def __post_init__(self) -> None:
@@ -183,10 +178,6 @@ class WorkloadSpec:
                 f"queue_capacity must be >= 1 or None, got "
                 f"{self.queue_capacity}"
             )
-
-
-#: Marks a legacy run_workload kwarg the caller did not pass.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -253,9 +244,9 @@ def _worker_expansions(comm) -> int:
 
     Arena dispatch shards report the ``expand_key_cached`` misses each
     one observed; the process backend accumulates them in
-    ``worker_expansions``.  Backends without the counter (inline,
-    thread — their expansions land in the shared parent LRU and are
-    not per-worker events) read as zero.
+    ``worker_expansions``.  Backends without the counter (inline —
+    its expansions land in the parent LRU and are not per-worker
+    events) read as zero.
     """
     backend = resolve_backend(comm.backend)
     return getattr(backend, "worker_expansions", 0)
@@ -267,7 +258,7 @@ class _RunAccounting:
     The scheduler/comm/resilience counters accumulate across runs on a
     reused platform; constructing one of these before the run and
     calling :meth:`fill` after yields a report scoped to just that
-    run's activity.  Shared by :meth:`SdrPlatform._run_spec` and the
+    run's activity.  Shared by :meth:`SdrPlatform.run_workload` and the
     session layer (:mod:`repro.radio.sessions`), so workload replays
     and session storms account identically.
     """
@@ -400,77 +391,20 @@ class SdrPlatform:
 
     # -- workload execution ---------------------------------------------------------
 
-    def run_workload(
-        self,
-        configs=None,
-        limit=_UNSET,
-        dataplane=_UNSET,
-        flush_policy=_UNSET,
-        backend=_UNSET,
-        rx_fraction=_UNSET,
-        loss_rate=_UNSET,
-        corrupt_rate=_UNSET,
-        *,
-        spec: Optional[WorkloadSpec] = None,
-    ) -> WorkloadReport:
+    def run_workload(self, spec: WorkloadSpec) -> WorkloadReport:
         """Replay every channel's traffic to completion; returns the report.
 
-        Preferred form: one :class:`WorkloadSpec`, passed positionally
-        or as ``spec=`` — it carries the dataplane, flush policy,
-        backend, rx mix and pipeline depth.  The legacy keyword
-        arguments (``dataplane=``, ``backend=``, ...) still work as a
-        thin deprecated shim that builds the spec for you and emits a
-        :class:`DeprecationWarning`; they cannot be combined with an
-        explicit spec.  Every engine reports into the same
+        *spec* carries the channels, dataplane, flush policy, backend,
+        rx mix and pipeline depth.  Every engine reports into the same
         :class:`WorkloadReport`, which additionally carries the queue
         depth / backpressure statistics of the batched pipeline, the
         rx loss/auth-failure tallies, and the pipelined dataplane's
         in-flight overlap peak.
         """
-        legacy = {
-            name: value
-            for name, value in (
-                ("limit", limit),
-                ("dataplane", dataplane),
-                ("flush_policy", flush_policy),
-                ("backend", backend),
-                ("rx_fraction", rx_fraction),
-                ("loss_rate", loss_rate),
-                ("corrupt_rate", corrupt_rate),
+        if not isinstance(spec, WorkloadSpec):
+            raise TypeError(
+                f"run_workload needs a WorkloadSpec, got {type(spec).__name__}"
             )
-            if value is not _UNSET
-        }
-        if isinstance(configs, WorkloadSpec):
-            if spec is not None:
-                raise TypeError(
-                    "pass the WorkloadSpec positionally or as spec=, not both"
-                )
-            spec, configs = configs, None
-        if spec is not None:
-            if configs is not None or legacy:
-                raise TypeError(
-                    "combine every run parameter into the WorkloadSpec; "
-                    "mixing spec= with legacy arguments is not supported"
-                )
-        else:
-            if configs is None:
-                raise TypeError(
-                    "run_workload needs a WorkloadSpec or a ChannelConfig "
-                    "sequence"
-                )
-            if legacy:
-                warnings.warn(
-                    "run_workload's per-knob keyword arguments are "
-                    "deprecated; pass a WorkloadSpec instead, e.g. "
-                    "run_workload(WorkloadSpec(configs, dataplane=...))",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            spec = WorkloadSpec(configs=configs, **legacy)
-        return self._run_spec(spec)
-
-    def _run_spec(self, spec: WorkloadSpec) -> WorkloadReport:
-        """Execute one validated :class:`WorkloadSpec`."""
         configs = spec.configs
         dataplane = spec.dataplane
         flush_policy = spec.flush_policy

@@ -12,7 +12,7 @@ above the device model:
   identically on every backend and host.
 - :mod:`repro.resilience.policy` — :class:`ResiliencePolicy` bounds
   what recovery may cost: retries, backoff, watchdog budget, whether
-  degradation (``process`` → ``thread`` → ``inline``) is allowed.
+  degradation (``process`` → ``inline``) is allowed.
 - :mod:`repro.resilience.breaker` — a per-backend
   :class:`CircuitBreaker` (CLOSED / OPEN / HALF_OPEN): repeated span
   failures trip it and new spans route straight to the fallback,

@@ -2,7 +2,7 @@
 
 PR 6's recovery chain is *reactive*: every dispatch on a failing
 backend still pays retries and watchdog budgets before degrading, and
-the sticky ``process -> thread -> inline`` degradation never comes
+the sticky ``process -> inline`` degradation never comes
 back.  The breaker is the *proactive* complement: repeated
 infrastructure failures (worker crashes, watchdog fires — anything the
 retry loop sees as a :class:`repro.errors.BackendError`) trip it, and
@@ -19,7 +19,7 @@ fails wherever it runs.
 Determinism: cooldown is counted in *spans routed around*, not
 wall-clock seconds, so a workload replay trips, bypasses and recovers
 at exactly the same dispatch indices every run.  State transitions are
-lock-guarded (thread backends collect spans concurrently).
+lock-guarded.
 """
 
 from __future__ import annotations

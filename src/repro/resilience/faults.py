@@ -15,7 +15,7 @@ Sites
 ``worker_crash``
     A backend pool worker dies mid-span.  In a real process-pool child
     the worker hard-exits (producing a genuine ``BrokenProcessPool``);
-    on a thread/narrow path it raises :class:`WorkerCrashError`.  The
+    outside a pool worker it raises :class:`WorkerCrashError`.  The
     inline backend has no worker to crash, so the site is inert there —
     inline is the safe harbour the degradation chain ends in.
 ``worker_hang``

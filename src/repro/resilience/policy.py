@@ -2,8 +2,8 @@
 
 A policy bounds what self-healing may cost: how many times a failed
 span is retried, how backoff grows, how long a span may run before the
-watchdog expires it, and whether the backend may degrade down the
-``process`` → ``thread`` → ``inline`` chain.  The default policy keeps
+watchdog expires it, and whether the backend may degrade
+``process`` → ``inline``.  The default policy keeps
 today's behaviour for healthy runs — no watchdog, backoff only ever
 sleeps after a genuine infrastructure failure.
 """
@@ -33,7 +33,7 @@ class ResiliencePolicy:
     #: watchdog only applies where there is a pool to abandon.
     watchdog_seconds: Optional[float] = None
     #: Whether retry exhaustion may fall through to the backend's
-    #: fallback (process → thread → inline) instead of raising.
+    #: fallback (process → inline) instead of raising.
     degrade: bool = True
     #: Circuit-breaker budget (None = no breaker): repeated span
     #: failures trip it and new spans start on the fallback until

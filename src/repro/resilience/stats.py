@@ -5,7 +5,7 @@ from the :class:`WorkloadReport` the caller sees, so the machinery
 records events here and ``run_workload`` turns a before/after snapshot
 into per-run counters.  Counters are cumulative for the process (like
 the channel statistics the platform already snapshots) and guarded by
-a lock because thread backends retry concurrently.
+a lock so callers on several threads count exactly.
 
 Process-pool caveat: events inside a shared-nothing worker mutate the
 *worker's* counters and are lost with it.  The parent-side machinery

@@ -9,9 +9,9 @@ the process backend:
 - **Lifecycle hygiene** — every ``/dev/shm`` segment an arena cuts is
   unlinked by ``close()``, including after a worker-crash storm; no
   run leaks kernel objects.
-- **Structural fallback** — a host without usable shared memory
-  degrades to the pickling dataplane with a recorded
-  ``arena_degraded_reason`` and byte-identical results, never an error.
+- **Structural fallback** — a host without usable shared memory runs
+  dispatches inline with a recorded ``arena_degraded_reason`` and
+  byte-identical results, never an error.
 - **Rekey epoch protocol** — warm per-key worker state is invalidated
   for exactly the rotated key id; steady-state traffic re-expands
   nothing (the ``WorkloadReport.key_schedule_expansions`` acceptance).
@@ -33,8 +33,9 @@ from repro.crypto.fast.arena import (
     note_key_epoch,
     warm_keys,
 )
+from repro.crypto.fast import batch as fast_batch
 from repro.crypto.fast.batch import seal_open_many, seal_open_submit
-from repro.crypto.fast.exec import ProcessPoolBackend, ResiliencePolicy
+from repro.crypto.fast.exec import ProcessPoolBackend, ResiliencePolicy, make_backend
 from repro.mccp.channel import FlushPolicy
 from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
@@ -217,7 +218,7 @@ class TestLifecycleHygiene:
 
     def test_backend_close_unlinks_segments(self):
         baseline = _shm_segments()
-        backend = ProcessPoolBackend(workers=2, arena=True)
+        backend = ProcessPoolBackend(workers=2)
         try:
             packets = _gcm_packets()
             sealed, _ = seal_open_many("gcm", KEY, packets, [], 16,
@@ -237,7 +238,7 @@ class TestLifecycleHygiene:
         packets = _gcm_packets(count=24)
         expected = seal_open_many("gcm", KEY, packets, [], 16)
         plan = FaultPlan(scripted=(ScriptedFault("worker_crash", times=1),))
-        backend = ProcessPoolBackend(workers=2, arena=True)
+        backend = ProcessPoolBackend(workers=2)
         backend.resilience = FAST
         previous = set_fault_plan(plan)
         try:
@@ -260,7 +261,7 @@ class TestArenaFallback:
             raise OSError("shm_open refused (test)")
 
         monkeypatch.setattr(arena_mod, "_new_segment", refuse)
-        backend = ProcessPoolBackend(workers=2, arena=True)
+        backend = ProcessPoolBackend(workers=2)
         try:
             packets = _gcm_packets()
             expected = seal_open_many("gcm", KEY, packets, [], 16)
@@ -269,7 +270,7 @@ class TestArenaFallback:
             assert reason is not None
             assert "shared-memory arena unavailable" in reason
             assert "shm_open refused" in reason
-            # The dispatch itself still works — pickling dataplane.
+            # The dispatch itself still works — inline.
             got = seal_open_many("gcm", KEY, packets, [], 16, backend=backend)
             assert got == expected
             # The probe is sticky: no re-attempt storm per dispatch.
@@ -277,24 +278,46 @@ class TestArenaFallback:
         finally:
             backend.close()
 
-    def test_opt_out_spec_and_env(self, monkeypatch):
-        assert ProcessPoolBackend(workers=2, arena=False).dispatch_arena() \
-            is None
-        monkeypatch.setenv("REPRO_ARENA", "0")
-        backend = ProcessPoolBackend(workers=2)
-        assert backend._arena_requested is False
-        assert backend.dispatch_arena() is None
-        monkeypatch.setenv("REPRO_ARENA", "pickle")
-        assert ProcessPoolBackend(workers=2)._arena_requested is False
-        monkeypatch.delenv("REPRO_ARENA")
-        assert ProcessPoolBackend(workers=2)._arena_requested is True
+    def test_unusable_arena_runs_dispatches_inline(self, monkeypatch):
+        def no_arena():
+            raise OSError("no /dev/shm (test)")
+
+        monkeypatch.setattr(arena_mod, "PacketArena", no_arena)
+        backend = make_backend("process:2")
+        submitted = []
+        real_submit = backend.submit
+
+        def spy(calls, policy=None):
+            submitted.append([call[0] for call in calls])
+            return real_submit(calls, policy)
+
+        backend.submit = spy
+        try:
+            packets = _gcm_packets()
+            sealed = seal_open_many("gcm", KEY, packets, [], 16)[0]
+            opens = [
+                (iv, ct, tag, aad)
+                for (iv, _, aad), (ct, tag) in zip(packets, sealed)
+            ]
+            expected = seal_open_many("gcm", KEY, packets, opens, 16)
+            got = seal_open_many(
+                "gcm", KEY, packets, opens, 16, backend=backend
+            )
+            assert got == expected
+            assert "no /dev/shm (test)" in backend.arena_degraded_reason
+            # One whole-dispatch call, run by the serial guard in this
+            # process: no shard ever reached a worker (no pool exists).
+            assert submitted == [[fast_batch._seal_open_whole]]
+            assert backend._pool is None
+        finally:
+            backend.close()
 
     def test_degraded_backend_stops_using_the_arena(self):
-        backend = ProcessPoolBackend(workers=2, arena=True)
+        backend = ProcessPoolBackend(workers=2)
         try:
             assert backend.dispatch_arena() is not None
             backend.degraded_reason = "test-injected"
-            assert backend.dispatch_arena() is None  # thread/inline mode
+            assert backend.dispatch_arena() is None  # inline mode
         finally:
             backend.close()
 
@@ -361,7 +384,7 @@ class TestWarmWorkers:
     def test_steady_state_has_zero_reexpansions(self):
         """ISSUE 9 acceptance: after warmup, a workload storm shows
         zero key-schedule re-expansions in the persistent workers."""
-        backend = ProcessPoolBackend(workers=2, arena=True)
+        backend = ProcessPoolBackend(workers=2)
         keys = 2
         spec = WorkloadSpec(
             configs=tuple(
@@ -391,7 +414,7 @@ class TestWarmWorkers:
         """A rekey epoch bump invalidates exactly the rotated key's
         cached schedule: the next dispatch under the new key re-expands
         (bounded by worker count), sibling keys stay warm at zero."""
-        backend = ProcessPoolBackend(workers=2, arena=True)
+        backend = ProcessPoolBackend(workers=2)
         key_a = bytes([0xA5] * 16)
         key_b = bytes([0x5A] * 16)
         id_a, id_b = ("test-rekey", "a"), ("test-rekey", "b")

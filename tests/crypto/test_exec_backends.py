@@ -3,7 +3,7 @@
 The contract under test is the determinism guarantee of
 :mod:`repro.crypto.fast.exec`: a backend changes *where* batch sweeps
 run, never what they compute or the order results come back in.  The
-matrix pins inline == thread == process byte-for-byte across GCM/CCM/
+matrix pins inline == process byte-for-byte across GCM/CCM/
 GMAC, ragged length mixes, forged tags mid-batch, both settings of the
 fast switch, and the no-numpy scalar fallback — and checks backend
 resolution, shard/merge arithmetic and graceful degradation besides.
@@ -28,7 +28,6 @@ from repro.crypto.fast.exec import (
     INLINE,
     InlineBackend,
     ProcessPoolBackend,
-    ThreadPoolBackend,
     default_backend,
     make_backend,
     resolve_backend,
@@ -44,35 +43,15 @@ SIZES = (0, 1, 16, 33, 256, 1024, 2048, 5, 100, 47, 512, 2000)
 
 
 @pytest.fixture(scope="module")
-def thread_backend():
-    backend = ThreadPoolBackend(workers=3)
-    yield backend
-    backend.close()
-
-
-@pytest.fixture(scope="module")
 def process_backend():
-    # Pinned to the pickling dataplane so the matrix exercises it even
-    # with the arena on by default.
-    backend = ProcessPoolBackend(workers=2, arena=False)
+    backend = ProcessPoolBackend(workers=2)
     yield backend
     backend.close()
 
 
-@pytest.fixture(scope="module")
-def arena_backend():
-    backend = ProcessPoolBackend(workers=2, arena=True)
-    yield backend
-    backend.close()
-
-
-@pytest.fixture(params=["thread", "process-pickle", "process-arena"])
-def pooled_backend(request, thread_backend, process_backend, arena_backend):
-    return {
-        "thread": thread_backend,
-        "process-pickle": process_backend,
-        "process-arena": arena_backend,
-    }[request.param]
+@pytest.fixture(params=["process-arena"])
+def pooled_backend(request, process_backend):
+    return process_backend
 
 
 def _gcm_packets(count=len(SIZES), seed=0x5EA1):
@@ -98,34 +77,31 @@ def _ccm_packets(count=len(SIZES), seed=0x5EA2):
 
 def test_make_backend_parsing():
     assert isinstance(make_backend("inline"), InlineBackend)
-    assert isinstance(make_backend("thread"), ThreadPoolBackend)
     assert isinstance(make_backend("process"), ProcessPoolBackend)
-    assert make_backend("thread:5").workers == 5
+    assert make_backend("process:5").workers == 5
     assert make_backend("PROCESS:2").workers in (1, 2)  # 1 when degraded
-    arena_pinned = make_backend("process-arena:2")
-    assert isinstance(arena_pinned, ProcessPoolBackend)
-    assert arena_pinned._arena_requested is True
-    pickle_pinned = make_backend("process_pickle:2")
-    assert isinstance(pickle_pinned, ProcessPoolBackend)
-    assert pickle_pinned._arena_requested is False
+    # process-arena stays an alias of process (perfbench names it).
+    alias = make_backend("process-arena:2")
+    assert isinstance(alias, ProcessPoolBackend) and alias.workers == 2
     backend = InlineBackend()
     assert make_backend(backend) is backend
-    with pytest.raises(ValueError, match="unknown execution backend"):
-        make_backend("gpu")
+    for deleted in ("gpu", "thread", "thread:2"):
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            make_backend(deleted)
     with pytest.raises(ValueError, match="bad worker count"):
-        make_backend("thread:lots")
+        make_backend("process:lots")
     with pytest.raises(ValueError, match="exactly one worker"):
         make_backend("inline:4")
     with pytest.raises(ValueError, match=">= 1 worker"):
-        ThreadPoolBackend(0)
+        ProcessPoolBackend(0)
 
 
 def test_default_backend_reads_env(monkeypatch):
     previous = set_default_backend(None)
     try:
-        monkeypatch.setenv("REPRO_BACKEND", "thread:2")
+        monkeypatch.setenv("REPRO_BACKEND", "process:2")
         backend = default_backend()
-        assert isinstance(backend, ThreadPoolBackend)
+        assert isinstance(backend, ProcessPoolBackend)
         assert backend.workers == 2
         assert resolve_backend(None) is backend  # memoized
         set_default_backend(None)
@@ -139,13 +115,13 @@ def test_default_backend_reads_env(monkeypatch):
         set_default_backend(previous if previous is not None else None)
 
 
-def test_resolve_backend_accepts_specs_and_instances(thread_backend):
-    assert resolve_backend(thread_backend) is thread_backend
+def test_resolve_backend_accepts_specs_and_instances(process_backend):
+    assert resolve_backend(process_backend) is process_backend
     assert isinstance(resolve_backend("process:2"), ProcessPoolBackend)
 
 
 def test_shard_spans_cover_exactly_and_respect_min_shard():
-    backend = ThreadPoolBackend(workers=4)
+    backend = ProcessPoolBackend(workers=4)
     for count in (0, 1, 3, 4, 7, 8, 15, 16, 33, 100):
         spans = backend.shard_spans(count)
         # Exact, ordered, gap-free cover of range(count).
@@ -256,9 +232,7 @@ def test_matrix_under_reference_fast_switch(pooled_backend):
         set_fast(previous)
 
 
-def test_matrix_degrades_gracefully_without_numpy(
-    monkeypatch, thread_backend
-):
+def test_matrix_degrades_gracefully_without_numpy(monkeypatch):
     """Scalar-fallback shards must still merge byte-identically."""
     packets = _gcm_packets(count=10)
     ccm_packets = _ccm_packets(count=10)
@@ -266,11 +240,13 @@ def test_matrix_degrades_gracefully_without_numpy(
     ccm_baseline = ccm_seal_many(KEY, ccm_packets, 8)
     monkeypatch.setattr(fast_batch, "HAVE_NUMPY", False)
     assert gcm_seal_many(KEY, packets, 16) == baseline
-    assert gcm_seal_many(KEY, packets, 16, backend=thread_backend) == baseline
-    assert (
-        ccm_seal_many(KEY, ccm_packets, 8, backend=thread_backend)
-        == ccm_baseline
-    )
+    # A fresh pool: forked workers inherit the patched module.
+    with ProcessPoolBackend(workers=2) as backend:
+        assert gcm_seal_many(KEY, packets, 16, backend=backend) == baseline
+        assert (
+            ccm_seal_many(KEY, ccm_packets, 8, backend=backend)
+            == ccm_baseline
+        )
 
 
 def test_worker_errors_propagate(pooled_backend):
@@ -296,7 +272,7 @@ def test_ccm_shards_never_reenter_a_saturated_default_pool():
     sub-shards to its own saturated pool deadlocks forever."""
     import threading
 
-    previous = set_default_backend("thread:2")
+    previous = set_default_backend("process:2")
     try:
         pool = resolve_backend(None)
         packets = _ccm_packets(count=32)
@@ -313,17 +289,17 @@ def test_ccm_shards_never_reenter_a_saturated_default_pool():
         )
         assert outcome["sealed"] == ccm_seal_many(KEY, packets, 8)
     finally:
-        set_default_backend(previous)
+        set_default_backend(previous).close()
 
 
 def test_spec_string_resolution_is_memoized():
     """Stored spec strings must reuse one pool, not leak one per call
     (CommController stores the spec and resolves it every dispatch)."""
-    first = resolve_backend("thread:2")
-    assert resolve_backend("thread:2") is first
-    assert resolve_backend("THREAD:2") is first  # normalised
-    assert resolve_backend("thread:3") is not first
+    first = resolve_backend("process:2")
+    assert resolve_backend("process:2") is first
+    assert resolve_backend("PROCESS:2") is first  # normalised
+    assert resolve_backend("process:3") is not first
     # Explicit instances still pass through untouched.
-    mine = ThreadPoolBackend(2)
+    mine = ProcessPoolBackend(2)
     assert resolve_backend(mine) is mine
     mine.close()

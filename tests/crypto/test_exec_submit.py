@@ -11,6 +11,7 @@ same contract at the batch-AEAD layer.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -22,7 +23,6 @@ from repro.crypto.fast.exec import (
     InlineBackend,
     ProcessPoolBackend,
     ResiliencePolicy,
-    ThreadPoolBackend,
 )
 from repro.errors import WorkerCrashError
 
@@ -33,27 +33,46 @@ KEY = bytes(range(16))
 
 
 @pytest.fixture(scope="module")
-def thread_backend():
-    backend = ThreadPoolBackend(workers=3)
-    yield backend
-    backend.close()
-
-
-@pytest.fixture(scope="module")
 def process_backend():
     backend = ProcessPoolBackend(workers=2)
     yield backend
     backend.close()
 
 
-@pytest.fixture(params=["inline", "thread", "process"])
-def any_backend(request, thread_backend, process_backend):
+@pytest.fixture(params=["inline", "process"])
+def any_backend(request, process_backend):
     if request.param == "inline":
         backend = InlineBackend()
         yield backend
         backend.close()
     else:
-        yield thread_backend if request.param == "thread" else process_backend
+        yield process_backend
+
+
+# Worker-side helpers: top-level so process-pool workers can unpickle
+# them.  Cross-process state lives in files under the test's tmp_path.
+
+
+def _wait_for(gate, value):
+    """Block until *gate* exists (30 s cap), then return *value*."""
+    deadline = time.monotonic() + 30
+    while not os.path.exists(gate) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return value
+
+
+def _boom(_):
+    raise ValueError("non-retryable")
+
+
+def _flaky_double(log, value):
+    """Raise WorkerCrashError on the first call (per *log*), then 2x."""
+    with open(log, "a") as handle:
+        handle.write("call\n")
+    with open(log) as handle:
+        if sum(1 for _ in handle) == 1:
+            raise WorkerCrashError("transient")
+    return value * 2
 
 
 def _ccm_packets(count, size=256):
@@ -79,21 +98,21 @@ def test_empty_submit_is_immediately_done(any_backend):
     assert handle.result() == []
 
 
-def test_result_is_memoized_single_execution(thread_backend):
+def test_result_is_memoized_single_execution():
     counter = {"calls": 0}
 
     def bump(value):
         counter["calls"] += 1
         return value
 
-    handle = thread_backend.submit([(bump, (1,)), (bump, (2,))])
+    handle = InlineBackend().submit([(bump, (1,)), (bump, (2,))])
     assert handle.result() == [1, 2]
     assert handle.result() == [1, 2]
     assert counter["calls"] == 2  # one execution per call, not per drain
     assert handle.done()
 
 
-def test_serial_guard_defers_single_calls_to_result(thread_backend):
+def test_serial_guard_defers_single_calls_to_result(process_backend):
     """A one-call batch is never launched: done() reports True (nothing
     in flight) and result() computes in the draining thread."""
     ident = {}
@@ -102,33 +121,25 @@ def test_serial_guard_defers_single_calls_to_result(thread_backend):
         ident["thread"] = threading.get_ident()
         return value
 
-    handle = thread_backend.submit([(record, (7,))])
+    handle = process_backend.submit([(record, (7,))])
     assert handle.done()  # unlaunched — nothing to wait on
     assert "thread" not in ident  # ...and nothing ran yet
     assert handle.result() == [7]
     assert ident["thread"] == threading.get_ident()
 
 
-def test_done_transitions_without_blocking(thread_backend):
-    release = threading.Event()
-
-    def gated(value):
-        release.wait(timeout=30)
-        return value
-
-    handle = thread_backend.submit([(gated, (1,)), (gated, (2,))])
+def test_done_transitions_without_blocking(process_backend, tmp_path):
+    gate = str(tmp_path / "release")
+    handle = process_backend.submit([(_wait_for, (gate, 1)), (_wait_for, (gate, 2))])
     assert not handle.done()
     assert not handle.poll()
-    release.set()
+    open(gate, "w").close()
     assert handle.result() == [1, 2]
     assert handle.done()
 
 
-def test_errors_are_memoized_and_reraised(thread_backend):
-    def boom(_):
-        raise ValueError("non-retryable")
-
-    handle = thread_backend.submit([(boom, (1,)), (int, ("2",))])
+def test_errors_are_memoized_and_reraised(process_backend):
+    handle = process_backend.submit([(_boom, (1,)), (int, ("2",))])
     with pytest.raises(ValueError, match="non-retryable"):
         handle.result()
     with pytest.raises(ValueError, match="non-retryable"):
@@ -136,27 +147,16 @@ def test_errors_are_memoized_and_reraised(thread_backend):
     assert handle.done()
 
 
-class _FlakyCall:
-    """Raises WorkerCrashError the first *failures* invocations."""
-
-    def __init__(self, failures):
-        self.failures = failures
-        self.calls = 0
-
-    def __call__(self, value):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise WorkerCrashError("transient")
-        return value * 2
-
-
-def test_recovery_runs_inside_result(thread_backend):
+def test_recovery_runs_inside_result(process_backend, tmp_path):
     """Retries happen when the handle is drained, with the same policy
     semantics as the synchronous run() path."""
-    flaky = _FlakyCall(failures=1)
-    handle = thread_backend.submit([(flaky, (21,)), (int, ("7",))], policy=FAST)
+    log = str(tmp_path / "calls")
+    handle = process_backend.submit(
+        [(_flaky_double, (log, 21)), (int, ("7",))], policy=FAST
+    )
     assert handle.result() == [42, 7]
-    assert flaky.calls == 2
+    with open(log) as calls:
+        assert len(calls.readlines()) == 2
 
 
 def test_submit_on_degraded_backend_delegates():
@@ -169,21 +169,18 @@ def test_submit_on_degraded_backend_delegates():
         backend.close()
 
 
-def test_overlap_with_submitting_thread(thread_backend):
+def test_overlap_with_submitting_thread(process_backend, tmp_path):
     """The point of submit(): the caller makes progress while workers
     run the batch."""
-    started = threading.Event()
-
-    def slow(value):
-        started.set()
-        time.sleep(0.05)
-        return value
-
-    handle = thread_backend.submit([(slow, (1,)), (slow, (2,))])
-    assert started.wait(timeout=10)  # workers running...
-    overlapped = not handle.done()  # ...while we still hold the thread
+    gate = str(tmp_path / "release")
+    started = time.monotonic()
+    # The workers block until the gate opens, so submit() returning at
+    # all proves the caller was not made to wait for them.
+    handle = process_backend.submit([(_wait_for, (gate, 1)), (_wait_for, (gate, 2))])
+    assert time.monotonic() - started < 10
+    assert not handle.done()
+    open(gate, "w").close()
     assert handle.result() == [1, 2]
-    assert overlapped or handle.done()
 
 
 # -- seal_open_submit ---------------------------------------------------------
@@ -215,6 +212,6 @@ def test_seal_open_submit_single_packet_serial(any_backend):
     assert (sealed, []) == seal_open_many("ccm", KEY, packets, [], 8)
 
 
-def test_seal_open_submit_rejects_unknown_mode(thread_backend):
+def test_seal_open_submit_rejects_unknown_mode(process_backend):
     with pytest.raises(ValueError, match="unknown batch mode"):
-        seal_open_submit("ctr", KEY, [], [], 16, backend=thread_backend)
+        seal_open_submit("ctr", KEY, [], [], 16, backend=process_backend)

@@ -2,8 +2,7 @@
 
 The key-schedule LRU, the Shoup tables and the H-power table sets are
 process-global.  A fork taken while another thread is warming one of
-them (exactly what `ThreadPoolBackend` shards do) could hand the child
-a cache mid-mutation; the ``os.register_at_fork`` hook in
+them could hand the child a cache mid-mutation; the ``os.register_at_fork`` hook in
 :mod:`repro.crypto.fast` therefore clears every cache in the child, and
 :class:`repro.crypto.fast.exec.ProcessPoolBackend` repeats the clear in
 its pool initializer (covering spawn-based pools, which never fork).

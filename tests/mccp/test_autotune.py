@@ -9,13 +9,13 @@ gates at unit granularity:
 - The per-channel controller converges: on a steady profile the
   decision trace settles (no oscillation) within a few windows, and
   repeats with the same seed reproduce the trace exactly across the
-  inline/thread/process execution backends.
+  inline and process execution backends.
 - Auto never changes payload bytes relative to a static policy, and on
   a saturating profile it widens and never trails the static defaults
   on simulated cycles.
 - The workload-level advisor is deterministic in ``(profile,
-  cpu_count)`` and scales inline -> thread -> process-arena with the
-  host and the offered work.
+  cpu_count)`` and sends only sustained bulk traffic on a 4+ CPU host
+  to the arena process pool.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.experiments.scenarios.autotune import _profile_configs
 from repro.mccp.autotune import (
     AutotuneConfig,
     FlushController,
@@ -296,7 +297,7 @@ class TestWorkloadIntegration:
         repeat, _ = _run(_steady_configs(), autotune=True)
         assert repeat.autotune_traces == report.autotune_traces
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_traces_identical_across_backends(self, backend):
         inline_report, inline_digest = _run(_steady_configs(), autotune=True)
         pooled_report, pooled_digest = _run(
@@ -361,9 +362,7 @@ class TestBackendAdvisor:
         advice = advise_backend(profile, cpu_count=8)
         assert advice.backend == "process-arena"
         assert advice.pipeline_depth == 4
-        assert dict(advice.scores)["process-arena-bulk"] == max(
-            score for _, score in advice.scores
-        )
+        assert advice.policy == "process-arena-bulk"
 
     def test_small_workload_stays_inline_anywhere(self):
         profile = TrafficProfile(
@@ -380,3 +379,19 @@ class TestBackendAdvisor:
         assert all(
             advise_backend(profile, cpu_count=4) == first for _ in range(3)
         )
+        assert (first.backend, first.pipeline_depth) == ("process-arena", 4)
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_scenario_profiles_pick_by_traffic_shape(self, quick):
+        picks = {
+            name: advise_backend(
+                _traffic_profile(_profile_configs(name, 3, quick)),
+                cpu_count=4,
+            ).backend
+            for name in ("steady", "bursty", "mixed")
+        }
+        assert picks == {
+            "steady": "inline",
+            "bursty": "inline",
+            "mixed": "process-arena",
+        }

@@ -2,8 +2,7 @@
 
 dispatch_jobs/flush_channel/flush_batches must produce identical
 results and result ordering whichever execution backend carries the
-sweeps — including the thread backend's concurrent per-channel drain
-in flush_batches and the mixed seal+open single-pass dispatch.
+sweeps — including the mixed seal+open single-pass dispatch.
 """
 
 import random
@@ -11,7 +10,7 @@ import random
 import pytest
 
 from repro.core.params import Algorithm, Direction
-from repro.crypto.fast.exec import ProcessPoolBackend, ThreadPoolBackend
+from repro.crypto.fast.exec import ProcessPoolBackend
 from repro.crypto.modes.gcm import gcm_encrypt
 from repro.mccp.channel import PacketJob
 from repro.mccp.mccp import Mccp
@@ -21,22 +20,15 @@ KEY = bytes(range(16))
 
 
 @pytest.fixture(scope="module")
-def thread_backend():
-    backend = ThreadPoolBackend(workers=3)
-    yield backend
-    backend.close()
-
-
-@pytest.fixture(scope="module")
 def process_backend():
     backend = ProcessPoolBackend(workers=2)
     yield backend
     backend.close()
 
 
-@pytest.fixture(params=["thread", "process"])
-def pooled_backend(request, thread_backend, process_backend):
-    return thread_backend if request.param == "thread" else process_backend
+@pytest.fixture(params=["process"])
+def pooled_backend(request, process_backend):
+    return process_backend
 
 
 def _device(backend=None):
@@ -96,7 +88,7 @@ def test_mixed_direction_dispatch_matches_inline(pooled_backend):
             assert result.payload == payload
 
 
-def test_flush_batches_thread_overlap_matches_sequential(thread_backend):
+def test_flush_batches_on_process_backend_matches_inline(process_backend):
     def build(backend=None):
         device = _device(backend=backend)
         channels = [
@@ -120,22 +112,22 @@ def test_flush_batches_thread_overlap_matches_sequential(thread_backend):
         cid: _flatten(results)
         for cid, results in sequential_device.flush_batches().items()
     }
-    threaded_device, channels = build(backend=thread_backend)
-    threaded = {
+    pooled_device, channels = build(backend=process_backend)
+    pooled = {
         cid: _flatten(results)
-        for cid, results in threaded_device.flush_batches().items()
+        for cid, results in pooled_device.flush_batches().items()
     }
-    assert threaded == sequential
-    assert list(threaded) == sorted(threaded)
+    assert pooled == sequential
+    assert list(pooled) == sorted(pooled)
     for channel in channels:
         assert channel.pending_count == 0
         assert channel.stats["batches"] >= 1
-    assert threaded_device.flush_batches() == {}
+    assert pooled_device.flush_batches() == {}
 
 
-def test_device_default_backend_used_by_dispatch(thread_backend):
+def test_device_default_backend_used_by_dispatch(process_backend):
     """Mccp(backend=...) applies when no per-call backend is given."""
-    device = _device(backend=thread_backend)
+    device = _device(backend=process_backend)
     channel = device.open_channel(Algorithm.GCM, 1)
     rng = random.Random(0xF2)
     payloads = [rng.randbytes(64) for _ in range(12)]

@@ -16,7 +16,7 @@ from repro.crypto.fast.bulk import ccm_seal, gcm_seal
 from repro.mccp.channel import FlushPolicy
 from repro.mccp.mccp import Mccp
 from repro.radio.packet import Packet
-from repro.radio.sdr_platform import ChannelConfig, SdrPlatform
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 from repro.sim.kernel import Simulator
@@ -55,7 +55,9 @@ def _secured_bytes(platform):
 
 def _run(configs, dataplane, seed=11, **kwargs):
     platform = SdrPlatform(core_count=4, seed=seed)
-    report = platform.run_workload(configs, dataplane=dataplane, **kwargs)
+    report = platform.run_workload(
+        WorkloadSpec(configs, dataplane=dataplane, **kwargs)
+    )
     return platform, report
 
 
@@ -369,10 +371,10 @@ def test_reused_platform_reports_per_run_counters():
     first run's submits/latencies (cores-then-batched comparison)."""
     platform = SdrPlatform(core_count=4, seed=2)
     configs = _mixed_configs(channels=2, packets=4)
-    first = platform.run_workload(configs, dataplane="cores")
+    first = platform.run_workload(WorkloadSpec(configs, dataplane="cores"))
     assert first.core_submits == 8 and len(first.latencies) == 8
     second = platform.run_workload(
-        _mixed_configs(channels=2, packets=4), dataplane="batched"
+        WorkloadSpec(_mixed_configs(channels=2, packets=4), dataplane="batched")
     )
     assert second.core_submits == 0
     assert second.backpressure_retries == 0
@@ -386,19 +388,21 @@ def test_reused_platform_reports_per_run_counters():
 def test_backends_byte_identical_and_identically_ordered():
     """Acceptance: the 8-channel mixed GCM/CCM workload produces the
     same secured bytes AND the same CompletedTransfer ordering under
-    inline, thread and process execution (rx traffic included, so the
-    seal/open split genuinely exercises both directions)."""
-    from repro.crypto.fast.exec import ProcessPoolBackend, ThreadPoolBackend
+    inline and process execution (rx traffic included, so the seal/open
+    split genuinely exercises both directions)."""
+    from repro.crypto.fast.exec import ProcessPoolBackend
 
     def run(backend):
         platform = SdrPlatform(core_count=4, seed=11)
         report = platform.run_workload(
-            _mixed_configs(channels=8, packets=8),
-            dataplane="batched",
-            flush_policy=FlushPolicy(coalesce_limit=8, flush_deadline=4096),
-            backend=backend,
-            rx_fraction=0.4,
-            corrupt_rate=0.2,
+            WorkloadSpec(
+                _mixed_configs(channels=8, packets=8),
+                dataplane="batched",
+                flush_policy=FlushPolicy(coalesce_limit=8, flush_deadline=4096),
+                backend=backend,
+                rx_fraction=0.4,
+                corrupt_rate=0.2,
+            )
         )
         order = [
             (t.channel_id, t.sequence)
@@ -407,18 +411,15 @@ def test_backends_byte_identical_and_identically_ordered():
         return report, order, _secured_bytes(platform)
 
     inline_report, inline_order, inline_bytes = run(None)
-    thread_backend = ThreadPoolBackend(workers=3)
     process_backend = ProcessPoolBackend(workers=2)
     try:
-        for backend in (thread_backend, process_backend):
-            report, order, secured = run(backend)
-            assert secured == inline_bytes
-            assert order == inline_order
-            assert report.total_cycles == inline_report.total_cycles
-            assert report.auth_failures == inline_report.auth_failures
-            assert report.core_submits == 0
+        report, order, secured = run(process_backend)
+        assert secured == inline_bytes
+        assert order == inline_order
+        assert report.total_cycles == inline_report.total_cycles
+        assert report.auth_failures == inline_report.auth_failures
+        assert report.core_submits == 0
     finally:
-        thread_backend.close()
         process_backend.close()
     assert inline_report.auth_failures > 0  # the split saw both sweeps
 
@@ -427,9 +428,11 @@ def test_run_workload_backend_is_scoped_to_the_run():
     platform = SdrPlatform(core_count=4, seed=3)
     assert platform.comm.backend is None
     platform.run_workload(
-        _mixed_configs(channels=2, packets=4),
-        dataplane="batched",
-        backend="thread:2",
+        WorkloadSpec(
+            _mixed_configs(channels=2, packets=4),
+            dataplane="batched",
+            backend="process:2",
+        )
     )
     assert platform.comm.backend is None  # restored after the run
 

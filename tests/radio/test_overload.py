@@ -137,10 +137,10 @@ class TestShedDeterminism:
         spec = _spec(_configs("saturating", PACKETS), CAPACITY,
                      None, "batched")
         shed = {}
-        for backend in ("inline", "thread:2"):
+        for backend in ("inline", "process:2"):
             _, report = _run(replace(spec, backend=backend))
             shed[backend] = report.shed_packets
-        assert shed["inline"] == shed["thread:2"]
+        assert shed["inline"] == shed["process:2"]
         assert len(shed["inline"]) > 0
 
 
@@ -217,40 +217,24 @@ class TestSpecValidation:
             WorkloadSpec(configs=(), queue_capacity=0)
 
 
-class TestDeprecatedKwargsShim:
-    """Satellite: the legacy kwargs shim composed with the pipelined
-    dataplane on bounded (per-config capacity) channels."""
+class TestPerConfigCapacity:
+    """Per-config queue capacities under the pipelined dataplane."""
 
-    def test_shim_warns_and_matches_the_spec_form_under_backpressure(self):
+    def test_pipelined_run_holds_per_config_watermarks(self):
         configs = [
             replace(config, queue_capacity=CAPACITY)
             for config in _configs("saturating", PACKETS)
         ]
-        platform = SdrPlatform(core_count=4, seed=SEED)
-        with pytest.warns(DeprecationWarning, match="WorkloadSpec"):
-            legacy = platform.run_workload(
-                configs,
-                dataplane="pipelined",
-                flush_policy=FlushPolicy(coalesce_limit=4,
-                                         flush_deadline=4096),
-            )
         spec = WorkloadSpec(
             configs,
             dataplane="pipelined",
             flush_policy=FlushPolicy(coalesce_limit=4, flush_deadline=4096),
         )
-        _, modern = _run(spec)
-        # The shim run really was under backpressure, and the two forms
-        # are the same workload.
-        assert legacy.backpressure_signals > 0
-        assert legacy.backpressure_retries > 0
-        assert legacy.queue_peak() <= CAPACITY
-        assert legacy.packets_done == modern.packets_done == 3 * PACKETS
-        assert legacy.total_cycles == modern.total_cycles
-        assert legacy.latencies == modern.latencies
-
-    def test_spec_cannot_be_mixed_with_legacy_kwargs(self):
-        platform = SdrPlatform(core_count=2, seed=SEED)
-        spec = WorkloadSpec(configs=_configs("saturating", 4))
-        with pytest.raises(TypeError, match="mixing spec="):
-            platform.run_workload(spec, dataplane="batched")
+        _, report = _run(spec)
+        _, again = _run(spec)
+        assert report.backpressure_signals > 0
+        assert report.backpressure_retries > 0
+        assert report.queue_peak() <= CAPACITY
+        assert report.packets_done == again.packets_done == 3 * PACKETS
+        assert report.total_cycles == again.total_cycles
+        assert report.latencies == again.latencies

@@ -7,25 +7,19 @@ cycle stamps, latency accounting, total simulated time — is
 byte-identical to the synchronous batched dataplane, across backends,
 adversarial completion orders (a scripted-latency backend that finishes
 later batches first) and injected faults (retries, degradation,
-quarantine, dead letters all happen at reap time).  The
-:class:`WorkloadSpec` consolidation and the legacy-kwarg shim ride
-along.
+quarantine, dead letters all happen at reap time).
+:class:`WorkloadSpec` validation rides along.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import replace
 
 import pytest
 
 from repro.core.params import Algorithm
-from repro.crypto.fast.exec import (
-    ProcessPoolBackend,
-    ResiliencePolicy,
-    ThreadPoolBackend,
-)
+from repro.crypto.fast.exec import ProcessPoolBackend, ResiliencePolicy
 from repro.mccp.channel import FlushPolicy
 from repro.mccp.mccp import Mccp
 from repro.radio.comm_controller import CommController
@@ -99,7 +93,7 @@ def _stamps(platform):
 # -- byte identity vs the synchronous dataplane -------------------------------
 
 
-@pytest.mark.parametrize("backend", [None, "thread"])
+@pytest.mark.parametrize("backend", [None, "process:2"])
 @pytest.mark.parametrize("depth", [1, 2, 4])
 def test_pipelined_identical_to_batched(backend, depth):
     base_platform, base_report, baseline, base_order = _run(
@@ -119,37 +113,22 @@ def test_pipelined_identical_to_batched(backend, depth):
     assert report.pipeline_in_flight_peak >= 1
 
 
-def test_pipelined_identical_on_process_backend():
-    backend = ProcessPoolBackend(2)
-    try:
-        _, base_report, baseline, base_order = _run(
-            _spec("batched", backend=backend)
-        )
-        _, report, piped, order = _run(_spec("pipelined", backend=backend))
-        assert piped == baseline
-        assert order == base_order
-        assert report.total_cycles == base_report.total_cycles
-    finally:
-        backend.close()
-
-
 @pytest.mark.parametrize("dataplane", ["batched", "pipelined"])
-def test_arena_and_pickle_dataplanes_byte_identical(dataplane):
-    """The zero-copy arena is a transport change only: every backend
-    spec delivers the same payload bytes, tags and per-channel order
-    as inline on both dataplanes."""
+def test_process_backend_byte_identical_to_inline(dataplane):
+    """The arena process pool is a transport change only: it delivers
+    the same payload bytes, tags and per-channel order as inline on
+    both dataplanes."""
     _, _, baseline, base_order = _run(_spec(dataplane, backend="inline"))
-    for spec in ("process-arena:2", "process-pickle:2"):
-        _, _, transfers, order = _run(_spec(dataplane, backend=spec))
-        assert transfers == baseline, spec
-        assert order == base_order, spec
+    _, _, transfers, order = _run(_spec(dataplane, backend="process:2"))
+    assert transfers == baseline
+    assert order == base_order
 
 
 # -- adversarial completion order ---------------------------------------------
 
 
-class ScriptedLatencyBackend(ThreadPoolBackend):
-    """Thread backend whose Nth launched batch sleeps ``delays[N]``.
+class ScriptedLatencyBackend(ProcessPoolBackend):
+    """Process backend whose Nth launched batch sleeps ``delays[N]``.
 
     Later submissions with shorter delays finish first in wall-clock —
     the adversarial completion order the per-channel FIFO reap must
@@ -171,6 +150,8 @@ class ScriptedLatencyBackend(ThreadPoolBackend):
 
 
 class _SlowCall:
+    """Top-level so process-pool workers can unpickle it."""
+
     def __init__(self, delay, fn):
         self.delay = delay
         self.fn = fn
@@ -184,9 +165,7 @@ def test_out_of_order_completion_fans_out_in_order():
     """Batch 0 slow, batch 1 instant: wall-clock finishes out of order,
     fan-out must not."""
     configs = _configs(packets=40, channels=1)
-    _, _, baseline, base_order = _run(
-        _spec("batched", backend="thread", configs=configs)
-    )
+    _, _, baseline, base_order = _run(_spec("batched", configs=configs))
     scripted = ScriptedLatencyBackend([0.2, 0.0, 0.1, 0.0, 0.05])
     try:
         _, report, piped, order = _run(
@@ -288,38 +267,15 @@ def test_flush_now_reaps_all_in_flight():
     assert not comm._inflight.get(channel.channel_id)
 
 
-# -- WorkloadSpec and the legacy shim -----------------------------------------
+# -- WorkloadSpec --------------------------------------------------------------
 
 
 class TestWorkloadSpec:
-    def test_legacy_kwargs_warn_and_match_spec(self):
-        configs = _configs(packets=12)
-        platform = SdrPlatform(core_count=4, seed=17)
-        with pytest.warns(DeprecationWarning, match="WorkloadSpec"):
-            legacy = platform.run_workload(
-                configs, dataplane="batched", flush_policy=FLUSH
-            )
-        platform2 = SdrPlatform(core_count=4, seed=17)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # spec path must not warn
-            spec_report = platform2.run_workload(
-                WorkloadSpec(
-                    configs=tuple(configs),
-                    dataplane="batched",
-                    flush_policy=FLUSH,
-                )
-            )
-        assert legacy.packets_done == spec_report.packets_done
-        assert legacy.total_cycles == spec_report.total_cycles
-        assert legacy.payload_bytes == spec_report.payload_bytes
-
-    def test_spec_cannot_mix_with_legacy_kwargs(self):
+    def test_run_workload_takes_only_a_spec(self):
         platform = SdrPlatform(core_count=4, seed=1)
         spec = WorkloadSpec(configs=tuple(_configs(packets=2)))
-        with pytest.raises(TypeError):
-            platform.run_workload(_configs(packets=2), spec=spec)
-        with pytest.raises(TypeError):
-            platform.run_workload(spec, spec=spec)
+        with pytest.raises(TypeError, match="needs a WorkloadSpec"):
+            platform.run_workload(_configs(packets=2))
         with pytest.raises(TypeError):
             platform.run_workload(spec, dataplane="batched")
 

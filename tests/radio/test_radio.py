@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ChannelConfig, Direction, SdrPlatform
+from repro.radio.sdr_platform import WorkloadSpec
 from repro.core.params import Algorithm
 from repro.errors import NonceError, ProtocolError
 from repro.radio import (
@@ -117,7 +118,7 @@ def test_platform_multichannel_workload():
         ChannelConfig(RadioStandard.WIFI, bytes(16), TrafficPattern.SATURATING, packets=3),
         ChannelConfig(RadioStandard.UMTS_LIKE, bytes(16), TrafficPattern.SATURATING, packets=3),
     ]
-    report = plat.run_workload(cfgs)
+    report = plat.run_workload(WorkloadSpec(cfgs))
     assert report.packets_done == 6
     assert report.throughput_mbps() > 0
     assert len(report.per_channel_bytes) == 2

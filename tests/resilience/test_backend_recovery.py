@@ -1,11 +1,12 @@
 """Backend self-healing: retries, watchdogs, chain degradation.
 
 Worker-level faults are injected two ways: directly (stateful callables
-raising :class:`BackendError` subclasses — the thread backend shares
-the caller's address space) and through the production
-:class:`FaultDirective` path, which is the only way to reach real
-process-pool workers (an injected crash there hard-exits the child and
-produces a genuine ``BrokenProcessPool`` mid-batch).
+raising :class:`BackendError` subclasses, run on the inline backend,
+which shares the caller's address space and owns the same retry loop)
+and through the production :class:`FaultDirective` path, which is the
+only way to reach real process-pool workers (an injected crash there
+hard-exits the child and produces a genuine ``BrokenProcessPool``
+mid-batch).
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.fast.batch import seal_open_many
-from repro.crypto.fast.exec import (
-    InlineBackend,
-    ProcessPoolBackend,
-    ResiliencePolicy,
-    ThreadPoolBackend,
-)
+from repro.crypto.fast.exec import InlineBackend, ProcessPoolBackend, ResiliencePolicy
 from repro.errors import BatchTimeoutError, WorkerCrashError
 from repro.resilience import FaultPlan, ScriptedFault, set_fault_plan, stats
 
@@ -52,40 +48,37 @@ class _FlakyCall:
 
 class TestRetry:
     def test_transient_failure_heals_on_retry(self):
-        backend = ThreadPoolBackend(2)
-        try:
-            flaky = _FlakyCall(failures=1)
-            results = backend.run([(flaky, (21,)), (int, ("7",))], policy=FAST)
-            assert results == [42, 7]
-            assert flaky.calls == 2
-            assert stats.snapshot()["retries"] >= 1
-            assert backend.degradations == []
-        finally:
-            backend.close()
+        backend = InlineBackend()
+        flaky = _FlakyCall(failures=1)
+        results = backend.run([(flaky, (21,)), (int, ("7",))], policy=FAST)
+        assert results == [42, 7]
+        assert flaky.calls == 2
+        assert stats.snapshot()["retries"] >= 1
+        assert backend.degradations == []
 
     def test_exhausted_retries_raise_when_degrade_disabled(self):
-        backend = ThreadPoolBackend(2)
+        backend = ProcessPoolBackend(2)
         policy = ResiliencePolicy(
             max_retries=1, backoff_base=0.0, backoff_cap=0.0, degrade=False
         )
         try:
+            # A one-call span runs in the calling thread (serial guard),
+            # so the stateful callable fails on every attempt.
             with pytest.raises(WorkerCrashError):
                 backend.run([(_FlakyCall(failures=99), (1,))], policy=policy)
+            assert backend.degradations == []
         finally:
             backend.close()
 
     def test_non_retryable_errors_propagate_immediately(self):
-        backend = ThreadPoolBackend(2)
+        backend = InlineBackend()
 
         def bad(_):
             raise ValueError("a crypto bug, not infrastructure")
 
-        try:
-            with pytest.raises(ValueError, match="crypto bug"):
-                backend.run([(bad, (0,)), (int, ("1",))], policy=FAST)
-            assert stats.snapshot()["retries"] == 0
-        finally:
-            backend.close()
+        with pytest.raises(ValueError, match="crypto bug"):
+            backend.run([(bad, (0,)), (int, ("1",))], policy=FAST)
+        assert stats.snapshot()["retries"] == 0
 
     def test_backoff_schedule_is_capped_exponential(self):
         policy = ResiliencePolicy(backoff_base=0.01, backoff_cap=0.05)
@@ -104,7 +97,10 @@ class TestWatchdog:
             hang_seconds=0.25,
             scripted=(ScriptedFault("worker_hang", times=10**9),),
         )
-        backend = ThreadPoolBackend(2)
+        backend = ProcessPoolBackend(2)
+        if backend.workers <= 1:
+            backend.close()
+            pytest.skip("no process workers available on this host")
         backend.resilience = ResiliencePolicy(
             max_retries=1,
             backoff_base=0.0,
@@ -123,7 +119,7 @@ class TestWatchdog:
         # span can only finish by degrading to inline (which has no
         # watchdog and simply absorbs the final injected sleep).
         assert stats.snapshot()["watchdog_fires"] >= 1
-        assert backend.degradations and "thread -> inline" in backend.degradations[0]
+        assert backend.degradations and "process -> inline" in backend.degradations[0]
         assert sealed == seal_open_many("gcm", KEY, _packets(16), [], 16)[0]
 
     def test_watchdog_error_is_retryable(self):
@@ -135,41 +131,20 @@ class TestWatchdog:
 
 
 class TestDegradationChain:
-    def test_thread_falls_back_to_inline(self):
-        backend = ThreadPoolBackend(2)
-        try:
-            fallback = backend.fallback()
-            assert isinstance(fallback, InlineBackend)
-        finally:
-            backend.close()
-
-    def test_process_falls_back_to_thread_then_inline(self):
+    def test_process_falls_back_to_inline(self):
         backend = ProcessPoolBackend(2)
         try:
             fallback = backend.fallback()
-            assert isinstance(fallback, ThreadPoolBackend)
-            assert isinstance(fallback.fallback(), InlineBackend)
+            assert isinstance(fallback, InlineBackend)
+            assert fallback.fallback() is None  # the chain ends inline
         finally:
             backend.close()
-
-    def test_crash_storm_degrades_thread_to_inline(self):
-        plan = FaultPlan(scripted=(ScriptedFault("worker_crash", times=10**9),))
-        backend = ThreadPoolBackend(2)
-        backend.resilience = FAST
-        set_fault_plan(plan)
-        try:
-            sealed, _ = seal_open_many(
-                "ccm", KEY, _packets(16), [], 8, backend=backend
-            )
-        finally:
-            set_fault_plan(None)
-            backend.close()
-        assert backend.degradations
-        assert backend.degradations[0].startswith("thread -> inline:")
-        assert sealed == seal_open_many("ccm", KEY, _packets(16), [], 8)[0]
 
     def test_degradation_is_sticky_until_reset(self):
-        backend = ThreadPoolBackend(2)
+        backend = ProcessPoolBackend(2)
+        if backend.workers <= 1:
+            backend.close()
+            pytest.skip("no process workers available on this host")
         backend.resilience = FAST
         plan = FaultPlan(scripted=(ScriptedFault("worker_crash", times=10**9),))
         set_fault_plan(plan)
@@ -231,11 +206,7 @@ class TestProcessPool:
             set_fault_plan(None)
             backend.close()
         assert [r.split(":")[0] for r in backend.degradations] == [
-            "process -> thread"
-        ]
-        fallback = backend.fallback()
-        assert [r.split(":")[0] for r in fallback.degradations] == [
-            "thread -> inline"
+            "process -> inline"
         ]
         assert sealed == seal_open_many("gcm", KEY, _packets(16), [], 16)[0]
 
@@ -288,7 +259,7 @@ class TestStructuralDegradation:
         backend = ProcessPoolBackend(2)
         try:
             backend.degraded_reason = "marked for test"
-            backend.degradations.append("process -> thread: synthetic")
+            backend.degradations.append("process -> inline: synthetic")
             backend.reset_degradation()
             assert backend.degradations == []
             assert backend.degraded_reason == "marked for test"

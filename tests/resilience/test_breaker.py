@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.fast.exec import (
-    ResiliencePolicy,
-    ThreadPoolBackend,
-)
+from repro.crypto.fast.exec import ProcessPoolBackend, ResiliencePolicy
 from repro.errors import WorkerCrashError
 from repro.resilience import BreakerPolicy, BreakerState, CircuitBreaker
 from repro.resilience import stats
@@ -129,8 +126,8 @@ class _AlwaysCrash:
 
 class TestBackendWiring:
     def test_repeated_span_failures_trip_and_bypass(self):
-        backend = ThreadPoolBackend(2)
-        # degrade=False keeps the failures on the thread pool itself
+        backend = ProcessPoolBackend(2)
+        # degrade=False keeps the failures on the process backend itself
         # (sticky chain degradation would otherwise reroute every later
         # span before the breaker ever saw it).
         policy = ResiliencePolicy(
@@ -158,7 +155,7 @@ class TestBackendWiring:
             backend.close()
 
     def test_reset_degradation_also_resets_the_breaker(self):
-        backend = ThreadPoolBackend(2)
+        backend = ProcessPoolBackend(2)
         policy = ResiliencePolicy(
             max_retries=0,
             backoff_base=0.0,
@@ -176,7 +173,7 @@ class TestBackendWiring:
             backend.close()
 
     def test_healthy_spans_keep_the_breaker_closed(self):
-        backend = ThreadPoolBackend(2)
+        backend = ProcessPoolBackend(2)
         policy = ResiliencePolicy(
             breaker=BreakerPolicy(fail_threshold=1)
         )
@@ -187,7 +184,7 @@ class TestBackendWiring:
             backend.close()
 
     def test_no_breaker_without_policy(self):
-        backend = ThreadPoolBackend(2)
+        backend = ProcessPoolBackend(2)
         try:
             backend.run([(int, ("7",))])
             assert backend.breaker is None

@@ -13,7 +13,7 @@ import pytest
 
 from repro.crypto.fast.exec import ProcessPoolBackend, ResiliencePolicy
 from repro.mccp.channel import FlushPolicy
-from repro.radio.sdr_platform import ChannelConfig, SdrPlatform
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 from repro.resilience import FaultPlan, ScriptedFault, set_fault_plan
@@ -46,10 +46,12 @@ def _run(plan, configs=None, backend=None, dataplane="batched", seed=17):
     try:
         platform = SdrPlatform(core_count=4, seed=seed)
         report = platform.run_workload(
-            configs or _configs(),
-            dataplane=dataplane,
-            flush_policy=FLUSH,
-            backend=backend,
+            WorkloadSpec(
+                configs or _configs(),
+                dataplane=dataplane,
+                flush_policy=FLUSH,
+                backend=backend,
+            )
         )
         transfers = {
             (t.channel_id, t.sequence): (t.payload, t.tag, t.ok)
@@ -176,7 +178,7 @@ class TestWorkerCrashAcceptance:
         assert order == base_order
         assert report.degradations >= 1
         assert any(
-            reason.startswith("process -> thread")
+            reason.startswith("process -> inline")
             for reason in report.degradation_reasons
         )
         assert report.dead_lettered == 0

@@ -97,9 +97,9 @@ class TestDirective:
         plan = FaultPlan(scripted=(ScriptedFault("worker_crash", times=1),))
         point = FaultPoint(plan, (0, 0))
         with pytest.raises(WorkerCrashError):
-            point.directive(0, "thread").apply()
+            point.directive(0, "process").apply()
         # The attempt re-roll: attempt 1 is past `times`, so it is clean.
-        point.directive(1, "thread").apply()
+        point.directive(1, "process").apply()
 
     def test_worker_crash_inert_on_inline(self):
         plan = FaultPlan(scripted=(ScriptedFault("worker_crash", times=10),))

@@ -25,7 +25,7 @@ def _poison(plan, packets, *slots):
 
 
 class TestIsolate:
-    @pytest.mark.parametrize("spec", ["inline", "thread:2", "process:2"])
+    @pytest.mark.parametrize("spec", ["inline", "process:2"])
     def test_poisoned_seal_quarantines_alone(self, spec):
         packets = _packets(16)
         clean, _ = seal_open_many("gcm", KEY, packets, [], 16)

@@ -33,9 +33,8 @@ def test_run_bench_quick_emits_snapshot(tmp_path):
     # Every *_fast kernel has a paired *_reference and a derived
     # speedup; batch kernels derive per-packet ratios vs the
     # sequential fast kernel, backend-parametrized batch kernels
-    # derive pooled-over-inline ratios, and pipelined dataplane
-    # kernels derive packets/s ratios vs their synchronous backend
-    # twin (only the thread twin exists; pipelined_process has none).
+    # derive process-over-inline ratios, and the pipelined dataplane
+    # kernel derives its packets/s ratio vs its synchronous twin.
     assert set(snapshot["speedups"]) == {
         "aes_block",
         "gf128_mul",
@@ -46,23 +45,19 @@ def test_run_bench_quick_emits_snapshot(tmp_path):
         "gcm_2kb_batch32_per_packet",
         "ccm_2kb_batch32_per_packet",
         "radio_ccm_2kb_batch32_per_packet",
-        "gcm_2kb_batch32_thread_over_inline",
-        "ccm_2kb_batch32_thread_over_inline",
+        "gcm_2kb_batch32_process_over_inline",
         "ccm_2kb_batch32_process_over_inline",
-        "gcm_2kb_batch32_arena_over_inline",
-        "ccm_2kb_batch32_arena_over_inline",
-        "radio_ccm_2kb_batch32_thread_over_inline",
-        "radio_ccm_2kb_batch32_arena_over_inline",
-        "radio_ccm_2kb_batch32_pipelined_thread_over_sync",
+        "radio_ccm_2kb_batch32_process_over_inline",
+        "radio_ccm_2kb_batch32_pipelined_process_over_sync",
     }
     assert all(ratio > 0 for ratio in snapshot["speedups"].values())
     # Backend context rides along for cross-machine honesty.
-    assert snapshot["backend"] in ("inline", "thread", "process")
+    assert snapshot["backend"] in ("inline", "process")
     assert snapshot["cpu_count"] >= 1
-    assert set(snapshot["backend_workers"]) == {"thread", "process"}
-    # Arena dataplane status rides along too: a recorded baseline must
-    # say whether the process numbers came from the shared-memory arena
-    # or the pickling fallback (and why, when degraded).
+    assert set(snapshot["backend_workers"]) == {"process"}
+    # Arena status rides along too: a recorded baseline must say
+    # whether the process numbers came from the shared-memory arena or
+    # ran inline (and why, when degraded).
     assert snapshot["arena_active"] in (True, False)
     assert snapshot["arena_degraded"] is None or isinstance(
         snapshot["arena_degraded"], str
