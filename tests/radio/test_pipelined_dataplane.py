@@ -113,6 +113,20 @@ def test_pipelined_identical_to_batched(backend, depth):
     assert report.pipeline_in_flight_peak >= 1
 
 
+def test_pipelined_identical_on_process_backend():
+    backend = ProcessPoolBackend(2)
+    try:
+        _, base_report, baseline, base_order = _run(
+            _spec("batched", backend=backend)
+        )
+        _, report, piped, order = _run(_spec("pipelined", backend=backend))
+        assert piped == baseline
+        assert order == base_order
+        assert report.total_cycles == base_report.total_cycles
+    finally:
+        backend.close()
+
+
 @pytest.mark.parametrize("dataplane", ["batched", "pipelined"])
 def test_process_backend_byte_identical_to_inline(dataplane):
     """The arena process pool is a transport change only: it delivers
