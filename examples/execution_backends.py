@@ -24,7 +24,7 @@ WIDTH = 32
 
 
 def crypto_layer() -> None:
-    """*_many / seal_open_many accept a backend directly."""
+    """seal_open_many takes a backend directly."""
     rng = random.Random(7)
     seal_packets = [
         ((i + 1).to_bytes(13, "big"), rng.randbytes(2048))

@@ -36,21 +36,22 @@ to the reference implementations); the equivalence suite pins
 batch == sequential == reference across modes, packet counts and
 ragged length mixes.
 
-Every ``*_many`` entry point additionally accepts a ``backend=``
-(:mod:`repro.crypto.fast.exec`).  On a process backend with a packet
-arena (:mod:`repro.crypto.fast.arena`) packets shard into contiguous
-spans, each span runs the unsharded engine on a worker, and the span
-results are read back in span order — so the merged output is
-positionally and byte-identical to the inline run (per-packet outputs
-never depend on lane packing).  The batch stages every payload into
-one shared-memory generation and each shard call pickles only
-``(slab name, offsets, lengths)`` descriptors; workers compute over
+The ``*_many`` engines always run in the calling process.
+:func:`seal_open_submit` (and its blocking form :func:`seal_open_many`)
+is the one entry point that takes a ``backend=``
+(:mod:`repro.crypto.fast.exec`): it seals one list and opens another
+under one key, the shape of an MCCP dispatch.  On a process backend
+with a packet arena (:mod:`repro.crypto.fast.arena`) both lists shard
+into contiguous spans that join one backend pass, so the seal and open
+sweeps overlap on the workers; each span runs the engines on a worker,
+and the span results are read back in span order — so the merged
+output is positionally and byte-identical to the inline run
+(per-packet outputs never depend on lane packing).  The dispatch stages every payload into
+one shared-memory generation and each shard call pickles only ``(slab
+name, offsets, lengths)`` descriptors; workers compute over
 ``memoryview``s of the mapped slab and write results back in place, so
 neither inputs nor outputs ever cross the process boundary through
-pickle.  Every other backend runs the batch inline.
-:func:`seal_open_many` is the mixed-direction form the MCCP dispatch
-uses: seal shards and open shards of one coalesced batch join a single
-backend pass, so the two sweeps genuinely overlap on process workers.
+pickle.  Every other dispatch is one call run in the calling thread.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from repro.crypto.fast.bulk import (
     xor_data,
 )
 from repro.crypto.fast.arena import attach_view, note_key_epoch
-from repro.crypto.fast.exec import INLINE, BackendSpec, resolve_backend
+from repro.crypto.fast.exec import BackendSpec, resolve_backend
 from repro.errors import (
     BackendError,
     BlockSizeError,
@@ -117,11 +118,10 @@ def gather(data: Buffers) -> bytes:
 #
 # Every packet's outputs depend only on its own (nonce, data, aad[, tag])
 # under the shared key — never on which lanes it shares a sweep with —
-# so a batch may split into contiguous spans, each span run the inline
-# engine on any worker, and the span results read back in span order,
-# positionally and byte-identical to the unsharded run.  Shard workers
-# are top-level functions and execute with ``backend=INLINE`` so a
-# worker can never recursively re-enter its own pool.
+# so a batch may split into contiguous spans, each span run the engines
+# on any worker, and the span results read back in span order,
+# positionally and byte-identical to the unsharded run.  The engines
+# take no backend, so a shard worker can never re-enter its own pool.
 
 
 def _norm_seal_packet(packet: Sequence) -> Tuple[bytes, bytes, bytes]:
@@ -240,7 +240,7 @@ def _arena_seal_shard(mode: str, key: bytes, key_ref, slab_name: str,
             (nonce, view[d:d + dl], view[a:a + al])
             for nonce, d, dl, a, al, _out in descs
         ]
-        results = _SEAL_MANY[mode](key, packets, tag_length, backend=INLINE)
+        results = _SEAL_MANY[mode](key, packets, tag_length)
         for (_n, _d, dl, _a, _al, out), (ciphertext, tag) in zip(
             descs, results
         ):
@@ -261,7 +261,7 @@ def _arena_open_shard(mode: str, key: bytes, key_ref, slab_name: str,
             (nonce, view[d:d + dl], tag, view[a:a + al])
             for nonce, tag, d, dl, a, al, _out in descs
         ]
-        results = _OPEN_MANY[mode](key, packets, backend=INLINE)
+        results = _OPEN_MANY[mode](key, packets)
         verified = []
         for (_n, _t, _d, dl, _a, _al, out), plaintext in zip(descs, results):
             if plaintext is None:
@@ -369,26 +369,6 @@ def _arena_submit(backend, arena, mode: str, key: bytes, key_ref,
     )
 
 
-def _run_sharded(backend, mode: str, key: bytes, seal_packets, open_packets,
-                 tag_length: int):
-    """Shard both direction lists into one arena pass; merge in order.
-
-    Returns ``(sealed, opened)`` — each positionally identical to the
-    inline ``*_many`` result for its list — or None when the backend
-    offers no packet arena or the work collapses to a single call (the
-    caller then runs the batch inline).
-    """
-    arena = _dispatch_arena(backend)
-    if arena is None:
-        return None
-    handle = _arena_submit(
-        backend, arena, mode, bytes(key), None,
-        list(seal_packets), list(open_packets), tag_length,
-        isolate=False,
-    )
-    return None if handle is None else handle.result()
-
-
 def _quarantine_split(packets: List, runner) -> List:
     """Bisect a failing span down to per-packet results.
 
@@ -418,13 +398,11 @@ def _quarantine_pair(mode, key, seals, opens, tag_length):
     return (
         _quarantine_split(
             list(seals),
-            lambda span: _SEAL_MANY[mode](
-                key, span, tag_length, backend=INLINE
-            ),
+            lambda span: _SEAL_MANY[mode](key, span, tag_length),
         ),
         _quarantine_split(
             list(opens),
-            lambda span: _OPEN_MANY[mode](key, span, backend=INLINE),
+            lambda span: _OPEN_MANY[mode](key, span),
         ),
     )
 
@@ -477,16 +455,16 @@ def _seal_open_whole(mode, key, seals, opens, tag_length):
     thread, where the caller's fault plan is already installed.
     """
     return (
-        _SEAL_MANY[mode](key, seals, tag_length, backend=INLINE),
-        _OPEN_MANY[mode](key, opens, backend=INLINE),
+        _SEAL_MANY[mode](key, seals, tag_length),
+        _OPEN_MANY[mode](key, opens),
     )
 
 
 class SealOpenHandle:
     """One in-flight :func:`seal_open_many` dispatch (futures form).
 
-    Returned by :func:`seal_open_submit`; ``done()``/``poll()`` are
-    non-blocking, ``result()`` waits and yields the same
+    Returned by :func:`seal_open_submit`; ``done()`` is non-blocking,
+    ``result()`` waits and yields the same
     ``(sealed, opened)`` pair — byte-identical to the blocking call,
     memoized, with the same ``isolate=True`` quarantine semantics
     applied at collection time.  The dataplane-specific halves ride in
@@ -509,10 +487,6 @@ class SealOpenHandle:
     def done(self) -> bool:
         """Non-blocking: would :meth:`result` still wait on workers?"""
         return self._handle.done()
-
-    def poll(self) -> bool:
-        """Alias of :meth:`done`."""
-        return self.done()
 
     def result(self):
         """The ``(sealed, opened)`` pair, in submission order (memoized)."""
@@ -660,24 +634,16 @@ def _cbc_mac_lanes_scalar(
     return [state.to_bytes(BLOCK_BYTES, "big") for state in states]
 
 
-def _cbc_mac_shard(key_or_schedule, messages, iv):
-    """One span of a sharded CBC-MAC batch, run inline on a worker."""
-    return cbc_mac_many(key_or_schedule, messages, iv, backend=INLINE)
-
-
 def cbc_mac_many(
     key_or_schedule: KeyOrSchedule,
     messages: Sequence[bytes],
     iv: bytes = _ZERO_IV,
-    backend: BackendSpec = None,
 ) -> List[bytes]:
     """CBC-MAC every message of a same-key batch, lane-parallel.
 
     Byte-identical to mapping :func:`repro.crypto.fast.bulk
     .cbc_mac_fast` over *messages*; the batch form exists because the
-    per-message feedback chain is the serialising half of CCM.  A
-    *backend* shards the lanes across workers (each chain is
-    lane-local, so sharding cannot change any MAC).
+    per-message feedback chain is the serialising half of CCM.
     """
     if len(iv) != BLOCK_BYTES:
         raise BlockSizeError(f"CBC-MAC IV must be 16 bytes, got {len(iv)}")
@@ -690,18 +656,6 @@ def cbc_mac_many(
             raise BlockSizeError("CBC-MAC requires at least one block")
     if not messages:
         return []
-    backend = resolve_backend(backend)
-    if backend.workers > 1:
-        spans = backend.shard_spans(len(messages))
-        if len(spans) > 1:
-            lanes = [bytes(message) for message in messages]
-            shards = backend.run(
-                [
-                    (_cbc_mac_shard, (key_or_schedule, lanes[a:b], bytes(iv)))
-                    for a, b in spans
-                ]
-            )
-            return [mac for shard in shards for mac in shard]
     round_keys = _schedule(key_or_schedule)
     if HAVE_NUMPY and len(messages) >= MIN_LANES:
         return _cbc_mac_lanes_vector(round_keys, messages, iv)
@@ -800,14 +754,13 @@ def gcm_seal_many(
     key: bytes,
     packets: Sequence[Sequence],
     tag_length: int = 16,
-    backend: BackendSpec = None,
 ) -> List[Tuple[bytes, bytes]]:
     """Seal a same-key GCM batch; returns ``[(ciphertext, tag), ...]``.
 
     *packets* is a sequence of ``(iv, plaintext)`` or ``(iv, plaintext,
     aad)``; plaintext and aad may be scatter-gather segment lists.
     Byte-identical to calling :func:`repro.crypto.fast.bulk.gcm_seal`
-    per packet, whatever *backend* shards the batch across.
+    per packet.
     """
     from repro.crypto.modes.gcm import VALID_TAG_LENGTHS
 
@@ -818,11 +771,6 @@ def gcm_seal_many(
     if not packets:
         return []
     _check_poisoned(packets)
-    backend = resolve_backend(backend)
-    if backend.workers > 1:
-        sharded = _run_sharded(backend, "gcm", key, packets, (), tag_length)
-        if sharded is not None:
-            return sharded[0]
     if not HAVE_NUMPY:
         return [
             gcm_seal(key, bytes(p[0]), gather(p[1]), gather(p[2]) if len(p) > 2 else b"", tag_length)
@@ -848,7 +796,6 @@ def gcm_seal_many(
 def gcm_open_many(
     key: bytes,
     packets: Sequence[Sequence],
-    backend: BackendSpec = None,
 ) -> List[Optional[bytes]]:
     """Open a same-key GCM batch; ``None`` marks an authentication failure.
 
@@ -873,11 +820,6 @@ def gcm_open_many(
         if len(bytes(packet[2])) not in VALID_TAG_LENGTHS:
             raise TagError(f"GCM tag length {len(bytes(packet[2]))} is invalid")
     _check_poisoned(packets)
-    backend = resolve_backend(backend)
-    if backend.workers > 1:
-        sharded = _run_sharded(backend, "gcm", key, (), packets, 16)
-        if sharded is not None:
-            return sharded[1]
     if not HAVE_NUMPY:
         # bulk.gcm_open already verifies before generating the payload
         # keystream, so the scalar fallback early-rejects per packet.
@@ -915,14 +857,10 @@ def gmac_many(
     key: bytes,
     packets: Sequence[Sequence],
     tag_length: int = 16,
-    backend: BackendSpec = None,
 ) -> List[bytes]:
     """GMAC tags for a batch of ``(iv, aad)`` packets (empty plaintext)."""
     sealed = gcm_seal_many(
-        key,
-        [(packet[0], b"", packet[1]) for packet in packets],
-        tag_length,
-        backend=backend,
+        key, [(packet[0], b"", packet[1]) for packet in packets], tag_length
     )
     return [tag for _, tag in sealed]
 
@@ -952,15 +890,13 @@ def ccm_seal_many(
     key: bytes,
     packets: Sequence[Sequence],
     tag_length: int = 16,
-    backend: BackendSpec = None,
 ) -> List[Tuple[bytes, bytes]]:
     """Seal a same-key CCM batch; returns ``[(ciphertext, tag), ...]``.
 
     *packets* is a sequence of ``(nonce, plaintext)`` or ``(nonce,
     plaintext, aad)`` (scatter-gather allowed).  The CBC-MAC half runs
     lane-parallel across the batch; byte-identical to per-packet
-    :func:`repro.crypto.fast.bulk.ccm_seal`, whatever *backend* shards
-    the batch across.
+    :func:`repro.crypto.fast.bulk.ccm_seal`.
     """
     from repro.crypto.modes.ccm import (
         _check_params,
@@ -971,11 +907,6 @@ def ccm_seal_many(
     if not packets:
         return []
     _check_poisoned(packets)
-    backend = resolve_backend(backend)
-    if backend.workers > 1:
-        sharded = _run_sharded(backend, "ccm", key, packets, (), tag_length)
-        if sharded is not None:
-            return sharded[0]
     if not HAVE_NUMPY:
         return [
             ccm_seal(key, bytes(p[0]), gather(p[1]), gather(p[2]) if len(p) > 2 else b"", tag_length)
@@ -993,7 +924,7 @@ def ccm_seal_many(
             + pad_zeros(data, BLOCK_BYTES)
         )
     round_keys, s0s, streams = _ccm_prepare(key, nonces, datas)
-    macs = cbc_mac_many(round_keys, blobs, backend=INLINE)
+    macs = cbc_mac_many(round_keys, blobs)
     results = []
     for data, mac, s0, stream in zip(datas, macs, s0s, streams):
         ciphertext = xor_data(data, stream) if data else b""
@@ -1004,7 +935,6 @@ def ccm_seal_many(
 def ccm_open_many(
     key: bytes,
     packets: Sequence[Sequence],
-    backend: BackendSpec = None,
 ) -> List[Optional[bytes]]:
     """Open a same-key CCM batch; ``None`` marks an authentication failure.
 
@@ -1028,11 +958,6 @@ def ccm_open_many(
     if not packets:
         return []
     _check_poisoned(packets)
-    backend = resolve_backend(backend)
-    if backend.workers > 1:
-        sharded = _run_sharded(backend, "ccm", key, (), packets, 16)
-        if sharded is not None:
-            return sharded[1]
     if not HAVE_NUMPY:
         return [
             _open_one(
@@ -1062,7 +987,7 @@ def ccm_open_many(
         + pad_zeros(plaintext, BLOCK_BYTES)
         for nonce, aad, plaintext, tag in zip(nonces, aads, plaintexts, tags)
     ]
-    macs = cbc_mac_many(round_keys, blobs, backend=INLINE)
+    macs = cbc_mac_many(round_keys, blobs)
     results: List[Optional[bytes]] = []
     for mac, s0, tag, plaintext in zip(macs, s0s, tags, plaintexts):
         expected = xor_data(mac, s0)[: len(tag)]
@@ -1083,7 +1008,7 @@ def _open_one(open_fn, key, nonce, ciphertext, tag, aad) -> Optional[bytes]:
         return None
 
 
-#: Mode tag -> batch entry point (the shard workers' dispatch tables;
-#: module level so the references pickle into process-pool workers).
+#: Mode tag -> batch entry point (the dispatch tables of the shard
+#: workers, the whole-dispatch call and the quarantine bisect).
 _SEAL_MANY = {"gcm": gcm_seal_many, "ccm": ccm_seal_many}
 _OPEN_MANY = {"gcm": gcm_open_many, "ccm": ccm_open_many}

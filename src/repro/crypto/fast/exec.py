@@ -39,7 +39,7 @@ crypto, MCCP and radio layers.
 Asynchronous half: :meth:`ExecutionBackend.submit` is the futures
 form of :meth:`ExecutionBackend.run` — it hands the calls to the pool
 *without waiting* and returns a :class:`BatchHandle` whose
-``poll()``/``done()`` probe completion and whose ``result()`` drains
+``done()`` probes completion and whose ``result()`` drains
 the span (applying the same recovery machinery, so
 ``backend.run(calls)`` and ``backend.submit(calls).result()`` are
 byte-identical — ``run`` is literally implemented that way).  This is
@@ -64,9 +64,10 @@ failures heal, never what correct calls compute.
 Selection: ``REPRO_BACKEND`` in the environment (``inline``, or
 ``process``/``process:N`` with ``N`` worker cap; ``process-arena`` is
 an alias of ``process``) seeds the process-wide default; every
-``backend=`` parameter up the stack (``*_many`` APIs,
-``Mccp.dispatch_jobs``, ``SdrPlatform.run_workload``) accepts a
-backend instance, a spec string, or ``None`` for the default.
+``backend=`` parameter up the stack (``seal_open_submit`` /
+``seal_open_many``, ``Mccp.dispatch_jobs_async``,
+``WorkloadSpec``) accepts a backend instance, a spec string, or
+``None`` for the default.
 """
 
 from __future__ import annotations
@@ -156,8 +157,8 @@ def _serial_outcomes(calls: Sequence[Tuple[Callable, tuple]]) -> List[object]:
 class BatchHandle:
     """One in-flight backend span: the futures half of the API.
 
-    Returned by :meth:`ExecutionBackend.submit`.  ``done()`` (and its
-    alias ``poll()``) report, without blocking, whether ``result()``
+    Returned by :meth:`ExecutionBackend.submit`.  ``done()`` reports,
+    without blocking, whether ``result()``
     would still have to wait on remote workers; ``result()`` waits for
     the span, runs the same retry/watchdog/degradation machinery the
     blocking :meth:`ExecutionBackend.run` applies, and returns the
@@ -210,10 +211,6 @@ class BatchHandle:
         if self._token is None:
             return True
         return self._backend._token_done(self._token)
-
-    def poll(self) -> bool:
-        """Alias of :meth:`done` (the submit()/poll() naming)."""
-        return self.done()
 
     def result(self) -> List[object]:
         """Wait for the span; results in submission order (memoized).
@@ -858,8 +855,9 @@ def resolve_backend(backend: BackendSpec = None) -> ExecutionBackend:
     """Resolve a ``backend=`` parameter: instance, spec string or None.
 
     **This is the single normalization point for** :data:`BackendSpec`
-    **values.**  Every layer that accepts ``backend=`` (the ``*_many``
-    APIs, :class:`~repro.mccp.mccp.Mccp`,
+    **values.**  Every layer that accepts ``backend=``
+    (:func:`~repro.crypto.fast.batch.seal_open_submit`,
+    :class:`~repro.mccp.mccp.Mccp`,
     :class:`~repro.radio.comm_controller.CommController`,
     ``SdrPlatform.run_workload``) funnels through here rather than
     re-resolving defensively.  The contract:

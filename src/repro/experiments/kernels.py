@@ -25,7 +25,7 @@ import time
 from typing import Callable, Dict, Tuple
 
 from repro.crypto import AES, ccm_encrypt, gcm_encrypt
-from repro.crypto.fast.batch import ccm_seal_many, gcm_seal_many
+from repro.crypto.fast.batch import ccm_seal_many, gcm_seal_many, seal_open_many
 from repro.crypto.fast.bulk import ccm_seal, ctr_xcrypt_bulk, gcm_seal
 from repro.crypto.fast.exec import resolve_backend
 from repro.crypto.fast.gf128_tables import gf128_mul_tabulated, ghash_tables
@@ -97,7 +97,7 @@ def _radio_ccm_setup(
     Shared by the bench kernels and their correctness twin so the perf
     number and the gate always measure the same pipeline
     (coalesce width *width*, 8-byte tags, 2 KB packets, dispatches on
-    *backend* when given, async submit/reap dataplane when *pipelined*).
+    *backend* when given, two dispatches left in flight when *pipelined*).
     *auto* starts the same policy in adaptive mode: the ``_auto_``
     kernels reuse one rig across bench iterations, so the controller's
     knob choices converge over the first iterations and the steady
@@ -122,7 +122,6 @@ def _radio_ccm_setup(
         sim, mccp, backend=bench_backend(backend) if backend else None
     )
     if pipelined:
-        comm.pipelined = True
         comm.pipeline_depth = 2
     packets = [
         Packet(channel.channel_id, b"", PACKET, sequence=i)
@@ -187,7 +186,7 @@ def measure_pipelined(
 
     Both rigs stream ``PIPELINE_STREAM_PACKETS`` 2 KB CCM packets per
     op at coalesce width *width* on *backend*; the only difference is
-    ``CommController.pipelined``.  Returns packets/s ``rates``
+    ``CommController.pipeline_depth`` (0 or 2).  Returns packets/s ``rates``
     ("synchronous" / "pipelined"), the byte/order/stamp equality
     ``identical`` bool (payload, tag, per-channel fan-out order,
     completion cycles and final sim time must all match — the async
@@ -374,12 +373,12 @@ def build_kernels() -> Dict[str, Callable[[], object]]:
         # Process-backend twins of the batch kernels: same packets
         # sharded across arena workers (run_bench derives the
         # `<base>_batch<N>_process_over_inline` speedups).
-        "gcm_2kb_batch32_process_fast": lambda: gcm_seal_many(
-            KEY, GCM_BATCH, 16, backend=bench_backend("process")
-        ),
-        "ccm_2kb_batch32_process_fast": lambda: ccm_seal_many(
-            KEY, CCM_BATCH, 8, backend=bench_backend("process")
-        ),
+        "gcm_2kb_batch32_process_fast": lambda: seal_open_many(
+            "gcm", KEY, GCM_BATCH, [], 16, backend=bench_backend("process")
+        )[0],
+        "ccm_2kb_batch32_process_fast": lambda: seal_open_many(
+            "ccm", KEY, CCM_BATCH, [], 8, backend=bench_backend("process")
+        )[0],
         # End-to-end radio dataplane: one op = enqueue + flush through
         # the MCCP channel layer (sequential width-1 vs coalesced 32,
         # plus the coalesced dispatch on the process backend).
@@ -486,12 +485,15 @@ def correctness_check(name: str) -> bool:
     if backend_kernel:
         # The sharded batch must merge byte-identical to the inline run
         # (payloads come back out of the shared-memory slab).
-        backend = bench_backend("process")
-        if backend_kernel[1] == "gcm":
-            inline = gcm_seal_many(KEY, GCM_BATCH, 16)
-            return gcm_seal_many(KEY, GCM_BATCH, 16, backend=backend) == inline
-        inline = ccm_seal_many(KEY, CCM_BATCH, 8)
-        return ccm_seal_many(KEY, CCM_BATCH, 8, backend=backend) == inline
+        mode = backend_kernel[1]
+        if mode == "gcm":
+            batch, tag_length, seal_many = GCM_BATCH, 16, gcm_seal_many
+        else:
+            batch, tag_length, seal_many = CCM_BATCH, 8, ccm_seal_many
+        sealed, _ = seal_open_many(
+            mode, KEY, batch, [], tag_length, backend=bench_backend("process")
+        )
+        return sealed == seal_many(KEY, batch, tag_length)
     if name in (
         "radio_ccm_2kb_fast",
         "radio_ccm_2kb_batch32_fast",

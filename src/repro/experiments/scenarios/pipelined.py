@@ -83,7 +83,7 @@ def _run(spec_kwargs: dict, seed: int):
     name="pipelined_dataplane",
     title="Pipelined dataplane: async submit/reap vs synchronous batched",
     description="Multi-channel CCM/GCM radio traffic through the async "
-    "submit()/poll() dataplane, swept over backend, pipeline depth and "
+    "submit/reap dataplane, swept over backend, pipeline depth and "
     "channel count; the transcript digest (bytes, per-channel order, "
     "cycle stamps, total cycles) must equal the synchronous batched "
     "run's, while wall-clock overlap is a timing metric.",

@@ -23,7 +23,7 @@ cycle model: it produces the same bytes the simulated cores would
 for batched dispatches is charged by the communication controller's
 dataplane (:mod:`repro.radio.comm_controller`), which pops batches
 under the channel's :class:`repro.mccp.channel.FlushPolicy` and calls
-:meth:`dispatch_jobs` per dispatch; the synchronous
+:meth:`dispatch_jobs_async` per dispatch; the synchronous
 :meth:`flush_channel` / :meth:`flush_batches` remain the zero-sim-time
 entry points.
 """
@@ -103,8 +103,8 @@ KEY_FETCH_ATTEMPTS = 3
 class DispatchHandle:
     """One in-flight :meth:`Mccp.dispatch_jobs` batch (futures form).
 
-    Returned by :meth:`Mccp.dispatch_jobs_async`.  ``done()``/``poll()``
-    probe the underlying backend span without blocking; ``result()``
+    Returned by :meth:`Mccp.dispatch_jobs_async`.  ``done()`` probes
+    the underlying backend span without blocking; ``result()``
     waits, stamps every job's :attr:`PacketJob.result`, updates the
     channel counters, and returns the :class:`BatchResult` list —
     byte-identical to what the blocking :meth:`Mccp.dispatch_jobs`
@@ -140,10 +140,6 @@ class DispatchHandle:
         if self._results is not None:
             return True
         return self._handle.done()
-
-    def poll(self) -> bool:
-        """Alias of :meth:`done`."""
-        return self.done()
 
     def result(self) -> List[BatchResult]:
         """Collect the batch: stamp jobs, update stats (memoized)."""
@@ -381,9 +377,10 @@ class Mccp:
     ) -> List[BatchResult]:
         """Run one already-dequeued batch of *jobs* through the engine.
 
-        The dataplane's inner step: the communication controller pops a
-        batch (charging its modelled control/transfer time), then calls
-        this to produce the bytes.  Each job's :attr:`PacketJob.result`
+        The blocking form of the dataplane's inner step (the
+        communication controller pops a batch, charges its modelled
+        control/transfer time, then submits it through
+        :meth:`dispatch_jobs_async`).  Each job's :attr:`PacketJob.result`
         is stamped; channel statistics (``packets_processed``,
         ``bytes_processed``, ``auth_failures``, ``stats['batches']``)
         update as the paper's per-channel counters would.  *backend*
@@ -392,8 +389,7 @@ class Mccp:
         identically ordered whichever backend runs them.
 
         Implemented as submit-then-drain over
-        :meth:`dispatch_jobs_async`, so the blocking and pipelined
-        dataplanes can never diverge.
+        :meth:`dispatch_jobs_async`, so the two can never diverge.
         """
         return self.dispatch_jobs_async(channel_id, jobs, backend).result()
 
@@ -408,8 +404,8 @@ class Mccp:
         The futures form of :meth:`dispatch_jobs`: the key fetch (with
         its retry loop) and the backend submission happen here, then
         the caller gets the handle back while process workers
-        run the crypto — the pipelined dataplane keeps coalescing the
-        *next* batch meanwhile.  Job stamping, channel counters and the
+        run the crypto — a pipelined drain keeps coalescing the *next*
+        batch meanwhile.  Job stamping, channel counters and the
         quarantine/dead-letter routing all run inside
         ``handle.result()``; an unreadable key dead-letters the whole
         batch immediately and returns an already-completed handle.
@@ -485,7 +481,7 @@ class Mccp:
         .coalesce_limit` per batch; results come back in the same
         order.  The simulated dataplane
         (:class:`repro.radio.comm_controller.CommController`) drives
-        :meth:`dispatch_jobs` itself so it can charge scheduler and
+        :meth:`dispatch_jobs_async` itself so it can charge scheduler and
         crossbar time per dispatch; its force-drain is ``flush_now``.
         """
         channel = self.scheduler.get_channel(channel_id)

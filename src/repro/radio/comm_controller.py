@@ -15,16 +15,17 @@ pipeline built around :class:`repro.mccp.channel.PacketJob`:
   sim-time idle deadline (``flush_deadline``) so low-traffic channels
   never stall a packet waiting for batch-mates;
 - each dispatch pops one batch, charges the modelled control +
-  crossbar transfer time, runs the batch engine
-  (:meth:`repro.mccp.mccp.Mccp.dispatch_jobs`), and fans completions
-  back out to per-packet :class:`CompletedTransfer` records with
-  correct per-packet latency accounting;
-- with :attr:`CommController.pipelined` set, each dispatch is instead
-  *submitted* (:meth:`repro.mccp.mccp.Mccp.dispatch_jobs_async`) and
-  the drain keeps coalescing the next batch while process
-  workers run the current one — out-of-order wall-clock completion,
-  strictly in-order per-channel fan-out, identical bytes and cycle
-  stamps (the paper's pipelining lifted to the system level);
+  crossbar transfer time, *submits* the batch to the batch engine
+  (:meth:`repro.mccp.mccp.Mccp.dispatch_jobs_async`) and reaps the
+  channel's oldest submissions FIFO once more than
+  :attr:`CommController.pipeline_depth` are in flight, fanning
+  completions back out to per-packet :class:`CompletedTransfer`
+  records with correct per-packet latency accounting.  Depth 0 reaps
+  each dispatch as soon as it is submitted (synchronous); a deeper
+  pipeline keeps coalescing the next batch while process workers run
+  the current one — out-of-order wall-clock completion, strictly
+  in-order per-channel fan-out, identical bytes and cycle stamps (the
+  paper's pipelining lifted to the system level);
 - :meth:`process_packet` / :meth:`secure_packet_sync` are thin
   wrappers over the same job abstraction at batch width 1, running on
   the cycle-accurate simulated cores (``via_cores``) — the engine the
@@ -38,7 +39,8 @@ numbers depend on.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from contextlib import contextmanager
+from typing import Deque, Dict, Iterator, List, Optional, Set
 
 from dataclasses import dataclass, field
 
@@ -84,14 +86,12 @@ class CompletedTransfer:
 
 
 class _InflightDispatch:
-    """One submitted-but-uncollected batch of the pipelined dataplane.
+    """One submitted-but-uncollected dispatch of a channel's drain.
 
-    ``dispatched_cycle`` is the sim cycle the dispatch *would have
-    completed at* on the synchronous dataplane (the cycle after its
-    control + crossbar delays, when ``dispatch_jobs`` would have
-    returned): completions are stamped with it at reap time, so the
-    pipelined dataplane's latency accounting is identical to the
-    synchronous one — only wall-clock execution overlaps.
+    ``dispatched_cycle`` is the sim cycle right after the dispatch's
+    control + crossbar delays: completions are stamped with it at reap
+    time, so latency accounting does not depend on the pipeline depth —
+    only wall-clock execution overlaps.
     """
 
     __slots__ = ("handle", "batch", "dispatched_cycle")
@@ -141,23 +141,20 @@ class CommController:
         self._draining: Set[int] = set()
         self._drain_done: Dict[int, Event] = {}
         self._deadlines: Dict[int, object] = {}
-        # -- pipelined dataplane ---------------------------------------
-        #: When True, drains *submit* each dispatch through
-        #: :meth:`Mccp.dispatch_jobs_async` and keep going — the
-        #: simulator coalesces and flushes the next batch while
-        #: process workers run the current one.  Completions fan
-        #: out strictly in per-channel submission order whatever
-        #: wall-clock order batches finish in, stamped with the cycles
-        #: the synchronous dataplane would have stamped.
-        self.pipelined = False
+        # -- dispatch pipeline -----------------------------------------
         #: Dispatches one channel may keep in flight before its drain
-        #: blocks to reap the oldest (bounds handle memory and keeps
-        #: backpressure honest).  Under the arena dataplane each
-        #: in-flight dispatch also pins one arena generation (its slab
-        #: region stays reserved until the handle is reaped), so this
-        #: bound doubles as the arena's high-water mark: slab footprint
-        #: is at most ``pipeline_depth`` generations per channel.
-        self.pipeline_depth = 2
+        #: blocks to reap the oldest.  0 is the synchronous dataplane:
+        #: every dispatch is reaped as soon as it is submitted.  Above
+        #: 0 the simulator coalesces and flushes the next batch while
+        #: process workers run the current one; completions still fan
+        #: out strictly in per-channel submission order, stamped with
+        #: the same cycles as at depth 0.
+        #: Under the arena dataplane each in-flight dispatch also pins
+        #: one arena generation (its slab region stays reserved until
+        #: the handle is reaped), so this bound doubles as the arena's
+        #: high-water mark: slab footprint is at most ``pipeline_depth
+        #: + 1`` generations per channel.
+        self.pipeline_depth = 0
         #: Per-channel FIFO of submitted-but-uncollected dispatches;
         #: the FIFO *is* the in-order fan-out guarantee.
         self._inflight: Dict[int, Deque[_InflightDispatch]] = {}
@@ -170,6 +167,35 @@ class CommController:
         #: policy is ``mode="auto"``).  Replace before traffic flows to
         #: retune windows/bounds for a run.
         self.autotune_config = AutotuneConfig()
+
+    # -- per-run dataplane state -------------------------------------------------
+
+    @contextmanager
+    def run_state(
+        self,
+        backend=None,
+        pipeline_depth: int = 0,
+        autotune_config: Optional[AutotuneConfig] = None,
+    ) -> Iterator["CommController"]:
+        """Install one run's dispatch state; restore the previous on exit.
+
+        *backend* and *autotune_config* replace the controller's own
+        only when given; *pipeline_depth* always applies, and the
+        in-flight peak restarts at 0 so the run reports its own
+        overlap.  Everything is restored in a ``finally``, so a run
+        that raises leaves the controller as it found it.
+        """
+        saved = (self.backend, self.pipeline_depth, self.autotune_config)
+        if backend is not None:
+            self.backend = backend
+        if autotune_config is not None:
+            self.autotune_config = autotune_config
+        self.pipeline_depth = pipeline_depth
+        self.pipeline_in_flight_peak = 0
+        try:
+            yield self
+        finally:
+            self.backend, self.pipeline_depth, self.autotune_config = saved
 
     # -- adaptive flush controller -------------------------------------------------
 
@@ -340,15 +366,15 @@ class CommController:
         batches (deadline/end-of-stream); otherwise only full batches
         leave.
 
-        With :attr:`pipelined` set, dispatches are *submitted* instead
-        of computed in place: the drain keeps popping and submitting
-        while workers chew, reaping the oldest handle whenever a
-        channel exceeds :attr:`pipeline_depth` — and reaping every
-        outstanding handle before a forced drain returns, so
+        Every dispatch is *submitted*, then the drain reaps the
+        channel's oldest handle while more than :attr:`pipeline_depth`
+        are in flight — at depth 0 that is the dispatch just submitted,
+        so the batch completes before the drain goes on.  A forced
+        drain reaps every outstanding handle before it returns, so
         end-of-stream semantics (and ``close_channel``'s in-flight
-        guard) are unchanged.  Reaping is strictly FIFO per channel,
-        which is what turns out-of-order wall-clock completion into
-        in-order per-channel fan-out.
+        guard) do not depend on the depth.  Reaping is strictly FIFO
+        per channel, which is what turns out-of-order wall-clock
+        completion into in-order per-channel fan-out.
         """
         cid = channel.channel_id
         while cid in self._draining:
@@ -358,6 +384,7 @@ class CommController:
         transfers: List[CompletedTransfer] = []
         self._draining.add(cid)
         self._drain_done[cid] = self.sim.event(f"dataplane.drained.ch{cid}")
+        queue = self._inflight.setdefault(cid, deque())
         try:
             # The limit is re-read each iteration: the adaptive
             # controller may widen it at a window boundary mid-drain.
@@ -370,54 +397,35 @@ class CommController:
                 # close_channel until their completions fire — the
                 # dispatch is about to yield simulated time.
                 channel.in_flight += len(batch)
-                handed_off = False
                 try:
                     yield self.mccp.scheduler.overhead_delay()
                     words = sum(job_transfer_words(job) for job in batch)
                     yield Delay(words * self.mccp.timing.crossbar_word_cycles)
-                    stats = channel.stats
-                    if self.pipelined:
-                        handle = self.mccp.dispatch_jobs_async(
-                            cid, batch, backend=self.backend
-                        )
-                        queue = self._inflight.setdefault(cid, deque())
-                        queue.append(
-                            _InflightDispatch(handle, batch, self.sim.now)
-                        )
-                        handed_off = True
-                        stats[f"flush_{cause}"] = (
-                            stats.get(f"flush_{cause}", 0) + 1
-                        )
-                        self._observe_flush(channel, cause, len(batch))
-                        depth = sum(
-                            len(q) for q in self._inflight.values()
-                        )
-                        if depth > self.pipeline_in_flight_peak:
-                            self.pipeline_in_flight_peak = depth
-                        while len(queue) > self.pipeline_depth:
-                            transfers.extend(self._reap_oldest(channel))
-                    else:
-                        results = self.mccp.dispatch_jobs(
-                            cid, batch, backend=self.backend
-                        )
-                        stats[f"flush_{cause}"] = (
-                            stats.get(f"flush_{cause}", 0) + 1
-                        )
-                        self._observe_flush(channel, cause, len(batch))
-                        for job, result in zip(batch, results):
-                            transfers.append(
-                                self._complete_batch_job(job, result)
-                            )
-                finally:
-                    if not handed_off:
-                        channel.in_flight -= len(batch)
+                    handle = self.mccp.dispatch_jobs_async(
+                        cid, batch, backend=self.backend
+                    )
+                except BaseException:
+                    channel.in_flight -= len(batch)
+                    raise
+                queue.append(_InflightDispatch(handle, batch, self.sim.now))
+                stats = channel.stats
+                stats[f"flush_{cause}"] = stats.get(f"flush_{cause}", 0) + 1
+                self._observe_flush(channel, cause, len(batch))
+                if self.pipeline_depth:
+                    # Overlap exists only when dispatches may stay in
+                    # flight; a synchronous run reports a peak of 0.
+                    depth = sum(len(q) for q in self._inflight.values())
+                    if depth > self.pipeline_in_flight_peak:
+                        self.pipeline_in_flight_peak = depth
+                while len(queue) > self.pipeline_depth:
+                    transfers.extend(self._reap_oldest(channel))
             if force:
                 # A forced drain is a pipeline barrier: everything this
                 # channel still has in flight (including batches earlier
                 # size-triggered drains left cooking) fans out before we
                 # return, so flush_now callers see a fully quiesced
-                # channel exactly as they do synchronously.
-                while self._inflight.get(cid):
+                # channel.
+                while queue:
                     transfers.extend(self._reap_oldest(channel))
         finally:
             self._draining.discard(cid)
@@ -433,20 +441,15 @@ class CommController:
         the same retries/degradation/quarantine machinery the blocking
         dispatch applies runs here.  Completion records are stamped
         with the dispatch's recorded cycle, not the reap cycle, keeping
-        latency accounting byte-identical to the synchronous dataplane.
+        latency accounting independent of the pipeline depth.
         """
-        queue = self._inflight.get(channel.channel_id)
-        if not queue:
-            return []
-        entry = queue.popleft()
+        entry = self._inflight[channel.channel_id].popleft()
         try:
             results = entry.handle.result()
         finally:
             channel.in_flight -= len(entry.batch)
         return [
-            self._complete_batch_job(
-                job, result, at_cycle=entry.dispatched_cycle
-            )
+            self._complete_batch_job(job, result, entry.dispatched_cycle)
             for job, result in zip(entry.batch, results)
         ]
 
@@ -457,10 +460,10 @@ class CommController:
         documented on :class:`repro.mccp.channel.FlushPolicy` — the
         end-of-stream hook for size-only policies and workload tails,
         where waiting out an idle deadline after the last packet would
-        charge phantom latency.  Under the pipelined dataplane this is
-        also the pipeline barrier: the returned transfers include any
-        still-in-flight batches from earlier drains, reaped in
-        submission order, so the channel is fully quiesced on return.
+        charge phantom latency.  It is also the pipeline barrier: the
+        returned transfers include any still-in-flight batches from
+        earlier drains, reaped in submission order, so the channel is
+        fully quiesced on return.
         """
         transfers = yield from self._drain_channel(
             channel, force=True, cause="forced"
@@ -468,15 +471,13 @@ class CommController:
         return transfers
 
     def _complete_batch_job(
-        self, job: PacketJob, result, at_cycle: Optional[int] = None
+        self, job: PacketJob, result, stamp: int
     ) -> CompletedTransfer:
         """Fan one batch-engine outcome back out to a per-packet record.
 
-        *at_cycle* backdates the completion stamps to the cycle the
-        synchronous dataplane would have completed the job at (the
-        pipelined reap path); None stamps the current cycle.
+        *stamp* is the cycle the job's dispatch completed at (see
+        :class:`_InflightDispatch`), whichever cycle it is reaped at.
         """
-        stamp = self.sim.now if at_cycle is None else at_cycle
         transfer = CompletedTransfer(
             request=None,
             job=job,

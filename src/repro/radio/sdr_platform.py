@@ -18,12 +18,13 @@ on the same :class:`repro.mccp.channel.PacketJob` pipeline:
   back out for latency accounting.  Channels the batch engine cannot
   serve (CTR streams, two-core CCM) transparently fall back to the
   cores path;
-- ``dataplane="pipelined"`` — the batched pipeline with asynchronous
-  dispatch: each batch is *submitted* to the execution backend and
-  the simulator keeps coalescing the next one while process workers
-  run the current one (``WorkloadSpec.pipeline_depth`` bounds
-  the overlap).  Same bytes, same per-channel completion order, same
-  cycle stamps as ``"batched"`` — only wall-clock overlaps.
+- ``dataplane="pipelined"`` — the same batched pipeline with up to
+  ``WorkloadSpec.pipeline_depth`` dispatches per channel left in
+  flight: the simulator keeps coalescing the next batch while process
+  workers run the current one.  ``"batched"`` is this pipeline at
+  depth 0 (each dispatch is reaped as soon as it is submitted).  Same
+  bytes, same per-channel completion order, same cycle stamps — only
+  wall-clock overlaps.
 
 Every run is described by one :class:`WorkloadSpec` —
 ``platform.run_workload(WorkloadSpec(configs, dataplane="pipelined"))``.
@@ -136,7 +137,8 @@ class WorkloadSpec:
     loss_rate: float = 0.0
     corrupt_rate: float = 0.0
     #: Dispatches a channel may keep in flight under the pipelined
-    #: dataplane before its drain blocks to reap the oldest.
+    #: dataplane before its drain blocks to reap the oldest (the other
+    #: dataplanes run at depth 0; see :func:`_comm_pipeline_depth`).
     pipeline_depth: int = 2
     #: Run-level bounded-queue high watermark (per-config capacities
     #: win; None = unbounded queues, the historical behaviour).
@@ -178,6 +180,15 @@ class WorkloadSpec:
                 f"queue_capacity must be >= 1 or None, got "
                 f"{self.queue_capacity}"
             )
+
+
+def _comm_pipeline_depth(dataplane: str, pipeline_depth: int) -> int:
+    """The communication controller's depth for a run's dataplane.
+
+    Only ``"pipelined"`` leaves dispatches in flight; every other
+    dataplane reaps each dispatch as soon as it is submitted (depth 0).
+    """
+    return pipeline_depth if dataplane == "pipelined" else 0
 
 
 @dataclass(frozen=True)
@@ -258,9 +269,12 @@ class _RunAccounting:
     The scheduler/comm/resilience counters accumulate across runs on a
     reused platform; constructing one of these before the run and
     calling :meth:`fill` after yields a report scoped to just that
-    run's activity.  Shared by :meth:`SdrPlatform.run_workload` and the
-    session layer (:mod:`repro.radio.sessions`), so workload replays
-    and session storms account identically.
+    run's activity.  Both happen inside the run's
+    :meth:`CommController.run_state`, so backend counters are read on
+    the backend the run dispatched to.  Shared by
+    :meth:`SdrPlatform.run_workload` and the session layer
+    (:mod:`repro.radio.sessions`), so workload replays and session
+    storms account identically.
     """
 
     def __init__(self, platform: "SdrPlatform"):
@@ -424,11 +438,7 @@ class SdrPlatform:
         )
         autotune = spec.autotune  # AutotuneConfig or None (normalized)
         pipeline_depth = spec.pipeline_depth
-        previous_backend = self.comm.backend
-        previous_pipeline = (self.comm.pipelined, self.comm.pipeline_depth)
-        previous_autotune = self.comm.autotune_config
         if autotune is not None:
-            self.comm.autotune_config = autotune
             if flush_policy is None:
                 # Adaptive runs default every channel onto the
                 # controller; per-config policies still win.
@@ -442,16 +452,13 @@ class SdrPlatform:
                 report.autotune_backend = advice.backend
                 report.autotune_policy = advice.policy
                 report.autotune_pipeline_depth = advice.pipeline_depth
-        if backend is not None:
-            self.comm.backend = backend
-        self.comm.pipelined = dataplane == "pipelined"
-        self.comm.pipeline_depth = pipeline_depth
-        self.comm.pipeline_in_flight_peak = 0
-        # Snapshot *after* the spec's backend override is installed and
-        # fill *before* the finally restores it: the worker-expansion
-        # counter lives on the backend the run actually dispatched to.
-        accounting = _RunAccounting(self)
-        try:
+        with self.comm.run_state(
+            backend, _comm_pipeline_depth(dataplane, pipeline_depth), autotune
+        ):
+            # Snapshot after the run's backend is installed and fill
+            # before it is restored: the worker-expansion counter lives
+            # on the backend the run actually dispatched to.
+            accounting = _RunAccounting(self)
             self._launch_channels(
                 configs, dataplane, flush_policy, report, done_events,
                 channels, rx_fraction, loss_rate, corrupt_rate,
@@ -460,10 +467,6 @@ class SdrPlatform:
             for event in done_events:
                 self.sim.run_until_event(event, limit=limit)
             return accounting.fill(report, channels, controller)
-        finally:
-            self.comm.backend = previous_backend
-            self.comm.pipelined, self.comm.pipeline_depth = previous_pipeline
-            self.comm.autotune_config = previous_autotune
 
     def _launch_channels(
         self,

@@ -45,7 +45,11 @@ from repro.mccp.channel import Channel, FlushPolicy
 from repro.mccp.mccp import BATCHABLE_ALGORITHMS
 from repro.radio.admission import AdmissionController, AdmissionPolicy
 from repro.radio.packet import Packet
-from repro.radio.sdr_platform import SdrPlatform, _RunAccounting
+from repro.radio.sdr_platform import (
+    SdrPlatform,
+    _comm_pipeline_depth,
+    _RunAccounting,
+)
 from repro.radio.standards import STANDARD_PROFILES, RadioStandard
 from repro.sim.kernel import Delay
 
@@ -420,17 +424,13 @@ class SessionManager:
         comm = platform.comm
         report = WorkloadReport(total_cycles=0, packets_done=0, payload_bytes=0)
         report.dataplane = workload.dataplane
-        accounting = _RunAccounting(platform)
-        previous_backend = comm.backend
-        previous_pipeline = (comm.pipelined, comm.pipeline_depth)
-        if workload.backend is not None:
-            comm.backend = workload.backend
-        comm.pipelined = workload.dataplane == "pipelined"
-        comm.pipeline_depth = workload.pipeline_depth
-        comm.pipeline_in_flight_peak = 0
         done_events = []
         channels = list(self.channels.values())
-        try:
+        with comm.run_state(
+            workload.backend,
+            _comm_pipeline_depth(workload.dataplane, workload.pipeline_depth),
+        ):
+            accounting = _RunAccounting(platform)
             for plan in self.plans:
                 finished = platform.sim.event(f"session{plan.sid}.done")
                 done_events.append(finished)
@@ -440,10 +440,7 @@ class SessionManager:
                 )
             for event in done_events:
                 platform.sim.run_until_event(event, limit=workload.limit)
-        finally:
-            comm.backend = previous_backend
-            comm.pipelined, comm.pipeline_depth = previous_pipeline
-        accounting.fill(report, channels, self.controller)
+            accounting.fill(report, channels, self.controller)
         report.sessions_started = self.sessions_started
         report.sessions_completed = self.sessions_completed
         report.handoffs = self.handoffs

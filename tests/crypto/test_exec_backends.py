@@ -3,10 +3,12 @@
 The contract under test is the determinism guarantee of
 :mod:`repro.crypto.fast.exec`: a backend changes *where* batch sweeps
 run, never what they compute or the order results come back in.  The
-matrix pins inline == process byte-for-byte across GCM/CCM/
-GMAC, ragged length mixes, forged tags mid-batch, both settings of the
-fast switch, and the no-numpy scalar fallback — and checks backend
-resolution, shard/merge arithmetic and graceful degradation besides.
+matrix drives :func:`seal_open_many` — the one batch entry point that
+takes a backend — and pins process == the inline ``*_many`` engines
+byte-for-byte across GCM/CCM/GMAC, ragged length mixes, forged tags
+mid-batch, both settings of the fast switch, and the no-numpy scalar
+fallback — and checks backend resolution, shard/merge arithmetic and
+graceful degradation besides.
 """
 
 import random
@@ -16,7 +18,6 @@ import pytest
 from repro.crypto.fast import batch as fast_batch
 from repro.crypto.fast import set_fast
 from repro.crypto.fast.batch import (
-    cbc_mac_many,
     ccm_open_many,
     ccm_seal_many,
     gcm_open_many,
@@ -156,7 +157,10 @@ def test_process_backend_degrades_to_inline_when_marked():
 def test_gcm_seal_matrix(pooled_backend):
     packets = _gcm_packets()
     inline = gcm_seal_many(KEY, packets, 16)
-    assert gcm_seal_many(KEY, packets, 16, backend=pooled_backend) == inline
+    sealed, _ = seal_open_many(
+        "gcm", KEY, packets, [], 16, backend=pooled_backend
+    )
+    assert sealed == inline
     for (iv, data, aad), got in zip(packets, inline):
         assert got == gcm_encrypt(KEY, iv, data, aad, 16, False)
 
@@ -170,7 +174,10 @@ def test_gcm_open_matrix_with_forged_tags(pooled_backend):
         for i, ((iv, _, aad), (ct, tag)) in enumerate(zip(packets, sealed))
     ]
     inline = gcm_open_many(KEY, opens)
-    assert gcm_open_many(KEY, opens, backend=pooled_backend) == inline
+    _, opened = seal_open_many(
+        "gcm", KEY, [], opens, 16, backend=pooled_backend
+    )
+    assert opened == inline
     for i, plaintext in enumerate(inline):
         assert plaintext == (None if i in forged else packets[i][1])
 
@@ -178,7 +185,8 @@ def test_gcm_open_matrix_with_forged_tags(pooled_backend):
 def test_ccm_seal_open_matrix_with_forged_tag(pooled_backend):
     packets = _ccm_packets()
     inline = ccm_seal_many(KEY, packets, 8)
-    assert ccm_seal_many(KEY, packets, 8, backend=pooled_backend) == inline
+    sealed, _ = seal_open_many("ccm", KEY, packets, [], 8, backend=pooled_backend)
+    assert sealed == inline
     for (nonce, data, aad), got in zip(packets, inline):
         assert got == ccm_encrypt(KEY, nonce, data, aad, 8, False)
     opens = [
@@ -186,22 +194,27 @@ def test_ccm_seal_open_matrix_with_forged_tag(pooled_backend):
         for i, ((nonce, _, aad), (ct, tag)) in enumerate(zip(packets, inline))
     ]
     ref = ccm_open_many(KEY, opens)
-    assert ccm_open_many(KEY, opens, backend=pooled_backend) == ref
+    _, opened = seal_open_many("ccm", KEY, [], opens, 8, backend=pooled_backend)
+    assert opened == ref
     assert ref[5] is None and ref[6] == packets[6][1]
 
 
-def test_gmac_and_cbc_mac_matrix(pooled_backend):
+def test_gmac_matrix(pooled_backend):
+    """GMAC is a GCM seal of an empty payload; the pooled dispatch must
+    return the same tags as the inline engine."""
     rng = random.Random(0x6A)
     gmac_packets = [
         ((i + 1).to_bytes(12, "big"), rng.randbytes(24)) for i in range(10)
     ]
-    assert gmac_many(KEY, gmac_packets, 16, backend=pooled_backend) == gmac_many(
-        KEY, gmac_packets, 16
+    sealed, _ = seal_open_many(
+        "gcm",
+        KEY,
+        [(iv, b"", aad) for iv, aad in gmac_packets],
+        [],
+        16,
+        backend=pooled_backend,
     )
-    messages = [rng.randbytes(16 * rng.randint(1, 8)) for _ in range(11)]
-    assert cbc_mac_many(KEY, messages, backend=pooled_backend) == cbc_mac_many(
-        KEY, messages
-    )
+    assert [tag for _, tag in sealed] == gmac_many(KEY, gmac_packets, 16)
 
 
 def test_seal_open_many_mixes_directions_in_one_pass(pooled_backend):
@@ -227,7 +240,10 @@ def test_matrix_under_reference_fast_switch(pooled_backend):
     previous = set_fast(False)
     try:
         assert gcm_seal_many(KEY, packets, 16) == baseline
-        assert gcm_seal_many(KEY, packets, 16, backend=pooled_backend) == baseline
+        sealed, _ = seal_open_many(
+            "gcm", KEY, packets, [], 16, backend=pooled_backend
+        )
+        assert sealed == baseline
     finally:
         set_fast(previous)
 
@@ -242,11 +258,12 @@ def test_matrix_degrades_gracefully_without_numpy(monkeypatch):
     assert gcm_seal_many(KEY, packets, 16) == baseline
     # A fresh pool: forked workers inherit the patched module.
     with ProcessPoolBackend(workers=2) as backend:
-        assert gcm_seal_many(KEY, packets, 16, backend=backend) == baseline
-        assert (
-            ccm_seal_many(KEY, ccm_packets, 8, backend=backend)
-            == ccm_baseline
+        sealed, _ = seal_open_many("gcm", KEY, packets, [], 16, backend=backend)
+        assert sealed == baseline
+        sealed, _ = seal_open_many(
+            "ccm", KEY, ccm_packets, [], 8, backend=backend
         )
+        assert sealed == ccm_baseline
 
 
 def test_worker_errors_propagate(pooled_backend):
@@ -254,22 +271,23 @@ def test_worker_errors_propagate(pooled_backend):
     packets = _ccm_packets(count=12)
     packets[10] = (bytes(16), b"payload", b"")  # 16-byte nonce: invalid
     with pytest.raises(Exception, match="[Nn]once"):
-        ccm_seal_many(KEY, packets, 8, backend=pooled_backend)
+        seal_open_many("ccm", KEY, packets, [], 8, backend=pooled_backend)
 
 
 def test_inline_singleton_guards_recursion():
-    """Shard workers run with backend=INLINE; it must stay inline."""
+    """The INLINE singleton never shards: a dispatch on it is the inline
+    engines' result."""
     assert INLINE.workers == 1
     packets = _gcm_packets(count=9)
-    assert gcm_seal_many(KEY, packets, 16, backend=INLINE) == gcm_seal_many(
-        KEY, packets, 16
-    )
+    sealed, _ = seal_open_many("gcm", KEY, packets, [], 16, backend=INLINE)
+    assert sealed == gcm_seal_many(KEY, packets, 16)
 
 
 def test_ccm_shards_never_reenter_a_saturated_default_pool():
     """Regression: CCM's inline body calls cbc_mac_many, which must
     not resolve the process-default pool — a shard worker submitting
-    sub-shards to its own saturated pool deadlocks forever."""
+    sub-shards to its own saturated pool deadlocks forever.  The
+    engines take no backend, so a shard can never reach one."""
     import threading
 
     previous = set_default_backend("process:2")
@@ -279,13 +297,15 @@ def test_ccm_shards_never_reenter_a_saturated_default_pool():
         outcome = {}
 
         def work():
-            outcome["sealed"] = ccm_seal_many(KEY, packets, 8, backend=pool)
+            outcome["sealed"], _ = seal_open_many(
+                "ccm", KEY, packets, [], 8, backend=pool
+            )
 
         worker = threading.Thread(target=work, daemon=True)
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive(), (
-            "ccm_seal_many deadlocked re-entering its own pool"
+            "seal_open_many deadlocked re-entering its own pool"
         )
         assert outcome["sealed"] == ccm_seal_many(KEY, packets, 8)
     finally:

@@ -1,10 +1,10 @@
-"""The asynchronous backend half: submit()/poll()/done()/result().
+"""The asynchronous backend half: submit()/done()/result().
 
 The contract under test is :class:`repro.crypto.fast.exec.BatchHandle`:
 ``submit()`` returns immediately, ``result()`` blocks and returns
 exactly what ``run()`` would have (same results in submission order,
-same exceptions, same recovery behaviour), ``done()``/``poll()`` never
-block, and both results and errors are memoized — one execution no
+same exceptions, same recovery behaviour), ``done()`` never
+blocks, and both results and errors are memoized — one execution no
 matter how often the handle is drained.  ``seal_open_submit`` rides the
 same contract at the batch-AEAD layer.
 """
@@ -94,7 +94,7 @@ def test_submit_matches_run_in_submission_order(any_backend):
 
 def test_empty_submit_is_immediately_done(any_backend):
     handle = any_backend.submit([])
-    assert handle.done() and handle.poll()
+    assert handle.done()
     assert handle.result() == []
 
 
@@ -132,7 +132,6 @@ def test_done_transitions_without_blocking(process_backend, tmp_path):
     gate = str(tmp_path / "release")
     handle = process_backend.submit([(_wait_for, (gate, 1)), (_wait_for, (gate, 2))])
     assert not handle.done()
-    assert not handle.poll()
     open(gate, "w").close()
     assert handle.result() == [1, 2]
     assert handle.done()

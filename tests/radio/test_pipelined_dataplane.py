@@ -251,7 +251,6 @@ def test_flush_now_reaps_all_in_flight():
     channel = mccp.open_channel(Algorithm.CCM, 0, tag_length=8)
     channel.flush_policy = FlushPolicy(coalesce_limit=8, flush_deadline=None)
     comm = CommController(sim, mccp)
-    comm.pipelined = True
     comm.pipeline_depth = 2
     total = 32
     packets = [

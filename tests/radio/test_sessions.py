@@ -7,7 +7,10 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.throughput import ClassSla, SlaSpec
+from repro.crypto.fast.exec import ProcessPoolBackend
+from repro.mccp.autotune import AutotuneConfig
 from repro.radio.admission import AdmissionPolicy
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.sessions import (
     DEFAULT_MIX,
     PriorityClass,
@@ -19,6 +22,7 @@ from repro.radio.sessions import (
     session_key_material,
 )
 from repro.radio.standards import RadioStandard
+from repro.radio.traffic import TrafficPattern
 
 #: Small-but-real storm the execution tests share.
 STORM = SessionWorkload(sessions=10, horizon_cycles=40_000)
@@ -262,3 +266,68 @@ class TestOverloadedSessions:
 
 def test_default_mix_covers_all_three_classes():
     assert {int(p.priority) for p in DEFAULT_MIX} == {0, 1, 2}
+
+
+class TestCommState:
+    def test_session_report_counts_the_run_backends_expansions(self):
+        """The report's key-schedule expansions are the delta on the
+        backend the storm actually dispatched to, not on the platform's
+        own backend."""
+        backend = ProcessPoolBackend(2)
+        try:
+            workload = replace(STORM, sessions=6, backend=backend)
+            manager = SessionManager.provisioned(workload, seed=SEED)
+            before = backend.worker_expansions
+            report = manager.run()
+            delta = backend.worker_expansions - before
+        finally:
+            backend.close()
+        assert delta > 0
+        assert report.key_schedule_expansions == delta
+
+    @pytest.mark.parametrize("caller", ["run_workload", "sessions"])
+    def test_a_run_that_raises_restores_comm_state(self, caller, monkeypatch):
+        config = AutotuneConfig()
+        if caller == "run_workload":
+            platform = SdrPlatform(seed=SEED)
+            spec = WorkloadSpec(
+                configs=(
+                    ChannelConfig(
+                        RadioStandard.WIFI, bytes(16),
+                        TrafficPattern.SATURATING, packets=4,
+                    ),
+                ),
+                dataplane="pipelined",
+                backend="inline",
+                pipeline_depth=3,
+                autotune=config,
+            )
+
+            def run():
+                return platform.run_workload(spec)
+        else:
+            workload = replace(
+                STORM, dataplane="pipelined", backend="inline",
+                pipeline_depth=3,
+            )
+            manager = SessionManager.provisioned(workload, seed=SEED)
+            platform = manager.platform
+            run = manager.run
+        comm = platform.comm
+        saved = (comm.backend, comm.pipeline_depth, comm.autotune_config)
+        during = {}
+
+        def boom(event, limit=None):
+            during["state"] = (
+                comm.backend, comm.pipeline_depth, comm.autotune_config
+            )
+            raise RuntimeError("run aborted")
+
+        monkeypatch.setattr(platform.sim, "run_until_event", boom)
+        with pytest.raises(RuntimeError, match="run aborted"):
+            run()
+        expected_autotune = config if caller == "run_workload" else saved[2]
+        assert during["state"] == ("inline", 3, expected_autotune)
+        assert (
+            comm.backend, comm.pipeline_depth, comm.autotune_config
+        ) == saved
