@@ -22,7 +22,9 @@ One perf gate, scoped to hosts that can express it:
 Byte equality across the backend legs, the pipelined-dataplane
 identity, and the worker-crash chaos leg (survivor transcripts
 byte-identical, arena slab reclaimed) are checked unconditionally and
-fail hard anywhere — correctness has no CPU-count excuse.  Packets/s
+fail hard anywhere — correctness has no CPU-count excuse.  On >= 2
+CPUs the gate also fails when the process leg ended in its inline
+state (``inline_reason`` set): its legs would then pass vacuously.  Packets/s
 of the process backend over inline and of pipelined over synchronous
 are reported, warn-only.
 """
@@ -69,16 +71,19 @@ def main(argv=None) -> int:
             f"{name:14s} {rate:10.1f} packets/s "
             f"({measured['workers'][name]} worker(s))"
         )
-    if measured["process_degraded"]:
-        print(f"note: process backend degraded: {measured['process_degraded']}")
-    if measured["arena_degraded"]:
-        print(f"note: arena degraded: {measured['arena_degraded']}")
+    inline_reason = measured["process_inline_reason"]
     print(f"arena_active={measured['arena_active']}")
+    print(f"process_inline_reason={inline_reason or None}")
 
     failures = []
 
     if not measured["correct"]:
         failures.append("backends disagree byte-for-byte")
+    if inline_reason and cpu_count >= 2:
+        # Every process leg below would compare inline with itself.
+        failures.append(
+            f"process backend ran inline on {cpu_count} CPUs: {inline_reason}"
+        )
 
     rates = measured["rates"]
     print(

@@ -125,11 +125,11 @@ def main(argv=None) -> Path:
         "window_seconds": window,
         "backend": default_backend().name,
         "backend_workers": {"process": process_backend.workers},
-        "process_degraded": process_backend.degraded_reason,
         # The *_process kernels are meaningless without knowing whether
-        # the shared-memory arena actually engaged on this host.
+        # the shared-memory arena actually engaged on this host, and if
+        # not, why the process backend ran inline.
         "arena_active": process_backend.dispatch_arena() is not None,
-        "arena_degraded": process_backend.arena_degraded_reason,
+        "process_inline_reason": process_backend.inline_reason,
         "cpu_count": os.cpu_count(),
         # Recovery counters accrued while benchmarking: a non-zero
         # retry/degradation count here flags that the timing numbers

@@ -43,17 +43,12 @@ def crypto_layer() -> None:
             results[name] = seal_open_many(
                 "ccm", KEY, seal_packets, open_packets, 8, backend=backend
             )
-            print(
-                f"  {name:8s} {backend.workers} worker(s)"
-                + (
-                    f"  [degraded: {backend.degraded_reason}]"
-                    if getattr(backend, "degraded_reason", None)
-                    else ""
-                )
-            )
+            print(f"  {name:8s} {backend.workers} worker(s)")
     finally:
         for backend in backends.values():
             backend.close()
+    # None when the pool ran real workers; otherwise why it ran inline.
+    print(f"  process inline_reason: {backends['process'].inline_reason}")
     assert results["inline"] == results["process"]
     print("  both backends byte-identical "
           f"({WIDTH // 2} seals + {WIDTH // 2} opens)")

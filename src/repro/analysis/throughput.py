@@ -76,7 +76,7 @@ class WorkloadReport:
     retries: int = 0
     #: Wall-clock watchdogs that expired a backend span.
     watchdog_fires: int = 0
-    #: Backend degradations from process to inline.
+    #: Process backends that went inline after retries ran out.
     degradations: int = 0
     #: Degradation reasons, in order (e.g. "process -> inline: ...").
     degradation_reasons: List[str] = field(default_factory=list)
@@ -118,13 +118,6 @@ class WorkloadReport:
     #: Typed :class:`repro.errors.BackpressureError` signals bounded
     #: channel queues raised during the run.
     backpressure_signals: int = 0
-    # -- circuit breaker ------------------------------------------------
-    #: Backend circuit-breaker trips (CLOSED/HALF_OPEN -> OPEN).
-    breaker_trips: int = 0
-    #: Spans an OPEN breaker routed around a sick backend.
-    breaker_bypasses: int = 0
-    #: Breakers that closed again after successful half-open probes.
-    breaker_recoveries: int = 0
     # -- adaptive flush controller (FlushPolicy(mode="auto")) -----------
     #: Knob changes the adaptive controllers applied across channels
     #: (window decisions that actually moved a knob; holds not counted).

@@ -167,8 +167,8 @@ class Generation:
 
 
 #: Owner-side registry: slab name -> SharedMemory, so executing arena
-#: calls in the owning process (inline fall-through after a
-#: degradation, the serial guard) resolves views locally instead of re-attaching.
+#: calls in the owning process (a backend that went inline mid-span,
+#: the serial guard) resolves views locally instead of re-attaching.
 _OWNED: Dict[str, object] = {}
 
 #: Worker-side attach cache: slab name -> SharedMemory (one mapping

@@ -51,7 +51,11 @@ one shared-memory generation and each shard call pickles only ``(slab
 name, offsets, lengths)`` descriptors; workers compute over
 ``memoryview``s of the mapped slab and write results back in place, so
 neither inputs nor outputs ever cross the process boundary through
-pickle.  Every other dispatch is one call run in the calling thread.
+pickle.  Every other dispatch is one call run in the calling thread —
+including every dispatch on a process backend in its inline state
+(``ProcessPoolBackend.inline_reason``), which offers no arena.  A span
+already staged when the backend goes inline finishes in this thread
+over the same slab.
 """
 
 from __future__ import annotations
@@ -434,7 +438,7 @@ def seal_open_many(
     :class:`QuarantinedPacketError` instance in its result slot —
     batchmates keep their byte-identical results.  Backend
     infrastructure errors still propagate (after the backend's own
-    retry/degradation machinery has given up on them).
+    retry machinery has given up on them).
 
     *key_ref* — an optional ``(key_id, epoch)`` pair from
     :mod:`repro.crypto.fast.arena` — tags the dispatch for the warm
@@ -528,7 +532,8 @@ def seal_open_submit(
     chew on this one.  Packets are captured eagerly — staged into the
     arena, or normalized to plain bytes — as submission-time state,
     immune to later caller mutation; recovery — retries, watchdog,
-    degradation, quarantine bisection — all runs inside ``result()``.
+    the process backend's switch to inline, quarantine bisection — all
+    runs inside ``result()``.
 
     When the backend offers a packet arena the dispatch ships as span
     descriptors over one shared-memory generation (released when the

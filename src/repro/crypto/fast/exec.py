@@ -21,15 +21,13 @@ Two implementations:
   only span descriptors; workers stay warm across dispatches, so
   key-schedule/H-power caches persist
   (:attr:`ProcessPoolBackend.worker_expansions` counts rebuilds).
-  When shared memory is unusable the backend runs dispatches inline
-  instead, byte-identically, and
-  :attr:`ProcessPoolBackend.arena_degraded_reason` records why.
 
-  Where child processes are impossible (daemonic workers of an outer
-  multiprocessing pool, sandboxed runners) the backend degrades to
-  inline execution and records why in
-  :attr:`ProcessPoolBackend.degraded_reason` rather than failing the
-  dispatch.
+  The pool has one health state, :attr:`ProcessPoolBackend.inline_reason`.
+  It is set, once and for good, when the host cannot run workers (a
+  daemonic process, a pool that fails to start, shared memory that
+  cannot be used) or when retries run out on a crash storm or a
+  watchdog.  From then on the backend runs every call in the calling
+  thread, byte-identically, and the reason says why.
 
 Determinism contract: a backend only ever changes *where* calls run,
 never what they compute or the order results come back in — the
@@ -47,19 +45,20 @@ what lets the simulated dataplane overlap sim-event processing with
 crypto execution (the paper's pipelining lifted to the system level,
 :mod:`repro.radio.comm_controller`): the caller submits a batch, keeps
 coalescing the next one, and collects the handle when the completion
-is due.  Backends with no overlap to offer (inline, a degraded or
-single-worker pool) return an *unlaunched* handle that simply computes
-at ``result()`` time — same bytes, no concurrency.
+is due.  Backends with no overlap to offer (inline, a single-worker
+pool, a pool in its inline state) return an *unlaunched* handle that
+simply computes at ``result()`` time — same bytes, no concurrency.
 
-Self-healing: :meth:`ExecutionBackend.run` owns the recovery loop.
-Infrastructure failures (:class:`repro.errors.BackendError`: a worker
-crash, a watchdog timeout, an injected fault) are retried per span
-with exponential backoff under a :class:`ResiliencePolicy`; when the
-retries are exhausted the backend degrades ``process`` → ``inline``
-(sticky, reason recorded in :attr:`ExecutionBackend.degradations`)
-instead of failing the dispatch.  Crypto errors are never retried or
-swallowed — a backend changes where calls run and how infrastructure
-failures heal, never what correct calls compute.
+Self-healing: the handle owns the recovery loop.  Infrastructure
+failures (:class:`repro.errors.BackendError`: a worker crash, a
+watchdog timeout, an injected fault) are retried per span with
+exponential backoff under a :class:`ResiliencePolicy`.  When the
+retries run out, the inline backend raises; the process backend
+switches to its inline state (reason recorded, counted as a
+degradation in the resilience stats) and finishes the span there.
+Crypto errors are never retried or swallowed — a backend changes
+where calls run and how infrastructure failures heal, never what
+correct calls compute.
 
 Selection: ``REPRO_BACKEND`` in the environment (``inline``, or
 ``process``/``process:N`` with ``N`` worker cap; ``process-arena`` is
@@ -76,11 +75,11 @@ import atexit
 import os
 import time
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import BackendError, BatchTimeoutError, WorkerCrashError
 from repro.resilience import stats as resilience_stats
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultPoint
 from repro.resilience.policy import DEFAULT_POLICY, ResiliencePolicy
 
@@ -218,16 +217,16 @@ class BatchHandle:
         First call drains the in-flight attempt (watchdogged per the
         policy) and heals failures exactly as
         :meth:`ExecutionBackend.run` would: per-span retries with
-        backoff, then chain degradation.  Call exceptions and
-        exhausted infrastructure failures raise — and raise again on
-        every later call.
+        backoff, then the process backend's switch to inline.  Call
+        exceptions and exhausted infrastructure failures raise — and
+        raise again on every later call.
         """
         if self._error is not None:
             raise self._error
         if self._results is None:
             token, self._token = self._token, None
             try:
-                self._results = self._backend._collect(
+                self._results = self._backend._run_recovering(
                     self._calls, self._policy, token
                 )
             except BaseException as exc:
@@ -249,63 +248,11 @@ class ExecutionBackend(ABC):
     def __init__(self) -> None:
         #: Per-instance recovery budget (None = module default).
         self.resilience: Optional[ResiliencePolicy] = None
-        #: Sticky degradation target after an unhealable infrastructure
-        #: failure: once set, every run is delegated down the chain.
-        self._degraded_to: Optional["ExecutionBackend"] = None
-        #: Recorded degradation reasons, in order (crash-driven chain
-        #: degradation; the process backend's *structural* fallback
-        #: keeps its own ``degraded_reason`` attribute).
-        self.degradations: List[str] = []
-        #: Circuit breaker, created lazily from the first policy that
-        #: carries a :class:`~repro.resilience.breaker.BreakerPolicy`.
-        #: While OPEN, :meth:`submit` routes spans straight to the
-        #: fallback — proactive and recoverable, unlike the sticky
-        #: ``_degraded_to`` chain.
-        self._breaker: Optional[CircuitBreaker] = None
 
     @property
     @abstractmethod
     def workers(self) -> int:
         """Upper bound on concurrently executing calls (>= 1)."""
-
-    @abstractmethod
-    def _execute(
-        self,
-        calls: Sequence[Tuple[Callable, tuple]],
-        timeout: Optional[float],
-    ) -> List[object]:
-        """Run prepared calls once; per-call outcomes in order.
-
-        Returns :class:`_Success`/:class:`_Failure` wrappers (may be
-        shorter than *calls* if execution stopped at a non-retryable
-        failure).  Raises :class:`BackendError` for *pool-level*
-        failures that doomed the whole span — a broken process pool,
-        a watchdog timeout — which the retry loop owns.
-        """
-
-    def fallback(self) -> Optional["ExecutionBackend"]:
-        """Next link of the degradation chain (None = nowhere to go)."""
-        return None
-
-    def reset_degradation(self) -> None:
-        """Forget sticky crash degradation (test/bench isolation)."""
-        self._degraded_to = None
-        self.degradations.clear()
-        if self._breaker is not None:
-            self._breaker.reset()
-
-    def _breaker_for(
-        self, policy: ResiliencePolicy
-    ) -> Optional[CircuitBreaker]:
-        """The instance breaker, created on first breaker-ful policy."""
-        if self._breaker is None and policy.breaker is not None:
-            self._breaker = CircuitBreaker(policy.breaker)
-        return self._breaker
-
-    @property
-    def breaker(self) -> Optional[CircuitBreaker]:
-        """The live circuit breaker, if a policy ever configured one."""
-        return self._breaker
 
     def run(
         self,
@@ -320,11 +267,10 @@ class ExecutionBackend(ABC):
         to the caller (after all submitted work has been collected or
         abandoned by the pool) — a backend never swallows a crypto
         error.  Infrastructure failures (:class:`BackendError`) are
-        healed instead: failed spans retry with exponential backoff, a
-        watchdogged span that overruns is abandoned and retried, and
-        when retries are exhausted the span completes on the fallback
-        (``process`` → ``inline``) with the reason recorded —
-        degradation is sticky for the instance.
+        healed instead: failed spans retry with exponential backoff,
+        and a watchdogged span that overruns is abandoned and retried.
+        When retries run out the inline backend raises; the process
+        backend enters its inline state and finishes the span there.
         """
         return self.submit(calls, policy).result()
 
@@ -341,12 +287,12 @@ class ExecutionBackend(ABC):
         sim time) while the crypto executes — ``handle.result()``
         later collects it, byte-identical to what ``run()`` would have
         returned.  Backends with no overlap to offer — inline, a
-        single-worker or degraded pool, a one-call span — return an
-        *unlaunched* handle whose ``result()`` simply computes on the
-        spot: same results, no concurrency.
+        single-worker pool or one in its inline state, a one-call
+        span — return an *unlaunched* handle whose ``result()`` simply
+        computes on the spot: same results, no concurrency.
 
         Only the first attempt is launched eagerly; all recovery
-        (retries, watchdog, chain degradation) runs inside
+        (retries, watchdog, the switch to inline) runs inside
         ``result()``, where failures surface exactly as :meth:`run`
         surfaces them.  The watchdog budget covers the *collection* of
         the span, mirroring the blocking path's accounting.
@@ -356,26 +302,22 @@ class ExecutionBackend(ABC):
             return BatchHandle.completed([])
         if policy is None:
             policy = self.resilience or DEFAULT_POLICY
-        if self._degraded_to is not None:
-            return self._degraded_to.submit(calls, policy)
-        breaker = self._breaker_for(policy)
-        if breaker is not None and breaker.should_bypass():
-            target = self.fallback()
-            if target is not None:
-                # Route around the sick backend without paying its
-                # retry/watchdog tax; the breaker's half-open probes
-                # decide when spans come back here.
-                return target.submit(calls, policy)
-        return BatchHandle(self, calls, policy, self._launch(calls))
+        try:
+            token = self._launch(calls, 0)
+        except BackendError:
+            # The pool died before the span launched: result() starts
+            # attempt 0 again on a fresh pool.
+            token = None
+        return BatchHandle(self, calls, policy, token)
 
-    def _launch(self, calls: List[Call]) -> Optional[object]:
-        """Start attempt 0 asynchronously; a token, or None.
+    def _launch(self, calls: List[Call], attempt: int) -> Optional[object]:
+        """Start one attempt of *calls* without waiting; a token, or None.
 
         None means this backend has nothing to launch (no pool, one
-        worker, a serial-sized span): the handle stays unlaunched and
-        ``result()`` runs the ordinary blocking path.  A non-None
-        token is backend-private state for :meth:`_token_done` /
-        :meth:`_token_collect` (for the pools: the futures list).
+        worker, a serial-sized span): the calls run in the calling
+        thread instead.  A non-None token is backend-private state for
+        :meth:`_token_done` / :meth:`_token_collect` (for the pool:
+        the futures list).
         """
         return None
 
@@ -388,27 +330,28 @@ class ExecutionBackend(ABC):
     ) -> List[object]:
         """Drain a launched attempt into per-call outcomes (in order).
 
-        Raises :class:`BackendError` for pool-level failures exactly
-        as :meth:`_execute` would — the retry loop treats a collected
-        first attempt and a blocking attempt identically.  Only
-        backends whose :meth:`_launch` returns tokens implement it.
+        Returns :class:`_Success`/:class:`_Failure` wrappers.  Raises
+        :class:`BackendError` for *pool-level* failures that doomed
+        the whole span — a broken process pool, a watchdog timeout —
+        which the retry loop owns.  Only backends whose
+        :meth:`_launch` returns tokens implement it.
         """
         raise NotImplementedError
 
-    def _collect(
-        self,
-        calls: List[Call],
-        policy: ResiliencePolicy,
-        token: Optional[object],
+    def _execute(
+        self, calls: List[Call], attempt: int, timeout: Optional[float]
     ) -> List[object]:
-        """Resolve a handle: drain the launched attempt, heal, merge."""
+        """Run one attempt of *calls*: launch, then collect.
+
+        Calls the backend does not launch run in the calling thread
+        (the outcomes may then stop short at a non-retryable failure).
+        """
+        token = self._launch(calls, attempt)
         if token is None:
-            return self._run_recovering(calls, policy)
-        return self._run_recovering(
-            calls,
-            policy,
-            first=lambda: self._token_collect(token, policy.watchdog_seconds),
-        )
+            return _serial_outcomes(
+                [self._prepare(call, attempt) for call in calls]
+            )
+        return self._token_collect(token, timeout)
 
     def _prepare(
         self, call: Call, attempt: int
@@ -423,63 +366,56 @@ class ExecutionBackend(ABC):
         self,
         calls: List[Call],
         policy: ResiliencePolicy,
-        first: Optional[Callable[[], List[object]]] = None,
+        token: Optional[object] = None,
     ) -> List[object]:
-        # *first*, when given, supplies attempt 0's outcomes from work
-        # already launched on THIS backend (a collected submit token) —
-        # so the degradation shortcut must not reroute it; anything
-        # after attempt 0 runs through the ordinary machinery.
-        if self._degraded_to is not None and first is None:
-            return self._degraded_to._run_recovering(calls, policy)
-        breaker = self._breaker_for(policy)
+        """Every call's result, healing infrastructure failures.
+
+        *token*, when given, is attempt 0 already launched by
+        :meth:`submit`; every later attempt runs through
+        :meth:`_execute` on the calls still failing.
+        """
         results: List[object] = [None] * len(calls)
         pending = list(range(len(calls)))
         attempt = 0
         while True:
-            try:
-                if first is not None:
-                    launched, first = first, None
-                    outcomes = launched()
-                else:
-                    prepared = [
-                        self._prepare(calls[i], attempt) for i in pending
-                    ]
-                    outcomes = self._execute(prepared, policy.watchdog_seconds)
-            except BackendError as exc:
-                if breaker is not None:
-                    breaker.record_failure()
-                if attempt < policy.max_retries:
-                    attempt = self._note_retry(attempt, policy)
-                    continue
-                return self._degrade_or_raise(
-                    exc, calls, pending, results, policy
-                )
             failed: List[int] = []
             span_error: Optional[BackendError] = None
-            for index, outcome in zip(pending, outcomes):
-                if isinstance(outcome, _Failure):
-                    if isinstance(outcome.error, BackendError):
+            try:
+                if token is not None:
+                    launched, token = token, None
+                    outcomes = self._token_collect(
+                        launched, policy.watchdog_seconds
+                    )
+                else:
+                    outcomes = self._execute(
+                        [calls[i] for i in pending],
+                        attempt,
+                        policy.watchdog_seconds,
+                    )
+            except BackendError as exc:
+                failed, span_error = pending, exc
+            else:
+                for index, outcome in zip(pending, outcomes):
+                    if not isinstance(outcome, _Failure):
+                        results[index] = outcome.value
+                    elif isinstance(outcome.error, BackendError):
                         failed.append(index)
                         if span_error is None:
                             span_error = outcome.error
                     else:
                         raise outcome.error
-                else:
-                    results[index] = outcome.value
-            if not failed:
-                if breaker is not None:
-                    breaker.record_success()
-                return results
-            if breaker is not None:
-                breaker.record_failure()
+                if not failed:
+                    return results
             pending = failed
             if attempt < policy.max_retries:
                 attempt = self._note_retry(attempt, policy)
                 continue
-            assert span_error is not None
-            return self._degrade_or_raise(
-                span_error, calls, pending, results, policy
+            healed = self._exhausted(
+                span_error, [calls[i] for i in pending], policy
             )
+            for index, value in zip(pending, healed):
+                results[index] = value
+            return results
 
     @staticmethod
     def _note_retry(attempt: int, policy: ResiliencePolicy) -> int:
@@ -489,26 +425,11 @@ class ExecutionBackend(ABC):
             time.sleep(pause)
         return attempt + 1
 
-    def _degrade_or_raise(
-        self,
-        error: BackendError,
-        calls: List[Call],
-        pending: List[int],
-        results: List[object],
-        policy: ResiliencePolicy,
+    def _exhausted(
+        self, error: BackendError, calls: List[Call], policy: ResiliencePolicy
     ) -> List[object]:
-        """Retries exhausted: hand the still-failing spans down the chain."""
-        target = self.fallback() if policy.degrade else None
-        if target is None:
-            raise error
-        reason = f"{self.name} -> {target.name}: {error}"
-        self.degradations.append(reason)
-        self._degraded_to = target
-        resilience_stats.record_degradation(reason)
-        healed = target._run_recovering([calls[i] for i in pending], policy)
-        for index, value in zip(pending, healed):
-            results[index] = value
-        return results
+        """Retries ran out on *calls*: raise *error*, or their results."""
+        raise error
 
     def shard_spans(
         self, count: int, min_shard: int = DEFAULT_MIN_SHARD
@@ -549,9 +470,10 @@ class ExecutionBackend(ABC):
 class InlineBackend(ExecutionBackend):
     """Run every call sequentially in the calling thread (default).
 
-    The end of the degradation chain: no pool to break, no worker to
-    crash, nothing for a watchdog to abandon — injected worker faults
-    are inert here, which is what makes chain degradation terminate.
+    No pool to break, no worker to crash, nothing for a watchdog to
+    abandon: injected worker faults are inert here.  A call that keeps
+    raising :class:`BackendError` past its retries raises to the
+    caller.
     """
 
     name = "inline"
@@ -559,15 +481,6 @@ class InlineBackend(ExecutionBackend):
     @property
     def workers(self) -> int:
         return 1
-
-    def _execute(
-        self,
-        calls: Sequence[Tuple[Callable, tuple]],
-        timeout: Optional[float],
-    ) -> List[object]:
-        # Inline execution cannot be preempted; the watchdog does not
-        # apply (timeout intentionally unused).
-        return _serial_outcomes(calls)
 
 
 def _pooled_outcomes(futures, timeout: Optional[float]):
@@ -610,11 +523,10 @@ def _pooled_outcomes(futures, timeout: Optional[float]):
 class ProcessPoolBackend(ExecutionBackend):
     """Shared-nothing worker processes with fork-safe cold caches.
 
-    Calls must be top-level functions with picklable arguments.  When
-    the host cannot fork children (daemonic multiprocessing workers,
-    restricted sandboxes) the backend degrades to inline execution —
-    results stay byte-identical, only the overlap is lost — and
-    :attr:`degraded_reason` records why for bench metadata.
+    Calls must be top-level functions with picklable arguments.
+    :attr:`inline_reason` is the backend's one health state: once set,
+    every call runs in the calling thread — results stay
+    byte-identical, only the overlap is lost.
     """
 
     name = "process"
@@ -625,18 +537,13 @@ class ProcessPoolBackend(ExecutionBackend):
             raise ValueError(f"process backend needs >= 1 worker, got {workers}")
         self._requested = workers
         self._pool = None
-        #: Why the backend fell back to inline execution (None = it
-        #: has not; pools are created lazily on the first wide run).
-        #: This is the *structural* fallback — child processes are
-        #: impossible here, full stop — distinct from the crash-driven
-        #: chain degradation recorded in :attr:`degradations`.
-        self.degraded_reason: Optional[str] = None
         self._arena = None
-        #: Why dispatches run inline instead of through the packet
-        #: arena (None = they do not).  Structural and sticky, like
-        #: :attr:`degraded_reason`: shared memory is unusable on this
-        #: host, results stay byte-identical.
-        self.arena_degraded_reason: Optional[str] = None
+        #: Why every call now runs inline (None = it does not).  Sticky.
+        #: Set when the host is a daemonic process, the pool fails to
+        #: start, shared memory is unusable, or retries run out on a
+        #: crash storm or a watchdog; from then on ``workers == 1`` and
+        #: :meth:`dispatch_arena` returns None.
+        self.inline_reason: Optional[str] = None
         #: Key-schedule expansions reported by arena shard workers —
         #: the warm-cache observable: a steady-state same-key storm
         #: stops incrementing this once every worker has expanded the
@@ -645,7 +552,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
     @property
     def workers(self) -> int:
-        if self.degraded_reason is not None:
+        if self.inline_reason is not None:
             return 1
         return self._requested or (os.cpu_count() or 1)
 
@@ -653,16 +560,12 @@ class ProcessPoolBackend(ExecutionBackend):
         """The packet arena for descriptor-based dispatches, or None.
 
         None makes the caller run the dispatch inline: this backend
-        cannot run concurrent workers anyway (degraded or
-        single-worker — descriptors would only add indirection), or
-        shared memory turned out to be unusable here, in which case
-        :attr:`arena_degraded_reason` records why, exactly once.
+        cannot run concurrent workers (single-worker, or in its inline
+        state — descriptors would only add indirection).  Shared memory
+        that turns out to be unusable puts the backend in its inline
+        state, so the probe runs once.
         """
-        if (
-            self._degraded_to is not None
-            or self.arena_degraded_reason is not None
-            or self.workers <= 1
-        ):
+        if self.workers <= 1 or self._ensure_pool() is None:
             return None
         if self._arena is None:
             try:
@@ -670,9 +573,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
                 self._arena = PacketArena()
             except Exception as exc:
-                self.arena_degraded_reason = (
-                    f"shared-memory arena unavailable: {exc}"
-                )
+                self._go_inline(f"shared-memory arena unavailable: {exc}")
                 return None
         return self._arena
 
@@ -680,18 +581,20 @@ class ProcessPoolBackend(ExecutionBackend):
         """Tally key-schedule expansions a collected dispatch reported."""
         self.worker_expansions += count
 
-    def fallback(self) -> Optional[ExecutionBackend]:
-        return INLINE
+    def _go_inline(self, reason: str) -> None:
+        """Enter the inline state for good, dropping any pool."""
+        self.inline_reason = reason
+        self._abandon_pool()
 
     def _ensure_pool(self):
-        if self._pool is not None or self.degraded_reason is not None:
+        if self._pool is not None or self.inline_reason is not None:
             return self._pool
         import multiprocessing
 
         if multiprocessing.current_process().daemon:
             # Children of daemonic pool workers are forbidden; e.g. a
             # bench kernel running inside the sweep runner's pool.
-            self.degraded_reason = "daemonic process cannot spawn workers"
+            self._go_inline("daemonic process cannot spawn workers")
             return None
         try:
             from concurrent.futures import ProcessPoolExecutor
@@ -700,7 +603,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 max_workers=self.workers, initializer=_process_worker_init
             )
         except (OSError, ValueError, RuntimeError) as exc:
-            self.degraded_reason = f"process pool unavailable: {exc}"
+            self._go_inline(f"process pool unavailable: {exc}")
         return self._pool
 
     def _abandon_pool(self) -> None:
@@ -709,70 +612,61 @@ class ProcessPoolBackend(ExecutionBackend):
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
-    def _execute(
-        self,
-        calls: Sequence[Tuple[Callable, tuple]],
-        timeout: Optional[float],
-    ) -> List[object]:
-        if len(calls) <= 1 or self.workers <= 1:
-            return _serial_outcomes(calls)
-        pool = self._ensure_pool()
-        if pool is None:
-            return _serial_outcomes(calls)
+    @contextmanager
+    def _pool_failures(self):
+        """Translate pool-level failures into retryable errors.
+
+        A dead worker (``BrokenProcessPool``) or an expired watchdog
+        dooms the whole span, not one call: drop the pool so the retry
+        starts on fresh workers, and raise a :class:`BackendError`.
+        """
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            futures = [pool.submit(fn, *args) for fn, args in calls]
-            return _pooled_outcomes(futures, timeout)
+            yield
         except BrokenProcessPool as exc:
-            # Pool-level failure: a worker died, not a call raising.
-            # Drop the dead pool and report retryable; the retry loop
-            # recreates a fresh pool, and persistent crashes degrade
-            # down the chain instead of failing the dispatch.
             self._abandon_pool()
             raise WorkerCrashError(f"process pool broke: {exc}") from exc
         except BatchTimeoutError:
-            # The hung worker keeps its slot until the child exits;
-            # abandon the pool so the retry starts on healthy workers.
+            # The hung worker keeps its slot until the child exits.
             self._abandon_pool()
             raise
 
-    def _launch(self, calls: List[Call]) -> Optional[object]:
+    def _prepare(self, call: Call, attempt: int) -> Tuple[Callable, tuple]:
+        if self.inline_reason is not None:
+            # In the inline state calls run in this thread, where
+            # worker faults are inert, exactly as on the inline backend.
+            return INLINE._prepare(call, attempt)
+        return super()._prepare(call, attempt)
+
+    def _launch(self, calls: List[Call], attempt: int) -> Optional[object]:
         if len(calls) <= 1 or self.workers <= 1:
             return None
         pool = self._ensure_pool()
         if pool is None:
             return None
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            futures = []
-            for call in calls:
-                fn, args = self._prepare(call, 0)
-                futures.append(pool.submit(fn, *args))
-            return futures
-        except BrokenProcessPool:
-            # The pool died before the span even launched; drop it and
-            # hand back an unlaunched handle — result() recreates a
-            # fresh pool through the ordinary blocking path.
-            self._abandon_pool()
-            return None
+        with self._pool_failures():
+            return [
+                pool.submit(fn, *args)
+                for fn, args in (self._prepare(call, attempt) for call in calls)
+            ]
 
     def _token_collect(
         self, token: object, timeout: Optional[float]
     ) -> List[object]:
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
+        with self._pool_failures():
             return _pooled_outcomes(token, timeout)
-        except BrokenProcessPool as exc:
-            # Same translation as _execute: pool-level death of a
-            # launched span is retryable, on a fresh pool.
-            self._abandon_pool()
-            raise WorkerCrashError(f"process pool broke: {exc}") from exc
-        except BatchTimeoutError:
-            self._abandon_pool()
-            raise
+
+    def _exhausted(
+        self, error: BackendError, calls: List[Call], policy: ResiliencePolicy
+    ) -> List[object]:
+        """Retries ran out: enter the inline state and finish there."""
+        if self.inline_reason is not None:
+            raise error
+        reason = f"{self.name} -> inline: {error}"
+        self._go_inline(reason)
+        resilience_stats.record_degradation(reason)
+        return self._run_recovering(calls, policy)
 
     def close(self) -> None:
         if self._pool is not None:

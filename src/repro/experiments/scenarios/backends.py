@@ -53,8 +53,8 @@ def measure_backends(width: int, window: float, seed: int = 0) -> dict:
 
     Returns ``rates`` (backend name -> packets/s), the cross-backend
     byte-equality ``correct`` bool, per-backend ``workers``,
-    ``cpu_count`` and the process backend's degradation note ("" when
-    it ran real workers).
+    ``cpu_count`` and the process backend's ``process_inline_reason``
+    ("" when it ran real workers).
     """
     seal_packets, open_packets = _mixed_batch(width, seed)
     backends = {"inline": InlineBackend(), "process": ProcessPoolBackend()}
@@ -82,9 +82,8 @@ def measure_backends(width: int, window: float, seed: int = 0) -> dict:
                 name: backend.workers for name, backend in backends.items()
             },
             "cpu_count": os.cpu_count() or 1,
-            "process_degraded": process.degraded_reason or "",
             "arena_active": process.dispatch_arena() is not None,
-            "arena_degraded": process.arena_degraded_reason or "",
+            "process_inline_reason": process.inline_reason or "",
         }
     finally:
         for backend in backends.values():
@@ -105,10 +104,9 @@ def measure_backends(width: int, window: float, seed: int = 0) -> dict:
         "process_pps",
         "process_speedup",
         "arena_active",
-        "arena_degraded",
         "workers",
         "cpu_count",
-        "process_degraded",
+        "process_inline_reason",
     ),
 )
 def backend_sweep(params, seed, quick):
@@ -121,8 +119,7 @@ def backend_sweep(params, seed, quick):
         "process_pps": round(rates["process"], 2),
         "process_speedup": round(rates["process"] / rates["inline"], 3),
         "arena_active": measured["arena_active"],
-        "arena_degraded": measured["arena_degraded"],
         "workers": measured["workers"]["process"],
         "cpu_count": measured["cpu_count"],
-        "process_degraded": measured["process_degraded"],
+        "process_inline_reason": measured["process_inline_reason"],
     }

@@ -13,7 +13,7 @@ unless the resilience invariant holds:
 * per-channel completion order is preserved.
 
 The ``crash_storm`` site scripts a worker crash on *every* attempt, so
-the case can only complete by degrading from process to inline; the
+the case can only complete by the process backend going inline; the
 scenario additionally asserts that degradation was recorded.  The
 recovery counters (retries, degradations, watchdog
 fires) depend on pool scheduling and on whether the harness itself
@@ -184,7 +184,6 @@ def chaos_sweep(params, seed, quick):
         backoff_base=0.0,
         backoff_cap=0.0,
         watchdog_seconds=_WATCHDOG_SECONDS if site == "worker_hang" else None,
-        degrade=True,
     )
     try:
         report, faulted, fault_order = _run_cell(
@@ -194,14 +193,14 @@ def chaos_sweep(params, seed, quick):
         backend.close()
 
     _check_invariant(site, baseline, faulted, base_order, fault_order)
-    # A structurally degraded backend (daemonic sweep worker, no pool)
-    # runs everything inline where worker crashes are inert, so the
-    # chain-degradation assertion only applies when a pool existed.
-    structurally_degraded = getattr(backend, "degraded_reason", None) is not None
+    # A backend that went inline before the storm (daemonic sweep
+    # worker, no pool) runs everything where worker crashes are inert,
+    # so the degradation assertion only applies when a pool existed:
+    # running out of retries always records a degradation.
     if (
         site == "crash_storm"
         and report.degradations < 1
-        and not structurally_degraded
+        and backend.inline_reason is None
     ):
         raise ExperimentError(
             "chaos[crash_storm]: completed without recording a backend "

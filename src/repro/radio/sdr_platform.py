@@ -327,9 +327,6 @@ class _RunAccounting:
         report.key_schedule_expansions = (
             _worker_expansions(comm) - self.base_worker_expansions
         )
-        report.breaker_trips = accrued["breaker_trips"]
-        report.breaker_bypasses = accrued["breaker_bypasses"]
-        report.breaker_recoveries = accrued["breaker_recoveries"]
         for channel in channels:
             stats = channel.stats
             report.per_channel_queue_peak[channel.channel_id] = stats.get(

@@ -11,13 +11,9 @@ above the device model:
   functions of ``(seed, site, key, attempt)`` so a chaos run replays
   identically on every backend and host.
 - :mod:`repro.resilience.policy` — :class:`ResiliencePolicy` bounds
-  what recovery may cost: retries, backoff, watchdog budget, whether
-  degradation (``process`` → ``inline``) is allowed.
-- :mod:`repro.resilience.breaker` — a per-backend
-  :class:`CircuitBreaker` (CLOSED / OPEN / HALF_OPEN): repeated span
-  failures trip it and new spans route straight to the fallback,
-  with span-counted cooldown and half-open probes so a transient
-  sickness recovers — unlike sticky chain degradation.
+  what recovery may cost: retries, backoff and the watchdog budget.
+  When the retries run out, the process backend switches to running
+  inline for good (``ProcessPoolBackend.inline_reason`` says why).
 - :mod:`repro.resilience.stats` — process-wide counters (retries,
   watchdog fires, degradations, quarantines, dead letters) that
   ``run_workload`` snapshots into :class:`WorkloadReport` and the
@@ -40,14 +36,10 @@ from repro.resilience.faults import (
     plan_from_spec,
     set_fault_plan,
 )
-from repro.resilience.breaker import BreakerPolicy, BreakerState, CircuitBreaker
 from repro.resilience.policy import DEFAULT_POLICY, ResiliencePolicy
 from repro.resilience import stats
 
 __all__ = [
-    "BreakerPolicy",
-    "BreakerState",
-    "CircuitBreaker",
     "SITES",
     "FaultDirective",
     "FaultPlan",

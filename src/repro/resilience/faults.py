@@ -16,8 +16,9 @@ Sites
     A backend pool worker dies mid-span.  In a real process-pool child
     the worker hard-exits (producing a genuine ``BrokenProcessPool``);
     outside a pool worker it raises :class:`WorkerCrashError`.  The
-    inline backend has no worker to crash, so the site is inert there —
-    inline is the safe harbour the degradation chain ends in.
+    inline backend (and a process backend in its inline state) has no
+    worker to crash, so the site is inert there — inline is the safe
+    harbour a crash storm ends in.
 ``worker_hang``
     The span sleeps :attr:`FaultPlan.hang_seconds`, long enough to trip
     a configured watchdog.
@@ -102,7 +103,7 @@ class ScriptedFault:
     ``channel``/``sequence`` of ``None`` are wildcards; ``times``
     bounds how many *attempts* fire at each execution level (a
     persistent fault uses a large ``times`` and is only survivable
-    because the degradation chain ends on inline, where worker faults
+    because the process backend ends up inline, where worker faults
     are inert).
     """
 
@@ -196,8 +197,8 @@ class FaultPlan:
 class FaultPoint:
     """Parent-side marker attached to one backend call.
 
-    The backend cannot know the attempt number (or which link of the
-    degradation chain is executing) until run time, so the batch layer
+    The backend cannot know the attempt number (or whether it will run
+    the call inline) until run time, so the batch layer
     attaches the plan and span key here and the backend stamps the
     rest into a :class:`FaultDirective` at submission.
     """

@@ -1,19 +1,16 @@
 """Recovery budgets for :meth:`ExecutionBackend.run`.
 
 A policy bounds what self-healing may cost: how many times a failed
-span is retried, how backoff grows, how long a span may run before the
-watchdog expires it, and whether the backend may degrade
-``process`` → ``inline``.  The default policy keeps
-today's behaviour for healthy runs — no watchdog, backoff only ever
-sleeps after a genuine infrastructure failure.
+span is retried, how backoff grows, and how long a span may run before
+the watchdog expires it.  The default policy keeps healthy runs
+untouched — no watchdog, backoff only ever sleeps after a genuine
+infrastructure failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-from repro.resilience.breaker import BreakerPolicy
 
 
 @dataclass(frozen=True)
@@ -32,15 +29,6 @@ class ResiliencePolicy:
     #: watchdog).  Inline execution cannot be preempted, so the
     #: watchdog only applies where there is a pool to abandon.
     watchdog_seconds: Optional[float] = None
-    #: Whether retry exhaustion may fall through to the backend's
-    #: fallback (process → inline) instead of raising.
-    degrade: bool = True
-    #: Circuit-breaker budget (None = no breaker): repeated span
-    #: failures trip it and new spans start on the fallback until
-    #: half-open probes succeed — the proactive, *recoverable*
-    #: complement to sticky chain degradation
-    #: (:mod:`repro.resilience.breaker`).
-    breaker: Optional[BreakerPolicy] = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -57,7 +45,7 @@ class ResiliencePolicy:
         return min(self.backoff_cap, self.backoff_base * (2**attempt))
 
 
-#: Module default: retries allowed, no watchdog, degradation on.
+#: Module default: retries allowed, no watchdog.
 DEFAULT_POLICY = ResiliencePolicy()
 
 __all__ = ["ResiliencePolicy", "DEFAULT_POLICY"]

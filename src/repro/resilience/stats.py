@@ -28,9 +28,6 @@ _COUNTERS = {
     "quarantined": 0,
     "dead_lettered": 0,
     "faults_injected": 0,
-    "breaker_trips": 0,
-    "breaker_bypasses": 0,
-    "breaker_recoveries": 0,
 }
 
 #: Degradation reasons in the order they were recorded (process-wide).
@@ -53,7 +50,7 @@ def record_watchdog() -> None:
 
 
 def record_degradation(reason: str) -> None:
-    """A backend degraded to its fallback; *reason* says why."""
+    """Retries ran out and a backend went inline; *reason* says why."""
     with _LOCK:
         _COUNTERS["degradations"] += 1
         _DEGRADATION_REASONS.append(reason)
@@ -73,20 +70,6 @@ def record_fault(count: int = 1) -> None:
     """An injected fault fired (best-effort across process workers)."""
     _bump("faults_injected", count)
 
-
-def record_breaker_trip() -> None:
-    """A backend circuit breaker tripped OPEN."""
-    _bump("breaker_trips")
-
-
-def record_breaker_bypass() -> None:
-    """An OPEN breaker routed one span around its sick backend."""
-    _bump("breaker_bypasses")
-
-
-def record_breaker_recovery() -> None:
-    """A HALF_OPEN breaker closed after successful probes."""
-    _bump("breaker_recoveries")
 
 
 def snapshot() -> Dict[str, object]:
@@ -123,9 +106,6 @@ __all__ = [
     "record_quarantine",
     "record_dead_letter",
     "record_fault",
-    "record_breaker_trip",
-    "record_breaker_bypass",
-    "record_breaker_recovery",
     "snapshot",
     "delta",
     "reset",

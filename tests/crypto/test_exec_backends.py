@@ -145,7 +145,7 @@ def test_shard_spans_cover_exactly_and_respect_min_shard():
 
 def test_process_backend_degrades_to_inline_when_marked():
     backend = ProcessPoolBackend(workers=2)
-    backend.degraded_reason = "test-injected"
+    backend.inline_reason = "test-injected"
     assert backend.workers == 1
     assert backend.run([(len, (b"abc",)), (len, (b"de",))]) == [3, 2]
     backend.close()

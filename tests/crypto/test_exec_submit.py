@@ -161,7 +161,7 @@ def test_recovery_runs_inside_result(process_backend, tmp_path):
 def test_submit_on_degraded_backend_delegates():
     backend = ProcessPoolBackend(workers=2)
     try:
-        backend.degraded_reason = "test-injected"
+        backend.inline_reason = "test-injected"
         handle = backend.submit([(len, (b"abc",)), (len, (b"de",))])
         assert handle.result() == [3, 2]
     finally:

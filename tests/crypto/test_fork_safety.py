@@ -86,8 +86,8 @@ def test_process_pool_workers_start_cold_and_match():
         outcomes = backend.run(
             [(_worker_cache_probe, (KEY,)), (_worker_cache_probe, (KEY,))]
         )
-        if backend.degraded_reason is not None:
-            pytest.skip(f"no process pool here: {backend.degraded_reason}")
+        if backend.inline_reason is not None:
+            pytest.skip(f"no process pool here: {backend.inline_reason}")
         # The first task always lands on a fresh worker: cold cache.
         # (The second may share that worker, whose cache is now warm.)
         assert outcomes[0][0] == 0

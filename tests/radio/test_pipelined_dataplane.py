@@ -155,12 +155,12 @@ class ScriptedLatencyBackend(ProcessPoolBackend):
         self._delays = list(delays)
         self.launch_log = []
 
-    def _launch(self, calls):
+    def _launch(self, calls, attempt):
         delay = self._delays.pop(0) if self._delays else 0.0
         self.launch_log.append(delay)
         if delay:
             calls = [(_SlowCall(delay, fn), args) for fn, args in calls]
-        return super()._launch(calls)
+        return super()._launch(calls, attempt)
 
 
 class _SlowCall:

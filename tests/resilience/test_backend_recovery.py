@@ -1,4 +1,4 @@
-"""Backend self-healing: retries, watchdogs, chain degradation.
+"""Backend self-healing: retries, watchdogs, the process backend's inline state.
 
 Worker-level faults are injected two ways: directly (stateful callables
 raising :class:`BackendError` subclasses, run on the inline backend,
@@ -13,9 +13,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.crypto.fast import arena as arena_mod
 from repro.crypto.fast.batch import seal_open_many
 from repro.crypto.fast.exec import InlineBackend, ProcessPoolBackend, ResiliencePolicy
 from repro.errors import BatchTimeoutError, WorkerCrashError
+from repro.mccp.channel import FlushPolicy
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
+from repro.radio.standards import RadioStandard
+from repro.radio.traffic import TrafficPattern
 from repro.resilience import FaultPlan, ScriptedFault, set_fault_plan, stats
 
 #: No-backoff budget so the retry tests don't sleep.
@@ -54,21 +59,15 @@ class TestRetry:
         assert results == [42, 7]
         assert flaky.calls == 2
         assert stats.snapshot()["retries"] >= 1
-        assert backend.degradations == []
+        assert stats.snapshot()["degradations"] == 0
 
-    def test_exhausted_retries_raise_when_degrade_disabled(self):
-        backend = ProcessPoolBackend(2)
-        policy = ResiliencePolicy(
-            max_retries=1, backoff_base=0.0, backoff_cap=0.0, degrade=False
-        )
-        try:
-            # A one-call span runs in the calling thread (serial guard),
-            # so the stateful callable fails on every attempt.
-            with pytest.raises(WorkerCrashError):
-                backend.run([(_FlakyCall(failures=99), (1,))], policy=policy)
-            assert backend.degradations == []
-        finally:
-            backend.close()
+    def test_exhausted_retries_raise_on_inline(self):
+        policy = ResiliencePolicy(max_retries=1, backoff_base=0.0, backoff_cap=0.0)
+        flaky = _FlakyCall(failures=99)
+        with pytest.raises(WorkerCrashError):
+            InlineBackend().run([(flaky, (1,))], policy=policy)
+        assert flaky.calls == 2
+        assert stats.snapshot()["degradations"] == 0
 
     def test_non_retryable_errors_propagate_immediately(self):
         backend = InlineBackend()
@@ -116,10 +115,10 @@ class TestWatchdog:
             set_fault_plan(None)
             backend.close()
         # The hang outruns the watchdog on every pooled attempt, so the
-        # span can only finish by degrading to inline (which has no
-        # watchdog and simply absorbs the final injected sleep).
+        # span can only finish inline (which has no watchdog and simply
+        # absorbs the final injected sleep).
         assert stats.snapshot()["watchdog_fires"] >= 1
-        assert backend.degradations and "process -> inline" in backend.degradations[0]
+        assert backend.inline_reason.startswith("process -> inline")
         assert sealed == seal_open_many("gcm", KEY, _packets(16), [], 16)[0]
 
     def test_watchdog_error_is_retryable(self):
@@ -128,43 +127,6 @@ class TestWatchdog:
         from repro.errors import BackendError
 
         assert issubclass(BatchTimeoutError, BackendError)
-
-
-class TestDegradationChain:
-    def test_process_falls_back_to_inline(self):
-        backend = ProcessPoolBackend(2)
-        try:
-            fallback = backend.fallback()
-            assert isinstance(fallback, InlineBackend)
-            assert fallback.fallback() is None  # the chain ends inline
-        finally:
-            backend.close()
-
-    def test_degradation_is_sticky_until_reset(self):
-        backend = ProcessPoolBackend(2)
-        if backend.workers <= 1:
-            backend.close()
-            pytest.skip("no process workers available on this host")
-        backend.resilience = FAST
-        plan = FaultPlan(scripted=(ScriptedFault("worker_crash", times=10**9),))
-        set_fault_plan(plan)
-        try:
-            seal_open_many("gcm", KEY, _packets(16), [], 16, backend=backend)
-        finally:
-            set_fault_plan(None)
-        try:
-            assert len(backend.degradations) == 1
-            # A fault-free dispatch afterwards stays on the fallback:
-            # no new degradations, results still correct.
-            sealed, _ = seal_open_many(
-                "gcm", KEY, _packets(16), [], 16, backend=backend
-            )
-            assert len(backend.degradations) == 1
-            assert sealed == seal_open_many("gcm", KEY, _packets(16), [], 16)[0]
-            backend.reset_degradation()
-            assert backend.degradations == []
-        finally:
-            backend.close()
 
 
 class TestProcessPool:
@@ -187,7 +149,7 @@ class TestProcessPool:
             set_fault_plan(None)
             backend.close()
         assert stats.snapshot()["retries"] >= 1
-        assert backend.degradations == []
+        assert backend.inline_reason is None
         assert sealed == seal_open_many("gcm", KEY, _packets(16), [], 16)[0]
 
     def test_persistent_crash_storm_walks_the_whole_chain(self):
@@ -205,63 +167,115 @@ class TestProcessPool:
         finally:
             set_fault_plan(None)
             backend.close()
-        assert [r.split(":")[0] for r in backend.degradations] == [
-            "process -> inline"
-        ]
+        assert backend.inline_reason.startswith("process -> inline")
         assert sealed == seal_open_many("gcm", KEY, _packets(16), [], 16)[0]
 
 
-class TestStructuralDegradation:
-    """Every recorded ``degraded_reason`` for the process backend."""
+def _radio_run(backend):
+    """One small radio workload; its report and transfers by identity."""
+    platform = SdrPlatform(core_count=4, seed=17)
+    report = platform.run_workload(
+        WorkloadSpec(
+            [
+                ChannelConfig(
+                    RadioStandard.WIFI,
+                    bytes(16),
+                    TrafficPattern.SATURATING,
+                    packets=24,
+                )
+            ],
+            dataplane="batched",
+            flush_policy=FlushPolicy(coalesce_limit=16, flush_deadline=8192),
+            backend=backend,
+        )
+    )
+    transfers = {
+        (t.channel_id, t.sequence): (t.payload, t.tag, t.ok)
+        for t in platform.comm.completed.values()
+    }
+    return report, transfers
 
-    def test_daemonic_host_degrades_with_reason(self, monkeypatch):
-        import multiprocessing
 
-        class _Daemon:
-            daemon = True
+class _Daemon:
+    daemon = True
 
-        monkeypatch.setattr(multiprocessing, "current_process", _Daemon)
-        backend = ProcessPoolBackend(4)
-        try:
-            assert backend._ensure_pool() is None
-            assert backend.degraded_reason == (
-                "daemonic process cannot spawn workers"
-            )
-            assert backend.workers == 1
-            # Inline execution still yields correct bytes.
-            sealed, _ = seal_open_many(
-                "gcm", KEY, _packets(8), [], 16, backend=backend
-            )
-            assert sealed == seal_open_many("gcm", KEY, _packets(8), [], 16)[0]
-        finally:
-            backend.close()
 
-    def test_pool_creation_failure_degrades_with_reason(self, monkeypatch):
-        import concurrent.futures
+def _refuse(*args, **kwargs):
+    raise OSError("refused (test)")
 
-        def _no_pool(*args, **kwargs):
-            raise OSError("fork: resource temporarily unavailable")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-        backend = ProcessPoolBackend(4)
-        try:
-            assert backend._ensure_pool() is None
-            assert backend.degraded_reason.startswith("process pool unavailable:")
-            assert backend.workers == 1
-            sealed, _ = seal_open_many(
-                "ccm", KEY, _packets(8), [], 8, backend=backend
-            )
-            assert sealed == seal_open_many("ccm", KEY, _packets(8), [], 8)[0]
-        finally:
-            backend.close()
+_CRASH_STORM = FaultPlan(scripted=(ScriptedFault("worker_crash", times=10**9),))
+_HANG_STORM = FaultPlan(
+    hang_seconds=0.2, scripted=(ScriptedFault("worker_hang", times=10**9),)
+)
+_WATCHDOG = ResiliencePolicy(
+    max_retries=1, backoff_base=0.0, backoff_cap=0.0, watchdog_seconds=0.05
+)
 
-    def test_reset_degradation_keeps_structural_reason(self):
+#: Every route into the inline state: the cause its reason starts
+#: with, a setup taking pytest's monkeypatch, the policy, and how many
+#: degradations the run reports (only running out of retries counts).
+_ROUTES = [
+    pytest.param(
+        "daemonic process cannot spawn workers",
+        lambda mp: mp.setattr("multiprocessing.current_process", _Daemon),
+        FAST,
+        0,
+        id="daemonic",
+    ),
+    pytest.param(
+        "process pool unavailable: refused (test)",
+        lambda mp: mp.setattr("concurrent.futures.ProcessPoolExecutor", _refuse),
+        FAST,
+        0,
+        id="pool_oserror",
+    ),
+    pytest.param(
+        "shared-memory arena unavailable: refused (test)",
+        lambda mp: mp.setattr(arena_mod, "_new_segment", _refuse),
+        FAST,
+        0,
+        id="shm_refused",
+    ),
+    pytest.param(
+        "process -> inline: process pool broke",
+        lambda mp: set_fault_plan(_CRASH_STORM),
+        FAST,
+        1,
+        id="crash_storm",
+    ),
+    pytest.param(
+        "process -> inline: backend span exceeded",
+        lambda mp: set_fault_plan(_HANG_STORM),
+        _WATCHDOG,
+        1,
+        id="watchdog",
+    ),
+]
+
+
+class TestInlineState:
+    """One health state: every route into it keeps one contract."""
+
+    @pytest.mark.parametrize("cause, setup, policy, degradations", _ROUTES)
+    def test_every_route_into_inline(
+        self, cause, setup, policy, degradations, monkeypatch, hang_guard
+    ):
+        _, expected = _radio_run(InlineBackend())
         backend = ProcessPoolBackend(2)
+        backend.resilience = policy
+        setup(monkeypatch)
         try:
-            backend.degraded_reason = "marked for test"
-            backend.degradations.append("process -> inline: synthetic")
-            backend.reset_degradation()
-            assert backend.degradations == []
-            assert backend.degraded_reason == "marked for test"
+            with hang_guard(120.0):
+                report, transfers = _radio_run(backend)
+            assert backend.inline_reason.startswith(cause)
+            assert backend.workers == 1
+            assert backend.dispatch_arena() is None
+            assert transfers == expected
+            assert report.degradations == degradations
+            assert report.degradation_reasons == (
+                [backend.inline_reason] * degradations
+            )
         finally:
+            set_fault_plan(None)
             backend.close()

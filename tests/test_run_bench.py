@@ -57,10 +57,10 @@ def test_run_bench_quick_emits_snapshot(tmp_path):
     assert set(snapshot["backend_workers"]) == {"process"}
     # Arena status rides along too: a recorded baseline must say
     # whether the process numbers came from the shared-memory arena or
-    # ran inline (and why, when degraded).
+    # ran inline (and why).
     assert snapshot["arena_active"] in (True, False)
-    assert snapshot["arena_degraded"] is None or isinstance(
-        snapshot["arena_degraded"], str
+    assert snapshot["process_inline_reason"] is None or isinstance(
+        snapshot["process_inline_reason"], str
     )
 
 
