@@ -8,10 +8,11 @@ every byte value at every byte position: one 128-bit multiplication
 then collapses to sixteen table lookups and XORs.
 
 Table construction is cheap because multiplication is linear over
-GF(2): the sixteen single-byte rows derive from ``H`` by repeated
-multiply-by-x (eight per byte position, folded into a 256-entry
-byte-reduction table), and each row fills from its single-bit entries
-by XOR.  Per-``H`` tables live behind an LRU cache keyed on the subkey
+GF(2): entry ``b`` of a row is the XOR of the basis products
+``H * x^i`` for the set bits of ``b``.  One walk of 128 multiply-by-x
+steps yields all 128 basis values, and each row then fills by doubling
+— entries ``n..2n-1`` are entries ``0..n-1`` XOR the next bit's basis
+value.  Per-``H`` tables live behind an LRU cache keyed on the subkey
 — the same memoized-precomputation pattern as the AES key schedule —
 so a GHASH stream pays the build cost once per session key.
 
@@ -22,26 +23,9 @@ most significant bit = coefficient of x^0, reduction by R = 0xE1 << 120.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.crypto.gf128 import MASK128, R_POLY
-
-#: Reduction of a byte shifted out below bit 0: ``_R_BYTE[b]`` is the
-#: field value of ``b`` (as the low byte) multiplied by x^8, i.e. eight
-#: conditional-reduce steps folded into one lookup.
-_R_BYTE: List[int] = [0] * 256
-for _b in range(256):
-    _v = _b
-    for _ in range(8):
-        _v = (_v >> 1) ^ (R_POLY if _v & 1 else 0)
-    _R_BYTE[_b] = _v
-del _b, _v
-
-
-def _mul_x8(v: int) -> int:
-    """Multiply a field element by x^8 (one byte-position shift)."""
-    return (v >> 8) ^ _R_BYTE[v & 255]
-
 
 #: Capacity of the per-subkey Shoup-table memo.  Key-churn workloads
 #: cycle through arbitrarily many subkeys; the LRU bound keeps the
@@ -52,27 +36,27 @@ GHASH_TABLE_SLOTS = 64
 def build_ghash_tables(h: int) -> Tuple[Tuple[int, ...], ...]:
     """Construct the Shoup tables for subkey *h* (uncached).
 
-    :func:`ghash_tables` wraps this in the per-subkey LRU; the H-power
-    engine (:mod:`repro.crypto.fast.ghash_hpower`) calls it directly so
-    building ``H^1..H^k`` does not churn the single-subkey cache.
+    :func:`ghash_tables` wraps this in the per-subkey LRU; the scalar
+    H-power fold (:mod:`repro.crypto.fast.ghash_hpower`) calls it
+    directly so building ``H^1..H^k`` does not churn the single-subkey
+    cache.
     """
     if not 0 <= h <= MASK128:
         raise ValueError("subkey must be a 128-bit non-negative integer")
-    # Row for byte position 0 (the most significant byte of the block,
-    # which holds coefficients x^0..x^7 in GHASH bit order).
-    row = [0] * 256
+    # basis[i] = H * x^i.  Byte position pos holds coefficients
+    # x^(8*pos)..x^(8*pos+7), most significant bit first, so bit j of
+    # the byte value selects basis[8*pos + 7 - j].
+    basis = []
     cur = h
-    for bit in (128, 64, 32, 16, 8, 4, 2, 1):
-        row[bit] = cur
+    for _ in range(128):
+        basis.append(cur)
         cur = (cur >> 1) ^ (R_POLY if cur & 1 else 0)
-    for b in range(1, 256):
-        low = b & -b
-        if b != low:
-            row[b] = row[low] ^ row[b ^ low]
-    tables = [row]
-    for _ in range(15):
-        prev = tables[-1]
-        tables.append([_mul_x8(v) for v in prev])
+    tables = []
+    for pos in range(16):
+        row = [0]
+        for b in reversed(basis[8 * pos : 8 * pos + 8]):
+            row += [v ^ b for v in row]  # entries n..2n-1 from 0..n-1
+        tables.append(row)
     return tuple(tuple(r) for r in tables)
 
 

