@@ -20,14 +20,45 @@ Flag semantics (PicoBlaze): logical ops clear C and set Z; arithmetic
 sets C on carry/borrow and Z on zero result; shifts/rotates move the
 shifted-out bit into C; LOAD/INPUT/FETCH/STORE/OUTPUT leave flags
 untouched; COMPARE sets flags like SUB without writing the register.
+
+Temporal decoupling
+-------------------
+Most instructions touch only the controller's own state (registers,
+flags, scratchpad, PC and call stack): the ALU ops, ``LOAD``, ``NOP``,
+jumps, ``CALL``/``RETURN`` and ``STORE``/``FETCH``.  :meth:`Controller8.run`
+executes these in place and adds their 2 cycles to a local ``pending``
+count instead of yielding a ``Delay`` per instruction — the
+loosely-timed technique of SystemC TLM-2.0 (IEEE 1666-2011).  It
+yields one ``Delay(pending)`` before every instruction that must meet
+the rest of the model at its own cycle: ``INPUT*``, ``OUTPUT*``,
+``HALT``, ``EINT``/``DINT``/``RETURNI*``, and every instruction while
+interrupts are enabled.  It then re-enters its loop at that
+instruction's exact cycle, so the ``stop()`` and interrupt checks run
+on a real instruction boundary.
+
+No other component can see a private instruction, so every port
+access, CU issue and ``HALT`` lands on the cycle it would land on if
+each instruction yielded by itself: 2 cycles per instruction still
+holds and cycle counts are unchanged.  Each of these yields is
+``Delay(pending, ahead=pending - 2)``, so the kernel orders the
+wake-up among same-cycle events as if the last private instruction
+had scheduled it, as a stepping controller would: a CU completion on
+the cycle of an ``INPUT`` or ``OUTPUT`` still runs first.  Only
+same-cycle events of two different controllers may interleave
+differently.
+
+``pending`` is also yielded before the process returns, so it ends on
+the same cycle, and whenever it reaches :data:`SYNC_QUANTUM` cycles, so
+a loop without I/O still lets ``Simulator.run(until=...)`` stop and
+``max_events`` catch a runaway model.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Protocol
+from typing import Callable, Dict, Generator, List, Optional, Protocol
 
 from repro.errors import ExecutionError
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import FLOW_VARIANTS, REGISTER_FORMS, Cond, Decoded, Op
 from repro.isa.program import Program
 from repro.sim.kernel import Delay, Simulator
 from repro.sim.signals import PulseWire
@@ -35,6 +66,46 @@ from repro.sim.signals import PulseWire
 CYCLES_PER_INSTRUCTION = 2
 STACK_DEPTH = 30
 SCRATCHPAD_BYTES = 64
+#: Most cycles the controller runs ahead of the kernel clock through
+#: private instructions before it yields anyway.
+SYNC_QUANTUM = 256
+
+#: The catch-up yields by ``pending`` cycles (``Delay`` is immutable, so
+#: one per count serves every controller).
+_CATCH_UP = {
+    cycles: Delay(cycles, ahead=cycles - CYCLES_PER_INSTRUCTION)
+    for cycles in range(CYCLES_PER_INSTRUCTION, SYNC_QUANTUM + 1, CYCLES_PER_INSTRUCTION)
+}
+
+#: Instructions the controller only executes at their own cycle (see
+#: the module docstring); every other one is private.
+SYNC_OPS = frozenset(
+    {
+        Op.INPUT,
+        Op.INPUT_R,
+        Op.OUTPUT,
+        Op.OUTPUT_R,
+        Op.HALT,
+        Op.EINT,
+        Op.DINT,
+        Op.RETURNI_E,
+        Op.RETURNI_D,
+    }
+)
+
+_FLAG_TESTS: Dict[Cond, Callable[["Controller8"], bool]] = {
+    Cond.ALWAYS: lambda ctrl: True,
+    Cond.Z: lambda ctrl: ctrl.zero,
+    Cond.NZ: lambda ctrl: not ctrl.zero,
+    Cond.C: lambda ctrl: ctrl.carry,
+    Cond.NC: lambda ctrl: not ctrl.carry,
+}
+#: Flow-control opcode -> the flag test its condition names.
+_CONDITION: Dict[Op, Callable[["Controller8"], bool]] = {
+    op: _FLAG_TESTS[cond]
+    for variants in FLOW_VARIANTS.values()
+    for cond, op in variants.items()
+}
 
 
 class PortDevice(Protocol):
@@ -107,7 +178,13 @@ class Controller8:
     # -- helpers ------------------------------------------------------------
 
     def stop(self) -> None:
-        """Request the run loop to finish after the current instruction."""
+        """Request the run loop to finish before its next instruction.
+
+        A stop requested by another component takes effect at the
+        controller's next synchronising instruction (see the module
+        docstring); one requested by the controller's own ``OUTPUT``
+        takes effect right after it.
+        """
         self._stopped = True
 
     def load_program(self, program: Program, start_pc: int = 0) -> None:
@@ -120,8 +197,8 @@ class Controller8:
         self.zero = value == 0
         self.carry = False
 
-    def _alu_source(self, decoded) -> int:
-        if decoded.op.name.endswith("_R"):
+    def _alu_source(self, decoded: Decoded) -> int:
+        if decoded.op in REGISTER_FORMS:
             return self.regs[(decoded.operand >> 4) & 0xF]
         return decoded.operand
 
@@ -136,161 +213,184 @@ class Controller8:
         """
         if entry is not None:
             self.pc = self.program.label(entry)
+        # Cycles of instructions executed but not yet yielded to the kernel.
+        pending = 0
         while not self._stopped:
+            if pending and (self.interrupts_enabled or pending >= SYNC_QUANTUM):
+                yield _CATCH_UP[pending]
+                pending = 0
+                continue
             if self.interrupts_enabled and self._irq_pending:
-                self._irq_pending = False
-                if len(self.stack) >= STACK_DEPTH:
-                    raise ExecutionError(f"{self.name}: stack overflow on IRQ")
-                self.stack.append(self.pc)
-                self._preserved_flags = (self.zero, self.carry)
-                self.interrupts_enabled = False
-                self.pc = self.irq_vector
+                self._take_irq()
 
-            if self.pc >= len(self.program):
-                return None
-            decoded = self.program.fetch(self.pc)
+            code = self.program.decoded
+            if self.pc >= len(code):
+                break
+            decoded = code[self.pc]
             op = decoded.op
+            if op in SYNC_OPS:
+                if pending:
+                    yield _CATCH_UP[pending]
+                    pending = 0
+                    continue
+                if op is Op.HALT:
+                    # Sleep until the wake wire pulses (done-latch absorbed
+                    # inside PulseWire).  Cost: the 2 base cycles, plus
+                    # however long the sleep lasts.
+                    self.pc += 1
+                    self.instructions_retired += 1
+                    start = self.sim.now
+                    yield Delay(CYCLES_PER_INSTRUCTION)
+                    yield self.wake.wait()
+                    self.halted_cycles += self.sim.now - start - CYCLES_PER_INSTRUCTION
+                    continue
+
             self.pc += 1
             self.instructions_retired += 1
-
-            if op is Op.HALT:
-                # Sleep until the wake wire pulses (done-latch absorbed
-                # inside PulseWire).  Cost: the 2 base cycles, plus
-                # however long the sleep lasts.
-                start = self.sim.now
-                yield Delay(CYCLES_PER_INSTRUCTION)
-                yield self.wake.wait()
-                self.halted_cycles += self.sim.now - start - CYCLES_PER_INSTRUCTION
-                continue
-
             self._execute(decoded)
-            yield Delay(CYCLES_PER_INSTRUCTION)
+            pending += CYCLES_PER_INSTRUCTION
+        if pending:
+            yield _CATCH_UP[pending]
         return None
 
     def post_irq(self) -> None:
         """Raise the interrupt line (taken before the next fetch)."""
         self._irq_pending = True
 
+    def _take_irq(self) -> None:
+        self._irq_pending = False
+        if len(self.stack) >= STACK_DEPTH:
+            raise ExecutionError(f"{self.name}: stack overflow on IRQ")
+        self.stack.append(self.pc)
+        self._preserved_flags = (self.zero, self.carry)
+        self.interrupts_enabled = False
+        self.pc = self.irq_vector
+
     # -- instruction semantics --------------------------------------------
 
-    def _execute(self, decoded) -> None:
-        op = decoded.op
-        sx = decoded.sx
-        if op is Op.NOP:
-            return
-        if op in (Op.LOAD, Op.LOAD_R):
-            self.regs[sx] = self._alu_source(decoded) & 0xFF
-        elif op in (Op.AND, Op.AND_R):
-            self.regs[sx] &= self._alu_source(decoded)
-            self._set_zc_logical(self.regs[sx])
-        elif op in (Op.OR, Op.OR_R):
-            self.regs[sx] |= self._alu_source(decoded)
-            self._set_zc_logical(self.regs[sx])
-        elif op in (Op.XOR, Op.XOR_R):
-            self.regs[sx] ^= self._alu_source(decoded)
-            self._set_zc_logical(self.regs[sx])
-        elif op in (Op.ADD, Op.ADD_R):
-            total = self.regs[sx] + self._alu_source(decoded)
-            self.carry = total > 0xFF
-            self.regs[sx] = total & 0xFF
-            self.zero = self.regs[sx] == 0
-        elif op in (Op.ADDCY, Op.ADDCY_R):
-            total = self.regs[sx] + self._alu_source(decoded) + int(self.carry)
-            self.carry = total > 0xFF
-            self.regs[sx] = total & 0xFF
-            self.zero = self.regs[sx] == 0
-        elif op in (Op.SUB, Op.SUB_R):
-            diff = self.regs[sx] - self._alu_source(decoded)
-            self.carry = diff < 0
-            self.regs[sx] = diff & 0xFF
-            self.zero = self.regs[sx] == 0
-        elif op in (Op.SUBCY, Op.SUBCY_R):
-            diff = self.regs[sx] - self._alu_source(decoded) - int(self.carry)
-            self.carry = diff < 0
-            self.regs[sx] = diff & 0xFF
-            self.zero = self.regs[sx] == 0
-        elif op in (Op.COMPARE, Op.COMPARE_R):
-            diff = self.regs[sx] - self._alu_source(decoded)
-            self.carry = diff < 0
-            self.zero = (diff & 0xFF) == 0
-        elif op is Op.SR0:
-            self.carry = bool(self.regs[sx] & 1)
-            self.regs[sx] >>= 1
-            self.zero = self.regs[sx] == 0
-        elif op is Op.SL0:
-            self.carry = bool(self.regs[sx] & 0x80)
-            self.regs[sx] = (self.regs[sx] << 1) & 0xFF
-            self.zero = self.regs[sx] == 0
-        elif op is Op.RR:
-            low = self.regs[sx] & 1
-            self.regs[sx] = (self.regs[sx] >> 1) | (low << 7)
-            self.carry = bool(low)
-            self.zero = self.regs[sx] == 0
-        elif op is Op.RL:
-            high = (self.regs[sx] >> 7) & 1
-            self.regs[sx] = ((self.regs[sx] << 1) & 0xFF) | high
-            self.carry = bool(high)
-            self.zero = self.regs[sx] == 0
-        elif op is Op.INPUT:
-            self.regs[sx] = self.device.read_port(decoded.operand) & 0xFF
-        elif op is Op.INPUT_R:
-            port = self.regs[(decoded.operand >> 4) & 0xF]
-            self.regs[sx] = self.device.read_port(port) & 0xFF
-        elif op is Op.OUTPUT:
-            self.device.write_port(decoded.operand, self.regs[sx])
-        elif op is Op.OUTPUT_R:
-            port = self.regs[(decoded.operand >> 4) & 0xF]
-            self.device.write_port(port, self.regs[sx])
-        elif op is Op.STORE:
-            self._scratch_write(decoded.operand, self.regs[sx])
-        elif op is Op.STORE_R:
-            self._scratch_write(self.regs[(decoded.operand >> 4) & 0xF], self.regs[sx])
-        elif op is Op.FETCH:
-            self.regs[sx] = self._scratch_read(decoded.operand)
-        elif op is Op.FETCH_R:
-            self.regs[sx] = self._scratch_read(self.regs[(decoded.operand >> 4) & 0xF])
-        elif op in (Op.JUMP, Op.JUMP_Z, Op.JUMP_NZ, Op.JUMP_C, Op.JUMP_NC):
-            if self._condition(op):
-                self.pc = decoded.addr
-        elif op in (Op.CALL, Op.CALL_Z, Op.CALL_NZ, Op.CALL_C, Op.CALL_NC):
-            if self._condition(op):
-                if len(self.stack) >= STACK_DEPTH:
-                    raise ExecutionError(f"{self.name}: call stack overflow")
-                self.stack.append(self.pc)
-                self.pc = decoded.addr
-        elif op in (Op.RETURN, Op.RETURN_Z, Op.RETURN_NZ, Op.RETURN_C, Op.RETURN_NC):
-            if self._condition(op):
-                if not self.stack:
-                    # Returning from the top level ends the firmware run.
-                    self._stopped = True
-                else:
-                    self.pc = self.stack.pop()
-        elif op in (Op.RETURNI_E, Op.RETURNI_D):
-            if not self.stack:
-                raise ExecutionError(f"{self.name}: RETURNI with empty stack")
-            self.pc = self.stack.pop()
-            if self._preserved_flags is not None:
-                self.zero, self.carry = self._preserved_flags
-                self._preserved_flags = None
-            self.interrupts_enabled = op is Op.RETURNI_E
-        elif op is Op.EINT:
-            self.interrupts_enabled = True
-        elif op is Op.DINT:
-            self.interrupts_enabled = False
-        else:  # pragma: no cover - decode() prevents this
-            raise ExecutionError(f"{self.name}: unimplemented op {op!r}")
+    def _execute(self, decoded: Decoded) -> None:
+        """Apply one instruction's effects (timing is :meth:`run`'s job)."""
+        _SEMANTICS[decoded.op](self, decoded)
 
-    def _condition(self, op: Op) -> bool:
-        name = op.name
-        if name.endswith("_Z"):
-            return self.zero
-        if name.endswith("_NZ"):
-            return not self.zero
-        if name.endswith("_NC"):
-            return not self.carry
-        if name.endswith("_C"):
-            return self.carry
-        return True
+    def _nop(self, decoded: Decoded) -> None:
+        return None
+
+    def _load(self, decoded: Decoded) -> None:
+        self.regs[decoded.sx] = self._alu_source(decoded) & 0xFF
+
+    def _and(self, decoded: Decoded) -> None:
+        self.regs[decoded.sx] &= self._alu_source(decoded)
+        self._set_zc_logical(self.regs[decoded.sx])
+
+    def _or(self, decoded: Decoded) -> None:
+        self.regs[decoded.sx] |= self._alu_source(decoded)
+        self._set_zc_logical(self.regs[decoded.sx])
+
+    def _xor(self, decoded: Decoded) -> None:
+        self.regs[decoded.sx] ^= self._alu_source(decoded)
+        self._set_zc_logical(self.regs[decoded.sx])
+
+    def _add(self, decoded: Decoded) -> None:
+        self._sum(decoded, self.regs[decoded.sx] + self._alu_source(decoded))
+
+    def _addcy(self, decoded: Decoded) -> None:
+        total = self.regs[decoded.sx] + self._alu_source(decoded) + int(self.carry)
+        self._sum(decoded, total)
+
+    def _sum(self, decoded: Decoded, total: int) -> None:
+        self.carry = total > 0xFF
+        self.regs[decoded.sx] = total & 0xFF
+        self.zero = self.regs[decoded.sx] == 0
+
+    def _sub(self, decoded: Decoded) -> None:
+        self._difference(decoded, self.regs[decoded.sx] - self._alu_source(decoded))
+
+    def _subcy(self, decoded: Decoded) -> None:
+        diff = self.regs[decoded.sx] - self._alu_source(decoded) - int(self.carry)
+        self._difference(decoded, diff)
+
+    def _difference(self, decoded: Decoded, diff: int) -> None:
+        self.carry = diff < 0
+        self.regs[decoded.sx] = diff & 0xFF
+        self.zero = self.regs[decoded.sx] == 0
+
+    def _compare(self, decoded: Decoded) -> None:
+        diff = self.regs[decoded.sx] - self._alu_source(decoded)
+        self.carry = diff < 0
+        self.zero = (diff & 0xFF) == 0
+
+    def _sr0(self, decoded: Decoded) -> None:
+        sx = decoded.sx
+        self.carry = bool(self.regs[sx] & 1)
+        self.regs[sx] >>= 1
+        self.zero = self.regs[sx] == 0
+
+    def _sl0(self, decoded: Decoded) -> None:
+        sx = decoded.sx
+        self.carry = bool(self.regs[sx] & 0x80)
+        self.regs[sx] = (self.regs[sx] << 1) & 0xFF
+        self.zero = self.regs[sx] == 0
+
+    def _rr(self, decoded: Decoded) -> None:
+        sx = decoded.sx
+        low = self.regs[sx] & 1
+        self.regs[sx] = (self.regs[sx] >> 1) | (low << 7)
+        self.carry = bool(low)
+        self.zero = self.regs[sx] == 0
+
+    def _rl(self, decoded: Decoded) -> None:
+        sx = decoded.sx
+        high = (self.regs[sx] >> 7) & 1
+        self.regs[sx] = ((self.regs[sx] << 1) & 0xFF) | high
+        self.carry = bool(high)
+        self.zero = self.regs[sx] == 0
+
+    def _input(self, decoded: Decoded) -> None:
+        port = self._alu_source(decoded)
+        self.regs[decoded.sx] = self.device.read_port(port) & 0xFF
+
+    def _output(self, decoded: Decoded) -> None:
+        self.device.write_port(self._alu_source(decoded), self.regs[decoded.sx])
+
+    def _store(self, decoded: Decoded) -> None:
+        self._scratch_write(self._alu_source(decoded), self.regs[decoded.sx])
+
+    def _fetch(self, decoded: Decoded) -> None:
+        self.regs[decoded.sx] = self._scratch_read(self._alu_source(decoded))
+
+    def _jump(self, decoded: Decoded) -> None:
+        if _CONDITION[decoded.op](self):
+            self.pc = decoded.addr
+
+    def _call(self, decoded: Decoded) -> None:
+        if _CONDITION[decoded.op](self):
+            if len(self.stack) >= STACK_DEPTH:
+                raise ExecutionError(f"{self.name}: call stack overflow")
+            self.stack.append(self.pc)
+            self.pc = decoded.addr
+
+    def _return(self, decoded: Decoded) -> None:
+        if _CONDITION[decoded.op](self):
+            if not self.stack:
+                # Returning from the top level ends the firmware run.
+                self._stopped = True
+            else:
+                self.pc = self.stack.pop()
+
+    def _returni(self, decoded: Decoded) -> None:
+        if not self.stack:
+            raise ExecutionError(f"{self.name}: RETURNI with empty stack")
+        self.pc = self.stack.pop()
+        if self._preserved_flags is not None:
+            self.zero, self.carry = self._preserved_flags
+            self._preserved_flags = None
+        self.interrupts_enabled = decoded.op is Op.RETURNI_E
+
+    def _eint(self, decoded: Decoded) -> None:
+        self.interrupts_enabled = True
+
+    def _dint(self, decoded: Decoded) -> None:
+        self.interrupts_enabled = False
 
     def _scratch_write(self, addr: int, value: int) -> None:
         if not 0 <= addr < SCRATCHPAD_BYTES:
@@ -301,3 +401,48 @@ class Controller8:
         if not 0 <= addr < SCRATCHPAD_BYTES:
             raise ExecutionError(f"{self.name}: scratchpad address {addr:#x}")
         return self.scratchpad[addr]
+
+
+_C = Controller8
+#: Opcode -> its semantics (``HALT`` lives in :meth:`Controller8.run`).
+_SEMANTICS: Dict[Op, Callable[[Controller8, Decoded], None]] = {
+    Op.NOP: _C._nop,
+    Op.LOAD: _C._load,
+    Op.LOAD_R: _C._load,
+    Op.AND: _C._and,
+    Op.AND_R: _C._and,
+    Op.OR: _C._or,
+    Op.OR_R: _C._or,
+    Op.XOR: _C._xor,
+    Op.XOR_R: _C._xor,
+    Op.ADD: _C._add,
+    Op.ADD_R: _C._add,
+    Op.ADDCY: _C._addcy,
+    Op.ADDCY_R: _C._addcy,
+    Op.SUB: _C._sub,
+    Op.SUB_R: _C._sub,
+    Op.SUBCY: _C._subcy,
+    Op.SUBCY_R: _C._subcy,
+    Op.COMPARE: _C._compare,
+    Op.COMPARE_R: _C._compare,
+    Op.SR0: _C._sr0,
+    Op.SL0: _C._sl0,
+    Op.RR: _C._rr,
+    Op.RL: _C._rl,
+    Op.INPUT: _C._input,
+    Op.INPUT_R: _C._input,
+    Op.OUTPUT: _C._output,
+    Op.OUTPUT_R: _C._output,
+    Op.STORE: _C._store,
+    Op.STORE_R: _C._store,
+    Op.FETCH: _C._fetch,
+    Op.FETCH_R: _C._fetch,
+    Op.RETURNI_E: _C._returni,
+    Op.RETURNI_D: _C._returni,
+    Op.EINT: _C._eint,
+    Op.DINT: _C._dint,
+    **{op: _C._jump for op in FLOW_VARIANTS["JUMP"].values()},
+    **{op: _C._call for op in FLOW_VARIANTS["CALL"].values()},
+    **{op: _C._return for op in FLOW_VARIANTS["RETURN"].values()},
+}
+del _C

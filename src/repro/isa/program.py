@@ -35,19 +35,20 @@ class Program:
                 f"program {self.name!r} has {len(self.words)} words; "
                 f"instruction memory holds {IMEM_WORDS}"
             )
-        self._decoded: List[Decoded] = [decode(w) for w in self.words]
+        #: The words pre-decoded, indexed by PC (what the controller runs).
+        self.decoded: List[Decoded] = [decode(w) for w in self.words]
 
     def __len__(self) -> int:
         return len(self.words)
 
     def fetch(self, pc: int) -> Decoded:
         """Decoded instruction at *pc* (raises past the end)."""
-        if not 0 <= pc < len(self._decoded):
+        if not 0 <= pc < len(self.decoded):
             raise ExecutionError(
                 f"PC {pc:#x} outside program {self.name!r} "
-                f"({len(self._decoded)} words)"
+                f"({len(self.decoded)} words)"
             )
-        return self._decoded[pc]
+        return self.decoded[pc]
 
     def label(self, name: str) -> int:
         """Address of a label."""

@@ -17,14 +17,18 @@ Model
   with the stored value (latch semantics — this is exactly what the
   paper's custom ``HALT`` needs to avoid the done-pulse race).
 
-Determinism: ties in time are broken by insertion order, so a given
-program produces one reproducible schedule.
+Determinism: ties in time are broken by the cycle an entry was
+scheduled at, then by insertion order — for ordinary entries that is
+just insertion order — so a given program produces one reproducible
+schedule.  ``Delay(cycles, ahead)`` lets a temporally decoupled process
+(one that simulated *ahead* cycles without yielding) keep the
+same-cycle order it would have had stepping cycle by cycle.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -32,35 +36,52 @@ from repro.errors import SimulationError
 class Delay:
     """Yielded by a process to sleep for *cycles* (must be >= 0).
 
+    *ahead* (``0 <= ahead <= cycles``) is for a process that has already
+    simulated *ahead* cycles past ``now`` without yielding: its wake-up
+    is ordered among the events of its cycle as if it had been
+    scheduled at ``now + ahead``, where a process stepping cycle by
+    cycle would have scheduled it.
+
     A ``__slots__`` object rather than a frozen dataclass: models
     construct one per process step, so construction cost is part of the
-    kernel's per-event overhead.  ``cycles`` stays read-only (the
+    kernel's per-event overhead.  The fields stay read-only (the
     scheduler's Delay fast path relies on construction-time validation,
     so a mutable field could smuggle a negative delay past it).
     """
 
-    __slots__ = ("_cycles",)
+    __slots__ = ("_cycles", "_ahead")
 
-    def __init__(self, cycles: int):
+    def __init__(self, cycles: int, ahead: int = 0):
         if cycles < 0:
             raise SimulationError(f"negative delay: {cycles}")
+        if not 0 <= ahead <= cycles:
+            raise SimulationError(f"ahead={ahead} outside 0..{cycles}")
         object.__setattr__(self, "_cycles", cycles)
+        object.__setattr__(self, "_ahead", ahead)
 
     @property
     def cycles(self) -> int:
         return self._cycles
 
+    @property
+    def ahead(self) -> int:
+        return self._ahead
+
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Delay is immutable")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Delay({self._cycles})"
+        return f"Delay({self._cycles}, ahead={self._ahead})"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Delay) and other._cycles == self._cycles
+        return (
+            isinstance(other, Delay)
+            and other._cycles == self._cycles
+            and other._ahead == self._ahead
+        )
 
     def __hash__(self) -> int:
-        return hash((Delay, self._cycles))
+        return hash((Delay, self._cycles, self._ahead))
 
 
 class Event:
@@ -145,10 +166,14 @@ class Process:
             # cycles >= 0, so the scheduled time can never be in the
             # past and the entry is pushed without call_at's guard.
             sim = self.sim
-            entry = _Entry(sim.now + yielded._cycles, sim._seq, self._step, None)
-            sim._seq += 1
+            now = sim.now
+            seq = sim._seq
+            sim._seq = seq + 1
             sim._pending += 1
-            heappush(sim._queue, entry)
+            heappush(
+                sim._queue,
+                (now + yielded._cycles, now + yielded._ahead, seq, _Entry(self._step, None)),
+            )
         elif cls is Event or isinstance(yielded, Event):
             yielded.add_waiter(self._step)
         elif yielded is None:
@@ -163,24 +188,20 @@ class Process:
 
 
 class _Entry:
-    """A heap record: ``__slots__`` + a hand-written ``__lt__`` is both
-    lighter to allocate and faster to sift than the dataclass it
-    replaced (dataclass ``order=True`` compares via tuple building)."""
+    """A scheduled callback, as :meth:`Simulator.call_at` returns it.
 
-    __slots__ = ("time", "seq", "callback", "argument", "cancelled", "consumed")
+    The heap holds ``(time, scheduled, seq, entry)`` tuples: ``seq`` is
+    unique, so the heap orders by the three ints in C and never compares
+    entries.
+    """
 
-    def __init__(self, time: int, seq: int, callback: Callable, argument: Any):
-        self.time = time
-        self.seq = seq
+    __slots__ = ("callback", "argument", "cancelled", "consumed")
+
+    def __init__(self, callback: Callable, argument: Any):
         self.callback = callback
         self.argument = argument
         self.cancelled = False
         self.consumed = False
-
-    def __lt__(self, other: "_Entry") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
 
 class Simulator:
@@ -201,7 +222,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0
-        self._queue: List[_Entry] = []
+        self._queue: List[Tuple[int, int, int, _Entry]] = []
         self._seq = 0
         self._running = False
         #: Live count of queued, non-cancelled callbacks (kept exact on
@@ -216,10 +237,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time}, current time is {self.now}"
             )
-        entry = _Entry(time, self._seq, callback, argument)
+        entry = _Entry(callback, argument)
+        heappush(self._queue, (time, self.now, self._seq, entry))
         self._seq += 1
         self._pending += 1
-        heappush(self._queue, entry)
         return entry
 
     def cancel(self, entry: _Entry) -> bool:
@@ -278,17 +299,17 @@ class Simulator:
         pop = heappop
         try:
             while queue:
-                entry = queue[0]
+                time, _, _, entry = queue[0]
                 if entry.cancelled:
                     pop(queue)
                     continue
-                if until is not None and entry.time > until:
+                if until is not None and time > until:
                     self.now = until
                     return
                 pop(queue)
                 entry.consumed = True
                 self._pending -= 1
-                self.now = entry.time
+                self.now = time
                 entry.callback(entry.argument)
                 processed += 1
                 if processed > max_events:
@@ -317,12 +338,12 @@ class Simulator:
                 raise SimulationError(
                     f"cycle limit {limit} exceeded waiting for {event.name!r}"
                 )
-            entry = heappop(queue)
+            time, _, _, entry = heappop(queue)
             if entry.cancelled:
                 continue
             entry.consumed = True
             self._pending -= 1
-            self.now = entry.time
+            self.now = time
             entry.callback(entry.argument)
         return event.value
 

@@ -16,7 +16,7 @@ counterpart of ``LOAD`` used by Listing 1.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from typing import Dict, NamedTuple
 
 from repro.errors import DecodeError
 
@@ -64,3 +64,13 @@ def cu_decode(byte: int) -> CuDecoded:
     except ValueError as exc:
         raise DecodeError(f"unknown CU opcode {op_bits:#x}") from exc
     return CuDecoded(op, (byte >> 2) & 0x3, byte & 0x3)
+
+
+#: Every decodable instruction byte -> its decoded form; a byte whose
+#: opcode is unknown is absent.  The CU issues through this table.
+CU_DECODE_TABLE: Dict[int, CuDecoded] = {
+    cu_encode(op, a, b): CuDecoded(op, a, b)
+    for op in CuOp
+    for a in range(4)
+    for b in range(4)
+}

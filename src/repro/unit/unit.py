@@ -37,7 +37,7 @@ from repro.unit.cores.ghash_core import GhashCore
 from repro.unit.cores.inc_core import inc16
 from repro.unit.cores.io_core import IoCore
 from repro.unit.cores.xor_core import masked_equal, masked_xor
-from repro.unit.isa import CuOp, cu_decode
+from repro.unit.isa import CU_DECODE_TABLE, CuOp, cu_decode
 from repro.unit.timing import TimingModel
 
 
@@ -127,8 +127,6 @@ class CryptoUnit:
         self.busy = False
         self._queue: list = []
         self._idle_callbacks: list = []
-        #: Issued-instruction count by opcode name.
-        self.op_counts: dict = {}
 
     def call_when_idle(self, fn: "Callable[[], None]") -> None:
         """Run *fn* once the CU is idle with an empty issue queue.
@@ -196,13 +194,15 @@ class CryptoUnit:
     # -- execution ----------------------------------------------------------
 
     def _issue(self, instr_byte: int) -> None:
-        decoded = cu_decode(instr_byte)
+        decoded = CU_DECODE_TABLE.get(instr_byte)
+        if decoded is None:
+            cu_decode(instr_byte)  # raises DecodeError for this byte
         op, a, b = decoded
         now = self.sim.now
         self.busy = True
         self.done.clear_latch()
-        self.op_counts[op.name] = self.op_counts.get(op.name, 0) + 1
-        self.trace.record(now, self.name, "issue", op=op.name, a=a, b=b)
+        if self.trace.enabled:
+            self.trace.record(now, self.name, "issue", op=op.name, a=a, b=b)
         chain = self.timing.cu_chain_cycles
 
         if op is CuOp.NOP:
@@ -264,7 +264,7 @@ class CryptoUnit:
                     lambda: self.bank.write(a, self.ic_in.take()),
                 )
             )
-        else:  # pragma: no cover - cu_decode prevents this
+        else:  # pragma: no cover - CU_DECODE_TABLE prevents this
             raise UnitError(f"{self.name}: unimplemented op {op!r}")
 
     def _finish_at(self, time: int, effect: Optional[Callable[[], None]]) -> None:
@@ -274,7 +274,8 @@ class CryptoUnit:
         if effect is not None:
             effect()
         self.busy = False
-        self.trace.record(self.sim.now, self.name, "complete")
+        if self.trace.enabled:
+            self.trace.record(self.sim.now, self.name, "complete")
         if self._queue:
             self._issue(self._queue.pop(0))
         else:

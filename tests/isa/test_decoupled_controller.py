@@ -1,0 +1,387 @@
+"""Differential oracle: the decoupled controller against per-instruction stepping.
+
+``SteppedController8`` keeps the interpreter loop the controller had
+before temporal decoupling: every instruction yields its own
+``Delay(2)``.  Each workload below runs once on it and once on
+:class:`Controller8`, and everything observable must match: the trace
+rows (cycle, component, kind, details), the output words, the
+:class:`CoreResult` cycles, ``instructions_retired`` and
+``halted_cycles``.  With two cores, each core's rows must match; the
+two cores' rows on one cycle may interleave differently.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core.crypto_core import P_DEBUG, CryptoCore
+from repro.core.firmware.builder import (
+    P_CU,
+    P_MASK_LO,
+    P_RESULT,
+    P_STATUS,
+    RESULT_OK,
+    STATUS_CU_BUSY_BIT,
+)
+from repro.core.harness import drainer_process, feeder_process, run_task
+from repro.core.params import Direction
+from repro.crypto import AES, cbc_mac, ccm_encrypt, gcm_encrypt
+from repro.crypto.aes import expand_key
+from repro.errors import ExecutionError, SimulationError
+from repro.isa import Controller8, Op, assemble
+from repro.isa.controller import STACK_DEPTH
+from repro.radio import (
+    format_cbc_mac,
+    format_ccm_single,
+    format_ccm_two_core,
+    format_ctr,
+    format_gcm,
+    format_whirlpool,
+)
+from repro.sim.kernel import Delay, Simulator
+from repro.sim.tracing import TraceRecorder
+from repro.unit.isa import CuOp, cu_encode
+from repro.unit.timing import DEFAULT_TIMING
+
+SIZES = [0, 1, 15, 16, 17, 100, 2048]
+KEY_BITS = [128, 192, 256]
+DIRECTIONS = [Direction.ENCRYPT, Direction.DECRYPT]
+
+
+class SteppedController8(Controller8):
+    """The reference: one ``Delay(2)`` per instruction, no decoupling."""
+
+    def run(self, entry=None):
+        if entry is not None:
+            self.pc = self.program.label(entry)
+        while not self._stopped:
+            if self.interrupts_enabled and self._irq_pending:
+                self._irq_pending = False
+                if len(self.stack) >= STACK_DEPTH:
+                    raise ExecutionError(f"{self.name}: stack overflow on IRQ")
+                self.stack.append(self.pc)
+                self._preserved_flags = (self.zero, self.carry)
+                self.interrupts_enabled = False
+                self.pc = self.irq_vector
+
+            if self.pc >= len(self.program):
+                return None
+            decoded = self.program.fetch(self.pc)
+            op = decoded.op
+            self.pc += 1
+            self.instructions_retired += 1
+
+            if op is Op.HALT:
+                start = self.sim.now
+                yield Delay(2)
+                yield self.wake.wait()
+                self.halted_cycles += self.sim.now - start - 2
+                continue
+
+            self._execute(decoded)
+            yield Delay(2)
+        return None
+
+
+def _rb(seed: int, n: int) -> bytes:
+    rng = random.Random(seed)
+    return bytes(rng.getrandbits(8) for _ in range(n))
+
+
+def _core(sim, trace, stepped, index=0, key=None, fifo_depth_words=512):
+    core = CryptoCore(
+        sim, DEFAULT_TIMING, index=index, trace=trace, fifo_depth_words=fifo_depth_words
+    )
+    if stepped:
+        core.controller.__class__ = SteppedController8
+    if key is not None:
+        core.key_cache.install(expand_key(key), 8 * len(key))
+    return core
+
+
+def _observe(sim, trace, cores, words, results, per_component=False):
+    rows = [(e.cycle, e.component, e.kind, e.details) for e in trace.events]
+    if per_component:
+        rows = sorted(rows, key=lambda row: row[1])  # stable: keeps each timeline
+    return {
+        "trace": rows,
+        "words": words,
+        "results": results,
+        "retired": [c.controller.instructions_retired for c in cores],
+        "halted": [c.controller.halted_cycles for c in cores],
+        "now": sim.now,
+    }
+
+
+def _single(task, key, stepped, whirlpool=False):
+    sim, trace = Simulator(), TraceRecorder()
+    core = _core(sim, trace, stepped, key=key)
+    if whirlpool:
+        core.use_whirlpool_personality(True)
+    run = run_task(sim, core, task)
+    words = [b for block in run.output_blocks for b in block]
+    return _observe(sim, trace, [core], words, [run.result, run.feed_done_cycle])
+
+
+def _assert_same(scenario):
+    reference, decoupled = scenario(True), scenario(False)
+    assert decoupled["trace"], "the scenario traced nothing"
+    assert decoupled == reference
+
+
+def _gcm_task(key, size, direction, seed, bad_tag=False):
+    iv, aad, data = _rb(seed, 12), _rb(seed + 1, 20), _rb(seed + 2, size)
+    if direction is Direction.ENCRYPT:
+        return format_gcm(8 * len(key), iv, aad, data, direction)
+    ct, tag = gcm_encrypt(key, iv, data, aad)
+    if bad_tag:
+        tag = bytes([tag[0] ^ 1]) + tag[1:]
+    return format_gcm(8 * len(key), iv, aad, ct, direction, 16, tag)
+
+
+def _ccm_task(key, size, direction, seed):
+    nonce, aad, data = _rb(seed, 13), _rb(seed + 1, 12), _rb(seed + 2, size)
+    if direction is Direction.ENCRYPT:
+        return format_ccm_single(8 * len(key), nonce, aad, data, direction, 8)
+    ct, tag = ccm_encrypt(key, nonce, data, aad, 8)
+    return format_ccm_single(8 * len(key), nonce, aad, ct, direction, 8, tag)
+
+
+def _cbc_mac_task(key, size, direction, seed):
+    # CBC-MAC takes whole blocks only: round the payload up, at least one.
+    message = _rb(seed, max(16, -(-size // 16) * 16))
+    if direction is Direction.ENCRYPT:
+        return format_cbc_mac(8 * len(key), message, direction)
+    tag = cbc_mac(AES(key), message)
+    return format_cbc_mac(8 * len(key), message, direction, expected_tag=tag)
+
+
+def _ctr_task(key, size, direction, seed):
+    # CTR encryption and decryption are the same task.
+    return format_ctr(8 * len(key), _rb(seed, 14) + bytes(2), _rb(seed + 1, size))
+
+
+FORMATTERS = {
+    "gcm": _gcm_task,
+    "ccm": _ccm_task,
+    "ctr": _ctr_task,
+    "cbc_mac": _cbc_mac_task,
+}
+
+
+@pytest.mark.parametrize("size", SIZES, ids=str)
+@pytest.mark.parametrize("direction", DIRECTIONS, ids=lambda d: d.name.lower())
+@pytest.mark.parametrize("key_bits", KEY_BITS, ids=lambda b: f"k{b}")
+@pytest.mark.parametrize("mode", sorted(FORMATTERS))
+def test_single_core_modes_match_stepped(mode, key_bits, direction, size):
+    key = _rb(key_bits + size, key_bits // 8)
+    task = FORMATTERS[mode](key, size, direction, seed=size)
+    _assert_same(lambda stepped: _single(task, key, stepped))
+
+
+def test_gcm_bad_tag_matches_stepped():
+    key = _rb(7, 16)
+    task = _gcm_task(key, 300, Direction.DECRYPT, seed=7, bad_tag=True)
+
+    def scenario(stepped):
+        observed = _single(task, key, stepped)
+        assert observed["results"][0].auth_failed
+        return observed
+
+    _assert_same(scenario)
+
+
+def test_whirlpool_matches_stepped():
+    task = format_whirlpool(_rb(11, 200))
+    _assert_same(lambda stepped: _single(task, None, stepped, whirlpool=True))
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS, ids=lambda d: d.name.lower())
+def test_two_core_ccm_matches_stepped(direction):
+    """Each core's trace rows match in order and cycle.  Rows of the two
+    cores on one cycle may interleave differently: two controllers'
+    wake-ups for one cycle run in the order they last synchronised, not
+    in their stepped order."""
+    key = _rb(3, 16)
+    nonce, aad, data = _rb(4, 13), _rb(5, 16), _rb(6, 600)
+    tag = None
+    if direction is Direction.DECRYPT:
+        data, tag = ccm_encrypt(key, nonce, data, aad, 8)
+    mac_task, ctr_task = format_ccm_two_core(128, nonce, aad, data, direction, 8, tag)
+
+    def scenario(stepped):
+        sim, trace = Simulator(), TraceRecorder()
+        mac = _core(sim, trace, stepped, index=0, key=key)
+        ctr = _core(sim, trace, stepped, index=1, key=key)
+        mac.unit.ic_out, ctr.unit.ic_out = ctr.unit.ic_in, mac.unit.ic_in
+        sim.add_process(feeder_process(mac, mac_task.input_blocks))
+        sim.add_process(feeder_process(ctr, ctr_task.input_blocks))
+        sink = []
+        if direction is Direction.ENCRYPT:
+            sim.add_process(drainer_process(ctr, sink))
+        done_mac = mac.assign_task(mac_task.params)
+        done_ctr = ctr.assign_task(ctr_task.params)
+        results = [sim.run_until_event(done_ctr), sim.run_until_event(done_mac)]
+        sim.run(until=sim.now + 4000)
+        while ctr.out_fifo.can_pop():
+            sink.append(ctr.out_fifo.pop_word())
+        return _observe(sim, trace, [mac, ctr], sink, results, per_component=True)
+
+    _assert_same(scenario)
+
+
+def test_fifo_backpressure_matches_stepped():
+    """A 16-word output FIFO and a drainer taking 37 cycles per word:
+    the firmware's STOREs stall and its drain fence spins on status."""
+    key = _rb(9, 32)
+    task = _gcm_task(key, 2048, Direction.ENCRYPT, seed=9)
+
+    def scenario(stepped):
+        sim, trace = Simulator(), TraceRecorder()
+        core = _core(sim, trace, stepped, key=key, fifo_depth_words=16)
+        sim.add_process(feeder_process(core, task.input_blocks))
+        sink = []
+        sim.add_process(drainer_process(core, sink, word_cycles=37))
+        result = sim.run_until_event(core.assign_task(task.params))
+        sim.run()
+        return _observe(sim, trace, [core], sink, [result])
+
+    _assert_same(scenario)
+
+
+def _custom_run(program, stepped, word_cycles):
+    """Run *program* on a core whose one input block trickles in."""
+    key = _rb(13, 16)
+    task = format_ctr(128, _rb(14, 16), _rb(15, 16))
+    sim, trace = Simulator(), TraceRecorder()
+    core = _core(sim, trace, stepped, key=key)
+    sim.add_process(feeder_process(core, task.input_blocks, word_cycles=word_cycles))
+    result = sim.run_until_event(core.assign_task(task.params, assemble(program)))
+    words = []
+    while core.out_fifo.can_pop():
+        words.append(core.out_fifo.pop_word())
+    return _observe(sim, trace, [core], words, [result])
+
+
+#: (NOPs of padding, feeder cycles per word) pairs that put the
+#: controller's port access on the cycle a CU instruction completes.
+SAME_CYCLE = [(0, 6), (1, 8), (2, 10), (3, 12), (4, 14), (5, 4)]
+
+
+@pytest.mark.parametrize("padding,word_cycles", SAME_CYCLE)
+def test_status_poll_matches_stepped(padding, word_cycles):
+    """Poll the CU-busy bit while a ``LOAD`` waits on a slow feeder: a
+    status read on the completion cycle must see the CU idle, as with
+    stepping, so the loop count and exit cycle stay the same."""
+    nops = "\n".join(["NOP"] * padding)
+    program = f"""
+        LOAD   s2, {cu_encode(CuOp.LOAD, 1)}
+        OUTPUT s2, {P_CU}
+        LOAD   s4, 0
+        poll:
+        ADD    s4, 1
+        {nops}
+        INPUT  s3, {P_STATUS}
+        AND    s3, {STATUS_CU_BUSY_BIT}
+        JUMP   NZ, poll
+        OUTPUT s4, {P_DEBUG}
+        LOAD   s3, {RESULT_OK}
+        OUTPUT s3, {P_RESULT}
+        RETURN
+    """
+    _assert_same(lambda stepped: _custom_run(program, stepped, word_cycles))
+
+
+@pytest.mark.parametrize("padding", range(8))
+def test_mask_write_matches_stepped(padding):
+    """Write the XOR mask while XORs queue behind a ``LOAD``; the
+    padding walks the write across the second XOR's issue cycle.  An XOR
+    issued on the write's cycle must use the old mask, as with
+    stepping."""
+    nops = "\n".join(["NOP"] * padding)
+    program = f"""
+        LOAD   s2, {cu_encode(CuOp.LOAD, 1)}
+        OUTPUT s2, {P_CU}
+        LOAD   s2, {cu_encode(CuOp.XOR, 1, 2)}
+        OUTPUT s2, {P_CU}
+        LOAD   s2, {cu_encode(CuOp.XOR, 1, 3)}
+        OUTPUT s2, {P_CU}
+        LOAD   s3, 0x0F
+        {nops}
+        OUTPUT s3, {P_MASK_LO}
+        LOAD   s2, {cu_encode(CuOp.STORE, 3)}
+        OUTPUT s2, {P_CU}
+        LOAD   s2, {cu_encode(CuOp.NOP)}
+        OUTPUT s2, {P_CU}
+        HALT
+        LOAD   s3, {RESULT_OK}
+        OUTPUT s3, {P_RESULT}
+        RETURN
+    """
+    _assert_same(lambda stepped: _custom_run(program, stepped, 4))
+
+
+IRQ_PROGRAM = """
+    EINT
+    LOAD s0, 1
+    LOAD s0, 2
+    LOAD s0, 3
+    RETURN
+    isr: LOAD s1, 0xEE
+    RETURNI ENABLE
+"""
+
+
+@pytest.mark.parametrize("irq_cycle", range(0, 12))
+def test_interrupt_program_matches_stepped(irq_cycle):
+    """The ``EINT`` + ``post_irq`` program of ``test_isa``, with the
+    interrupt raised on every cycle of the run."""
+
+    def scenario(stepped):
+        sim = Simulator()
+        program = assemble(IRQ_PROGRAM)
+        cls = SteppedController8 if stepped else Controller8
+        ctrl = cls(sim, program)
+        ctrl.irq_vector = program.label("isr")
+        proc = sim.add_process(ctrl.run())
+
+        def irq():
+            yield Delay(irq_cycle)
+            ctrl.post_irq()
+
+        sim.add_process(irq())
+        sim.run()
+        return {
+            "trace": [(proc.done.triggered, sim.now)],
+            "regs": ctrl.regs,
+            "flags": (ctrl.zero, ctrl.carry, ctrl.interrupts_enabled),
+            "retired": ctrl.instructions_retired,
+            "halted": ctrl.halted_cycles,
+        }
+
+    _assert_same(scenario)
+
+
+# -- the runaway guard: without the sync quantum a loop with no I/O never
+# yields, and these would hang the host -----------------------------------------
+
+
+def _spin():
+    sim = Simulator()
+    ctrl = Controller8(sim, assemble("loop: JUMP loop"))
+    sim.add_process(ctrl.run())
+    return sim
+
+
+def test_spin_loop_stops_at_run_until(hang_guard):
+    sim = _spin()
+    with hang_guard(10.0):
+        sim.run(until=1000)
+    assert sim.now == 1000
+
+
+def test_spin_loop_trips_max_events(hang_guard):
+    with hang_guard(10.0), pytest.raises(SimulationError):
+        _spin().run(max_events=50)

@@ -198,3 +198,32 @@ def test_delta_cycle_yield_none():
     sim.add_process(b())
     sim.run()
     assert order == ["a1", "b1", "a2", "b2"]
+
+
+def test_delay_ahead_validation():
+    assert Delay(5, ahead=3) == Delay(5, ahead=3) != Delay(5)
+    assert Delay(5, ahead=3).ahead == 3 and Delay(5).ahead == 0
+    for cycles, ahead in ((3, 4), (3, -1)):
+        with pytest.raises(SimulationError):
+            Delay(cycles, ahead=ahead)
+
+
+@pytest.mark.parametrize("ahead,expected", [(0, ["proc", "cb"]), (3, ["cb", "proc"])])
+def test_delay_ahead_orders_as_if_scheduled_later(ahead, expected):
+    """A process that ran *ahead* cycles without yielding wakes after
+    same-cycle entries scheduled before ``now + ahead``."""
+    sim = Simulator()
+    order = []
+
+    def proc():
+        yield Delay(5, ahead=ahead)
+        order.append("proc")
+
+    def schedule_callback():
+        yield Delay(1)
+        sim.call_at(5, lambda _: order.append("cb"))
+
+    sim.add_process(proc())
+    sim.add_process(schedule_callback())
+    sim.run()
+    assert order == expected

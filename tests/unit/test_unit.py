@@ -11,6 +11,7 @@ from repro.sim.fifo import WordFifo
 from repro.sim.kernel import Simulator
 from repro.unit import BankRegister, CryptoUnit, CuOp, cu_decode, cu_encode
 from repro.unit.cores.inc_core import inc16
+from repro.unit.isa import CU_DECODE_TABLE
 from repro.unit.cores.io_core import IoCore
 from repro.unit.cores.xor_core import mask_for_bytes, masked_equal, masked_xor
 from repro.unit.timing import DEFAULT_TIMING
@@ -29,6 +30,23 @@ def test_cu_decode_rejects():
         cu_decode(0xF0)  # opcode 0xF unused
     with pytest.raises(DecodeError):
         cu_encode(CuOp.XOR, 4, 0)
+
+
+def test_cu_decode_table_matches_cu_decode():
+    for byte in range(256):
+        try:
+            decoded = cu_decode(byte)
+        except DecodeError:
+            assert byte not in CU_DECODE_TABLE
+        else:
+            assert CU_DECODE_TABLE[byte] == decoded
+
+
+@pytest.mark.parametrize("byte", [0xF0, 0x100, -1], ids=hex)
+def test_issue_rejects_undecodable_bytes(byte):
+    _sim, unit, _in, _out = make_unit()
+    with pytest.raises(DecodeError):
+        unit.start(byte)
 
 
 # -- bank register ---------------------------------------------------------------
