@@ -3,18 +3,26 @@
 The one-call APIs in :mod:`repro.crypto.fast.bulk` accelerate a single
 message; this module accelerates a *batch* of same-key packets — the
 shape of the paper's many-channel traffic, where the MCCP keeps every
-core busy on one session key's packet stream.  Three mechanisms:
+core busy on one session key's packet stream.  Four mechanisms:
 
 - **lane-parallel CBC-MAC** (:func:`cbc_mac_many`) — CBC-MAC's
   feedback chain cannot batch across blocks, but N packets' chains are
   mutually independent, so they run as N lanes of one packed ``(4, N)``
   T-table state (:func:`repro.crypto.fast.aes_vector
-  .encrypt_state_vector`): every AES round is a handful of numpy
-  gathers across all lanes.  This is the software restatement of the
-  paper's two-core CCM split — the MAC half stops serialising the
-  batch.  Ragged batches sort lanes by block count so shorter packets
-  simply retire early.  Without numpy, lanes run round-robin through
-  the scalar T-table round, preserving the ragged-lane structure.
+  .encrypt_state_vector`): every AES round is five numpy operations
+  across all lanes.  This is the software restatement of the paper's
+  two-core CCM split — the MAC half stops serialising the batch.
+  Ragged batches sort lanes by block count so shorter packets simply
+  retire early.  Without numpy, lanes run round-robin through the
+  scalar T-table round, preserving the ragged-lane structure.
+- **one CCM engine** (:func:`_ccm_seal_open`) — a CCM dispatch seals
+  one list and opens another under one key, and both directions share
+  every sweep: one counter sweep over all packets, then one CBC-MAC
+  lane sweep over the seal chains and the decrypted open chains
+  together, so a mixed dispatch pays the ~130 serial block steps of
+  its longest chain once, not once per direction.
+  :func:`ccm_seal_many` and :func:`ccm_open_many` are its one-direction
+  forms.
 - **fused counter runs** (:func:`_fused_keystream`) — every packet's
   CTR blocks (and GCM's ``E(J_0)`` tag masks) are mutually
   independent, so the whole batch's counters become one packed
@@ -100,7 +108,19 @@ except ImportError:  # pragma: no cover - numpy is present in CI
 HAVE_NUMPY = _np is not None
 
 #: Batches narrower than this run the scalar paths (numpy dispatch
-#: overhead beats the lane win below it).
+#: overhead beats the lane win below it).  Scalar time over vector time
+#: for one CBC-MAC sweep of 32 blocks per lane, as the range over 3-5
+#: runs (2 vCPU, Python 3.11, numpy 2.4; > 1 means the vector path wins):
+#:
+#:   lanes        4          6          7          8          16
+#:   AES-128  0.61-0.75  0.90-1.13  1.07-1.30  1.22-1.50  2.40-2.77
+#:   AES-256  0.64-0.78  0.91-1.11  1.07-1.29  1.20-1.49  2.45-2.48
+#:
+#: With the former 17-operation AES round the vector path still lost at
+#: 8 lanes (0.60-0.66) and broke even at about 12.  Now it overtakes
+#: between 6 and 7 lanes; 8 keeps a margin of at least 1.2x, so run to
+#: run noise never turns the switch into a loss.  The same bound gates
+#: the fused counter sweep (:func:`_fused_keystream`).
 MIN_LANES = 8
 
 Buffers = Union[bytes, bytearray, memoryview, Sequence[bytes]]
@@ -456,8 +476,14 @@ def _seal_open_whole(mode, key, seals, opens, tag_length):
     The un-sharded form :func:`seal_open_submit` uses whenever the
     dispatch does not cross to arena workers: thanks to the backends'
     serial guard a single call always executes in the submitting
-    thread, where the caller's fault plan is already installed.
+    thread, where the caller's fault plan is already installed.  CCM
+    runs both directions through one :func:`_ccm_seal_open` so its
+    seal and open CBC-MAC chains share one lane sweep.
     """
+    if mode == "ccm":
+        _check_poisoned(seals)
+        _check_poisoned(opens)
+        return _ccm_seal_open(key, seals, opens, tag_length)
     return (
         _SEAL_MANY[mode](key, seals, tag_length),
         _OPEN_MANY[mode](key, opens),
@@ -873,22 +899,86 @@ def gmac_many(
 # -- CCM -------------------------------------------------------------------
 
 
-def _ccm_prepare(
-    key: bytes, nonces: Sequence[bytes], datas: Sequence[bytes]
-) -> Tuple[Schedule, List[bytes], List[bytes]]:
-    """Schedule plus every packet's ``(S_0, keystream)`` in one sweep."""
-    from repro.crypto.modes.ccm import format_counter_block
+def _ccm_seal_open(
+    key: bytes,
+    seals: Sequence[Sequence],
+    opens: Sequence[Sequence],
+    tag_length: int = 16,
+) -> Tuple[List[Tuple[bytes, bytes]], List[Optional[bytes]]]:
+    """Seal one same-key CCM list and open another, sharing every sweep.
 
+    Every packet's counters ``A_0..A_m`` join one keystream sweep; the
+    opens decrypt, and then the seal and open CBC-MAC chains run as the
+    lanes of one :func:`cbc_mac_many` sweep — one pass of up to ~130
+    serial block steps per dispatch instead of one per direction.  Each
+    packet's outputs depend only on its own lanes, so the results are
+    byte-identical to per-packet :func:`repro.crypto.fast.bulk.ccm_seal`
+    and :func:`repro.crypto.fast.bulk.ccm_open`.  Never consults the
+    fault plan (the public callers do).
+    """
+    from repro.crypto.modes.ccm import (
+        _check_params,
+        format_associated_data,
+        format_b0,
+        format_counter_block,
+    )
+
+    if not HAVE_NUMPY:
+        return (
+            [
+                ccm_seal(key, bytes(p[0]), gather(p[1]),
+                         gather(p[2]) if len(p) > 2 else b"", tag_length)
+                for p in seals
+            ],
+            [
+                _open_one(ccm_open, key, bytes(p[0]), gather(p[1]),
+                          bytes(p[2]), gather(p[3]) if len(p) > 3 else b"")
+                for p in opens
+            ],
+        )
+    if not seals and not opens:
+        return [], []
+    opens = [_norm_open_packet(p) for p in opens]
+    # One (nonce, data, aad, tag_length) row per lane, seals first.
+    lanes = [(*_norm_seal_packet(p), tag_length) for p in seals]
+    lanes += [(nonce, data, aad, len(tag)) for nonce, data, tag, aad in opens]
+    for nonce, data, _aad, tag_len in lanes:
+        _check_params(nonce, tag_len, len(data))
     round_keys = expand_key_cached(bytes(key))
-    specs: List[_CounterSpec] = []
-    for nonce, data in zip(nonces, datas):
-        a0 = int.from_bytes(format_counter_block(nonce, 0), "big")
-        nblocks = -(-len(data) // BLOCK_BYTES)
-        specs.append((a0, 8 * (15 - len(nonce)), nblocks + 1))  # A_0..A_m
-    runs = _fused_keystream(round_keys, specs)
-    s0s = [run[:BLOCK_BYTES] for run in runs]
-    streams = [run[BLOCK_BYTES:] for run in runs]
-    return round_keys, s0s, streams
+    runs = _fused_keystream(round_keys, [
+        (int.from_bytes(format_counter_block(nonce, 0), "big"),
+         8 * (15 - len(nonce)),
+         -(-len(data) // BLOCK_BYTES) + 1)  # A_0..A_m
+        for nonce, data, _aad, _tag_len in lanes
+    ])
+    # run = S_0 || keystream.  Seals MAC their plaintext, opens the
+    # plaintext they decrypt to.
+    n_seals = len(seals)
+    texts = [
+        data if lane < n_seals else xor_data(data, run[BLOCK_BYTES:])
+        for lane, ((_n, data, _a, _t), run) in enumerate(zip(lanes, runs))
+    ]
+    macs = cbc_mac_many(round_keys, [
+        format_b0(nonce, len(aad), len(text), tag_len)
+        + format_associated_data(aad)
+        + pad_zeros(text, BLOCK_BYTES)
+        for (nonce, _data, aad, tag_len), text in zip(lanes, texts)
+    ])
+    tags = [
+        xor_data(mac, run[:BLOCK_BYTES])[:tag_len]
+        for mac, run, (_n, _d, _a, tag_len) in zip(macs, runs, lanes)
+    ]
+    sealed = [
+        (xor_data(text, run[BLOCK_BYTES:]), tag)
+        for text, run, tag in zip(texts, runs, tags[:n_seals])
+    ]
+    opened = [
+        text if hmac.compare_digest(expected, tag) else None
+        for (_n, _d, tag, _a), text, expected in zip(
+            opens, texts[n_seals:], tags[n_seals:]
+        )
+    ]
+    return sealed, opened
 
 
 def ccm_seal_many(
@@ -903,38 +993,8 @@ def ccm_seal_many(
     lane-parallel across the batch; byte-identical to per-packet
     :func:`repro.crypto.fast.bulk.ccm_seal`.
     """
-    from repro.crypto.modes.ccm import (
-        _check_params,
-        format_associated_data,
-        format_b0,
-    )
-
-    if not packets:
-        return []
     _check_poisoned(packets)
-    if not HAVE_NUMPY:
-        return [
-            ccm_seal(key, bytes(p[0]), gather(p[1]), gather(p[2]) if len(p) > 2 else b"", tag_length)
-            for p in packets
-        ]
-    nonces = [bytes(packet[0]) for packet in packets]
-    datas = [gather(packet[1]) for packet in packets]
-    aads = [gather(packet[2]) if len(packet) > 2 else b"" for packet in packets]
-    blobs = []
-    for nonce, data, aad in zip(nonces, datas, aads):
-        _check_params(nonce, tag_length, len(data))
-        blobs.append(
-            format_b0(nonce, len(aad), len(data), tag_length)
-            + format_associated_data(aad)
-            + pad_zeros(data, BLOCK_BYTES)
-        )
-    round_keys, s0s, streams = _ccm_prepare(key, nonces, datas)
-    macs = cbc_mac_many(round_keys, blobs)
-    results = []
-    for data, mac, s0, stream in zip(datas, macs, s0s, streams):
-        ciphertext = xor_data(data, stream) if data else b""
-        results.append((ciphertext, xor_data(mac, s0)[:tag_length]))
-    return results
+    return _ccm_seal_open(key, packets, (), tag_length)[0]
 
 
 def ccm_open_many(
@@ -954,53 +1014,8 @@ def ccm_open_many(
     plaintext and cannot perturb surviving lanes' outputs, whose MAC
     chains and counters are lane-local.
     """
-    from repro.crypto.modes.ccm import (
-        _check_params,
-        format_associated_data,
-        format_b0,
-    )
-
-    if not packets:
-        return []
     _check_poisoned(packets)
-    if not HAVE_NUMPY:
-        return [
-            _open_one(
-                ccm_open,
-                key,
-                bytes(p[0]),
-                gather(p[1]),
-                bytes(p[2]),
-                gather(p[3]) if len(p) > 3 else b"",
-            )
-            for p in packets
-        ]
-    nonces = [bytes(packet[0]) for packet in packets]
-    ciphertexts = [gather(packet[1]) for packet in packets]
-    tags = [bytes(packet[2]) for packet in packets]
-    aads = [gather(packet[3]) if len(packet) > 3 else b"" for packet in packets]
-    for nonce, ciphertext, tag in zip(nonces, ciphertexts, tags):
-        _check_params(nonce, len(tag), len(ciphertext))
-    round_keys, s0s, streams = _ccm_prepare(key, nonces, ciphertexts)
-    plaintexts = [
-        xor_data(ciphertext, stream) if ciphertext else b""
-        for ciphertext, stream in zip(ciphertexts, streams)
-    ]
-    blobs = [
-        format_b0(nonce, len(aad), len(plaintext), len(tag))
-        + format_associated_data(aad)
-        + pad_zeros(plaintext, BLOCK_BYTES)
-        for nonce, aad, plaintext, tag in zip(nonces, aads, plaintexts, tags)
-    ]
-    macs = cbc_mac_many(round_keys, blobs)
-    results: List[Optional[bytes]] = []
-    for mac, s0, tag, plaintext in zip(macs, s0s, tags, plaintexts):
-        expected = xor_data(mac, s0)[: len(tag)]
-        if hmac.compare_digest(expected, tag):
-            results.append(plaintext)
-        else:
-            results.append(None)
-    return results
+    return _ccm_seal_open(key, (), packets)[1]
 
 
 def _open_one(open_fn, key, nonce, ciphertext, tag, aad) -> Optional[bytes]:

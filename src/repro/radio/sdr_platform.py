@@ -72,6 +72,7 @@ from repro.radio.packet import Packet
 from repro.radio.standards import STANDARD_PROFILES, RadioStandard
 from repro.radio.traffic import GeneratedPacket, TrafficGenerator, TrafficPattern
 from repro.resilience import stats as resilience_stats
+from repro.resilience.faults import injected_faults
 from repro.sim.kernel import Delay, Simulator
 
 __all__ = ["ChannelConfig", "SdrPlatform", "WorkloadReport", "WorkloadSpec"]
@@ -542,38 +543,52 @@ class SdrPlatform:
     ) -> List[Optional[_RxPlan]]:
         """Per-packet rx decisions and pre-sealed arrivals (None = tx).
 
-        The platform plays the peer radio here, outside simulated time:
-        each rx packet is sealed under the channel key and the
-        deterministic per-(channel, sequence) nonce, then the channel
-        model decides loss and tag corruption.  All randomness derives
-        from ``(seed, channel_id)`` and is drawn in sequence order, so
-        the same mixed workload replays identically through either
-        dataplane and any execution backend.
+        The platform plays the peer radio here, outside simulated time.
+        It first draws every packet's decisions — rx or tx, then loss,
+        then tag corruption — from one rng seeded by ``(seed,
+        channel_id)``, in sequence order.  It then seals all of the
+        channel's rx packets under the channel key and their
+        deterministic per-(channel, sequence) nonces in one same-key
+        batch call (:mod:`repro.crypto.fast.batch`, byte-identical to
+        per-packet seals), and flips a tag byte on the corrupted ones.
+        So the same mixed workload replays identically through either
+        dataplane and any execution backend.  The peer radio is outside
+        the fault domain: an active fault plan never affects the seal
+        here, and a poisoned rx nonce faults at dispatch instead.
         """
         if rx_fraction <= 0.0 or channel.algorithm not in BATCHABLE_ALGORITHMS:
             return [None] * len(schedule)
-        from repro.crypto.fast.bulk import ccm_seal, gcm_seal
+        from repro.crypto.fast.batch import ccm_seal_many, gcm_seal_many
 
-        seal = gcm_seal if channel.algorithm is Algorithm.GCM else ccm_seal
-        key = self.mccp.key_memory.fetch_for_scheduler(channel.key_id)
         rng = random.Random(
             (self.seed << 20) ^ (channel.channel_id << 4) ^ 0x52585F
         )
-        plans: List[Optional[_RxPlan]] = []
-        for item in schedule:
+        received = []  # (schedule index, lost, corrupted) per rx packet
+        for index in range(len(schedule)):
             if rng.random() >= rx_fraction:
-                plans.append(None)
                 continue
-            packet = item.packet
-            nonce = self.comm.nonce_for(channel, packet.sequence)
-            ciphertext, tag = seal(
-                key, nonce, packet.payload, packet.header, channel.tag_length
-            )
             lost = rng.random() < loss_rate
             corrupted = not lost and rng.random() < corrupt_rate
+            received.append((index, lost, corrupted))
+        packets = [schedule[index].packet for index, _, _ in received]
+        nonces = [self.comm.nonce_for(channel, p.sequence) for p in packets]
+        seal_many = (
+            gcm_seal_many if channel.algorithm is Algorithm.GCM else ccm_seal_many
+        )
+        key = self.mccp.key_memory.fetch_for_scheduler(channel.key_id)
+        with injected_faults(None):
+            sealed = seal_many(
+                key,
+                [(n, p.payload, p.header) for n, p in zip(nonces, packets)],
+                channel.tag_length,
+            )
+        plans: List[Optional[_RxPlan]] = [None] * len(schedule)
+        for (index, lost, corrupted), nonce, (ciphertext, tag) in zip(
+            received, nonces, sealed
+        ):
             if corrupted:
                 tag = tag[:-1] + bytes([tag[-1] ^ 0xFF])
-            plans.append(_RxPlan(nonce, ciphertext, tag, lost, corrupted))
+            plans[index] = _RxPlan(nonce, ciphertext, tag, lost, corrupted)
         return plans
 
     def _rx_arrival(
