@@ -10,11 +10,14 @@ here the "parallel cores" are SIMD lanes instead of FPGA slices.
 
 The same kernel runs the lane-parallel CBC-MAC of
 :mod:`repro.crypto.fast.batch`, which calls it once per block step with
-only a few lanes.  There the cost is numpy's per-call dispatch, not the
-arithmetic, so a round is a fixed handful of array operations whatever
-the lane count: one fancy-index read of the state's bytes (ShiftRows
-built into the index), one gather from the four T-tables laid end to
-end, one XOR reduction and one round-key XOR.
+only a few dozen lanes.  There the cost is numpy's per-call dispatch,
+not the arithmetic, so a round is a fixed handful of array operations
+whatever the lane count: one fancy-index read of the state's bytes
+(ShiftRows built into the index), one gather from the four T-tables
+laid end to end, one XOR reduction and one round-key XOR.  The
+round-key XOR takes either one schedule broadcast over every lane or
+one schedule per lane, so the CBC-MAC chains of several channels'
+keys run as the lanes of one sweep and pay that per-call cost once.
 
 numpy is optional: :data:`HAVE_NUMPY` gates the path and the bulk APIs
 in :mod:`repro.crypto.fast.bulk` fall back to the scalar T-table loop,
@@ -83,13 +86,21 @@ def clear_vector_caches() -> None:
         _round_keys_array.cache_clear()
 
 
-def encrypt_state_vector(state, round_keys: Sequence[Sequence[int]]):
+def encrypt_state_vector(state, round_keys):
     """Encrypt a batch of blocks held as one packed ``(4, N)`` state.
 
     Row *i* holds column word *i* of every block (lane) as a uint32
     value, in any memory order and either byte order (a column slice,
     a transpose, a ``>u4`` view).  Returns a new C-ordered native
     ``(4, N)`` uint32 array; the caller owns byte packing.
+
+    *round_keys* is either one key schedule (a sequence of ``rounds +
+    1`` four-word round keys, shared by every lane) or a ``(rounds + 1,
+    4, N)`` uint32 array holding one schedule per lane in column *n*
+    (any memory order, e.g. a column slice of a wider array; a
+    ``(rounds + 1, 4, 1)`` array is shared by every lane).  Lanes under
+    different keys can thus share one sweep; they must share the
+    round count.
 
     Each round is five numpy operations whatever *N*: one fancy-index
     read of the state's ``(4, N, 4)`` byte view that applies ShiftRows
@@ -100,10 +111,13 @@ def encrypt_state_vector(state, round_keys: Sequence[Sequence[int]]):
     The byte offsets follow the host's byte order, so the result does
     not depend on it.
     """
-    rounds = len(round_keys) - 1
-    if not isinstance(round_keys, tuple):
-        round_keys = tuple(tuple(words) for words in round_keys)
-    rk = _round_keys_array(round_keys)
+    if isinstance(round_keys, _np.ndarray):
+        rk = round_keys
+    else:
+        if not isinstance(round_keys, tuple):
+            round_keys = tuple(tuple(words) for words in round_keys)
+        rk = _round_keys_array(round_keys)
+    rounds = len(rk) - 1
     s = _np.ascontiguousarray(state, dtype=_np.uint32) ^ rk[0]
     lanes = s.shape[1]
     for r in range(1, rounds):

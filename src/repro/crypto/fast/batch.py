@@ -10,19 +10,23 @@ core busy on one session key's packet stream.  Four mechanisms:
   mutually independent, so they run as N lanes of one packed ``(4, N)``
   T-table state (:func:`repro.crypto.fast.aes_vector
   .encrypt_state_vector`): every AES round is five numpy operations
-  across all lanes.  This is the software restatement of the paper's
+  across all lanes, and each lane may carry its own key.  This is the software restatement of the paper's
   two-core CCM split — the MAC half stops serialising the batch.
   Ragged batches sort lanes by block count so shorter packets simply
   retire early.  Without numpy, lanes run round-robin through the
   scalar T-table round, preserving the ragged-lane structure.
-- **one CCM engine** (:func:`_ccm_seal_open`) — a CCM dispatch seals
-  one list and opens another under one key, and both directions share
-  every sweep: one counter sweep over all packets, then one CBC-MAC
-  lane sweep over the seal chains and the decrypted open chains
-  together, so a mixed dispatch pays the ~130 serial block steps of
-  its longest chain once, not once per direction.
-  :func:`ccm_seal_many` and :func:`ccm_open_many` are its one-direction
-  forms.
+- **one CCM engine** (:func:`_ccm_seal_open_groups`) — a CCM dispatch
+  seals one list and opens another under one key; the engine takes
+  several such groups, one per key.  Each group runs one counter sweep
+  over all its packets, then the seal chains and decrypted open chains
+  of *every* group run as the lanes of one CBC-MAC sweep with per-lane
+  round keys, so the ~130 serial block steps of the longest chain are
+  paid once per resolution, across keys and directions.
+  :func:`resolve_together` resolves every in-flight inline CCM
+  dispatch that way, and the radio's rx pre-seal seals every CCM
+  channel in one call.  :func:`_ccm_seal_open` is the one-group case,
+  and :func:`ccm_seal_many` and :func:`ccm_open_many` are its
+  one-direction forms.
 - **fused counter runs** (:func:`_fused_keystream`) — every packet's
   CTR blocks (and GCM's ``E(J_0)`` tag masks) are mutually
   independent, so the whole batch's counters become one packed
@@ -81,8 +85,6 @@ from repro.crypto.fast.bulk import (
     _ghash_aad_ct,
     _inc32,
     _schedule,
-    ccm_open,
-    ccm_seal,
     gcm_open,
     gcm_seal,
     xor_data,
@@ -112,15 +114,20 @@ HAVE_NUMPY = _np is not None
 #: for one CBC-MAC sweep of 32 blocks per lane, as the range over 3-5
 #: runs (2 vCPU, Python 3.11, numpy 2.4; > 1 means the vector path wins):
 #:
-#:   lanes        4          6          7          8          16
-#:   AES-128  0.61-0.75  0.90-1.13  1.07-1.30  1.22-1.50  2.40-2.77
-#:   AES-256  0.64-0.78  0.91-1.11  1.07-1.29  1.20-1.49  2.45-2.48
+#:   lanes                  4          6          7          8          16
+#:   AES-128            0.61-0.75  0.90-1.13  1.07-1.30  1.22-1.50  2.40-2.77
+#:   AES-256            0.64-0.78  0.91-1.11  1.07-1.29  1.20-1.49  2.45-2.48
+#:   AES-128, per-lane  0.50-0.92  0.88-1.17  1.12-1.37  1.18-1.51  2.13-2.87
+#:   AES-256, per-lane  0.69-1.27  1.04-1.17  0.80-1.50  1.23-1.50  1.58-3.67
 #:
-#: With the former 17-operation AES round the vector path still lost at
-#: 8 lanes (0.60-0.66) and broke even at about 12.  Now it overtakes
-#: between 6 and 7 lanes; 8 keeps a margin of at least 1.2x, so run to
-#: run noise never turns the switch into a loss.  The same bound gates
-#: the fused counter sweep (:func:`_fused_keystream`).
+#: The per-lane rows deal four keys round-robin over the lanes, as a
+#: multi-key sweep of :func:`_ccm_seal_open_groups` does, and include
+#: building the per-lane round-key array (10 runs).  With the former
+#: 17-operation AES round the vector path still lost at 8 lanes
+#: (0.60-0.66) and broke even at about 12.  Now it overtakes between 6
+#: and 7 lanes, with one key or one per lane; 8 keeps a margin of about
+#: 1.2x, so run to run noise never turns the switch into a loss.  The
+#: same bound gates the fused counter sweep (:func:`_fused_keystream`).
 MIN_LANES = 8
 
 Buffers = Union[bytes, bytearray, memoryview, Sequence[bytes]]
@@ -505,14 +512,20 @@ class SealOpenHandle:
     exactly once, success or failure.
     """
 
-    __slots__ = ("_handle", "_collect", "_quarantine", "_cleanup", "_result")
+    __slots__ = (
+        "_handle", "_collect", "_quarantine", "_cleanup", "_result", "_group",
+    )
 
-    def __init__(self, handle, collect, quarantine=None, cleanup=None):
+    def __init__(self, handle, collect, quarantine=None, cleanup=None,
+                 group=None):
         self._handle = handle
         self._collect = collect
         self._quarantine = quarantine
         self._cleanup = cleanup
         self._result = None
+        #: ``(key, seals, opens, tag_length)`` of a whole-dispatch CCM
+        #: handle, which :func:`resolve_together` may fuse; else None.
+        self._group = group
 
     def done(self) -> bool:
         """Non-blocking: would :meth:`result` still wait on workers?"""
@@ -523,6 +536,28 @@ class SealOpenHandle:
         if self._result is None:
             self._result = self._resolve()
         return self._result
+
+    @property
+    def fusable(self) -> bool:
+        """May :func:`resolve_together` still resolve this handle?"""
+        return self._group is not None and self._result is None
+
+    def abandon(self) -> None:
+        """Give the dispatch up unread; never raises.
+
+        Waits out any workers still writing into the dispatch's arena
+        generation, then releases it, so an abandoned handle holds no
+        slab region.  An unlaunched handle has nothing to wait for; it
+        stops being :attr:`fusable`.
+        """
+        self._group = None
+        if self._result is None and self._cleanup is not None:
+            try:
+                self._handle.result()
+            except Exception:
+                pass  # the dispatch is being dropped: its outcome is moot
+            finally:
+                self._cleanup()
 
     def _resolve(self):
         try:
@@ -590,7 +625,53 @@ def seal_open_submit(
     whole = backend.submit(
         [(_seal_open_whole, (mode, key, seals, opens, tag_length))]
     )
-    return SealOpenHandle(whole, lambda shards: shards[0], quarantine)
+    # A one-call span is never launched to a pool (see
+    # ExecutionBackend.submit): it computes at result() time, so a CCM
+    # one may instead resolve together with its in-flight neighbours.
+    group = (key, seals, opens, tag_length) if mode == "ccm" else None
+    return SealOpenHandle(whole, lambda shards: shards[0], quarantine,
+                          group=group)
+
+
+def resolve_together(handles: Sequence[SealOpenHandle]) -> None:
+    """Resolve the fusable CCM handles among *handles* in one engine call.
+
+    Fusable handles (:attr:`SealOpenHandle.fusable`) are the
+    unresolved whole-dispatch CCM ones (no arena, never launched to a
+    pool); their groups run through one :func:`_ccm_seal_open_groups`
+    call, so all their CBC-MAC chains share one lane sweep, and each
+    handle's memoized ``result()`` becomes its own pair —
+    byte-identical to resolving it alone.  A handle holding a poisoned
+    packet stops being fusable and later resolves alone (and
+    quarantines) through ``result()``.  If the fused call raises, no
+    handle is resolved and none stays fusable: each one meets the
+    error, or not, when it resolves alone.  GCM and arena handles are
+    left alone.  Fewer than two members leave every handle as it was.
+    """
+    members = []
+    for handle in handles:
+        if not handle.fusable:
+            continue
+        _key, seals, opens, _tag_length = handle._group
+        try:
+            _check_poisoned(seals)
+            _check_poisoned(opens)
+        except InjectedFault:
+            handle._group = None
+            continue
+        members.append(handle)
+    if len(members) < 2:
+        return
+    try:
+        pairs = _ccm_seal_open_groups([handle._group for handle in members])
+    except Exception:
+        # Each member resolves alone when collected and meets its own
+        # error there, or none.
+        for handle in members:
+            handle._group = None
+        return
+    for handle, pair in zip(members, pairs):
+        handle._result, handle._group = pair, None
 
 
 # -- lane-parallel CBC-MAC -------------------------------------------------
@@ -603,16 +684,38 @@ def _lane_order(messages: Sequence[bytes]) -> Tuple[List[int], List[int]]:
     return order, counts
 
 
+def _lane_keys(schedules: Sequence[Schedule], order: Sequence[int]):
+    """uint32 round keys of a sweep's lanes, in *order*.
+
+    ``(rounds + 1, 4, N)`` with one schedule per lane, or
+    ``(rounds + 1, 4, 1)``, broadcast over every lane, when they share
+    one.
+    """
+    distinct = list(dict.fromkeys(schedules))
+    if len(distinct) == 1:
+        return aes_vector._round_keys_array(distinct[0])
+    index = {schedule: i for i, schedule in enumerate(distinct)}
+    stacked = _np.concatenate(
+        [aes_vector._round_keys_array(schedule) for schedule in distinct], axis=2
+    )
+    return stacked[:, :, [index[schedules[i]] for i in order]]
+
+
 def _cbc_mac_lanes_vector(
-    round_keys: Schedule, messages: Sequence[bytes], iv: bytes
+    schedules: Sequence[Schedule], messages: Sequence[bytes], iv: bytes
 ) -> List[bytes]:
-    """All chains as lanes of one packed state; shorter lanes retire."""
+    """All chains as lanes of one packed state; shorter lanes retire.
+
+    Lane *i* runs under ``schedules[i]``; every schedule has the same
+    round count.
+    """
     from bisect import bisect_left
 
     order, counts = _lane_order(messages)
     lanes = len(messages)
     sorted_negated = [-counts[i] for i in order]
     max_blocks = counts[order[0]]
+    round_keys = _lane_keys(schedules, order)
     blocks = _np.zeros((max_blocks, 4, lanes), dtype=_np.uint32)
     for rank, index in enumerate(order):
         words = _np.frombuffer(messages[index], dtype=">u4").reshape(-1, 4)
@@ -625,7 +728,8 @@ def _cbc_mac_lanes_vector(
     for step in range(max_blocks):
         active = bisect_left(sorted_negated, -step)
         state[:, :active] = aes_vector.encrypt_state_vector(
-            state[:, :active] ^ blocks[step, :, :active], round_keys
+            state[:, :active] ^ blocks[step, :, :active],
+            round_keys[:, :, :active],
         )
     raw = aes_vector.state_to_bytes(state)
     macs: List[Optional[bytes]] = [None] * lanes
@@ -635,13 +739,14 @@ def _cbc_mac_lanes_vector(
 
 
 def _cbc_mac_lanes_scalar(
-    round_keys: Schedule, messages: Sequence[bytes], iv: bytes
+    schedules: Sequence[Schedule], messages: Sequence[bytes], iv: bytes
 ) -> List[bytes]:
     """Round-robin the lanes through the scalar T-table round.
 
     Same ragged-lane structure as the vector path (lane *i* absorbs its
     block *t* before any lane absorbs block *t+1*), so the fallback and
-    the vector engine walk the batch in the same order.
+    the vector engine walk the batch in the same order.  Lane *i* runs
+    under ``schedules[i]``.
     """
     order, counts = _lane_order(messages)
     states = [int.from_bytes(iv, "big")] * len(messages)
@@ -659,10 +764,36 @@ def _cbc_mac_lanes_scalar(
                 (x >> 64) & 0xFFFFFFFF,
                 (x >> 32) & 0xFFFFFFFF,
                 x & 0xFFFFFFFF,
-                round_keys,
+                schedules[index],
             )
             states[index] = (o0 << 96) | (o1 << 64) | (o2 << 32) | o3
     return [state.to_bytes(BLOCK_BYTES, "big") for state in states]
+
+
+def _cbc_mac_lanes(
+    schedules: Sequence[Schedule], messages: Sequence[bytes], iv: bytes
+) -> List[bytes]:
+    """CBC-MAC lane *i* of *messages* under ``schedules[i]``.
+
+    Lanes of one round count share one sweep, so there is one sweep per
+    key size present: vectorised from :data:`MIN_LANES` lanes, the
+    scalar round-robin below.
+    """
+    by_rounds = {}
+    for index, schedule in enumerate(schedules):
+        by_rounds.setdefault(len(schedule), []).append(index)
+    macs: List[Optional[bytes]] = [None] * len(messages)
+    for indices in by_rounds.values():
+        engine = (
+            _cbc_mac_lanes_vector
+            if HAVE_NUMPY and len(indices) >= MIN_LANES
+            else _cbc_mac_lanes_scalar
+        )
+        for index, mac in zip(indices, engine(
+            [schedules[i] for i in indices], [messages[i] for i in indices], iv
+        )):
+            macs[index] = mac
+    return macs
 
 
 def cbc_mac_many(
@@ -687,10 +818,8 @@ def cbc_mac_many(
             raise BlockSizeError("CBC-MAC requires at least one block")
     if not messages:
         return []
-    round_keys = _schedule(key_or_schedule)
-    if HAVE_NUMPY and len(messages) >= MIN_LANES:
-        return _cbc_mac_lanes_vector(round_keys, messages, iv)
-    return _cbc_mac_lanes_scalar(round_keys, messages, iv)
+    round_keys = tuple(tuple(words) for words in _schedule(key_or_schedule))
+    return _cbc_mac_lanes([round_keys] * len(messages), messages, iv)
 
 
 # -- fused counter keystreams ----------------------------------------------
@@ -899,22 +1028,27 @@ def gmac_many(
 # -- CCM -------------------------------------------------------------------
 
 
-def _ccm_seal_open(
-    key: bytes,
-    seals: Sequence[Sequence],
-    opens: Sequence[Sequence],
-    tag_length: int = 16,
-) -> Tuple[List[Tuple[bytes, bytes]], List[Optional[bytes]]]:
-    """Seal one same-key CCM list and open another, sharing every sweep.
+#: One CCM engine group: ``(key, seals, opens, tag_length)``.
+_CcmGroup = Tuple[bytes, Sequence[Sequence], Sequence[Sequence], int]
 
-    Every packet's counters ``A_0..A_m`` join one keystream sweep; the
-    opens decrypt, and then the seal and open CBC-MAC chains run as the
-    lanes of one :func:`cbc_mac_many` sweep — one pass of up to ~130
-    serial block steps per dispatch instead of one per direction.  Each
-    packet's outputs depend only on its own lanes, so the results are
-    byte-identical to per-packet :func:`repro.crypto.fast.bulk.ccm_seal`
-    and :func:`repro.crypto.fast.bulk.ccm_open`.  Never consults the
-    fault plan (the public callers do).
+
+def _ccm_seal_open_groups(
+    groups: Sequence[_CcmGroup],
+) -> List[Tuple[List[Tuple[bytes, bytes]], List[Optional[bytes]]]]:
+    """Seal and open several keys' CCM lists, sharing one CBC-MAC sweep.
+
+    Each group ``(key, seals, opens, tag_length)`` seals one list and
+    opens another under its own key, and gets back the pair
+    ``(sealed, opened)``.  Every group's counters ``A_0..A_m`` run as
+    one keystream sweep under its key; the opens decrypt, and then the
+    seal and open CBC-MAC chains of *every* group run as the lanes of
+    one sweep with per-lane round keys — one pass of up to ~130 serial
+    block steps for the whole call, not one per group or direction
+    (one per key size when the groups mix them).  Each packet's
+    outputs depend only on its own lanes, so the results are
+    byte-identical to per-packet :func:`repro.crypto.fast.bulk
+    .ccm_seal` and :func:`repro.crypto.fast.bulk.ccm_open`.  Never
+    consults the fault plan (the public callers do).
     """
     from repro.crypto.modes.ccm import (
         _check_params,
@@ -923,62 +1057,77 @@ def _ccm_seal_open(
         format_counter_block,
     )
 
-    if not HAVE_NUMPY:
-        return (
-            [
-                ccm_seal(key, bytes(p[0]), gather(p[1]),
-                         gather(p[2]) if len(p) > 2 else b"", tag_length)
-                for p in seals
-            ],
-            [
-                _open_one(ccm_open, key, bytes(p[0]), gather(p[1]),
-                          bytes(p[2]), gather(p[3]) if len(p) > 3 else b"")
-                for p in opens
-            ],
-        )
-    if not seals and not opens:
-        return [], []
-    opens = [_norm_open_packet(p) for p in opens]
-    # One (nonce, data, aad, tag_length) row per lane, seals first.
-    lanes = [(*_norm_seal_packet(p), tag_length) for p in seals]
-    lanes += [(nonce, data, aad, len(tag)) for nonce, data, tag, aad in opens]
-    for nonce, data, _aad, tag_len in lanes:
-        _check_params(nonce, tag_len, len(data))
-    round_keys = expand_key_cached(bytes(key))
-    runs = _fused_keystream(round_keys, [
-        (int.from_bytes(format_counter_block(nonce, 0), "big"),
-         8 * (15 - len(nonce)),
-         -(-len(data) // BLOCK_BYTES) + 1)  # A_0..A_m
-        for nonce, data, _aad, _tag_len in lanes
-    ])
-    # run = S_0 || keystream.  Seals MAC their plaintext, opens the
-    # plaintext they decrypt to.
-    n_seals = len(seals)
-    texts = [
-        data if lane < n_seals else xor_data(data, run[BLOCK_BYTES:])
-        for lane, ((_n, data, _a, _t), run) in enumerate(zip(lanes, runs))
-    ]
-    macs = cbc_mac_many(round_keys, [
-        format_b0(nonce, len(aad), len(text), tag_len)
-        + format_associated_data(aad)
-        + pad_zeros(text, BLOCK_BYTES)
-        for (nonce, _data, aad, tag_len), text in zip(lanes, texts)
-    ])
-    tags = [
-        xor_data(mac, run[:BLOCK_BYTES])[:tag_len]
-        for mac, run, (_n, _d, _a, tag_len) in zip(macs, runs, lanes)
-    ]
-    sealed = [
-        (xor_data(text, run[BLOCK_BYTES:]), tag)
-        for text, run, tag in zip(texts, runs, tags[:n_seals])
-    ]
-    opened = [
-        text if hmac.compare_digest(expected, tag) else None
-        for (_n, _d, tag, _a), text, expected in zip(
-            opens, texts[n_seals:], tags[n_seals:]
-        )
-    ]
-    return sealed, opened
+    staged = []  # (opens, lanes, masks, outputs, n_seals) per group
+    schedules: List[Schedule] = []
+    chains: List[bytes] = []
+    for key, seals, opens, tag_length in groups:
+        opens = [_norm_open_packet(p) for p in opens]
+        # One (nonce, data, aad, tag_length) row per lane, seals first.
+        lanes = [(*_norm_seal_packet(p), tag_length) for p in seals]
+        lanes += [(nonce, data, aad, len(tag)) for nonce, data, tag, aad in opens]
+        n_seals = len(seals)
+        runs: List[bytes] = []
+        if lanes:
+            for nonce, data, _aad, tag_len in lanes:
+                _check_params(nonce, tag_len, len(data))
+            round_keys = expand_key_cached(bytes(key))
+            runs = _fused_keystream(round_keys, [
+                (int.from_bytes(format_counter_block(nonce, 0), "big"),
+                 8 * (15 - len(nonce)),
+                 -(-len(data) // BLOCK_BYTES) + 1)  # A_0..A_m
+                for nonce, data, _aad, _tag_len in lanes
+            ])
+            schedules += [round_keys] * len(lanes)
+        # run = S_0 || keystream: the ciphertext of a seal, the
+        # plaintext of an open.  Only S_0 outlives this loop, so the
+        # keystreams of many groups never wait for the sweep together.
+        outputs = [
+            xor_data(data, run[BLOCK_BYTES:])
+            for (_n, data, _a, _t), run in zip(lanes, runs)
+        ]
+        masks = [run[:BLOCK_BYTES] for run in runs]
+        for lane, ((nonce, data, aad, tag_len), output) in enumerate(
+            zip(lanes, outputs)
+        ):
+            # Seals MAC their plaintext, opens the one they decrypt to.
+            text = data if lane < n_seals else output
+            chains.append(
+                format_b0(nonce, len(aad), len(text), tag_len)
+                + format_associated_data(aad)
+                + pad_zeros(text, BLOCK_BYTES)
+            )
+        staged.append((opens, lanes, masks, outputs, n_seals))
+    macs = iter(_cbc_mac_lanes(schedules, chains, _ZERO_IV))
+    results = []
+    for opens, lanes, masks, outputs, n_seals in staged:
+        tags = [
+            xor_data(next(macs), mask)[:tag_len]
+            for mask, (_n, _d, _a, tag_len) in zip(masks, lanes)
+        ]
+        sealed = list(zip(outputs[:n_seals], tags[:n_seals]))
+        opened = [
+            text if hmac.compare_digest(expected, tag) else None
+            for (_n, _d, tag, _a), text, expected in zip(
+                opens, outputs[n_seals:], tags[n_seals:]
+            )
+        ]
+        results.append((sealed, opened))
+    return results
+
+
+def _ccm_seal_open(
+    key: bytes,
+    seals: Sequence[Sequence],
+    opens: Sequence[Sequence],
+    tag_length: int = 16,
+) -> Tuple[List[Tuple[bytes, bytes]], List[Optional[bytes]]]:
+    """Seal one same-key CCM list and open another, sharing every sweep.
+
+    The one-group case of :func:`_ccm_seal_open_groups`: one counter
+    sweep over all packets, then one CBC-MAC lane sweep over the seal
+    chains and the decrypted open chains together.
+    """
+    return _ccm_seal_open_groups([(key, seals, opens, tag_length)])[0]
 
 
 def ccm_seal_many(

@@ -111,6 +111,13 @@ class DispatchHandle:
     returns for the same batch, and memoized.  A batch that
     dead-lettered at submit time (unreadable key) comes back as an
     already-completed handle.
+
+    When its own batch still has to compute, ``result()`` first
+    resolves every dispatch the device has in flight together
+    (:func:`repro.crypto.fast.batch.resolve_together`): the inline CCM
+    ones share one CBC-MAC lane sweep across their keys, and each
+    keeps its result for its own ``result()``, where its jobs are
+    stamped as before.  GCM and arena dispatches resolve alone.
     """
 
     __slots__ = (
@@ -144,6 +151,7 @@ class DispatchHandle:
     def result(self) -> List[BatchResult]:
         """Collect the batch: stamp jobs, update stats (memoized)."""
         if self._results is None:
+            self._mccp._resolve_in_flight(self._handle)
             sealed, opened = self._handle.result()
             self._results = self._mccp._finish_batch(
                 self._channel, self._batch,
@@ -153,6 +161,16 @@ class DispatchHandle:
                 self._channel.stats.get("batches", 0) + 1
             )
         return self._results
+
+    def discard(self) -> None:
+        """Drop the batch uncollected: no job is stamped, no counter moves.
+
+        Whatever the dispatch holds is released (an arena generation
+        only once its workers are done), so an interrupted drain leaks
+        nothing.
+        """
+        if self._results is None:
+            self._handle.abandon()
 
 
 class Mccp:
@@ -213,6 +231,10 @@ class Mccp:
         #: Mirrors the hardware registers of section III.B.
         self.instruction_register = 0
         self.return_register = 0
+        #: Batch-engine handles of in-flight dispatches that may still
+        #: resolve together (:func:`repro.crypto.fast.batch
+        #: .resolve_together`), in submission order.
+        self._in_flight: List[object] = []
 
     # -- register-level protocol ------------------------------------------------
 
@@ -405,10 +427,14 @@ class Mccp:
         its retry loop) and the backend submission happen here, then
         the caller gets the handle back while process workers
         run the crypto — a pipelined drain keeps coalescing the *next*
-        batch meanwhile.  Job stamping, channel counters and the
-        quarantine/dead-letter routing all run inside
-        ``handle.result()``; an unreadable key dead-letters the whole
-        batch immediately and returns an already-completed handle.
+        batch meanwhile.  An inline CCM dispatch computes nothing yet:
+        it waits in the device's in-flight set, and the first
+        collection that needs a result resolves the whole set in one
+        multi-key engine call (see :class:`DispatchHandle`).  Job
+        stamping, channel counters and the quarantine/dead-letter
+        routing all run inside ``handle.result()``; an unreadable key
+        dead-letters the whole batch immediately and returns an
+        already-completed handle.
         """
         channel = self.scheduler.get_channel(channel_id)
         resolved = resolve_backend(
@@ -579,9 +605,29 @@ class Mccp:
             isolate=True,
             key_ref=(channel.key_id, key_epoch(channel.key_id)),
         )
+        if handle.fusable:
+            self._in_flight.append(handle)
         return DispatchHandle(
             self, channel, list(batch), seal_indices, open_indices, handle
         )
+
+    def _resolve_in_flight(self, handle) -> None:
+        """Before *handle* is collected, resolve it with its neighbours.
+
+        Only a collection that still has to compute runs the joint
+        resolution, so every dispatch submitted before it joins: a
+        drain that reaps an already resolved batch leaves the others
+        waiting for the next one.  Whatever cannot join resolves alone
+        when collected.
+        """
+        from repro.crypto.fast import batch as fast_batch
+
+        if handle.fusable:
+            fast_batch.resolve_together(self._in_flight)
+        self._in_flight = [
+            other for other in self._in_flight
+            if other.fusable and other is not handle
+        ]
 
     def _finish_batch(
         self,

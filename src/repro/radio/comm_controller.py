@@ -14,9 +14,9 @@ pipeline built around :class:`repro.mccp.channel.PacketJob`:
   queued jobs dispatch — a size threshold (``coalesce_limit``) and a
   sim-time idle deadline (``flush_deadline``) so low-traffic channels
   never stall a packet waiting for batch-mates;
-- each dispatch pops one batch, charges the modelled control +
-  crossbar transfer time, *submits* the batch to the batch engine
-  (:meth:`repro.mccp.mccp.Mccp.dispatch_jobs_async`) and reaps the
+- each dispatch pops one batch, *submits* it to the batch engine
+  (:meth:`repro.mccp.mccp.Mccp.dispatch_jobs_async`), charges the
+  modelled control + crossbar transfer time and reaps the
   channel's oldest submissions FIFO once more than
   :attr:`CommController.pipeline_depth` are in flight, fanning
   completions back out to per-packet :class:`CompletedTransfer`
@@ -366,7 +366,18 @@ class CommController:
         batches (deadline/end-of-stream); otherwise only full batches
         leave.
 
-        Every dispatch is *submitted*, then the drain reaps the
+        Every dispatch is *submitted* as soon as its batch leaves the
+        queue, before those delays: the channel's key is read from key
+        memory at that moment — the control instruction precedes the
+        crossbar upload in the model — so a key rewritten while the
+        drain sleeps in the control or crossbar charge applies to the
+        next batch, not this one (a rekey barrier cannot land there
+        anyway: ``flush_now`` waits for the drain).  Submitting early
+        lets process workers start during the modelled delay, and lets
+        the first collection resolve every channel's inline CCM
+        dispatch together (:meth:`repro.mccp.mccp.DispatchHandle
+        .result`).  Completions are still stamped with the cycle after
+        the delays.  After the delays the drain reaps the
         channel's oldest handle while more than :attr:`pipeline_depth`
         are in flight — at depth 0 that is the dispatch just submitted,
         so the batch completes before the drain goes on.  A forced
@@ -397,15 +408,18 @@ class CommController:
                 # close_channel until their completions fire — the
                 # dispatch is about to yield simulated time.
                 channel.in_flight += len(batch)
+                handle = None
                 try:
-                    yield self.mccp.scheduler.overhead_delay()
-                    words = sum(job_transfer_words(job) for job in batch)
-                    yield Delay(words * self.mccp.timing.crossbar_word_cycles)
                     handle = self.mccp.dispatch_jobs_async(
                         cid, batch, backend=self.backend
                     )
+                    yield self.mccp.scheduler.overhead_delay()
+                    words = sum(job_transfer_words(job) for job in batch)
+                    yield Delay(words * self.mccp.timing.crossbar_word_cycles)
                 except BaseException:
                     channel.in_flight -= len(batch)
+                    if handle is not None:
+                        handle.discard()
                     raise
                 queue.append(_InflightDispatch(handle, batch, self.sim.now))
                 stats = channel.stats

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.throughput import WorkloadReport
 from repro.core.params import Algorithm, Direction
@@ -480,7 +480,13 @@ class SdrPlatform:
         queue_capacity: Optional[int] = None,
         controller: Optional[AdmissionController] = None,
     ) -> None:
-        """Provision every channel and spawn its traffic process."""
+        """Provision every channel and spawn its traffic process.
+
+        Every channel is provisioned and its traffic generated first,
+        then one :meth:`_rx_plans` call builds all channels' rx plans,
+        then the processes spawn in channel order.
+        """
+        launches = []
         for config in configs:
             channel, profile = self.provision_channel(config)
             channels.append(channel)
@@ -497,18 +503,20 @@ class SdrPlatform:
                 seed=self.seed,
                 priority=config.priority,
             )
-            schedule = generator.generate(config.packets)
-            plans = self._rx_plans(
+            launches.append((config, channel, generator.generate(config.packets)))
+        all_plans = self._rx_plans([
+            (
                 channel,
                 schedule,
-                _check_rate(
-                    "rx_fraction", config.rx_fraction or rx_fraction
-                ),
+                _check_rate("rx_fraction", config.rx_fraction or rx_fraction),
                 _check_rate("loss_rate", config.loss_rate or loss_rate),
                 _check_rate(
                     "corrupt_rate", config.corrupt_rate or corrupt_rate
                 ),
             )
+            for config, channel, schedule in launches
+        ])
+        for (config, channel, schedule), plans in zip(launches, all_plans):
             finished = self.sim.event(f"chan{channel.channel_id}.drained")
             done_events.append(finished)
             batched = (
@@ -535,61 +543,77 @@ class SdrPlatform:
 
     def _rx_plans(
         self,
-        channel: Channel,
-        schedule: Sequence[GeneratedPacket],
-        rx_fraction: float,
-        loss_rate: float,
-        corrupt_rate: float,
-    ) -> List[Optional[_RxPlan]]:
+        requests: Sequence[
+            Tuple[Channel, Sequence[GeneratedPacket], float, float, float]
+        ],
+    ) -> List[List[Optional[_RxPlan]]]:
         """Per-packet rx decisions and pre-sealed arrivals (None = tx).
 
+        One ``(channel, schedule, rx_fraction, loss_rate,
+        corrupt_rate)`` request per channel, one plan list per request.
         The platform plays the peer radio here, outside simulated time.
-        It first draws every packet's decisions — rx or tx, then loss,
-        then tag corruption — from one rng seeded by ``(seed,
-        channel_id)``, in sequence order.  It then seals all of the
-        channel's rx packets under the channel key and their
-        deterministic per-(channel, sequence) nonces in one same-key
-        batch call (:mod:`repro.crypto.fast.batch`, byte-identical to
-        per-packet seals), and flips a tag byte on the corrupted ones.
-        So the same mixed workload replays identically through either
-        dataplane and any execution backend.  The peer radio is outside
-        the fault domain: an active fault plan never affects the seal
-        here, and a poisoned rx nonce faults at dispatch instead.
+        For each channel it first draws every packet's decisions — rx
+        or tx, then loss, then tag corruption — from one rng seeded by
+        ``(seed, channel_id)``, in sequence order.  It then seals the rx
+        packets under each channel's key and their deterministic
+        per-(channel, sequence) nonces: every CCM channel's in one
+        multi-key batch call whose CBC-MAC chains share one lane sweep
+        (:mod:`repro.crypto.fast.batch`), each GCM channel's in one
+        same-key call — all byte-identical to per-packet seals — and
+        flips a tag byte on the corrupted ones.  So the same mixed
+        workload replays identically through either dataplane and any
+        execution backend.  The peer radio is outside the fault domain:
+        an active fault plan never affects the seal here, and a
+        poisoned rx nonce faults at dispatch instead.
         """
-        if rx_fraction <= 0.0 or channel.algorithm not in BATCHABLE_ALGORITHMS:
-            return [None] * len(schedule)
-        from repro.crypto.fast.batch import ccm_seal_many, gcm_seal_many
+        from repro.crypto.fast.batch import _ccm_seal_open_groups, gcm_seal_many
 
-        rng = random.Random(
-            (self.seed << 20) ^ (channel.channel_id << 4) ^ 0x52585F
-        )
-        received = []  # (schedule index, lost, corrupted) per rx packet
-        for index in range(len(schedule)):
-            if rng.random() >= rx_fraction:
+        all_plans: List[List[Optional[_RxPlan]]] = []
+        ccm, gcm = [], []  # (plans, rows, nonces, key, packets, tag length)
+        for channel, schedule, rx_fraction, loss_rate, corrupt_rate in requests:
+            plans: List[Optional[_RxPlan]] = [None] * len(schedule)
+            all_plans.append(plans)
+            if rx_fraction <= 0.0 or channel.algorithm not in BATCHABLE_ALGORITHMS:
                 continue
-            lost = rng.random() < loss_rate
-            corrupted = not lost and rng.random() < corrupt_rate
-            received.append((index, lost, corrupted))
-        packets = [schedule[index].packet for index, _, _ in received]
-        nonces = [self.comm.nonce_for(channel, p.sequence) for p in packets]
-        seal_many = (
-            gcm_seal_many if channel.algorithm is Algorithm.GCM else ccm_seal_many
-        )
-        key = self.mccp.key_memory.fetch_for_scheduler(channel.key_id)
-        with injected_faults(None):
-            sealed = seal_many(
-                key,
+            rng = random.Random(
+                (self.seed << 20) ^ (channel.channel_id << 4) ^ 0x52585F
+            )
+            rows = []  # (schedule index, lost, corrupted) per rx packet
+            for index in range(len(schedule)):
+                if rng.random() >= rx_fraction:
+                    continue
+                lost = rng.random() < loss_rate
+                corrupted = not lost and rng.random() < corrupt_rate
+                rows.append((index, lost, corrupted))
+            packets = [schedule[index].packet for index, _, _ in rows]
+            nonces = [self.comm.nonce_for(channel, p.sequence) for p in packets]
+            (ccm if channel.algorithm is Algorithm.CCM else gcm).append((
+                plans,
+                rows,
+                nonces,
+                self.mccp.key_memory.fetch_for_scheduler(channel.key_id),
                 [(n, p.payload, p.header) for n, p in zip(nonces, packets)],
                 channel.tag_length,
-            )
-        plans: List[Optional[_RxPlan]] = [None] * len(schedule)
-        for (index, lost, corrupted), nonce, (ciphertext, tag) in zip(
-            received, nonces, sealed
-        ):
-            if corrupted:
-                tag = tag[:-1] + bytes([tag[-1] ^ 0xFF])
-            plans[index] = _RxPlan(nonce, ciphertext, tag, lost, corrupted)
-        return plans
+            ))
+        with injected_faults(None):
+            sealed = [
+                pair[0] for pair in _ccm_seal_open_groups([
+                    (key, packets, (), tag_length)
+                    for *_, key, packets, tag_length in ccm
+                ])
+            ]
+            sealed += [
+                gcm_seal_many(key, packets, tag_length)
+                for *_, key, packets, tag_length in gcm
+            ]
+        for (plans, rows, nonces, *_), channel_sealed in zip(ccm + gcm, sealed):
+            for (index, lost, corrupted), nonce, (ciphertext, tag) in zip(
+                rows, nonces, channel_sealed
+            ):
+                if corrupted:
+                    tag = tag[:-1] + bytes([tag[-1] ^ 0xFF])
+                plans[index] = _RxPlan(nonce, ciphertext, tag, lost, corrupted)
+        return all_plans
 
     def _rx_arrival(
         self, report: WorkloadReport, packet: Packet, plan: _RxPlan

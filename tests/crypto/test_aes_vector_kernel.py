@@ -5,7 +5,10 @@ lane by lane against the scalar T-table block encryption
 (:func:`repro.crypto.fast.aes_ttable.encrypt_words_tt`) for every key
 size, lane counts from one to a thousand, and every input layout the
 callers hand it: C-ordered, Fortran-ordered, a column slice of a wider
-state and a big-endian ``>u4`` view.
+state and a big-endian ``>u4`` view.  With a ``(rounds + 1, 4, N)``
+round-key array each lane runs under its own key: lane by lane it must
+match the scalar encryption under that lane's schedule, also when the
+key array is a column slice of a wider one.
 """
 
 import random
@@ -79,3 +82,63 @@ def test_does_not_modify_its_input():
     before = state.copy()
     aes_vector.encrypt_state_vector(state, round_keys)
     assert np.array_equal(state, before)
+
+
+PER_LANE_LANES = (1, 2, 7, 8, 33, 300)
+
+
+def _per_lane_case(key_bytes, lanes):
+    """A state, four keys of one size dealt to the lanes, the oracle."""
+    import numpy as np
+
+    rng = random.Random(key_bytes * 77_000 + lanes)
+    schedules = [
+        expand_key_cached(bytes(rng.getrandbits(8) for _ in range(key_bytes)))
+        for _ in range(4)
+    ]
+    lane_keys = [rng.choice(schedules) for _ in range(lanes)]
+    state = np.array(
+        [[rng.getrandbits(32) for _ in range(lanes)] for _ in range(4)],
+        dtype=np.uint32,
+    )
+    expected = np.array(
+        [
+            encrypt_words_tt(*map(int, state[:, lane]), lane_keys[lane])
+            for lane in range(lanes)
+        ],
+        dtype=np.uint32,
+    ).T
+    keys = np.stack([np.array(schedule, dtype=np.uint32) for schedule in lane_keys], axis=2)
+    return np, state, keys, expected
+
+
+@pytest.mark.parametrize("lanes", PER_LANE_LANES)
+@pytest.mark.parametrize("key_bytes", KEY_BYTES)
+def test_per_lane_keys_match_scalar_blocks(key_bytes, lanes):
+    np, state, keys, expected = _per_lane_case(key_bytes, lanes)
+    assert keys.shape == (len(keys), 4, lanes)
+    out = aes_vector.encrypt_state_vector(state, keys)
+    assert out.shape == (4, lanes) and out.dtype == np.uint32
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("lanes", PER_LANE_LANES)
+@pytest.mark.parametrize("key_bytes", KEY_BYTES)
+def test_per_lane_keys_column_sliced_key_array(key_bytes, lanes):
+    np, state, keys, expected = _per_lane_case(key_bytes, lanes)
+    # Every lane's schedule twice over: the even columns are a strided view.
+    wide = np.repeat(keys, 2, axis=2)
+    sliced = wide[:, :, ::2]
+    assert not sliced.flags.c_contiguous
+    assert np.array_equal(aes_vector.encrypt_state_vector(state, sliced), expected)
+    prefix = wide[:, :, : 2 * lanes : 2][:, :, : lanes - 1]
+    assert np.array_equal(
+        aes_vector.encrypt_state_vector(state[:, : lanes - 1], prefix),
+        expected[:, : lanes - 1],
+    )
+
+
+def test_one_shared_schedule_equals_it_repeated_per_lane():
+    np, round_keys, _wide, state, expected = _case(24, 33)
+    per_lane = np.repeat(np.array(round_keys, dtype=np.uint32)[:, :, None], 33, axis=2)
+    assert np.array_equal(aes_vector.encrypt_state_vector(state, per_lane), expected)

@@ -128,3 +128,33 @@ def test_fused_keystream_scalar_fallback(no_numpy):
     assert streams == [
         ctr_stream(key, c0.to_bytes(16, "big"), n, bits) for c0, bits, n in specs
     ]
+
+
+
+def test_ccm_groups_scalar_fallback(no_numpy):
+    """Several keys' CCM groups, lane totals on both sides of MIN_LANES."""
+    from repro.crypto.fast.bulk import ccm_open, ccm_seal
+
+    rng = random.Random(0x94)
+    for count, lanes in ((1, 1), (3, 2), (6, batch_module.MIN_LANES)):
+        keys = [rng.randbytes(rng.choice((16, 24, 32))) for _ in range(count)]
+        groups, expected = [], []
+        for index, key in enumerate(keys[:1] + keys[:-1]):  # a key twice
+            seals = [
+                (rng.randbytes(13), rng.randbytes(rng.choice((0, 17, 40))), b"h")
+                for _ in range(lanes - lanes // 2)
+            ]
+            sealed = [ccm_seal(key, n, d, a, 8) for n, d, a in seals]
+            opens = [
+                (n, ct, tag if lane % 2 else bytes(8), a)
+                for lane, ((n, _d, a), (ct, tag)) in enumerate(zip(seals, sealed))
+            ][: lanes // 2]
+            groups.append((key, seals, opens, 8))
+            expected.append((
+                sealed,
+                [
+                    ccm_open(key, n, ct, tag, a) if lane % 2 else None
+                    for lane, (n, ct, tag, a) in enumerate(opens)
+                ],
+            ))
+        assert batch_module._ccm_seal_open_groups(groups) == expected

@@ -1,7 +1,7 @@
 """The peer radio's rx pre-seal is outside the fault domain.
 
-``SdrPlatform._rx_plans`` seals every rx packet of a channel in one
-batch call before the replay starts.  A fault plan that poisons an rx
+``SdrPlatform._rx_plans`` seals every channel's rx packets in batch
+calls before the replay starts.  A fault plan that poisons an rx
 packet's nonce must not reach that seal: set-up builds the same rx
 plans as without a plan, and the packet faults where a poisoned
 packet always does — at dispatch, where it is quarantined and
@@ -24,10 +24,11 @@ def _run(plan, monkeypatch):
     built = []
     original = SdrPlatform._rx_plans
 
-    def recording(self, channel, *args):
-        plans = original(self, channel, *args)
-        built.append((channel.channel_id, plans))
-        return plans
+    def recording(self, requests):
+        all_plans = original(self, requests)
+        for (channel, *_), plans in zip(requests, all_plans):
+            built.append((channel.channel_id, plans))
+        return all_plans
 
     monkeypatch.setattr(SdrPlatform, "_rx_plans", recording)
     configs = [
