@@ -66,10 +66,11 @@ def main(argv=None) -> Path:
     window = 0.02 if args.quick else args.seconds
 
     results = {}
-    for name, fn in build_kernels().items():
-        ops_per_s, iters = measure(fn, window)
-        results[name] = {"ops_per_s": round(ops_per_s, 2), "iterations": iters}
-        print(f"{name:28s} {ops_per_s:12.1f} ops/s  ({iters} iters)")
+    with resilience_stats.counting() as recovery:
+        for name, fn in build_kernels().items():
+            ops_per_s, iters = measure(fn, window)
+            results[name] = {"ops_per_s": round(ops_per_s, 2), "iterations": iters}
+            print(f"{name:28s} {ops_per_s:12.1f} ops/s  ({iters} iters)")
 
     speedups = {}
     for name in results:
@@ -134,7 +135,7 @@ def main(argv=None) -> Path:
         # Recovery counters accrued while benchmarking: a non-zero
         # retry/degradation count here flags that the timing numbers
         # were taken on a struggling host.
-        "resilience": resilience_stats.snapshot(),
+        "resilience": recovery.as_dict(),
         "benchmarks": results,
         "speedups": speedups,
     }

@@ -6,11 +6,14 @@ column comes from simulating real 2 KB packets.  ``PAPER_TABLE2`` pins
 the published values for paper-vs-measured reporting.
 
 :class:`WorkloadReport` is the aggregate record every
-:meth:`repro.radio.sdr_platform.SdrPlatform.run_workload` run returns.
-Since the dataplane refactor it also carries per-channel queue-depth
-and backpressure statistics, so a batched run exposes how well the
-flush policy coalesced (queue peaks, dispatch widths, what triggered
-each flush) alongside the classic throughput/latency numbers.
+:meth:`repro.radio.sdr_platform.SdrPlatform.run_workload` run (and
+every session storm) returns.  Every value in it belongs to that one
+run: the platform fills it from the run's own counter scope, so a
+reused platform reports each run alone.  Beside the classic
+throughput/latency numbers it carries per-channel queue-depth and
+backpressure statistics, so a batched run exposes how well the flush
+policy coalesced (queue peaks, dispatch widths, what triggered each
+flush).
 """
 
 from __future__ import annotations
@@ -128,12 +131,6 @@ class WorkloadReport:
     #: seed, so "why did it widen here" is answerable offline from any
     #: sweep artifact.
     autotune_traces: Dict[int, List[dict]] = field(default_factory=dict)
-    #: The workload advisor's picks, when consulted (``WorkloadSpec``
-    #: with ``autotune=AutotuneConfig(advise_backend=True)`` and no
-    #: pinned backend); empty/zero otherwise.
-    autotune_backend: str = ""
-    autotune_policy: str = ""
-    autotune_pipeline_depth: int = 0
     # -- session layer --------------------------------------------------
     #: Sessions the session manager started / ran to teardown.
     sessions_started: int = 0

@@ -100,6 +100,7 @@ from repro.errors import (
     TagError,
 )
 from repro.resilience import faults as _faults
+from repro.resilience import stats as _resilience_stats
 from repro.utils.bytesops import pad_zeros
 
 try:  # pragma: no cover - exercised implicitly by every import
@@ -303,9 +304,13 @@ def _arena_open_shard(mode: str, key: bytes, key_ref, slab_name: str,
         return cache_info().misses - before, verified
 
 
-def _arena_collect(backend, generation, shards, n_seal_spans,
+def _arena_collect(generation, shards, n_seal_spans,
                    seal_descs, open_descs, tag_length: int):
-    """Read a finished arena dispatch back out of the slab, in order."""
+    """Read a finished arena dispatch back out of the slab, in order.
+
+    The workers' key-schedule expansions count toward the open scopes'
+    ``key_schedule_expansions``.
+    """
     view = generation.view
     expansions = 0
     for expanded, _flags in shards[:n_seal_spans]:
@@ -323,9 +328,7 @@ def _arena_collect(backend, generation, shards, n_seal_spans,
         bytes(view[out:out + dl]) if ok else None
         for (_n, _t, _d, dl, _a, _al, out), ok in zip(open_descs, verified)
     ]
-    record = getattr(backend, "record_worker_expansions", None)
-    if record is not None:
-        record(expansions)
+    _resilience_stats.add("key_schedule_expansions", expansions)
     return sealed, opened
 
 
@@ -385,7 +388,7 @@ def _arena_submit(backend, arena, mode: str, key: bytes, key_ref,
 
     def _collect(shards):
         return _arena_collect(
-            backend, generation, shards, len(seal_spans),
+            generation, shards, len(seal_spans),
             seal_descs, open_descs, tag_length,
         )
 

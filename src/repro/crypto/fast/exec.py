@@ -19,8 +19,8 @@ Two implementations:
   observe a cache mid-mutation.  Payloads live in a shared-memory
   packet arena (:mod:`repro.crypto.fast.arena`) and shard calls pickle
   only span descriptors; workers stay warm across dispatches, so
-  key-schedule/H-power caches persist
-  (:attr:`ProcessPoolBackend.worker_expansions` counts rebuilds).
+  key-schedule/H-power caches persist (a run's
+  ``key_schedule_expansions`` counts rebuilds).
 
   The pool has one health state, :attr:`ProcessPoolBackend.inline_reason`.
   It is set, once and for good, when the host cannot run workers (a
@@ -66,7 +66,8 @@ an alias of ``process``) seeds the process-wide default; every
 ``backend=`` parameter up the stack (``seal_open_submit`` /
 ``seal_open_many``, ``Mccp.dispatch_jobs_async``,
 ``WorkloadSpec``) accepts a backend instance, a spec string, or
-``None`` for the default.
+``None`` for the default.  The default and the spec-shared backends
+belong to one process: a forked child builds its own on first use.
 """
 
 from __future__ import annotations
@@ -419,7 +420,7 @@ class ExecutionBackend(ABC):
 
     @staticmethod
     def _note_retry(attempt: int, policy: ResiliencePolicy) -> int:
-        resilience_stats.record_retry()
+        resilience_stats.add("retries")
         pause = policy.backoff(attempt)
         if pause > 0:
             time.sleep(pause)
@@ -505,7 +506,7 @@ def _pooled_outcomes(futures, timeout: Optional[float]):
         except FutureTimeout:
             for pending in futures:
                 pending.cancel()
-            resilience_stats.record_watchdog()
+            resilience_stats.add("watchdog_fires")
             raise BatchTimeoutError(
                 f"backend span exceeded its {timeout:.3f}s watchdog"
             ) from None
@@ -544,11 +545,6 @@ class ProcessPoolBackend(ExecutionBackend):
         #: crash storm or a watchdog; from then on ``workers == 1`` and
         #: :meth:`dispatch_arena` returns None.
         self.inline_reason: Optional[str] = None
-        #: Key-schedule expansions reported by arena shard workers —
-        #: the warm-cache observable: a steady-state same-key storm
-        #: stops incrementing this once every worker has expanded the
-        #: key once, and a rekey adds at most one per worker.
-        self.worker_expansions = 0
 
     @property
     def workers(self) -> int:
@@ -576,10 +572,6 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._go_inline(f"shared-memory arena unavailable: {exc}")
                 return None
         return self._arena
-
-    def record_worker_expansions(self, count: int) -> None:
-        """Tally key-schedule expansions a collected dispatch reported."""
-        self.worker_expansions += count
 
     def _go_inline(self, reason: str) -> None:
         """Enter the inline state for good, dropping any pool."""
@@ -799,6 +791,27 @@ def _close_shared_backends() -> None:
             backend.close()
     _DEFAULT_BACKEND = None
     _SHARED_BACKENDS.clear()
+
+
+#: Backends a forked child inherited from its parent.  Held, never
+#: used: their pools' workers, queues and manager thread belong to the
+#: parent, and collecting them would run their finalizers here.
+_INHERITED_BACKENDS: list = []
+
+
+def _forget_inherited_backends() -> None:
+    # A forked child (e.g. a sweep-runner pool worker) that submitted
+    # to its parent's pool would wait forever.  It re-resolves the
+    # default and spec strings on first use, so a daemonic child falls
+    # back to inline as _ensure_pool intends.
+    global _DEFAULT_BACKEND
+    _INHERITED_BACKENDS.extend((_DEFAULT_BACKEND, *_SHARED_BACKENDS.values()))
+    _DEFAULT_BACKEND = None
+    _SHARED_BACKENDS.clear()
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX CI
+    os.register_at_fork(after_in_child=_forget_inherited_backends)
 
 
 __all__ = [

@@ -34,6 +34,10 @@ from repro.resilience import stats as resilience_stats
 #: One unit of work: (scenario name, case index, params, seed, quick).
 RunUnit = Tuple[str, int, Dict[str, object], int, bool]
 
+#: One finished case: (scenario name, case index, metrics, the case's
+#: resilience counters as :meth:`RunCounters.as_dict` gives them).
+Outcome = Tuple[str, int, Metrics, Dict[str, object]]
+
 #: JSON-safe scalar types a scenario may return as metric values.
 _SCALARS = (bool, int, float, str)
 
@@ -57,17 +61,20 @@ def build_units(
     return units
 
 
-def execute_unit(unit: RunUnit) -> Tuple[str, int, Metrics]:
+def execute_unit(unit: RunUnit) -> Outcome:
     """Run one case (in this process); validates the metrics contract.
 
-    Top-level (not a closure) so it pickles by reference into
-    multiprocessing workers under both fork and spawn start methods.
+    The case runs in its own counter scope, whose counters come back
+    with its metrics.  Top-level (not a closure) so it pickles by
+    reference into multiprocessing workers under both fork and spawn
+    start methods.
     """
     name, index, params, seed, quick = unit
     scenario = get(name)
     if "timing" in scenario.tags:
         clear_caches()
-    metrics = scenario.fn(dict(params), seed, quick)
+    with resilience_stats.counting() as counters:
+        metrics = scenario.fn(dict(params), seed, quick)
     if not isinstance(metrics, dict) or not metrics:
         raise ExperimentError(
             f"scenario {name!r} returned {type(metrics).__name__}, "
@@ -79,7 +86,17 @@ def execute_unit(unit: RunUnit) -> Tuple[str, int, Metrics]:
                 f"scenario {name!r} metric {key!r} is "
                 f"{type(value).__name__}; metrics must be JSON-safe scalars"
             )
-    return name, index, metrics
+    return name, index, metrics, counters.as_dict()
+
+
+def _sum_counters(outcomes: Sequence[Outcome]) -> Dict[str, object]:
+    """Every case's resilience counters added up in case order."""
+    total = resilience_stats.RunCounters()
+    for _name, _index, _metrics, counters in outcomes:
+        for key in resilience_stats.COUNTERS:
+            total[key] += counters[key]
+        total.degradation_reasons.extend(counters["degradation_reasons"])
+    return total.as_dict()
 
 
 def run_sweep(
@@ -102,7 +119,7 @@ def run_sweep(
     else:
         outcomes = [execute_unit(unit) for unit in units]
 
-    by_case = {(name, index): metrics for name, index, metrics in outcomes}
+    by_case = {(name, index): metrics for name, index, metrics, _ in outcomes}
     scenario_block: Dict[str, object] = {}
     for scenario in scenarios:
         cases = []
@@ -134,10 +151,11 @@ def run_sweep(
         # backend-parametrized kernels and the backend_sweep scenario).
         "backend": default_backend().name,
         "cpu_count": os.cpu_count(),
-        # Recovery counters accrued in this (parent) process during the
-        # sweep — chaos legs and any incidental degradations leave their
-        # fingerprint in the artifact next to the backend metadata.
-        "resilience": resilience_stats.snapshot(),
+        # Recovery counters summed over the sweep's cases, wherever
+        # they ran — chaos legs and any incidental degradations leave
+        # their fingerprint in the artifact next to the backend
+        # metadata.
+        "resilience": _sum_counters(outcomes),
         "quick": quick,
         "base_seed": base_seed,
         "parallel": parallel,

@@ -28,14 +28,8 @@ import json
 
 from repro.experiments.scenario import register
 from repro.experiments.scenarios._util import deterministic_bytes
-from repro.mccp.autotune import advise_backend
 from repro.mccp.channel import FlushPolicy
-from repro.radio.sdr_platform import (
-    ChannelConfig,
-    SdrPlatform,
-    WorkloadSpec,
-    _traffic_profile,
-)
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 
@@ -192,11 +186,6 @@ def autotune_sweep(params, seed, quick):
             "diverged across repeats or backends for the same seed"
         )
 
-    # What the workload-level advisor would pick for this profile on a
-    # canonical 4-CPU host (deterministic; the gate exercises the real
-    # host path).
-    advice = advise_backend(_traffic_profile(configs), cpu_count=4)
-
     return {
         "packets_done": auto.packets_done,
         "payload_bytes": auto.payload_bytes,
@@ -215,8 +204,6 @@ def autotune_sweep(params, seed, quick):
         "latency_mean_us_default": round(
             static["default"][0].mean_latency_us(), 2
         ),
-        "advisor_backend": advice.backend,
-        "advisor_policy": advice.policy,
         "trace_json": json.dumps(
             {str(cid): trace for cid, trace in auto.autotune_traces.items()},
             sort_keys=True,

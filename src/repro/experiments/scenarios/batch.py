@@ -95,6 +95,6 @@ def batch_aead(params, seed, quick):
         "roundtrip_ok": roundtrip == count - 1,
         "tamper_detected": not reopened[tampered].ok,
         "auth_failures": channel.auth_failures,
-        "dispatches": channel.stats.get("batches", 0),
+        "dispatches": channel.stats["batches"],
         "output_digest": digest.hexdigest()[:32],
     }

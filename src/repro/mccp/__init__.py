@@ -18,13 +18,7 @@ from repro.mccp.instructions import (
     TransferDoneInstr,
     decode_instruction,
 )
-from repro.mccp.autotune import (
-    AutotuneConfig,
-    BackendAdvice,
-    FlushController,
-    TrafficProfile,
-    advise_backend,
-)
+from repro.mccp.autotune import AutotuneConfig, FlushController
 from repro.mccp.key_memory import KeyMemory
 from repro.mccp.key_scheduler import KeyScheduler
 from repro.mccp.crossbar import Crossbar
@@ -43,10 +37,7 @@ __all__ = [
     "TransferDoneInstr",
     "decode_instruction",
     "AutotuneConfig",
-    "BackendAdvice",
     "FlushController",
-    "TrafficProfile",
-    "advise_backend",
     "KeyMemory",
     "KeyScheduler",
     "Crossbar",

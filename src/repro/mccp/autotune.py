@@ -1,24 +1,18 @@
-"""Adaptive flush/backend controller (ROADMAP item 3, now shipped).
+"""Adaptive flush controller.
 
-The batched dataplane's knobs — ``coalesce_limit``, ``flush_deadline``,
-``backend``, ``pipeline_depth`` — used to be static per channel, but
-the best settings depend on the traffic: bursty control packets want
+The batched dataplane's knobs — ``coalesce_limit`` and
+``flush_deadline`` — used to be static per channel, but the best
+settings depend on the traffic: bursty control packets want
 near-immediate flushes (latency), sustained bulk wants wide coalescing
-on a pooled backend (throughput).  This module closes the feedback loop
-the workload reports already expose:
-
-- :class:`FlushController` is the per-channel online controller behind
-  ``FlushPolicy(mode="auto")``.  It observes windowed statistics in
-  *simulated* cycles (arrival counts, mean packet size, queue
-  occupancy, realized batch width, flush-cause mix, arrival
-  clustering) and retunes the channel's ``coalesce_limit`` /
-  ``flush_deadline`` at window boundaries.  Every decision is recorded
-  in a trace (window stats in, knobs out, cause) so "why did it widen
-  here" is answerable offline from any sweep artifact.
-- :func:`advise_backend` is the optional workload-level advisor: one
-  rule over a :class:`TrafficProfile` that picks the execution
-  ``backend`` and ``pipeline_depth`` for a whole run
-  (``WorkloadSpec(autotune=AutotuneConfig(advise_backend=True))``).
+(throughput).  :class:`FlushController` closes the feedback loop the
+workload reports already expose.  It is the per-channel online
+controller behind ``FlushPolicy(mode="auto")``: it observes windowed
+statistics in *simulated* cycles (arrival counts, mean packet size,
+queue occupancy, realized batch width, flush-cause mix, arrival
+clustering) and retunes the channel's ``coalesce_limit`` /
+``flush_deadline`` at window boundaries.  Every decision is recorded
+in a trace (window stats in, knobs out, cause) so "why did it widen
+here" is answerable offline from any sweep artifact.
 
 Determinism contract
 --------------------
@@ -50,17 +44,14 @@ the defaults on throughput:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "AutotuneConfig",
-    "BackendAdvice",
     "Decision",
     "FlushController",
-    "TrafficProfile",
     "WindowStats",
-    "advise_backend",
     "decide_knobs",
 ]
 
@@ -70,9 +61,7 @@ class AutotuneConfig:
     """Tuning envelope for the adaptive controller (all sim cycles).
 
     Also the value carried by ``WorkloadSpec(autotune=...)``: the
-    platform installs it on the communication controller for the run
-    and (when :attr:`advise_backend` is set) consults the policy table
-    for the run's execution backend before any traffic flows.
+    platform installs it on the communication controller for the run.
     """
 
     #: Observation-window length.  Windows close lazily at the first
@@ -88,12 +77,6 @@ class AutotuneConfig:
     #: Enqueues further apart than this start a new arrival cluster;
     #: the max cluster span feeds the deadline retarget.
     cluster_gap: int = 256
-    #: Consult :func:`advise_backend` for the run's backend and
-    #: pipeline depth (only when the spec pins neither).
-    advise_backend: bool = False
-    #: CPU count the advisor assumes (None = ``os.cpu_count()``).
-    #: Tests and deterministic sweeps pass it explicitly.
-    cpu_count: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.window_cycles < 1:
@@ -420,61 +403,3 @@ class FlushController:
             not decision.changed
             for decision in self.trace[within_windows:]
         )
-
-
-# -- workload-level backend advisor ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrafficProfile:
-    """Workload-shape summary the backend advisor scores against."""
-
-    channels: int
-    total_packets: int
-    mean_packet_bytes: float
-    #: Share of packets on saturating (back-to-back) channels.
-    sustained_fraction: float
-    #: Share of packets in the control class (priority 0).
-    control_fraction: float
-
-    @property
-    def total_bytes(self) -> float:
-        return self.total_packets * self.mean_packet_bytes
-
-
-@dataclass(frozen=True)
-class BackendAdvice:
-    """The advisor's pick (recorded in the workload report)."""
-
-    policy: str
-    backend: str
-    pipeline_depth: int
-
-
-def advise_backend(
-    profile: TrafficProfile, cpu_count: Optional[int] = None
-) -> BackendAdvice:
-    """Pick ``(backend, pipeline_depth)`` for *profile*.
-
-    Sustained bulk traffic (at least half the packets on saturating
-    channels, mean packet >= 1 KB) on a host with 4 or more CPUs goes
-    to the arena process pool, pipelined 4 deep; everything else runs
-    inline, where pool dispatch overhead cannot dominate.
-
-    Deterministic given ``(profile, cpu_count)``; pass *cpu_count*
-    explicitly for reproducible sweeps and tests (None reads the
-    host's).  Backend choice never changes bytes — every backend is
-    byte-identical by construction — so the advisor only moves
-    wall-clock performance.
-    """
-    if cpu_count is None:
-        import os
-
-        cpu_count = os.cpu_count() or 1
-    if (
-        cpu_count >= 4
-        and profile.sustained_fraction >= 0.5
-        and profile.mean_packet_bytes >= 1024
-    ):
-        return BackendAdvice("process-arena-bulk", "process-arena", 4)
-    return BackendAdvice("inline-small", "inline", 1)

@@ -22,6 +22,7 @@ guard-rail a real radio needs.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
@@ -195,7 +196,9 @@ class Channel:
     packets_processed: int = 0
     bytes_processed: int = 0
     auth_failures: int = 0
-    stats: dict = field(default_factory=dict)
+    #: Event counts: ``batches``, ``jobs_enqueued``, ``queue_peak``,
+    #: ``backpressure_signals``, ``dead_lettered``, ``flush_<cause>``.
+    stats: Counter = field(default_factory=Counter)
     #: Jobs queued for batched dispatch (drained by flush).
     pending: List[PacketJob] = field(default_factory=list)
     #: Jobs popped by a drain but not yet completed (a dispatch in its
@@ -281,18 +284,15 @@ class Channel:
         depth = len(self.pending)
         if self.capacity is not None and depth >= self.capacity:
             self.under_pressure = True
-            stats = self.stats
-            stats["backpressure_signals"] = (
-                stats.get("backpressure_signals", 0) + 1
-            )
+            self.stats["backpressure_signals"] += 1
             from repro.errors import BackpressureError
 
             raise BackpressureError(self.channel_id, depth, self.capacity)
         self.pending.append(job)
         depth += 1
         stats = self.stats
-        stats["jobs_enqueued"] = stats.get("jobs_enqueued", 0) + 1
-        if depth > stats.get("queue_peak", 0):
+        stats["jobs_enqueued"] += 1
+        if depth > stats["queue_peak"]:
             stats["queue_peak"] = depth
         if self.capacity is not None and depth >= self.capacity:
             self.under_pressure = True

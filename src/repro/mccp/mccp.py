@@ -157,9 +157,7 @@ class DispatchHandle:
                 self._channel, self._batch,
                 self._seal_indices, self._open_indices, sealed, opened,
             )
-            self._channel.stats["batches"] = (
-                self._channel.stats.get("batches", 0) + 1
-            )
+            self._channel.stats["batches"] += 1
         return self._results
 
     def discard(self) -> None:
@@ -443,7 +441,7 @@ class Mccp:
         key, key_error = self._fetch_key_resilient(channel, jobs)
         if key is None:
             results = self._dead_letter_batch(channel, jobs, key_error)
-            channel.stats["batches"] = channel.stats.get("batches", 0) + 1
+            channel.stats["batches"] += 1
             return DispatchHandle.completed(results)
         return self._start_batch(channel, key, jobs, resolved)
 
@@ -465,7 +463,7 @@ class Mccp:
                 if plan is not None and plan.decide(
                     "key_error", fault_key, attempt
                 ):
-                    _resilience_stats.record_fault()
+                    _resilience_stats.add("faults_injected")
                     raise InjectedFault(
                         f"injected key-memory read error "
                         f"(channel {channel.channel_id}, key {channel.key_id})"
@@ -474,7 +472,7 @@ class Mccp:
             except (KeyStoreError, InjectedFault) as exc:
                 last_error = str(exc)
                 if attempt + 1 < KEY_FETCH_ATTEMPTS:
-                    _resilience_stats.record_retry()
+                    _resilience_stats.add("retries")
         return None, last_error
 
     def _dead_letter_batch(
@@ -489,10 +487,8 @@ class Mccp:
             channel.packets_processed += 1
             channel.bytes_processed += len(job.data)
             channel.dead_letters.append(job)
-        channel.stats["dead_lettered"] = channel.stats.get(
-            "dead_lettered", 0
-        ) + len(jobs)
-        _resilience_stats.record_dead_letter(len(jobs))
+        channel.stats["dead_lettered"] += len(jobs)
+        _resilience_stats.add("dead_lettered", len(jobs))
         return results
 
     def flush_channel(
@@ -584,7 +580,7 @@ class Mccp:
                     "batch_error", (channel.channel_id, job.sequence)
                 ) and not plan.is_poisoned(job.nonce):
                     plan.poison(job.nonce)
-                    _resilience_stats.record_fault()
+                    _resilience_stats.add("faults_injected")
         mode = "gcm" if channel.algorithm is Algorithm.GCM else "ccm"
         seal_indices = [
             i for i, p in enumerate(batch) if p.direction is Direction.ENCRYPT
@@ -659,11 +655,9 @@ class Mccp:
             channel.bytes_processed += len(job.data)
             if result.error is not None:
                 channel.dead_letters.append(job)
-                channel.stats["dead_lettered"] = (
-                    channel.stats.get("dead_lettered", 0) + 1
-                )
-                _resilience_stats.record_quarantine()
-                _resilience_stats.record_dead_letter()
+                channel.stats["dead_lettered"] += 1
+                _resilience_stats.add("quarantined")
+                _resilience_stats.add("dead_lettered")
             elif not result.ok:
                 channel.auth_failures += 1
         return results

@@ -119,6 +119,7 @@ class CommController:
         #: Finished transfers: core-path requests key by request id,
         #: batch-path jobs by a negative job counter (-1, -2, ...).
         self.completed: Dict[int, CompletedTransfer] = {}
+        # -- per-run counters (restarted by run_state) -----------------
         #: Per-packet latency records (creation -> download done).
         self.latencies: List[int] = []
         #: The same records keyed by the job's priority class — the
@@ -129,6 +130,9 @@ class CommController:
         #: NoResourceError retries observed by job-pipeline callers
         #: (radio-side backpressure; see SdrPlatform.run_workload).
         self.backpressure_retries = 0
+        #: The cycle the current (or last) run started at: arrivals and
+        #: the report's ``total_cycles`` count from here.
+        self.run_start = 0
         #: Per-channel dead-letter queue: failed CompletedTransfers for
         #: jobs that ended unrecoverably (quarantined packet, key-read
         #: exhaustion) — never auth failures, which stay in the normal
@@ -176,14 +180,18 @@ class CommController:
         backend=None,
         pipeline_depth: int = 0,
         autotune_config: Optional[AutotuneConfig] = None,
-    ) -> Iterator["CommController"]:
-        """Install one run's dispatch state; restore the previous on exit.
+    ) -> Iterator[_resilience_stats.RunCounters]:
+        """Install one run's dispatch state and open its counter scope.
 
         *backend* and *autotune_config* replace the controller's own
-        only when given; *pipeline_depth* always applies, and the
-        in-flight peak restarts at 0 so the run reports its own
-        overlap.  Everything is restored in a ``finally``, so a run
-        that raises leaves the controller as it found it.
+        only when given; *pipeline_depth* always applies.  The per-run
+        counters — latencies, auth failures, backpressure retries, the
+        in-flight peak and the task scheduler's core submits — restart
+        at zero and :attr:`run_start` records the current cycle, so
+        everything the run reports is its own.  Yields the run's
+        resilience counter scope (:func:`repro.resilience.stats
+        .counting`).  The dispatch state is restored in a ``finally``,
+        so a run that raises leaves the controller as it found it.
         """
         saved = (self.backend, self.pipeline_depth, self.autotune_config)
         if backend is not None:
@@ -192,8 +200,15 @@ class CommController:
             self.autotune_config = autotune_config
         self.pipeline_depth = pipeline_depth
         self.pipeline_in_flight_peak = 0
+        self.latencies = []
+        self.class_latencies = {}
+        self.auth_failures = 0
+        self.backpressure_retries = 0
+        self.mccp.scheduler.requests_submitted = 0
+        self.run_start = self.sim.now
         try:
-            yield self
+            with _resilience_stats.counting() as counters:
+                yield counters
         finally:
             self.backend, self.pipeline_depth, self.autotune_config = saved
 
@@ -422,8 +437,7 @@ class CommController:
                         handle.discard()
                     raise
                 queue.append(_InflightDispatch(handle, batch, self.sim.now))
-                stats = channel.stats
-                stats[f"flush_{cause}"] = stats.get(f"flush_{cause}", 0) + 1
+                channel.stats[f"flush_{cause}"] += 1
                 self._observe_flush(channel, cause, len(batch))
                 if self.pipeline_depth:
                     # Overlap exists only when dispatches may stay in
@@ -583,7 +597,7 @@ class CommController:
             # An injected core stall costs simulated cycles only; the
             # job's bytes are untouched and order is preserved because
             # the stall happens before the core is even requested.
-            _resilience_stats.record_fault()
+            _resilience_stats.add("faults_injected")
             yield Delay(plan.stall_cycles)
         # ENCRYPT/DECRYPT control instruction (scheduler software cost).
         yield self.mccp.scheduler.overhead_delay()

@@ -50,6 +50,13 @@ execution backend replay the identical mixed workload.
 ``WorkloadSpec(backend=...)`` selects where the batched dispatches'
 seal/open sweeps execute (:mod:`repro.crypto.fast.exec`): inline or a
 process pool — outputs and completion order are identical on both.
+
+Each run is self-contained.  It runs inside
+:meth:`CommController.run_state`, which restarts the per-run counters,
+opens the run's resilience counter scope and records the start cycle.
+Arrivals, the cycle ``limit`` and ``total_cycles`` all count from that
+cycle, so a second run on a reused platform reports what a fresh
+platform would.
 """
 
 from __future__ import annotations
@@ -60,9 +67,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.throughput import WorkloadReport
 from repro.core.params import Algorithm, Direction
-from repro.crypto.fast.exec import BackendSpec, resolve_backend
+from repro.crypto.fast.exec import BackendSpec
 from repro.errors import BackpressureError, NoResourceError
-from repro.mccp.autotune import AutotuneConfig, TrafficProfile, advise_backend
+from repro.mccp.autotune import AutotuneConfig
 from repro.mccp.channel import Channel, FlushPolicy
 from repro.mccp.key_memory import KeyMemory
 from repro.mccp.mccp import BATCHABLE_ALGORITHMS, Mccp
@@ -71,7 +78,7 @@ from repro.radio.comm_controller import CommController
 from repro.radio.packet import Packet
 from repro.radio.standards import STANDARD_PROFILES, RadioStandard
 from repro.radio.traffic import GeneratedPacket, TrafficGenerator, TrafficPattern
-from repro.resilience import stats as resilience_stats
+from repro.resilience.stats import COUNTERS, RunCounters
 from repro.resilience.faults import injected_faults
 from repro.sim.kernel import Delay, Simulator
 
@@ -124,7 +131,8 @@ class WorkloadSpec:
 
     #: The channels to provision and their traffic.
     configs: Sequence[ChannelConfig] = field(default_factory=tuple)
-    #: Simulated-cycle budget per channel-drained wait.
+    #: Simulated-cycle budget per channel-drained wait, counted from
+    #: the run's start cycle.
     limit: int = 2_000_000_000
     #: ``"cores"``, ``"batched"`` or ``"pipelined"`` (module docstring).
     dataplane: str = "cores"
@@ -150,9 +158,7 @@ class WorkloadSpec:
     #: Adaptive dataplane tuning (:mod:`repro.mccp.autotune`).  ``True``
     #: or an :class:`AutotuneConfig` installs the config on the
     #: communication controller and defaults the run-level flush policy
-    #: to ``FlushPolicy(mode="auto")`` when none is given; with
-    #: ``advise_backend`` set and no pinned :attr:`backend`, the
-    #: advisor also picks the run's backend and pipeline depth.
+    #: to ``FlushPolicy(mode="auto")`` when none is given.
     autotune: Union[bool, AutotuneConfig, None] = None
 
     def __post_init__(self) -> None:
@@ -221,142 +227,58 @@ def _arrived_packet(item: GeneratedPacket, now: int) -> Packet:
     return replace(item.packet, created_cycle=now)
 
 
-def _traffic_profile(configs: Sequence[ChannelConfig]) -> TrafficProfile:
-    """Summarise a workload's shape for the backend advisor.
+def _fill_report(
+    report: WorkloadReport,
+    comm: CommController,
+    counters: RunCounters,
+    channels: Sequence[Channel],
+    controller: Optional[AdmissionController] = None,
+) -> WorkloadReport:
+    """Fill *report* from one run's state (and return it).
 
-    Built from the channel configs alone (standard payload sizes,
-    packet counts, patterns, priorities) — nothing measured — so the
-    advisor's pick is known before any traffic flows and is identical
-    on every repeat.
-    """
-    total_packets = 0
-    total_bytes = 0
-    sustained = 0
-    control = 0
-    for config in configs:
-        profile = STANDARD_PROFILES[config.standard]
-        total_packets += config.packets
-        total_bytes += config.packets * profile.payload_bytes
-        if config.pattern is TrafficPattern.SATURATING:
-            sustained += config.packets
-        if config.priority == 0:
-            control += config.packets
-    packets = max(1, total_packets)
-    return TrafficProfile(
-        channels=len(configs),
-        total_packets=total_packets,
-        mean_packet_bytes=total_bytes / packets,
-        sustained_fraction=sustained / packets,
-        control_fraction=control / packets,
-    )
-
-
-def _worker_expansions(comm) -> int:
-    """Cumulative arena-worker key-schedule expansions for *comm*'s backend.
-
-    Arena dispatch shards report the ``expand_key_cached`` misses each
-    one observed; the process backend accumulates them in
-    ``worker_expansions``.  Backends without the counter (inline —
-    its expansions land in the parent LRU and are not per-worker
-    events) read as zero.
-    """
-    backend = resolve_backend(comm.backend)
-    return getattr(backend, "worker_expansions", 0)
-
-
-class _RunAccounting:
-    """Snapshot of the platform-cumulative counters one run starts from.
-
-    The scheduler/comm/resilience counters accumulate across runs on a
-    reused platform; constructing one of these before the run and
-    calling :meth:`fill` after yields a report scoped to just that
-    run's activity.  Both happen inside the run's
-    :meth:`CommController.run_state`, so backend counters are read on
-    the backend the run dispatched to.  Shared by
+    Called inside the run's :meth:`CommController.run_state`: the comm
+    and scheduler counters, *counters* and the run's freshly opened
+    *channels* hold only this run's activity.  Shared by
     :meth:`SdrPlatform.run_workload` and the session layer
     (:mod:`repro.radio.sessions`), so workload replays and session
     storms account identically.
     """
-
-    def __init__(self, platform: "SdrPlatform"):
-        self._platform = platform
-        comm = platform.comm
-        self.base_submits = platform.mccp.scheduler.requests_submitted
-        self.base_retries = comm.backpressure_retries
-        self.base_latencies = len(comm.latencies)
-        self.base_class_latencies = {
-            priority: len(samples)
-            for priority, samples in comm.class_latencies.items()
-        }
-        self.base_auth_failures = comm.auth_failures
-        # Resilience counters are process-wide (recovery fires deep in
-        # the backend layer); the before/after delta is this run's.
-        self.base_resilience = resilience_stats.snapshot()
-        self.base_worker_expansions = _worker_expansions(comm)
-
-    def fill(
-        self,
-        report: WorkloadReport,
-        channels: Sequence[Channel],
-        controller: Optional[AdmissionController] = None,
-    ) -> WorkloadReport:
-        """Scope the cumulative counters into *report* (and return it)."""
-        platform = self._platform
-        comm = platform.comm
-        report.total_cycles = platform.sim.now
-        report.pipeline_in_flight_peak = comm.pipeline_in_flight_peak
-        report.latencies = list(comm.latencies[self.base_latencies:])
-        for priority, samples in comm.class_latencies.items():
-            start = self.base_class_latencies.get(priority, 0)
-            if len(samples) > start:
-                report.per_class_latencies[priority] = list(samples[start:])
-        report.core_submits = (
-            platform.mccp.scheduler.requests_submitted - self.base_submits
-        )
-        report.backpressure_retries = (
-            comm.backpressure_retries - self.base_retries
-        )
-        report.auth_failures = comm.auth_failures - self.base_auth_failures
-        accrued = resilience_stats.delta(self.base_resilience)
-        report.retries = accrued["retries"]
-        report.watchdog_fires = accrued["watchdog_fires"]
-        report.degradations = accrued["degradations"]
-        report.degradation_reasons = accrued["degradation_reasons"]
-        report.quarantined = accrued["quarantined"]
-        report.dead_lettered = accrued["dead_lettered"]
-        report.faults_injected = accrued["faults_injected"]
-        report.key_schedule_expansions = (
-            _worker_expansions(comm) - self.base_worker_expansions
-        )
-        for channel in channels:
-            stats = channel.stats
-            report.per_channel_queue_peak[channel.channel_id] = stats.get(
-                "queue_peak", 0
-            )
-            report.per_channel_batches[channel.channel_id] = stats.get(
-                "batches", 0
-            )
-            report.backpressure_signals += stats.get(
-                "backpressure_signals", 0
-            )
-            for cause in ("size", "deadline", "forced"):
-                count = stats.get(f"flush_{cause}", 0)
-                if count:
-                    report.flush_causes[cause] = (
-                        report.flush_causes.get(cause, 0) + count
-                    )
-            if channel.autotune is not None:
-                report.autotune_adjustments += channel.autotune.adjustments
-                report.autotune_traces[channel.channel_id] = (
-                    channel.autotune.trace_dicts()
+    report.total_cycles = comm.sim.now - comm.run_start
+    report.pipeline_in_flight_peak = comm.pipeline_in_flight_peak
+    report.latencies = list(comm.latencies)
+    report.per_class_latencies = {
+        priority: list(samples)
+        for priority, samples in comm.class_latencies.items()
+    }
+    report.core_submits = comm.mccp.scheduler.requests_submitted
+    report.backpressure_retries = comm.backpressure_retries
+    report.auth_failures = comm.auth_failures
+    for name in COUNTERS:
+        setattr(report, name, counters[name])
+    report.degradation_reasons = list(counters.degradation_reasons)
+    for channel in channels:
+        stats = channel.stats
+        report.per_channel_queue_peak[channel.channel_id] = stats["queue_peak"]
+        report.per_channel_batches[channel.channel_id] = stats["batches"]
+        report.backpressure_signals += stats["backpressure_signals"]
+        for cause in ("size", "deadline", "forced"):
+            count = stats[f"flush_{cause}"]
+            if count:
+                report.flush_causes[cause] = (
+                    report.flush_causes.get(cause, 0) + count
                 )
-        if controller is not None:
-            report.admitted_by_class = dict(controller.admitted)
-            report.shed_by_class = controller.shed_by_class()
-            report.shed_causes = controller.shed_causes()
-            report.shed_packets = sorted(controller.shed_set())
-            report.deferrals = controller.deferrals
-        return report
+        if channel.autotune is not None:
+            report.autotune_adjustments += channel.autotune.adjustments
+            report.autotune_traces[channel.channel_id] = (
+                channel.autotune.trace_dicts()
+            )
+    if controller is not None:
+        report.admitted_by_class = dict(controller.admitted)
+        report.shed_by_class = controller.shed_by_class()
+        report.shed_causes = controller.shed_causes()
+        report.shed_packets = sorted(controller.shed_set())
+        report.deferrals = controller.deferrals
+    return report
 
 
 class SdrPlatform:
@@ -435,36 +357,22 @@ class SdrPlatform:
             else None
         )
         autotune = spec.autotune  # AutotuneConfig or None (normalized)
-        pipeline_depth = spec.pipeline_depth
-        if autotune is not None:
-            if flush_policy is None:
-                # Adaptive runs default every channel onto the
-                # controller; per-config policies still win.
-                flush_policy = FlushPolicy(mode="auto")
-            if autotune.advise_backend and backend is None:
-                advice = advise_backend(
-                    _traffic_profile(configs), cpu_count=autotune.cpu_count
-                )
-                backend = advice.backend
-                pipeline_depth = advice.pipeline_depth
-                report.autotune_backend = advice.backend
-                report.autotune_policy = advice.policy
-                report.autotune_pipeline_depth = advice.pipeline_depth
+        if autotune is not None and flush_policy is None:
+            # Adaptive runs default every channel onto the controller;
+            # per-config policies still win.
+            flush_policy = FlushPolicy(mode="auto")
         with self.comm.run_state(
-            backend, _comm_pipeline_depth(dataplane, pipeline_depth), autotune
-        ):
-            # Snapshot after the run's backend is installed and fill
-            # before it is restored: the worker-expansion counter lives
-            # on the backend the run actually dispatched to.
-            accounting = _RunAccounting(self)
+            backend, _comm_pipeline_depth(dataplane, spec.pipeline_depth),
+            autotune,
+        ) as counters:
             self._launch_channels(
                 configs, dataplane, flush_policy, report, done_events,
                 channels, rx_fraction, loss_rate, corrupt_rate,
                 spec.queue_capacity, controller,
             )
             for event in done_events:
-                self.sim.run_until_event(event, limit=limit)
-            return accounting.fill(report, channels, controller)
+                self.sim.run_until_event(event, limit=self.comm.run_start + limit)
+            return _fill_report(report, self.comm, counters, channels, controller)
 
     def _launch_channels(
         self,
@@ -639,9 +547,11 @@ class SdrPlatform:
         controller=None,
     ):
         """Width-1 pipeline on the simulated cores (cycle model)."""
+        start = self.comm.run_start
         for item, plan in zip(schedule, plans):
-            if self.sim.now < item.arrival_cycle:
-                yield Delay(item.arrival_cycle - self.sim.now)
+            arrival = start + item.arrival_cycle
+            if self.sim.now < arrival:
+                yield Delay(arrival - self.sim.now)
             packet = _arrived_packet(item, self.sim.now)
             direction = Direction.ENCRYPT
             nonce = self.comm.nonce_for(channel, packet.sequence)
@@ -720,9 +630,11 @@ class SdrPlatform:
         last under-filled batch never waits out its deadline.
         """
         jobs = []
+        start = self.comm.run_start
         for item, plan in zip(schedule, plans):
-            if self.sim.now < item.arrival_cycle:
-                yield Delay(item.arrival_cycle - self.sim.now)
+            arrival = start + item.arrival_cycle
+            if self.sim.now < arrival:
+                yield Delay(arrival - self.sim.now)
             packet = _arrived_packet(item, self.sim.now)
             if plan is None:
                 job = yield from self._submit_gated(

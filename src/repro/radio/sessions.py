@@ -48,7 +48,7 @@ from repro.radio.packet import Packet
 from repro.radio.sdr_platform import (
     SdrPlatform,
     _comm_pipeline_depth,
-    _RunAccounting,
+    _fill_report,
 )
 from repro.radio.standards import STANDARD_PROFILES, RadioStandard
 from repro.sim.kernel import Delay
@@ -200,7 +200,8 @@ class SessionWorkload:
     admission: Optional[AdmissionPolicy] = None
     #: Pipelined-dataplane overlap bound.
     pipeline_depth: int = 2
-    #: Simulated-cycle budget per awaited completion.
+    #: Simulated-cycle budget per awaited completion, counted from the
+    #: run's start cycle.
     limit: int = 2_000_000_000
     #: Session key size in bytes (16/24/32).
     key_bytes: int = 16
@@ -429,8 +430,7 @@ class SessionManager:
         with comm.run_state(
             workload.backend,
             _comm_pipeline_depth(workload.dataplane, workload.pipeline_depth),
-        ):
-            accounting = _RunAccounting(platform)
+        ) as counters:
             for plan in self.plans:
                 finished = platform.sim.event(f"session{plan.sid}.done")
                 done_events.append(finished)
@@ -439,8 +439,10 @@ class SessionManager:
                     name=f"session{plan.sid}",
                 )
             for event in done_events:
-                platform.sim.run_until_event(event, limit=workload.limit)
-            accounting.fill(report, channels, self.controller)
+                platform.sim.run_until_event(
+                    event, limit=comm.run_start + workload.limit
+                )
+            _fill_report(report, comm, counters, channels, self.controller)
         report.sessions_started = self.sessions_started
         report.sessions_completed = self.sessions_completed
         report.handoffs = self.handoffs
@@ -495,8 +497,9 @@ class SessionManager:
         comm = self.platform.comm
         profile = plan.profile
         rng = random.Random((self.seed << 16) ^ (plan.sid << 2) ^ 0x5E5530)
-        if sim.now < plan.arrival_cycle:
-            yield Delay(plan.arrival_cycle - sim.now)
+        arrival = comm.run_start + plan.arrival_cycle
+        if sim.now < arrival:
+            yield Delay(arrival - sim.now)
         self.sessions_started += 1
         packet_index = 0
         for seg_index, seg_plan in enumerate(plan.segments):

@@ -14,10 +14,11 @@ above the device model:
   what recovery may cost: retries, backoff and the watchdog budget.
   When the retries run out, the process backend switches to running
   inline for good (``ProcessPoolBackend.inline_reason`` says why).
-- :mod:`repro.resilience.stats` — process-wide counters (retries,
-  watchdog fires, degradations, quarantines, dead letters) that
-  ``run_workload`` snapshots into :class:`WorkloadReport` and the
-  bench/sweep artifacts record alongside backend metadata.
+- :mod:`repro.resilience.stats` — run-scoped counters (retries,
+  watchdog fires, degradations, quarantines, dead letters): each
+  recovery site adds into every scope open on its thread, so a
+  :class:`WorkloadReport` holds its own run's counts and a sweep
+  artifact the sum of its cases'.
 
 The invariant everything hangs on: under any injected fault plan,
 surviving packets are byte-identical to the fault-free run and

@@ -225,7 +225,7 @@ class FaultDirective:
         if self.backend_name != "inline" and plan.decide(
             "worker_crash", key, attempt
         ):
-            stats.record_fault()
+            stats.add("faults_injected")
             if _IS_EXEC_WORKER:
                 os._exit(CRASH_EXIT_CODE)
             raise WorkerCrashError(
@@ -233,10 +233,10 @@ class FaultDirective:
                 f"attempt {attempt} on {self.backend_name})"
             )
         if plan.decide("worker_hang", key, attempt):
-            stats.record_fault()
+            stats.add("faults_injected")
             time.sleep(plan.hang_seconds)
         elif plan.decide("slow_sweep", key, attempt):
-            stats.record_fault()
+            stats.add("faults_injected")
             time.sleep(plan.slow_seconds)
 
 

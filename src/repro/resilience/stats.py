@@ -1,14 +1,17 @@
-"""Process-wide resilience counters.
+"""Run-scoped resilience counters.
 
 Recovery happens deep inside the backend/batch/scheduler layers, far
-from the :class:`WorkloadReport` the caller sees, so the machinery
-records events here and ``run_workload`` turns a before/after snapshot
-into per-run counters.  Counters are cumulative for the process (like
-the channel statistics the platform already snapshots) and guarded by
-a lock so callers on several threads count exactly.
+from the :class:`WorkloadReport` the caller sees; so does the arena
+collect, which tallies the key-schedule expansions its workers
+reported.  Each site adds into every counter scope open on the calling
+thread, and :func:`counting` opens one for a ``with`` block:
+``CommController.run_state`` opens a scope per run and the sweep
+runner one per case, so every count belongs to the run that produced
+it.  Nothing is kept outside a scope; a site with no scope open counts
+nothing.
 
-Process-pool caveat: events inside a shared-nothing worker mutate the
-*worker's* counters and are lost with it.  The parent-side machinery
+Process-pool caveat: events inside a shared-nothing worker land in
+the *worker's* scopes (none) and are lost.  The parent-side machinery
 still observes every recovery (the retry, watchdog fire, degradation
 and quarantine all happen in the parent), so only the best-effort
 ``faults_injected`` tally undercounts worker-side faults.
@@ -17,96 +20,66 @@ and quarantine all happen in the parent), so only the best-effort
 from __future__ import annotations
 
 import threading
-from typing import Dict, List
+from collections import Counter
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Tuple
 
-_LOCK = threading.Lock()
+#: The counters a scope reports, named after the ``WorkloadReport``
+#: fields they fill.
+COUNTERS = (
+    "retries",
+    "watchdog_fires",
+    "degradations",
+    "quarantined",
+    "dead_lettered",
+    "faults_injected",
+    "key_schedule_expansions",
+)
 
-_COUNTERS = {
-    "retries": 0,
-    "watchdog_fires": 0,
-    "degradations": 0,
-    "quarantined": 0,
-    "dead_lettered": 0,
-    "faults_injected": 0,
-}
-
-#: Degradation reasons in the order they were recorded (process-wide).
-_DEGRADATION_REASONS: List[str] = []
-
-
-def _bump(name: str, count: int = 1) -> None:
-    with _LOCK:
-        _COUNTERS[name] += count
+_LOCAL = threading.local()
 
 
-def record_retry(count: int = 1) -> None:
-    """A failed span (or key fetch) was retried."""
-    _bump("retries", count)
+class RunCounters(Counter):
+    """One scope's counts plus its degradation reasons, in order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.degradation_reasons: List[str] = []
+
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-safe copy: every counter (zeros included) and the reasons."""
+        data: Dict[str, object] = {name: self[name] for name in COUNTERS}
+        data["degradation_reasons"] = list(self.degradation_reasons)
+        return data
 
 
-def record_watchdog() -> None:
-    """A wall-clock watchdog expired a backend span."""
-    _bump("watchdog_fires")
+def _open_scopes() -> Tuple[RunCounters, ...]:
+    return getattr(_LOCAL, "scopes", ())
+
+
+@contextmanager
+def counting() -> Iterator[RunCounters]:
+    """Open a counter scope on this thread for a ``with`` block."""
+    scope = RunCounters()
+    saved = _open_scopes()
+    _LOCAL.scopes = saved + (scope,)
+    try:
+        yield scope
+    finally:
+        _LOCAL.scopes = saved
+
+
+def add(name: str, count: int = 1) -> None:
+    """Add *count* to counter *name* in every scope open on this thread."""
+    for scope in _open_scopes():
+        scope[name] += count
 
 
 def record_degradation(reason: str) -> None:
     """Retries ran out and a backend went inline; *reason* says why."""
-    with _LOCK:
-        _COUNTERS["degradations"] += 1
-        _DEGRADATION_REASONS.append(reason)
+    for scope in _open_scopes():
+        scope["degradations"] += 1
+        scope.degradation_reasons.append(reason)
 
 
-def record_quarantine(count: int = 1) -> None:
-    """A poisoned packet was bisect-isolated from its batch."""
-    _bump("quarantined", count)
-
-
-def record_dead_letter(count: int = 1) -> None:
-    """A job was routed to a dead-letter queue."""
-    _bump("dead_lettered", count)
-
-
-def record_fault(count: int = 1) -> None:
-    """An injected fault fired (best-effort across process workers)."""
-    _bump("faults_injected", count)
-
-
-
-def snapshot() -> Dict[str, object]:
-    """JSON-safe copy of the counters (plus degradation reasons)."""
-    with _LOCK:
-        data: Dict[str, object] = dict(_COUNTERS)
-        data["degradation_reasons"] = list(_DEGRADATION_REASONS)
-        return data
-
-
-def delta(base: Dict[str, object]) -> Dict[str, object]:
-    """Counters accrued since *base* (an earlier :func:`snapshot`)."""
-    now = snapshot()
-    out: Dict[str, object] = {
-        name: now[name] - base.get(name, 0) for name in _COUNTERS
-    }
-    seen = len(base.get("degradation_reasons", ()))
-    out["degradation_reasons"] = list(now["degradation_reasons"])[seen:]
-    return out
-
-
-def reset() -> None:
-    """Zero every counter (test isolation hook)."""
-    with _LOCK:
-        for name in _COUNTERS:
-            _COUNTERS[name] = 0
-        _DEGRADATION_REASONS.clear()
-
-
-__all__ = [
-    "record_retry",
-    "record_watchdog",
-    "record_degradation",
-    "record_quarantine",
-    "record_dead_letter",
-    "record_fault",
-    "snapshot",
-    "delta",
-    "reset",
-]
+__all__ = ["COUNTERS", "RunCounters", "counting", "add", "record_degradation"]

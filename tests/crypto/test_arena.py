@@ -40,7 +40,7 @@ from repro.mccp.channel import FlushPolicy
 from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
-from repro.resilience import FaultPlan, ScriptedFault, set_fault_plan
+from repro.resilience import FaultPlan, ScriptedFault, set_fault_plan, stats
 
 KEY = bytes(range(16))
 
@@ -400,13 +400,13 @@ class TestWarmWorkers:
         packets = _gcm_packets(count=16, seed=0xEB)
 
         def dispatch(key, key_id):
-            before = backend.worker_expansions
-            handle = seal_open_submit(
-                "gcm", key, packets, [], 16, backend=backend,
-                key_ref=(key_id, key_epoch(key_id)),
-            )
-            handle.result()
-            return backend.worker_expansions - before
+            with stats.counting() as counters:
+                handle = seal_open_submit(
+                    "gcm", key, packets, [], 16, backend=backend,
+                    key_ref=(key_id, key_epoch(key_id)),
+                )
+                handle.result()
+            return counters["key_schedule_expansions"]
 
         try:
             dispatch(key_a, id_a)  # warm both keys in both workers

@@ -7,14 +7,20 @@ them could hand the child a cache mid-mutation; the ``os.register_at_fork`` hook
 :class:`repro.crypto.fast.exec.ProcessPoolBackend` repeats the clear in
 its pool initializer (covering spawn-based pools, which never fork).
 Workers rebuild lazily and still produce byte-identical results.
+
+The process-wide default and spec-shared backends are per process too:
+a forked child drops the ones it inherited and builds its own on first
+use, instead of submitting to its parent's pool.
 """
 
+import multiprocessing
 import os
 import pickle
 
 import pytest
 
 from repro.crypto.fast import clear_caches, expand_key_cached, gcm_seal_many
+from repro.crypto.fast import exec as fast_exec
 from repro.crypto.fast.exec import ProcessPoolBackend
 from repro.crypto.fast.gf128_tables import ghash_tables
 
@@ -95,6 +101,37 @@ def test_process_pool_workers_start_cold_and_match():
             assert result == expected
     finally:
         backend.close()
+
+
+def _default_backend_probe():
+    """Top-level (picklable) probe: run two calls on the default backend."""
+    backend = fast_exec.default_backend()
+    outcomes = backend.run([(_worker_cache_probe, (KEY,))] * 2)
+    return backend.inline_reason, outcomes
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
+def test_forked_pool_worker_does_not_submit_to_the_parents_pool(monkeypatch):
+    """A daemonic worker forked while the parent's default backend has
+    live workers (a sweep runner's pool worker, say) builds its own
+    default from ``REPRO_BACKEND``, which runs inline there, rather than
+    waiting on the parent's pool forever."""
+    expected = _worker_cache_probe(KEY)[1]
+    monkeypatch.setenv("REPRO_BACKEND", "process:2")
+    previous = fast_exec.set_default_backend(None)
+    try:
+        parent = fast_exec.default_backend()
+        parent.run([(_worker_cache_probe, (KEY,)), (_worker_cache_probe, (KEY,))])
+        if parent.inline_reason is not None:
+            pytest.skip(f"no process pool here: {parent.inline_reason}")
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            reason, outcomes = pool.apply_async(_default_backend_probe).get(
+                timeout=30
+            )
+        assert reason == "daemonic process cannot spawn workers"
+        assert [result for _, result in outcomes] == [expected, expected]
+    finally:
+        fast_exec.set_default_backend(previous).close()
 
 
 def test_clear_caches_is_reentrant_after_fork_hook_registration():

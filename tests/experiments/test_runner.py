@@ -67,10 +67,56 @@ def test_different_base_seed_changes_seeds(serial_artifact):
 
 def test_execute_unit_rejects_bad_metrics():
     units = build_units(resolve("core_scaling"), quick=True, base_seed=0)
-    name, index, metrics = execute_unit(units[0])
+    name, index, metrics, counters = execute_unit(units[0])
     assert name == "core_scaling" and index == 0 and metrics["packets_done"] > 0
+    assert counters["retries"] == 0 and counters["degradation_reasons"] == []
     with pytest.raises(ExperimentError, match="unknown scenario"):
         execute_unit(("nope", 0, {}, 0, True))
+
+
+#: The resilience counters chaos_sweep reports per case.
+_CHAOS_COUNTERS = (
+    "retries",
+    "watchdog_fires",
+    "degradations",
+    "quarantined",
+    "dead_lettered",
+    "faults_injected",
+)
+
+
+def _chaos_block_and_case_sum(artifact):
+    cases = artifact["scenarios"]["chaos_sweep"]["cases"]
+    block = artifact["resilience"]
+    assert len(block["degradation_reasons"]) == block["degradations"]
+    return (
+        {key: block[key] for key in _CHAOS_COUNTERS},
+        {key: sum(case["metrics"][key] for case in cases) for key in _CHAOS_COUNTERS},
+    )
+
+
+def test_sweep_resilience_block_belongs_to_its_sweep():
+    """Back-to-back sweeps in one process each report their own cases'
+    counters, not a running total of the process."""
+    first = run_sweep(["chaos_sweep"], quick=True, parallel=1, base_seed=7)
+    second = run_sweep(["chaos_sweep"], quick=True, parallel=1, base_seed=7)
+    for artifact in (first, second):
+        block, case_sum = _chaos_block_and_case_sum(artifact)
+        assert block == case_sum
+    # chaos_sweep declares retries, degradations, watchdog fires and
+    # faults fired inside pool workers scheduling-dependent; the
+    # quarantines follow the fault plan alone.
+    for key in ("quarantined", "dead_lettered"):
+        assert first["resilience"][key] == second["resilience"][key] > 0
+
+
+def test_parallel_sweep_resilience_block_sums_its_cases():
+    """Counters that moved inside the sweep's pool workers still reach
+    the artifact."""
+    artifact = run_sweep(["chaos_sweep"], quick=True, parallel=2, base_seed=7)
+    block, case_sum = _chaos_block_and_case_sum(artifact)
+    assert block == case_sum
+    assert block["faults_injected"] > 0 and block["quarantined"] > 0
 
 
 def test_artifact_roundtrip_json_and_csv(tmp_path, serial_artifact):

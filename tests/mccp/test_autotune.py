@@ -13,9 +13,6 @@ gates at unit granularity:
 - Auto never changes payload bytes relative to a static policy, and on
   a saturating profile it widens and never trails the static defaults
   on simulated cycles.
-- The workload-level advisor is deterministic in ``(profile,
-  cpu_count)`` and sends only sustained bulk traffic on a 4+ CPU host
-  to the arena process pool.
 """
 
 from __future__ import annotations
@@ -25,22 +22,14 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.experiments.scenarios.autotune import _profile_configs
 from repro.mccp.autotune import (
     AutotuneConfig,
     FlushController,
-    TrafficProfile,
     WindowStats,
-    advise_backend,
     decide_knobs,
 )
 from repro.mccp.channel import FlushPolicy
-from repro.radio.sdr_platform import (
-    ChannelConfig,
-    SdrPlatform,
-    WorkloadSpec,
-    _traffic_profile,
-)
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
 
@@ -333,65 +322,3 @@ class TestWorkloadIntegration:
         report, _ = _run(_steady_configs(), policy=FlushPolicy())
         assert report.autotune_traces == {}
         assert report.autotune_adjustments == 0
-
-    def test_advisor_fields_land_in_report(self):
-        report, _ = _run(
-            _steady_configs(),
-            autotune=AutotuneConfig(advise_backend=True, cpu_count=1),
-        )
-        assert report.autotune_backend == "inline"
-        assert report.autotune_policy == "inline-small"
-        assert report.autotune_pipeline_depth == 1
-
-
-class TestBackendAdvisor:
-    def test_single_cpu_always_inline(self):
-        profile = TrafficProfile(
-            channels=8, total_packets=10 ** 6, mean_packet_bytes=2048.0,
-            sustained_fraction=1.0, control_fraction=0.0,
-        )
-        advice = advise_backend(profile, cpu_count=1)
-        assert advice.backend == "inline"
-        assert advice.pipeline_depth == 1
-
-    def test_sustained_bulk_on_big_host_picks_arena(self):
-        profile = TrafficProfile(
-            channels=8, total_packets=10 ** 6, mean_packet_bytes=2048.0,
-            sustained_fraction=1.0, control_fraction=0.0,
-        )
-        advice = advise_backend(profile, cpu_count=8)
-        assert advice.backend == "process-arena"
-        assert advice.pipeline_depth == 4
-        assert advice.policy == "process-arena-bulk"
-
-    def test_small_workload_stays_inline_anywhere(self):
-        profile = TrafficProfile(
-            channels=1, total_packets=4, mean_packet_bytes=160.0,
-            sustained_fraction=0.0, control_fraction=1.0,
-        )
-        assert advise_backend(profile, cpu_count=16).backend == "inline"
-
-    def test_deterministic_given_profile_and_cpus(self):
-        profile = _traffic_profile(_saturating_configs())
-        assert profile.sustained_fraction == 1.0
-        assert profile.mean_packet_bytes == 2048.0
-        first = advise_backend(profile, cpu_count=4)
-        assert all(
-            advise_backend(profile, cpu_count=4) == first for _ in range(3)
-        )
-        assert (first.backend, first.pipeline_depth) == ("process-arena", 4)
-
-    @pytest.mark.parametrize("quick", [True, False])
-    def test_scenario_profiles_pick_by_traffic_shape(self, quick):
-        picks = {
-            name: advise_backend(
-                _traffic_profile(_profile_configs(name, 3, quick)),
-                cpu_count=4,
-            ).backend
-            for name in ("steady", "bursty", "mixed")
-        }
-        assert picks == {
-            "steady": "inline",
-            "bursty": "inline",
-            "mixed": "process-arena",
-        }

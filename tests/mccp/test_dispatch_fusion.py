@@ -75,8 +75,10 @@ def _nonce(channel, sequence):
 
 
 def _device(packets=6):
-    """A device with every channel's batch queued (mixed directions)."""
-    device = Mccp(Simulator())
+    """An inline device with every channel's batch queued (mixed
+    directions).  Arena dispatches never fuse, so the device names its
+    backend instead of taking the process-wide default."""
+    device = Mccp(Simulator(), backend="inline")
     for key_id, key in enumerate(KEYS):
         device.load_session_key(key_id, key)
     channels = []

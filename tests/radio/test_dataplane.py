@@ -9,6 +9,8 @@ while never touching the per-packet submit path, and the flush policy
 job can wait.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.params import Algorithm, Direction
@@ -380,6 +382,25 @@ def test_reused_platform_reports_per_run_counters():
     assert second.backpressure_retries == 0
     assert len(second.latencies) == 8
     assert second.mean_batch_width() > 0
+
+
+def test_reused_platform_replays_its_workload():
+    """A second run on one platform starts its arrivals, its cycle
+    budget and its cycle count at the run's start, so it reports what a
+    fresh platform does.  The budget covers one run (3,179 cycles) but
+    not two back to back."""
+    spec = WorkloadSpec(
+        _mixed_configs(channels=2, packets=4), dataplane="batched", limit=3_400
+    )
+    fresh = SdrPlatform(core_count=4, seed=2).run_workload(spec)
+    platform = SdrPlatform(core_count=4, seed=2)
+    platform.run_workload(spec)
+    again = platform.run_workload(
+        replace(spec, configs=_mixed_configs(channels=2, packets=4))
+    )
+    assert again.total_cycles == fresh.total_cycles
+    assert sorted(again.latencies) == sorted(fresh.latencies)
+    assert again.throughput_mbps() == fresh.throughput_mbps()
 
 
 # -- execution backends ---------------------------------------------------------

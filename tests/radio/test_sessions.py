@@ -23,6 +23,7 @@ from repro.radio.sessions import (
 )
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
+from repro.resilience import stats
 
 #: Small-but-real storm the execution tests share.
 STORM = SessionWorkload(sessions=10, horizon_cycles=40_000)
@@ -219,6 +220,19 @@ class TestExecution:
         assert any(a[key] != b[key] for key in a)
         assert report_b.auth_failures == 0
 
+    def test_a_second_storm_on_one_platform_matches_a_fresh_one(self):
+        # The cycle budget covers one storm (about 88,000 cycles) but not
+        # two back to back, so the second run's budget must start at its
+        # own start cycle.
+        workload = replace(STORM, sessions=4, limit=100_000)
+        fresh = run_sessions(workload, seed=SEED)
+        manager = SessionManager.provisioned(workload, seed=SEED)
+        manager.run()
+        again = SessionManager(manager.platform, workload, seed=SEED).run()
+        assert again.total_cycles == fresh.total_cycles
+        assert sorted(again.latencies) == sorted(fresh.latencies)
+        assert again.packets_done == fresh.packets_done
+
 
 class TestOverloadedSessions:
     def test_shedding_protects_control_and_reproduces(self):
@@ -270,20 +284,19 @@ def test_default_mix_covers_all_three_classes():
 
 class TestCommState:
     def test_session_report_counts_the_run_backends_expansions(self):
-        """The report's key-schedule expansions are the delta on the
-        backend the storm actually dispatched to, not on the platform's
-        own backend."""
+        """The report's key-schedule expansions are the ones the workers
+        of the backend the storm dispatched to reported during the run,
+        not the platform's own backend's."""
         backend = ProcessPoolBackend(2)
         try:
             workload = replace(STORM, sessions=6, backend=backend)
             manager = SessionManager.provisioned(workload, seed=SEED)
-            before = backend.worker_expansions
-            report = manager.run()
-            delta = backend.worker_expansions - before
+            with stats.counting() as counters:
+                report = manager.run()
         finally:
             backend.close()
-        assert delta > 0
-        assert report.key_schedule_expansions == delta
+        assert counters["key_schedule_expansions"] > 0
+        assert report.key_schedule_expansions == counters["key_schedule_expansions"]
 
     @pytest.mark.parametrize("caller", ["run_workload", "sessions"])
     def test_a_run_that_raises_restores_comm_state(self, caller, monkeypatch):

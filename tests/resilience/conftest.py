@@ -1,7 +1,8 @@
 """Isolation for the fault-injection tests.
 
-Every test starts with no active fault plan and zeroed recovery
-counters, and cannot leak either into the rest of the suite.
+Every test starts with no active fault plan, cannot leak one into the
+rest of the suite, and runs in its own counter scope; a test that
+reads the recovery counters requests the scope as ``counters``.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from repro.resilience import set_fault_plan, stats
 
 
 @pytest.fixture(autouse=True)
-def _clean_resilience_state():
+def counters():
     set_fault_plan(None)
-    stats.reset()
-    yield
+    with stats.counting() as scope:
+        yield scope
     set_fault_plan(None)
-    stats.reset()

@@ -21,7 +21,7 @@ from repro.mccp.channel import FlushPolicy
 from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
-from repro.resilience import FaultPlan, ScriptedFault, set_fault_plan, stats
+from repro.resilience import FaultPlan, ScriptedFault, set_fault_plan
 
 #: No-backoff budget so the retry tests don't sleep.
 FAST = ResiliencePolicy(max_retries=2, backoff_base=0.0, backoff_cap=0.0)
@@ -52,24 +52,24 @@ class _FlakyCall:
 
 
 class TestRetry:
-    def test_transient_failure_heals_on_retry(self):
+    def test_transient_failure_heals_on_retry(self, counters):
         backend = InlineBackend()
         flaky = _FlakyCall(failures=1)
         results = backend.run([(flaky, (21,)), (int, ("7",))], policy=FAST)
         assert results == [42, 7]
         assert flaky.calls == 2
-        assert stats.snapshot()["retries"] >= 1
-        assert stats.snapshot()["degradations"] == 0
+        assert counters["retries"] >= 1
+        assert counters["degradations"] == 0
 
-    def test_exhausted_retries_raise_on_inline(self):
+    def test_exhausted_retries_raise_on_inline(self, counters):
         policy = ResiliencePolicy(max_retries=1, backoff_base=0.0, backoff_cap=0.0)
         flaky = _FlakyCall(failures=99)
         with pytest.raises(WorkerCrashError):
             InlineBackend().run([(flaky, (1,))], policy=policy)
         assert flaky.calls == 2
-        assert stats.snapshot()["degradations"] == 0
+        assert counters["degradations"] == 0
 
-    def test_non_retryable_errors_propagate_immediately(self):
+    def test_non_retryable_errors_propagate_immediately(self, counters):
         backend = InlineBackend()
 
         def bad(_):
@@ -77,7 +77,7 @@ class TestRetry:
 
         with pytest.raises(ValueError, match="crypto bug"):
             backend.run([(bad, (0,)), (int, ("1",))], policy=FAST)
-        assert stats.snapshot()["retries"] == 0
+        assert counters["retries"] == 0
 
     def test_backoff_schedule_is_capped_exponential(self):
         policy = ResiliencePolicy(backoff_base=0.01, backoff_cap=0.05)
@@ -91,7 +91,7 @@ class TestRetry:
 
 
 class TestWatchdog:
-    def test_hung_span_trips_watchdog_and_degrades(self):
+    def test_hung_span_trips_watchdog_and_degrades(self, counters):
         plan = FaultPlan(
             hang_seconds=0.25,
             scripted=(ScriptedFault("worker_hang", times=10**9),),
@@ -117,7 +117,7 @@ class TestWatchdog:
         # The hang outruns the watchdog on every pooled attempt, so the
         # span can only finish inline (which has no watchdog and simply
         # absorbs the final injected sleep).
-        assert stats.snapshot()["watchdog_fires"] >= 1
+        assert counters["watchdog_fires"] >= 1
         assert backend.inline_reason.startswith("process -> inline")
         assert sealed == seal_open_many("gcm", KEY, _packets(16), [], 16)[0]
 
@@ -130,7 +130,7 @@ class TestWatchdog:
 
 
 class TestProcessPool:
-    def test_injected_crash_breaks_pool_mid_batch_and_heals(self):
+    def test_injected_crash_breaks_pool_mid_batch_and_heals(self, counters):
         """A real child hard-exit mid-batch: BrokenProcessPool -> retry."""
         backend = ProcessPoolBackend(2)
         backend.resilience = FAST
@@ -148,7 +148,7 @@ class TestProcessPool:
         finally:
             set_fault_plan(None)
             backend.close()
-        assert stats.snapshot()["retries"] >= 1
+        assert counters["retries"] >= 1
         assert backend.inline_reason is None
         assert sealed == seal_open_many("gcm", KEY, _packets(16), [], 16)[0]
 

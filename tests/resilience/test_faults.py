@@ -113,14 +113,26 @@ class TestDirective:
             assert active_plan() is plan
         assert active_plan() is None
 
-    def test_faults_are_counted(self):
+    def test_faults_are_counted(self, counters):
         plan = FaultPlan(
             slow_seconds=0.0,
             scripted=(ScriptedFault("slow_sweep", times=1),),
         )
-        before = stats.snapshot()["faults_injected"]
         FaultPoint(plan, (0, 0)).directive(0, "inline").apply()
-        assert stats.snapshot()["faults_injected"] == before + 1
+        assert counters["faults_injected"] == 1
+
+    def test_counts_reach_every_open_scope_and_no_other(self, counters):
+        plan = FaultPlan(
+            slow_seconds=0.0,
+            scripted=(ScriptedFault("slow_sweep", times=2),),
+        )
+        with stats.counting() as inner:
+            FaultPoint(plan, (0, 0)).directive(0, "inline").apply()
+        FaultPoint(plan, (0, 0)).directive(1, "inline").apply()
+        with stats.counting() as later:
+            pass
+        assert (inner["faults_injected"], counters["faults_injected"]) == (1, 2)
+        assert later["faults_injected"] == 0
 
 
 class TestSpecParsing:
