@@ -15,25 +15,35 @@ core busy on one session key's packet stream.  Four mechanisms:
   Ragged batches sort lanes by block count so shorter packets simply
   retire early.  Without numpy, lanes run round-robin through the
   scalar T-table round, preserving the ragged-lane structure.
-- **one CCM engine** (:func:`_ccm_seal_open_groups`) — a CCM dispatch
-  seals one list and opens another under one key; the engine takes
-  several such groups, one per key.  Each group runs one counter sweep
-  over all its packets, then the seal chains and decrypted open chains
-  of *every* group run as the lanes of one CBC-MAC sweep with per-lane
-  round keys, so the ~130 serial block steps of the longest chain are
-  paid once per resolution, across keys and directions.
-  :func:`resolve_together` resolves every in-flight inline CCM
-  dispatch that way, and the radio's rx pre-seal seals every CCM
-  channel in one call.  :func:`_ccm_seal_open` is the one-group case,
-  and :func:`ccm_seal_many` and :func:`ccm_open_many` are its
-  one-direction forms.
+- **one engine per mode, many keys** (:func:`_ccm_seal_open_groups`,
+  :func:`_gcm_seal_open_groups`) — a dispatch seals one list and opens
+  another under one key; each engine takes several such groups, one
+  per key, and runs all of their counters as the lanes of one
+  keystream sweep with per-lane round keys.  CCM then runs the seal
+  chains and decrypted open chains of *every* group as the lanes of
+  one CBC-MAC sweep, so the ~130 serial block steps of the longest
+  chain are paid once per call, across keys and directions; GCM runs
+  every tag as a lane of one GHASH sweep
+  (:func:`repro.crypto.fast.ghash_hpower.ghash_lanes`).
+  :func:`_seal_open_whole` drives both engines over a list of
+  dispatches; the radio's rx pre-seal seals every channel in one such
+  call.  The ``*_many`` functions are the one-group, one-direction
+  forms.
+- **deferred dispatches and one barrier** — an inline dispatch from
+  :func:`seal_open_submit` computes nothing when submitted: it is
+  :attr:`SealOpenHandle.deferred` until its own ``result()`` computes
+  it alone, or until :func:`resolve_deferred`, the end-of-run barrier
+  of the radio dataplane, computes every deferred dispatch of the run
+  in one engine call (keystream sweeps capped at
+  :data:`MAX_SWEEP_BLOCKS` blocks).  This
+  is the multi-buffer technique (Guilford et al., Intel 2010) applied
+  across a whole run: every independent chain of every channel is a
+  lane of the same sweeps.
 - **fused counter runs** (:func:`_fused_keystream`) — every packet's
   CTR blocks (and GCM's ``E(J_0)`` tag masks) are mutually
-  independent, so the whole batch's counters become one packed
-  encryption sweep instead of one numpy dispatch per packet.
-- **H-power GHASH** — per-packet tags fold through
-  :func:`repro.crypto.fast.ghash_hpower.ghash_blocks_hpower` with the
-  batch's shared subkey tables.
+  independent, so the whole call's counters become one packed
+  encryption sweep per key size instead of one numpy dispatch per
+  packet.
 
 Batch opens verify before they decrypt where the mode allows it:
 :func:`gcm_open_many` checks every tag off a 1-block-per-packet mask
@@ -82,11 +92,8 @@ from repro.crypto.fast.bulk import (
     KeyOrSchedule,
     Schedule,
     _gcm_j0_int,
-    _ghash_aad_ct,
     _inc32,
     _schedule,
-    gcm_open,
-    gcm_seal,
     xor_data,
 )
 from repro.crypto.fast.arena import attach_view, note_key_epoch
@@ -130,6 +137,17 @@ HAVE_NUMPY = _np is not None
 #: 1.2x, so run to run noise never turns the switch into a loss.  The
 #: same bound gates the fused counter sweep (:func:`_fused_keystream`).
 MIN_LANES = 8
+
+#: Counter blocks one keystream sweep (:func:`_fused_keystream`) covers
+#: at most; longer spec lists split into several sweeps.  A sweep's
+#: numpy working set is ~400 bytes per block (the state, per-lane round
+#: keys and the round's gather temporaries), about 1.6 MB here — the
+#: size of one 32-packet dispatch of 2 KB packets — however many
+#: dispatches the barrier (:func:`resolve_deferred`) computes at once.
+#: The barrier's other arrays (CBC-MAC chains, GHASH messages) are one
+#: copy of the packets themselves, whose inputs and outputs the run
+#: holds anyway.
+MAX_SWEEP_BLOCKS = 4096
 
 Buffers = Union[bytes, bytearray, memoryview, Sequence[bytes]]
 
@@ -190,6 +208,39 @@ def _check_poisoned(packets) -> None:
         nonce = bytes(packet[0])
         if plan.is_poisoned(nonce):
             raise InjectedFault(f"injected batch error (nonce {nonce.hex()})")
+
+
+def _split_poisoned(packets: List) -> Tuple[List, dict]:
+    """``(clean packets, {index: QuarantinedPacketError})`` under the plan.
+
+    The submit-time form of :func:`_check_poisoned` for an isolating
+    dispatch: each poisoned packet leaves the work with the error its
+    singleton run would raise, so when and where the rest computes
+    cannot change what quarantines.
+    """
+    plan = _faults.active_plan()
+    if plan is None or not plan.poisoned:
+        return packets, {}
+    clean, quarantined = [], {}
+    for index, packet in enumerate(packets):
+        try:
+            _check_poisoned((packet,))
+        except InjectedFault as exc:
+            quarantined[index] = QuarantinedPacketError(str(exc))
+        else:
+            clean.append(packet)
+    return clean, quarantined
+
+
+def _restore_slots(results: List, quarantined: dict) -> List:
+    """*results* of the clean packets with the quarantined slots put back."""
+    if not quarantined:
+        return results
+    rest = iter(results)
+    return [
+        quarantined[index] if index in quarantined else next(rest)
+        for index in range(len(results) + len(quarantined))
+    ]
 
 
 # -- arena (descriptor) dataplane ------------------------------------------
@@ -480,28 +531,37 @@ def seal_open_many(
     ).result()
 
 
-def _seal_open_whole(mode, key, seals, opens, tag_length):
-    """Both directions of one dispatch as a single worker call.
+#: One inline dispatch: ``(mode, key, seals, opens, tag_length)``.
+_Dispatch = Tuple[str, bytes, Sequence[Sequence], Sequence[Sequence], int]
 
-    The un-sharded form :func:`seal_open_submit` uses whenever the
-    dispatch does not cross to arena workers: thanks to the backends'
-    serial guard a single call always executes in the submitting
-    thread, where the caller's fault plan is already installed.  CCM
-    runs both directions through one :func:`_ccm_seal_open` so its
-    seal and open CBC-MAC chains share one lane sweep.
+
+def _seal_open_whole(dispatches: Sequence[_Dispatch]):
+    """Compute inline dispatches in shared sweeps; their pairs, in order.
+
+    Every CCM dispatch joins one :func:`_ccm_seal_open_groups` call and
+    every GCM dispatch one :func:`_gcm_seal_open_groups` call, so each
+    pair is byte-identical to computing its dispatch alone.  The
+    un-sharded work of :func:`seal_open_submit` (one dispatch, run in
+    the submitting thread by the backends' serial guard) and the
+    barrier (:func:`resolve_deferred`) both run here.  Never consults
+    the fault plan: poisoned packets left each dispatch when it was
+    submitted.
     """
-    if mode == "ccm":
-        _check_poisoned(seals)
-        _check_poisoned(opens)
-        return _ccm_seal_open(key, seals, opens, tag_length)
-    return (
-        _SEAL_MANY[mode](key, seals, tag_length),
-        _OPEN_MANY[mode](key, opens),
-    )
+    pairs: List = [None] * len(dispatches)
+    for mode, engine in (
+        ("ccm", _ccm_seal_open_groups), ("gcm", _gcm_seal_open_groups),
+    ):
+        indices = [i for i, dispatch in enumerate(dispatches) if dispatch[0] == mode]
+        if indices:
+            for index, pair in zip(
+                indices, engine([dispatches[i][1:] for i in indices])
+            ):
+                pairs[index] = pair
+    return pairs
 
 
 class SealOpenHandle:
-    """One in-flight :func:`seal_open_many` dispatch (futures form).
+    """One submitted :func:`seal_open_many` dispatch (futures form).
 
     Returned by :func:`seal_open_submit`; ``done()`` is non-blocking,
     ``result()`` waits and yields the same
@@ -512,23 +572,25 @@ class SealOpenHandle:
     pair, *quarantine* (None = not isolating) rebuilds the pair from
     the original packets when a packet-level error surfaces, and
     *cleanup* releases dispatch-scoped resources (an arena generation)
-    exactly once, success or failure.
+    exactly once, success or failure.  An inline dispatch also carries
+    its *dispatch* tuple: it stays :attr:`deferred` until ``result()``
+    or :func:`resolve_deferred` computes it.
     """
 
     __slots__ = (
-        "_handle", "_collect", "_quarantine", "_cleanup", "_result", "_group",
+        "_handle", "_collect", "_quarantine", "_cleanup", "_result",
+        "_dispatch",
     )
 
     def __init__(self, handle, collect, quarantine=None, cleanup=None,
-                 group=None):
+                 dispatch=None):
         self._handle = handle
         self._collect = collect
         self._quarantine = quarantine
         self._cleanup = cleanup
         self._result = None
-        #: ``(key, seals, opens, tag_length)`` of a whole-dispatch CCM
-        #: handle, which :func:`resolve_together` may fuse; else None.
-        self._group = group
+        #: The inline work (:data:`_Dispatch`); None on an arena handle.
+        self._dispatch = dispatch
 
     def done(self) -> bool:
         """Non-blocking: would :meth:`result` still wait on workers?"""
@@ -541,19 +603,22 @@ class SealOpenHandle:
         return self._result
 
     @property
-    def fusable(self) -> bool:
-        """May :func:`resolve_together` still resolve this handle?"""
-        return self._group is not None and self._result is None
+    def deferred(self) -> bool:
+        """Has this inline dispatch computed nothing yet?
+
+        A deferred handle waits for its own ``result()`` or for
+        :func:`resolve_deferred`; arena handles are never deferred, their
+        workers start at submission.
+        """
+        return self._dispatch is not None and self._result is None
 
     def abandon(self) -> None:
         """Give the dispatch up unread; never raises.
 
         Waits out any workers still writing into the dispatch's arena
         generation, then releases it, so an abandoned handle holds no
-        slab region.  An unlaunched handle has nothing to wait for; it
-        stops being :attr:`fusable`.
+        slab region.  An inline handle has nothing to wait for.
         """
-        self._group = None
         if self._result is None and self._cleanup is not None:
             try:
                 self._handle.result()
@@ -602,9 +667,15 @@ def seal_open_submit(
     When the backend offers a packet arena the dispatch ships as span
     descriptors over one shared-memory generation (released when the
     handle resolves); otherwise it is one :func:`_seal_open_whole`
-    call, which runs in the calling thread.  *key_ref*
-    (``(key_id, epoch)``) rides along to the warm workers' rekey
-    protocol.
+    call, which computes nothing yet: the handle is
+    :attr:`SealOpenHandle.deferred` until ``result()`` runs it in the
+    calling thread or :func:`resolve_deferred` runs it with others.
+    The fault plan is read here either way, so a poisoned packet
+    faults the same wherever its dispatch computes: an inline
+    non-isolating dispatch raises :class:`InjectedFault` right away,
+    an isolating one sets the packet's :class:`QuarantinedPacketError`
+    aside.  *key_ref* (``(key_id, epoch)``) rides along to the warm
+    workers' rekey protocol.
     """
     if mode not in _SEAL_MANY:
         raise ValueError(f"unknown batch mode {mode!r}; valid: gcm, ccm")
@@ -622,59 +693,63 @@ def seal_open_submit(
     opens = [_norm_open_packet(p) for p in open_packets]
     quarantine = None
     if isolate:
-        quarantine = lambda: _quarantine_pair(  # noqa: E731
-            mode, key, seals, opens, tag_length
+        seals, sealed_aside = _split_poisoned(seals)
+        opens, opened_aside = _split_poisoned(opens)
+
+        def quarantine():
+            sealed = _quarantine_split(seals, lambda span: _seal_open_whole(
+                [(mode, key, span, (), tag_length)]
+            )[0][0])
+            opened = _quarantine_split(opens, lambda span: _seal_open_whole(
+                [(mode, key, (), span, tag_length)]
+            )[0][1])
+            return (
+                _restore_slots(sealed, sealed_aside),
+                _restore_slots(opened, opened_aside),
+            )
+    else:
+        _check_poisoned(seals)
+        _check_poisoned(opens)
+        sealed_aside = opened_aside = {}
+
+    def collect(shards):
+        sealed, opened = shards[0][0]
+        return (
+            _restore_slots(sealed, sealed_aside),
+            _restore_slots(opened, opened_aside),
         )
-    whole = backend.submit(
-        [(_seal_open_whole, (mode, key, seals, opens, tag_length))]
-    )
+
+    dispatch = (mode, key, seals, opens, tag_length)
     # A one-call span is never launched to a pool (see
-    # ExecutionBackend.submit): it computes at result() time, so a CCM
-    # one may instead resolve together with its in-flight neighbours.
-    group = (key, seals, opens, tag_length) if mode == "ccm" else None
-    return SealOpenHandle(whole, lambda shards: shards[0], quarantine,
-                          group=group)
+    # ExecutionBackend.submit): it computes at result() time.
+    whole = backend.submit([(_seal_open_whole, ([dispatch],))])
+    return SealOpenHandle(whole, collect, quarantine, dispatch=dispatch)
 
 
-def resolve_together(handles: Sequence[SealOpenHandle]) -> None:
-    """Resolve the fusable CCM handles among *handles* in one engine call.
+def resolve_deferred(handles: Sequence[SealOpenHandle]) -> None:
+    """The barrier: compute every deferred handle among *handles* at once.
 
-    Fusable handles (:attr:`SealOpenHandle.fusable`) are the
-    unresolved whole-dispatch CCM ones (no arena, never launched to a
-    pool); their groups run through one :func:`_ccm_seal_open_groups`
-    call, so all their CBC-MAC chains share one lane sweep, and each
-    handle's memoized ``result()`` becomes its own pair —
-    byte-identical to resolving it alone.  A handle holding a poisoned
-    packet stops being fusable and later resolves alone (and
-    quarantines) through ``result()``.  If the fused call raises, no
-    handle is resolved and none stays fusable: each one meets the
-    error, or not, when it resolves alone.  GCM and arena handles are
-    left alone.  Fewer than two members leave every handle as it was.
+    The deferred handles (:attr:`SealOpenHandle.deferred`) run through
+    one :func:`_seal_open_whole` call — every counter run of every
+    dispatch in keystream sweeps of at most :data:`MAX_SWEEP_BLOCKS`
+    blocks, every CCM chain as a lane of one CBC-MAC sweep per key
+    size, every GCM tag as a lane of one GHASH sweep — and each
+    handle's memoized ``result()`` becomes its own pair,
+    byte-identical to computing it alone, since no packet's output
+    depends on its lane-mates.  If the call raises, every handle stays
+    deferred: each meets the error, or none, when its own ``result()``
+    computes it alone (and quarantines, when isolating).  Other
+    handles are left alone.
     """
-    members = []
-    for handle in handles:
-        if not handle.fusable:
-            continue
-        _key, seals, opens, _tag_length = handle._group
-        try:
-            _check_poisoned(seals)
-            _check_poisoned(opens)
-        except InjectedFault:
-            handle._group = None
-            continue
-        members.append(handle)
-    if len(members) < 2:
+    pending = [handle for handle in handles if handle.deferred]
+    if not pending:
         return
     try:
-        pairs = _ccm_seal_open_groups([handle._group for handle in members])
+        pairs = _seal_open_whole([handle._dispatch for handle in pending])
     except Exception:
-        # Each member resolves alone when collected and meets its own
-        # error there, or none.
-        for handle in members:
-            handle._group = None
-        return
-    for handle, pair in zip(members, pairs):
-        handle._result, handle._group = pair, None
+        return  # each handle computes alone at result() and raises there
+    for handle, pair in zip(pending, pairs):
+        handle._result = handle._collect([[pair]])
 
 
 # -- lane-parallel CBC-MAC -------------------------------------------------
@@ -687,21 +762,28 @@ def _lane_order(messages: Sequence[bytes]) -> Tuple[List[int], List[int]]:
     return order, counts
 
 
-def _lane_keys(schedules: Sequence[Schedule], order: Sequence[int]):
-    """uint32 round keys of a sweep's lanes, in *order*.
+def _lane_keys(schedules: Sequence[Schedule], counts=None):
+    """uint32 round keys of a sweep: ``schedules[i]`` for lane group *i*.
 
-    ``(rounds + 1, 4, N)`` with one schedule per lane, or
+    Group *i* is ``counts[i]`` consecutive lanes (one lane when *counts*
+    is None).  ``(rounds + 1, 4, N)`` with one schedule per lane, or
     ``(rounds + 1, 4, 1)``, broadcast over every lane, when they share
-    one.
+    one.  Schedules are told apart by identity: the key-expansion memo
+    hands every use of a key the same one.
     """
-    distinct = list(dict.fromkeys(schedules))
-    if len(distinct) == 1:
-        return aes_vector._round_keys_array(distinct[0])
-    index = {schedule: i for i, schedule in enumerate(distinct)}
+    index = {}
+    for schedule in schedules:
+        index.setdefault(id(schedule), (len(index), schedule))
+    if len(index) == 1:
+        return aes_vector._round_keys_array(schedules[0])
     stacked = _np.concatenate(
-        [aes_vector._round_keys_array(schedule) for schedule in distinct], axis=2
+        [aes_vector._round_keys_array(schedule) for _, schedule in index.values()],
+        axis=2,
     )
-    return stacked[:, :, [index[schedules[i]] for i in order]]
+    lanes = _np.array([index[id(s)][0] for s in schedules], dtype=_np.intp)
+    if counts is not None:
+        lanes = _np.repeat(lanes, counts)
+    return stacked[:, :, lanes]
 
 
 def _cbc_mac_lanes_vector(
@@ -718,7 +800,7 @@ def _cbc_mac_lanes_vector(
     lanes = len(messages)
     sorted_negated = [-counts[i] for i in order]
     max_blocks = counts[order[0]]
-    round_keys = _lane_keys(schedules, order)
+    round_keys = _lane_keys([schedules[i] for i in order])
     blocks = _np.zeros((max_blocks, 4, lanes), dtype=_np.uint32)
     for rank, index in enumerate(order):
         words = _np.frombuffer(messages[index], dtype=">u4").reshape(-1, 4)
@@ -829,22 +911,53 @@ def cbc_mac_many(
 
 
 def _fused_keystream(
-    round_keys: Schedule, specs: Sequence[_CounterSpec]
+    round_keys: Union[Schedule, List[Schedule]], specs: Sequence[_CounterSpec]
 ) -> List[bytes]:
-    """Keystream for every counter run in one packed encryption sweep.
+    """Keystream for every counter run in packed encryption sweeps.
 
     Each spec is ``(initial_counter, inc_bits, nblocks)`` with the low
     *inc_bits* bits incrementing per block (the
     :func:`repro.crypto.fast.bulk.ctr_stream` semantics, inc widths up
     to 64 bits — GCM's inc32 and CCM's 8q-bit fields both qualify).
+    *round_keys* is one schedule shared by every spec, or a list of one
+    schedule per spec: runs under different keys then share a sweep
+    with per-lane round keys.  Runs of one round count share sweeps of
+    up to :data:`MAX_SWEEP_BLOCKS` blocks (a longer run is a sweep of
+    its own).
     """
     from repro.crypto.fast.bulk import ctr_stream
 
+    schedules = (
+        round_keys if isinstance(round_keys, list) else [round_keys] * len(specs)
+    )
     if not (HAVE_NUMPY and sum(spec[2] for spec in specs) >= MIN_LANES):
         return [
-            ctr_stream(round_keys, c0.to_bytes(BLOCK_BYTES, "big"), nblocks, inc_bits)
-            for c0, inc_bits, nblocks in specs
+            ctr_stream(schedule, c0.to_bytes(BLOCK_BYTES, "big"), nblocks, inc_bits)
+            for schedule, (c0, inc_bits, nblocks) in zip(schedules, specs)
         ]
+    sweeps = {}  # round count -> sweeps (spec index lists), last one open
+    for index, (schedule, spec) in enumerate(zip(schedules, specs)):
+        group = sweeps.setdefault(len(schedule), [[[], 0]])
+        sweep = group[-1]
+        if sweep[0] and sweep[1] + spec[2] > MAX_SWEEP_BLOCKS:
+            sweep = [[], 0]
+            group.append(sweep)
+        sweep[0].append(index)
+        sweep[1] += spec[2]
+    streams: List[bytes] = [b""] * len(specs)
+    for group in sweeps.values():
+        for indices, _blocks in group:
+            for index, stream in zip(indices, _keystream_sweep(
+                [schedules[i] for i in indices], [specs[i] for i in indices]
+            )):
+                streams[index] = stream
+    return streams
+
+
+def _keystream_sweep(
+    schedules: Sequence[Schedule], specs: Sequence[_CounterSpec]
+) -> List[bytes]:
+    """One vector sweep over every counter block of *specs*."""
     total = sum(spec[2] for spec in specs)
     state = _np.empty((4, total), dtype=_np.uint32)
     offset = 0
@@ -868,12 +981,13 @@ def _fused_keystream(
             ).astype(_np.uint32)
             state[3, lane] = lows.astype(_np.uint32)
         offset += nblocks
+    counts = [spec[2] for spec in specs]
     raw = aes_vector.state_to_bytes(
-        aes_vector.encrypt_state_vector(state, round_keys)
+        aes_vector.encrypt_state_vector(state, _lane_keys(schedules, counts))
     )
     streams = []
     offset = 0
-    for _, _, nblocks in specs:
+    for nblocks in counts:
         streams.append(raw[BLOCK_BYTES * offset : BLOCK_BYTES * (offset + nblocks)])
         offset += nblocks
     return streams
@@ -882,35 +996,121 @@ def _fused_keystream(
 # -- GCM / GMAC ------------------------------------------------------------
 
 
-def _gcm_tag_hpower(
-    h: int, j0_mask: bytes, aad: bytes, ciphertext: bytes, tag_length: int
-) -> bytes:
-    """GHASH(aad, ct, lengths) xor E(J_0), H-power folded."""
-    acc = _ghash_aad_ct(h, aad, ciphertext)
-    return xor_data(acc.to_bytes(BLOCK_BYTES, "big"), j0_mask)[:tag_length]
+#: One engine group: ``(key, seals, opens, tag_length)``.
+_Group = Tuple[bytes, Sequence[Sequence], Sequence[Sequence], int]
 
 
-def _gcm_front(
-    key: bytes, packets: Sequence[Sequence], aad_index: int
-) -> Tuple[Schedule, int, List[bytes], List[bytes], List[int]]:
-    """Shared GCM batch front end: schedule, H, gathered fields, J_0s.
+def _ghash_input(aad: bytes, ciphertext: bytes) -> bytes:
+    """The whole-block GHASH message: padded aad, padded text, lengths."""
+    return (
+        pad_zeros(aad, BLOCK_BYTES)
+        + pad_zeros(ciphertext, BLOCK_BYTES)
+        + (8 * len(aad)).to_bytes(8, "big")
+        + (8 * len(ciphertext)).to_bytes(8, "big")
+    )
 
-    Packet field 0 is the IV and field 1 the data (plaintext for seal,
-    ciphertext for open); *aad_index* locates the optional aad (seal
-    packets carry it at 2, open packets at 3 after the tag).
+
+def _gcm_seal_open_groups(
+    groups: Sequence[_Group],
+) -> List[Tuple[List[Tuple[bytes, bytes]], List[Optional[bytes]]]]:
+    """Seal and open several keys' GCM lists in shared counter sweeps.
+
+    Each group ``(key, seals, opens, tag_length)`` seals one list and
+    opens another under its own key, and gets back the pair ``(sealed,
+    opened)``.  The seals' keystreams and every packet's ``E(J_0)`` tag
+    mask run as one sweep with per-lane round keys; every tag of every
+    group is a lane of one GHASH sweep
+    (:func:`repro.crypto.fast.ghash_hpower.ghash_lanes`); then only the
+    opens that verified join a second sweep for their plaintext, so a
+    forged packet costs one AES block plus its GHASH.  Each packet's
+    outputs depend only on its own lanes, so the results are
+    byte-identical to per-packet :func:`repro.crypto.fast.bulk
+    .gcm_seal` and :func:`repro.crypto.fast.bulk.gcm_open`.  Never
+    consults the fault plan (the public callers do).
     """
-    round_keys = expand_key_cached(bytes(key))
     from repro.crypto.fast.aes_ttable import encrypt_block_tt
+    from repro.crypto.fast.ghash_hpower import ghash_lanes
+    from repro.crypto.modes.gcm import VALID_TAG_LENGTHS
 
-    h = int.from_bytes(encrypt_block_tt(_ZERO_IV, round_keys), "big")
-    ivs = [bytes(packet[0]) for packet in packets]
-    datas = [gather(packet[1]) for packet in packets]
-    aads = [
-        gather(packet[aad_index]) if len(packet) > aad_index else b""
-        for packet in packets
-    ]
-    j0s = [_gcm_j0_int(h, iv) for iv in ivs]
-    return round_keys, h, datas, aads, j0s
+    staged = []  # (key, round keys, seals, opens, tag length, open J_0s)
+    schedules: List[Schedule] = []
+    specs: List[_CounterSpec] = []
+    subkeys = {}  # key -> H
+    for key, seals, opens, tag_length in groups:
+        if tag_length not in VALID_TAG_LENGTHS:
+            raise TagError(
+                f"GCM tag length must be one of {VALID_TAG_LENGTHS}, got {tag_length}"
+            )
+        seals = [_norm_seal_packet(p) for p in seals]
+        opens = [_norm_open_packet(p) for p in opens]
+        for _nonce, _data, tag, _aad in opens:
+            if len(tag) not in VALID_TAG_LENGTHS:
+                raise TagError(f"GCM tag length {len(tag)} is invalid")
+        round_keys = ()
+        open_j0s: List[int] = []
+        if seals or opens:
+            key = bytes(key)
+            round_keys = expand_key_cached(key)
+            if key not in subkeys:
+                subkeys[key] = int.from_bytes(
+                    encrypt_block_tt(_ZERO_IV, round_keys), "big"
+                )
+            h = subkeys[key]
+            seal_j0s = [_gcm_j0_int(h, nonce) for nonce, _d, _a in seals]
+            open_j0s = [_gcm_j0_int(h, nonce) for nonce, _d, _t, _a in opens]
+            specs += [
+                (_inc32(j0), 32, -(-len(data) // BLOCK_BYTES))
+                for j0, (_n, data, _a) in zip(seal_j0s, seals)
+            ]
+            specs += [(j0, 32, 1) for j0 in seal_j0s + open_j0s]
+            schedules += [round_keys] * (2 * len(seals) + len(opens))
+        staged.append((key, round_keys, seals, opens, tag_length, open_j0s))
+    streams = iter(_fused_keystream(schedules, specs))
+    lane_keys: List[int] = []  # one GHASH lane per packet: H, message
+    messages: List[bytes] = []
+    masked = []  # (ciphertexts, seal masks, open masks) per group
+    for key, _rk, seals, opens, _tl, _oj in staged:
+        ciphertexts = [xor_data(data, next(streams)) for _n, data, _a in seals]
+        seal_masks = [next(streams) for _ in seals]
+        open_masks = [next(streams) for _ in opens]
+        if seals or opens:
+            lane_keys += [subkeys[key]] * (len(seals) + len(opens))
+            messages += [
+                _ghash_input(aad, ct) for (_n, _d, aad), ct in zip(seals, ciphertexts)
+            ]
+            messages += [_ghash_input(aad, ct) for _n, ct, _t, aad in opens]
+        masked.append((ciphertexts, seal_masks, open_masks))
+    accs = iter(ghash_lanes(lane_keys, messages))
+    verdicts = []  # (sealed, verified) per group
+    schedules, specs = [], []
+    for (_key, round_keys, _seals, opens, tag_length, open_j0s), (
+        ciphertexts, seal_masks, open_masks,
+    ) in zip(staged, masked):
+        sealed = [
+            (ct, xor_data(next(accs).to_bytes(BLOCK_BYTES, "big"), mask)[:tag_length])
+            for ct, mask in zip(ciphertexts, seal_masks)
+        ]
+        verified = [
+            hmac.compare_digest(
+                xor_data(next(accs).to_bytes(BLOCK_BYTES, "big"), mask)[: len(tag)], tag
+            )
+            for (_n, _c, tag, _a), mask in zip(opens, open_masks)
+        ]
+        for j0, (_n, ciphertext, _t, _a), ok in zip(open_j0s, opens, verified):
+            if ok:
+                specs.append((_inc32(j0), 32, -(-len(ciphertext) // BLOCK_BYTES)))
+                schedules.append(round_keys)
+        verdicts.append((sealed, verified))
+    if any(opens for _k, _rk, _s, opens, *_ in staged):
+        streams = iter(_fused_keystream(schedules, specs))
+    results = []
+    for (_k, _rk, _s, opens, _tl, _oj), (sealed, verified) in zip(staged, verdicts):
+        opened = [
+            xor_data(ciphertext, next(streams)) if ok else None
+            for (_n, ciphertext, _t, _a), ok in zip(opens, verified)
+        ]
+        results.append((sealed, opened))
+    return results
 
 
 def gcm_seal_many(
@@ -925,35 +1125,8 @@ def gcm_seal_many(
     Byte-identical to calling :func:`repro.crypto.fast.bulk.gcm_seal`
     per packet.
     """
-    from repro.crypto.modes.gcm import VALID_TAG_LENGTHS
-
-    if tag_length not in VALID_TAG_LENGTHS:
-        raise TagError(
-            f"GCM tag length must be one of {VALID_TAG_LENGTHS}, got {tag_length}"
-        )
-    if not packets:
-        return []
     _check_poisoned(packets)
-    if not HAVE_NUMPY:
-        return [
-            gcm_seal(key, bytes(p[0]), gather(p[1]), gather(p[2]) if len(p) > 2 else b"", tag_length)
-            for p in packets
-        ]
-    round_keys, h, datas, aads, j0s = _gcm_front(key, packets, 2)
-    specs: List[_CounterSpec] = [
-        (_inc32(j0), 32, -(-len(data) // BLOCK_BYTES))
-        for j0, data in zip(j0s, datas)
-    ]
-    specs += [(j0, 32, 1) for j0 in j0s]  # E(J_0) tag masks, same sweep
-    streams = _fused_keystream(round_keys, specs)
-    keystreams = streams[: len(packets)]
-    masks = streams[len(packets) :]
-    results = []
-    for data, aad, stream, mask in zip(datas, aads, keystreams, masks):
-        ciphertext = xor_data(data, stream)
-        tag = _gcm_tag_hpower(h, mask, aad, ciphertext, tag_length)
-        results.append((ciphertext, tag))
-    return results
+    return _gcm_seal_open_groups([(key, packets, (), tag_length)])[0][0]
 
 
 def gcm_open_many(
@@ -975,45 +1148,8 @@ def gcm_open_many(
     Survivors' outputs are unaffected by failed lanes (their keystream
     counters depend only on their own J_0, not on lane packing).
     """
-    from repro.crypto.modes.gcm import VALID_TAG_LENGTHS
-
-    if not packets:
-        return []
-    for packet in packets:
-        if len(bytes(packet[2])) not in VALID_TAG_LENGTHS:
-            raise TagError(f"GCM tag length {len(bytes(packet[2]))} is invalid")
     _check_poisoned(packets)
-    if not HAVE_NUMPY:
-        # bulk.gcm_open already verifies before generating the payload
-        # keystream, so the scalar fallback early-rejects per packet.
-        return [
-            _open_one(
-                gcm_open,
-                key,
-                bytes(p[0]),
-                gather(p[1]),
-                bytes(p[2]),
-                gather(p[3]) if len(p) > 3 else b"",
-            )
-            for p in packets
-        ]
-    round_keys, h, ciphertexts, aads, j0s = _gcm_front(key, packets, 3)
-    masks = _fused_keystream(round_keys, [(j0, 32, 1) for j0 in j0s])
-    verified: List[bool] = []
-    for packet, ciphertext, aad, mask in zip(packets, ciphertexts, aads, masks):
-        tag = bytes(packet[2])
-        expected = _gcm_tag_hpower(h, mask, aad, ciphertext, len(tag))
-        verified.append(hmac.compare_digest(expected, tag))
-    survivor_specs: List[_CounterSpec] = [
-        (_inc32(j0), 32, -(-len(ciphertext) // BLOCK_BYTES))
-        for j0, ciphertext, ok in zip(j0s, ciphertexts, verified)
-        if ok
-    ]
-    streams = iter(_fused_keystream(round_keys, survivor_specs))
-    return [
-        xor_data(ciphertext, next(streams)) if ok else None
-        for ciphertext, ok in zip(ciphertexts, verified)
-    ]
+    return _gcm_seal_open_groups([(key, (), packets, 16)])[0][1]
 
 
 def gmac_many(
@@ -1031,24 +1167,20 @@ def gmac_many(
 # -- CCM -------------------------------------------------------------------
 
 
-#: One CCM engine group: ``(key, seals, opens, tag_length)``.
-_CcmGroup = Tuple[bytes, Sequence[Sequence], Sequence[Sequence], int]
-
-
 def _ccm_seal_open_groups(
-    groups: Sequence[_CcmGroup],
+    groups: Sequence[_Group],
 ) -> List[Tuple[List[Tuple[bytes, bytes]], List[Optional[bytes]]]]:
-    """Seal and open several keys' CCM lists, sharing one CBC-MAC sweep.
+    """Seal and open several keys' CCM lists, sharing every sweep.
 
     Each group ``(key, seals, opens, tag_length)`` seals one list and
     opens another under its own key, and gets back the pair
     ``(sealed, opened)``.  Every group's counters ``A_0..A_m`` run as
-    one keystream sweep under its key; the opens decrypt, and then the
-    seal and open CBC-MAC chains of *every* group run as the lanes of
-    one sweep with per-lane round keys — one pass of up to ~130 serial
-    block steps for the whole call, not one per group or direction
-    (one per key size when the groups mix them).  Each packet's
-    outputs depend only on its own lanes, so the results are
+    the lanes of one keystream sweep with per-lane round keys; the
+    opens decrypt, and then the seal and open CBC-MAC chains of *every*
+    group run as the lanes of one sweep — one pass of up to ~130
+    serial block steps for the whole call, not one per group or
+    direction (one per key size when the groups mix them).  Each
+    packet's outputs depend only on its own lanes, so the results are
     byte-identical to per-packet :func:`repro.crypto.fast.bulk
     .ccm_seal` and :func:`repro.crypto.fast.bulk.ccm_open`.  Never
     consults the fault plan (the public callers do).
@@ -1060,38 +1192,37 @@ def _ccm_seal_open_groups(
         format_counter_block,
     )
 
-    staged = []  # (opens, lanes, masks, outputs, n_seals) per group
-    schedules: List[Schedule] = []
-    chains: List[bytes] = []
+    staged = []  # (opens, lanes, n_seals) per group
+    schedules: List[Schedule] = []  # one per lane, counters and chains alike
+    specs: List[_CounterSpec] = []
     for key, seals, opens, tag_length in groups:
         opens = [_norm_open_packet(p) for p in opens]
         # One (nonce, data, aad, tag_length) row per lane, seals first.
         lanes = [(*_norm_seal_packet(p), tag_length) for p in seals]
         lanes += [(nonce, data, aad, len(tag)) for nonce, data, tag, aad in opens]
-        n_seals = len(seals)
-        runs: List[bytes] = []
         if lanes:
             for nonce, data, _aad, tag_len in lanes:
                 _check_params(nonce, tag_len, len(data))
-            round_keys = expand_key_cached(bytes(key))
-            runs = _fused_keystream(round_keys, [
+            schedules += [expand_key_cached(bytes(key))] * len(lanes)
+            specs += [
                 (int.from_bytes(format_counter_block(nonce, 0), "big"),
                  8 * (15 - len(nonce)),
                  -(-len(data) // BLOCK_BYTES) + 1)  # A_0..A_m
                 for nonce, data, _aad, _tag_len in lanes
-            ])
-            schedules += [round_keys] * len(lanes)
-        # run = S_0 || keystream: the ciphertext of a seal, the
-        # plaintext of an open.  Only S_0 outlives this loop, so the
-        # keystreams of many groups never wait for the sweep together.
-        outputs = [
-            xor_data(data, run[BLOCK_BYTES:])
-            for (_n, data, _a, _t), run in zip(lanes, runs)
-        ]
-        masks = [run[:BLOCK_BYTES] for run in runs]
-        for lane, ((nonce, data, aad, tag_len), output) in enumerate(
-            zip(lanes, outputs)
-        ):
+            ]
+        staged.append((opens, lanes, len(seals)))
+    # run = S_0 || keystream: the ciphertext of a seal, the plaintext
+    # of an open.
+    runs = iter(_fused_keystream(schedules, specs))
+    chains: List[bytes] = []
+    outputs = []  # (texts, S_0 masks) per group
+    for opens, lanes, n_seals in staged:
+        texts, masks = [], []
+        for lane, (nonce, data, aad, tag_len) in enumerate(lanes):
+            run = next(runs)
+            output = xor_data(data, run[BLOCK_BYTES:])
+            texts.append(output)
+            masks.append(run[:BLOCK_BYTES])
             # Seals MAC their plaintext, opens the one they decrypt to.
             text = data if lane < n_seals else output
             chains.append(
@@ -1099,19 +1230,19 @@ def _ccm_seal_open_groups(
                 + format_associated_data(aad)
                 + pad_zeros(text, BLOCK_BYTES)
             )
-        staged.append((opens, lanes, masks, outputs, n_seals))
+        outputs.append((texts, masks))
     macs = iter(_cbc_mac_lanes(schedules, chains, _ZERO_IV))
     results = []
-    for opens, lanes, masks, outputs, n_seals in staged:
+    for (opens, lanes, n_seals), (texts, masks) in zip(staged, outputs):
         tags = [
             xor_data(next(macs), mask)[:tag_len]
             for mask, (_n, _d, _a, tag_len) in zip(masks, lanes)
         ]
-        sealed = list(zip(outputs[:n_seals], tags[:n_seals]))
+        sealed = list(zip(texts[:n_seals], tags[:n_seals]))
         opened = [
             text if hmac.compare_digest(expected, tag) else None
             for (_n, _d, tag, _a), text, expected in zip(
-                opens, outputs[n_seals:], tags[n_seals:]
+                opens, texts[n_seals:], tags[n_seals:]
             )
         ]
         results.append((sealed, opened))
@@ -1126,9 +1257,7 @@ def _ccm_seal_open(
 ) -> Tuple[List[Tuple[bytes, bytes]], List[Optional[bytes]]]:
     """Seal one same-key CCM list and open another, sharing every sweep.
 
-    The one-group case of :func:`_ccm_seal_open_groups`: one counter
-    sweep over all packets, then one CBC-MAC lane sweep over the seal
-    chains and the decrypted open chains together.
+    The one-group case of :func:`_ccm_seal_open_groups`.
     """
     return _ccm_seal_open_groups([(key, seals, opens, tag_length)])[0]
 
@@ -1170,17 +1299,7 @@ def ccm_open_many(
     return _ccm_seal_open(key, (), packets)[1]
 
 
-def _open_one(open_fn, key, nonce, ciphertext, tag, aad) -> Optional[bytes]:
-    """Per-packet open for the scalar fallback (None on auth failure)."""
-    from repro.errors import AuthenticationFailure
-
-    try:
-        return open_fn(key, nonce, ciphertext, tag, aad)
-    except AuthenticationFailure:
-        return None
-
-
 #: Mode tag -> batch entry point (the dispatch tables of the shard
-#: workers, the whole-dispatch call and the quarantine bisect).
+#: workers and the arena quarantine bisect).
 _SEAL_MANY = {"gcm": gcm_seal_many, "ccm": ccm_seal_many}
 _OPEN_MANY = {"gcm": gcm_open_many, "ccm": ccm_open_many}

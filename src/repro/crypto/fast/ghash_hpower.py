@@ -29,6 +29,13 @@ Both variants are byte-identical to the serial chain; the dispatcher
 (:func:`ghash_blocks_hpower`) picks per message size and numpy
 availability.  Table sets are LRU-memoized per ``(subkey, k)`` and
 dropped by :func:`repro.crypto.fast.clear_caches`.
+
+Many messages under many subkeys — the tags of a batch engine call —
+go through :func:`ghash_lanes` instead: each message is a lane of one
+Horner sweep over the plain (``k = 1``) byte tables of every lane's
+subkey, built for all subkeys at once by the same linearity and never
+memoized, so a key used for a handful of packets costs no table set of
+its own.
 """
 
 from __future__ import annotations
@@ -114,9 +121,20 @@ def hpower_tables_vec(h: int, k: int = DEFAULT_FOLD):
     """
     if not HAVE_NUMPY:
         raise RuntimeError("hpower_tables_vec requires numpy")
-    powers = _powers(h, k)
-    hi = _np.array([p >> 64 for p in powers], dtype=_np.uint64)
-    lo = _np.array([p & _MASK64 for p in powers], dtype=_np.uint64)
+    return _mul_tables(_powers(h, k))
+
+
+def _mul_tables(factors: List[int]):
+    """Byte tables multiplying by each of *factors*: two ``(n, 16, 256)``.
+
+    ``hi[i, pos, b]`` / ``lo[i, pos, b]`` hold the high/low halves of
+    byte value *b* at byte position *pos* multiplied by ``factors[i]``,
+    built by linearity over all factors at once (see
+    :func:`hpower_tables_vec`).
+    """
+    k = len(factors)
+    hi = _np.array([p >> 64 for p in factors], dtype=_np.uint64)
+    lo = _np.array([p & _MASK64 for p in factors], dtype=_np.uint64)
     basis_hi = _np.empty((128, k), dtype=_np.uint64)
     basis_lo = _np.empty((128, k), dtype=_np.uint64)
     one, top, r_hi = _np.uint64(1), _np.uint64(63), _np.uint64(R_POLY >> 64)
@@ -198,6 +216,70 @@ def _fold_vector(h: int, acc: int, data: bytes, fold: int) -> int:
             group = fold
             lanes = _np.arange(fold - 1, -1, -1).reshape(fold, 1)
     return acc
+
+
+#: Subkeys one :func:`ghash_lanes` sweep covers at most: their byte
+#: tables (64 KiB each) then stay within the worst-case footprint of
+#: the H-power memo (:data:`HPOWER_SLOTS` entries of
+#: :data:`DEFAULT_FOLD` powers).
+LANE_SUBKEYS = HPOWER_SLOTS * DEFAULT_FOLD
+
+
+def ghash_lanes(subkeys: List[int], messages: List[bytes]) -> List[int]:
+    """GHASH of each whole-block ``messages[i]`` under ``subkeys[i]``.
+
+    From a zero accumulator; byte-identical to
+    ``ghash_blocks_tabulated(subkeys[i], 0, messages[i])``.  With numpy
+    every message is one lane of a single Horner sweep: the messages
+    are left-padded with zero blocks to a common length — from a zero
+    accumulator a leading zero block leaves it zero — and each step
+    absorbs one block of every lane with two gathers from the lanes'
+    own byte tables, built for all subkeys at once
+    (:func:`_mul_tables`).  So a batch of many keys' tags costs one
+    pass of serial steps, however many keys and messages, and no key
+    pays a table build of its own.  Without numpy each message takes
+    the serial tabulated chain.
+    """
+    if not HAVE_NUMPY:
+        return [ghash_blocks_tabulated(h, 0, m) for h, m in zip(subkeys, messages)]
+    results: List[int] = []
+    start = 0
+    while start < len(messages):
+        distinct = {}
+        stop = start
+        while stop < len(messages) and (
+            subkeys[stop] in distinct or len(distinct) < LANE_SUBKEYS
+        ):
+            distinct.setdefault(subkeys[stop], len(distinct))
+            stop += 1
+        results += _ghash_sweep(distinct, subkeys[start:stop], messages[start:stop])
+        start = stop
+    return results
+
+
+def _ghash_sweep(distinct: dict, subkeys: List[int], messages: List[bytes]) -> List[int]:
+    """One :func:`ghash_lanes` sweep; *distinct* maps subkey -> table row."""
+    hi, lo = _mul_tables(list(distinct))
+    counts = [len(message) // BLOCK_BYTES for message in messages]
+    width = max(counts)
+    buf = _np.zeros((len(messages), width * BLOCK_BYTES), dtype=_np.uint8)
+    for row, (message, count) in enumerate(zip(messages, counts)):
+        if count:
+            buf[row, (width - count) * BLOCK_BYTES :] = _np.frombuffer(
+                message, dtype=_np.uint8
+            )
+    buf = buf.reshape(len(messages), width, BLOCK_BYTES)
+    # Flat table offset of (lane's subkey, byte position), byte value 0.
+    rows = _np.array([distinct[h] for h in subkeys], dtype=_np.intp)
+    base = (rows[:, None] * BLOCK_BYTES + _np.arange(BLOCK_BYTES)) * 256
+    hi, lo = hi.reshape(-1), lo.reshape(-1)
+    acc = _np.zeros((len(messages), 2), dtype=">u8")  # high, low halves
+    acc_bytes = acc.view(_np.uint8)
+    for step in range(width):
+        index = base + (buf[:, step] ^ acc_bytes)
+        acc[:, 0] = _np.bitwise_xor.reduce(hi.take(index), axis=1)
+        acc[:, 1] = _np.bitwise_xor.reduce(lo.take(index), axis=1)
+    return [int.from_bytes(row.tobytes(), "big") for row in acc_bytes]
 
 
 def ghash_blocks_hpower(

@@ -22,6 +22,7 @@ guard-rail a real radio needs.
 from __future__ import annotations
 
 import enum
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
@@ -160,13 +161,31 @@ class PacketJob:
     two_core: bool = False
 
     # -- completion -----------------------------------------------------------
-    #: Kernel Event triggered with the CompletedTransfer (owner-set).
+    #: Kernel Event triggered with the CompletedTransfer (owner-set);
+    #: the dataplane lets go of it once fired.
     completion: Optional[Any] = None
     #: Engine-level outcome (:class:`repro.mccp.mccp.BatchResult`).
     result: Optional[Any] = None
-    #: Comm-level record (:class:`repro.radio.comm_controller
-    #: .CompletedTransfer`), stamped by the dataplane.
-    transfer: Optional[Any] = None
+    #: Weak link behind :attr:`transfer`.
+    _transfer: Optional[Any] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def transfer(self) -> Optional[Any]:
+        """Comm-level record (:class:`repro.radio.comm_controller
+        .CompletedTransfer`), stamped by the dataplane; None in flight.
+
+        Held weakly: the record holds the job (``transfer.job``) and
+        the controller's ``completed`` map holds the record, so a
+        strong link back would only make every finished job a
+        reference cycle.
+        """
+        return self._transfer() if self._transfer is not None else None
+
+    @transfer.setter
+    def transfer(self, record) -> None:
+        self._transfer = weakref.ref(record)
 
 
 #: Pre-dataplane name for a queued batch-path packet; the job carries

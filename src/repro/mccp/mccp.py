@@ -112,17 +112,19 @@ class DispatchHandle:
     dead-lettered at submit time (unreadable key) comes back as an
     already-completed handle.
 
-    When its own batch still has to compute, ``result()`` first
-    resolves every dispatch the device has in flight together
-    (:func:`repro.crypto.fast.batch.resolve_together`): the inline CCM
-    ones share one CBC-MAC lane sweep across their keys, and each
-    keeps its result for its own ``result()``, where its jobs are
-    stamped as before.  GCM and arena dispatches resolve alone.
+    An inline dispatch computes nothing when submitted: it stays
+    :attr:`deferred` until its own ``result()`` computes it alone, or
+    until a barrier — a :meth:`gather` handle over it — computes every
+    deferred member in one engine call.  Arena dispatches start on
+    their workers at submission and are never deferred.  Callers that
+    do not collect a handle themselves hear of its results through
+    :meth:`add_done_callback`.
     """
 
     __slots__ = (
         "_mccp", "_channel", "_batch",
         "_seal_indices", "_open_indices", "_handle", "_results",
+        "_callbacks", "_members",
     )
 
     def __init__(self, mccp, channel, batch, seal_indices, open_indices,
@@ -134,6 +136,9 @@ class DispatchHandle:
         self._open_indices = open_indices
         self._handle = handle
         self._results: Optional[List[BatchResult]] = None
+        self._callbacks: List = []
+        #: The dispatches a :meth:`gather` handle collects; else None.
+        self._members: Optional[List["DispatchHandle"]] = None
 
     @classmethod
     def completed(cls, results: List[BatchResult]) -> "DispatchHandle":
@@ -142,23 +147,72 @@ class DispatchHandle:
         handle._results = results
         return handle
 
+    @classmethod
+    def gather(cls, handles: Sequence["DispatchHandle"]) -> "DispatchHandle":
+        """The barrier: one handle over several dispatches.
+
+        Its ``result()`` computes every deferred member in one pass of
+        :func:`repro.crypto.fast.batch.resolve_deferred` — every
+        CBC-MAC chain and counter run of all of them share sweeps —
+        then collects each member in order as its own ``result()``
+        would (jobs, counters, done callbacks), and returns their
+        results concatenated.  Byte-identical to collecting each alone,
+        including quarantines.  ``result()`` is all a gathered handle
+        offers.
+        """
+        handle = cls(None, None, (), (), (), None)
+        handle._members = list(handles)
+        return handle
+
     def done(self) -> bool:
         """Non-blocking: would :meth:`result` still wait on workers?"""
         if self._results is not None:
             return True
         return self._handle.done()
 
+    @property
+    def deferred(self) -> bool:
+        """Has the batch computed nothing yet (see the class docstring)?"""
+        return self._results is None and self._handle.deferred
+
+    def add_done_callback(self, callback) -> None:
+        """Call ``callback(results)`` once ``result()`` has collected the
+        batch — right away if it already has."""
+        if self._results is not None:
+            callback(self._results)
+        else:
+            self._callbacks.append(callback)
+
     def result(self) -> List[BatchResult]:
         """Collect the batch: stamp jobs, update stats (memoized)."""
         if self._results is None:
-            self._mccp._resolve_in_flight(self._handle)
-            sealed, opened = self._handle.result()
-            self._results = self._mccp._finish_batch(
-                self._channel, self._batch,
-                self._seal_indices, self._open_indices, sealed, opened,
-            )
-            self._channel.stats["batches"] += 1
+            if self._members is not None:
+                self._results = self._collect_members()
+            else:
+                sealed, opened = self._handle.result()
+                self._results = self._mccp._finish_batch(
+                    self._channel, self._batch,
+                    self._seal_indices, self._open_indices, sealed, opened,
+                )
+                self._channel.stats["batches"] += 1
+            callbacks, self._callbacks = self._callbacks, []
+            for callback in callbacks:
+                callback(self._results)
         return self._results
+
+    def _collect_members(self) -> List[BatchResult]:
+        """A :meth:`gather` handle's ``result()``: compute, then collect.
+
+        The members are let go of here, so the dispatches are freed as
+        the collection ends rather than whenever the handle goes.
+        """
+        from repro.crypto.fast import batch as fast_batch
+
+        members, self._members = self._members, []
+        fast_batch.resolve_deferred(
+            [member._handle for member in members if member.deferred]
+        )
+        return [result for member in members for result in member.result()]
 
     def discard(self) -> None:
         """Drop the batch uncollected: no job is stamped, no counter moves.
@@ -229,10 +283,6 @@ class Mccp:
         #: Mirrors the hardware registers of section III.B.
         self.instruction_register = 0
         self.return_register = 0
-        #: Batch-engine handles of in-flight dispatches that may still
-        #: resolve together (:func:`repro.crypto.fast.batch
-        #: .resolve_together`), in submission order.
-        self._in_flight: List[object] = []
 
     # -- register-level protocol ------------------------------------------------
 
@@ -425,14 +475,15 @@ class Mccp:
         its retry loop) and the backend submission happen here, then
         the caller gets the handle back while process workers
         run the crypto — a pipelined drain keeps coalescing the *next*
-        batch meanwhile.  An inline CCM dispatch computes nothing yet:
-        it waits in the device's in-flight set, and the first
-        collection that needs a result resolves the whole set in one
-        multi-key engine call (see :class:`DispatchHandle`).  Job
-        stamping, channel counters and the quarantine/dead-letter
-        routing all run inside ``handle.result()``; an unreadable key
-        dead-letters the whole batch immediately and returns an
-        already-completed handle.
+        batch meanwhile.  An inline dispatch computes nothing yet: it
+        is :attr:`DispatchHandle.deferred` until its ``result()``, or a
+        barrier over many dispatches (:meth:`DispatchHandle.gather`),
+        computes it.  Which packets quarantine is decided here,
+        whenever the bytes are computed.  Job stamping,
+        channel counters and the quarantine/dead-letter routing all run
+        inside ``handle.result()``; an unreadable key dead-letters the
+        whole batch immediately and returns an already-completed
+        handle.
         """
         channel = self.scheduler.get_channel(channel_id)
         resolved = resolve_backend(
@@ -601,29 +652,9 @@ class Mccp:
             isolate=True,
             key_ref=(channel.key_id, key_epoch(channel.key_id)),
         )
-        if handle.fusable:
-            self._in_flight.append(handle)
         return DispatchHandle(
             self, channel, list(batch), seal_indices, open_indices, handle
         )
-
-    def _resolve_in_flight(self, handle) -> None:
-        """Before *handle* is collected, resolve it with its neighbours.
-
-        Only a collection that still has to compute runs the joint
-        resolution, so every dispatch submitted before it joins: a
-        drain that reaps an already resolved batch leaves the others
-        waiting for the next one.  Whatever cannot join resolves alone
-        when collected.
-        """
-        from repro.crypto.fast import batch as fast_batch
-
-        if handle.fusable:
-            fast_batch.resolve_together(self._in_flight)
-        self._in_flight = [
-            other for other in self._in_flight
-            if other.fusable and other is not handle
-        ]
 
     def _finish_batch(
         self,

@@ -20,7 +20,11 @@ pipeline built around :class:`repro.mccp.channel.PacketJob`:
   channel's oldest submissions FIFO once more than
   :attr:`CommController.pipeline_depth` are in flight, fanning
   completions back out to per-packet :class:`CompletedTransfer`
-  records with correct per-packet latency accounting.  Depth 0 reaps
+  records with correct per-packet latency accounting.  Reaping an
+  inline dispatch computes nothing: one barrier
+  (:meth:`CommController.resolve`) computes every such dispatch of the
+  run together, at its end or on the first read of a deferred
+  output.  Depth 0 reaps
   each dispatch as soon as it is submitted (synchronous); a deeper
   pipeline keeps coalescing the next batch while process workers run
   the current one — out-of-order wall-clock completion, strictly
@@ -40,15 +44,14 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
+from functools import partial
 from typing import Deque, Dict, Iterator, List, Optional, Set
-
-from dataclasses import dataclass, field
 
 from repro.core.params import Algorithm, Direction
 from repro.errors import ProtocolError
 from repro.mccp.autotune import AutotuneConfig, FlushController
 from repro.mccp.channel import Channel, PacketJob
-from repro.mccp.mccp import BATCHABLE_ALGORITHMS, Mccp
+from repro.mccp.mccp import BATCHABLE_ALGORITHMS, DispatchHandle, Mccp
 from repro.mccp.task_scheduler import PendingRequest
 from repro.radio.formatting import (
     build_job,
@@ -64,7 +67,21 @@ from repro.sim.kernel import Delay, Event, Simulator
 from repro.utils.bits import words32_to_bytes
 
 
-@dataclass
+def _output(name: str, doc: str) -> property:
+    """A transfer output that a deferred transfer computes on first read."""
+    slot = "_" + name
+
+    def read(self):
+        if self._resolver is not None:
+            self._resolver.resolve()
+        return getattr(self, slot)
+
+    def write(self, value) -> None:
+        setattr(self, slot, value)
+
+    return property(read, write, doc=doc)
+
+
 class CompletedTransfer:
     """One finished packet job with parsed outputs.
 
@@ -72,17 +89,59 @@ class CompletedTransfer:
     batch-engine jobs carry ``request=None`` and reference their
     :class:`PacketJob` instead.  ``channel_id``/``sequence`` identify
     the packet either way.
+
+    A batch-engine transfer may be *deferred*: its dispatch was reaped
+    — completion cycle stamped, completion event fired — before any
+    byte was computed, and ``payload``, ``tag`` and ``ok`` are not
+    final yet.  :meth:`CommController.resolve`, the barrier that
+    ``run_workload`` and ``SessionManager.run`` pass before they
+    report, computes every deferred dispatch of the controller at
+    once.  Reading ``payload``, ``tag`` or ``ok`` of a deferred
+    transfer runs that barrier first, so a simulation driven by hand
+    (``flush_now``, ``sim.run``) reads final values too.  Nothing a
+    simulation decides depends on these outputs, so deferring them
+    moves no cycle.
     """
 
-    request: Optional[PendingRequest] = None
-    job: Optional[PacketJob] = None
-    channel_id: int = -1
-    sequence: int = 0
-    payload: bytes = b""
-    tag: Optional[bytes] = None
-    ok: bool = True
-    download_done_cycle: int = 0
-    extra: dict = field(default_factory=dict)
+    __slots__ = (
+        "request", "job", "channel_id", "sequence", "_payload", "_tag",
+        "_ok", "download_done_cycle", "extra", "_resolver", "__weakref__",
+    )
+
+    def __init__(
+        self,
+        request: Optional[PendingRequest] = None,
+        job: Optional[PacketJob] = None,
+        channel_id: int = -1,
+        sequence: int = 0,
+        payload: bytes = b"",
+        tag: Optional[bytes] = None,
+        ok: bool = True,
+        download_done_cycle: int = 0,
+    ):
+        self.request = request
+        self.job = job
+        self.channel_id = channel_id
+        self.sequence = sequence
+        self._payload = payload
+        self._tag = tag
+        self._ok = ok
+        self.download_done_cycle = download_done_cycle
+        self.extra: dict = {}
+        #: The controller whose barrier computes this transfer's
+        #: outputs; None once they are final.
+        self._resolver: Optional["CommController"] = None
+
+    payload = _output("payload", "Ciphertext (ENCRYPT) or plaintext (DECRYPT).")
+    tag = _output("tag", "The computed tag (ENCRYPT only).")
+    ok = _output("ok", "False on a failed authentication or a dead letter.")
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "deferred" if self._resolver is not None else f"ok={self._ok}"
+        return (
+            f"<CompletedTransfer ch{self.channel_id} seq{self.sequence} "
+            f"{state} @{self.download_done_cycle}>"
+        )
 
 
 class _InflightDispatch:
@@ -162,6 +221,9 @@ class CommController:
         #: Per-channel FIFO of submitted-but-uncollected dispatches;
         #: the FIFO *is* the in-order fan-out guarantee.
         self._inflight: Dict[int, Deque[_InflightDispatch]] = {}
+        #: Every dispatch reaped deferred, in reap order: the work of
+        #: the next :meth:`resolve`.
+        self._unresolved: List[DispatchHandle] = []
         #: Peak number of concurrently in-flight dispatches across all
         #: channels (reported by ``run_workload`` as pipeline overlap).
         self.pipeline_in_flight_peak = 0
@@ -188,11 +250,14 @@ class CommController:
         counters — latencies, auth failures, backpressure retries, the
         in-flight peak and the task scheduler's core submits — restart
         at zero and :attr:`run_start` records the current cycle, so
-        everything the run reports is its own.  Yields the run's
-        resilience counter scope (:func:`repro.resilience.stats
-        .counting`).  The dispatch state is restored in a ``finally``,
-        so a run that raises leaves the controller as it found it.
+        everything the run reports is its own; dispatches an earlier
+        simulation left deferred are resolved first, into the counters
+        they belong to.  Yields the run's resilience counter scope
+        (:func:`repro.resilience.stats.counting`).  The dispatch state
+        is restored in a ``finally``, so a run that raises leaves the
+        controller as it found it.
         """
+        self.resolve()
         saved = (self.backend, self.pipeline_depth, self.autotune_config)
         if backend is not None:
             self.backend = backend
@@ -388,14 +453,16 @@ class CommController:
         drain sleeps in the control or crossbar charge applies to the
         next batch, not this one (a rekey barrier cannot land there
         anyway: ``flush_now`` waits for the drain).  Submitting early
-        lets process workers start during the modelled delay, and lets
-        the first collection resolve every channel's inline CCM
-        dispatch together (:meth:`repro.mccp.mccp.DispatchHandle
-        .result`).  Completions are still stamped with the cycle after
+        lets process workers start during the modelled delay, and it is
+        when the fault plan decides which of the batch's packets
+        quarantine.  Completions are stamped with the cycle after
         the delays.  After the delays the drain reaps the
         channel's oldest handle while more than :attr:`pipeline_depth`
         are in flight — at depth 0 that is the dispatch just submitted,
-        so the batch completes before the drain goes on.  A forced
+        so the batch completes before the drain goes on.  Reaping an
+        inline dispatch computes no byte: its transfers are deferred to
+        the run's barrier (:meth:`resolve`), which computes every
+        channel's dispatches of the whole run together.  A forced
         drain reaps every outstanding handle before it returns, so
         end-of-stream semantics (and ``close_channel``'s in-flight
         guard) do not depend on the depth.  Reaping is strictly FIFO
@@ -465,21 +532,52 @@ class CommController:
     def _reap_oldest(self, channel: Channel) -> List[CompletedTransfer]:
         """Collect the channel's oldest in-flight dispatch; fan out.
 
-        Blocks (wall-clock, zero sim time) until the handle resolves —
-        the same retries/degradation/quarantine machinery the blocking
-        dispatch applies runs here.  Completion records are stamped
-        with the dispatch's recorded cycle, not the reap cycle, keeping
-        latency accounting independent of the pipeline depth.
+        Completion records are stamped with the dispatch's recorded
+        cycle, not the reap cycle, keeping latency accounting
+        independent of the pipeline depth.  A deferred dispatch
+        (:attr:`repro.mccp.mccp.DispatchHandle.deferred`) is fanned out
+        without computing a byte: its transfers wait for
+        :meth:`resolve`.  Any other dispatch is collected here, which
+        for an arena dispatch blocks (wall-clock, zero sim time) until
+        its workers finish — the same retries/quarantine machinery the
+        blocking dispatch applies runs here.
         """
         entry = self._inflight[channel.channel_id].popleft()
         try:
-            results = entry.handle.result()
+            results = None if entry.handle.deferred else entry.handle.result()
         finally:
             channel.in_flight -= len(entry.batch)
-        return [
-            self._complete_batch_job(job, result, entry.dispatched_cycle)
-            for job, result in zip(entry.batch, results)
+        transfers = [
+            self._complete_batch_job(job, entry.dispatched_cycle)
+            for job in entry.batch
         ]
+        if results is None:
+            for transfer in transfers:
+                transfer._resolver = self
+            entry.handle.add_done_callback(partial(self._settle, transfers))
+            self._unresolved.append(entry.handle)
+        else:
+            self._settle(transfers, results)
+        return transfers
+
+    def resolve(self) -> None:
+        """The barrier: compute every deferred transfer's outputs.
+
+        Every dispatch reaped deferred since the last barrier runs
+        through one :meth:`repro.mccp.mccp.DispatchHandle.gather` handle —
+        the CBC-MAC chains and counter runs of all of them as the
+        lanes of shared sweeps — then each dispatch stamps its jobs and
+        channel counters and its transfers get their final ``payload``,
+        ``tag`` and ``ok``, auth failures and dead letters routed as
+        if each had been collected when reaped.  ``run_workload`` and
+        ``SessionManager.run`` call it before they fill their report;
+        reading a deferred transfer's outputs calls it too.  Never a
+        side effect of ``flush_now``, so rekeys and teardowns do not
+        narrow the sweeps.
+        """
+        if self._unresolved:
+            barrier, self._unresolved = DispatchHandle.gather(self._unresolved), []
+            barrier.result()
 
     def flush_now(self, channel: Channel):
         """Process: force-drain everything queued on *channel*.
@@ -498,45 +596,60 @@ class CommController:
         )
         return transfers
 
-    def _complete_batch_job(
-        self, job: PacketJob, result, stamp: int
-    ) -> CompletedTransfer:
-        """Fan one batch-engine outcome back out to a per-packet record.
+    def _complete_batch_job(self, job: PacketJob, stamp: int) -> CompletedTransfer:
+        """Fan one batch-engine job back out to a per-packet record.
 
         *stamp* is the cycle the job's dispatch completed at (see
         :class:`_InflightDispatch`), whichever cycle it is reaped at.
+        The outputs come later, from :meth:`_settle`.
         """
         transfer = CompletedTransfer(
-            request=None,
             job=job,
             channel_id=job.channel_id,
             sequence=job.sequence,
-            payload=result.payload,
-            tag=result.tag,
-            ok=result.ok,
             download_done_cycle=stamp,
         )
-        job.completed_cycle = stamp
-        job.transfer = transfer
         self._jobs_completed += 1
         self.completed[-self._jobs_completed] = transfer
-        self.latencies.append(stamp - job.created_cycle)
-        self.class_latencies.setdefault(job.priority, []).append(
-            stamp - job.created_cycle
-        )
-        if not result.ok:
+        self._finish_job(job, transfer, stamp)
+        return transfer
+
+    def _settle(self, transfers: List[CompletedTransfer], results) -> None:
+        """Give a dispatch's transfers their outcomes (BatchResults)."""
+        for transfer, result in zip(transfers, results):
+            transfer._resolver = None
+            transfer._payload, transfer._tag, transfer._ok = (
+                result.payload, result.tag, result.ok,
+            )
+            if result.ok:
+                continue
             if result.error is not None:
                 # Unrecoverable failure, not a forged tag: route to the
                 # channel's dead-letter queue for SLA drop accounting.
                 transfer.extra["dead_letter"] = result.error
-                self.dead_letter.setdefault(job.channel_id, []).append(
+                self.dead_letter.setdefault(transfer.channel_id, []).append(
                     transfer
                 )
             else:
                 self.auth_failures += 1
-        if job.completion is not None and not job.completion.triggered:
-            job.completion.trigger(transfer)
-        return transfer
+
+    def _finish_job(
+        self, job: PacketJob, transfer: CompletedTransfer, stamp: int
+    ) -> None:
+        """Stamp *job* done at *stamp*: latency, record, completion event.
+
+        The job keeps only a weak link to its record and lets go of its
+        completion event once fired (the waiters hold it), so a
+        finished job and its record form no reference cycle.
+        """
+        job.completed_cycle = stamp
+        job.transfer = transfer
+        latency = stamp - job.created_cycle
+        self.latencies.append(latency)
+        self.class_latencies.setdefault(job.priority, []).append(latency)
+        completion, job.completion = job.completion, None
+        if completion is not None and not completion.triggered:
+            completion.trigger(transfer)
 
     # -- cores engine (cycle-accurate width-1 path) --------------------------------
 
@@ -654,15 +767,8 @@ class CommController:
         yield self.mccp.scheduler.overhead_delay()
         self.mccp.scheduler.transfer_done(request)
         transfer.download_done_cycle = self.sim.now
-        job.completed_cycle = self.sim.now
-        job.transfer = transfer
         self.completed[request.request_id] = transfer
-        self.latencies.append(self.sim.now - job.created_cycle)
-        self.class_latencies.setdefault(job.priority, []).append(
-            self.sim.now - job.created_cycle
-        )
-        if job.completion is not None and not job.completion.triggered:
-            job.completion.trigger(transfer)
+        self._finish_job(job, transfer, self.sim.now)
         return transfer
 
     # -- convenience wrappers ------------------------------------------------------

@@ -234,15 +234,20 @@ def _fill_report(
     channels: Sequence[Channel],
     controller: Optional[AdmissionController] = None,
 ) -> WorkloadReport:
-    """Fill *report* from one run's state (and return it).
+    """Resolve the run's deferred dispatches, then fill *report*.
 
     Called inside the run's :meth:`CommController.run_state`: the comm
     and scheduler counters, *counters* and the run's freshly opened
-    *channels* hold only this run's activity.  Shared by
+    *channels* hold only this run's activity.  The barrier
+    (:meth:`CommController.resolve`) computes the bytes of every
+    dispatch the run reaped deferred — all of them in shared sweeps —
+    so the auth failures, dead letters and transfers the report and
+    its readers see are final.  Shared by
     :meth:`SdrPlatform.run_workload` and the session layer
     (:mod:`repro.radio.sessions`), so workload replays and session
     storms account identically.
     """
+    comm.resolve()
     report.total_cycles = comm.sim.now - comm.run_start
     report.pipeline_in_flight_peak = comm.pipeline_in_flight_peak
     report.latencies = list(comm.latencies)
@@ -464,20 +469,19 @@ class SdrPlatform:
         or tx, then loss, then tag corruption — from one rng seeded by
         ``(seed, channel_id)``, in sequence order.  It then seals the rx
         packets under each channel's key and their deterministic
-        per-(channel, sequence) nonces: every CCM channel's in one
-        multi-key batch call whose CBC-MAC chains share one lane sweep
-        (:mod:`repro.crypto.fast.batch`), each GCM channel's in one
-        same-key call — all byte-identical to per-packet seals — and
-        flips a tag byte on the corrupted ones.  So the same mixed
-        workload replays identically through either dataplane and any
-        execution backend.  The peer radio is outside the fault domain:
+        per-(channel, sequence) nonces, every channel's in one
+        multi-key batch call whose counters and CBC-MAC chains share
+        sweeps (:mod:`repro.crypto.fast.batch`) — byte-identical to
+        per-packet seals — and flips a tag byte on the corrupted ones.
+        So the same mixed workload replays identically through either
+        dataplane and any execution backend.  The peer radio is outside the fault domain:
         an active fault plan never affects the seal here, and a
         poisoned rx nonce faults at dispatch instead.
         """
-        from repro.crypto.fast.batch import _ccm_seal_open_groups, gcm_seal_many
+        from repro.crypto.fast.batch import _seal_open_whole
 
         all_plans: List[List[Optional[_RxPlan]]] = []
-        ccm, gcm = [], []  # (plans, rows, nonces, key, packets, tag length)
+        sealing = []  # (plans, rows, nonces, dispatch) per rx channel
         for channel, schedule, rx_fraction, loss_rate, corrupt_rate in requests:
             plans: List[Optional[_RxPlan]] = [None] * len(schedule)
             all_plans.append(plans)
@@ -495,26 +499,18 @@ class SdrPlatform:
                 rows.append((index, lost, corrupted))
             packets = [schedule[index].packet for index, _, _ in rows]
             nonces = [self.comm.nonce_for(channel, p.sequence) for p in packets]
-            (ccm if channel.algorithm is Algorithm.CCM else gcm).append((
-                plans,
-                rows,
-                nonces,
+            sealing.append((plans, rows, nonces, (
+                "ccm" if channel.algorithm is Algorithm.CCM else "gcm",
                 self.mccp.key_memory.fetch_for_scheduler(channel.key_id),
                 [(n, p.payload, p.header) for n, p in zip(nonces, packets)],
+                (),
                 channel.tag_length,
-            ))
+            )))
         with injected_faults(None):
-            sealed = [
-                pair[0] for pair in _ccm_seal_open_groups([
-                    (key, packets, (), tag_length)
-                    for *_, key, packets, tag_length in ccm
-                ])
-            ]
-            sealed += [
-                gcm_seal_many(key, packets, tag_length)
-                for *_, key, packets, tag_length in gcm
-            ]
-        for (plans, rows, nonces, *_), channel_sealed in zip(ccm + gcm, sealed):
+            sealed = _seal_open_whole([dispatch for *_, dispatch in sealing])
+        for (plans, rows, nonces, _dispatch), (channel_sealed, _) in zip(
+            sealing, sealed
+        ):
             for (index, lost, corrupted), nonce, (ciphertext, tag) in zip(
                 rows, nonces, channel_sealed
             ):

@@ -247,13 +247,17 @@ class Simulator:
         """Cancel a scheduled entry; returns whether it was still live.
 
         The entry stays in the heap (lazy deletion) but is skipped by
-        the run loop; the pending counter drops immediately.  Cancelling
-        an entry that already executed (or was cancelled before) is a
-        no-op returning False — the counter only moves for live entries.
+        the run loop; the pending counter drops immediately, and the
+        entry drops its callback and argument, so a cancelled wake-up
+        keeps nothing it referred to alive (a bound method would keep
+        its owner, and the owner the simulator).  Cancelling an entry
+        that already executed (or was cancelled before) is a no-op
+        returning False — the counter only moves for live entries.
         """
         if entry.cancelled or entry.consumed:
             return False
         entry.cancelled = True
+        entry.callback = entry.argument = None
         self._pending -= 1
         return True
 

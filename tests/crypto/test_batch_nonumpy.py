@@ -158,3 +158,18 @@ def test_ccm_groups_scalar_fallback(no_numpy):
                 ],
             ))
         assert batch_module._ccm_seal_open_groups(groups) == expected
+
+
+def test_gcm_groups_and_ghash_lanes_scalar_fallback(no_numpy):
+    """Several keys' GCM groups and the GHASH lanes, without numpy."""
+    from repro.crypto.fast.gf128_tables import ghash_blocks_tabulated
+    from tests.crypto.test_gcm_groups import make_groups, one_call
+
+    groups = make_groups(3, batch_module.MIN_LANES, seed=0x95)
+    assert batch_module._gcm_seal_open_groups(groups) == [one_call(g) for g in groups]
+    rng = random.Random(0x96)
+    subkeys = [rng.getrandbits(128) for _ in range(3)]
+    messages = [rng.randbytes(16 * n) for n in (0, 1, 20)]
+    assert hpower_module.ghash_lanes(subkeys, messages) == [
+        ghash_blocks_tabulated(h, 0, m) for h, m in zip(subkeys, messages)
+    ]

@@ -1,14 +1,15 @@
-"""In-flight CCM dispatches resolve together.
+"""Deferred dispatches resolve together at one barrier.
 
-``Mccp`` keeps the batch-engine handles of its in-flight dispatches.
-The first collection that still has to compute resolves every inline
-CCM one in a single multi-key engine call
-(``batch.resolve_together``), whose CBC-MAC chains share one lane
-sweep.  Fusion may only move wall-clock work: every dispatch returns
-exactly what it returns resolved alone, a poisoned packet still
-quarantines alone, an engine error still surfaces at its own
-dispatch's collection, GCM and arena dispatches never fuse, and a
-drain interrupted after submitting leaks no arena generation.
+An inline dispatch computes nothing when submitted.  The barrier — a
+``DispatchHandle.gather`` handle over the run's deferred dispatches,
+or ``batch.resolve_deferred`` one layer down — computes all of them in
+one engine call (``batch._seal_open_whole``), whose CBC-MAC chains,
+counter runs and GHASH lanes are shared across keys and modes.  The
+barrier may only move wall-clock work: every dispatch returns exactly
+what it returns resolved alone, a poisoned packet still quarantines
+alone, an engine error still surfaces at its own dispatch's
+collection, arena dispatches are never deferred, and a drain
+interrupted after submitting leaks no arena generation.
 """
 
 import hashlib
@@ -21,7 +22,7 @@ from repro.crypto.fast import batch
 from repro.crypto.fast.bulk import ccm_seal, gcm_seal
 from repro.crypto.fast.exec import ProcessPoolBackend
 from repro.mccp.channel import PacketJob
-from repro.mccp.mccp import Mccp
+from repro.mccp.mccp import DispatchHandle, Mccp
 from repro.radio.comm_controller import CommController
 from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import STANDARD_PROFILES, RadioStandard
@@ -40,7 +41,6 @@ CHANNELS = (
     (Algorithm.CCM, 3, 16),
     (Algorithm.GCM, 4, 16),
 )
-CCM_CHANNELS = sum(algorithm is Algorithm.CCM for algorithm, _, _ in CHANNELS)
 
 
 @pytest.fixture(scope="module")
@@ -52,20 +52,20 @@ def process_backend():
 
 @pytest.fixture
 def groups_seen(monkeypatch):
-    """Group counts of every multi-key engine call, and what it raised."""
+    """Dispatch counts of every engine call, and what it raised."""
     seen = []
-    engine = batch._ccm_seal_open_groups
+    engine = batch._seal_open_whole
 
-    def spy(groups):
+    def spy(dispatches):
         try:
-            result = engine(groups)
+            result = engine(dispatches)
         except Exception as exc:
-            seen.append((len(groups), type(exc).__name__))
+            seen.append((len(dispatches), type(exc).__name__))
             raise
-        seen.append((len(groups), None))
+        seen.append((len(dispatches), None))
         return result
 
-    monkeypatch.setattr(batch, "_ccm_seal_open_groups", spy)
+    monkeypatch.setattr(batch, "_seal_open_whole", spy)
     return seen
 
 
@@ -76,8 +76,8 @@ def _nonce(channel, sequence):
 
 def _device(packets=6):
     """An inline device with every channel's batch queued (mixed
-    directions).  Arena dispatches never fuse, so the device names its
-    backend instead of taking the process-wide default."""
+    directions).  Arena dispatches are never deferred, so the device
+    names its backend instead of taking the process-wide default."""
     device = Mccp(Simulator(), backend="inline")
     for key_id, key in enumerate(KEYS):
         device.load_session_key(key_id, key)
@@ -108,11 +108,14 @@ def _rows(results):
 
 
 def _run(fused, plan=None, extra_job=None):
-    """Dispatch every channel's batch; *fused* submits all, then collects.
+    """Dispatch every channel's batch; *fused* submits all, then the
+    barrier collects them.
 
     Unfused, each dispatch is collected before the next is submitted,
     so it always resolves alone.  *extra_job* ``(index, job)`` appends
-    a job to one channel's batch after the queue's checks.
+    a job to one channel's batch after the queue's checks.  The plan
+    is active only while the batches are submitted: which packets
+    quarantine is decided there.
     """
     device, channels = _device()
     batches = [channel.take_batch() for channel in channels]
@@ -127,7 +130,6 @@ def _run(fused, plan=None, extra_job=None):
                 device.dispatch_jobs_async(channel.channel_id, jobs)
                 for channel, jobs in zip(channels, batches)
             ]
-            results = [handle.result() for handle in handles]
         else:
             results = [
                 device.dispatch_jobs(channel.channel_id, jobs)
@@ -135,6 +137,10 @@ def _run(fused, plan=None, extra_job=None):
             ]
     finally:
         set_fault_plan(previous)
+    if fused:
+        gathered = DispatchHandle.gather(handles).result()
+        results = [handle.result() for handle in handles]
+        assert gathered == [row for rows in results for row in rows]
     counters = [
         (c.packets_processed, c.bytes_processed, c.auth_failures, dict(c.stats),
          [job.nonce for job in c.dead_letters])
@@ -150,8 +156,8 @@ def test_fused_members_return_their_solo_results(groups_seen):
     fused, fused_counters = _run(fused=True)
     assert fused == solo
     assert fused_counters == solo_counters
-    # One engine call for every CCM dispatch; the others found theirs done.
-    assert groups_seen == [(CCM_CHANNELS, None)]
+    # One engine call for every dispatch, CCM and GCM alike.
+    assert groups_seen == [(len(CHANNELS), None)]
     assert any(not ok for rows in fused for ok, _p, _t, _e in rows)
 
 
@@ -171,8 +177,9 @@ def test_poisoned_member_quarantines_alone(groups_seen):
     fused, fused_counters = _run(fused=True, plan=plan())
     assert fused == solo
     assert fused_counters == solo_counters
-    # The poisoned dispatch sat out; the rest fused.
-    assert groups_seen[0] == (CCM_CHANNELS - 1, None)
+    # The poisoned packet was set aside at submission; every dispatch,
+    # its own included, joined the one engine call.
+    assert groups_seen == [(len(CHANNELS), None)]
     dead = [
         (index, nonce)
         for index, (*_, dead_letters) in enumerate(fused_counters)
@@ -196,7 +203,9 @@ def test_engine_error_surfaces_at_its_own_collection(groups_seen):
     solo, solo_counters = _run(fused=False, extra_job=(1, bad_job()))
     groups_seen.clear()
     fused, fused_counters = _run(fused=True, extra_job=(1, bad_job()))
-    assert groups_seen[0] == (CCM_CHANNELS, "NonceError")
+    # The shared call raised; every dispatch then computed alone.
+    assert groups_seen[0] == (len(CHANNELS), "NonceError")
+    assert len(groups_seen) > len(CHANNELS)
     assert fused == solo
     assert fused_counters == solo_counters
     assert fused[1][-1][0] is False and "nonce" in fused[1][-1][3].lower()
@@ -212,7 +221,7 @@ def _packets(count, seed):
     ]
 
 
-def test_gcm_and_arena_handles_do_not_fuse(process_backend, monkeypatch):
+def test_gcm_joins_the_barrier_and_arena_handles_stay_out(process_backend, monkeypatch):
     if process_backend.dispatch_arena() is None:
         pytest.skip(f"process backend runs inline: {process_backend.inline_reason}")
     key = KEYS[0]
@@ -220,7 +229,9 @@ def test_gcm_and_arena_handles_do_not_fuse(process_backend, monkeypatch):
     whole = batch._seal_open_whole
     monkeypatch.setattr(
         batch, "_seal_open_whole",
-        lambda *args: whole_calls.append(args[0]) or whole(*args),
+        lambda dispatches: whole_calls.append(
+            [mode for mode, *_ in dispatches]
+        ) or whole(dispatches),
     )
     ccm_packets = [[(n[:13], d, a)] for n, d, a in _packets(2, 3)]
     gcm = batch.seal_open_submit("gcm", key, _packets(4, 1), [])
@@ -229,13 +240,13 @@ def test_gcm_and_arena_handles_do_not_fuse(process_backend, monkeypatch):
         backend=process_backend,
     )
     ccm = [batch.seal_open_submit("ccm", key, seals, []) for seals in ccm_packets]
-    assert [h.fusable for h in (gcm, arena, *ccm)] == [False, False, True, True]
-    batch.resolve_together([gcm, arena, *ccm])
-    assert not any(h.fusable for h in ccm)
-    fused = [h.result() for h in ccm]
-    assert whole_calls == []  # resolved together, not one by one
+    assert [h.deferred for h in (gcm, arena, *ccm)] == [True, False, True, True]
+    batch.resolve_deferred([gcm, arena, *ccm])
+    assert not any(h.deferred for h in (gcm, *ccm))
+    assert whole_calls == [["gcm", "ccm", "ccm"]]  # one call, both modes
     sealed, _ = gcm.result()
-    assert whole_calls == ["gcm"]  # the GCM handle resolved alone
+    fused = [h.result() for h in ccm]
+    assert len(whole_calls) == 1  # nothing resolved again
     arena.result()
     assert process_backend.dispatch_arena().live_generations == 0
     assert sealed == batch.gcm_seal_many(key, _packets(4, 1))
@@ -261,7 +272,7 @@ def test_interrupted_drain_releases_its_arena_generation(process_backend):
     drain.close()
     assert channel.in_flight == 0
     assert arena.live_generations == 0
-    assert not any(handle.fusable for handle in device._in_flight)
+    assert comm._unresolved == []  # nothing left for a barrier to compute
 
 
 def _perfbench_key(seed, index, standard):
@@ -269,8 +280,8 @@ def _perfbench_key(seed, index, standard):
     return hashlib.sha256(f"perfbench-key|{seed}|{index}".encode()).digest()[:size]
 
 
-def test_radio_bulk_shaped_replay_runs_three_mac_sweeps(monkeypatch):
-    """perfbench's radio_bulk input (seed 1): 1 rx pre-seal + 2 rounds."""
+def test_radio_bulk_shaped_replay_runs_two_mac_sweeps(monkeypatch):
+    """perfbench's radio_bulk input (seed 1): 1 rx pre-seal + 1 barrier."""
     standards = (RadioStandard.WIFI,) * 2 + (RadioStandard.WIMAX,) * 2 + (
         RadioStandard.SATCOM,
     ) * 2
@@ -297,5 +308,5 @@ def test_radio_bulk_shaped_replay_runs_three_mac_sweeps(monkeypatch):
         )
     )
     assert report.packets_done == 6 * 64
-    assert len(sweeps) == 3
+    assert len(sweeps) == 2
     assert sum(sweeps) <= 400

@@ -9,6 +9,7 @@ import pytest
 from repro.analysis.throughput import ClassSla, SlaSpec
 from repro.crypto.fast.exec import ProcessPoolBackend
 from repro.mccp.autotune import AutotuneConfig
+from repro.mccp.channel import FlushPolicy
 from repro.radio.admission import AdmissionPolicy
 from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.sessions import (
@@ -162,6 +163,22 @@ class TestProvisioning:
             key: channel.channel_id
             for key, channel in throttled.channels.items()
         }
+
+    def test_an_auto_flush_policy_is_each_channels_own(self):
+        """Regression found by the dataplane fuzzer: every session channel
+        used to share the workload's policy object, so one channel's
+        flush controller retuned them all and a replay of the same
+        workload started from the last run's knobs."""
+        workload = replace(
+            STORM, flush_policy=FlushPolicy(mode="auto"), queue_capacity=6
+        )
+        first = SessionManager.provisioned(workload, seed=SEED)
+        policies = [channel.flush_policy for channel in first.channels.values()]
+        assert len({id(policy) for policy in policies}) == len(policies)
+        report = first.run()
+        assert workload.flush_policy == FlushPolicy(mode="auto")
+        again = SessionManager.provisioned(workload, seed=SEED).run()
+        assert again == report
 
 
 class TestExecution:
