@@ -16,6 +16,7 @@ The core also owns the key cache and the inter-core mailbox endpoints.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,8 +102,13 @@ class CryptoCore:
         # A placeholder program; real firmware is loaded per task.
         from repro.isa.assembler import assemble
 
+        # The controller and the done wire point back at the core and its
+        # unit weakly, so a finished run is freed by reference counting.
         self.controller = Controller8(
-            sim, assemble("RETURN", name="idle"), device=self, name=f"{self.name}.ctrl"
+            sim,
+            assemble("RETURN", name="idle"),
+            device=weakref.proxy(self),
+            name=f"{self.name}.ctrl",
         )
         self._wire_unit(self.active_unit)
 
@@ -118,8 +124,10 @@ class CryptoCore:
     # -- wiring ---------------------------------------------------------------
 
     def _wire_unit(self, unit) -> None:
-        # The CU's done wire *is* the controller's HALT wake line.
+        # The CU's done wire *is* the controller's HALT wake line; a HALT
+        # catches the (loosely timed) unit up before it sleeps.
         unit.done = self.controller.wake
+        self.controller.wake.driver = weakref.proxy(unit)
 
     def use_whirlpool_personality(self, enabled: bool = True) -> None:
         """Swap the CU region's personality (partial reconfiguration)."""
@@ -151,6 +159,8 @@ class CryptoCore:
         elif port == P_RESULT:
             self._finish_task(value)
         elif port == P_DEBUG:
+            # Catch the unit up first so its trace rows stay in cycle order.
+            self.active_unit.catch_up()
             self.trace.record(self.sim.now, self.name, "debug", value=value)
         else:
             raise CoreError(f"{self.name}: write to unmapped port {port:#04x}")
@@ -192,13 +202,17 @@ class CryptoCore:
         if not self.busy or self.task_done is None:
             raise CoreError(f"{self.name}: result written with no task")
         unit = self.active_unit
-        if unit.busy or unit._queue:
+        if unit.busy or unit.queued:
             # Firmware published its result while the CU still has tail
             # work (possible with custom programs that skip the drain
             # fence).  The task is not done — and the core must not be
             # reassignable — until the last STORE lands in the FIFO.
             unit.call_when_idle(lambda: self._finish_task(result_code))
             return
+        # Replay the FIFOs' schedules up to now: the task's claimed block
+        # moves are all past, and nothing else may touch them for a while.
+        self.in_fifo.sync()
+        self.out_fifo.sync()
         auth_failed = result_code == RESULT_AUTH_FAIL
         if auth_failed:
             # Security: never expose unauthenticated plaintext.

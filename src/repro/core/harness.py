@@ -1,10 +1,11 @@
 """Single-core driving harness (feeder/drainer processes).
 
 Used by tests and benchmarks to run one formatted task on one core
-without standing up the whole MCCP: a feeder process streams input
-words into the core FIFO under flow control (one 32-bit word per
-crossbar cycle, as the communication controller would) and a drainer
-empties the output FIFO the same way.
+without standing up the whole MCCP: a feeder streams input words into
+the core FIFO under flow control (one 32-bit word per crossbar cycle,
+as the communication controller would) and a drainer empties the
+output FIFO the same way.  Both are runs on the FIFO's arrival
+schedule, exactly as the crossbar's transfers are.
 
 The full-device path lives in :mod:`repro.radio.comm_controller`; this
 harness mirrors its per-word timing so single-core numbers match.
@@ -17,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.crypto_core import CoreResult, CryptoCore
 from repro.radio.formatting import FormattedTask
-from repro.sim.kernel import Delay, Simulator
+from repro.sim.kernel import Simulator
 from repro.utils.bits import bytes_to_words32, words32_to_bytes
 
 
@@ -31,38 +32,24 @@ class TaskRun:
 
 
 def feeder_process(core: CryptoCore, blocks: List[bytes], word_cycles: int = 1):
-    """Stream *blocks* into the core's input FIFO under flow control."""
-    for block in blocks:
-        for word in bytes_to_words32(block):
-            while not core.in_fifo.can_push():
-                yield core.in_fifo.wait_not_full()
-            core.in_fifo.push_word(word)
-            yield Delay(word_cycles)
-    return core.sim.now
+    """Process: stream *blocks* into the core's input FIFO under flow
+    control; returns the cycle the stream ended (one period after its
+    last word)."""
+    words = [w for block in blocks for w in bytes_to_words32(block)]
+    end = yield core.in_fifo.stream_in(words, word_cycles, in_step=True).done
+    return end
 
 
-def drainer_process(
-    core: CryptoCore,
-    sink: List[int],
-    word_cycles: int = 1,
-    stop: Optional[List[bool]] = None,
-):
-    """Continuously drain the core's output FIFO into *sink* (words).
+def drainer_process(core: CryptoCore, sink: List[int], word_cycles: int = 1):
+    """Process: drain the core's output FIFO into *sink* (words), one
+    word per *word_cycles*, until ``core.out_fifo.stop_drain()``.
 
-    *stop* is a one-element mutable flag: once the caller sets
-    ``stop[0] = True`` the process exits at its next wake-up instead of
-    draining forever.  Without it, a drainer left over from an earlier
-    :func:`run_task` on the same core would steal output words from the
-    next task — the per-run isolation bug the experiments runner hit
-    when scenarios reuse a core across sequential packets.
+    *sink* fills as the FIFO catches up: any read of the FIFO (or
+    ``core.out_fifo.sync()``) brings it up to the reader's cycle.
     """
-    while stop is None or not stop[0]:
-        while not core.out_fifo.can_pop():
-            yield core.out_fifo.wait_not_empty()
-            if stop is not None and stop[0]:
-                return
-        sink.append(core.out_fifo.pop_word())
-        yield Delay(word_cycles)
+    core.out_fifo.drain_out(sink, None, word_cycles, in_step=True)
+    return
+    yield  # a generator, like every process
 
 
 def run_task(
@@ -91,17 +78,16 @@ def run_task(
         feeder_process(core, task.input_blocks), name=f"{core.name}.feed"
     )
     sink: List[int] = []
-    stop = [False]
     if drain:
-        sim.add_process(
-            drainer_process(core, sink, stop=stop), name=f"{core.name}.drain"
-        )
+        sim.add_process(drainer_process(core, sink), name=f"{core.name}.drain")
     done = core.assign_task(task.params)
     result: CoreResult = sim.run_until_event(done, limit=limit)
     # Let the drainer catch up with any words still in flight, then
     # retire it so a later run_task on this core starts clean.
+    core.out_fifo.sync()
     sim.run(until=sim.now + 8 * (len(sink) + 64))
-    stop[0] = True
+    if drain:
+        core.out_fifo.stop_drain()
     while core.out_fifo.can_pop():
         sink.append(core.out_fifo.pop_word())
     blocks = [

@@ -21,11 +21,18 @@ alone — and returns every broken invariant:
 - per-channel completion order;
 - exactly the packets the fault plan poisoned are dead-lettered.
 
+A second pair (:func:`generate_cores_case`, :func:`check_cores_case`)
+replays small workloads the cycle-level ``cores`` dataplane supports —
+at most 8 packets per channel and 512-byte payloads, 0 bytes and
+off-block lengths included — on ``cores`` and on ``batched``: each
+channel's completions must carry the same bytes and ``ok`` flags in the
+same order, and both runs must conserve packets.
+
 The technique is differential testing (McKeeman, "Differential
 Testing for Software", 1998).  A failing seed becomes a committed
 regression test.  Run as a module for a longer sweep::
 
-    PYTHONPATH=src python -m repro.experiments.fuzz --cases 200 --seed 0
+    PYTHONPATH=src python -m repro.experiments.fuzz --cases 200 --cores-cases 60 --seed 0
 """
 
 from __future__ import annotations
@@ -68,6 +75,10 @@ STANDARDS = (
 SESSION_PAYLOADS = (0, 1, 15, 17, 100, 333, None)
 
 PATTERNS = (TrafficPattern.SATURATING, TrafficPattern.BURSTY, TrafficPattern.POISSON)
+
+#: Payload sizes of a ``cores`` case: empty, off-block, whole blocks,
+#: and the case's 512-byte ceiling.
+CORES_PAYLOADS = (0, 1, 15, 16, 17, 100, 333, 512)
 
 
 @dataclass(frozen=True)
@@ -160,6 +171,34 @@ def generate_case(seed: int) -> FuzzCase:
     rng = random.Random(f"dataplane-fuzz|{seed}")
     shape = _workload(rng) if rng.random() < 0.5 else _sessions(rng)
     return FuzzCase(seed, shape, rng.choice((0.0, 0.0, 0.05, 0.25)))
+
+
+def generate_cores_case(seed: int) -> FuzzCase:
+    """The ``cores``-vs-``batched`` case of *seed*: a pure function of it."""
+    rng = random.Random(f"cores-fuzz|{seed}")
+    configs = []
+    for _ in range(rng.randint(1, 3)):
+        standard = rng.choice(STANDARDS)
+        profile = STANDARD_PROFILES[standard]
+        configs.append(
+            ChannelConfig(
+                standard,
+                rng.randbytes(profile.key_bits // 8),
+                rng.choice(PATTERNS),
+                packets=rng.randint(1, 8),
+                two_core_ccm=profile.algorithm is Algorithm.CCM and rng.random() < 0.5,
+                payload_bytes=rng.choice(CORES_PAYLOADS),
+            )
+        )
+    spec = WorkloadSpec(
+        configs,
+        dataplane="cores",
+        backend="inline",
+        rx_fraction=rng.choice((0.0, 0.25, 0.5, 1.0)),
+        loss_rate=rng.choice((0.0, 0.1)),
+        corrupt_rate=rng.choice((0.0, 0.2, 0.5)),
+    )
+    return FuzzCase(seed, spec)
 
 
 @dataclass
@@ -325,19 +364,57 @@ def check_case(case: FuzzCase) -> List[str]:
     return errors
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Check ``--cases`` consecutive seeds; non-zero exit on any failure."""
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--cases", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0, help="first case seed")
-    args = parser.parse_args(argv)
+def _per_channel(outcome: _Outcome) -> Dict[int, List[tuple]]:
+    """Each channel's ``(sequence, direction, ok, payload, tag)`` in
+    completion order (cycles differ between dataplanes by design)."""
+    channels: Dict[int, List[tuple]] = {}
+    for channel, sequence, direction, ok, payload, tag, _cycle, _dead in outcome.rows:
+        channels.setdefault(channel, []).append((sequence, direction, ok, payload, tag))
+    return channels
+
+
+def check_cores_case(case: FuzzCase) -> List[str]:
+    """Replay *case* on ``cores`` and on ``batched``; every broken
+    invariant, or []."""
+    cores = _run(case, alone=False)
+    batched = _run(
+        dataclasses.replace(case, shape=dataclasses.replace(case.shape, dataplane="batched")),
+        alone=False,
+    )
+    errors = [f"cores: {e}" for e in cores.errors + _invariants(cores)]
+    errors += [f"batched: {e}" for e in batched.errors + _invariants(batched)]
+    cores_rows, batched_rows = _per_channel(cores), _per_channel(batched)
+    for channel in sorted(set(cores_rows) | set(batched_rows)):
+        if cores_rows.get(channel) != batched_rows.get(channel):
+            errors.append(f"channel {channel}: completions differ between cores and batched")
+    return errors
+
+
+def _sweep(kind: str, generate, check, first: int, count: int) -> int:
+    """Check *count* seeds from *first*; *kind* prefixes the report."""
     failed = 0
-    for seed in range(args.seed, args.seed + args.cases):
-        errors = check_case(generate_case(seed))
+    for seed in range(first, first + count):
+        errors = check(generate(seed))
         if errors:
             failed += 1
-            print(f"seed {seed}: FAILED", *errors[:10], sep="\n  ")
-    print(f"{args.cases} cases from seed {args.seed}: {failed} failed")
+            print(f"{kind}seed {seed}: FAILED", *errors[:10], sep="\n  ")
+    print(f"{count} {kind}cases from seed {first}: {failed} failed")
+    return failed
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Check ``--cases`` dataplane and ``--cores-cases`` cores-vs-batched
+    consecutive seeds; non-zero exit on any failure."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--cases", type=int, default=200)
+    parser.add_argument("--cores-cases", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="first case seed")
+    args = parser.parse_args(argv)
+    failed = _sweep("", generate_case, check_case, args.seed, args.cases)
+    if args.cores_cases:
+        failed += _sweep(
+            "cores ", generate_cores_case, check_cores_case, args.seed, args.cores_cases
+        )
     return 1 if failed else 0
 
 

@@ -47,6 +47,13 @@ the cycle of an ``INPUT`` or ``OUTPUT`` still runs first.  Only
 same-cycle events of two different controllers may interleave
 differently.
 
+A ``HALT`` whose wake-up is already fixed — the done pulse is latched,
+or the unit's last completion has a known cycle (see
+:meth:`repro.sim.signals.PulseWire.fixed_pulse`) — sleeps in one
+``Delay`` to the cycle the wait would have resumed on, ordered as that
+wake-up (a pulse's waiters resume after everything scheduled before
+the pulse on its cycle), instead of a ``Delay`` plus a wait.
+
 ``pending`` is also yielded before the process returns, so it ends on
 the same cycle, and whenever it reaches :data:`SYNC_QUANTUM` cycles, so
 a loop without I/O still lets ``Simulator.run(until=...)`` stop and
@@ -240,8 +247,16 @@ class Controller8:
                     self.pc += 1
                     self.instructions_retired += 1
                     start = self.sim.now
-                    yield Delay(CYCLES_PER_INSTRUCTION)
-                    yield self.wake.wait()
+                    pulse = self.wake.fixed_pulse()
+                    if pulse is None:
+                        yield Delay(CYCLES_PER_INSTRUCTION)
+                        yield self.wake.wait()
+                    else:
+                        # The pulse's cycle is already fixed: wake where
+                        # the wait would have woken, in one yield.
+                        sleep = max(pulse, start + CYCLES_PER_INSTRUCTION) - start
+                        yield Delay(sleep, sleep)
+                        self.wake.consume()
                     self.halted_cycles += self.sim.now - start - CYCLES_PER_INSTRUCTION
                     continue
 

@@ -110,6 +110,28 @@ class FlushPolicy:
                 "(static knobs) or 'auto' (adaptive controller)"
             )
 
+    def check_capacity(self, queue_capacity: Optional[int], where: str) -> None:
+        """Reject a queue this policy can never flush.
+
+        A fixed size-only policy (``flush_deadline=None``) dispatches
+        only at ``coalesce_limit`` queued jobs; a bounded queue that
+        holds fewer never gets there, and its producer backs off
+        forever.  *where* names the configuration in the error.
+        """
+        if (
+            self.mode == "fixed"
+            and self.flush_deadline is None
+            and queue_capacity is not None
+            and queue_capacity < self.coalesce_limit
+        ):
+            raise ValueError(
+                f"{where}: a size-only flush policy (coalesce_limit="
+                f"{self.coalesce_limit}, flush_deadline=None) never flushes a "
+                f"queue capped at {queue_capacity} jobs; give it a "
+                "flush_deadline, a smaller coalesce_limit or a larger "
+                "queue_capacity"
+            )
+
 
 @dataclass
 class PacketJob:

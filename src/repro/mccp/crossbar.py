@@ -6,14 +6,21 @@ specific core for I/O access."  The model tracks which core currently
 owns the external I/O port (granted by RETRIEVE DATA / the upload phase
 of ENCRYPT) and charges one cycle per 32-bit word moved, which is what
 serialises concurrent packet uploads in the multi-core benchmarks.
+
+A transfer is one run on the core FIFO's arrival schedule
+(:meth:`repro.sim.fifo.WordFifo.stream_in` / ``drain_out``): the words
+move a block at a time when something reads the FIFO, with the exact
+cycles and backpressure of a word-per-cycle process, and the only
+kernel event of a transfer is its ``done``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.core.crypto_core import CryptoCore
-from repro.sim.kernel import Delay, Simulator
+from repro.sim.fifo import Transfer, WordFifo
+from repro.sim.kernel import Simulator
 from repro.unit.timing import TimingModel
 from repro.utils.bits import bytes_to_words32
 
@@ -25,8 +32,16 @@ class Crossbar:
         self.sim = sim
         self.timing = timing
         self._granted: Optional[int] = None
-        #: Total words moved through the external port (both directions).
-        self.words_moved = 0
+        self._moved = 0
+        self._active: List[Tuple[WordFifo, Transfer]] = []
+
+    @property
+    def words_moved(self) -> int:
+        """Total words moved through the external port (both directions)."""
+        moved = self._moved
+        for fifo, run in self._active:
+            moved += fifo.moved(run)
+        return moved
 
     @property
     def granted_core(self) -> Optional[int]:
@@ -41,40 +56,35 @@ class Crossbar:
         """Disconnect the external port."""
         self._granted = None
 
-    # -- transfer processes ----------------------------------------------------
+    # -- transfers --------------------------------------------------------------
     #
     # Transfers charge per-word cycles but are not serialised against the
     # grant: the model assumes a multi-port switch (each core port can
     # move one word per cycle concurrently).  ``grant`` tracks the
-    # RETRIEVE-DATA protocol state only.
+    # RETRIEVE-DATA protocol state only.  Each returns the run; its
+    # ``done`` event triggers with the end cycle.
 
-    def upload_blocks(self, core: CryptoCore, blocks) -> "object":
-        """Process: stream *blocks* into the core's input FIFO."""
+    def upload_blocks(self, core: CryptoCore, blocks) -> Transfer:
+        """Stream *blocks* into the core's input FIFO."""
+        words = [w for block in blocks for w in bytes_to_words32(block)]
+        run = core.in_fifo.stream_in(words, self.timing.crossbar_word_cycles)
+        return self._track(core.in_fifo, run)
 
-        def proc():
-            for block in blocks:
-                for word in bytes_to_words32(block):
-                    while not core.in_fifo.can_push():
-                        yield core.in_fifo.wait_not_full()
-                    core.in_fifo.push_word(word)
-                    self.words_moved += 1
-                    yield Delay(self.timing.crossbar_word_cycles)
-            return self.sim.now
+    def download_words(self, core: CryptoCore, sink: list, nwords: int) -> Transfer:
+        """Pop exactly *nwords* words from the core's output FIFO into *sink*."""
+        return self._track(
+            core.out_fifo,
+            core.out_fifo.drain_out(sink, nwords, self.timing.crossbar_word_cycles),
+        )
 
-        return self.sim.add_process(proc(), name=f"xbar.up.{core.name}")
-
-    def download_words(self, core: CryptoCore, sink: list, nwords: int) -> "object":
-        """Process: pop exactly *nwords* words from the core's output FIFO."""
-
-        def proc():
-            remaining = nwords
-            while remaining > 0:
-                while not core.out_fifo.can_pop():
-                    yield core.out_fifo.wait_not_empty()
-                sink.append(core.out_fifo.pop_word())
-                self.words_moved += 1
-                remaining -= 1
-                yield Delay(self.timing.crossbar_word_cycles)
-            return self.sim.now
-
-        return self.sim.add_process(proc(), name=f"xbar.down.{core.name}")
+    def _track(self, fifo: WordFifo, run: Transfer) -> Transfer:
+        # Fold finished transfers into the total as new ones start.
+        active = []
+        for pair in self._active:
+            if pair[1].done.triggered:
+                self._moved += pair[1].moved
+            else:
+                active.append(pair)
+        active.append((fifo, run))
+        self._active = active
+        return run

@@ -58,8 +58,10 @@ class PendingRequest:
     state: RequestState = RequestState.RUNNING
     results: List[CoreResult] = field(default_factory=list)
     complete_cycle: Optional[int] = None
+    #: Triggers when the request is done; cleared once it fires.
     done_event: Optional[Event] = None
-    #: Triggers when all cores finished (the Data Available edge).
+    #: Triggers when all cores finished (the Data Available edge);
+    #: cleared once it fires (wait on the event taken at submit).
     ready_event: Optional[Event] = None
     #: The dataplane job this request carries out (None for callers
     #: that drive :meth:`TaskScheduler.submit` with raw tasks).
@@ -280,8 +282,11 @@ class TaskScheduler:
                 if request.auth_failed:
                     channel.auth_failures += 1
             self.data_available.set(self.data_available.value + 1)
-            if request.ready_event is not None:
-                request.ready_event.trigger(request)
+            # A fired event holds the request as its value: the request
+            # lets go of it, so the pair is no reference cycle.
+            ready, request.ready_event = request.ready_event, None
+            if ready is not None:
+                ready.trigger(request)
             self.trace.record(
                 self.sim.now, "sched", "data_available", request=request.request_id
             )
@@ -323,8 +328,9 @@ class TaskScheduler:
         self._finish(request)
 
     def _finish(self, request: PendingRequest) -> None:
-        if request.done_event is not None and not request.done_event.triggered:
-            request.done_event.trigger(request)
+        done, request.done_event = request.done_event, None
+        if done is not None and not done.triggered:
+            done.trigger(request)
 
     # -- timing helper -------------------------------------------------------------
 

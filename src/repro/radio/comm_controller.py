@@ -717,6 +717,7 @@ class CommController:
         request = self.mccp.submit(
             channel.channel_id, tasks, job.priority, job=job
         )
+        ready = request.ready_event  # cleared once it fires
 
         # Upload every task's input stream (one word per crossbar-port
         # cycle).  Encrypt output is drained *while* the core runs: a
@@ -739,7 +740,7 @@ class CommController:
             yield upload.done
 
         # Wait for the core(s) — the Data Available interrupt edge.
-        yield request.ready_event
+        yield ready
 
         # RETRIEVE DATA.
         yield self.mccp.scheduler.overhead_delay()

@@ -75,7 +75,7 @@ from repro.mccp.key_memory import KeyMemory
 from repro.mccp.mccp import BATCHABLE_ALGORITHMS, Mccp
 from repro.radio.admission import AdmissionController, AdmissionPolicy
 from repro.radio.comm_controller import CommController
-from repro.radio.packet import Packet
+from repro.radio.packet import MAX_PAYLOAD_BYTES, Packet
 from repro.radio.standards import STANDARD_PROFILES, RadioStandard
 from repro.radio.traffic import GeneratedPacket, TrafficGenerator, TrafficPattern
 from repro.resilience.stats import COUNTERS, RunCounters
@@ -118,6 +118,20 @@ class ChannelConfig:
     #: A bounded queue raises :class:`repro.errors.BackpressureError`
     #: at the mark and feeds the admission controller's shed logic.
     queue_capacity: Optional[int] = None
+    #: Payload size of every packet (None: the standard's nominal size).
+    payload_bytes: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.queue_capacity is not None and self.queue_capacity < 1:
+            raise ValueError(
+                f"queue_capacity must be >= 1 or None, got {self.queue_capacity}"
+            )
+        if self.flush_policy is not None:
+            self.flush_policy.check_capacity(self.queue_capacity, "ChannelConfig")
+        if self.payload_bytes is not None and not 0 <= self.payload_bytes <= MAX_PAYLOAD_BYTES:
+            raise ValueError(
+                f"payload_bytes must be in 0..{MAX_PAYLOAD_BYTES}, got {self.payload_bytes}"
+            )
 
 
 @dataclass
@@ -187,6 +201,13 @@ class WorkloadSpec:
                 f"queue_capacity must be >= 1 or None, got "
                 f"{self.queue_capacity}"
             )
+        for index, config in enumerate(self.configs):
+            policy = config.flush_policy or self.flush_policy
+            if policy is not None:
+                capacity = config.queue_capacity
+                if capacity is None:
+                    capacity = self.queue_capacity
+                policy.check_capacity(capacity, f"WorkloadSpec channel {index}")
 
 
 def _comm_pipeline_depth(dataplane: str, pipeline_depth: int) -> int:
@@ -409,6 +430,8 @@ class SdrPlatform:
             capacity = config.queue_capacity or queue_capacity
             if capacity is not None:
                 channel.capacity = capacity
+            if config.payload_bytes is not None:
+                profile = replace(profile, payload_bytes=config.payload_bytes)
             generator = TrafficGenerator(
                 channel_id=channel.channel_id,
                 profile=profile,

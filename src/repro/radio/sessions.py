@@ -234,6 +234,8 @@ class SessionWorkload:
                 f"queue_capacity must be >= 1 or None, got "
                 f"{self.queue_capacity}"
             )
+        if self.flush_policy is not None:
+            self.flush_policy.check_capacity(self.queue_capacity, "SessionWorkload")
         if self.key_bytes not in (16, 24, 32):
             raise ValueError(
                 f"key_bytes must be 16, 24 or 32, got {self.key_bytes}"

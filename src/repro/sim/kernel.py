@@ -23,10 +23,23 @@ just insertion order — so a given program produces one reproducible
 schedule.  ``Delay(cycles, ahead)`` lets a temporally decoupled process
 (one that simulated *ahead* cycles without yielding) keep the
 same-cycle order it would have had stepping cycle by cycle.
+
+Catch-up on access
+------------------
+A loosely timed component (the Cryptographic Unit, the FIFOs) keeps
+some of its future as *virtual* entries: keys ``(time, scheduled,
+seq)`` it has computed but not pushed on the heap.  When anything
+touches it, it first applies every virtual entry that the stepped
+schedule would already have run: those keyed below
+:meth:`Simulator.position`, the key of the entry running now.
+Such a component registers itself with :meth:`add_timeline`, so that
+a run that drains the heap still ends on the cycle of its last
+virtual entry, as a stepped model's last event would have set it.
 """
 
 from __future__ import annotations
 
+import weakref
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -204,6 +217,11 @@ class _Entry:
         self.consumed = False
 
 
+#: Stamp and sequence number of the position after a finished ``run``:
+#: every entry of the current cycle, real or virtual, has run.
+_END = 1 << 62
+
+
 class Simulator:
     """The discrete-event scheduler (one instance per modeled device).
 
@@ -228,6 +246,11 @@ class Simulator:
         #: Live count of queued, non-cancelled callbacks (kept exact on
         #: every push/pop/cancel so :attr:`pending_events` is O(1)).
         self._pending = 0
+        #: ``scheduled`` stamp and ``seq`` of the entry running now (or
+        #: last run); see :meth:`position`.
+        self._stamp = -1
+        self._order = -1
+        self._timelines: "weakref.WeakSet" = weakref.WeakSet()
 
     # -- scheduling primitives -------------------------------------------
 
@@ -242,6 +265,56 @@ class Simulator:
         self._seq += 1
         self._pending += 1
         return entry
+
+    def call_stamped(
+        self, time: int, scheduled: int, callback: Callable, argument: Any = None
+    ) -> _Entry:
+        """Schedule ``callback(argument)`` at *time*, ordered among the
+        entries of that cycle as if scheduled at cycle *scheduled*.
+
+        For a loosely timed component that turns a virtual entry into a
+        real one: the wake-up keeps the stamp the stepped model would
+        have given it (*scheduled* may lie in the past).
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time}, current time is {self.now}"
+            )
+        entry = _Entry(callback, argument)
+        heappush(self._queue, (time, scheduled, self._seq, entry))
+        self._seq += 1
+        self._pending += 1
+        return entry
+
+    # -- virtual entries -----------------------------------------------------
+
+    def position(self) -> Tuple[int, int, int]:
+        """The exclusive upper bound of every key that has already run.
+
+        A virtual entry ``(time, scheduled, seq)`` is in the past iff it
+        compares below this tuple.  A component that records a virtual
+        entry while an entry runs gives it ``seq = self._seq`` (the
+        number the next real entry would get), so it orders after the
+        running entry and before every real entry scheduled later.
+        """
+        return (self.now, self._stamp, self._order + 1)
+
+    def add_timeline(self, component: Any) -> None:
+        """Register a component holding virtual entries.
+
+        ``component.horizon()`` returns the cycle of its last virtual
+        entry (0 if none); a ``run`` that drains the heap ends on the
+        latest of them.  Held weakly.
+        """
+        self._timelines.add(component)
+
+    def _finish_drained(self) -> None:
+        """The heap is empty: run the clock out to the last virtual entry."""
+        self._stamp = self._order = _END
+        for component in list(self._timelines):
+            horizon = component.horizon()
+            if horizon > self.now:
+                self.now = horizon
 
     def cancel(self, entry: _Entry) -> bool:
         """Cancel a scheduled entry; returns whether it was still live.
@@ -303,25 +376,32 @@ class Simulator:
         pop = heappop
         try:
             while queue:
-                time, _, _, entry = queue[0]
+                time, stamp, order, entry = queue[0]
                 if entry.cancelled:
                     pop(queue)
                     continue
                 if until is not None and time > until:
                     self.now = until
+                    self._stamp = self._order = _END
                     return
                 pop(queue)
                 entry.consumed = True
                 self._pending -= 1
                 self.now = time
+                self._stamp = stamp
+                self._order = order
                 entry.callback(entry.argument)
                 processed += 1
                 if processed > max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; runaway model?"
                     )
-            if until is not None and until > self.now:
-                self.now = until
+            if until is None:
+                self._finish_drained()
+            else:
+                if until > self.now:
+                    self.now = until
+                self._stamp = self._order = _END
         finally:
             self._running = False
 
@@ -342,12 +422,14 @@ class Simulator:
                 raise SimulationError(
                     f"cycle limit {limit} exceeded waiting for {event.name!r}"
                 )
-            time, _, _, entry = heappop(queue)
+            time, stamp, order, entry = heappop(queue)
             if entry.cancelled:
                 continue
             entry.consumed = True
             self._pending -= 1
             self.now = time
+            self._stamp = stamp
+            self._order = order
             entry.callback(entry.argument)
         return event.value
 

@@ -10,7 +10,7 @@ custom HALT instruction must also handle.
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.sim.kernel import Event, Simulator
 
@@ -68,6 +68,10 @@ class PulseWire:
     def __init__(self, sim: Simulator, name: str = "pulse"):
         self.sim = sim
         self.name = name
+        #: The loosely timed component that pulses this wire, if any: a
+        #: wait first catches it up (``catch_up()``), and a waiter left
+        #: pending asks it for a real wake-up (``wake_on_completion()``).
+        self.driver: Any = None
         self._waiters: List[Event] = []
         self._latched = False
         self._latched_value: Any = None
@@ -87,6 +91,9 @@ class PulseWire:
 
     def wait(self) -> Event:
         """Event for the next pulse (or the latched one, consuming it)."""
+        driver = self.driver
+        if driver is not None:
+            driver.catch_up()
         ev = self.sim.event(f"{self.name}.pulse")
         if self._latched:
             self._latched = False
@@ -94,7 +101,37 @@ class PulseWire:
             ev.trigger(value)
         else:
             self._waiters.append(ev)
+            if driver is not None:
+                driver.wake_on_completion()
         return ev
+
+    def fixed_pulse(self) -> Optional[int]:
+        """When a wait started now would be woken, if that is fixed.
+
+        ``-1`` if a pulse is latched (the wait returns at once); the
+        cycle of the driver's next pulse if it already knows it
+        (``driver.idle_cycle()``); None otherwise.  A caller that
+        sleeps to that cycle instead of waiting calls :meth:`consume`
+        when it wakes.
+        """
+        driver = self.driver
+        if driver is not None:
+            driver.catch_up()
+        if self._latched:
+            return -1
+        return driver.idle_cycle() if driver is not None else None
+
+    def consume(self) -> None:
+        """Absorb the pulse a :meth:`fixed_pulse` sleeper woke for."""
+        if self.driver is not None:
+            self.driver.catch_up()
+        self._latched = False
+        self._latched_value = None
+
+    @property
+    def waiting(self) -> bool:
+        """Whether a wait is pending (the next pulse wakes someone)."""
+        return bool(self._waiters)
 
     def clear_latch(self) -> None:
         """Explicitly drop a pending latched pulse."""

@@ -3,15 +3,19 @@
 ``LOAD`` pops four 32-bit words from the input FIFO into a bank
 register; ``STORE`` pushes a bank register into the output FIFO.  Both
 stall while the FIFO cannot serve them ("loads data from input FIFO
-once there are available", section IV.C); the Cryptographic Unit turns
-that stall into a deferred completion.
+once there are available", section IV.C).
+
+The unit asks the FIFO's arrival schedule when that will be
+(:meth:`WordFifo.pop_ready` / :meth:`WordFifo.push_ready`), and once it
+knows the completion cycle it claims the block move for that cycle
+(:meth:`claim_load` / :meth:`claim_store`): the FIFO then replays the
+move in order with its producer and consumer runs, with no kernel
+event of its own.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.sim.fifo import WordFifo, WORDS_PER_BLOCK
+from repro.sim.fifo import Claim, WordFifo
 
 
 class IoCore:
@@ -20,57 +24,16 @@ class IoCore:
     def __init__(self, in_fifo: WordFifo, out_fifo: WordFifo):
         self.in_fifo = in_fifo
         self.out_fifo = out_fifo
-        #: Blocks moved in each direction.
+        #: Blocks claimed in each direction.
         self.blocks_in = 0
         self.blocks_out = 0
 
-    def input_ready(self) -> bool:
-        """Whether a whole block can be popped."""
-        return self.in_fifo.can_pop(WORDS_PER_BLOCK)
-
-    def output_ready(self) -> bool:
-        """Whether a whole block can be pushed."""
-        return self.out_fifo.can_push(WORDS_PER_BLOCK)
-
-    def pop_block(self) -> bytes:
-        """Pop one 16-byte block from the input FIFO."""
+    def claim_load(self, cycle: int, stamp: int, seq: int) -> Claim:
+        """Claim one block from the input FIFO for key ``(cycle, stamp, seq)``."""
         self.blocks_in += 1
-        return self.in_fifo.pop_block()
+        return self.in_fifo.claim_pop(cycle, stamp, seq)
 
-    def push_block(self, block: bytes) -> None:
-        """Push one 16-byte block into the output FIFO."""
+    def claim_store(self, cycle: int, stamp: int, seq: int, block: bytes) -> None:
+        """Claim a push of *block* into the output FIFO for that key."""
         self.blocks_out += 1
-        self.out_fifo.push_block(block)
-
-    def when_input_ready(self, callback: Callable[[], None]) -> None:
-        """Invoke *callback* as soon as a whole input block is available.
-
-        Re-arms on push *edges* (not the non-empty level): with data
-        streaming in one 32-bit word per cycle, a level wait would spin
-        in the same cycle whenever a partial block is present.
-        """
-        if self.input_ready():
-            callback()
-            return
-
-        def retry() -> None:
-            if self.input_ready():
-                callback()
-            else:
-                self.in_fifo.add_push_hook(retry)
-
-        self.in_fifo.add_push_hook(retry)
-
-    def when_output_ready(self, callback: Callable[[], None]) -> None:
-        """Invoke *callback* as soon as the output FIFO has block space."""
-        if self.output_ready():
-            callback()
-            return
-
-        def retry() -> None:
-            if self.output_ready():
-                callback()
-            else:
-                self.out_fifo.add_pop_hook(retry)
-
-        self.out_fifo.add_pop_hook(retry)
+        self.out_fifo.claim_push(cycle, stamp, seq, block)

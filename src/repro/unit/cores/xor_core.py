@@ -9,6 +9,8 @@ valid prefix) and truncated authentication tags (enable the first
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import UnitError
 
 
@@ -21,19 +23,23 @@ def mask_for_bytes(nbytes: int) -> int:
     return ((1 << nbytes) - 1) << (16 - nbytes)
 
 
-def _apply_mask(value: bytes, mask: int) -> bytes:
-    return bytes(
-        b if (mask >> (15 - i)) & 1 else 0 for i, b in enumerate(value)
-    )
+@lru_cache(maxsize=None)
+def _bit_mask(mask: int) -> int:
+    """The 16-bit byte mask widened to a 128-bit bit mask."""
+    return sum(0xFF << (8 * (15 - i)) for i in range(16) if (mask >> (15 - i)) & 1)
 
 
-def masked_xor(a: bytes, b: bytes, mask: int) -> bytes:
-    """``B = (A xor B) and mask`` — the XOR operating mode."""
+def _masked(a: bytes, b: bytes, mask: int) -> int:
     if len(a) != 16 or len(b) != 16:
         raise UnitError("XOR core operands must be 16 bytes")
     if not 0 <= mask <= 0xFFFF:
         raise UnitError(f"mask {mask:#x} exceeds 16 bits")
-    return _apply_mask(bytes(x ^ y for x, y in zip(a, b)), mask)
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")) & _bit_mask(mask)
+
+
+def masked_xor(a: bytes, b: bytes, mask: int) -> bytes:
+    """``B = (A xor B) and mask`` — the XOR operating mode."""
+    return _masked(a, b, mask).to_bytes(16, "big")
 
 
 def masked_equal(a: bytes, b: bytes, mask: int) -> bool:
@@ -42,4 +48,4 @@ def masked_equal(a: bytes, b: bytes, mask: int) -> bool:
     With the mask covering ``tag_length`` bytes this is the truncated
     tag comparison of the RETRIEVE DATA path.
     """
-    return all(x == 0 for x in masked_xor(a, b, mask))
+    return _masked(a, b, mask) == 0

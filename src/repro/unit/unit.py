@@ -9,9 +9,9 @@ next instruction.
 
 Timing rules (see :mod:`repro.unit.timing` for the calibration):
 
-- predictable instructions (LOAD/STORE/LOADH/SGFM/SAES/INC/XOR/EQU and
-  the inter-core moves) occupy the CU for ``cu_chain_cycles`` (6);
-- SAES/SGFM additionally launch their background core;
+- predictable instructions (LOADH/SGFM/SAES/INC/XOR/EQU/NOP) occupy the
+  CU for ``cu_chain_cycles`` (6); SAES/SGFM additionally launch their
+  background core;
 - FAES/FGFM complete ``finalize_tail`` (5) cycles after the background
   core finishes, delivering the result into the bank register;
 - LOAD/STORE/ICSEND/ICRECV stall while their FIFO/mailbox cannot serve
@@ -21,11 +21,36 @@ Functional effects are applied at *completion* time for finalizes and
 at *issue* time for samples (SAES/SGFM read the bank when they start,
 which is what lets Listing 1 overwrite the data register while GHASH is
 still absorbing it).
+
+Catch-up on access
+------------------
+Each opcode's row in :data:`CU_OPS` names its timing class, so an
+instruction's completion cycle is known when it issues: at once for
+the fixed and engine classes, and from the FIFO's arrival schedule for
+LOAD/STORE (:mod:`repro.sim.fifo`).  The completion is then only
+recorded, as a virtual entry keyed like the kernel entry the stepped
+CU would have scheduled.  Every access — :meth:`start`,
+:meth:`status_byte`, the mask writes, :meth:`reset_for_packet`,
+:meth:`call_when_idle`, ``busy`` and a wait on ``done`` — first applies
+it if that key is already past (:meth:`catch_up`).  A LOAD's pop and a
+STORE's push are handed to the FIFO as claims for the same key, so the
+FIFO replays them in order without asking the CU.
+
+A completion becomes a real kernel event, with the stepped key, only
+where a wake-up must happen at its cycle:
+
+- something queued behind it (the next instruction issues there);
+- a HALT waiting on ``done``, or an idle callback pending;
+- an ICSEND/ICRECV (the neighbour core waits on the mailbox).
+
+A LOAD or STORE the known schedule cannot serve yet waits on the FIFO
+(``when_changed``) and computes its completion when the schedule grows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import enum
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import UnitError
 from repro.sim.kernel import Simulator
@@ -93,8 +118,344 @@ class InterCoreRegister:
             self._space_waiters.append(callback)
 
 
-class CryptoUnit:
+class Timing(enum.Enum):
+    """How an instruction's completion cycle follows from its issue."""
+
+    #: ``cu_chain_cycles`` after issue.
+    FIXED = "fixed"
+    #: When the background engine delivers (the handler returns the cycle).
+    ENGINE = "engine"
+    #: ``cu_chain_cycles`` after the input FIFO holds a block.
+    INPUT = "input"
+    #: ``cu_chain_cycles`` after the output FIFO has room for a block.
+    OUTPUT = "output"
+    #: ``cu_chain_cycles`` after the neighbour's mailbox serves it (the
+    #: handler arranges the completion).
+    MAILBOX = "mailbox"
+
+
+#: A row of an op table: the timing class and the issue handler
+#: ``handler(unit, a, b, now)``.  It applies the issue-time effects and
+#: returns the completion effect (FIXED), ``(effect, cycle)`` (ENGINE),
+#: the bank writer for the loaded block (INPUT) or the block to store
+#: (OUTPUT).
+OpRow = Tuple[Timing, Callable]
+
+
+class LooselyTimedUnit:
+    """Issue queue and catch-up-on-access timing of a CU personality.
+
+    A subclass supplies ``OPS`` (opcode -> :data:`OpRow`), ``decode``
+    and its functional state.
+    """
+
+    OPS: Dict[enum.IntEnum, OpRow] = {}
+
+    def __init__(
+        self,
+        sim: Simulator,
+        io: IoCore,
+        timing: TimingModel,
+        trace: Optional[TraceRecorder],
+        name: str,
+    ):
+        self.sim = sim
+        self.io = io
+        self.timing = timing
+        # An empty TraceRecorder is falsy (it has __len__), so compare to None.
+        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
+        self.name = name
+        self.done = PulseWire(sim, f"{name}.done")
+        self._busy = False
+        self._queue: list = []
+        self._idle_callbacks: list = []
+        #: Key ``(cycle, stamp, seq)`` of the in-flight completion once known.
+        self._due: Optional[Tuple[int, int, int]] = None
+        self._effect: Optional[Callable[[], None]] = None
+        #: The kernel entry when that completion is a real event.
+        self._entry = None
+        sim.add_timeline(self)
+
+    def decode(self, instr_byte: int):
+        """``(op, a, b)`` for *instr_byte* (raises on an undecodable byte)."""
+        raise NotImplementedError
+
+    # -- catch-up --------------------------------------------------------------
+
+    def catch_up(self) -> None:
+        """Apply the in-flight completion if its key is already past."""
+        due = self._due
+        if due is not None:
+            now = self.sim.now
+            if due[0] < now or (due[0] == now and due < self.sim.position()):
+                self._complete()
+
+    def horizon(self) -> int:
+        """Cycle of a pending virtual completion (see ``Simulator.add_timeline``)."""
+        due = self._due
+        return due[0] if due is not None and self._entry is None else 0
+
+    def idle_cycle(self) -> Optional[int]:
+        """Cycle the unit next goes idle (pulsing ``done``), if already
+        fixed: a virtual completion with nothing queued behind it."""
+        due = self._due
+        if due is None or self._entry is not None or self._queue:
+            return None
+        return due[0]
+
+    def wake_on_completion(self) -> None:
+        """Make the in-flight completion a real event (someone waits on it)."""
+        due = self._due
+        if due is not None and self._entry is None:
+            cycle, stamp, _seq = due
+            self._due = (cycle, stamp, self.sim._seq)
+            self._entry = self.sim.call_stamped(cycle, stamp, self._fire)
+
+    @property
+    def bank(self) -> BankRegister:
+        """The bank register, with every past completion written."""
+        self.catch_up()
+        return self._bank
+
+    @property
+    def busy(self) -> bool:
+        """Whether an instruction is in flight."""
+        self.catch_up()
+        return self._busy
+
+    @property
+    def queued(self) -> int:
+        """Instructions issued by the controller but not started yet."""
+        self.catch_up()
+        return len(self._queue)
+
+    def call_when_idle(self, fn: "Callable[[], None]") -> None:
+        """Run *fn* once the CU is idle with an empty issue queue.
+
+        Runs immediately if already idle.  Unlike waiting on the
+        ``done`` pulse wire, this cannot consume (or be fooled by) a
+        latched done pulse, so it is safe for core-level bookkeeping
+        that must not race the firmware's HALT protocol.
+        """
+        self.catch_up()
+        if not self._busy and not self._queue:
+            fn()
+        else:
+            self._idle_callbacks.append(fn)
+            self.wake_on_completion()
+
+    # -- controller-facing API ---------------------------------------------
+
+    def start(self, instr_byte: int) -> None:
+        """Issue an instruction (controller write strobe).
+
+        If the unit is still finishing earlier instructions (including a
+        FIFO-stalled LOAD/STORE) the new one queues and issues at the
+        predecessor's completion cycle, which is exactly the hardware
+        handshake timing.  The ``done`` wire pulses only when the unit
+        goes *idle* (completion with an empty queue) — the condition the
+        controller's HALT waits for.
+        """
+        due = self._due
+        if due is not None:  # catch_up(), inlined on the hottest path
+            now = self.sim.now
+            if due[0] < now or (due[0] == now and due < self.sim.position()):
+                self._complete()
+        if self._busy or self._queue:
+            self._queue.append(instr_byte)
+            self.wake_on_completion()
+            return
+        self._issue(instr_byte)
+
+    def _reset_check(self) -> None:
+        self.catch_up()
+        if self._busy:
+            raise UnitError(f"{self.name}: reset while busy")
+        self.done.clear_latch()
+
+    # -- execution ----------------------------------------------------------
+
+    def _record_issue(self, now: int, op, a: int, b: int) -> None:
+        self.trace.record(now, self.name, "issue", op=op.name, a=a, b=b)
+
+    def _issue(self, instr_byte: int) -> None:
+        """Start *instr_byte* now (always at a real kernel position)."""
+        op, a, b = self.decode(instr_byte)
+        now = self.sim.now
+        self._busy = True
+        self.done.clear_latch()
+        if self.trace.enabled:
+            self._record_issue(now, op, a, b)
+        timing, handler = self.OPS[op]
+        result = handler(self, a, b, now)
+        if timing is Timing.FIXED:
+            self._finish(now + self.timing.cu_chain_cycles, now, result)
+        elif timing is Timing.ENGINE:
+            effect, cycle = result
+            self._finish(cycle, now, effect)
+        elif timing is Timing.INPUT:
+            self._await_input(result)
+        elif timing is Timing.OUTPUT:
+            self._await_output(result)
+
+    def _finish(
+        self,
+        cycle: int,
+        stamp: int,
+        effect: Optional[Callable[[], None]],
+        real: bool = False,
+        seq: Optional[int] = None,
+    ) -> None:
+        """The in-flight instruction completes at *cycle*, keyed as if
+        scheduled at cycle *stamp* now (or with the given *seq*)."""
+        self._effect = effect
+        self._due = (cycle, stamp, self.sim._seq if seq is None else seq)
+        if real or self._queue or self._idle_callbacks or self.done.waiting:
+            self.wake_on_completion()
+
+    def _await_input(self, write: Callable[[bytes], None]) -> None:
+        fifo = self.io.in_fifo
+        ready = fifo.pop_ready()
+        if ready is None:
+            fifo.when_changed(lambda: self._await_input(write))
+            return
+        ready = max(ready, self.sim.now)
+        cycle, seq = ready + self.timing.cu_chain_cycles, self.sim._seq
+        claim = self.io.claim_load(cycle, ready, seq)
+        self._finish(cycle, ready, lambda: write(fifo.claimed_block(claim)), seq=seq)
+
+    def _await_output(self, block: bytes) -> None:
+        fifo = self.io.out_fifo
+        ready = fifo.push_ready()
+        if ready is None:
+            fifo.when_changed(lambda: self._await_output(block))
+            return
+        ready = max(ready, self.sim.now)
+        cycle, seq = ready + self.timing.cu_chain_cycles, self.sim._seq
+        self.io.claim_store(cycle, ready, seq, block)
+        self._finish(cycle, ready, None, seq=seq)
+
+    def _fire(self, _arg) -> None:
+        self._entry = None
+        self._complete()
+
+    def _complete(self) -> None:
+        cycle = self._due[0]
+        effect = self._effect
+        self._due = self._effect = None
+        if self._entry is not None:  # pragma: no cover - caught up before firing
+            self.sim.cancel(self._entry)
+            self._entry = None
+        if effect is not None:
+            effect()
+        self._busy = False
+        if self.trace.enabled:
+            self.trace.record(cycle, self.name, "complete")
+        if self._queue:
+            self._issue(self._queue.pop(0))
+        else:
+            self.done.pulse()
+            if self._idle_callbacks:
+                callbacks, self._idle_callbacks = self._idle_callbacks, []
+                for fn in callbacks:
+                    fn()
+
+
+# -- the AES personality's instructions ------------------------------------------
+
+
+def _nop(cu, a, b, now):
+    return None
+
+
+def _load(cu, a, b, now):
+    return lambda block: cu._bank.write(a, block)
+
+
+def _store(cu, a, b, now):
+    return cu._bank.read(a)
+
+
+def _loadh(cu, a, b, now):
+    cu.ghash.load_h(cu._bank.read(a), now)
+
+
+def _sgfm(cu, a, b, now):
+    cu.ghash.absorb(cu._bank.read(a), now)
+
+
+def _fgfm(cu, a, b, now):
+    digest, ready = cu.ghash.finalize(now)
+    return (lambda: cu._bank.write(a, digest)), ready
+
+
+def _saes(cu, a, b, now):
+    cu.aes.start(cu._bank.read(a), cu._key_provider(), now)
+
+
+def _faes(cu, a, b, now):
+    result, ready = cu.aes.finalize(now)
+    return (lambda: cu._bank.write(a, result)), ready
+
+
+def _inc(cu, a, b, now):
+    cu._bank.write(a, inc16(cu._bank.read(a), b + 1))
+
+
+def _xor(cu, a, b, now):
+    cu._bank.write(b, masked_xor(cu._bank.read(a), cu._bank.read(b), cu.mask))
+
+
+def _equ(cu, a, b, now):
+    cu.equ_flag = masked_equal(cu._bank.read(a), cu._bank.read(b), cu.mask)
+
+
+def _icsend(cu, a, b, now):
+    if cu.ic_out is None:
+        raise UnitError(f"{cu.name}: ICSEND with no neighbour wired")
+    block = cu._bank.read(a)
+    chain = cu.timing.cu_chain_cycles
+    cu.ic_out.when_space(
+        lambda: cu._finish(
+            cu.sim.now + chain, cu.sim.now, lambda: cu.ic_out.put(block), real=True
+        )
+    )
+
+
+def _icrecv(cu, a, b, now):
+    chain = cu.timing.cu_chain_cycles
+    cu.ic_in.when_data(
+        lambda: cu._finish(
+            cu.sim.now + chain,
+            cu.sim.now,
+            lambda: cu._bank.write(a, cu.ic_in.take()),
+            real=True,
+        )
+    )
+
+
+#: Opcode -> (timing class, issue handler); see :data:`OpRow`.
+CU_OPS: Dict[CuOp, OpRow] = {
+    CuOp.NOP: (Timing.FIXED, _nop),
+    CuOp.LOAD: (Timing.INPUT, _load),
+    CuOp.STORE: (Timing.OUTPUT, _store),
+    CuOp.LOADH: (Timing.FIXED, _loadh),
+    CuOp.SGFM: (Timing.FIXED, _sgfm),
+    CuOp.FGFM: (Timing.ENGINE, _fgfm),
+    CuOp.SAES: (Timing.FIXED, _saes),
+    CuOp.FAES: (Timing.ENGINE, _faes),
+    CuOp.INC: (Timing.FIXED, _inc),
+    CuOp.XOR: (Timing.FIXED, _xor),
+    CuOp.EQU: (Timing.FIXED, _equ),
+    CuOp.ICSEND: (Timing.MAILBOX, _icsend),
+    CuOp.ICRECV: (Timing.MAILBOX, _icrecv),
+}
+
+
+class CryptoUnit(LooselyTimedUnit):
     """The AES-personality Cryptographic Unit."""
+
+    OPS = CU_OPS
 
     def __init__(
         self,
@@ -105,15 +466,9 @@ class CryptoUnit:
         trace: Optional[TraceRecorder] = None,
         name: str = "cu",
     ):
-        self.sim = sim
-        self.io = io
+        super().__init__(sim, io, timing, trace, name)
         self._key_provider = key_provider
-        self.timing = timing
-        # An empty TraceRecorder is falsy (it has __len__), so compare to None.
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        self.name = name
-
-        self.bank = BankRegister()
+        self._bank = BankRegister()
         self.aes = AesCore(timing)
         self.ghash = GhashCore(timing)
         self.mask = 0xFFFF
@@ -123,23 +478,11 @@ class CryptoUnit:
         self.ic_in = InterCoreRegister(sim, f"{name}.ic_in")
         self.ic_out: Optional[InterCoreRegister] = None
 
-        self.done = PulseWire(sim, f"{name}.done")
-        self.busy = False
-        self._queue: list = []
-        self._idle_callbacks: list = []
-
-    def call_when_idle(self, fn: "Callable[[], None]") -> None:
-        """Run *fn* once the CU is idle with an empty issue queue.
-
-        Runs immediately if already idle.  Unlike waiting on the
-        ``done`` pulse wire, this cannot consume (or be fooled by) a
-        latched done pulse, so it is safe for core-level bookkeeping
-        that must not race the firmware's HALT protocol.
-        """
-        if not self.busy and not self._queue:
-            fn()
-        else:
-            self._idle_callbacks.append(fn)
+    def decode(self, instr_byte: int):
+        decoded = CU_DECODE_TABLE.get(instr_byte)
+        if decoded is None:
+            cu_decode(instr_byte)  # raises DecodeError for this byte
+        return decoded
 
     # -- controller-facing API ---------------------------------------------
 
@@ -147,140 +490,33 @@ class CryptoUnit:
         """Install the 16-bit byte mask used by XOR/EQU."""
         if not 0 <= mask <= 0xFFFF:
             raise UnitError(f"mask {mask:#x} exceeds 16 bits")
+        self.catch_up()
         self.mask = mask
 
     def set_mask_low(self, byte: int) -> None:
         """Write the low mask byte (controller port 0x01)."""
+        self.catch_up()
         self.mask = (self.mask & 0xFF00) | (byte & 0xFF)
 
     def set_mask_high(self, byte: int) -> None:
         """Write the high mask byte (controller port 0x02)."""
+        self.catch_up()
         self.mask = ((byte & 0xFF) << 8) | (self.mask & 0x00FF)
 
     def status_byte(self) -> int:
         """Status for the controller: equ, AES-busy, GHASH-busy, CU-busy."""
+        self.catch_up()
         now = self.sim.now
         return (
             (1 if self.equ_flag else 0)
             | (2 if now < self.aes.busy_until else 0)
             | (4 if now < self.ghash.busy_until else 0)
-            | (8 if self.busy else 0)
+            | (8 if self._busy else 0)
         )
-
-    def start(self, instr_byte: int) -> None:
-        """Issue a CU instruction (controller write strobe).
-
-        If the CU is still finishing earlier instructions (including a
-        FIFO-stalled LOAD/STORE) the new one queues and issues at the
-        predecessor's completion cycle, which is exactly the hardware
-        handshake timing.  The ``done`` wire pulses only when the unit
-        goes *idle* (completion with an empty queue) — the condition the
-        controller's HALT waits for.
-        """
-        if self.busy or self._queue:
-            self._queue.append(instr_byte)
-            return
-        self._issue(instr_byte)
 
     def reset_for_packet(self) -> None:
         """Clear per-packet state (bank, flags) before a new task."""
-        if self.busy:
-            raise UnitError(f"{self.name}: reset while busy")
-        self.bank.clear()
+        self._reset_check()
+        self._bank.clear()
         self.equ_flag = False
         self.mask = 0xFFFF
-        self.done.clear_latch()
-
-    # -- execution ----------------------------------------------------------
-
-    def _issue(self, instr_byte: int) -> None:
-        decoded = CU_DECODE_TABLE.get(instr_byte)
-        if decoded is None:
-            cu_decode(instr_byte)  # raises DecodeError for this byte
-        op, a, b = decoded
-        now = self.sim.now
-        self.busy = True
-        self.done.clear_latch()
-        if self.trace.enabled:
-            self.trace.record(now, self.name, "issue", op=op.name, a=a, b=b)
-        chain = self.timing.cu_chain_cycles
-
-        if op is CuOp.NOP:
-            self._finish_at(now + chain, None)
-        elif op is CuOp.LOAD:
-            self.io.when_input_ready(
-                lambda: self._finish_at(
-                    self.sim.now + chain,
-                    lambda: self.bank.write(a, self.io.pop_block()),
-                )
-            )
-        elif op is CuOp.STORE:
-            block = self.bank.read(a)
-            self.io.when_output_ready(
-                lambda: self._finish_at(
-                    self.sim.now + chain, lambda: self.io.push_block(block)
-                )
-            )
-        elif op is CuOp.LOADH:
-            self.ghash.load_h(self.bank.read(a), now)
-            self._finish_at(now + chain, None)
-        elif op is CuOp.SGFM:
-            self.ghash.absorb(self.bank.read(a), now)
-            self._finish_at(now + chain, None)
-        elif op is CuOp.FGFM:
-            digest, ready = self.ghash.finalize(now)
-            self._finish_at(ready, lambda: self.bank.write(a, digest))
-        elif op is CuOp.SAES:
-            self.aes.start(self.bank.read(a), self._key_provider(), now)
-            self._finish_at(now + chain, None)
-        elif op is CuOp.FAES:
-            result, ready = self.aes.finalize(now)
-            self._finish_at(ready, lambda: self.bank.write(a, result))
-        elif op is CuOp.INC:
-            self.bank.write(a, inc16(self.bank.read(a), b + 1))
-            self._finish_at(now + chain, None)
-        elif op is CuOp.XOR:
-            value = masked_xor(self.bank.read(a), self.bank.read(b), self.mask)
-            self.bank.write(b, value)
-            self._finish_at(now + chain, None)
-        elif op is CuOp.EQU:
-            self.equ_flag = masked_equal(
-                self.bank.read(a), self.bank.read(b), self.mask
-            )
-            self._finish_at(now + chain, None)
-        elif op is CuOp.ICSEND:
-            if self.ic_out is None:
-                raise UnitError(f"{self.name}: ICSEND with no neighbour wired")
-            block = self.bank.read(a)
-            self.ic_out.when_space(
-                lambda: self._finish_at(
-                    self.sim.now + chain, lambda: self.ic_out.put(block)
-                )
-            )
-        elif op is CuOp.ICRECV:
-            self.ic_in.when_data(
-                lambda: self._finish_at(
-                    self.sim.now + chain,
-                    lambda: self.bank.write(a, self.ic_in.take()),
-                )
-            )
-        else:  # pragma: no cover - CU_DECODE_TABLE prevents this
-            raise UnitError(f"{self.name}: unimplemented op {op!r}")
-
-    def _finish_at(self, time: int, effect: Optional[Callable[[], None]]) -> None:
-        self.sim.call_at(time, self._complete, effect)
-
-    def _complete(self, effect: Optional[Callable[[], None]]) -> None:
-        if effect is not None:
-            effect()
-        self.busy = False
-        if self.trace.enabled:
-            self.trace.record(self.sim.now, self.name, "complete")
-        if self._queue:
-            self._issue(self._queue.pop(0))
-        else:
-            self.done.pulse()
-            if self._idle_callbacks:
-                callbacks, self._idle_callbacks = self._idle_callbacks, []
-                for fn in callbacks:
-                    fn()

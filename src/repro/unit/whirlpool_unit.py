@@ -19,16 +19,16 @@ documented model assumption (the paper reports no Whirlpool timing).
 from __future__ import annotations
 
 import enum
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from repro.crypto.whirlpool import compress
 from repro.errors import DecodeError, UnitError
 from repro.sim.kernel import Simulator
-from repro.sim.signals import PulseWire
 from repro.sim.tracing import TraceRecorder
 from repro.unit.bank import BankRegister
 from repro.unit.cores.io_core import IoCore
 from repro.unit.timing import TimingModel
+from repro.unit.unit import LooselyTimedUnit, Timing
 
 
 class WpOp(enum.IntEnum):
@@ -68,8 +68,56 @@ def wp_decode(byte: int) -> WpDecoded:
     return WpDecoded(op, (byte >> 2) & 0x3, byte & 0x3)
 
 
-class WhirlpoolUnit:
+def _wp_nop(wpu, a, b, now):
+    return None
+
+
+def _wp_load(wpu, a, b, now):
+    return lambda block: wpu._bank.write(a, block)
+
+
+def _wp_store(wpu, a, b, now):
+    return wpu._bank.read(a)
+
+
+def _wpinit(wpu, a, b, now):
+    wpu._chain = bytes(64)
+
+
+def _swpc(wpu, a, b, now):
+    if now < wpu._compress_busy_until:
+        raise UnitError(f"{wpu.name}: SWPC while compress busy")
+    message = b"".join(wpu._bank.read(i) for i in range(4))
+    wpu._chain = compress(wpu._chain, message)
+    wpu._compress_busy_until = now + wpu.timing.whirlpool_cycles
+    wpu.blocks_processed += 1
+
+
+def _fwpc(wpu, a, b, now):
+    return None, max(wpu._compress_busy_until, now) + wpu.timing.finalize_tail
+
+
+def _wpdig(wpu, a, b, now):
+    digest_part = wpu._chain[16 * a : 16 * a + 16]
+    return lambda: wpu._bank.write(a, digest_part)
+
+
+#: Opcode -> (timing class, issue handler), as :data:`repro.unit.unit.CU_OPS`.
+WP_OPS = {
+    WpOp.NOP: (Timing.FIXED, _wp_nop),
+    WpOp.LOAD: (Timing.INPUT, _wp_load),
+    WpOp.STORE: (Timing.OUTPUT, _wp_store),
+    WpOp.WPINIT: (Timing.FIXED, _wpinit),
+    WpOp.SWPC: (Timing.FIXED, _swpc),
+    WpOp.FWPC: (Timing.ENGINE, _fwpc),
+    WpOp.WPDIG: (Timing.FIXED, _wpdig),
+}
+
+
+class WhirlpoolUnit(LooselyTimedUnit):
     """Drop-in CU replacement after Whirlpool reconfiguration."""
+
+    OPS = WP_OPS
 
     def __init__(
         self,
@@ -79,28 +127,18 @@ class WhirlpoolUnit:
         trace: Optional[TraceRecorder] = None,
         name: str = "wpu",
     ):
-        self.sim = sim
-        self.io = io
-        self.timing = timing
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        self.name = name
-
-        self.bank = BankRegister()
+        super().__init__(sim, io, timing, trace, name)
+        self._bank = BankRegister()
         self._chain = bytes(64)
         self._compress_busy_until = 0
-        self.done = PulseWire(sim, f"{name}.done")
-        self.busy = False
-        self._queue: list = []
-        self._idle_callbacks: list = []
         #: Compress invocations (one per 512-bit block).
         self.blocks_processed = 0
 
-    def call_when_idle(self, fn) -> None:
-        """Run *fn* once idle with an empty queue (see CryptoUnit)."""
-        if not self.busy and not self._queue:
-            fn()
-        else:
-            self._idle_callbacks.append(fn)
+    def decode(self, instr_byte: int):
+        return wp_decode(instr_byte)
+
+    def _record_issue(self, now: int, op, a: int, b: int) -> None:
+        self.trace.record(now, self.name, "issue", op=op.name, a=a)
 
     # -- controller-facing API (same shape as CryptoUnit) -------------------
 
@@ -112,89 +150,13 @@ class WhirlpoolUnit:
 
     def status_byte(self) -> int:
         """Bit 2 = compress busy, bit 3 = CU busy (equ/AES bits absent)."""
+        self.catch_up()
         return (4 if self.sim.now < self._compress_busy_until else 0) | (
-            8 if self.busy else 0
+            8 if self._busy else 0
         )
 
     def reset_for_packet(self) -> None:
         """Clear per-message state."""
-        if self.busy:
-            raise UnitError(f"{self.name}: reset while busy")
-        self.bank.clear()
+        self._reset_check()
+        self._bank.clear()
         self._chain = bytes(64)
-        self.done.clear_latch()
-
-    def start(self, instr_byte: int) -> None:
-        """Issue an instruction (queues while busy; see CryptoUnit.start)."""
-        if self.busy or self._queue:
-            self._queue.append(instr_byte)
-            return
-        self._issue(instr_byte)
-
-    # -- execution ----------------------------------------------------------
-
-    def _issue(self, instr_byte: int) -> None:
-        op, a, _b = wp_decode(instr_byte)
-        now = self.sim.now
-        self.busy = True
-        self.done.clear_latch()
-        self.trace.record(now, self.name, "issue", op=op.name, a=a)
-        chain_cycles = self.timing.cu_chain_cycles
-
-        if op is WpOp.NOP:
-            self._finish_at(now + chain_cycles, None)
-        elif op is WpOp.LOAD:
-            self.io.when_input_ready(
-                lambda: self._finish_at(
-                    self.sim.now + chain_cycles,
-                    lambda: self.bank.write(a, self.io.pop_block()),
-                )
-            )
-        elif op is WpOp.STORE:
-            block = self.bank.read(a)
-            self.io.when_output_ready(
-                lambda: self._finish_at(
-                    self.sim.now + chain_cycles,
-                    lambda: self.io.push_block(block),
-                )
-            )
-        elif op is WpOp.WPINIT:
-            self._chain = bytes(64)
-            self._finish_at(now + chain_cycles, None)
-        elif op is WpOp.SWPC:
-            if now < self._compress_busy_until:
-                raise UnitError(f"{self.name}: SWPC while compress busy")
-            message = b"".join(self.bank.read(i) for i in range(4))
-            self._chain = compress(self._chain, message)
-            self._compress_busy_until = now + self.timing.whirlpool_cycles
-            self.blocks_processed += 1
-            self._finish_at(now + chain_cycles, None)
-        elif op is WpOp.FWPC:
-            ready = (
-                max(self._compress_busy_until, now) + self.timing.finalize_tail
-            )
-            self._finish_at(ready, None)
-        elif op is WpOp.WPDIG:
-            digest_part = self._chain[16 * a : 16 * a + 16]
-            self._finish_at(
-                now + chain_cycles, lambda: self.bank.write(a, digest_part)
-            )
-        else:  # pragma: no cover
-            raise UnitError(f"{self.name}: unimplemented op {op!r}")
-
-    def _finish_at(self, time: int, effect: Optional[Callable[[], None]]) -> None:
-        self.sim.call_at(time, self._complete, effect)
-
-    def _complete(self, effect: Optional[Callable[[], None]]) -> None:
-        if effect is not None:
-            effect()
-        self.busy = False
-        self.trace.record(self.sim.now, self.name, "complete")
-        if self._queue:
-            self._issue(self._queue.pop(0))
-        else:
-            self.done.pulse()
-            if self._idle_callbacks:
-                callbacks, self._idle_callbacks = self._idle_callbacks, []
-                for fn in callbacks:
-                    fn()

@@ -1,8 +1,8 @@
 """Differential oracle: the decoupled controller against per-instruction stepping.
 
-``SteppedController8`` keeps the interpreter loop the controller had
-before temporal decoupling: every instruction yields its own
-``Delay(2)``.  Each workload below runs once on it and once on
+``SteppedController8`` (in ``tests/stepped_models.py``) keeps the
+interpreter loop the controller had before temporal decoupling: every
+instruction yields its own ``Delay(2)``.  Each workload below runs once on it and once on
 :class:`Controller8`, and everything observable must match: the trace
 rows (cycle, component, kind, details), the output words, the
 :class:`CoreResult` cycles, ``instructions_retired`` and
@@ -29,9 +29,8 @@ from repro.core.harness import drainer_process, feeder_process, run_task
 from repro.core.params import Direction
 from repro.crypto import AES, cbc_mac, ccm_encrypt, gcm_encrypt
 from repro.crypto.aes import expand_key
-from repro.errors import ExecutionError, SimulationError
-from repro.isa import Controller8, Op, assemble
-from repro.isa.controller import STACK_DEPTH
+from repro.errors import SimulationError
+from repro.isa import Controller8, assemble
 from repro.radio import (
     format_cbc_mac,
     format_ccm_single,
@@ -44,45 +43,17 @@ from repro.sim.kernel import Delay, Simulator
 from repro.sim.tracing import TraceRecorder
 from repro.unit.isa import CuOp, cu_encode
 from repro.unit.timing import DEFAULT_TIMING
+from stepped_models import (
+    SteppedController8,
+    stepped_core,
+    stepped_drainer,
+    stepped_feeder,
+    stepped_run_task,
+)
 
 SIZES = [0, 1, 15, 16, 17, 100, 2048]
 KEY_BITS = [128, 192, 256]
 DIRECTIONS = [Direction.ENCRYPT, Direction.DECRYPT]
-
-
-class SteppedController8(Controller8):
-    """The reference: one ``Delay(2)`` per instruction, no decoupling."""
-
-    def run(self, entry=None):
-        if entry is not None:
-            self.pc = self.program.label(entry)
-        while not self._stopped:
-            if self.interrupts_enabled and self._irq_pending:
-                self._irq_pending = False
-                if len(self.stack) >= STACK_DEPTH:
-                    raise ExecutionError(f"{self.name}: stack overflow on IRQ")
-                self.stack.append(self.pc)
-                self._preserved_flags = (self.zero, self.carry)
-                self.interrupts_enabled = False
-                self.pc = self.irq_vector
-
-            if self.pc >= len(self.program):
-                return None
-            decoded = self.program.fetch(self.pc)
-            op = decoded.op
-            self.pc += 1
-            self.instructions_retired += 1
-
-            if op is Op.HALT:
-                start = self.sim.now
-                yield Delay(2)
-                yield self.wake.wait()
-                self.halted_cycles += self.sim.now - start - 2
-                continue
-
-            self._execute(decoded)
-            yield Delay(2)
-        return None
 
 
 def _rb(seed: int, n: int) -> bytes:
@@ -90,15 +61,32 @@ def _rb(seed: int, n: int) -> bytes:
     return bytes(rng.getrandbits(8) for _ in range(n))
 
 
+#: ``stepped`` value selecting the whole stepped reference model
+#: (controller, CU, FIFOs and harness), not just the stepped controller.
+ALL = "all"
+
+
 def _core(sim, trace, stepped, index=0, key=None, fifo_depth_words=512):
-    core = CryptoCore(
-        sim, DEFAULT_TIMING, index=index, trace=trace, fifo_depth_words=fifo_depth_words
-    )
-    if stepped:
+    if stepped == ALL:
+        core = stepped_core(
+            sim, DEFAULT_TIMING, index=index, trace=trace, fifo_depth_words=fifo_depth_words
+        )
+    else:
+        core = CryptoCore(
+            sim, DEFAULT_TIMING, index=index, trace=trace, fifo_depth_words=fifo_depth_words
+        )
+    if stepped is True:
         core.controller.__class__ = SteppedController8
     if key is not None:
         core.key_cache.install(expand_key(key), 8 * len(key))
     return core
+
+
+def _harness(stepped):
+    """(feeder, drainer, run_task) of the model *stepped* selects."""
+    if stepped == ALL:
+        return stepped_feeder, stepped_drainer, stepped_run_task
+    return feeder_process, drainer_process, run_task
 
 
 def _observe(sim, trace, cores, words, results, per_component=False):
@@ -111,6 +99,11 @@ def _observe(sim, trace, cores, words, results, per_component=False):
         "results": results,
         "retired": [c.controller.instructions_retired for c in cores],
         "halted": [c.controller.halted_cycles for c in cores],
+        "fifos": [
+            (f.total_pushed, f.total_popped, f.high_watermark, f.purge_count, len(f))
+            for c in cores
+            for f in (c.in_fifo, c.out_fifo)
+        ],
         "now": sim.now,
     }
 
@@ -120,15 +113,20 @@ def _single(task, key, stepped, whirlpool=False):
     core = _core(sim, trace, stepped, key=key)
     if whirlpool:
         core.use_whirlpool_personality(True)
-    run = run_task(sim, core, task)
+    run = _harness(stepped)[2](sim, core, task)
     words = [b for block in run.output_blocks for b in block]
     return _observe(sim, trace, [core], words, [run.result, run.feed_done_cycle])
 
 
-def _assert_same(scenario):
-    reference, decoupled = scenario(True), scenario(False)
+def _assert_same(scenario, reference_model=True):
+    reference, decoupled = scenario(reference_model), scenario(False)
     assert decoupled["trace"], "the scenario traced nothing"
     assert decoupled == reference
+
+
+def _assert_same_as_stepped_model(scenario):
+    """The loosely timed CU, FIFOs and harness against the stepped ones."""
+    _assert_same(scenario, reference_model=ALL)
 
 
 def _gcm_task(key, size, direction, seed, bad_tag=False):
@@ -181,7 +179,17 @@ def test_single_core_modes_match_stepped(mode, key_bits, direction, size):
     _assert_same(lambda stepped: _single(task, key, stepped))
 
 
-def test_gcm_bad_tag_matches_stepped():
+@pytest.mark.parametrize("size", SIZES, ids=str)
+@pytest.mark.parametrize("direction", DIRECTIONS, ids=lambda d: d.name.lower())
+@pytest.mark.parametrize("key_bits", KEY_BITS, ids=lambda b: f"k{b}")
+@pytest.mark.parametrize("mode", sorted(FORMATTERS))
+def test_single_core_modes_match_stepped_model(mode, key_bits, direction, size):
+    key = _rb(key_bits + size, key_bits // 8)
+    task = FORMATTERS[mode](key, size, direction, seed=size)
+    _assert_same_as_stepped_model(lambda stepped: _single(task, key, stepped))
+
+
+def _gcm_bad_tag():
     key = _rb(7, 16)
     task = _gcm_task(key, 300, Direction.DECRYPT, seed=7, bad_tag=True)
 
@@ -190,7 +198,15 @@ def test_gcm_bad_tag_matches_stepped():
         assert observed["results"][0].auth_failed
         return observed
 
-    _assert_same(scenario)
+    return scenario
+
+
+def test_gcm_bad_tag_matches_stepped():
+    _assert_same(_gcm_bad_tag())
+
+
+def test_gcm_bad_tag_matches_stepped_model():
+    _assert_same_as_stepped_model(_gcm_bad_tag())
 
 
 def test_whirlpool_matches_stepped():
@@ -198,12 +214,14 @@ def test_whirlpool_matches_stepped():
     _assert_same(lambda stepped: _single(task, None, stepped, whirlpool=True))
 
 
-@pytest.mark.parametrize("direction", DIRECTIONS, ids=lambda d: d.name.lower())
-def test_two_core_ccm_matches_stepped(direction):
-    """Each core's trace rows match in order and cycle.  Rows of the two
-    cores on one cycle may interleave differently: two controllers'
-    wake-ups for one cycle run in the order they last synchronised, not
-    in their stepped order."""
+@pytest.mark.parametrize("size", [0, 63, 200, 1000])
+def test_whirlpool_matches_stepped_model(size):
+    task = format_whirlpool(_rb(11, size))
+    _assert_same_as_stepped_model(lambda stepped: _single(task, None, stepped, whirlpool=True))
+
+
+def _two_core_ccm(direction):
+    """Two cores splitting CCM over the inter-core mailbox."""
     key = _rb(3, 16)
     nonce, aad, data = _rb(4, 13), _rb(5, 16), _rb(6, 600)
     tag = None
@@ -213,14 +231,15 @@ def test_two_core_ccm_matches_stepped(direction):
 
     def scenario(stepped):
         sim, trace = Simulator(), TraceRecorder()
+        feeder, drainer, _run = _harness(stepped)
         mac = _core(sim, trace, stepped, index=0, key=key)
         ctr = _core(sim, trace, stepped, index=1, key=key)
         mac.unit.ic_out, ctr.unit.ic_out = ctr.unit.ic_in, mac.unit.ic_in
-        sim.add_process(feeder_process(mac, mac_task.input_blocks))
-        sim.add_process(feeder_process(ctr, ctr_task.input_blocks))
+        sim.add_process(feeder(mac, mac_task.input_blocks))
+        sim.add_process(feeder(ctr, ctr_task.input_blocks))
         sink = []
         if direction is Direction.ENCRYPT:
-            sim.add_process(drainer_process(ctr, sink))
+            sim.add_process(drainer(ctr, sink))
         done_mac = mac.assign_task(mac_task.params)
         done_ctr = ctr.assign_task(ctr_task.params)
         results = [sim.run_until_event(done_ctr), sim.run_until_event(done_mac)]
@@ -229,10 +248,24 @@ def test_two_core_ccm_matches_stepped(direction):
             sink.append(ctr.out_fifo.pop_word())
         return _observe(sim, trace, [mac, ctr], sink, results, per_component=True)
 
-    _assert_same(scenario)
+    return scenario
 
 
-def test_fifo_backpressure_matches_stepped():
+@pytest.mark.parametrize("direction", DIRECTIONS, ids=lambda d: d.name.lower())
+def test_two_core_ccm_matches_stepped(direction):
+    """Each core's trace rows match in order and cycle.  Rows of the two
+    cores on one cycle may interleave differently: two controllers'
+    wake-ups for one cycle run in the order they last synchronised, not
+    in their stepped order."""
+    _assert_same(_two_core_ccm(direction))
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS, ids=lambda d: d.name.lower())
+def test_two_core_ccm_matches_stepped_model(direction):
+    _assert_same_as_stepped_model(_two_core_ccm(direction))
+
+
+def _fifo_backpressure():
     """A 16-word output FIFO and a drainer taking 37 cycles per word:
     the firmware's STOREs stall and its drain fence spins on status."""
     key = _rb(9, 32)
@@ -240,15 +273,53 @@ def test_fifo_backpressure_matches_stepped():
 
     def scenario(stepped):
         sim, trace = Simulator(), TraceRecorder()
+        feeder, drainer, _run = _harness(stepped)
         core = _core(sim, trace, stepped, key=key, fifo_depth_words=16)
-        sim.add_process(feeder_process(core, task.input_blocks))
+        sim.add_process(feeder(core, task.input_blocks))
         sink = []
-        sim.add_process(drainer_process(core, sink, word_cycles=37))
+        sim.add_process(drainer(core, sink, word_cycles=37))
         result = sim.run_until_event(core.assign_task(task.params))
         sim.run()
         return _observe(sim, trace, [core], sink, [result])
 
-    _assert_same(scenario)
+    return scenario
+
+
+def test_fifo_backpressure_matches_stepped():
+    _assert_same(_fifo_backpressure())
+
+
+def test_fifo_backpressure_matches_stepped_model():
+    _assert_same_as_stepped_model(_fifo_backpressure())
+
+
+def _back_to_back(stepped):
+    """Three tasks on one core, each assigned on the cycle the previous
+    one reports done (the controller's last process is still yielding)."""
+    key = _rb(21, 16)
+    tasks = [_gcm_task(key, size, Direction.ENCRYPT, seed=size) for size in (40, 64, 1)]
+    sim, trace = Simulator(), TraceRecorder()
+    feeder, drainer, _run = _harness(stepped)
+    core = _core(sim, trace, stepped, key=key)
+    sink, results = [], []
+    sim.add_process(drainer(core, sink))
+
+    def driver():
+        for task in tasks:
+            sim.add_process(feeder(core, task.input_blocks))
+            results.append((yield core.assign_task(task.params)))
+
+    sim.add_process(driver())
+    sim.run()
+    return _observe(sim, trace, [core], sink, results)
+
+
+def test_back_to_back_tasks_match_stepped():
+    _assert_same(_back_to_back)
+
+
+def test_back_to_back_tasks_match_stepped_model():
+    _assert_same_as_stepped_model(_back_to_back)
 
 
 def _custom_run(program, stepped, word_cycles):
@@ -257,7 +328,8 @@ def _custom_run(program, stepped, word_cycles):
     task = format_ctr(128, _rb(14, 16), _rb(15, 16))
     sim, trace = Simulator(), TraceRecorder()
     core = _core(sim, trace, stepped, key=key)
-    sim.add_process(feeder_process(core, task.input_blocks, word_cycles=word_cycles))
+    feeder = _harness(stepped)[0]
+    sim.add_process(feeder(core, task.input_blocks, word_cycles=word_cycles))
     result = sim.run_until_event(core.assign_task(task.params, assemble(program)))
     words = []
     while core.out_fifo.can_pop():
@@ -270,13 +342,9 @@ def _custom_run(program, stepped, word_cycles):
 SAME_CYCLE = [(0, 6), (1, 8), (2, 10), (3, 12), (4, 14), (5, 4)]
 
 
-@pytest.mark.parametrize("padding,word_cycles", SAME_CYCLE)
-def test_status_poll_matches_stepped(padding, word_cycles):
-    """Poll the CU-busy bit while a ``LOAD`` waits on a slow feeder: a
-    status read on the completion cycle must see the CU idle, as with
-    stepping, so the loop count and exit cycle stay the same."""
+def _status_poll_program(padding):
     nops = "\n".join(["NOP"] * padding)
-    program = f"""
+    return f"""
         LOAD   s2, {cu_encode(CuOp.LOAD, 1)}
         OUTPUT s2, {P_CU}
         LOAD   s4, 0
@@ -291,17 +359,26 @@ def test_status_poll_matches_stepped(padding, word_cycles):
         OUTPUT s3, {P_RESULT}
         RETURN
     """
+
+
+@pytest.mark.parametrize("padding,word_cycles", SAME_CYCLE)
+def test_status_poll_matches_stepped(padding, word_cycles):
+    """Poll the CU-busy bit while a ``LOAD`` waits on a slow feeder: a
+    status read on the completion cycle must see the CU idle, as with
+    stepping, so the loop count and exit cycle stay the same."""
+    program = _status_poll_program(padding)
     _assert_same(lambda stepped: _custom_run(program, stepped, word_cycles))
 
 
-@pytest.mark.parametrize("padding", range(8))
-def test_mask_write_matches_stepped(padding):
-    """Write the XOR mask while XORs queue behind a ``LOAD``; the
-    padding walks the write across the second XOR's issue cycle.  An XOR
-    issued on the write's cycle must use the old mask, as with
-    stepping."""
+@pytest.mark.parametrize("padding,word_cycles", SAME_CYCLE)
+def test_status_poll_matches_stepped_model(padding, word_cycles):
+    program = _status_poll_program(padding)
+    _assert_same_as_stepped_model(lambda stepped: _custom_run(program, stepped, word_cycles))
+
+
+def _mask_write_program(padding):
     nops = "\n".join(["NOP"] * padding)
-    program = f"""
+    return f"""
         LOAD   s2, {cu_encode(CuOp.LOAD, 1)}
         OUTPUT s2, {P_CU}
         LOAD   s2, {cu_encode(CuOp.XOR, 1, 2)}
@@ -320,7 +397,22 @@ def test_mask_write_matches_stepped(padding):
         OUTPUT s3, {P_RESULT}
         RETURN
     """
+
+
+@pytest.mark.parametrize("padding", range(8))
+def test_mask_write_matches_stepped(padding):
+    """Write the XOR mask while XORs queue behind a ``LOAD``; the
+    padding walks the write across the second XOR's issue cycle.  An XOR
+    issued on the write's cycle must use the old mask, as with
+    stepping."""
+    program = _mask_write_program(padding)
     _assert_same(lambda stepped: _custom_run(program, stepped, 4))
+
+
+@pytest.mark.parametrize("padding", range(8))
+def test_mask_write_matches_stepped_model(padding):
+    program = _mask_write_program(padding)
+    _assert_same_as_stepped_model(lambda stepped: _custom_run(program, stepped, 4))
 
 
 IRQ_PROGRAM = """

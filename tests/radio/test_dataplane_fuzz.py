@@ -4,14 +4,22 @@
 shapes from a seed and replays each through the end-of-run barrier and
 with every dispatch computed alone; both must match the per-packet
 one-call path, each other, packet conservation, per-channel completion
-order and the fault plan's dead-letter set.  CI runs 200 cases
-(``python -m repro.experiments.fuzz --cases 200``); this slice keeps
-tier-1 within a couple of seconds.
+order and the fault plan's dead-letter set.  A second pair replays
+small workloads on the cycle-level ``cores`` dataplane and on
+``batched``.  CI runs 200 + 60 cases (``python -m
+repro.experiments.fuzz --cases 200 --cores-cases 60``); these slices
+keep tier-1 within a few seconds.
 """
 
 import pytest
 
-from repro.experiments.fuzz import check_case, generate_case, main
+from repro.experiments.fuzz import (
+    check_case,
+    check_cores_case,
+    generate_case,
+    generate_cores_case,
+    main,
+)
 from repro.radio.sessions import SessionWorkload
 
 #: Seeds of the tier-1 slice: both shape kinds, faulted and not.
@@ -34,3 +42,39 @@ def test_generated_case_holds_every_invariant(seed):
 def test_cli_reports_the_cases_it_ran(capsys):
     assert main(["--cases", "2", "--seed", "100"]) == 0
     assert "2 cases from seed 100: 0 failed" in capsys.readouterr().out
+
+
+#: Seeds of the tier-1 ``cores``-vs-``batched`` slice.
+CORES_SEEDS = range(8)
+
+
+@pytest.mark.parametrize("seed", CORES_SEEDS)
+def test_cores_case_matches_batched(seed):
+    assert check_cores_case(generate_cores_case(seed)) == []
+
+
+def test_cores_cases_stay_in_the_cores_envelope():
+    sizes = set()
+    for seed in range(40):
+        spec = generate_cores_case(seed).shape
+        assert spec.dataplane == "cores"
+        for config in spec.configs:
+            assert config.packets <= 8 and config.payload_bytes <= 512
+            sizes.add(config.payload_bytes)
+    assert 0 in sizes and any(size % 16 for size in sizes)
+
+
+def test_generator_never_builds_a_rejected_spec():
+    """The constructors reject a size-only policy over a queue too small
+    for one batch; the generator avoids that shape, so generating never
+    raises and every size-only policy it draws fits its queue."""
+    for seed in range(400):
+        shape = generate_case(seed).shape
+        policy, capacity = shape.flush_policy, shape.queue_capacity
+        if policy.mode == "fixed" and policy.flush_deadline is None and capacity:
+            assert capacity >= policy.coalesce_limit, seed
+
+
+def test_cli_runs_cores_cases(capsys):
+    assert main(["--cases", "0", "--cores-cases", "2", "--seed", "5"]) == 0
+    assert "2 cores cases from seed 5: 0 failed" in capsys.readouterr().out

@@ -1,0 +1,73 @@
+"""A size-only flush policy over a queue smaller than one batch is rejected,
+and so is a per-channel queue capacity below one.
+
+``FlushPolicy(coalesce_limit=n, flush_deadline=None)`` dispatches only
+when n jobs are queued.  A bounded queue holding fewer never gets
+there: the producer backs off forever and the run times out waiting
+for the channel to drain.  The specs refuse that shape when built.
+"""
+
+import pytest
+
+from repro.mccp.channel import FlushPolicy
+from repro.radio.sdr_platform import ChannelConfig, WorkloadSpec
+from repro.radio.sessions import SessionWorkload
+from repro.radio.standards import RadioStandard
+from repro.radio.traffic import TrafficPattern
+
+SIZE_ONLY = FlushPolicy(8, None)
+
+
+def _config(**kwargs):
+    return ChannelConfig(RadioStandard.WIFI, bytes(16), TrafficPattern.SATURATING, packets=6, **kwargs)
+
+
+def test_workload_spec_rejects_the_run_level_trap():
+    # The shape that used to exceed its cycle limit waiting for 'chan0.drained'.
+    with pytest.raises(ValueError, match="WorkloadSpec channel 0.*never flushes"):
+        WorkloadSpec([_config()], dataplane="batched", flush_policy=SIZE_ONLY,
+                     queue_capacity=4, limit=2_000_000)
+
+
+def test_workload_spec_rejects_a_channel_capacity_under_the_run_policy():
+    with pytest.raises(ValueError, match="WorkloadSpec channel 1"):
+        WorkloadSpec([_config(), _config(queue_capacity=2)], dataplane="batched",
+                     flush_policy=SIZE_ONLY)
+
+
+def test_workload_spec_rejects_a_channel_policy_over_the_run_capacity():
+    with pytest.raises(ValueError, match="WorkloadSpec channel 0"):
+        WorkloadSpec([_config(flush_policy=SIZE_ONLY)], dataplane="batched", queue_capacity=4)
+
+
+def test_channel_config_rejects_its_own_trap():
+    with pytest.raises(ValueError, match="ChannelConfig"):
+        _config(flush_policy=SIZE_ONLY, queue_capacity=7)
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_channel_config_rejects_a_capacity_below_one(capacity):
+    # -1 used to back the producer off until the cycle limit; 0 silently
+    # fell back to the run-level capacity.
+    with pytest.raises(ValueError, match="queue_capacity must be >= 1"):
+        _config(queue_capacity=capacity)
+
+
+def test_session_workload_rejects_the_trap():
+    with pytest.raises(ValueError, match="SessionWorkload"):
+        SessionWorkload(sessions=2, flush_policy=SIZE_ONLY, queue_capacity=4)
+
+
+@pytest.mark.parametrize(
+    "policy,capacity",
+    [
+        (FlushPolicy(8, 300), 4),  # a deadline flushes the short queue
+        (FlushPolicy(8, None, mode="auto"), 4),  # the controller retunes
+        (SIZE_ONLY, 8),  # the queue holds a whole batch
+        (SIZE_ONLY, None),  # unbounded
+    ],
+    ids=["deadline", "auto", "capacity_fits", "unbounded"],
+)
+def test_flushable_shapes_are_accepted(policy, capacity):
+    WorkloadSpec([_config()], dataplane="batched", flush_policy=policy, queue_capacity=capacity)
+    SessionWorkload(sessions=2, flush_policy=policy, queue_capacity=capacity)

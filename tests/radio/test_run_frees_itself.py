@@ -70,7 +70,27 @@ def _storm():
     ).run()
 
 
-@pytest.mark.parametrize("run", [_workload, _storm], ids=["workload", "storm"])
+def _cores():
+    # The cycle-level dataplane: controllers, CUs and FIFOs point back
+    # at their core weakly, and a request drops its fired events.
+    configs = [
+        ChannelConfig(standard, bytes(16), TrafficPattern.SATURATING, packets=3)
+        for standard in (RadioStandard.WIFI, RadioStandard.TACTICAL_VOICE)
+    ]
+    configs.append(
+        ChannelConfig(
+            RadioStandard.WIMAX, bytes(16), TrafficPattern.SATURATING, packets=3,
+            two_core_ccm=True,
+        )
+    )
+    SdrPlatform(seed=2).run_workload(
+        WorkloadSpec(configs, dataplane="cores", rx_fraction=0.5, corrupt_rate=0.3)
+    )
+
+
+@pytest.mark.parametrize(
+    "run", [_workload, _storm, _cores], ids=["workload", "storm", "cores"]
+)
 def test_a_dropped_run_leaves_no_cyclic_garbage(run):
     garbage = _cyclic_garbage(run)
     assert {name: garbage[name] for name in RUN_STATE if garbage[name]} == {}

@@ -1,12 +1,18 @@
-"""FIFO: capacity, ordering, purge, events, hooks (hypothesis)."""
+"""FIFO: capacity, ordering, purge, events, hooks (hypothesis), and the
+arrival schedule against the word-stepped FIFO of ``tests/stepped_models.py``."""
+
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from repro.core.harness import drainer_process, feeder_process
 from repro.errors import FifoError
 from repro.sim.fifo import WordFifo
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Delay, Simulator
+from repro.utils.bits import words32_to_bytes
+from stepped_models import SteppedWordFifo, stepped_drainer, stepped_feeder
 
 
 def make(depth=8):
@@ -116,3 +122,109 @@ def test_fifo_invariant_random_traffic(words):
     # Order: popped must be a prefix-order subsequence of pushed words.
     expected = [w for w in words][:pushed_count]
     assert popped == expected[: len(popped)]
+
+
+# -- the arrival schedule against the word-stepped FIFO -----------------------------
+
+
+def _blocks(nwords):
+    words = [(0x01010101 * (i + 1)) & 0xFFFFFFFF for i in range(nwords)]
+    return [words32_to_bytes(words[i : i + 4]) for i in range(0, nwords, 4)], words
+
+
+def _probe(sim, fifo, rows, cycles, offset):
+    """Read every statistic on every other cycle from *offset*.
+
+    Two probes, offset by one cycle, read every cycle.  A period of 2
+    keeps a probe's wake-ups keyed apart from the runs' attempts (the
+    runs here use other periods): a process stepping with exactly a
+    run's period is ordered against it by their restarts, which the
+    arrival schedule does not track.
+    """
+    yield Delay(offset)
+    for _ in range(offset, cycles, 2):
+        rows.append(
+            (sim.now, len(fifo), fifo.blocks_available, fifo.total_pushed,
+             fifo.total_popped, fifo.high_watermark, fifo.free_words)
+        )
+        yield Delay(2)
+
+
+def _scenario(stepped, depth, producer_wc, nwords, consumer=None, consumer_wc=1,
+              pops_at=(), purge_at=(), cycles=400):
+    """Run one FIFO with a producer run and a consumer (a drain run, or
+    block pops and purges by a process), probing it every cycle."""
+    sim = Simulator()
+    fifo = (SteppedWordFifo if stepped else WordFifo)(sim, depth, "f")
+    blocks = _blocks(nwords)[0]
+    port = SimpleNamespace(in_fifo=fifo, out_fifo=fifo, sim=sim)
+    ends = []
+
+    feeder, drainer = (
+        (stepped_feeder, stepped_drainer) if stepped else (feeder_process, drainer_process)
+    )
+
+    def produce():
+        ends.append((yield from feeder(port, blocks, producer_wc)))
+
+    sim.add_process(produce())
+    sink = []
+    if consumer == "drain":
+        sim.add_process(drainer(port, sink, consumer_wc))
+    purged = []
+
+    def poke():
+        events = sorted([(c, "pop") for c in pops_at] + [(c, "purge") for c in purge_at])
+        for cycle, what in events:
+            yield Delay(cycle - sim.now)
+            if what == "pop":
+                sink.extend([fifo.pop_word() for _ in range(4)])
+            else:
+                purged.append(fifo.purge())
+
+    sim.add_process(poke())
+    rows = []
+    sim.add_process(_probe(sim, fifo, rows, cycles, 0))
+    sim.add_process(_probe(sim, fifo, rows, cycles, 1))
+    sim.run()
+    residue = len(fifo)  # a read brings a drain run's sink up to date
+    return {"rows": sorted(rows), "residue": residue, "ends": ends, "sink": list(sink), "purged": purged,
+            "purges": fifo.purge_count, "now": sim.now}
+
+
+def _assert_matches_stepped(**kwargs):
+    stepped, loose = _scenario(True, **kwargs), _scenario(False, **kwargs)
+    assert loose["rows"]
+    assert loose == stepped
+    return loose
+
+
+def test_backpressure_stalls_and_restarts_on_the_pop_cycle():
+    out = _assert_matches_stepped(depth=8, producer_wc=1, nwords=20, pops_at=(30, 50, 70))
+    rows = {row[0]: row for row in out["rows"]}
+    # Eight words by cycle 7, then stalled until the pop at 30 frees four.
+    assert rows[29][1] == 8 and rows[29][3] == 8
+    assert rows[34][3] == 12  # pushed at 30, 31, 32, 33
+    assert rows[49][3] == 12  # full again until the pop at 50
+    assert out["ends"] == [74]  # the last four pushed at 70..73
+
+
+def test_purge_with_a_stream_pending_restarts_it():
+    out = _assert_matches_stepped(depth=8, producer_wc=3, nwords=24, purge_at=(30, 70))
+    assert out["purged"][0] == 8
+    assert out["purges"] == 2
+
+
+@pytest.mark.parametrize(
+    "producer_wc,consumer_wc,depth", [(1, 1, 8), (3, 5, 6), (4, 4, 4), (5, 3, 12), (1, 37, 5)]
+)
+def test_statistics_at_every_cycle_match_the_stepped_fifo(producer_wc, consumer_wc, depth):
+    _assert_matches_stepped(depth=depth, producer_wc=producer_wc, nwords=40,
+                            consumer="drain", consumer_wc=consumer_wc)
+
+
+def test_sixteen_word_fifo_with_a_slow_drainer():
+    out = _assert_matches_stepped(depth=16, producer_wc=1, nwords=64, consumer="drain",
+                                  consumer_wc=37, cycles=2500)
+    assert out["sink"] == _blocks(64)[1]
+    assert max(row[5] for row in out["rows"]) == 16
