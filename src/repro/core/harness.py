@@ -35,7 +35,7 @@ def feeder_process(core: CryptoCore, blocks: List[bytes], word_cycles: int = 1):
     """Process: stream *blocks* into the core's input FIFO under flow
     control; returns the cycle the stream ended (one period after its
     last word)."""
-    words = [w for block in blocks for w in bytes_to_words32(block)]
+    words = bytes_to_words32(b"".join(blocks))
     end = yield core.in_fifo.stream_in(words, word_cycles, in_step=True).done
     return end
 
@@ -90,9 +90,8 @@ def run_task(
         core.out_fifo.stop_drain()
     while core.out_fifo.can_pop():
         sink.append(core.out_fifo.pop_word())
-    blocks = [
-        words32_to_bytes(sink[i : i + 4]) for i in range(0, len(sink) - 3, 4)
-    ]
+    data = words32_to_bytes(sink)
+    blocks = [data[i : i + 16] for i in range(0, len(data) - 15, 16)]
     feed_cycle = feeder.done.value if feeder.done.triggered else sim.now
     return TaskRun(result=result, output_blocks=blocks, feed_done_cycle=feed_cycle)
 

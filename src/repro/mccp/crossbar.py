@@ -11,7 +11,9 @@ A transfer is one run on the core FIFO's arrival schedule
 (:meth:`repro.sim.fifo.WordFifo.stream_in` / ``drain_out``): the words
 move a block at a time when something reads the FIFO, with the exact
 cycles and backpressure of a word-per-cycle process, and the only
-kernel event of a transfer is its ``done``.
+kernel event of a transfer is its ``done``.  Bytes stop at the port:
+an upload turns the whole packet into 32-bit words with one
+``struct.unpack``, and a download hands the caller words.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ class Crossbar:
     # ``done`` event triggers with the end cycle.
 
     def upload_blocks(self, core: CryptoCore, blocks) -> Transfer:
-        """Stream *blocks* into the core's input FIFO."""
-        words = [w for block in blocks for w in bytes_to_words32(block)]
+        """Stream *blocks* into the core's input FIFO, as 32-bit words."""
+        words = bytes_to_words32(b"".join(blocks))
         run = core.in_fifo.stream_in(words, self.timing.crossbar_word_cycles)
         return self._track(core.in_fifo, run)
 

@@ -759,9 +759,8 @@ class CommController:
                 )
             if download is not None:
                 yield download.done
-            blocks = [
-                words32_to_bytes(sink[i : i + 4]) for i in range(0, len(sink), 4)
-            ]
+            data = words32_to_bytes(sink)
+            blocks = [data[i : i + 16] for i in range(0, len(data), 16)]
             transfer.payload, transfer.tag = parse_output(out_task, blocks)
         else:
             self.auth_failures += 1

@@ -4,11 +4,15 @@ Each core has one input and one output FIFO (paper section IV.A); a
 full FIFO holds 2048 bytes — "sufficient for most communication
 protocols" and exactly one maximum-size packet (128 x 128-bit blocks).
 
-The FIFO is word-granular (32-bit entries) like the hardware, but for
-convenience exposes 128-bit block push/pop built on the word operations.
-Overflow/underflow raise instead of silently corrupting, and the
-security-relevant ``purge`` models the hardware re-initialisation on
-authentication failure (section IV.C).
+The FIFO is word-granular (32-bit entries) like the hardware, and the
+device model only ever moves words through it: the crossbar turns a
+packet's bytes into words, and the drained words back into bytes, once
+per packet, and the Cryptographic Unit's ``LOAD``/``STORE`` claim the
+four words of a 128-bit bank register.  ``push_block``/``pop_block``
+are byte conveniences for tests and tools.  Overflow/underflow raise
+instead of silently corrupting, and the security-relevant ``purge``
+models the hardware re-initialisation on authentication failure
+(section IV.C).
 
 Arrival schedule
 ----------------
@@ -111,17 +115,17 @@ class Transfer:
 class Claim:
     """A block push (``size`` > 0) or pop promised for one kernel key."""
 
-    __slots__ = ("cycle", "stamp", "seq", "size", "block", "created")
+    __slots__ = ("cycle", "stamp", "seq", "size", "words", "created")
 
-    def __init__(self, cycle: int, stamp: int, seq: int, size: int, block=None, created=None):
+    def __init__(self, cycle: int, stamp: int, seq: int, size: int, words=None, created=None):
         self.cycle, self.stamp, self.seq = cycle, stamp, seq
         self.size = size
         #: Position the claim was made at: a run attempt keyed like the
         #: claim was scheduled by the step before it, and runs first iff
         #: that step ran before the claim was made.
         self.created = created
-        #: Pushed words, or (for a pop) the popped block once replayed.
-        self.block = block
+        #: Pushed words, or (for a pop) the popped words once replayed.
+        self.words = words
 
 
 def _claim_first(claim: Claim, run: Transfer) -> bool:
@@ -248,7 +252,7 @@ class _Flow:
             if self.count + size > self.depth:
                 raise FifoError("claimed push overflows the FIFO")
             if self.words is not None:
-                self.words.extend(claim.block)
+                self.words.extend(claim.words)
             self.count += size
             self.pushed += size
             if self.count > self.high:
@@ -260,8 +264,8 @@ class _Flow:
             if self.words is not None:
                 popleft = self.words.popleft
                 popped = [popleft() for _ in range(-size)]
-                if claim.block is None:
-                    claim.block = popped
+                if claim.words is None:
+                    claim.words = popped
             self.count += size
             self.popped -= size
             _restart(self.src, claim.cycle, claim.seq)
@@ -526,7 +530,7 @@ class WordFifo:
         for _ in range(nwords):
             claim = Claim(now, stamp, seq, -1)
             flow._apply_claim(claim)
-            out.extend(claim.block)
+            out.extend(claim.words)
             self._wake(self._not_full_waiters)
             self._fire_hooks(self._pop_hooks)
         self._changed(replan=True)
@@ -675,27 +679,27 @@ class WordFifo:
     def claim_pop(self, cycle: int, stamp: int, seq: int, nwords: int = WORDS_PER_BLOCK) -> Claim:
         """Promise a pop of *nwords* at key ``(cycle, stamp, seq)``.
 
-        The popped words are in the claim's ``block`` once the FIFO has
-        replayed past that key (:meth:`claimed_block`).
+        The popped words are in the claim's ``words`` once the FIFO has
+        replayed past that key (:meth:`claimed_words`).
         """
         flow = self._flow
         claim = Claim(cycle, stamp, seq, -nwords, created=self.sim.position())
         if flow.dst is None and flow.count - flow.pending_pops >= nwords:
             # The words are resident already: read them now.
             skip = flow.pending_pops
-            claim.block = list(islice(flow.words, skip, skip + nwords))
+            claim.words = list(islice(flow.words, skip, skip + nwords))
         flow.claims.append(claim)
         flow.pending_pops += nwords
         self._changed(replan=False)
         return claim
 
-    def claimed_block(self, claim: Claim) -> bytes:
-        """The block a past :meth:`claim_pop` removed."""
-        if claim.block is None:
+    def claimed_words(self, claim: Claim) -> List[int]:
+        """The words a past :meth:`claim_pop` removed, oldest first."""
+        if claim.words is None:
             self.sync()
-            if claim.block is None:
+            if claim.words is None:
                 raise FifoError(f"{self.name}: claimed pop not reached yet")
-        return words32_to_bytes(claim.block)
+        return claim.words
 
     def push_ready(self, nwords: int = WORDS_PER_BLOCK) -> Optional[int]:
         """Cycle by which *nwords* of room will be free (None: never known)."""
@@ -709,9 +713,8 @@ class WordFifo:
             return self.sim.now
         return flow.sketch().replay(_NEVER, "room", nwords)
 
-    def claim_push(self, cycle: int, stamp: int, seq: int, block: bytes) -> None:
-        """Promise a push of *block* (whole words) at key ``(cycle, stamp, seq)``."""
-        words = bytes_to_words32(block)
+    def claim_push(self, cycle: int, stamp: int, seq: int, words: Tuple[int, ...]) -> None:
+        """Promise a push of *words* at key ``(cycle, stamp, seq)``."""
         flow = self._flow
         flow.claims.append(
             Claim(cycle, stamp, seq, len(words), words, created=self.sim.position())

@@ -10,13 +10,13 @@ bits for packet-sized data.
 from __future__ import annotations
 
 from repro.errors import UnitError
+from repro.utils.bits import WORD128_MASK
+
+_HIGH112 = WORD128_MASK ^ 0xFFFF
 
 
-def inc16(block: bytes, amount: int) -> bytes:
-    """Return *block* with its low 16 bits incremented by *amount*."""
-    if len(block) != 16:
-        raise UnitError(f"INC operand must be 16 bytes, got {len(block)}")
+def inc16(value: int, amount: int) -> int:
+    """Return the 128-bit *value* with its low 16 bits incremented by *amount*."""
     if not 1 <= amount <= 4:
         raise UnitError(f"INC amount must be 1..4, got {amount}")
-    low = (int.from_bytes(block[14:], "big") + amount) & 0xFFFF
-    return block[:14] + low.to_bytes(2, "big")
+    return (value & _HIGH112) | ((value + amount) & 0xFFFF)

@@ -4,7 +4,8 @@ The mask is a 16-bit word: bit *i* (bit 15 = most significant) enables
 byte *i* of the 16-byte result, counting from the most significant
 byte.  This single primitive covers partial final blocks (enable the
 valid prefix) and truncated authentication tags (enable the first
-``tag_length`` bytes).
+``tag_length`` bytes).  Operands are 128-bit ints, as in the bank
+register.
 """
 
 from __future__ import annotations
@@ -26,26 +27,20 @@ def mask_for_bytes(nbytes: int) -> int:
 @lru_cache(maxsize=None)
 def _bit_mask(mask: int) -> int:
     """The 16-bit byte mask widened to a 128-bit bit mask."""
+    if not 0 <= mask <= 0xFFFF:
+        raise UnitError(f"mask {mask:#x} exceeds 16 bits")
     return sum(0xFF << (8 * (15 - i)) for i in range(16) if (mask >> (15 - i)) & 1)
 
 
-def _masked(a: bytes, b: bytes, mask: int) -> int:
-    if len(a) != 16 or len(b) != 16:
-        raise UnitError("XOR core operands must be 16 bytes")
-    if not 0 <= mask <= 0xFFFF:
-        raise UnitError(f"mask {mask:#x} exceeds 16 bits")
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")) & _bit_mask(mask)
-
-
-def masked_xor(a: bytes, b: bytes, mask: int) -> bytes:
+def masked_xor(a: int, b: int, mask: int) -> int:
     """``B = (A xor B) and mask`` — the XOR operating mode."""
-    return _masked(a, b, mask).to_bytes(16, "big")
+    return (a ^ b) & _bit_mask(mask)
 
 
-def masked_equal(a: bytes, b: bytes, mask: int) -> bool:
+def masked_equal(a: int, b: int, mask: int) -> bool:
     """``equ`` flag: true when the masked XOR is all zero.
 
     With the mask covering ``tag_length`` bytes this is the truncated
     tag comparison of the RETRIEVE DATA path.
     """
-    return _masked(a, b, mask) == 0
+    return not (a ^ b) & _bit_mask(mask)

@@ -22,12 +22,20 @@ at *issue* time for samples (SAES/SGFM read the bank when they start,
 which is what lets Listing 1 overwrite the data register while GHASH is
 still absorbing it).
 
+The datapath is integer end to end: the bank holds 128-bit ints, the
+functional cores take and return them, a LOAD assembles four FIFO words
+into one and a STORE splits one into four.  Bytes exist only outside
+the device; the crossbar converts them to and from words once per
+packet (:mod:`repro.mccp.crossbar`).
+
 Catch-up on access
 ------------------
-Each opcode's row in :data:`CU_OPS` names its timing class, so an
-instruction's completion cycle is known when it issues: at once for
-the fixed and engine classes, and from the FIFO's arrival schedule for
-LOAD/STORE (:mod:`repro.sim.fifo`).  The completion is then only
+Each personality issues from one table built at import
+(:data:`CU_ISSUE`, ``WP_ISSUE``): instruction byte -> ``(op, a, b,
+timing class, handler)``.  The timing class fixes an instruction's
+completion cycle when it issues: at once for the fixed and engine
+classes, and from the FIFO's arrival schedule for LOAD/STORE
+(:mod:`repro.sim.fifo`).  The completion is then only
 recorded, as a virtual entry keyed like the kernel entry the stepped
 CU would have scheduled.  Every access — :meth:`start`,
 :meth:`status_byte`, the mask writes, :meth:`reset_for_packet`,
@@ -50,6 +58,7 @@ A LOAD or STORE the known schedule cannot serve yet waits on the FIFO
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import UnitError
@@ -67,12 +76,12 @@ from repro.unit.timing import TimingModel
 
 
 class InterCoreRegister:
-    """The 4 x 32-bit inter-core shift register (one block mailbox)."""
+    """The 4 x 32-bit inter-core shift register (one 128-bit mailbox)."""
 
     def __init__(self, sim: Simulator, name: str = "ic"):
         self.sim = sim
         self.name = name
-        self._block: Optional[bytes] = None
+        self._block: Optional[int] = None
         self._space_waiters: list = []
         self._data_waiters: list = []
         #: Blocks ever transferred.
@@ -83,17 +92,17 @@ class InterCoreRegister:
         """Whether a block is waiting to be received."""
         return self._block is not None
 
-    def put(self, block: bytes) -> None:
+    def put(self, block: int) -> None:
         """Deposit a block (caller must have checked :attr:`full`)."""
         if self._block is not None:
             raise UnitError(f"{self.name}: inter-core register overrun")
-        self._block = bytes(block)
+        self._block = block
         self.transfers += 1
         while self._data_waiters:
             callback = self._data_waiters.pop(0)
             self.sim.call_soon(lambda _arg, cb=callback: cb())
 
-    def take(self) -> bytes:
+    def take(self) -> int:
         """Remove and return the deposited block."""
         if self._block is None:
             raise UnitError(f"{self.name}: inter-core register underrun")
@@ -134,22 +143,30 @@ class Timing(enum.Enum):
     MAILBOX = "mailbox"
 
 
+# An enum member lookup (``Timing.FIXED``) costs ~0.1 us on CPython 3.11;
+# the issue path compares against module-level aliases instead.
+_FIXED, _ENGINE, _INPUT, _OUTPUT = Timing.FIXED, Timing.ENGINE, Timing.INPUT, Timing.OUTPUT
+
 #: A row of an op table: the timing class and the issue handler
 #: ``handler(unit, a, b, now)``.  It applies the issue-time effects and
 #: returns the completion effect (FIXED), ``(effect, cycle)`` (ENGINE),
-#: the bank writer for the loaded block (INPUT) or the block to store
+#: the register the loaded block goes to (INPUT) or the value to store
 #: (OUTPUT).
 OpRow = Tuple[Timing, Callable]
+
+#: A row of an issue table: ``(op, a, b) + OpRow`` of one instruction byte.
+IssueRow = Tuple[enum.IntEnum, int, int, Timing, Callable]
 
 
 class LooselyTimedUnit:
     """Issue queue and catch-up-on-access timing of a CU personality.
 
-    A subclass supplies ``OPS`` (opcode -> :data:`OpRow`), ``decode``
-    and its functional state.
+    A subclass supplies ``ISSUE`` (instruction byte -> :data:`IssueRow`,
+    built once at import), ``decode`` (which raises on a byte missing
+    from it) and its functional state beyond the bank register.
     """
 
-    OPS: Dict[enum.IntEnum, OpRow] = {}
+    ISSUE: Dict[int, IssueRow] = {}
 
     def __init__(
         self,
@@ -166,6 +183,9 @@ class LooselyTimedUnit:
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.name = name
         self.done = PulseWire(sim, f"{name}.done")
+        self._bank = BankRegister()
+        #: The bank's registers, indexed directly by the issue handlers.
+        self._regs = self._bank.regs
         self._busy = False
         self._queue: list = []
         self._idle_callbacks: list = []
@@ -280,22 +300,24 @@ class LooselyTimedUnit:
 
     def _issue(self, instr_byte: int) -> None:
         """Start *instr_byte* now (always at a real kernel position)."""
-        op, a, b = self.decode(instr_byte)
+        row = self.ISSUE.get(instr_byte)
+        if row is None:
+            self.decode(instr_byte)  # raises DecodeError for this byte
+        op, a, b, timing, handler = row
         now = self.sim.now
         self._busy = True
         self.done.clear_latch()
         if self.trace.enabled:
             self._record_issue(now, op, a, b)
-        timing, handler = self.OPS[op]
         result = handler(self, a, b, now)
-        if timing is Timing.FIXED:
+        if timing is _FIXED:
             self._finish(now + self.timing.cu_chain_cycles, now, result)
-        elif timing is Timing.ENGINE:
+        elif timing is _ENGINE:
             effect, cycle = result
             self._finish(cycle, now, effect)
-        elif timing is Timing.INPUT:
+        elif timing is _INPUT:
             self._await_input(result)
-        elif timing is Timing.OUTPUT:
+        elif timing is _OUTPUT:
             self._await_output(result)
 
     def _finish(
@@ -313,26 +335,32 @@ class LooselyTimedUnit:
         if real or self._queue or self._idle_callbacks or self.done.waiting:
             self.wake_on_completion()
 
-    def _await_input(self, write: Callable[[bytes], None]) -> None:
-        fifo = self.io.in_fifo
+    def _await_input(self, a: int) -> None:
+        io = self.io
+        fifo = io.in_fifo
         ready = fifo.pop_ready()
         if ready is None:
-            fifo.when_changed(lambda: self._await_input(write))
+            fifo.when_changed(lambda: self._await_input(a))
             return
         ready = max(ready, self.sim.now)
         cycle, seq = ready + self.timing.cu_chain_cycles, self.sim._seq
-        claim = self.io.claim_load(cycle, ready, seq)
-        self._finish(cycle, ready, lambda: write(fifo.claimed_block(claim)), seq=seq)
+        claim = io.claim_load(cycle, ready, seq)
+        regs = self._regs
 
-    def _await_output(self, block: bytes) -> None:
+        def load() -> None:
+            regs[a] = io.loaded(claim)
+
+        self._finish(cycle, ready, load, seq=seq)
+
+    def _await_output(self, value: int) -> None:
         fifo = self.io.out_fifo
         ready = fifo.push_ready()
         if ready is None:
-            fifo.when_changed(lambda: self._await_output(block))
+            fifo.when_changed(lambda: self._await_output(value))
             return
         ready = max(ready, self.sim.now)
         cycle, seq = ready + self.timing.cu_chain_cycles, self.sim._seq
-        self.io.claim_store(cycle, ready, seq, block)
+        self.io.claim_store(cycle, ready, seq, value)
         self._finish(cycle, ready, None, seq=seq)
 
     def _fire(self, _arg) -> None:
@@ -362,6 +390,10 @@ class LooselyTimedUnit:
 
 
 # -- the AES personality's instructions ------------------------------------------
+#
+# Handlers index the bank's registers (``cu._regs``) directly: the 2-bit
+# address fields are always in range.  ``partial(regs.__setitem__, a, v)``
+# is the completion effect "bank[a] <- v".
 
 
 def _nop(cu, a, b, now):
@@ -369,51 +401,54 @@ def _nop(cu, a, b, now):
 
 
 def _load(cu, a, b, now):
-    return lambda block: cu._bank.write(a, block)
+    return a
 
 
 def _store(cu, a, b, now):
-    return cu._bank.read(a)
+    return cu._regs[a]
 
 
 def _loadh(cu, a, b, now):
-    cu.ghash.load_h(cu._bank.read(a), now)
+    cu.ghash.load_h(cu._regs[a], now)
 
 
 def _sgfm(cu, a, b, now):
-    cu.ghash.absorb(cu._bank.read(a), now)
+    cu.ghash.absorb(cu._regs[a], now)
 
 
 def _fgfm(cu, a, b, now):
     digest, ready = cu.ghash.finalize(now)
-    return (lambda: cu._bank.write(a, digest)), ready
+    return partial(cu._regs.__setitem__, a, digest), ready
 
 
 def _saes(cu, a, b, now):
-    cu.aes.start(cu._bank.read(a), cu._key_provider(), now)
+    cu.aes.start(cu._regs[a], cu._key_provider(), now)
 
 
 def _faes(cu, a, b, now):
     result, ready = cu.aes.finalize(now)
-    return (lambda: cu._bank.write(a, result)), ready
+    return partial(cu._regs.__setitem__, a, result), ready
 
 
 def _inc(cu, a, b, now):
-    cu._bank.write(a, inc16(cu._bank.read(a), b + 1))
+    regs = cu._regs
+    regs[a] = inc16(regs[a], b + 1)
 
 
 def _xor(cu, a, b, now):
-    cu._bank.write(b, masked_xor(cu._bank.read(a), cu._bank.read(b), cu.mask))
+    regs = cu._regs
+    regs[b] = masked_xor(regs[a], regs[b], cu.mask)
 
 
 def _equ(cu, a, b, now):
-    cu.equ_flag = masked_equal(cu._bank.read(a), cu._bank.read(b), cu.mask)
+    regs = cu._regs
+    cu.equ_flag = masked_equal(regs[a], regs[b], cu.mask)
 
 
 def _icsend(cu, a, b, now):
     if cu.ic_out is None:
         raise UnitError(f"{cu.name}: ICSEND with no neighbour wired")
-    block = cu._bank.read(a)
+    block = cu._regs[a]
     chain = cu.timing.cu_chain_cycles
     cu.ic_out.when_space(
         lambda: cu._finish(
@@ -424,13 +459,12 @@ def _icsend(cu, a, b, now):
 
 def _icrecv(cu, a, b, now):
     chain = cu.timing.cu_chain_cycles
+
+    def receive() -> None:
+        cu._regs[a] = cu.ic_in.take()
+
     cu.ic_in.when_data(
-        lambda: cu._finish(
-            cu.sim.now + chain,
-            cu.sim.now,
-            lambda: cu._bank.write(a, cu.ic_in.take()),
-            real=True,
-        )
+        lambda: cu._finish(cu.sim.now + chain, cu.sim.now, receive, real=True)
     )
 
 
@@ -451,11 +485,17 @@ CU_OPS: Dict[CuOp, OpRow] = {
     CuOp.ICRECV: (Timing.MAILBOX, _icrecv),
 }
 
+#: Instruction byte -> :data:`IssueRow` for every decodable byte.
+CU_ISSUE: Dict[int, IssueRow] = {
+    byte: tuple(decoded) + CU_OPS[decoded.op] for byte, decoded in CU_DECODE_TABLE.items()
+}
+
 
 class CryptoUnit(LooselyTimedUnit):
     """The AES-personality Cryptographic Unit."""
 
-    OPS = CU_OPS
+    ISSUE = CU_ISSUE
+    decode = staticmethod(cu_decode)
 
     def __init__(
         self,
@@ -468,7 +508,6 @@ class CryptoUnit(LooselyTimedUnit):
     ):
         super().__init__(sim, io, timing, trace, name)
         self._key_provider = key_provider
-        self._bank = BankRegister()
         self.aes = AesCore(timing)
         self.ghash = GhashCore(timing)
         self.mask = 0xFFFF
@@ -477,12 +516,6 @@ class CryptoUnit(LooselyTimedUnit):
         #: Own inbox; ``ic_out`` is the *neighbour's* inbox (wired by the MCCP).
         self.ic_in = InterCoreRegister(sim, f"{name}.ic_in")
         self.ic_out: Optional[InterCoreRegister] = None
-
-    def decode(self, instr_byte: int):
-        decoded = CU_DECODE_TABLE.get(instr_byte)
-        if decoded is None:
-            cu_decode(instr_byte)  # raises DecodeError for this byte
-        return decoded
 
     # -- controller-facing API ---------------------------------------------
 

@@ -8,9 +8,12 @@ and controller interface, but a hash-oriented instruction set.
 
 A 512-bit Whirlpool block is exactly the whole 4 x 128-bit bank, so
 ``SWPC`` consumes the full bank as one message block and the chaining
-state lives inside the core (Miyaguchi–Preneel).  Message padding is
-performed by the communication controller, consistent with the paper's
-rule that cores never format data (section VI.B).
+state lives inside the core (Miyaguchi–Preneel).  ``SWPC`` serialises
+the four 128-bit registers into the compression function's 64 message
+bytes and ``WPDIG`` reads 16 digest bytes back as a register value.
+Message padding is performed by the communication controller,
+consistent with the paper's rule that cores never format data
+(section VI.B).
 
 Cycle cost per compress is :attr:`TimingModel.whirlpool_cycles` — a
 documented model assumption (the paper reports no Whirlpool timing).
@@ -19,13 +22,13 @@ documented model assumption (the paper reports no Whirlpool timing).
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import NamedTuple, Optional
 
 from repro.crypto.whirlpool import compress
 from repro.errors import DecodeError, UnitError
 from repro.sim.kernel import Simulator
 from repro.sim.tracing import TraceRecorder
-from repro.unit.bank import BankRegister
 from repro.unit.cores.io_core import IoCore
 from repro.unit.timing import TimingModel
 from repro.unit.unit import LooselyTimedUnit, Timing
@@ -73,11 +76,11 @@ def _wp_nop(wpu, a, b, now):
 
 
 def _wp_load(wpu, a, b, now):
-    return lambda block: wpu._bank.write(a, block)
+    return a
 
 
 def _wp_store(wpu, a, b, now):
-    return wpu._bank.read(a)
+    return wpu._regs[a]
 
 
 def _wpinit(wpu, a, b, now):
@@ -87,7 +90,7 @@ def _wpinit(wpu, a, b, now):
 def _swpc(wpu, a, b, now):
     if now < wpu._compress_busy_until:
         raise UnitError(f"{wpu.name}: SWPC while compress busy")
-    message = b"".join(wpu._bank.read(i) for i in range(4))
+    message = b"".join(value.to_bytes(16, "big") for value in wpu._regs)
     wpu._chain = compress(wpu._chain, message)
     wpu._compress_busy_until = now + wpu.timing.whirlpool_cycles
     wpu.blocks_processed += 1
@@ -98,8 +101,8 @@ def _fwpc(wpu, a, b, now):
 
 
 def _wpdig(wpu, a, b, now):
-    digest_part = wpu._chain[16 * a : 16 * a + 16]
-    return lambda: wpu._bank.write(a, digest_part)
+    digest_part = int.from_bytes(wpu._chain[16 * a : 16 * a + 16], "big")
+    return partial(wpu._regs.__setitem__, a, digest_part)
 
 
 #: Opcode -> (timing class, issue handler), as :data:`repro.unit.unit.CU_OPS`.
@@ -113,11 +116,21 @@ WP_OPS = {
     WpOp.WPDIG: (Timing.FIXED, _wpdig),
 }
 
+#: Instruction byte -> ``(op, a, b) + WP_OPS[op]`` for every decodable
+#: byte, as :data:`repro.unit.unit.CU_ISSUE`.
+WP_ISSUE = {
+    wp_encode(op, a, b): (op, a, b) + WP_OPS[op]
+    for op in WpOp
+    for a in range(4)
+    for b in range(4)
+}
+
 
 class WhirlpoolUnit(LooselyTimedUnit):
     """Drop-in CU replacement after Whirlpool reconfiguration."""
 
-    OPS = WP_OPS
+    ISSUE = WP_ISSUE
+    decode = staticmethod(wp_decode)
 
     def __init__(
         self,
@@ -128,14 +141,10 @@ class WhirlpoolUnit(LooselyTimedUnit):
         name: str = "wpu",
     ):
         super().__init__(sim, io, timing, trace, name)
-        self._bank = BankRegister()
         self._chain = bytes(64)
         self._compress_busy_until = 0
         #: Compress invocations (one per 512-bit block).
         self.blocks_processed = 0
-
-    def decode(self, instr_byte: int):
-        return wp_decode(instr_byte)
 
     def _record_issue(self, now: int, op, a: int, b: int) -> None:
         self.trace.record(now, self.name, "issue", op=op.name, a=a)

@@ -6,6 +6,7 @@ convention used by AES, GHASH and the NIST mode specifications.
 
 from __future__ import annotations
 
+import struct
 from typing import List, Sequence
 
 WORD32_MASK = 0xFFFF_FFFF
@@ -36,21 +37,20 @@ def bytes_to_words32(data: bytes) -> List[int]:
     """Split *data* (a multiple of 4 bytes) into big-endian 32-bit words.
 
     This mirrors how the 32-bit I/O core walks a 128-bit bank-register
-    word: most-significant 32-bit sub-word first.
+    word: most-significant 32-bit sub-word first.  One ``struct.unpack``
+    converts a whole packet.
     """
     if len(data) % 4 != 0:
         raise ValueError(f"length {len(data)} is not a multiple of 4")
-    return [int.from_bytes(data[i : i + 4], "big") for i in range(0, len(data), 4)]
+    return list(struct.unpack(f">{len(data) // 4}I", data))
 
 
 def words32_to_bytes(words: Sequence[int]) -> bytes:
-    """Inverse of :func:`bytes_to_words32`."""
-    out = bytearray()
-    for w in words:
-        if not 0 <= w <= WORD32_MASK:
-            raise ValueError(f"word {w:#x} does not fit in 32 bits")
-        out += w.to_bytes(4, "big")
-    return bytes(out)
+    """Inverse of :func:`bytes_to_words32` (one ``struct.pack``)."""
+    try:
+        return struct.pack(f">{len(words)}I", *words)
+    except struct.error as exc:
+        raise ValueError(f"a word does not fit in 32 bits: {exc}") from exc
 
 
 def rotl8(value: int, amount: int) -> int:

@@ -135,8 +135,8 @@ def test_premature_result_defers_until_cu_drains(rb):
     sim = Simulator()
     core = CryptoCore(sim, DEFAULT_TIMING)
     core.key_cache.install(expand_key(bytes(16)), 128)
-    core.unit.bank.write(0, rb(16))
-    core.unit.bank.write(1, rb(16))
+    core.unit.bank.write(0, int.from_bytes(rb(16), "big"))
+    core.unit.bank.write(1, int.from_bytes(rb(16), "big"))
     done = core.assign_task(
         TaskParams(algorithm=Algorithm.CTR, data_blocks=1), program=program
     )

@@ -4,11 +4,15 @@ Every core and the crossbar of one platform are swapped for the stepped
 copies in ``tests/stepped_models.py`` (one kernel event per instruction,
 per CU completion and per word moved).  The loosely timed platform must
 reproduce every transfer's bytes, outcome and download cycle, the run's
-total cycles, the crossbar's word count and every FIFO's statistics.
+total cycles, the crossbar's word count, every FIFO's statistics and
+every core's instruction and halted-cycle counts: on two hand-written
+mixes and on shapes drawn by the ``cores`` fuzz generator (0 B and
+off-block payloads, rx, loss, corruption, two-core CCM).
 """
 
 import pytest
 
+from repro.experiments.fuzz import generate_cores_case
 from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.standards import RadioStandard
 from repro.radio.traffic import TrafficPattern
@@ -28,13 +32,13 @@ def _step_everything(platform: SdrPlatform) -> None:
     mccp.crossbar = mccp.scheduler.crossbar = SteppedCrossbar(platform.sim, mccp.timing)
 
 
-def _run(configs, stepped: bool, rx_fraction: float):
-    platform = SdrPlatform(seed=3)
+def _run(make_spec, stepped: bool, seed: int):
+    """Run the spec *make_spec* builds (fresh configs per arm) on a
+    platform seeded *seed*, stepped or loosely timed."""
+    platform = SdrPlatform(seed=seed)
     if stepped:
         _step_everything(platform)
-    report = platform.run_workload(
-        WorkloadSpec(configs(), dataplane="cores", rx_fraction=rx_fraction)
-    )
+    report = platform.run_workload(make_spec())
     transfers = sorted(
         (t.channel_id, t.sequence, t.ok, t.download_done_cycle, t.payload, t.tag)
         for t in platform.comm.completed.values()
@@ -79,12 +83,65 @@ def _ccm_channels():
     ]
 
 
-@pytest.mark.parametrize(
-    "configs,rx_fraction",
-    [(_gcm_channels, 0.25), (_ccm_channels, 0.5)],
-    ids=["gcm_4x1", "ccm_mix"],
-)
-def test_cores_dataplane_matches_stepped_model(configs, rx_fraction):
-    stepped, loose = _run(configs, True, rx_fraction), _run(configs, False, rx_fraction)
+def _hand_written(configs, rx_fraction: float):
+    return lambda: WorkloadSpec(configs(), dataplane="cores", rx_fraction=rx_fraction)
+
+
+def _generated(seed: int):
+    return lambda: generate_cores_case(seed).shape
+
+
+#: Shape -> (spec factory, platform seed).  The generated seeds together
+#: cover 0 B and off-block payloads, rx, loss, corruption and two-core CCM.
+SHAPES = {
+    "gcm_4x1": (_hand_written(_gcm_channels, 0.25), 3),
+    "ccm_mix": (_hand_written(_ccm_channels, 0.5), 3),
+    **{f"generated_{seed}": (_generated(seed), seed) for seed in (3, 4, 7, 13, 44, 49)},
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_cores_dataplane_matches_stepped_model(shape):
+    make_spec, seed = SHAPES[shape]
+    stepped, loose = _run(make_spec, True, seed), _run(make_spec, False, seed)
     assert loose["transfers"]
     assert loose == stepped
+
+
+@pytest.mark.parametrize("shape", ["gcm_4x1", "ccm_mix"])
+def test_reference_arithmetic_matches_fast_path(shape, monkeypatch):
+    """``REPRO_FAST=0`` routes SAES to the reference cipher and SGFM to
+    the bit-serial multiplier; transfers and cycles must not move."""
+    from repro.crypto.fast import set_fast
+    from repro.unit.cores import aes_core, ghash_core
+
+    calls = {"aes": 0, "gf128": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        aes_core, "encrypt_block_with_schedule",
+        counted("aes", aes_core.encrypt_block_with_schedule),
+    )
+    monkeypatch.setattr(ghash_core, "gf128_mul", counted("gf128", ghash_core.gf128_mul))
+    make_spec, seed = SHAPES[shape]
+
+    def arm(enabled: bool):
+        previous = set_fast(enabled)
+        try:
+            return _run(make_spec, False, seed)
+        finally:
+            set_fast(previous)
+
+    fast = arm(True)
+    assert calls == {"aes": 0, "gf128": 0}
+    reference = arm(False)
+    assert calls["aes"] > 0
+    assert (calls["gf128"] > 0) == (shape == "gcm_4x1")  # only GCM runs SGFM
+    assert fast["transfers"]
+    assert reference == fast

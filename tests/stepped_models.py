@@ -432,11 +432,11 @@ class SteppedCryptoUnit:
             self.io.when_input_ready(
                 lambda: self._finish_at(
                     self.sim.now + chain,
-                    lambda: self.bank.write(a, self.io.pop_block()),
+                    lambda: self.bank.write(a, int.from_bytes(self.io.pop_block(), "big")),
                 )
             )
         elif op is CuOp.STORE:
-            block = self.bank.read(a)
+            block = self.bank.read(a).to_bytes(16, "big")
             self.io.when_output_ready(
                 lambda: self._finish_at(
                     self.sim.now + chain, lambda: self.io.push_block(block)
@@ -743,11 +743,11 @@ class SteppedWhirlpoolUnit:
             self.io.when_input_ready(
                 lambda: self._finish_at(
                     self.sim.now + chain_cycles,
-                    lambda: self.bank.write(a, self.io.pop_block()),
+                    lambda: self.bank.write(a, int.from_bytes(self.io.pop_block(), "big")),
                 )
             )
         elif op is WpOp.STORE:
-            block = self.bank.read(a)
+            block = self.bank.read(a).to_bytes(16, "big")
             self.io.when_output_ready(
                 lambda: self._finish_at(
                     self.sim.now + chain_cycles,
@@ -760,7 +760,7 @@ class SteppedWhirlpoolUnit:
         elif op is WpOp.SWPC:
             if now < self._compress_busy_until:
                 raise UnitError(f"{self.name}: SWPC while compress busy")
-            message = b"".join(self.bank.read(i) for i in range(4))
+            message = b"".join(self.bank.read(i).to_bytes(16, "big") for i in range(4))
             self._chain = compress(self._chain, message)
             self._compress_busy_until = now + self.timing.whirlpool_cycles
             self.blocks_processed += 1
@@ -771,7 +771,7 @@ class SteppedWhirlpoolUnit:
             )
             self._finish_at(ready, None)
         elif op is WpOp.WPDIG:
-            digest_part = self._chain[16 * a : 16 * a + 16]
+            digest_part = int.from_bytes(self._chain[16 * a : 16 * a + 16], "big")
             self._finish_at(
                 now + chain_cycles, lambda: self.bank.write(a, digest_part)
             )

@@ -9,12 +9,17 @@ from repro.crypto import aes_encrypt_block, ghash
 from repro.errors import BankAddressError, DecodeError, UnitError
 from repro.sim.fifo import WordFifo
 from repro.sim.kernel import Simulator
-from repro.unit import BankRegister, CryptoUnit, CuOp, cu_decode, cu_encode
+from repro.unit import BankRegister, CryptoUnit, CuOp, WpOp, cu_decode, cu_encode, wp_encode
 from repro.unit.cores.inc_core import inc16
 from repro.unit.isa import CU_DECODE_TABLE
 from repro.unit.cores.io_core import IoCore
 from repro.unit.cores.xor_core import mask_for_bytes, masked_equal, masked_xor
 from repro.unit.timing import DEFAULT_TIMING
+
+
+def _int(block: bytes) -> int:
+    """A 16-byte block as the 128-bit value the bank register holds."""
+    return int.from_bytes(block, "big")
 
 
 # -- CU instruction encoding -----------------------------------------------------
@@ -53,23 +58,31 @@ def test_issue_rejects_undecodable_bytes(byte):
 
 def test_bank_read_write_subwords(rb):
     bank = BankRegister()
-    value = rb(16)
-    bank.write(2, value)
-    assert bank.read(2) == value
+    block = rb(16)
+    bank.write(2, _int(block))
+    assert bank.read(2) == _int(block)
     words = [bank.read_subword(2, i) for i in range(4)]
-    assert b"".join(w.to_bytes(4, "big") for w in words) == value
+    assert b"".join(w.to_bytes(4, "big") for w in words) == block
     bank.write_subword(2, 1, 0xDEADBEEF)
-    assert bank.read(2)[4:8] == bytes.fromhex("deadbeef")
+    assert bank.read(2).to_bytes(16, "big")[4:8] == bytes.fromhex("deadbeef")
+    assert bank.read(2).to_bytes(16, "big")[:4] == block[:4]
+    assert bank.read(2).to_bytes(16, "big")[8:] == block[8:]
 
 
-def test_bank_bounds(rb):
+def test_bank_bounds():
     bank = BankRegister()
     with pytest.raises(BankAddressError):
         bank.read(4)
     with pytest.raises(BankAddressError):
-        bank.write(0, rb(15))
+        bank.write(0, 1 << 128)
+    with pytest.raises(BankAddressError):
+        bank.write(0, -1)
     with pytest.raises(BankAddressError):
         bank.read_subword(0, 4)
+    with pytest.raises(BankAddressError):
+        bank.read_subword(4, 0)
+    with pytest.raises(BankAddressError):
+        bank.write_subword(0, 0, 1 << 32)
 
 
 # -- functional cores --------------------------------------------------------------
@@ -84,20 +97,22 @@ def test_mask_for_bytes():
 
 def test_masked_xor_and_equal(rb):
     a, b = rb(16), rb(16)
-    full = masked_xor(a, b, 0xFFFF)
-    assert full == bytes(x ^ y for x, y in zip(a, b))
-    half = masked_xor(a, b, 0xFF00)
-    assert half[:8] == full[:8] and half[8:] == bytes(8)
-    assert masked_equal(a, a, 0xFFFF)
-    assert masked_equal(a, a[:8] + rb(8), 0xFF00)
+    full = masked_xor(_int(a), _int(b), 0xFFFF)
+    assert full == _int(bytes(x ^ y for x, y in zip(a, b)))
+    half = masked_xor(_int(a), _int(b), 0xFF00)
+    assert half >> 64 == full >> 64 and half & ((1 << 64) - 1) == 0
+    assert masked_equal(_int(a), _int(a), 0xFFFF)
+    assert masked_equal(_int(a), _int(a[:8] + rb(8)), 0xFF00)
+    with pytest.raises(UnitError):
+        masked_xor(_int(a), _int(b), 0x10000)
 
 
 def test_inc16_semantics():
-    block = bytes(14) + b"\x00\xff"
-    assert inc16(block, 1)[-2:] == b"\x01\x00"
-    assert inc16(block, 4)[-2:] == b"\x01\x03"
+    value = 0x00FF
+    assert inc16(value, 1) == 0x0100
+    assert inc16(value, 4) == 0x0103
     with pytest.raises(UnitError):
-        inc16(block, 5)
+        inc16(value, 5)
 
 
 # -- the unit end to end ------------------------------------------------------------
@@ -115,11 +130,11 @@ def make_unit(key=bytes(16)):
 def test_saes_faes_value_and_timing(rb):
     key, block = rb(16), rb(16)
     sim, unit, _, _ = make_unit(key)
-    unit.bank.write(0, block)
+    unit.bank.write(0, _int(block))
     unit.start(cu_encode(CuOp.SAES, 0))
     unit.start(cu_encode(CuOp.FAES, 1))  # queues, issues at SAES completion
     sim.run()
-    assert unit.bank.read(1) == aes_encrypt_block(key, block)
+    assert unit.bank.read(1) == _int(aes_encrypt_block(key, block))
     # SAES occupies 6, then FAES completes at 44 + 5.
     assert sim.now == DEFAULT_TIMING.aes_busy(128) + DEFAULT_TIMING.finalize_tail
 
@@ -127,16 +142,16 @@ def test_saes_faes_value_and_timing(rb):
 def test_ghash_pipeline(rb):
     h, x1, x2 = rb(16), rb(16), rb(16)
     sim, unit, _, _ = make_unit()
-    unit.bank.write(0, h)
-    unit.bank.write(1, x1)
+    unit.bank.write(0, _int(h))
+    unit.bank.write(1, _int(x1))
     unit.start(cu_encode(CuOp.LOADH, 0))
     unit.start(cu_encode(CuOp.SGFM, 1))
     sim.run()
-    unit.bank.write(1, x2)
+    unit.bank.write(1, _int(x2))
     unit.start(cu_encode(CuOp.SGFM, 1))
     unit.start(cu_encode(CuOp.FGFM, 2))
     sim.run()
-    assert unit.bank.read(2) == ghash(h, x1 + x2)
+    assert unit.bank.read(2) == _int(ghash(h, x1 + x2))
 
 
 def test_load_store_roundtrip(rb):
@@ -158,14 +173,14 @@ def test_load_stalls_until_data(rb):
     in_f.push_block(block)
     sim.run()
     assert not unit.busy
-    assert unit.bank.read(0) == block
+    assert unit.bank.read(0) == _int(block)
 
 
 def test_xor_equ_respect_mask(rb):
     sim, unit, _, _ = make_unit()
     a = rb(16)
-    unit.bank.write(0, a)
-    unit.bank.write(1, a[:4] + rb(12))
+    unit.bank.write(0, _int(a))
+    unit.bank.write(1, _int(a[:4] + rb(12)))
     unit.set_mask_high(0xF0)
     unit.set_mask_low(0x00)
     unit.start(cu_encode(CuOp.EQU, 0, 1))
@@ -175,14 +190,14 @@ def test_xor_equ_respect_mask(rb):
 
 def test_status_byte_and_reset(rb):
     sim, unit, _, _ = make_unit()
-    unit.bank.write(0, rb(16))
+    unit.bank.write(0, _int(rb(16)))
     unit.start(cu_encode(CuOp.SAES, 0))
     assert unit.status_byte() & 0x8  # busy
     sim.run()
     unit.start(cu_encode(CuOp.FAES, 0))
     sim.run()
     unit.reset_for_packet()
-    assert unit.bank.read(0) == bytes(16)
+    assert unit.bank.snapshot() == [0, 0, 0, 0]
     assert unit.mask == 0xFFFF
 
 
@@ -194,7 +209,7 @@ def test_faes_without_saes_raises():
 
 def test_icrecv_without_wire_raises(rb):
     sim, unit, _, _ = make_unit()
-    unit.bank.write(0, rb(16))
+    unit.bank.write(0, _int(rb(16)))
     with pytest.raises(UnitError):
         unit.start(cu_encode(CuOp.ICSEND, 0))
 
@@ -205,13 +220,20 @@ def test_intercore_transfer(rb):
     out_f = WordFifo(sim, 16, "b.out")
     b = CryptoUnit(sim, IoCore(in_f, out_f), lambda: expand_key(bytes(16)), DEFAULT_TIMING, name="b")
     a.ic_out = b.ic_in
-    block = rb(16)
+    b.ic_out = a.ic_in
+    block, reply = _int(rb(16)), _int(rb(16))
     a.bank.write(2, block)
+    b.bank.write(0, reply)
     a.start(cu_encode(CuOp.ICSEND, 2))
     b.start(cu_encode(CuOp.ICRECV, 1))
+    b.start(cu_encode(CuOp.ICSEND, 0))
+    a.start(cu_encode(CuOp.ICRECV, 3))
     sim.run()
-    assert b.bank.read(1) == block
-    assert b.ic_in.transfers == 1
+    # Each neighbour gets the block unchanged; the sender keeps its copy.
+    assert b.bank.read(1) == block and a.bank.read(2) == block
+    assert a.bank.read(3) == reply
+    assert b.ic_in.transfers == 1 and a.ic_in.transfers == 1
+    assert not a.ic_in.full and not b.ic_in.full
 
 
 def test_call_when_idle_waits_for_queue_drain(rb):
@@ -219,7 +241,7 @@ def test_call_when_idle_waits_for_queue_drain(rb):
     core's task-completion hand-off must not race queued tail STOREs
     (the ``reset while busy`` hazard under load)."""
     sim, unit, _, out_f = make_unit()
-    unit.bank.write(0, rb(16))
+    unit.bank.write(0, _int(rb(16)))
     unit.start(cu_encode(CuOp.XOR, 0, 1))
     unit.start(cu_encode(CuOp.STORE, 1))   # queued behind the XOR
     fired = []
@@ -231,3 +253,101 @@ def test_call_when_idle_waits_for_queue_drain(rb):
     # Already idle: runs immediately.
     unit.call_when_idle(lambda: fired.append(-1))
     assert fired[-1] == -1
+
+
+# -- datapath edges ---------------------------------------------------------------
+
+MASK128 = (1 << 128) - 1
+
+
+def _run_one(unit, sim, byte):
+    unit.start(byte)
+    sim.run()
+    assert not unit.busy
+
+
+@pytest.mark.parametrize("amount", [1, 2, 3, 4])
+@pytest.mark.parametrize("low", [0x0000, 0xFFFB, 0xFFFF])
+def test_inc_wraps_low_16_bits_only(rb, amount, low):
+    sim, unit, _, _ = make_unit()
+    high = _int(rb(16)) & (MASK128 ^ 0xFFFF)
+    unit.bank.write(2, high | low)
+    _run_one(unit, sim, cu_encode(CuOp.INC, 2, amount - 1))
+    value = unit.bank.read(2)
+    assert value & 0xFFFF == (low + amount) % 0x10000
+    assert value >> 16 == high >> 16  # no carry into the upper 112 bits
+
+
+@pytest.mark.parametrize(
+    "mask", [0x0000, 0x8000, 0x0001, 0xFFFF, mask_for_bytes(12)], ids=hex
+)
+def test_xor_and_equ_under_masks(rb, mask):
+    sim, unit, _, _ = make_unit()
+    a, b = rb(16), rb(16)
+    enabled = [bool((mask >> (15 - i)) & 1) for i in range(16)]
+    unit.set_mask(mask)
+    unit.bank.write(0, _int(a))
+    unit.bank.write(1, _int(b))
+    _run_one(unit, sim, cu_encode(CuOp.XOR, 0, 1))
+    expected = bytes(x ^ y if on else 0 for x, y, on in zip(a, b, enabled))
+    assert unit.bank.read(1) == _int(expected)
+    assert unit.bank.read(0) == _int(a)  # A is only read
+
+    # EQU: bytes outside the mask never matter; any enabled byte does.
+    outside = bytes(x if on else x ^ 0x5A for x, on in zip(a, enabled))
+    unit.bank.write(1, _int(outside))
+    _run_one(unit, sim, cu_encode(CuOp.EQU, 0, 1))
+    assert unit.equ_flag
+    if mask:
+        first = enabled.index(True)
+        inside = bytearray(a)
+        inside[first] ^= 0x01
+        unit.bank.write(1, _int(bytes(inside)))
+        _run_one(unit, sim, cu_encode(CuOp.EQU, 0, 1))
+        assert not unit.equ_flag
+
+
+def test_load_store_keeps_subword_order():
+    sim, unit, in_f, out_f = make_unit()
+    words = [0x00112233, 0x44556677, 0x8899AABB, 0xCCDDEEFF]
+    for word in words:
+        in_f.push_word(word)
+    _run_one(unit, sim, cu_encode(CuOp.LOAD, 3))
+    # The first word popped is the most significant sub-word.
+    assert unit.bank.read(3) == 0x00112233_44556677_8899AABB_CCDDEEFF
+    assert [unit.bank.read_subword(3, i) for i in range(4)] == words
+    _run_one(unit, sim, cu_encode(CuOp.STORE, 3))
+    assert [out_f.pop_word() for _ in range(4)] == words
+
+
+def test_whirlpool_unit_matches_stepped_unit(rb):
+    """The loosely timed Whirlpool personality against its stepped copy:
+    same bank values, output words and completion cycle."""
+    from repro.crypto.whirlpool import compress
+    from repro.unit.whirlpool_unit import WhirlpoolUnit
+    from stepped_models import SteppedIoCore, SteppedWhirlpoolUnit, SteppedWordFifo
+
+    message = rb(64)
+    program = [wp_encode(WpOp.LOAD, i) for i in range(4)]
+    program += [wp_encode(WpOp.WPINIT), wp_encode(WpOp.SWPC), wp_encode(WpOp.FWPC)]
+    program += [wp_encode(WpOp.WPDIG, i) for i in range(4)]
+    program += [wp_encode(WpOp.STORE, i) for i in range(4)]
+
+    def run(stepped):
+        sim = Simulator()
+        fifo = SteppedWordFifo if stepped else WordFifo
+        in_f, out_f = fifo(sim, 64, "in"), fifo(sim, 64, "out")
+        io = (SteppedIoCore if stepped else IoCore)(in_f, out_f)
+        unit = (SteppedWhirlpoolUnit if stepped else WhirlpoolUnit)(sim, io, DEFAULT_TIMING)
+        for i in range(0, 64, 16):
+            in_f.push_block(message[i : i + 16])
+        for byte in program:
+            unit.start(byte)
+        sim.run()
+        bank = unit.bank.snapshot()
+        return bank, [out_f.pop_word() for _ in range(16)], sim.now
+
+    loose, stepped = run(False), run(True)
+    assert loose == stepped
+    digest = compress(bytes(64), message)
+    assert b"".join(v.to_bytes(16, "big") for v in loose[0]) == digest
