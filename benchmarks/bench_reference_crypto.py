@@ -9,8 +9,10 @@ fast-path speedup visible in one run:
 
     pytest benchmarks/bench_reference_crypto.py --benchmark-only
 
-``benchmarks/run_bench.py`` runs the same kernels standalone and emits
-a ``BENCH_<date>.json`` snapshot for the perf trajectory.
+These are kernel microbenchmarks for local investigation only; the
+repository's speed claims come from ``perfbench/`` (end-to-end replays
+with a per-layer time split), and byte equality of the two paths is
+pinned by ``tests/crypto/test_fast_equivalence.py``.
 """
 
 

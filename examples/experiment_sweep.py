@@ -1,8 +1,8 @@
 """Experiment sweeps: declare, fan out, compare.
 
 Runs a small campaign through :mod:`repro.experiments` — the same
-subsystem behind ``python -m repro.experiments`` and CI's perf-smoke
-gate — and shows the three moves: run a sweep across worker processes,
+subsystem behind ``python -m repro.experiments`` and CI's sweeps job
+— and shows the three moves: run a sweep across worker processes,
 render the per-scenario tables, and diff the run against a baseline
 (here: a second run of the same seeded sweep, which must match).
 

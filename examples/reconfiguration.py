@@ -32,7 +32,7 @@ def main() -> None:
     cores[1].key_cache.install(expand_key(KEY), 128)
     task = format_gcm(128, bytes(12), b"", b"traffic continues" * 8, Direction.ENCRYPT)
     run = run_task(sim, cores[1], task)
-    ct, tag = parse_output(task, run.output_blocks)
+    ct, tag = parse_output(task, run.output)
     assert (ct, tag) == gcm_encrypt(KEY, bytes(12), b"traffic continues" * 8, b"")
     print(f"core 1 encrypted {len(ct)} bytes *during* core 0's reconfiguration")
 
@@ -45,7 +45,7 @@ def main() -> None:
     # Hash on the reconfigured unit and check against the gold model.
     hash_task = format_whirlpool(MESSAGE)
     hrun = run_task(sim, cores[0], hash_task)
-    digest = b"".join(hrun.output_blocks)[:64]
+    digest = hrun.output[:64]
     assert digest == whirlpool(MESSAGE)
     print(f"Whirlpool digest on reconfigured CU: {digest.hex()[:32]}… (matches gold)")
 

@@ -27,7 +27,7 @@ class TaskRun:
     """Outcome of a harness run."""
 
     result: CoreResult
-    output_blocks: List[bytes]
+    output: bytes
     feed_done_cycle: int
 
 
@@ -62,7 +62,7 @@ def run_task(
     """Run one formatted task to completion on *core*.
 
     The caller must have installed the key schedule already.  Returns
-    the core result plus the drained output blocks.
+    the core result plus the drained output stream.
 
     By default decrypt tasks are *not* drained while running: the real
     communication controller only reads after RETRIEVE DATA returns OK,
@@ -90,10 +90,10 @@ def run_task(
         core.out_fifo.stop_drain()
     while core.out_fifo.can_pop():
         sink.append(core.out_fifo.pop_word())
-    data = words32_to_bytes(sink)
-    blocks = [data[i : i + 16] for i in range(0, len(data) - 15, 16)]
     feed_cycle = feeder.done.value if feeder.done.triggered else sim.now
-    return TaskRun(result=result, output_blocks=blocks, feed_done_cycle=feed_cycle)
+    return TaskRun(
+        result=result, output=words32_to_bytes(sink), feed_done_cycle=feed_cycle
+    )
 
 
 def steady_state_periods(

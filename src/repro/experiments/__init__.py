@@ -7,17 +7,21 @@ experiment campaigns:
   the ``@register`` decorator and the global registry;
 - :mod:`repro.experiments.scenarios` — the built-in library (paper
   tables, scheduling, scaling, ablation, mixed radio traffic, mode
-  mixes, key churn, reconfiguration storms, timing kernels);
+  mixes, key churn, reconfiguration storms, batching, pipelining,
+  chaos, overload and the adaptive flush controller);
 - :mod:`repro.experiments.runner` — the multiprocessing sweep runner
   with per-case derived seeds (serial == parallel, guaranteed);
 - :mod:`repro.experiments.artifacts` — JSON/CSV artifacts and the
-  baseline ``compare`` gate CI runs on every PR.
+  sweep-vs-sweep ``compare`` gate.
+
+Host speed is measured by ``perfbench/`` alone; a sweep's timing
+metrics are context for its deterministic ones, never a speed claim.
 
 CLI::
 
     python -m repro.experiments list
     python -m repro.experiments run all --quick --parallel 4
-    python -m repro.experiments compare RUN.json benchmarks/BENCH_x.json
+    python -m repro.experiments compare RUN.json BASELINE.json
 """
 
 from repro.experiments.artifacts import (

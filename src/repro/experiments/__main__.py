@@ -10,9 +10,9 @@ Commands::
 
 ``run`` writes ``SWEEP_<date>.json`` + ``.csv`` under ``--out``
 (default ``benchmarks/experiments/``) and prints one table per
-scenario.  ``compare`` accepts either another sweep artifact or a
-committed legacy ``BENCH_*.json`` snapshot as the baseline and exits
-non-zero only on deterministic-metric or correctness regressions.
+scenario.  ``compare`` diffs a sweep artifact against a baseline sweep
+artifact and exits non-zero only on deterministic-metric or correctness
+regressions (timing drift warns unless ``--strict-perf``).
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser = sub.add_parser("compare", help="diff a run against a baseline")
     cmp_parser.add_argument("run", type=Path, help="sweep artifact JSON")
     cmp_parser.add_argument(
-        "baseline", type=Path, help="sweep artifact or legacy BENCH_*.json"
+        "baseline", type=Path, help="baseline sweep artifact JSON"
     )
     cmp_parser.add_argument(
         "--tolerance",

@@ -1,25 +1,21 @@
 """Artifact emission and baseline comparison for experiment sweeps.
 
-Two artifact schemas are understood:
+The artifact schema is ``repro.experiments/1``: the sweep artifact
+:func:`repro.experiments.runner.run_sweep` produces (JSON, plus a flat
+CSV twin for spreadsheet/pandas consumption).  :func:`compare` diffs
+one sweep artifact against another.
 
-- ``repro.experiments/1`` — the sweep artifact :func:`repro.
-  experiments.runner.run_sweep` produces (JSON, plus a flat CSV twin
-  for spreadsheet/pandas consumption).
-- the legacy ``BENCH_<date>.json`` snapshots ``benchmarks/run_bench.py``
-  has emitted since PR 1 — these are the committed perf baselines, and
-  :func:`compare` accepts them directly so CI can gate a fresh sweep
-  against them without a migration step.
-
-Comparison semantics (the CI contract)
---------------------------------------
+Comparison semantics
+--------------------
 Deterministic metrics — simulated cycles, throughput derived from
 cycles, correctness booleans, output digests — must match the baseline
 within ``tolerance`` (exact for bools/strings); a mismatch is a
 **failure** and :func:`ComparisonReport.exit_code` returns 1.  Metrics a
-scenario declares as ``timing_metrics`` (wall-clock ops/s) only ever
-**warn** on drift: shared CI runners make timing noisy, and a perf
-regression should page a human, not flake the merge queue.  Crypto
-correctness, by contrast, fails hard — that is the point of the gate.
+scenario declares as ``timing_metrics`` (wall-clock seconds, ops/s)
+only **warn** on drift unless ``strict_perf``: shared runners make
+timing noisy, and host speed is measured by ``perfbench/``, not by
+sweeps.  Crypto correctness, by contrast, fails hard — that is the
+point of the gate.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ def write_artifact(
     """Write the sweep artifact as ``<stem>.json`` + ``<stem>.csv``.
 
     Returns ``(json_path, csv_path)``.  The default stem embeds the run
-    date (``SWEEP_<date>``), mirroring the ``BENCH_<date>`` convention.
+    date (``SWEEP_<date>``).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -66,7 +62,7 @@ def write_artifact(
 
 
 def load_artifact(path) -> Dict[str, object]:
-    """Load a JSON artifact (sweep or legacy bench schema)."""
+    """Load a JSON sweep artifact."""
     path = Path(path)
     try:
         return json.loads(path.read_text())
@@ -121,12 +117,10 @@ def compare(
     run_path: str = "<run>",
     baseline_path: str = "<baseline>",
 ) -> ComparisonReport:
-    """Compare a sweep *run* against a *baseline* artifact.
+    """Compare a sweep *run* against a *baseline* sweep artifact.
 
-    The baseline may be another sweep artifact or a legacy
-    ``BENCH_*.json`` snapshot.  ``strict_perf`` promotes timing-drift
-    warnings to failures (for dedicated perf runners where the clock can
-    be trusted).
+    ``strict_perf`` promotes timing-drift warnings to failures (for
+    dedicated perf runners where the clock can be trusted).
     """
     report = ComparisonReport(run_path=run_path, baseline_path=baseline_path)
     if "scenarios" not in run:
@@ -135,14 +129,11 @@ def compare(
             "the left-hand side of compare must come from "
             "'repro.experiments run'"
         )
-    if "scenarios" in baseline:
-        _compare_sweep(run, baseline, tolerance, perf_tolerance, strict_perf, report)
-    elif "benchmarks" in baseline:
-        _compare_legacy_bench(run, baseline, perf_tolerance, strict_perf, report)
-    else:
+    if "scenarios" not in baseline:
         raise ExperimentError(
-            "baseline artifact has neither 'scenarios' nor 'benchmarks'"
+            "baseline artifact is not a sweep artifact (missing 'scenarios')"
         )
+    _compare_sweep(run, baseline, tolerance, perf_tolerance, strict_perf, report)
     return report
 
 
@@ -226,41 +217,3 @@ def _compare_sweep(run, baseline, tolerance, perf_tolerance, strict_perf, report
                     strict_perf,
                     report,
                 )
-
-
-def _compare_legacy_bench(run, baseline, perf_tolerance, strict_perf, report):
-    """Gate a sweep against a committed ``BENCH_*.json`` snapshot.
-
-    The sweep's ``bench_kernels`` scenario measures the same kernels
-    (same names) and adds a cross-path ``correct`` bool per kernel;
-    correctness failures gate hard, ops/s drift warns.
-    """
-    block = run["scenarios"].get("bench_kernels")
-    if block is None:
-        raise ExperimentError(
-            "legacy bench baseline given but the run has no 'bench_kernels' "
-            "scenario; run it (or 'all') first"
-        )
-    by_kernel = {case["params"]["kernel"]: case for case in block["cases"]}
-    for kernel, entry in baseline["benchmarks"].items():
-        case = by_kernel.get(kernel)
-        if case is None:
-            report.failures.append(f"kernel {kernel!r} missing from run")
-            continue
-        metrics = case["metrics"]
-        report.checked += 1
-        if metrics.get("correct") is not True:
-            report.failures.append(
-                f"bench_kernels[{kernel}] correctness check failed"
-            )
-        _compare_metric(
-            f"bench_kernels[{kernel}]",
-            "ops_per_s",
-            metrics.get("ops_per_s", 0.0),
-            entry["ops_per_s"],
-            True,
-            0.0,
-            perf_tolerance,
-            strict_perf,
-            report,
-        )

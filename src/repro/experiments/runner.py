@@ -148,7 +148,7 @@ def run_sweep(
         "fast_enabled": fast_enabled(),
         "have_numpy": HAVE_NUMPY,
         # Execution-backend context (cross-machine honesty for the
-        # backend-parametrized kernels and the backend_sweep scenario).
+        # backend-parametrized scenario cells).
         "backend": default_backend().name,
         "cpu_count": os.cpu_count(),
         # Recovery counters summed over the sweep's cases, wherever

@@ -8,9 +8,7 @@ registry is identical under fork and spawn start methods.
 
 from repro.experiments.scenarios import (  # noqa: F401  (registration imports)
     autotune,
-    backends,
     batch,
-    bench,
     chaos,
     overload,
     pipelined,

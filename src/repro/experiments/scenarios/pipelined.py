@@ -8,10 +8,10 @@ contract: payloads, tags, per-channel fan-out order, completion-cycle
 stamps and the final simulated time must be byte-identical to the
 synchronous run.  The digest equality is deterministic (a baseline
 comparison fails hard on it); the wall-clock seconds and the derived
-overlap speedup are timing metrics, so drift warns.  CI's dedicated
-warn-level pipelined check lives in ``benchmarks/gate_backends.py``;
-this scenario records the same invariant across a backend x depth x
-channel-count grid inside every sweep artifact.
+overlap speedup are timing metrics, so drift warns.  The scenario
+records the invariant across a backend x depth x channel-count grid
+inside every sweep artifact; ``tests/radio/test_pipelined_dataplane.py``
+pins it in the tier-1 suite.
 """
 
 from __future__ import annotations

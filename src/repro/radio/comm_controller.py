@@ -759,9 +759,9 @@ class CommController:
                 )
             if download is not None:
                 yield download.done
-            data = words32_to_bytes(sink)
-            blocks = [data[i : i + 16] for i in range(0, len(data), 16)]
-            transfer.payload, transfer.tag = parse_output(out_task, blocks)
+            transfer.payload, transfer.tag = parse_output(
+                out_task, words32_to_bytes(sink)
+            )
         else:
             self.auth_failures += 1
         yield self.mccp.scheduler.overhead_delay()

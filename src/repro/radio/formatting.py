@@ -347,19 +347,23 @@ def job_transfer_words(job) -> int:
 
 
 def parse_output(
-    task: FormattedTask, output_blocks: List[bytes]
+    task: FormattedTask, output: bytes
 ) -> Tuple[bytes, Optional[bytes]]:
-    """Split a core's output stream into (payload, tag).
+    """Split a core's drained output stream into (payload, tag).
 
     Encrypt tasks emit ``data_blocks`` payload blocks then a masked tag
     block; decrypt tasks emit payload only (the tag was verified
     in-core); MAC-only tasks emit just the tag block.
     """
     params = task.params
-    n = params.data_blocks if params.algorithm is not Algorithm.CBC_MAC else 0
     if params.algorithm is Algorithm.WHIRLPOOL:
-        return b"".join(output_blocks), None
-    payload = b"".join(output_blocks[:n])[: task.payload_bytes]
-    rest = output_blocks[n:]
-    tag = rest[0][: params.tag_length] if rest and params.tag_length else None
+        return output, None
+    n = params.data_blocks if params.algorithm is not Algorithm.CBC_MAC else 0
+    end = BLOCK_BYTES * n
+    payload = output[: min(end, task.payload_bytes)]
+    tag = (
+        output[end : end + params.tag_length]
+        if len(output) > end and params.tag_length
+        else None
+    )
     return payload, tag

@@ -31,7 +31,7 @@ def test_gcm_encrypt_matches_gold(key, size, rb):
     iv, aad, data = rb(12), rb(20), rb(size)
     task = format_gcm(8 * len(key), iv, aad, data, Direction.ENCRYPT)
     run, _, _ = run_single_core(task, key)
-    ct, tag = parse_output(task, run.output_blocks)
+    ct, tag = parse_output(task, run.output)
     assert (ct, tag) == gcm_encrypt(key, iv, data, aad)
 
 
@@ -40,7 +40,7 @@ def test_gcm_partial_blocks_and_gmac(size, rb):
     iv, aad, data = rb(12), rb(33), rb(size)
     task = format_gcm(128, iv, aad, data, Direction.ENCRYPT)
     run, _, _ = run_single_core(task, KEY)
-    ct, tag = parse_output(task, run.output_blocks)
+    ct, tag = parse_output(task, run.output)
     assert (ct, tag) == gcm_encrypt(KEY, iv, data, aad)
 
 
@@ -49,14 +49,14 @@ def test_gcm_decrypt_and_purge_on_tamper(rb):
     ct, tag = gcm_encrypt(KEY, iv, data, aad)
     task = format_gcm(128, iv, aad, ct, Direction.DECRYPT, 16, tag)
     run, core, _ = run_single_core(task, KEY)
-    pt, _ = parse_output(task, run.output_blocks)
+    pt, _ = parse_output(task, run.output)
     assert run.result.ok and pt == data
 
     bad = bytes([tag[0] ^ 1]) + tag[1:]
     task = format_gcm(128, iv, aad, ct, Direction.DECRYPT, 16, bad)
     run, core, _ = run_single_core(task, KEY)
     assert run.result.auth_failed
-    assert run.output_blocks == []  # FIFO purged: no plaintext leaks
+    assert run.output == b""  # FIFO purged: no plaintext leaks
     assert core.out_fifo.purge_count == 1
 
 
@@ -64,7 +64,7 @@ def test_gcm_truncated_tag(rb):
     iv, data = rb(12), rb(64)
     task = format_gcm(128, iv, b"", data, Direction.ENCRYPT, tag_length=8)
     run, _, _ = run_single_core(task, KEY)
-    _, tag = parse_output(task, run.output_blocks)
+    _, tag = parse_output(task, run.output)
     assert tag == gcm_encrypt(KEY, iv, data, b"", tag_length=8)[1]
 
 
@@ -74,7 +74,7 @@ def test_ctr_matches_gold(size, rb):
     data = rb(size)
     task = format_ctr(128, icb, data)
     run, _, _ = run_single_core(task, KEY)
-    out, _ = parse_output(task, run.output_blocks)
+    out, _ = parse_output(task, run.output)
     assert out == ctr_xcrypt(AES(KEY), icb, data)
 
 
@@ -83,10 +83,10 @@ def test_ctr_is_self_inverse_via_device(rb):
     data = rb(90)
     task = format_ctr(128, icb, data)
     run, _, _ = run_single_core(task, KEY)
-    ct, _ = parse_output(task, run.output_blocks)
+    ct, _ = parse_output(task, run.output)
     task2 = format_ctr(128, icb, ct)
     run2, _, _ = run_single_core(task2, KEY)
-    pt, _ = parse_output(task2, run2.output_blocks)
+    pt, _ = parse_output(task2, run2.output)
     assert pt == data
 
 
@@ -95,7 +95,7 @@ def test_cbc_mac_generate_and_verify(blocks, rb):
     msg = rb(16 * blocks)
     task = format_cbc_mac(128, msg, Direction.ENCRYPT)
     run, _, _ = run_single_core(task, KEY)
-    _, tag = parse_output(task, run.output_blocks)
+    _, tag = parse_output(task, run.output)
     assert tag == cbc_mac(AES(KEY), msg)
 
     vtask = format_cbc_mac(128, msg, Direction.DECRYPT, expected_tag=tag)
@@ -113,7 +113,7 @@ def test_ccm_single_core_encrypt(key, size, aad, rb):
     nonce, header, data = rb(13), rb(aad), rb(size)
     task = format_ccm_single(8 * len(key), nonce, header, data, Direction.ENCRYPT, 8)
     run, _, _ = run_single_core(task, key)
-    ct, tag = parse_output(task, run.output_blocks)
+    ct, tag = parse_output(task, run.output)
     assert (ct, tag) == ccm_encrypt(key, nonce, data, header, 8)
 
 
@@ -122,19 +122,19 @@ def test_ccm_single_core_decrypt_and_tamper(rb):
     ct, tag = ccm_encrypt(KEY, nonce, data, header, 8)
     task = format_ccm_single(128, nonce, header, ct, Direction.DECRYPT, 8, tag)
     run, _, _ = run_single_core(task, KEY)
-    pt, _ = parse_output(task, run.output_blocks)
+    pt, _ = parse_output(task, run.output)
     assert run.result.ok and pt == data
 
     task = format_ccm_single(128, nonce, header, ct, Direction.DECRYPT, 8, bytes(8))
     run, core, _ = run_single_core(task, KEY)
-    assert run.result.auth_failed and run.output_blocks == []
+    assert run.result.auth_failed and run.output == b""
 
 
 def test_ccm_no_payload_mac_only(rb):
     nonce, header = rb(13), rb(40)
     task = format_ccm_single(128, nonce, header, b"", Direction.ENCRYPT, 16)
     run, _, _ = run_single_core(task, KEY)
-    _, tag = parse_output(task, run.output_blocks)
+    _, tag = parse_output(task, run.output)
     assert tag == ccm_encrypt(KEY, nonce, b"", header, 16)[1]
 
 
@@ -151,4 +151,4 @@ def test_whirlpool_personality(size, rb):
     core = CryptoCore(sim, DEFAULT_TIMING)
     core.use_whirlpool_personality(True)
     run = run_task(sim, core, task)
-    assert b"".join(run.output_blocks)[:64] == whirlpool(msg)
+    assert run.output[:64] == whirlpool(msg)

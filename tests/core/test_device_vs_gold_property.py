@@ -27,7 +27,7 @@ def test_gcm_device_equals_gold(key, data, aad, iv):
     task = format_gcm(8 * len(key), iv, aad, data, Direction.ENCRYPT)
     run, _, _ = run_single_core(task, key)
     assert run.result.ok
-    ct, tag = parse_output(task, run.output_blocks)
+    ct, tag = parse_output(task, run.output)
     assert (ct, tag) == gcm_encrypt(key, iv, data, aad)
 
 
@@ -37,7 +37,7 @@ def test_ccm_device_equals_gold(key, data, aad, nonce):
     task = format_ccm_single(8 * len(key), nonce, aad, data, Direction.ENCRYPT, 8)
     run, _, _ = run_single_core(task, key)
     assert run.result.ok
-    ct, tag = parse_output(task, run.output_blocks)
+    ct, tag = parse_output(task, run.output)
     assert (ct, tag) == ccm_encrypt(key, nonce, data, aad, 8)
 
 
@@ -48,7 +48,7 @@ def test_ctr_device_equals_gold(key, data, prefix):
     task = format_ctr(8 * len(key), icb, data)
     run, _, _ = run_single_core(task, key)
     assert run.result.ok
-    out, _ = parse_output(task, run.output_blocks)
+    out, _ = parse_output(task, run.output)
     assert out == ctr_xcrypt(AES(key), icb, data)
 
 
@@ -59,5 +59,5 @@ def test_gcm_device_decrypt_roundtrip(key, data, aad, iv):
     task = format_gcm(8 * len(key), iv, aad, ct, Direction.DECRYPT, 16, tag)
     run, _, _ = run_single_core(task, key)
     assert run.result.ok
-    pt, _ = parse_output(task, run.output_blocks)
+    pt, _ = parse_output(task, run.output)
     assert pt == data

@@ -35,8 +35,7 @@ def run_pair(mac_task, ctr_task, key=KEY, drain=True):
     sim.run(until=sim.now + 4000)
     while c1.out_fifo.can_pop():
         sink.append(c1.out_fifo.pop_word())
-    blocks = [words32_to_bytes(sink[i : i + 4]) for i in range(0, len(sink) - 3, 4)]
-    return r1, blocks, (c0, c1, sim)
+    return r1, words32_to_bytes(sink), (c0, c1, sim)
 
 
 @pytest.mark.parametrize("size,aad", [(32, 0), (100, 20), (2048, 16)], ids=str)
@@ -45,8 +44,8 @@ def test_two_core_encrypt_matches_gold(size, aad, rb):
     mac_task, ctr_task = format_ccm_two_core(
         128, nonce, header, data, Direction.ENCRYPT, 8
     )
-    r1, blocks, _ = run_pair(mac_task, ctr_task)
-    ct, tag = parse_output(ctr_task, blocks)
+    r1, output, _ = run_pair(mac_task, ctr_task)
+    ct, tag = parse_output(ctr_task, output)
     assert (ct, tag) == ccm_encrypt(KEY, nonce, data, header, 8)
 
 
@@ -56,15 +55,15 @@ def test_two_core_decrypt_roundtrip_and_tamper(rb):
     mac_task, ctr_task = format_ccm_two_core(
         128, nonce, header, ct, Direction.DECRYPT, 8, tag
     )
-    r1, blocks, _ = run_pair(mac_task, ctr_task, drain=False)
-    pt, _ = parse_output(ctr_task, blocks)
+    r1, output, _ = run_pair(mac_task, ctr_task, drain=False)
+    pt, _ = parse_output(ctr_task, output)
     assert r1.ok and pt == data
 
     mac_task, ctr_task = format_ccm_two_core(
         128, nonce, header, ct, Direction.DECRYPT, 8, bytes(8)
     )
-    r1, blocks, _ = run_pair(mac_task, ctr_task, drain=False)
-    assert r1.auth_failed and blocks == []
+    r1, output, _ = run_pair(mac_task, ctr_task, drain=False)
+    assert r1.auth_failed and output == b""
 
 
 def test_intercore_transfer_counts(rb):

@@ -57,6 +57,32 @@ def _gcm_packets(count=16, seed=0xA1):
     ]
 
 
+def _crash_leg(dispatch, backend):
+    """One chaos-leg dispatch on *backend*: a bare GCM batch, or a CCM
+    radio workload on the ``batched`` or ``pipelined`` dataplane (its
+    transfers by channel and sequence)."""
+    if dispatch == "seal_open_many":
+        packets = _gcm_packets(count=24)
+        return seal_open_many("gcm", KEY, packets, [], 16, backend=backend)
+    spec = WorkloadSpec(
+        configs=(
+            ChannelConfig(
+                RadioStandard.WIFI, KEY, TrafficPattern.SATURATING, packets=64
+            ),
+        ),
+        dataplane=dispatch,
+        flush_policy=FlushPolicy(coalesce_limit=32, flush_deadline=None),
+        backend=backend,
+        pipeline_depth=2,
+    )
+    platform = SdrPlatform(core_count=4, seed=17)
+    platform.run_workload(spec)
+    return {
+        (t.channel_id, t.sequence): (t.payload, t.tag, t.ok)
+        for t in platform.comm.completed.values()
+    }
+
+
 def _shm_segments():
     """Live ``/dev/shm`` arena segments of this machine, by name."""
     return sorted(
@@ -234,25 +260,34 @@ class TestLifecycleHygiene:
             backend.close()
         assert _shm_segments() == baseline
 
-    def test_worker_crash_reclaims_the_in_flight_slab(self):
+    @pytest.mark.parametrize("dispatch", ["seal_open_many", "batched", "pipelined"])
+    def test_worker_crash_reclaims_the_in_flight_slab(self, dispatch):
         """Chaos leg: a worker dies mid-dispatch while its descriptors
-        point into a live slab.  Recovery must deliver byte-identical
-        survivors, release the generation, and leak nothing."""
+        point into a live slab, on one bare batch and on the radio
+        dataplane (batched, and pipelined two deep).  Recovery must
+        deliver survivors byte-identical to inline, release the
+        generation, and leak nothing."""
         baseline = _shm_segments()
-        packets = _gcm_packets(count=24)
-        expected = seal_open_many("gcm", KEY, packets, [], 16, backend="inline")
+        expected = _crash_leg(dispatch, "inline")
         plan = FaultPlan(scripted=(ScriptedFault("worker_crash", times=1),))
         backend = ProcessPoolBackend(workers=2)
         backend.resilience = FAST
         previous = set_fault_plan(plan)
         try:
-            got = seal_open_many("gcm", KEY, packets, [], 16, backend=backend)
+            with stats.counting() as counters:
+                got = _crash_leg(dispatch, backend)
+            # Read before close(), which zeroes every slab it unlinks.
+            arena = backend._arena
+            live = None if arena is None else arena.live_generations
         finally:
             set_fault_plan(previous)
-            arena = backend._arena
             backend.close()
         assert got == expected
-        assert arena is not None and arena.live_generations == 0
+        # Not vacuous: the crash fired, and a fresh pool (not the
+        # inline state) delivered the retry.
+        assert counters["retries"] >= 1
+        assert backend.inline_reason is None
+        assert live == 0
         assert _shm_segments() == baseline
 
 

@@ -5,8 +5,8 @@ The load-bearing guarantees:
 - serial and parallel runs of the same seeded sweep produce identical
   deterministic metrics (the acceptance criterion of ISSUE 2);
 - the JSON/CSV artifacts round-trip;
-- compare fails on deterministic/correctness regressions, warns on
-  timing drift, and understands the legacy ``BENCH_*.json`` schema.
+- compare fails on deterministic/correctness regressions and warns on
+  timing drift (fails on it under ``strict_perf``).
 """
 
 import copy
@@ -17,7 +17,7 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments import compare, load_artifact, run_sweep, write_artifact
 from repro.experiments.runner import build_units, execute_unit
-from repro.experiments.scenario import resolve
+from repro.experiments.scenario import REGISTRY, register, resolve
 
 #: Cheap deterministic scenarios used throughout (quick grids).
 SPEC = ["core_scaling", "mode_mix"]
@@ -173,51 +173,38 @@ def test_compare_missing_case_only_warns(serial_artifact):
     assert any("not in run" in warning for warning in report.warnings)
 
 
-@pytest.fixture(scope="module")
-def bench_artifact():
-    return run_sweep(["bench_kernels"], quick=True, parallel=1, base_seed=0)
+def test_timing_drift_warns_not_fails():
+    @register(
+        name="_test_timing_probe",
+        grid={"width": [1, 2]},
+        tags=("timing",),
+        timing_metrics=("ops_per_s",),
+    )
+    def probe(params, seed, quick):
+        return {"ops_per_s": 100.0 * params["width"], "correct": True}
 
-
-def test_timing_drift_warns_not_fails(bench_artifact):
-    baseline = copy.deepcopy(bench_artifact)
-    for case in baseline["scenarios"]["bench_kernels"]["cases"]:
+    try:
+        run = run_sweep(["_test_timing_probe"], quick=True, parallel=1, base_seed=0)
+    finally:
+        del REGISTRY["_test_timing_probe"]
+    baseline = copy.deepcopy(run)
+    for case in baseline["scenarios"]["_test_timing_probe"]["cases"]:
         case["metrics"]["ops_per_s"] *= 10
-    report = compare(bench_artifact, baseline)
+    report = compare(run, baseline)
     assert report.ok, report.failures
     assert report.warnings
-    strict = compare(bench_artifact, baseline, strict_perf=True)
+    strict = compare(run, baseline, strict_perf=True)
     assert not strict.ok
 
-
-def test_legacy_bench_baseline_schema(bench_artifact):
-    legacy = {
-        "benchmarks": {
-            case["params"]["kernel"]: {"ops_per_s": case["metrics"]["ops_per_s"]}
-            for case in bench_artifact["scenarios"]["bench_kernels"]["cases"]
-        }
-    }
-    report = compare(bench_artifact, legacy)
-    assert report.ok, report.failures
-
-    # A correctness regression gates hard even when ops/s match.
-    broken = copy.deepcopy(bench_artifact)
-    broken["scenarios"]["bench_kernels"]["cases"][0]["metrics"]["correct"] = False
-    report = compare(broken, legacy)
-    assert any("correctness" in failure for failure in report.failures)
-
-    # A kernel missing from the run is a coverage failure.
-    legacy["benchmarks"]["brand_new_kernel"] = {"ops_per_s": 1.0}
-    report = compare(bench_artifact, legacy)
-    assert any("brand_new_kernel" in failure for failure in report.failures)
-
-
-def test_legacy_baseline_requires_bench_scenario(serial_artifact):
-    with pytest.raises(ExperimentError, match="bench_kernels"):
-        compare(serial_artifact, {"benchmarks": {}})
+    # Timing drift never excuses a correctness regression.
+    broken = copy.deepcopy(run)
+    broken["scenarios"]["_test_timing_probe"]["cases"][0]["metrics"]["correct"] = False
+    report = compare(broken, run)
+    assert any("correct" in failure for failure in report.failures)
 
 
 def test_compare_rejects_unknown_schemas(serial_artifact):
-    with pytest.raises(ExperimentError, match="neither"):
+    with pytest.raises(ExperimentError, match="baseline artifact is not a sweep"):
         compare(serial_artifact, {"something": 1})
     with pytest.raises(ExperimentError, match="missing 'scenarios'"):
         compare({"benchmarks": {}}, serial_artifact)

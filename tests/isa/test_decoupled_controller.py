@@ -114,7 +114,7 @@ def _single(task, key, stepped, whirlpool=False):
     if whirlpool:
         core.use_whirlpool_personality(True)
     run = _harness(stepped)[2](sim, core, task)
-    words = [b for block in run.output_blocks for b in block]
+    words = list(run.output)
     return _observe(sim, trace, [core], words, [run.result, run.feed_done_cycle])
 
 

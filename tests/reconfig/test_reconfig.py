@@ -99,7 +99,7 @@ def test_other_cores_keep_working_during_reconfig(rb):
     cores[1].key_cache.install(expand_key(key), 128)
     task = format_gcm(128, iv, b"", data, Direction.ENCRYPT)
     run = run_task(sim, cores[1], task)
-    ct, tag = parse_output(task, run.output_blocks)
+    ct, tag = parse_output(task, run.output)
     assert (ct, tag) == gcm_encrypt(key, iv, data, b"")
     sim.run_until_event(done)
     assert cores[0].active_unit is cores[0].whirlpool_unit

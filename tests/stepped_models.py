@@ -657,11 +657,10 @@ def stepped_run_task(
     stop[0] = True
     while core.out_fifo.can_pop():
         sink.append(core.out_fifo.pop_word())
-    blocks = [
-        words32_to_bytes(sink[i : i + 4]) for i in range(0, len(sink) - 3, 4)
-    ]
     feed_cycle = feeder.done.value if feeder.done.triggered else sim.now
-    return TaskRun(result=result, output_blocks=blocks, feed_done_cycle=feed_cycle)
+    return TaskRun(
+        result=result, output=words32_to_bytes(sink), feed_done_cycle=feed_cycle
+    )
 
 
 class SteppedWhirlpoolUnit:
