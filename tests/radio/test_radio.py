@@ -13,7 +13,9 @@ from repro.radio import (
     format_gcm,
     format_task,
     format_whirlpool,
+    parse_output,
 )
+from repro.radio.formatting import expected_output_words, format_cbc_mac
 from repro.radio.packet import MAX_PAYLOAD_BYTES, Packet, SecuredPacket
 from repro.radio.standards import STANDARD_PROFILES, RadioStandard
 from repro.radio.traffic import TrafficGenerator, TrafficPattern
@@ -82,6 +84,49 @@ def test_whirlpool_padding_block_counts(rb):
         task = format_whirlpool(rb(n))
         assert len(task.input_blocks) % 4 == 0
         assert task.params.data_blocks == len(task.input_blocks) // 4
+
+
+# (task, payload slice, tag slice or None) over the drained stream: the
+# payload is the first payload_bytes, the tag sits after the padded data.
+PARSE_CASES = {
+    "gcm_encrypt": (
+        lambda rb: format_gcm(128, rb(12), rb(5), rb(20), Direction.ENCRYPT, 12),
+        (0, 20),
+        (32, 44),
+    ),
+    "gcm_decrypt": (
+        lambda rb: format_gcm(128, rb(12), b"", rb(20), Direction.DECRYPT, tag=rb(16)),
+        (0, 20),
+        None,
+    ),
+    "ccm_encrypt": (
+        lambda rb: format_ccm_single(128, rb(13), rb(4), rb(33), Direction.ENCRYPT, 8),
+        (0, 33),
+        (48, 56),
+    ),
+    "ctr": (lambda rb: format_ctr(128, rb(16), rb(40)), (0, 40), None),
+    "cbc_mac_generate": (
+        lambda rb: format_cbc_mac(128, rb(32), Direction.ENCRYPT, 8),
+        (0, 0),
+        (0, 8),
+    ),
+    "cbc_mac_verify": (
+        lambda rb: format_cbc_mac(128, rb(32), Direction.DECRYPT, 8, rb(8)),
+        (0, 0),
+        None,
+    ),
+    "whirlpool": (lambda rb: format_whirlpool(rb(10)), (0, 64), None),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_CASES))
+def test_parse_output_splits_the_drained_stream(rb, case):
+    make, payload_at, tag_at = PARSE_CASES[case]
+    task = make(rb)
+    stream = bytes(range(4 * expected_output_words(task)))
+    payload, tag = parse_output(task, stream)
+    assert payload == stream[slice(*payload_at)]
+    assert tag == (stream[slice(*tag_at)] if tag_at else None)
 
 
 def test_packet_limits(rb):
