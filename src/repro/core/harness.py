@@ -69,6 +69,9 @@ def run_task(
     which is what lets the FIFO purge on authentication failure protect
     the plaintext (paper section IV.C).  Decrypt output (<= 128 blocks)
     always fits the FIFO, so deferred draining cannot deadlock.
+
+    *limit* is a cycle budget counted from the call, so a simulator
+    that has already run for a long time gets the same budget.
     """
     from repro.core.params import Direction
 
@@ -81,7 +84,7 @@ def run_task(
     if drain:
         sim.add_process(drainer_process(core, sink), name=f"{core.name}.drain")
     done = core.assign_task(task.params)
-    result: CoreResult = sim.run_until_event(done, limit=limit)
+    result: CoreResult = sim.run_until_event(done, limit=sim.now + limit)
     # Let the drainer catch up with any words still in flight, then
     # retire it so a later run_task on this core starts clean.
     core.out_fifo.sync()

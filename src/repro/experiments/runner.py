@@ -7,13 +7,8 @@ seeds are derived per case with :func:`repro.experiments.scenario.
 case_seed`, and results are reassembled by ``(scenario, case_index)``,
 which is why a parallel run is byte-identical to a serial run of the
 same seeded sweep (the property ``tests/experiments/test_runner.py``
-locks in).
-
-Worker isolation: every scenario builds its own :class:`Simulator`, so
-simulation state never leaks between cases; the process-global crypto
-memo caches (AES key-schedule LRU, GHASH Shoup tables) are cleared via
-:func:`repro.crypto.fast.clear_caches` before each *timing*-tagged case
-so ops/s numbers never depend on which cases shared the worker.
+locks in).  Every scenario builds its own :class:`Simulator`, so
+simulation state never leaks between cases.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ import os
 import platform
 from typing import Dict, List, Sequence, Tuple
 
-from repro.crypto.fast import clear_caches, fast_enabled
+from repro.crypto.fast import fast_enabled
 from repro.crypto.fast.aes_vector import HAVE_NUMPY
 from repro.crypto.fast.exec import default_backend
 from repro.errors import ExperimentError
@@ -71,8 +66,6 @@ def execute_unit(unit: RunUnit) -> Outcome:
     """
     name, index, params, seed, quick = unit
     scenario = get(name)
-    if "timing" in scenario.tags:
-        clear_caches()
     with resilience_stats.counting() as counters:
         metrics = scenario.fn(dict(params), seed, quick)
     if not isinstance(metrics, dict) or not metrics:

@@ -8,12 +8,9 @@ registry is identical under fork and spawn start methods.
 
 from repro.experiments.scenarios import (  # noqa: F401  (registration imports)
     autotune,
-    batch,
     chaos,
     overload,
-    pipelined,
     platform,
-    radio,
     stress,
     tables,
 )

@@ -1,9 +1,8 @@
 """Shared helpers for the built-in scenarios.
 
-Mirrors the helpers ``benchmarks/conftest.py`` gives the pytest
-benchmarks, but importable from the library (the scenario registry must
-not depend on pytest or on the ``benchmarks/`` directory being on the
-path — worker processes only get ``src``).
+They live in the library, not in a test tree, because sweep worker
+processes only get ``src`` on their path.  ``deterministic_bytes`` is
+also the payload generator of ``benchmarks/bench_reference_crypto.py``.
 """
 
 from __future__ import annotations

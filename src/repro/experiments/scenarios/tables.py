@@ -1,16 +1,17 @@
 """Paper-table scenarios: Tables II, III and IV as sweepable grids.
 
-These wrap the same device-model runs as the pytest benchmarks
-(``benchmarks/bench_table*.py``), but expressed as registry scenarios so
-campaigns can grid over configurations and the CI perf-smoke sweep
-regression-gates every reproduced cell.
+Each case reports one reproduced cell next to the published value.
+The tier-1 suite asserts the bounds: Table II's full grid runs in
+``tests/experiments/test_paper_claims.py``, and the Table III and IV
+models are checked by ``tests/analysis/test_analysis.py`` and
+``tests/reconfig/test_reconfig.py``.
 """
 
 from __future__ import annotations
 
 from repro.analysis.area import AreaModel
 from repro.analysis.throughput import PAPER_TABLE2, theoretical_mbps
-from repro.baselines import LITERATURE_ENTRIES, mccp_entry
+from repro.baselines import mccp_entry
 from repro.core.params import Direction
 from repro.experiments.scenario import register
 from repro.experiments.scenarios._util import (
@@ -71,7 +72,6 @@ def table2_throughput(params, seed, quick):
         "mbps_theoretical": round(theoretical_mbps(config, key_bits), 2),
         "paper_mbps_2kb": paper_packet,
         "paper_mbps_theoretical": paper_theoretical,
-        "within_10pct_of_paper": abs(measured - paper_packet) / paper_packet < 0.10,
     }
 
 
@@ -79,25 +79,19 @@ def table2_throughput(params, seed, quick):
     name="table3_comparison",
     title="Table III: comparison with the literature",
     description="MCCP Mbps/MHz recomputed from the timing model, plus "
-    "the area totals and the table's ordering claims.",
+    "the area totals.",
     tags=("paper",),
 )
 def table3_comparison(params, seed, quick):
-    """Recompute the MCCP row of Table III and its ordering claims."""
+    """Recompute the MCCP row of Table III."""
     gcm_row = mccp_entry(algorithm="GCM")
     ccm_row = mccp_entry(algorithm="CCM")
     slices, brams = AreaModel(4).device_total()
-    programmables = [e for e in LITERATURE_ENTRIES if e.programmable]
-    beats_programmables = all(
-        gcm_row.throughput_mbps_per_mhz > e.throughput_mbps_per_mhz
-        for e in programmables
-    )
     return {
         "gcm_mbps_per_mhz": gcm_row.throughput_mbps_per_mhz,
         "ccm_mbps_per_mhz": ccm_row.throughput_mbps_per_mhz,
         "slices": slices,
         "brams": brams,
-        "beats_programmable_designs": beats_programmables,
     }
 
 
@@ -123,5 +117,4 @@ def table4_reconfig(params, seed, quick):
         "paper_ms": paper_ms,
         "bitstream_kb": bitstream.size_bytes // 1000,
         "slices": bitstream.slices,
-        "within_5pct_of_paper": abs(ours_ms - paper_ms) / paper_ms < 0.05,
     }

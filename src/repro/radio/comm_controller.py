@@ -777,7 +777,10 @@ class CommController:
         self, channel, packet: Packet, two_core: bool = False,
         limit: int = 200_000_000,
     ) -> SecuredPacket:
-        """Blocking helper: run the whole encrypt path for one packet."""
+        """Blocking helper: run the whole encrypt path for one packet.
+
+        *limit* is a cycle budget counted from the call.
+        """
         done = self.sim.event("secure_packet")
 
         def proc():
@@ -787,7 +790,9 @@ class CommController:
             done.trigger(transfer)
 
         self.sim.add_process(proc(), name="secure_packet")
-        transfer: CompletedTransfer = self.sim.run_until_event(done, limit=limit)
+        transfer: CompletedTransfer = self.sim.run_until_event(
+            done, limit=self.sim.now + limit
+        )
         return SecuredPacket(
             channel_id=packet.channel_id,
             header=packet.header,

@@ -146,3 +146,24 @@ def test_premature_result_defers_until_cu_drains(rb):
     # output FIFO by the time the task reports done.
     assert core.out_fifo.can_pop()
     assert not core.unit.busy and not core.unit._queue
+
+
+def test_run_task_cycle_limit_counts_from_the_call(rb):
+    """A simulator already past ``limit`` cycles still runs a short task:
+    the budget starts at the call, not at cycle 0."""
+    from repro.core.crypto_core import CryptoCore
+    from repro.core.harness import run_task
+    from repro.crypto import gcm_encrypt
+    from repro.radio import format_gcm, parse_output
+    from repro.sim.kernel import Simulator
+    from repro.unit.timing import DEFAULT_TIMING
+
+    sim = Simulator()
+    sim.run(until=100_000_001)
+    core = CryptoCore(sim, DEFAULT_TIMING)
+    key, iv, data = rb(16), rb(12), rb(64)
+    core.key_cache.install(expand_key(key), 128)
+    task = format_gcm(128, iv, b"", data, Direction.ENCRYPT)
+    run = run_task(sim, core, task)
+    assert run.result.ok
+    assert parse_output(task, run.output) == gcm_encrypt(key, iv, data, b"")

@@ -17,8 +17,6 @@ EXPECTED_BUILTINS = {
     "mode_mix",
     "key_churn",
     "reconfig_under_load",
-    "batch_aead",
-    "radio_batch",
 }
 
 

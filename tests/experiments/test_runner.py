@@ -177,7 +177,6 @@ def test_timing_drift_warns_not_fails():
     @register(
         name="_test_timing_probe",
         grid={"width": [1, 2]},
-        tags=("timing",),
         timing_metrics=("ops_per_s",),
     )
     def probe(params, seed, quick):

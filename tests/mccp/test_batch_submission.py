@@ -33,22 +33,32 @@ def _nonce(index: int, nbytes: int) -> bytes:
     return (index + 1).to_bytes(nbytes, "big")
 
 
-def test_gcm_batch_matches_reference_and_coalesces(mccp):
-    channel = mccp.open_channel(Algorithm.GCM, 1)
+@pytest.mark.parametrize(
+    "algorithm,key_bytes,tag_length,nonce_bytes",
+    [(Algorithm.GCM, 16, 16, 12), (Algorithm.CCM, 24, 8, 13), (Algorithm.CCM, 32, 8, 13)],
+    ids=["gcm-128", "ccm-192", "ccm-256"],
+)
+def test_batch_matches_reference_and_coalesces(algorithm, key_bytes, tag_length, nonce_bytes):
+    key = bytes(range(key_bytes))
+    device = Mccp(Simulator())
+    device.load_session_key(1, key)
+    channel = device.open_channel(algorithm, 1, tag_length=tag_length)
     channel.coalesce_limit = 4
     rng = random.Random(0xA0)
     payloads = [rng.randbytes(rng.choice((0, 60, 300, 2048))) for _ in range(11)]
     for index, payload in enumerate(payloads):
-        depth = mccp.enqueue_packet(
-            channel.channel_id, payload, b"hdr", nonce=_nonce(index, 12)
+        depth = device.enqueue_packet(
+            channel.channel_id, payload, b"hdr", nonce=_nonce(index, nonce_bytes)
         )
         assert depth == index + 1
     assert channel.pending_count == 11
-    results = mccp.flush_channel(channel.channel_id)
+    results = device.flush_channel(channel.channel_id)
     assert channel.pending_count == 0
     assert channel.stats["batches"] == 3  # 4 + 4 + 3 under the knob
+    encrypt = gcm_encrypt if algorithm is Algorithm.GCM else ccm_encrypt
     for index, (payload, result) in enumerate(zip(payloads, results)):
-        expected = gcm_encrypt(KEY, _nonce(index, 12), payload, b"hdr", 16, False)
+        nonce = _nonce(index, nonce_bytes)
+        expected = encrypt(key, nonce, payload, b"hdr", tag_length, False)
         assert result.ok and (result.payload, result.tag) == expected
     assert channel.packets_processed == 11
     assert channel.bytes_processed == sum(len(p) for p in payloads)

@@ -165,6 +165,20 @@ def test_full_device_roundtrip_via_gold(rb):
     assert chan.packets_processed == 1
 
 
+def test_secure_packet_sync_cycle_limit_counts_from_the_call(rb):
+    """The blocking helper's budget starts at the call, so a device that
+    has already run past ``limit`` cycles still secures a packet."""
+    sim, mccp = make_device()
+    sim.run(until=200_000_001)
+    chan = mccp.open_channel(Algorithm.GCM, 0)
+    comm = CommController(sim, mccp)
+    payload, header = rb(64), rb(4)
+    secured = comm.secure_packet_sync(chan, Packet(0, header, payload))
+    nonce = (1).to_bytes(12, "big")
+    key = bytes(range(16))
+    assert gcm_decrypt(key, nonce, secured.ciphertext, secured.tag, header) == payload
+
+
 def test_decrypt_auth_fail_path_reports_and_purges(rb):
     sim, mccp = make_device()
     chan = mccp.open_channel(Algorithm.GCM, 0)

@@ -63,6 +63,23 @@ def _run(configs, dataplane, seed=11, **kwargs):
     return platform, report
 
 
+def _assert_matches_sequential(platform):
+    """Every secured packet equals the sequential one-call fast path
+    (itself pinned byte-identical to the reference and core paths);
+    returns how many were checked."""
+    channels = platform.mccp.scheduler.channels
+    checked = 0
+    for transfer in platform.comm.completed.values():
+        job = transfer.job
+        channel = channels[transfer.channel_id]
+        key = platform.mccp.key_memory.fetch_for_scheduler(channel.key_id)
+        seal = gcm_seal if channel.algorithm is Algorithm.GCM else ccm_seal
+        expected = seal(key, job.nonce, job.data, job.aad, channel.tag_length)
+        assert transfer.ok and (transfer.payload, transfer.tag) == expected
+        checked += 1
+    return checked
+
+
 def _comm_setup(algorithm=Algorithm.GCM, tag_length=16, policy=None):
     from repro.radio.comm_controller import CommController
 
@@ -111,19 +128,7 @@ def test_batched_at_acceptance_scale_stays_off_the_core_path():
     assert platform.mccp.scheduler.requests_submitted == 0
     assert report.batches >= 512 // 32
     assert sum(report.flush_causes.values()) == report.batches
-    # Every secured packet equals the sequential one-call fast path
-    # (itself pinned byte-identical to the reference and core paths).
-    channels = platform.mccp.scheduler.channels
-    checked = 0
-    for transfer in platform.comm.completed.values():
-        job = transfer.job
-        channel = channels[transfer.channel_id]
-        key = platform.mccp.key_memory.fetch_for_scheduler(channel.key_id)
-        seal = gcm_seal if channel.algorithm is Algorithm.GCM else ccm_seal
-        expected = seal(key, job.nonce, job.data, job.aad, channel.tag_length)
-        assert transfer.ok and (transfer.payload, transfer.tag) == expected
-        checked += 1
-    assert checked == 512
+    assert _assert_matches_sequential(platform) == 512
 
 
 def test_ctr_channels_fall_back_to_the_cores_engine():
@@ -342,13 +347,19 @@ def test_flush_policy_validation():
     assert policy.coalesce_limit == 1  # clamped
 
 
-def test_workload_report_dataplane_stats():
+@pytest.mark.parametrize("coalesce,deadline", [(4, 2048), (1, 0), (32, 32768)])
+def test_workload_report_dataplane_stats(coalesce, deadline):
+    """From width-1 dispatches with no idle wait to wide batches with a
+    long one: the stats add up and every packet equals the one-call
+    fast path."""
     configs = _mixed_configs(channels=4, packets=8)
-    _, report = _run(
+    platform, report = _run(
         configs,
         "batched",
-        flush_policy=FlushPolicy(coalesce_limit=4, flush_deadline=2048),
+        flush_policy=FlushPolicy(coalesce_limit=coalesce, flush_deadline=deadline),
     )
+    assert _assert_matches_sequential(platform) == report.packets_done == 32
+    assert report.core_submits == 0
     assert set(report.per_channel_queue_peak) == {0, 1, 2, 3}
     assert report.queue_peak() >= 1
     assert report.batches == sum(report.per_channel_batches.values())

@@ -93,14 +93,18 @@ def _stamps(platform):
 # -- byte identity vs the synchronous dataplane -------------------------------
 
 
-@pytest.mark.parametrize("backend", [None, "process:2"])
-@pytest.mark.parametrize("depth", [1, 2, 4])
-def test_pipelined_identical_to_batched(backend, depth):
+@pytest.mark.parametrize(
+    "depth,backend,channels",
+    [(depth, backend, 3) for backend in (None, "process:2") for depth in (1, 2, 4)]
+    + [(2, None, 2), (2, None, 4)],
+)
+def test_pipelined_identical_to_batched(depth, backend, channels):
+    configs = _configs(channels=channels)
     base_platform, base_report, baseline, base_order = _run(
-        _spec("batched", backend=backend)
+        _spec("batched", backend=backend, configs=configs)
     )
     platform, report, piped, order = _run(
-        _spec("pipelined", backend=backend, depth=depth)
+        _spec("pipelined", backend=backend, depth=depth, configs=configs)
     )
     assert piped == baseline
     assert order == base_order

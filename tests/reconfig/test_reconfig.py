@@ -31,7 +31,9 @@ def test_table4_reconfig_times_within_5pct(module, times):
 def test_module_library_matches_table4_areas():
     assert MODULE_LIBRARY["aes"].slices == 351
     assert MODULE_LIBRARY["aes"].brams == 4
+    assert MODULE_LIBRARY["aes"].size_bytes == 89_000
     assert MODULE_LIBRARY["whirlpool"].slices == 1153
+    assert MODULE_LIBRARY["whirlpool"].brams == 4
     assert MODULE_LIBRARY["whirlpool"].size_bytes == 97_000
 
 
@@ -61,6 +63,7 @@ def test_manager_swaps_personality_and_charges_time():
     sim, cores, manager = make_manager()
     record = manager.reconfigure_sync(0, "whirlpool")
     assert cores[0].active_unit is cores[0].whirlpool_unit
+    assert not record.cached
     assert record.seconds * 1000 == pytest.approx(416, rel=0.05)
     back = manager.reconfigure_sync(0, "aes")
     assert cores[0].active_unit is cores[0].unit
@@ -103,3 +106,20 @@ def test_other_cores_keep_working_during_reconfig(rb):
     assert (ct, tag) == gcm_encrypt(key, iv, data, b"")
     sim.run_until_event(done)
     assert cores[0].active_unit is cores[0].whirlpool_unit
+
+
+def test_reconfig_under_load_full_grid():
+    """The storm scenario's full grid: six personality swaps from
+    CompactFlash push the clock past 200 M cycles while core 1 keeps
+    sealing packets, each checked against the gold model inside the
+    scenario."""
+    from repro.experiments import run_sweep
+
+    artifact = run_sweep(["reconfig_under_load"])
+    cases = {
+        case["params"]["swaps"]: case["metrics"]
+        for case in artifact["scenarios"]["reconfig_under_load"]["cases"]
+    }
+    assert cases[6]["total_cycles"] > 200_000_000
+    assert cases[6]["packets_during_reconfig"] == 24
+    assert cases[6]["cached_swaps"] == 4
