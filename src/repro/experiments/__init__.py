@@ -1,4 +1,4 @@
-"""Parallel scenario-sweep subsystem (ISSUE 2's tentpole).
+"""Parallel scenario-sweep subsystem.
 
 Turns the repo's one-off benchmarks into declarative, reproducible
 experiment campaigns:
@@ -11,25 +11,18 @@ experiment campaigns:
   adaptive flush controller);
 - :mod:`repro.experiments.runner` — the multiprocessing sweep runner
   with per-case derived seeds (serial == parallel, guaranteed);
-- :mod:`repro.experiments.artifacts` — JSON/CSV artifacts and the
-  sweep-vs-sweep ``compare`` gate.
+- :mod:`repro.experiments.artifacts` — JSON/CSV artifacts.
 
-Host speed is measured by ``perfbench/`` alone; a sweep's timing
-metrics are context for its deterministic ones, never a speed claim.
+Scenarios that check outputs or invariants raise inside the sweep;
+host speed is measured by ``perfbench/`` alone.
 
 CLI::
 
     python -m repro.experiments list
     python -m repro.experiments run all --quick --parallel 4
-    python -m repro.experiments compare RUN.json BASELINE.json
 """
 
-from repro.experiments.artifacts import (
-    ComparisonReport,
-    compare,
-    load_artifact,
-    write_artifact,
-)
+from repro.experiments.artifacts import write_artifact
 from repro.experiments.runner import run_sweep
 from repro.experiments.scenario import (
     REGISTRY,
@@ -44,11 +37,8 @@ from repro.experiments.scenario import (
 __all__ = [
     "REGISTRY",
     "Scenario",
-    "ComparisonReport",
     "case_seed",
-    "compare",
     "get",
-    "load_artifact",
     "names",
     "register",
     "resolve",

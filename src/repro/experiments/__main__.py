@@ -5,14 +5,11 @@ Commands::
     python -m repro.experiments list
     python -m repro.experiments run <name|all>[,name...] \
         [--parallel N] [--quick] [--seed S] [--out DIR]
-    python -m repro.experiments compare RUN.json BASELINE.json \
-        [--tolerance F] [--perf-tolerance F] [--strict-perf]
 
 ``run`` writes ``SWEEP_<date>.json`` + ``.csv`` under ``--out``
 (default ``benchmarks/experiments/``) and prints one table per
-scenario.  ``compare`` diffs a sweep artifact against a baseline sweep
-artifact and exits non-zero only on deterministic-metric or correctness
-regressions (timing drift warns unless ``--strict-perf``).
+scenario.  A scenario that checks outputs or invariants raises on a
+violation, and ``run`` then exits 2.
 """
 
 from __future__ import annotations
@@ -23,13 +20,7 @@ from pathlib import Path
 
 from repro.analysis.tables import render_table
 from repro.errors import ExperimentError
-from repro.experiments.artifacts import (
-    DEFAULT_PERF_TOLERANCE,
-    DEFAULT_TOLERANCE,
-    compare,
-    load_artifact,
-    write_artifact,
-)
+from repro.experiments.artifacts import write_artifact
 from repro.experiments.runner import run_sweep
 from repro.experiments.scenario import get, names
 
@@ -93,20 +84,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    report = compare(
-        load_artifact(args.run),
-        load_artifact(args.baseline),
-        tolerance=args.tolerance,
-        perf_tolerance=args.perf_tolerance,
-        strict_perf=args.strict_perf,
-        run_path=str(args.run),
-        baseline_path=str(args.baseline),
-    )
-    print(report.render())
-    return report.exit_code()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments", description=__doc__
@@ -143,29 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--stem", default=None, help="artifact file stem (default SWEEP_<date>)"
     )
-
-    cmp_parser = sub.add_parser("compare", help="diff a run against a baseline")
-    cmp_parser.add_argument("run", type=Path, help="sweep artifact JSON")
-    cmp_parser.add_argument(
-        "baseline", type=Path, help="baseline sweep artifact JSON"
-    )
-    cmp_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="relative drift allowed on deterministic metrics",
-    )
-    cmp_parser.add_argument(
-        "--perf-tolerance",
-        type=float,
-        default=DEFAULT_PERF_TOLERANCE,
-        help="relative drift on timing metrics before warning",
-    )
-    cmp_parser.add_argument(
-        "--strict-perf",
-        action="store_true",
-        help="promote timing-drift warnings to failures",
-    )
     return parser
 
 
@@ -174,9 +128,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "list":
             return _cmd_list(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_compare(args)
+        return _cmd_run(args)
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -129,7 +129,6 @@ def run_sweep(
         scenario_block[scenario.name] = {
             "title": scenario.title,
             "tags": list(scenario.tags),
-            "timing_metrics": list(scenario.timing_metrics),
             "cases": cases,
         }
 

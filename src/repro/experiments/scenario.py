@@ -20,10 +20,10 @@ Determinism contract
 A scenario function must be a pure function of ``(params, seed,
 quick)``: same inputs, same metrics — regardless of which process runs
 it.  This is what lets the runner fan cases out across worker processes
-and still guarantee serial/parallel result equality.  Metrics that are
-inherently wall-clock (ops/s measurements) are exempt, but must be
-declared via ``timing_metrics`` so the baseline comparison knows to
-warn rather than fail on drift.
+and still guarantee serial/parallel result equality.  The one
+exception is a count that depends on the host's process scheduling
+(``chaos_sweep``'s recovery counters); a scenario that reports one
+says so in its docstring.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ class Scenario:
     #: Substitute grid for ``--quick`` runs (None = use ``grid``).
     quick_grid: Optional[Mapping[str, Sequence[object]]] = None
     tags: Tuple[str, ...] = ()
-    #: Metric-name suffixes that are wall-clock measurements: baseline
-    #: comparison warns instead of failing when these drift.
-    timing_metrics: Tuple[str, ...] = ()
 
     def active_grid(self, quick: bool) -> Mapping[str, Sequence[object]]:
         """The grid in effect for this run mode."""
@@ -83,10 +80,6 @@ class Scenario:
             count *= len(values)
         return count
 
-    def is_timing_metric(self, metric: str) -> bool:
-        """Whether *metric* is declared wall-clock (warn-only on drift)."""
-        return any(metric == t or metric.endswith(t) for t in self.timing_metrics)
-
 
 #: The global scenario registry: name -> Scenario.
 REGISTRY: Dict[str, Scenario] = {}
@@ -99,7 +92,6 @@ def register(
     grid: Optional[Mapping[str, Sequence[object]]] = None,
     quick_grid: Optional[Mapping[str, Sequence[object]]] = None,
     tags: Sequence[str] = (),
-    timing_metrics: Sequence[str] = (),
 ) -> Callable[[ScenarioFn], ScenarioFn]:
     """Class-method-style decorator registering a scenario function."""
 
@@ -115,7 +107,6 @@ def register(
             grid=dict(grid or {}),
             quick_grid=None if quick_grid is None else dict(quick_grid),
             tags=tuple(tags),
-            timing_metrics=tuple(timing_metrics),
         )
         return fn
 

@@ -5,7 +5,7 @@ Runs the same multi-channel workload once per *static* flush policy
 once under ``FlushPolicy(mode="auto")`` (:mod:`repro.mccp.autotune`),
 per traffic profile x execution backend, and pins the controller's
 three contracts hard — a violation raises inside the scenario, so the
-sweep itself fails, not just a baseline comparison:
+sweep itself fails:
 
 - **byte identity**: the auto run's secured packets are digest-equal
   to every static run's (the controller moves batching geometry,
@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from repro.errors import ExperimentError
 from repro.experiments.scenario import register
 from repro.experiments.scenarios._util import deterministic_bytes
 from repro.mccp.channel import FlushPolicy
@@ -40,6 +41,8 @@ _STATIC_POLICIES = (
     ("narrow", FlushPolicy(coalesce_limit=4, flush_deadline=512)),
     ("wide", FlushPolicy(coalesce_limit=128, flush_deadline=32768)),
 )
+#: The adaptive policy under test.
+_AUTO = FlushPolicy(mode="auto")
 
 
 def _profile_configs(profile: str, seed: int, quick: bool):
@@ -93,7 +96,7 @@ def _profile_configs(profile: str, seed: int, quick: bool):
     raise ValueError(f"unknown profile {profile!r}")
 
 
-def _run(configs, seed, backend, policy=None, autotune=False):
+def _run(configs, seed, backend, policy):
     """One workload replay; returns (report, payload digest)."""
     platform = SdrPlatform(core_count=4, seed=seed)
     report = platform.run_workload(
@@ -102,7 +105,6 @@ def _run(configs, seed, backend, policy=None, autotune=False):
             dataplane="batched",
             flush_policy=policy,
             backend=None if backend == "inline" else backend,
-            autotune=autotune,
         )
     )
     digest = hashlib.sha256()
@@ -142,16 +144,15 @@ def autotune_sweep(params, seed, quick):
 
     static = {}
     for name, policy in _STATIC_POLICIES:
-        static[name] = _run(configs, seed, backend, policy=policy)
-    auto, auto_digest = _run(configs, seed, backend, autotune=True)
-    repeat, repeat_digest = _run(configs, seed, backend, autotune=True)
-    inline_auto, _ = _run(configs, seed, "inline", autotune=True)
+        static[name] = _run(configs, seed, backend, policy)
+    auto, auto_digest = _run(configs, seed, backend, _AUTO)
+    repeat, repeat_digest = _run(configs, seed, backend, _AUTO)
+    inline_auto, _ = _run(configs, seed, "inline", _AUTO)
 
     digests = {auto_digest, repeat_digest}
     digests.update(digest for _, digest in static.values())
-    digest_match = len(digests) == 1
-    if not digest_match:
-        raise RuntimeError(
+    if len(digests) != 1:
+        raise ExperimentError(
             f"autotune_sweep[{profile}/{backend}]: auto changed payload "
             "bytes relative to a static policy"
         )
@@ -161,27 +162,21 @@ def autotune_sweep(params, seed, quick):
         ((name, report.total_cycles) for name, (report, _) in static.items()),
         key=lambda item: item[1],
     )
-    auto_ge_default = auto.total_cycles <= default_cycles
-    auto_ge_best = auto.total_cycles <= best_cycles * 1.02
-    if not auto_ge_default:
-        raise RuntimeError(
+    if auto.total_cycles > default_cycles:
+        raise ExperimentError(
             f"autotune_sweep[{profile}/{backend}]: auto took "
             f"{auto.total_cycles} cycles, worse than the default static "
             f"policy's {default_cycles}"
         )
-    if not auto_ge_best:
-        raise RuntimeError(
+    if auto.total_cycles > best_cycles * 1.02:
+        raise ExperimentError(
             f"autotune_sweep[{profile}/{backend}]: auto took "
             f"{auto.total_cycles} cycles, more than 2% over the best "
             f"static candidate {best_name} ({best_cycles})"
         )
 
-    trace_reproducible = auto.autotune_traces == repeat.autotune_traces
-    trace_backend_identical = (
-        auto.autotune_traces == inline_auto.autotune_traces
-    )
-    if not (trace_reproducible and trace_backend_identical):
-        raise RuntimeError(
+    if not (auto.autotune_traces == repeat.autotune_traces == inline_auto.autotune_traces):
+        raise ExperimentError(
             f"autotune_sweep[{profile}/{backend}]: decision traces "
             "diverged across repeats or backends for the same seed"
         )
@@ -189,16 +184,11 @@ def autotune_sweep(params, seed, quick):
     return {
         "packets_done": auto.packets_done,
         "payload_bytes": auto.payload_bytes,
-        "digest_match": digest_match,
         "output_digest": auto_digest[:32],
         "cycles_auto": auto.total_cycles,
         "cycles_default": default_cycles,
         "cycles_best_static": best_cycles,
         "best_static": best_name,
-        "auto_ge_default": auto_ge_default,
-        "auto_ge_best": auto_ge_best,
-        "trace_reproducible": trace_reproducible,
-        "trace_backend_identical": trace_backend_identical,
         "autotune_adjustments": auto.autotune_adjustments,
         "latency_mean_us_auto": round(auto.mean_latency_us(), 2),
         "latency_mean_us_default": round(

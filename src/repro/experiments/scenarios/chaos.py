@@ -15,10 +15,11 @@ unless the resilience invariant holds:
 The ``crash_storm`` site scripts a worker crash on *every* attempt, so
 the case can only complete by the process backend going inline; the
 scenario additionally asserts that degradation was recorded.  The
-recovery counters (retries, degradations, watchdog
-fires) depend on pool scheduling and on whether the harness itself
-runs the case in a daemonic sweep worker, so they are declared timing
-metrics; the invariant bools are the deterministic gate CI compares.
+case reports its recovery counters; retries, degradations, watchdog
+fires, faults injected and the run's cycle count depend on pool
+scheduling and on whether the harness itself runs the case in a
+daemonic sweep worker, while quarantines and dead letters follow the
+fault plan alone.
 """
 
 from __future__ import annotations
@@ -159,13 +160,6 @@ def _check_invariant(site, baseline, faulted, base_order, fault_order):
         "backend": ["process"],
     },
     tags=("resilience", "chaos", "radio"),
-    timing_metrics=(
-        "retries",
-        "degradations",
-        "watchdog_fires",
-        "faults_injected",
-        "total_cycles",
-    ),
 )
 def chaos_sweep(params, seed, quick):
     """One chaos cell: run, compare against fault-free, count recovery."""
@@ -207,9 +201,6 @@ def chaos_sweep(params, seed, quick):
             "degradation — the storm should be unsurvivable in place"
         )
     return {
-        "survivors_identical": True,
-        "order_preserved": True,
-        "completed": len(faulted) == len(baseline),
         "quarantined": report.quarantined,
         "dead_lettered": report.dead_lettered,
         "retries": report.retries,

@@ -232,10 +232,6 @@ def run_overload_cell(
         "deferrals": report.deferrals,
         "backpressure_signals": report.backpressure_signals,
         "queue_peak": report.queue_peak(),
-        "shed_identical": True,
-        "bytes_identical": True,
-        "order_preserved": True,
-        "sla_holds": True,
         "control_p99_us": round(report.class_percentile_us(0, 0.99), 3),
         "bulk_drop_fraction": round(report.drop_fraction(2), 6),
         "total_cycles": report.total_cycles,
@@ -264,7 +260,6 @@ def run_overload_cell(
         "backend": ["inline", "process"],
     },
     tags=("overload", "admission", "sla", "radio"),
-    timing_metrics=("total_cycles", "baseline_cycles", "overload_factor"),
 )
 def overload_sweep(params, seed, quick):
     """One overload cell (see :func:`run_overload_cell`)."""

@@ -3,7 +3,7 @@
 Each scenario checks every output it produces against the gold model
 and raises :class:`repro.errors.ExperimentError` on the first one that
 differs.  The metrics it returns are simulated-cycle or gold-model
-deterministic, so a run also compares exactly against its baseline.
+deterministic, so a seeded run reproduces them exactly.
 """
 
 from __future__ import annotations

@@ -4,11 +4,14 @@
 session key ID into the Key Scheduler which gets the right session key
 from the Key Memory" and expands it into the target core's key cache.
 
-Expansion is charged realistic cycles: the FIPS-197 schedule produces
-``4 * (rounds + 1)`` 32-bit words through a 32-bit datapath
-(:attr:`TimingModel.key_schedule_word_cycles` cycles each).  Round keys
-land in the core's cache *before* the core starts, off the per-packet
-critical path — exactly why the paper pre-computes them.
+The FIPS-197 schedule produces ``4 * (rounds + 1)`` 32-bit words
+through a 32-bit datapath (:attr:`TimingModel.key_schedule_word_cycles`
+cycles each; :meth:`KeyScheduler.schedule_cycles`).  Round keys land in
+the core's cache *before* the core starts, off the per-packet critical
+path — exactly why the paper pre-computes them — so the device model
+installs them in zero simulated time, and the session layer charges the
+expansion cycles at setup, handoff and rekey
+(:meth:`repro.radio.sessions.SessionManager._expansion_delay`).
 """
 
 from __future__ import annotations
@@ -22,15 +25,13 @@ from repro.crypto.aes import ROUNDS_BY_KEY_BYTES
 # cycles are unaffected — only the host-side computation is memoized.
 from repro.crypto.fast import expand_key_dispatch as expand_key
 from repro.mccp.key_memory import KeyMemory
-from repro.sim.kernel import Delay, Event, Simulator
 from repro.unit.timing import TimingModel
 
 
 class KeyScheduler:
     """Expands session keys into core key caches."""
 
-    def __init__(self, sim: Simulator, key_memory: KeyMemory, timing: TimingModel):
-        self.sim = sim
+    def __init__(self, key_memory: KeyMemory, timing: TimingModel):
         self.key_memory = key_memory
         self.timing = timing
         #: (key_id -> expanded schedule) memo so re-keying an already
@@ -44,30 +45,6 @@ class KeyScheduler:
         rounds = ROUNDS_BY_KEY_BYTES[key_bits // 8]
         words = 4 * (rounds + 1)
         return words * self.timing.key_schedule_word_cycles
-
-    def load(self, key_id: int, cache: KeyCache) -> Event:
-        """Expand key *key_id* into *cache*; returns a completion event."""
-        done = self.sim.event(f"keysched.{key_id}")
-
-        if key_id in self._memo:
-            round_keys, key_bits = self._memo[key_id]
-            # Cached schedule: only the cache-write transfer is charged.
-            delay = 4 * (len(round_keys)) * self.timing.key_schedule_word_cycles // 4
-        else:
-            key = self.key_memory.fetch_for_scheduler(key_id)
-            round_keys = expand_key(key)
-            key_bits = 8 * len(key)
-            self._memo[key_id] = (round_keys, key_bits)
-            self.expansions += 1
-            delay = self.schedule_cycles(key_bits)
-
-        def finish():
-            yield Delay(delay)
-            cache.install(round_keys, key_bits, key_id)
-            done.trigger(key_bits)
-
-        self.sim.add_process(finish(), name=f"keysched.load.{key_id}")
-        return done
 
     def invalidate(self, key_id: int) -> bool:
         """Drop the memoized schedule for *key_id* (rekey hook).
@@ -90,7 +67,13 @@ class KeyScheduler:
         return self._memo.pop(key_id, None) is not None
 
     def load_sync(self, key_id: int, cache: KeyCache) -> int:
-        """Immediate (zero-time) variant for tests and warm starts."""
+        """Install key *key_id*'s round keys into *cache*; returns its bits.
+
+        The device model's key install, in zero simulated time: the
+        expansion cycles are charged by the session layer, not on the
+        core path (module docstring).  Memoized per key until
+        :meth:`invalidate`.
+        """
         if key_id in self._memo:
             round_keys, key_bits = self._memo[key_id]
         else:

@@ -261,7 +261,7 @@ class Mccp:
             core.unit.ic_out = right.unit.ic_in
 
         self.key_memory = key_memory if key_memory is not None else KeyMemory()
-        self.key_scheduler = KeyScheduler(sim, self.key_memory, timing)
+        self.key_scheduler = KeyScheduler(self.key_memory, timing)
         self.crossbar = Crossbar(sim, timing)
         scheduler_kwargs = {}
         if max_channels is not None:

@@ -238,16 +238,13 @@ class CommController:
 
     @contextmanager
     def run_state(
-        self,
-        backend=None,
-        pipeline_depth: int = 0,
-        autotune_config: Optional[AutotuneConfig] = None,
+        self, backend=None, pipeline_depth: int = 0
     ) -> Iterator[_resilience_stats.RunCounters]:
         """Install one run's dispatch state and open its counter scope.
 
-        *backend* and *autotune_config* replace the controller's own
-        only when given; *pipeline_depth* always applies.  The per-run
-        counters — latencies, auth failures, backpressure retries, the
+        *backend* replaces the controller's own only when given;
+        *pipeline_depth* always applies.  The per-run counters —
+        latencies, auth failures, backpressure retries, the
         in-flight peak and the task scheduler's core submits — restart
         at zero and :attr:`run_start` records the current cycle, so
         everything the run reports is its own; dispatches an earlier
@@ -258,11 +255,9 @@ class CommController:
         controller as it found it.
         """
         self.resolve()
-        saved = (self.backend, self.pipeline_depth, self.autotune_config)
+        saved = (self.backend, self.pipeline_depth)
         if backend is not None:
             self.backend = backend
-        if autotune_config is not None:
-            self.autotune_config = autotune_config
         self.pipeline_depth = pipeline_depth
         self.pipeline_in_flight_peak = 0
         self.latencies = []
@@ -275,7 +270,7 @@ class CommController:
             with _resilience_stats.counting() as counters:
                 yield counters
         finally:
-            self.backend, self.pipeline_depth, self.autotune_config = saved
+            self.backend, self.pipeline_depth = saved
 
     # -- adaptive flush controller -------------------------------------------------
 

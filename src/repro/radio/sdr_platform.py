@@ -63,13 +63,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.throughput import WorkloadReport
 from repro.core.params import Algorithm, Direction
 from repro.crypto.fast.exec import BackendSpec
 from repro.errors import BackpressureError, NoResourceError
-from repro.mccp.autotune import AutotuneConfig
 from repro.mccp.channel import Channel, FlushPolicy
 from repro.mccp.key_memory import KeyMemory
 from repro.mccp.mccp import BATCHABLE_ALGORITHMS, Mccp
@@ -169,24 +168,8 @@ class WorkloadSpec:
     #: Admission-control policy for the run (None = admit everything;
     #: bounded queues then surface as BackpressureError retries).
     admission: Optional[AdmissionPolicy] = None
-    #: Adaptive dataplane tuning (:mod:`repro.mccp.autotune`).  ``True``
-    #: or an :class:`AutotuneConfig` installs the config on the
-    #: communication controller and defaults the run-level flush policy
-    #: to ``FlushPolicy(mode="auto")`` when none is given.
-    autotune: Union[bool, AutotuneConfig, None] = None
 
     def __post_init__(self) -> None:
-        if self.autotune is True:
-            self.autotune = AutotuneConfig()
-        elif self.autotune is False:
-            self.autotune = None
-        elif self.autotune is not None and not isinstance(
-            self.autotune, AutotuneConfig
-        ):
-            raise TypeError(
-                "autotune must be True, False, None or an AutotuneConfig, "
-                f"got {self.autotune!r}"
-            )
         if self.dataplane not in DATAPLANES:
             raise ValueError(
                 f"unknown dataplane {self.dataplane!r}; valid: "
@@ -382,14 +365,8 @@ class SdrPlatform:
             if spec.admission is not None
             else None
         )
-        autotune = spec.autotune  # AutotuneConfig or None (normalized)
-        if autotune is not None and flush_policy is None:
-            # Adaptive runs default every channel onto the controller;
-            # per-config policies still win.
-            flush_policy = FlushPolicy(mode="auto")
         with self.comm.run_state(
-            backend, _comm_pipeline_depth(dataplane, spec.pipeline_depth),
-            autotune,
+            backend, _comm_pipeline_depth(dataplane, spec.pipeline_depth)
         ) as counters:
             self._launch_channels(
                 configs, dataplane, flush_policy, report, done_events,

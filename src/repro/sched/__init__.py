@@ -13,12 +13,10 @@ from repro.sched.policy import MappingPolicy
 from repro.sched.first_idle import FirstIdlePolicy
 from repro.sched.round_robin import RoundRobinPolicy
 from repro.sched.priority import PriorityReservePolicy
-from repro.sched.latency_aware import LatencyAwarePolicy
 
 __all__ = [
     "MappingPolicy",
     "FirstIdlePolicy",
     "RoundRobinPolicy",
     "PriorityReservePolicy",
-    "LatencyAwarePolicy",
 ]

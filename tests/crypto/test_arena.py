@@ -380,12 +380,11 @@ class TestEpochProtocol:
         workers drop exactly that key's schedule."""
         from repro.mccp.key_memory import KeyMemory
         from repro.mccp.key_scheduler import KeyScheduler
-        from repro.sim.kernel import Simulator
         from repro.unit.timing import DEFAULT_TIMING
 
         key_memory = KeyMemory()
         key_memory.load_key(3, bytes(16))
-        scheduler = KeyScheduler(Simulator(), key_memory, DEFAULT_TIMING)
+        scheduler = KeyScheduler(key_memory, DEFAULT_TIMING)
         before = key_epoch(3)
         assert scheduler.invalidate(3) is False  # nothing memoized yet
         assert key_epoch(3) == before + 1  # epoch still advanced

@@ -91,12 +91,13 @@ def test_core_scaling_is_near_linear(cells):
 
 def test_priority_reserve_keeps_voice_latency(cells):
     """Every policy completes the mixed load, and reserving a core for
-    the voice channel does not worsen its p99 against first-idle."""
+    the voice channel lowers its p99 below first-idle's, where the
+    voice packets wait for a core the bulk channels hold."""
     policies = by_param(cells, "scheduling_policies")
     for policy, metrics in policies.items():
-        assert metrics["packets_done"] == 21, policy
+        assert metrics["packets_done"] == 26, policy
     reserved = policies["priority_reserve"]["voice_p99_us"]
-    assert reserved <= 1.10 * policies["first_idle"]["voice_p99_us"]
+    assert reserved < policies["first_idle"]["voice_p99_us"]
 
 
 def test_ccm_4x1_trades_latency_for_throughput(cells):

@@ -128,21 +128,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="deadline bounds"):
             AutotuneConfig(deadline_floor=100, deadline_ceiling=10)
 
-    def test_workload_spec_normalizes_autotune(self):
-        config = ChannelConfig(
-            RadioStandard.WIFI, bytes(16), TrafficPattern.CBR, packets=1
-        )
-        assert WorkloadSpec(configs=(config,)).autotune is None
-        assert WorkloadSpec(configs=(config,), autotune=False).autotune is None
-        spec = WorkloadSpec(configs=(config,), autotune=True)
-        assert spec.autotune == AutotuneConfig()
-        custom = AutotuneConfig(window_cycles=1024)
-        assert WorkloadSpec(
-            configs=(config,), autotune=custom
-        ).autotune is custom
-        with pytest.raises(TypeError, match="autotune must be"):
-            WorkloadSpec(configs=(config,), autotune="yes")
-
 
 @dataclass
 class _Job:
@@ -239,7 +224,11 @@ def _saturating_configs(packets=96, channels=2):
     )
 
 
-def _run(configs, seed=11, backend=None, autotune=None, policy=None):
+#: The adaptive policy under test.
+AUTO = FlushPolicy(mode="auto")
+
+
+def _run(configs, policy, seed=11, backend=None):
     platform = SdrPlatform(core_count=4, seed=seed)
     report = platform.run_workload(
         WorkloadSpec(
@@ -247,7 +236,6 @@ def _run(configs, seed=11, backend=None, autotune=None, policy=None):
             dataplane="batched",
             flush_policy=policy,
             backend=backend,
-            autotune=autotune,
         )
     )
     digest = hashlib.sha256()
@@ -266,7 +254,7 @@ def _run(configs, seed=11, backend=None, autotune=None, policy=None):
 
 class TestWorkloadIntegration:
     def test_steady_profile_traces_settle_and_reproduce(self):
-        report, _ = _run(_steady_configs(), autotune=True)
+        report, _ = _run(_steady_configs(), AUTO)
         assert report.autotune_traces
         for trace in report.autotune_traces.values():
             assert len(trace) >= 5
@@ -283,14 +271,14 @@ class TestWorkloadIntegration:
                 for entry in tail
             )
             assert changed, "steady CBR should retarget the deadline once"
-        repeat, _ = _run(_steady_configs(), autotune=True)
+        repeat, _ = _run(_steady_configs(), AUTO)
         assert repeat.autotune_traces == report.autotune_traces
 
     @pytest.mark.parametrize("backend", ["process"])
     def test_traces_identical_across_backends(self, backend):
-        inline_report, inline_digest = _run(_steady_configs(), autotune=True)
+        inline_report, inline_digest = _run(_steady_configs(), AUTO)
         pooled_report, pooled_digest = _run(
-            _steady_configs(), backend=backend, autotune=True
+            _steady_configs(), AUTO, backend=backend
         )
         assert pooled_report.autotune_traces == inline_report.autotune_traces
         assert pooled_report.autotune_adjustments == (
@@ -300,16 +288,14 @@ class TestWorkloadIntegration:
         assert pooled_report.total_cycles == inline_report.total_cycles
 
     def test_auto_matches_static_bytes_and_never_trails_default(self):
-        static_report, static_digest = _run(
-            _saturating_configs(), policy=FlushPolicy()
-        )
-        auto_report, auto_digest = _run(_saturating_configs(), autotune=True)
+        static_report, static_digest = _run(_saturating_configs(), FlushPolicy())
+        auto_report, auto_digest = _run(_saturating_configs(), AUTO)
         assert auto_digest == static_digest
         assert auto_report.payload_bytes == static_report.payload_bytes
         assert auto_report.total_cycles <= static_report.total_cycles
 
     def test_saturating_profile_widens(self):
-        report, _ = _run(_saturating_configs(), autotune=True)
+        report, _ = _run(_saturating_configs(), AUTO)
         assert report.autotune_adjustments >= 1
         causes = [
             entry["cause"]

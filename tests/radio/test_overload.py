@@ -119,7 +119,6 @@ class TestSustainedOverload:
         assert metrics["shed"] > 0
         assert metrics["shed_control"] == 0
         assert metrics["shed_bulk"] >= metrics["shed_interactive"]
-        assert metrics["sla_holds"] and metrics["bytes_identical"]
 
 
 class TestShedDeterminism:

@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.mccp.autotune import AutotuneConfig
+from repro.mccp.channel import FlushPolicy
 from repro.radio.admission import AdmissionPolicy
 from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
 from repro.radio.sessions import SessionWorkload, run_sessions
@@ -51,18 +52,20 @@ def _faulted_batched():
         _config(2, RadioStandard.WIMAX, 20, priority=1),
     ]
     plan = FaultPlan(seed=6, rates={"key_error": 0.3, "batch_error": 0.1})
+    platform = SdrPlatform(seed=5)
+    platform.comm.autotune_config = AutotuneConfig(window_cycles=1024)
     with injected_faults(plan):
-        return SdrPlatform(seed=5).run_workload(
+        return platform.run_workload(
             WorkloadSpec(
                 configs,
                 dataplane="batched",
+                flush_policy=FlushPolicy(mode="auto"),
                 backend="inline",
                 rx_fraction=0.3,
                 loss_rate=0.2,
                 corrupt_rate=0.3,
                 queue_capacity=8,
                 admission=AdmissionPolicy(defer_cycles=100, max_defers=12),
-                autotune=AutotuneConfig(window_cycles=1024),
             )
         )
 

@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis.throughput import ClassSla, SlaSpec
 from repro.crypto.fast.exec import ProcessPoolBackend
-from repro.mccp.autotune import AutotuneConfig
 from repro.mccp.channel import FlushPolicy
 from repro.radio.admission import AdmissionPolicy
 from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
@@ -317,7 +316,6 @@ class TestCommState:
 
     @pytest.mark.parametrize("caller", ["run_workload", "sessions"])
     def test_a_run_that_raises_restores_comm_state(self, caller, monkeypatch):
-        config = AutotuneConfig()
         if caller == "run_workload":
             platform = SdrPlatform(seed=SEED)
             spec = WorkloadSpec(
@@ -330,7 +328,6 @@ class TestCommState:
                 dataplane="pipelined",
                 backend="inline",
                 pipeline_depth=3,
-                autotune=config,
             )
 
             def run():
@@ -344,20 +341,15 @@ class TestCommState:
             platform = manager.platform
             run = manager.run
         comm = platform.comm
-        saved = (comm.backend, comm.pipeline_depth, comm.autotune_config)
+        saved = (comm.backend, comm.pipeline_depth)
         during = {}
 
         def boom(event, limit=None):
-            during["state"] = (
-                comm.backend, comm.pipeline_depth, comm.autotune_config
-            )
+            during["state"] = (comm.backend, comm.pipeline_depth)
             raise RuntimeError("run aborted")
 
         monkeypatch.setattr(platform.sim, "run_until_event", boom)
         with pytest.raises(RuntimeError, match="run aborted"):
             run()
-        expected_autotune = config if caller == "run_workload" else saved[2]
-        assert during["state"] == ("inline", 3, expected_autotune)
-        assert (
-            comm.backend, comm.pipeline_depth, comm.autotune_config
-        ) == saved
+        assert during["state"] == ("inline", 3)
+        assert (comm.backend, comm.pipeline_depth) == saved

@@ -1,13 +1,8 @@
-"""Mapping policies: first-idle (paper), round-robin, priority, latency."""
+"""Mapping policies: first-idle (paper), round-robin, priority."""
 
 from repro import Algorithm, Direction, Mccp, Simulator
 from repro.radio import format_gcm
-from repro.sched import (
-    FirstIdlePolicy,
-    LatencyAwarePolicy,
-    PriorityReservePolicy,
-    RoundRobinPolicy,
-)
+from repro.sched import FirstIdlePolicy, PriorityReservePolicy, RoundRobinPolicy
 
 
 def make(policy, cores=4):
@@ -64,25 +59,3 @@ def test_priority_reserve_blocks_bulk(rb):
     # Voice still gets the reserved cores.
     v = submit_one(mccp, chan, rb, priority=0)
     assert v.core_indices[0] in (2, 3)
-
-
-def test_latency_aware_prefers_neighbour_pairs(rb):
-    policy = LatencyAwarePolicy()
-    sim, mccp, chan = make(policy)
-    assert policy.prefer_two_core(mccp.scheduler, priority=0)
-    pair = policy.select_cores(mccp.scheduler, 2, priority=0)
-    assert pair is not None
-    i, j = pair
-    assert (i + 1) % len(mccp.cores) == j
-    # Under load the split preference disappears.
-    for _ in range(3):
-        submit_one(mccp, chan, rb)
-    assert not policy.prefer_two_core(mccp.scheduler, priority=0)
-
-
-def test_latency_aware_single_fallback(rb):
-    policy = LatencyAwarePolicy()
-    sim, mccp, chan = make(policy, cores=2)
-    submit_one(mccp, chan, rb)
-    assert policy.select_cores(mccp.scheduler, 2) is None
-    assert policy.select_cores(mccp.scheduler, 1) is not None
