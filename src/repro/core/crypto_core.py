@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core.firmware import firmware_for
 from repro.core.firmware.builder import (
@@ -128,6 +128,7 @@ class CryptoCore:
         # catches the (loosely timed) unit up before it sleeps.
         unit.done = self.controller.wake
         self.controller.wake.driver = weakref.proxy(unit)
+        self.controller.rebind_ports()
 
     def use_whirlpool_personality(self, enabled: bool = True) -> None:
         """Swap the CU region's personality (partial reconfiguration)."""
@@ -147,6 +148,14 @@ class CryptoCore:
                 raise CoreError(f"{self.name}: parameter read with no task")
             return self.params.port_value(port)
         return 0
+
+    def writer(self, port: int) -> Callable[[int], None]:
+        """The controller's ``OUTPUT`` handler for *port*: a CU issue goes
+        straight to the unit (:meth:`_wire_unit` rebinds it on a swap)."""
+        if port == P_CU:
+            return self.active_unit.start
+        core = weakref.proxy(self)  # held weakly, as the controller holds the core
+        return lambda value: core.write_port(port, value)
 
     def write_port(self, port: int, value: int) -> None:
         """Controller OUTPUT dispatch."""

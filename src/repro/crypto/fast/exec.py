@@ -492,7 +492,7 @@ def _pooled_outcomes(futures, timeout: Optional[float]):
     :class:`BatchTimeoutError` on expiry with the futures abandoned
     (cancelled where still possible).
     """
-    from concurrent.futures import BrokenExecutor
+    from concurrent.futures import BrokenExecutor, CancelledError
     from concurrent.futures import TimeoutError as FutureTimeout
 
     deadline = None if timeout is None else time.monotonic() + timeout
@@ -514,6 +514,9 @@ def _pooled_outcomes(futures, timeout: Optional[float]):
             # Pool-level, not call-level: the owning backend converts
             # it to a retryable WorkerCrashError.
             raise
+        except CancelledError:
+            # A watchdog on another span abandoned the pool under it.
+            outcomes.append(_Failure(WorkerCrashError("span cancelled: its pool was abandoned")))
         except BackendError as exc:
             outcomes.append(_Failure(exc))
         except Exception as exc:

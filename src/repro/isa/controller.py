@@ -21,8 +21,8 @@ sets C on carry/borrow and Z on zero result; shifts/rotates move the
 shifted-out bit into C; LOAD/INPUT/FETCH/STORE/OUTPUT leave flags
 untouched; COMPARE sets flags like SUB without writing the register.
 
-Temporal decoupling
--------------------
+Temporal decoupling and translation
+-----------------------------------
 Most instructions touch only the controller's own state (registers,
 flags, scratchpad, PC and call stack): the ALU ops, ``LOAD``, ``NOP``,
 jumps, ``CALL``/``RETURN`` and ``STORE``/``FETCH``.  :meth:`Controller8.run`
@@ -32,9 +32,28 @@ loosely-timed technique of SystemC TLM-2.0 (IEEE 1666-2011).  It
 yields one ``Delay(pending)`` before every instruction that must meet
 the rest of the model at its own cycle: ``INPUT*``, ``OUTPUT*``,
 ``HALT``, ``EINT``/``DINT``/``RETURNI*``, and every instruction while
-interrupts are enabled.  It then re-enters its loop at that
-instruction's exact cycle, so the ``stop()`` and interrupt checks run
-on a real instruction boundary.
+interrupts are enabled, which then runs on a real instruction boundary.
+
+Nor does it interpret instructions one by one.  Each program is
+translated on its first run into one entry per PC, memoised on the
+program (:func:`translation`; Shade's translation cache, Cmelik &
+Keppel, SIGMETRICS 1994): a *block*, the private instructions from
+that PC through a jump, ``CALL`` or ``RETURN`` or up to a
+synchronising instruction, compiled from per-op templates into one
+Python function that indexes the registers directly, writes the flags
+once and has a constant cycle count; and a *step*, the PC's one
+instruction.  A block that ends before an ``OUTPUT`` to an immediate
+port is a superinstruction (Proebsting, POPL 1995; Ertl & Gregg, PLDI
+2003): the loop follows it with the catch-up yield and the write,
+through a handler the device resolved once for that port
+(``PortDevice.writer``).  So the builder's ``LOAD s2, k; OUTPUT s2,
+P_CU; NOP`` idiom is one entry, and the write still lands on the
+``OUTPUT``'s own cycle.  A block runs only if ``pending`` plus its
+cycles stays below :data:`SYNC_QUANTUM`; otherwise, and while
+interrupts are enabled, the loop runs steps.  A ``stop()`` from the
+controller's own ``OUTPUT`` takes effect right after it, one from
+elsewhere at the next synchronisation, and a top-level ``RETURN``
+ends the run.
 
 No other component can see a private instruction, so every port
 access, CU issue and ``HALT`` lands on the cycle it would land on if
@@ -62,7 +81,8 @@ a loop without I/O still lets ``Simulator.run(until=...)`` stop and
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Protocol
+from functools import partial
+from typing import Callable, Dict, Generator, List, Optional, Protocol, Tuple
 
 from repro.errors import ExecutionError
 from repro.isa.opcodes import FLOW_VARIANTS, REGISTER_FORMS, Cond, Decoded, Op
@@ -87,36 +107,188 @@ _CATCH_UP = {
 #: Instructions the controller only executes at their own cycle (see
 #: the module docstring); every other one is private.
 SYNC_OPS = frozenset(
-    {
-        Op.INPUT,
-        Op.INPUT_R,
-        Op.OUTPUT,
-        Op.OUTPUT_R,
-        Op.HALT,
-        Op.EINT,
-        Op.DINT,
-        Op.RETURNI_E,
-        Op.RETURNI_D,
-    }
+    {Op.INPUT, Op.INPUT_R, Op.OUTPUT, Op.OUTPUT_R, Op.HALT, Op.EINT, Op.DINT, Op.RETURNI_E, Op.RETURNI_D}
 )
 
-# An enum member lookup (``Op.HALT``) costs ~0.17 us on CPython 3.11;
-# the run loop compares against a module-level alias instead.
-_HALT = Op.HALT
+#: Most instructions in one translated block (a longer run chains blocks).
+BLOCK_LIMIT = 16
 
-_FLAG_TESTS: Dict[Cond, Callable[["Controller8"], bool]] = {
-    Cond.ALWAYS: lambda ctrl: True,
-    Cond.Z: lambda ctrl: ctrl.zero,
-    Cond.NZ: lambda ctrl: not ctrl.zero,
-    Cond.C: lambda ctrl: ctrl.carry,
-    Cond.NC: lambda ctrl: not ctrl.carry,
+# -- per-op templates -----------------------------------------------------------
+#
+# Generated functions take the controller ``c`` and its registers ``r``.
+# In a template ``{x}`` is sX, ``{src}`` the immediate or ``r[sY]``, and
+# ``{z}``/``{cy}`` read the flags; an op in _SETS_FLAGS writes both flags
+# to the locals ``z`` and ``cy``, which the block stores once at its exit.
+
+_SCRATCH_CHECK = f"if a >= {SCRATCHPAD_BYTES}: _fail(c, 'scratchpad address %#x' % a)"
+_TEMPLATES: Dict[Op, str] = {
+    Op.NOP: "",
+    Op.LOAD: "r[{x}] = {src}",
+    Op.AND: "r[{x}] = t = r[{x}] & {src}\nz = t == 0\ncy = False",
+    Op.OR: "r[{x}] = t = r[{x}] | {src}\nz = t == 0\ncy = False",
+    Op.XOR: "r[{x}] = t = r[{x}] ^ {src}\nz = t == 0\ncy = False",
+    Op.ADD: "t = r[{x}] + {src}\ncy = t > 255\nr[{x}] = t = t & 255\nz = t == 0",
+    Op.ADDCY: "t = r[{x}] + {src} + {cy}\ncy = t > 255\nr[{x}] = t = t & 255\nz = t == 0",
+    Op.SUB: "t = r[{x}] - {src}\ncy = t < 0\nr[{x}] = t = t & 255\nz = t == 0",
+    Op.SUBCY: "t = r[{x}] - {src} - {cy}\ncy = t < 0\nr[{x}] = t = t & 255\nz = t == 0",
+    Op.COMPARE: "t = r[{x}] - {src}\ncy = t < 0\nz = (t & 255) == 0",
+    Op.SR0: "t = r[{x}]\ncy = (t & 1) == 1\nr[{x}] = t = t >> 1\nz = t == 0",
+    Op.SL0: "t = r[{x}]\ncy = t > 127\nr[{x}] = t = (t << 1) & 255\nz = t == 0",
+    Op.RR: "t = r[{x}]\ncy = (t & 1) == 1\nr[{x}] = t = (t >> 1) | ((t & 1) << 7)\nz = t == 0",
+    Op.RL: "t = r[{x}]\ncy = t > 127\nr[{x}] = t = ((t << 1) & 255) | (t >> 7)\nz = t == 0",
+    Op.STORE: f"a = {{src}}\n{_SCRATCH_CHECK}\nc.scratchpad[a] = r[{{x}}]",
+    Op.FETCH: f"a = {{src}}\n{_SCRATCH_CHECK}\nr[{{x}}] = c.scratchpad[a]",
+    Op.INPUT: "r[{x}] = c.device.read_port({src}) & 255",
+    Op.OUTPUT: "c.device.write_port({src}, r[{x}])",
+    Op.EINT: "c.interrupts_enabled = True",
+    Op.DINT: "c.interrupts_enabled = False",
 }
-#: Flow-control opcode -> the flag test its condition names.
-_CONDITION: Dict[Op, Callable[["Controller8"], bool]] = {
-    op: _FLAG_TESTS[cond]
-    for variants in FLOW_VARIANTS.values()
+_TEMPLATES.update(
+    {Op[f"{op.name}_R"]: text for op, text in _TEMPLATES.items() if f"{op.name}_R" in Op.__members__}
+)
+_SETS_FLAGS = frozenset(op for op, text in _TEMPLATES.items() if "\nz = " in text)
+
+#: Flow-control templates: ``{cond}`` is the flag test, ``{t}`` the
+#: target and ``{n}`` the fall-through PC.  Each one ends its function.
+_FLOW_TEMPLATES = {
+    "JUMP": "if {cond}: return {t}\nreturn {n}",
+    "CALL": (
+        "if {cond}:\n"
+        f"    if len(c.stack) >= {STACK_DEPTH}: _fail(c, 'call stack overflow')\n"
+        "    c.stack.append({n})\n"
+        "    return {t}\n"
+        "return {n}"
+    ),
+    "RETURN": (
+        "if {cond}:\n"
+        "    if c.stack: return c.stack.pop()\n"
+        "    c._stopped = True\n"  # returning from the top level ends the run
+        "return {n}"
+    ),
+}
+_CONDITIONS = {Cond.ALWAYS: "True", Cond.Z: "{z}", Cond.NZ: "not {z}", Cond.C: "{cy}", Cond.NC: "not {cy}"}
+#: Flow-control opcode -> (template, condition).
+_FLOW: Dict[Op, Tuple[str, str]] = {
+    op: (_FLOW_TEMPLATES[kind], _CONDITIONS[cond])
+    for kind, variants in FLOW_VARIANTS.items()
     for cond, op in variants.items()
 }
+_RETURNI = (
+    "if not c.stack: _fail(c, 'RETURNI with empty stack')\n"
+    "t = c.stack.pop()\n"
+    "if c._preserved_flags is not None: c.zero, c.carry = c._preserved_flags\n"
+    "c._preserved_flags = None\n"
+    "c.interrupts_enabled = {enable}\n"
+    "return t"
+)
+_FLOW.update(
+    {op: (_RETURNI.replace("{enable}", str(op is Op.RETURNI_E)), "True") for op in (Op.RETURNI_E, Op.RETURNI_D)}
+)
+
+
+def _fail(ctrl: "Controller8", message: str) -> None:
+    raise ExecutionError(f"{ctrl.name}: {message}")
+
+
+def _function(code: List[Decoded], start: int, stop: int) -> str:
+    """Source of ``f``, which runs ``code[start:stop]`` and returns the next PC."""
+    body: List[str] = []
+    local_flags = False
+    for pc in range(start, stop):
+        decoded = code[pc]
+        op = decoded.op
+        fields = {
+            "x": decoded.sx,
+            "src": f"r[{decoded.operand >> 4}]" if op in REGISTER_FORMS else decoded.operand,
+            "z": "z" if local_flags else "c.zero",
+            "cy": "cy" if local_flags else "c.carry",
+            "t": decoded.addr,
+            "n": pc + 1,
+        }
+        if op in _FLOW:
+            template, cond = _FLOW[op]
+            fields["cond"] = cond.format(**fields)
+            if local_flags:
+                body.append("c.zero = z; c.carry = cy")
+            body.extend(template.format(**fields).split("\n"))
+            break
+        body.extend(line for line in _TEMPLATES[op].format(**fields).split("\n") if line)
+        local_flags = local_flags or op in _SETS_FLAGS
+    else:
+        if local_flags:
+            body.append("c.zero = z; c.carry = cy")
+        body.append(f"return {stop}")
+    return "\n    ".join(["def f(c, r):", *body])
+
+
+#: One translated PC: ``(block, limit, cycles, port, sx, step)``.  The
+#: block (None at a synchronising instruction) runs when ``pending <
+#: limit`` and adds *cycles*; *port*, if not None, is an ``OUTPUT sx,
+#: port`` that follows it (or sits at the PC); *step* runs the PC's
+#: one instruction (None for ``HALT``).
+Entry = Tuple[Optional[Callable], int, int, Optional[int], int, Optional[Callable]]
+
+
+def translation(program: Program) -> List[Entry]:
+    """The per-PC entries of *program*, built on its first run and
+    memoised on it.
+
+    Each block and step compiles on its first call, so a PC that only
+    ever steps (near the quantum, or with interrupts enabled) never
+    compiles a block, and one never reached compiles nothing.
+    """
+    try:
+        return program._translation  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    code = program.decoded
+    entries: List[Entry] = []
+    for pc, decoded in enumerate(code):
+        stop = pc
+        if decoded.op not in SYNC_OPS:
+            stop += 1
+            while (
+                code[stop - 1].op not in _FLOW
+                and stop < len(code)
+                and stop - pc < BLOCK_LIMIT
+                and code[stop].op not in SYNC_OPS
+            ):
+                stop += 1
+        fused = (
+            stop < len(code)
+            and code[stop].op is Op.OUTPUT
+            and (stop == pc or code[stop - 1].op not in _FLOW)
+        )
+        port, sx = (code[stop].operand, code[stop].sx) if fused else (None, 0)
+        step = None
+        if decoded.op is not Op.HALT:
+            step = _lazy(entries, code, pc, pc + 1, (0, 5) if stop == pc + 1 else (5,))
+        if stop == pc:
+            entries.append((None, SYNC_QUANTUM if fused else 0, 0, port, sx, step))
+        else:
+            cycles = CYCLES_PER_INSTRUCTION * (stop - pc)
+            block = step if stop == pc + 1 else _lazy(entries, code, pc, stop, (0,))
+            entries.append((block, SYNC_QUANTUM - cycles, cycles, port, sx, step))
+    program._translation = entries  # type: ignore[attr-defined]
+    return entries
+
+
+def _lazy(
+    entries: List[Entry], code: List[Decoded], start: int, stop: int, slots: Tuple[int, ...]
+) -> Callable:
+    """A stand-in that compiles ``code[start:stop]`` on its first call,
+    puts the function into *slots* of ``entries[start]`` and runs it."""
+
+    def first_call(ctrl: "Controller8", regs: List[int]) -> int:
+        namespace: Dict[str, Callable] = {"_fail": _fail}
+        exec(compile(_function(code, start, stop), f"<PC {start:#05x}>", "exec"), namespace)
+        entry = list(entries[start])
+        for slot in slots:
+            entry[slot] = namespace["f"]
+        entries[start] = tuple(entry)  # type: ignore[assignment]
+        return namespace["f"](ctrl, regs)
+
+    return first_call
 
 
 class PortDevice(Protocol):
@@ -128,6 +300,11 @@ class PortDevice(Protocol):
 
     def write_port(self, port: int, value: int) -> None:
         """Handle ``OUTPUT``: accept *value* written to *port*."""
+        ...  # pragma: no cover - protocol
+
+    def writer(self, port: int) -> Callable[[int], None]:
+        """Optional: the handler ``OUTPUT sX, port`` calls with the value,
+        resolved once per port (else the controller calls :meth:`write_port`)."""
         ...  # pragma: no cover - protocol
 
 
@@ -185,6 +362,8 @@ class Controller8:
         self.instructions_retired = 0
         self.halted_cycles = 0
         self._stopped = False
+        #: Port -> the device's ``OUTPUT`` handler, resolved on first use.
+        self._writers: Dict[int, Callable[[int], None]] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -204,14 +383,11 @@ class Controller8:
         self.pc = start_pc
         self.irq_vector = max(len(program) - 1, 0)
 
-    def _set_zc_logical(self, value: int) -> None:
-        self.zero = value == 0
-        self.carry = False
-
-    def _alu_source(self, decoded: Decoded) -> int:
-        if decoded.op in REGISTER_FORMS:
-            return self.regs[(decoded.operand >> 4) & 0xF]
-        return decoded.operand
+    def _writer(self, port: int) -> Callable[[int], None]:
+        writer = getattr(self.device, "writer", None)
+        handler = writer(port) if writer is not None else partial(self.device.write_port, port)
+        self._writers[port] = handler
+        return handler
 
     # -- the process ----------------------------------------------------------
 
@@ -224,53 +400,84 @@ class Controller8:
         """
         if entry is not None:
             self.pc = self.program.label(entry)
+        regs, writers = self.regs, self._writers
+        program = entries = None
+        size = 0
         # Cycles of instructions executed but not yet yielded to the kernel.
         pending = 0
         while not self._stopped:
-            if pending and (self.interrupts_enabled or pending >= SYNC_QUANTUM):
-                yield _CATCH_UP[pending]
-                pending = 0
-                continue
-            if self.interrupts_enabled and self._irq_pending:
-                self._take_irq()
-
-            code = self.program.decoded
-            if self.pc >= len(code):
-                break
-            decoded = code[self.pc]
-            op = decoded.op
-            if op in SYNC_OPS:
+            stepping = self.interrupts_enabled
+            if stepping:
                 if pending:
                     yield _CATCH_UP[pending]
                     pending = 0
                     continue
-                if op is _HALT:
-                    # Sleep until the wake wire pulses (done-latch absorbed
-                    # inside PulseWire).  Cost: the 2 base cycles, plus
-                    # however long the sleep lasts.
-                    self.pc += 1
-                    self.instructions_retired += 1
-                    start = self.sim.now
-                    pulse = self.wake.fixed_pulse()
-                    if pulse is None:
-                        yield Delay(CYCLES_PER_INSTRUCTION)
-                        yield self.wake.wait()
-                    else:
-                        # The pulse's cycle is already fixed: wake where
-                        # the wait would have woken, in one yield.
-                        sleep = max(pulse, start + CYCLES_PER_INSTRUCTION) - start
-                        yield Delay(sleep, sleep)
-                        self.wake.consume()
-                    self.halted_cycles += self.sim.now - start - CYCLES_PER_INSTRUCTION
+                if self._irq_pending:
+                    self._take_irq()
+            if self.program is not program:
+                program = self.program
+                entries = translation(program)
+                size = len(entries)
+            pc = self.pc
+            if pc >= size:
+                break
+            block, limit, cycles, port, sx, step = entries[pc]
+            if stepping or pending >= limit:
+                # One instruction: the block would cross the quantum, or
+                # the PC holds a synchronising instruction (no block),
+                # which runs on its own cycle.
+                if pending and (block is None or pending >= SYNC_QUANTUM):
+                    yield _CATCH_UP[pending]
+                    pending = 0
                     continue
-
-            self.pc += 1
+                if step is not None:
+                    self.instructions_retired += 1
+                    self.pc = step(self, regs)
+                    pending += CYCLES_PER_INSTRUCTION
+                    continue
+                # HALT: sleep until the wake wire pulses (done-latch
+                # absorbed inside PulseWire).  Cost: the 2 base cycles,
+                # plus however long the sleep lasts.
+                self.pc = pc + 1
+                self.instructions_retired += 1
+                start = self.sim.now
+                pulse = self.wake.fixed_pulse()
+                if pulse is None:
+                    yield Delay(CYCLES_PER_INSTRUCTION)
+                    yield self.wake.wait()
+                else:
+                    # The pulse's cycle is already fixed: wake where the
+                    # wait would have woken, in one yield.
+                    sleep = max(pulse, start + CYCLES_PER_INSTRUCTION) - start
+                    yield Delay(sleep, sleep)
+                    self.wake.consume()
+                self.halted_cycles += self.sim.now - start - CYCLES_PER_INSTRUCTION
+                continue
+            if block is not None:
+                pc = block(self, regs)
+                self.instructions_retired += cycles >> 1
+                pending += cycles
+                if port is None:
+                    self.pc = pc
+                    continue
+            # The superinstruction's OUTPUT sX, port, on its own cycle.
+            self.pc = pc
+            if pending:
+                yield _CATCH_UP[pending]
+                pending = 0
+                if self._stopped or self.program is not program:
+                    continue
+            (writers.get(port) or self._writer(port))(regs[sx])
+            self.pc = pc + 1
             self.instructions_retired += 1
-            self._execute(decoded)
-            pending += CYCLES_PER_INSTRUCTION
+            pending = CYCLES_PER_INSTRUCTION
         if pending:
             yield _CATCH_UP[pending]
         return None
+
+    def rebind_ports(self) -> None:
+        """Forget the resolved ``OUTPUT`` handlers (the device's ports changed)."""
+        self._writers.clear()
 
     def post_irq(self) -> None:
         """Raise the interrupt line (taken before the next fetch)."""
@@ -284,184 +491,3 @@ class Controller8:
         self._preserved_flags = (self.zero, self.carry)
         self.interrupts_enabled = False
         self.pc = self.irq_vector
-
-    # -- instruction semantics --------------------------------------------
-
-    def _execute(self, decoded: Decoded) -> None:
-        """Apply one instruction's effects (timing is :meth:`run`'s job)."""
-        _SEMANTICS[decoded.op](self, decoded)
-
-    def _nop(self, decoded: Decoded) -> None:
-        return None
-
-    def _load(self, decoded: Decoded) -> None:
-        self.regs[decoded.sx] = self._alu_source(decoded) & 0xFF
-
-    def _and(self, decoded: Decoded) -> None:
-        self.regs[decoded.sx] &= self._alu_source(decoded)
-        self._set_zc_logical(self.regs[decoded.sx])
-
-    def _or(self, decoded: Decoded) -> None:
-        self.regs[decoded.sx] |= self._alu_source(decoded)
-        self._set_zc_logical(self.regs[decoded.sx])
-
-    def _xor(self, decoded: Decoded) -> None:
-        self.regs[decoded.sx] ^= self._alu_source(decoded)
-        self._set_zc_logical(self.regs[decoded.sx])
-
-    def _add(self, decoded: Decoded) -> None:
-        self._sum(decoded, self.regs[decoded.sx] + self._alu_source(decoded))
-
-    def _addcy(self, decoded: Decoded) -> None:
-        total = self.regs[decoded.sx] + self._alu_source(decoded) + int(self.carry)
-        self._sum(decoded, total)
-
-    def _sum(self, decoded: Decoded, total: int) -> None:
-        self.carry = total > 0xFF
-        self.regs[decoded.sx] = total & 0xFF
-        self.zero = self.regs[decoded.sx] == 0
-
-    def _sub(self, decoded: Decoded) -> None:
-        self._difference(decoded, self.regs[decoded.sx] - self._alu_source(decoded))
-
-    def _subcy(self, decoded: Decoded) -> None:
-        diff = self.regs[decoded.sx] - self._alu_source(decoded) - int(self.carry)
-        self._difference(decoded, diff)
-
-    def _difference(self, decoded: Decoded, diff: int) -> None:
-        self.carry = diff < 0
-        self.regs[decoded.sx] = diff & 0xFF
-        self.zero = self.regs[decoded.sx] == 0
-
-    def _compare(self, decoded: Decoded) -> None:
-        diff = self.regs[decoded.sx] - self._alu_source(decoded)
-        self.carry = diff < 0
-        self.zero = (diff & 0xFF) == 0
-
-    def _sr0(self, decoded: Decoded) -> None:
-        sx = decoded.sx
-        self.carry = bool(self.regs[sx] & 1)
-        self.regs[sx] >>= 1
-        self.zero = self.regs[sx] == 0
-
-    def _sl0(self, decoded: Decoded) -> None:
-        sx = decoded.sx
-        self.carry = bool(self.regs[sx] & 0x80)
-        self.regs[sx] = (self.regs[sx] << 1) & 0xFF
-        self.zero = self.regs[sx] == 0
-
-    def _rr(self, decoded: Decoded) -> None:
-        sx = decoded.sx
-        low = self.regs[sx] & 1
-        self.regs[sx] = (self.regs[sx] >> 1) | (low << 7)
-        self.carry = bool(low)
-        self.zero = self.regs[sx] == 0
-
-    def _rl(self, decoded: Decoded) -> None:
-        sx = decoded.sx
-        high = (self.regs[sx] >> 7) & 1
-        self.regs[sx] = ((self.regs[sx] << 1) & 0xFF) | high
-        self.carry = bool(high)
-        self.zero = self.regs[sx] == 0
-
-    def _input(self, decoded: Decoded) -> None:
-        port = self._alu_source(decoded)
-        self.regs[decoded.sx] = self.device.read_port(port) & 0xFF
-
-    def _output(self, decoded: Decoded) -> None:
-        self.device.write_port(self._alu_source(decoded), self.regs[decoded.sx])
-
-    def _store(self, decoded: Decoded) -> None:
-        self._scratch_write(self._alu_source(decoded), self.regs[decoded.sx])
-
-    def _fetch(self, decoded: Decoded) -> None:
-        self.regs[decoded.sx] = self._scratch_read(self._alu_source(decoded))
-
-    def _jump(self, decoded: Decoded) -> None:
-        if _CONDITION[decoded.op](self):
-            self.pc = decoded.addr
-
-    def _call(self, decoded: Decoded) -> None:
-        if _CONDITION[decoded.op](self):
-            if len(self.stack) >= STACK_DEPTH:
-                raise ExecutionError(f"{self.name}: call stack overflow")
-            self.stack.append(self.pc)
-            self.pc = decoded.addr
-
-    def _return(self, decoded: Decoded) -> None:
-        if _CONDITION[decoded.op](self):
-            if not self.stack:
-                # Returning from the top level ends the firmware run.
-                self._stopped = True
-            else:
-                self.pc = self.stack.pop()
-
-    def _returni(self, decoded: Decoded) -> None:
-        if not self.stack:
-            raise ExecutionError(f"{self.name}: RETURNI with empty stack")
-        self.pc = self.stack.pop()
-        if self._preserved_flags is not None:
-            self.zero, self.carry = self._preserved_flags
-            self._preserved_flags = None
-        self.interrupts_enabled = decoded.op is Op.RETURNI_E
-
-    def _eint(self, decoded: Decoded) -> None:
-        self.interrupts_enabled = True
-
-    def _dint(self, decoded: Decoded) -> None:
-        self.interrupts_enabled = False
-
-    def _scratch_write(self, addr: int, value: int) -> None:
-        if not 0 <= addr < SCRATCHPAD_BYTES:
-            raise ExecutionError(f"{self.name}: scratchpad address {addr:#x}")
-        self.scratchpad[addr] = value & 0xFF
-
-    def _scratch_read(self, addr: int) -> int:
-        if not 0 <= addr < SCRATCHPAD_BYTES:
-            raise ExecutionError(f"{self.name}: scratchpad address {addr:#x}")
-        return self.scratchpad[addr]
-
-
-_C = Controller8
-#: Opcode -> its semantics (``HALT`` lives in :meth:`Controller8.run`).
-_SEMANTICS: Dict[Op, Callable[[Controller8, Decoded], None]] = {
-    Op.NOP: _C._nop,
-    Op.LOAD: _C._load,
-    Op.LOAD_R: _C._load,
-    Op.AND: _C._and,
-    Op.AND_R: _C._and,
-    Op.OR: _C._or,
-    Op.OR_R: _C._or,
-    Op.XOR: _C._xor,
-    Op.XOR_R: _C._xor,
-    Op.ADD: _C._add,
-    Op.ADD_R: _C._add,
-    Op.ADDCY: _C._addcy,
-    Op.ADDCY_R: _C._addcy,
-    Op.SUB: _C._sub,
-    Op.SUB_R: _C._sub,
-    Op.SUBCY: _C._subcy,
-    Op.SUBCY_R: _C._subcy,
-    Op.COMPARE: _C._compare,
-    Op.COMPARE_R: _C._compare,
-    Op.SR0: _C._sr0,
-    Op.SL0: _C._sl0,
-    Op.RR: _C._rr,
-    Op.RL: _C._rl,
-    Op.INPUT: _C._input,
-    Op.INPUT_R: _C._input,
-    Op.OUTPUT: _C._output,
-    Op.OUTPUT_R: _C._output,
-    Op.STORE: _C._store,
-    Op.STORE_R: _C._store,
-    Op.FETCH: _C._fetch,
-    Op.FETCH_R: _C._fetch,
-    Op.RETURNI_E: _C._returni,
-    Op.RETURNI_D: _C._returni,
-    Op.EINT: _C._eint,
-    Op.DINT: _C._dint,
-    **{op: _C._jump for op in FLOW_VARIANTS["JUMP"].values()},
-    **{op: _C._call for op in FLOW_VARIANTS["CALL"].values()},
-    **{op: _C._return for op in FLOW_VARIANTS["RETURN"].values()},
-}
-del _C

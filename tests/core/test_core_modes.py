@@ -152,3 +152,26 @@ def test_whirlpool_personality(size, rb):
     core.use_whirlpool_personality(True)
     run = run_task(sim, core, task)
     assert run.output[:64] == whirlpool(msg)
+
+
+def test_personality_swaps_between_tasks_reach_the_loaded_unit(rb):
+    """CTR, then Whirlpool, then CTR again on one core: after each swap
+    the controller's CU issues go to the personality now loaded."""
+    from repro.core.crypto_core import CryptoCore
+    from repro.core.harness import run_task
+    from repro.crypto.aes import expand_key
+    from repro.sim.kernel import Simulator
+    from repro.unit.timing import DEFAULT_TIMING
+
+    sim = Simulator()
+    core = CryptoCore(sim, DEFAULT_TIMING)
+    core.key_cache.install(expand_key(KEY), 128)
+    icb, data, msg = rb(14) + bytes(2), rb(48), rb(100)
+    for whirlpool_loaded in (False, True, False):
+        core.use_whirlpool_personality(whirlpool_loaded)
+        if whirlpool_loaded:
+            assert run_task(sim, core, format_whirlpool(msg)).output[:64] == whirlpool(msg)
+        else:
+            task = format_ctr(128, icb, data)
+            out, _ = parse_output(task, run_task(sim, core, task).output)
+            assert out == ctr_xcrypt(AES(KEY), icb, data)

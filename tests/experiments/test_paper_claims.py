@@ -67,11 +67,19 @@ def table2_mbps(cells, config: str, key_bits: int) -> float:
 
 @pytest.mark.parametrize("config,key_bits", sorted(PAPER_TABLE2))
 def test_table2_packet_column(cells, config, key_bits):
-    """Each 2 KB-packet cell sits within 12% of the paper's (the pre-
-    and post-loop firmware differs in detail) and never above theory."""
+    """Each 2 KB-packet cell sits at or up to 12% above the paper's and
+    never above theory.
+
+    The model is faster than the prototype on every cell (+3.4% to
+    +10.8%): its firmware spends fewer cycles per packet outside the
+    block loop (set-up, final block and tag) than the paper's, whose
+    pre- and post-loop code differs in detail.  A one-sided bound makes
+    a published value entered too high fail, where a symmetric 12%
+    let most such typos pass.
+    """
     measured = table2_mbps(cells, config, key_bits)
     _, paper_packet = PAPER_TABLE2[(config, key_bits)]
-    assert measured == pytest.approx(paper_packet, rel=0.12)
+    assert paper_packet <= measured <= 1.12 * paper_packet
     assert measured <= theoretical_mbps(config, key_bits) * 1.001
 
 

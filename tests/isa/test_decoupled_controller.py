@@ -25,12 +25,14 @@ from repro.core.firmware.builder import (
     RESULT_OK,
     STATUS_CU_BUSY_BIT,
 )
+from repro.core.firmware.library import FIRMWARE_LIBRARY
 from repro.core.harness import drainer_process, feeder_process, run_task
-from repro.core.params import Direction
+from repro.core.params import Algorithm, CcmRole, Direction
 from repro.crypto import AES, cbc_mac, ccm_encrypt, gcm_encrypt
 from repro.crypto.aes import expand_key
 from repro.errors import SimulationError
-from repro.isa import Controller8, assemble
+from repro.isa import Controller8, Op, assemble
+from repro.isa.controller import SYNC_OPS, SYNC_QUANTUM
 from repro.radio import (
     format_cbc_mac,
     format_ccm_single,
@@ -97,6 +99,7 @@ def _observe(sim, trace, cores, words, results, per_component=False):
         "trace": rows,
         "words": words,
         "results": results,
+        "programs": [c.controller.program.name for c in cores],
         "retired": [c.controller.instructions_retired for c in cores],
         "halted": [c.controller.halted_cycles for c in cores],
         "fifos": [
@@ -263,6 +266,39 @@ def test_two_core_ccm_matches_stepped(direction):
 @pytest.mark.parametrize("direction", DIRECTIONS, ids=lambda d: d.name.lower())
 def test_two_core_ccm_matches_stepped_model(direction):
     _assert_same_as_stepped_model(_two_core_ccm(direction))
+
+
+def _library_scenario(key):
+    """A run of ``FIRMWARE_LIBRARY[key]``: one core, or both CCM cores."""
+    if key.role is not CcmRole.SINGLE:
+        return _two_core_ccm(key.direction)
+    if key.algorithm is Algorithm.WHIRLPOOL:
+        task = format_whirlpool(_rb(17, 300))
+        return lambda stepped: _single(task, None, stepped, whirlpool=True)
+    aes_key = _rb(17, 32)
+    formatter = {
+        Algorithm.GCM: _gcm_task,
+        Algorithm.CCM: _ccm_task,
+        Algorithm.CTR: _ctr_task,
+        Algorithm.CBC_MAC: _cbc_mac_task,
+    }[key.algorithm]
+    task = formatter(aes_key, 300, key.direction, seed=17)
+    return lambda stepped: _single(task, aes_key, stepped)
+
+
+@pytest.mark.parametrize(
+    "key",
+    list(FIRMWARE_LIBRARY),
+    ids=lambda k: f"{k.algorithm.name}-{k.direction.name}-{k.role.name}".lower(),
+)
+def test_library_firmware_matches_stepped_model(key):
+    """Every program in the firmware library, so a new one is covered
+    when it is added: trace rows, ``instructions_retired`` and
+    ``halted_cycles`` match the stepped model."""
+    scenario = _library_scenario(key)
+    observed = scenario(False)
+    assert FIRMWARE_LIBRARY[key].name in observed["programs"]
+    assert observed == scenario(ALL)
 
 
 def _fifo_backpressure():
@@ -454,6 +490,176 @@ def test_interrupt_program_matches_stepped(irq_cycle):
         }
 
     _assert_same(scenario)
+
+
+# -- generated programs: every private opcode, on Controller8 and stepped -----
+
+#: Two-operand mnemonics; the ALU ones take an immediate or a register.
+_ALU_OPS = ["LOAD", "AND", "OR", "XOR", "ADD", "ADDCY", "SUB", "SUBCY", "COMPARE"]
+_SHIFT_OPS = ["SR0", "SL0", "RR", "RL"]
+_CONDS = ["", "Z, ", "NZ, ", "C, ", "NC, "]
+#: Registers the random ALU ops use; sC holds scratchpad addresses, sD
+#: port numbers and sE the loop count, so only LOADs write them.
+_DATA_REGS = range(12)
+_ADDR, _PORT, _COUNT = 12, 13, 14
+
+
+class _GeneratedProgram:
+    """Seeded random source: a main routine with a counted loop, a
+    subroutine and, in some programs, interrupts and an ISR.
+
+    Jumps only go forward within one stretch, the loop is counted and
+    the subroutine calls nothing, so every program ends (at the main
+    routine's ``RETURN``, or earlier at a conditional one).
+    """
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+        self.labels = 0
+        self.irq = self.rng.random() < 0.25
+        self.lines = [*self.stretch(6, main=True)]
+        if self.irq:
+            self.lines.append("EINT")
+        quiet = self.rng.random() < 0.5  # long loops with no I/O cross the quantum
+        self.lines += [f"LOAD s{_COUNT:X}, {self.rng.randint(1, 24)}", "loop:"]
+        self.lines += self.stretch(self.rng.randint(4, 14), main=True, quiet=quiet)
+        self.lines += [f"SUB s{_COUNT:X}, 1", "JUMP NZ, loop"]
+        if self.irq:
+            self.lines.append("DINT")
+        self.lines += [*self.stretch(6, main=True), "RETURN", "sub:"]
+        self.lines += [*self.stretch(8, main=False), "RETURN"]
+        if self.irq:
+            enable = self.rng.choice(["ENABLE", "DISABLE"])
+            self.lines += ["isr:", *self.stretch(3, main=False, flow=False), f"RETURNI {enable}"]
+
+    def reg(self) -> str:
+        return f"s{self.rng.choice(_DATA_REGS):X}"
+
+    def stretch(self, length: int, main: bool, quiet: bool = False, flow: bool = True):
+        rng, lines, ahead = self.rng, [], []
+        for _ in range(length):
+            kind = rng.choice(
+                ["alu"] * 6 + ["shift", "nop", "store", "fetch"]
+                + ([] if quiet else ["output", "io"])
+                + (["jump", "return"] + (["call"] if main else []) if flow else [])
+            )
+            if kind == "alu":
+                src = self.reg() if rng.random() < 0.5 else rng.randint(0, 255)
+                lines.append(f"{rng.choice(_ALU_OPS)} {self.reg()}, {src}")
+            elif kind == "shift":
+                lines.append(f"{rng.choice(_SHIFT_OPS)} {self.reg()}")
+            elif kind == "nop":
+                lines.append("NOP")
+            elif kind in ("store", "fetch"):
+                if rng.random() < 0.5:
+                    lines.append(f"{kind.upper()} {self.reg()}, {rng.randint(0, 63)}")
+                else:
+                    lines.append(f"LOAD s{_ADDR:X}, {rng.randint(0, 63)}")
+                    lines.append(f"{kind.upper()} {self.reg()}, (s{_ADDR:X})")
+            elif kind == "output":  # the firmware's CU-issue idiom
+                reg = self.reg()
+                lines.append(f"LOAD {reg}, {rng.randint(0, 255)}")
+                lines.append(f"OUTPUT {reg}, {rng.randint(0, 255)}")
+            elif kind == "io":
+                lines.append(f"LOAD s{_PORT:X}, {rng.randint(0, 255)}")
+                mnemonic = rng.choice(["OUTPUT", "INPUT"])
+                port = rng.choice([f"(s{_PORT:X})", str(rng.randint(0, 255))])
+                lines.append(f"{mnemonic} {self.reg()}, {port}")
+            elif kind == "jump":
+                label = f"fwd{self.labels}"
+                self.labels += 1
+                lines.append(f"JUMP {rng.choice(_CONDS)}{label}")
+                ahead.append(label)
+            elif kind == "return":
+                lines.append(f"RETURN {rng.choice(_CONDS[1:]).rstrip(', ')}")
+            else:
+                lines.append(f"CALL {rng.choice(_CONDS)}sub")
+            if ahead and rng.random() < 0.4:
+                lines.append(f"{ahead.pop(0)}:")
+        lines += [f"{label}:" for label in ahead]
+        lines.append("NOP")  # the forward labels need an instruction
+        return lines
+
+    def source(self) -> str:
+        return "\n".join(self.lines) + "\n"
+
+
+class _RecordingDevice:
+    """Logs every port access with its cycle; reads depend on the log."""
+
+    def __init__(self, sim: Simulator):
+        self.sim, self.log = sim, []
+
+    def read_port(self, port: int) -> int:
+        self.log.append((self.sim.now, "in", port))
+        return (port * 7 + len(self.log)) & 0xFF
+
+    def write_port(self, port: int, value: int) -> None:
+        self.log.append((self.sim.now, "out", port, value))
+
+
+def _run_generated(seed: int, stepped: bool) -> dict:
+    generated = _GeneratedProgram(seed)
+    sim = Simulator()
+    program = assemble(generated.source())
+    device = _RecordingDevice(sim)
+    ctrl = (SteppedController8 if stepped else Controller8)(sim, program, device=device)
+    ends = []
+    sim.add_process(ctrl.run()).done.add_waiter(lambda _: ends.append(sim.now))
+    if generated.irq:
+        ctrl.irq_vector = program.label("isr")
+        irq_cycles = sorted(random.Random(seed).sample(range(400), 6))
+
+        def irq():
+            for cycle in irq_cycles:
+                yield Delay(cycle - sim.now)
+                ctrl.post_irq()
+
+        sim.add_process(irq())
+    sim.run()
+    return {
+        "trace": device.log,
+        "end": ends,
+        "regs": ctrl.regs,
+        "flags": (ctrl.zero, ctrl.carry, ctrl.interrupts_enabled),
+        "scratchpad": ctrl.scratchpad,
+        "pc": ctrl.pc,
+        "stack": ctrl.stack,
+        "retired": ctrl.instructions_retired,
+        "halted": ctrl.halted_cycles,
+    }
+
+
+GENERATED_SEEDS = range(200)
+
+
+@pytest.mark.parametrize("seed", GENERATED_SEEDS)
+def test_generated_program_matches_stepped(seed):
+    """Random programs mixing every private opcode (the ``_R``, carry
+    and shift forms no firmware uses too), scratchpad access, forward
+    and counted jumps, calls, conditional returns, immediate and
+    indirect port I/O and, in a quarter of them, interrupts."""
+    assert _run_generated(seed, False) == _run_generated(seed, True)
+
+
+def test_generated_programs_cover_the_translator():
+    """The generated set reaches every private opcode, immediate and
+    indirect port I/O, an early top-level ``RETURN``, interrupts and a
+    stretch between port accesses longer than the sync quantum."""
+    ops, quantum, irq, top_return = set(), False, False, False
+    for seed in GENERATED_SEEDS:
+        generated = _GeneratedProgram(seed)
+        program = assemble(generated.source())
+        ops.update(d.op for d in program.decoded)
+        irq = irq or generated.irq
+        observed = _run_generated(seed, True)
+        cycles = [0] + [row[0] for row in observed["trace"]] + observed["end"]
+        quantum = quantum or max(b - a for a, b in zip(cycles, cycles[1:])) > SYNC_QUANTUM
+        top_return = top_return or observed["pc"] < program.label("sub") - 1
+    private = set(Op) - SYNC_OPS
+    assert private <= ops
+    assert {Op.OUTPUT, Op.OUTPUT_R, Op.INPUT, Op.INPUT_R, Op.EINT, Op.RETURNI_E} <= ops
+    assert quantum and irq and top_return
 
 
 # -- the runaway guard: without the sync quantum a loop with no I/O never

@@ -128,6 +128,23 @@ class TestWatchdog:
 
         assert issubclass(BatchTimeoutError, BackendError)
 
+    def test_span_cancelled_by_an_abandoned_pool_is_retryable(self):
+        # A watchdog on one span shuts the pool down with
+        # cancel_futures=True, which cancels another span's futures; that
+        # span must retry, not fail its dispatch with CancelledError.
+        from concurrent.futures import Future
+
+        from repro.crypto.fast.exec import _Failure, _pooled_outcomes
+
+        done, cancelled = Future(), Future()
+        done.set_result("sealed")
+        assert cancelled.cancel()
+        first, second = _pooled_outcomes([done, cancelled], timeout=1.0)
+        assert first.value == "sealed"
+        assert isinstance(second, _Failure)
+        assert isinstance(second.error, WorkerCrashError)
+        assert "pool was abandoned" in str(second.error)
+
 
 class TestProcessPool:
     def test_injected_crash_breaks_pool_mid_batch_and_heals(self, counters):

@@ -4,7 +4,9 @@ Test-only copies of the cycle model as it stepped before its loosely
 timed rewrite, kept as the oracle the analytic model must match event
 for event:
 
-- :class:`SteppedController8` — one ``Delay(2)`` per instruction;
+- :class:`SteppedController8` — one ``Delay(2)`` per instruction,
+  dispatched to one semantics method per opcode (the controller itself
+  runs translated blocks, so the two share no ALU code);
 - :class:`SteppedCryptoUnit` / :class:`SteppedWhirlpoolUnit` — one
   kernel event per completion, dispatched by the original ``elif``
   chains;
@@ -20,14 +22,15 @@ wired entirely from these.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.core.crypto_core import CoreResult, CryptoCore
 from repro.core.harness import TaskRun
 from repro.core.params import Direction
 from repro.errors import ExecutionError, FifoError, UnitError
 from repro.isa import Controller8, Op
-from repro.isa.controller import STACK_DEPTH
+from repro.isa.controller import SCRATCHPAD_BYTES, STACK_DEPTH
+from repro.isa.opcodes import FLOW_VARIANTS, REGISTER_FORMS, Cond, Decoded
 from repro.sim.fifo import DEFAULT_DEPTH_WORDS, WORDS_PER_BLOCK
 from repro.sim.kernel import Delay, Event, Simulator
 from repro.sim.signals import PulseWire
@@ -45,9 +48,28 @@ from repro.crypto.whirlpool import compress
 from repro.utils.bits import bytes_to_words32, words32_to_bytes
 
 
+_FLAG_TESTS: Dict[Cond, Callable[["SteppedController8"], bool]] = {
+    Cond.ALWAYS: lambda ctrl: True,
+    Cond.Z: lambda ctrl: ctrl.zero,
+    Cond.NZ: lambda ctrl: not ctrl.zero,
+    Cond.C: lambda ctrl: ctrl.carry,
+    Cond.NC: lambda ctrl: not ctrl.carry,
+}
+#: Flow-control opcode -> the flag test its condition names.
+_CONDITION: Dict[Op, Callable[["SteppedController8"], bool]] = {
+    op: _FLAG_TESTS[cond]
+    for variants in FLOW_VARIANTS.values()
+    for cond, op in variants.items()
+}
+
 
 class SteppedController8(Controller8):
-    """The reference: one ``Delay(2)`` per instruction, no decoupling."""
+    """The reference: one ``Delay(2)`` per instruction, no decoupling.
+
+    It keeps its own per-instruction ALU semantics (the method per op
+    below), so the oracle shares no instruction code with the
+    controller's translated blocks.
+    """
 
     def run(self, entry=None):
         if entry is not None:
@@ -86,6 +108,196 @@ class SteppedController8(Controller8):
             if stopped:
                 return None
         return None
+
+    def _set_zc_logical(self, value: int) -> None:
+        self.zero = value == 0
+        self.carry = False
+
+    def _alu_source(self, decoded: Decoded) -> int:
+        if decoded.op in REGISTER_FORMS:
+            return self.regs[(decoded.operand >> 4) & 0xF]
+        return decoded.operand
+
+    # -- instruction semantics --------------------------------------------
+
+    def _execute(self, decoded: Decoded) -> None:
+        """Apply one instruction's effects (timing is :meth:`run`'s job)."""
+        _SEMANTICS[decoded.op](self, decoded)
+
+    def _nop(self, decoded: Decoded) -> None:
+        return None
+
+    def _load(self, decoded: Decoded) -> None:
+        self.regs[decoded.sx] = self._alu_source(decoded) & 0xFF
+
+    def _and(self, decoded: Decoded) -> None:
+        self.regs[decoded.sx] &= self._alu_source(decoded)
+        self._set_zc_logical(self.regs[decoded.sx])
+
+    def _or(self, decoded: Decoded) -> None:
+        self.regs[decoded.sx] |= self._alu_source(decoded)
+        self._set_zc_logical(self.regs[decoded.sx])
+
+    def _xor(self, decoded: Decoded) -> None:
+        self.regs[decoded.sx] ^= self._alu_source(decoded)
+        self._set_zc_logical(self.regs[decoded.sx])
+
+    def _add(self, decoded: Decoded) -> None:
+        self._sum(decoded, self.regs[decoded.sx] + self._alu_source(decoded))
+
+    def _addcy(self, decoded: Decoded) -> None:
+        total = self.regs[decoded.sx] + self._alu_source(decoded) + int(self.carry)
+        self._sum(decoded, total)
+
+    def _sum(self, decoded: Decoded, total: int) -> None:
+        self.carry = total > 0xFF
+        self.regs[decoded.sx] = total & 0xFF
+        self.zero = self.regs[decoded.sx] == 0
+
+    def _sub(self, decoded: Decoded) -> None:
+        self._difference(decoded, self.regs[decoded.sx] - self._alu_source(decoded))
+
+    def _subcy(self, decoded: Decoded) -> None:
+        diff = self.regs[decoded.sx] - self._alu_source(decoded) - int(self.carry)
+        self._difference(decoded, diff)
+
+    def _difference(self, decoded: Decoded, diff: int) -> None:
+        self.carry = diff < 0
+        self.regs[decoded.sx] = diff & 0xFF
+        self.zero = self.regs[decoded.sx] == 0
+
+    def _compare(self, decoded: Decoded) -> None:
+        diff = self.regs[decoded.sx] - self._alu_source(decoded)
+        self.carry = diff < 0
+        self.zero = (diff & 0xFF) == 0
+
+    def _sr0(self, decoded: Decoded) -> None:
+        sx = decoded.sx
+        self.carry = bool(self.regs[sx] & 1)
+        self.regs[sx] >>= 1
+        self.zero = self.regs[sx] == 0
+
+    def _sl0(self, decoded: Decoded) -> None:
+        sx = decoded.sx
+        self.carry = bool(self.regs[sx] & 0x80)
+        self.regs[sx] = (self.regs[sx] << 1) & 0xFF
+        self.zero = self.regs[sx] == 0
+
+    def _rr(self, decoded: Decoded) -> None:
+        sx = decoded.sx
+        low = self.regs[sx] & 1
+        self.regs[sx] = (self.regs[sx] >> 1) | (low << 7)
+        self.carry = bool(low)
+        self.zero = self.regs[sx] == 0
+
+    def _rl(self, decoded: Decoded) -> None:
+        sx = decoded.sx
+        high = (self.regs[sx] >> 7) & 1
+        self.regs[sx] = ((self.regs[sx] << 1) & 0xFF) | high
+        self.carry = bool(high)
+        self.zero = self.regs[sx] == 0
+
+    def _input(self, decoded: Decoded) -> None:
+        port = self._alu_source(decoded)
+        self.regs[decoded.sx] = self.device.read_port(port) & 0xFF
+
+    def _output(self, decoded: Decoded) -> None:
+        self.device.write_port(self._alu_source(decoded), self.regs[decoded.sx])
+
+    def _store(self, decoded: Decoded) -> None:
+        self._scratch_write(self._alu_source(decoded), self.regs[decoded.sx])
+
+    def _fetch(self, decoded: Decoded) -> None:
+        self.regs[decoded.sx] = self._scratch_read(self._alu_source(decoded))
+
+    def _jump(self, decoded: Decoded) -> None:
+        if _CONDITION[decoded.op](self):
+            self.pc = decoded.addr
+
+    def _call(self, decoded: Decoded) -> None:
+        if _CONDITION[decoded.op](self):
+            if len(self.stack) >= STACK_DEPTH:
+                raise ExecutionError(f"{self.name}: call stack overflow")
+            self.stack.append(self.pc)
+            self.pc = decoded.addr
+
+    def _return(self, decoded: Decoded) -> None:
+        if _CONDITION[decoded.op](self):
+            if not self.stack:
+                # Returning from the top level ends the firmware run.
+                self._stopped = True
+            else:
+                self.pc = self.stack.pop()
+
+    def _returni(self, decoded: Decoded) -> None:
+        if not self.stack:
+            raise ExecutionError(f"{self.name}: RETURNI with empty stack")
+        self.pc = self.stack.pop()
+        if self._preserved_flags is not None:
+            self.zero, self.carry = self._preserved_flags
+            self._preserved_flags = None
+        self.interrupts_enabled = decoded.op is Op.RETURNI_E
+
+    def _eint(self, decoded: Decoded) -> None:
+        self.interrupts_enabled = True
+
+    def _dint(self, decoded: Decoded) -> None:
+        self.interrupts_enabled = False
+
+    def _scratch_write(self, addr: int, value: int) -> None:
+        if not 0 <= addr < SCRATCHPAD_BYTES:
+            raise ExecutionError(f"{self.name}: scratchpad address {addr:#x}")
+        self.scratchpad[addr] = value & 0xFF
+
+    def _scratch_read(self, addr: int) -> int:
+        if not 0 <= addr < SCRATCHPAD_BYTES:
+            raise ExecutionError(f"{self.name}: scratchpad address {addr:#x}")
+        return self.scratchpad[addr]
+
+
+_C = SteppedController8
+#: Opcode -> its semantics (``HALT`` lives in :meth:`Controller8.run`).
+_SEMANTICS: Dict[Op, Callable[[Controller8, Decoded], None]] = {
+    Op.NOP: _C._nop,
+    Op.LOAD: _C._load,
+    Op.LOAD_R: _C._load,
+    Op.AND: _C._and,
+    Op.AND_R: _C._and,
+    Op.OR: _C._or,
+    Op.OR_R: _C._or,
+    Op.XOR: _C._xor,
+    Op.XOR_R: _C._xor,
+    Op.ADD: _C._add,
+    Op.ADD_R: _C._add,
+    Op.ADDCY: _C._addcy,
+    Op.ADDCY_R: _C._addcy,
+    Op.SUB: _C._sub,
+    Op.SUB_R: _C._sub,
+    Op.SUBCY: _C._subcy,
+    Op.SUBCY_R: _C._subcy,
+    Op.COMPARE: _C._compare,
+    Op.COMPARE_R: _C._compare,
+    Op.SR0: _C._sr0,
+    Op.SL0: _C._sl0,
+    Op.RR: _C._rr,
+    Op.RL: _C._rl,
+    Op.INPUT: _C._input,
+    Op.INPUT_R: _C._input,
+    Op.OUTPUT: _C._output,
+    Op.OUTPUT_R: _C._output,
+    Op.STORE: _C._store,
+    Op.STORE_R: _C._store,
+    Op.FETCH: _C._fetch,
+    Op.FETCH_R: _C._fetch,
+    Op.RETURNI_E: _C._returni,
+    Op.RETURNI_D: _C._returni,
+    Op.EINT: _C._eint,
+    Op.DINT: _C._dint,
+    **{op: _C._jump for op in FLOW_VARIANTS["JUMP"].values()},
+    **{op: _C._call for op in FLOW_VARIANTS["CALL"].values()},
+    **{op: _C._return for op in FLOW_VARIANTS["RETURN"].values()},
+}
+del _C
 
 
 class SteppedWordFifo:
