@@ -13,9 +13,7 @@ both against the *measured* steady-state periods of simulated firmware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
-from repro.core.params import Algorithm
 from repro.unit.timing import DEFAULT_TIMING, TimingModel
 
 #: The paper's published loop periods for 128-bit keys.
@@ -55,20 +53,3 @@ class LoopModel:
         if mode == "ccm1":
             return self.timing.ccm_one_core_loop(key_bits)
         raise ValueError(f"unknown mode {mode!r}")
-
-    def all_periods(self) -> Dict[str, Dict[int, int]]:
-        """Every (mode, key size) period."""
-        return {
-            mode: {kb: self.period(mode, kb) for kb in (128, 192, 256)}
-            for mode in ("gcm", "ctr", "cbc", "ccm1", "ccm2")
-        }
-
-    def algorithm_loop(self, algorithm: Algorithm, key_bits: int, cores: int = 1) -> int:
-        """Loop period for a device algorithm under a core mapping."""
-        if algorithm in (Algorithm.GCM, Algorithm.CTR):
-            return self.period("gcm", key_bits)
-        if algorithm is Algorithm.CBC_MAC:
-            return self.period("cbc", key_bits)
-        if algorithm is Algorithm.CCM:
-            return self.period("ccm2" if cores == 2 else "ccm1", key_bits)
-        raise ValueError(f"no loop model for {algorithm!r}")

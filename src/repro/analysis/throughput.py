@@ -94,8 +94,8 @@ class WorkloadReport:
     #: AES key-schedule rebuilds observed inside arena dispatch workers
     #: during the run.  With persistent warm-cache workers this is zero
     #: in steady state — each worker expands a key once, then serves
-    #: every later batch from its warm schedule until a rekey epoch
-    #: bump invalidates exactly that key.
+    #: every later batch from its warm schedule; a rekey's new key
+    #: bytes miss the byte-keyed cache, so only that key re-expands.
     key_schedule_expansions: int = 0
     # -- overload protection / SLA accounting ---------------------------
     #: Per-priority-class latency samples (cycles); the feed for the

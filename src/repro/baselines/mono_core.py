@@ -5,12 +5,10 @@ does not allow simple management of multi-channel streams."  This
 baseline is exactly one MCCP cryptographic core behind a single-entry
 scheduler: same loop periods, no parallelism, channels strictly
 serialised.  The multi-channel benchmarks use it to show the 4x gap
-(and the latency head-of-line blocking) that motivates the MCCP.
+that motivates the MCCP.
 """
 
 from __future__ import annotations
-
-from typing import List, Tuple
 
 from repro.core.params import Algorithm
 from repro.unit.timing import DEFAULT_TIMING, TimingModel
@@ -22,8 +20,6 @@ class MonoCoreAccelerator:
     def __init__(self, timing: TimingModel = DEFAULT_TIMING, clock_hz: float = 190e6):
         self.timing = timing
         self.clock_hz = clock_hz
-        self._busy_until = 0
-        self.packets_processed = 0
 
     def packet_cycles(
         self, algorithm: Algorithm, key_bits: int, data_blocks: int, aad_blocks: int = 0
@@ -47,25 +43,6 @@ class MonoCoreAccelerator:
         else:
             raise ValueError(f"unsupported algorithm {algorithm!r}")
         return overhead + aad_cost + data_blocks * loop
-
-    def process_schedule(
-        self, arrivals: List[Tuple[int, Algorithm, int, int]]
-    ) -> List[Tuple[int, int]]:
-        """Serve (arrival_cycle, algorithm, key_bits, data_blocks) FIFO.
-
-        Returns (completion_cycle, latency) per packet — head-of-line
-        blocking included, which is the latency story of section I.
-        """
-        self._busy_until = 0
-        out = []
-        for arrival, algorithm, key_bits, blocks in arrivals:
-            start = max(arrival, self._busy_until)
-            cycles = self.packet_cycles(algorithm, key_bits, blocks)
-            finish = start + cycles
-            self._busy_until = finish
-            self.packets_processed += 1
-            out.append((finish, finish - arrival))
-        return out
 
     def throughput_mbps(
         self, algorithm: Algorithm, key_bits: int, data_blocks: int = 128

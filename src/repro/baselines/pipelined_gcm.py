@@ -45,10 +45,6 @@ class PipelinedGcmEngine:
         """
         return self.PIPELINE_STAGES * max(data_blocks, 1)
 
-    def reconfigure_stream_penalty_cycles(self) -> int:
-        """Pipeline flush/refill when switching channel/standard."""
-        return self.PIPELINE_STAGES
-
     def gcm_throughput_mbps(self, data_blocks: int = 128) -> float:
         """Single-stream GCM throughput."""
         cycles = self.gcm_packet_cycles(data_blocks)

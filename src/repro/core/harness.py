@@ -14,7 +14,7 @@ harness mirrors its per-word timing so single-core numbers match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.crypto_core import CoreResult, CryptoCore
 from repro.radio.formatting import FormattedTask
@@ -97,23 +97,3 @@ def run_task(
     return TaskRun(
         result=result, output=words32_to_bytes(sink), feed_done_cycle=feed_cycle
     )
-
-
-def steady_state_periods(
-    trace, component: str, op: str = "SAES"
-) -> Tuple[Optional[int], List[int]]:
-    """Extract the dominant issue period of *op* from a trace.
-
-    Returns (modal period, all periods) — the modal period is the
-    steady-state loop time the paper's section VII.A equations predict.
-    """
-    cycles = [
-        e.cycle
-        for e in trace.filter(component, "issue")
-        if e.details.get("op") == op
-    ]
-    periods = [b - a for a, b in zip(cycles, cycles[1:])]
-    if not periods:
-        return None, []
-    modal = max(set(periods), key=periods.count)
-    return modal, periods

@@ -131,11 +131,7 @@ from repro.crypto.fast.bulk import (  # noqa: E402
     gcm_open,
     gcm_seal,
 )
-from repro.crypto.fast.arena import (  # noqa: E402
-    PacketArena,
-    bump_key_epoch,
-    key_epoch,
-)
+from repro.crypto.fast.arena import PacketArena  # noqa: E402
 from repro.crypto.fast.batch import (  # noqa: E402
     cbc_mac_many,
     ccm_open_many,
@@ -183,8 +179,6 @@ __all__ = [
     "gmac_many",
     "seal_open_many",
     "PacketArena",
-    "key_epoch",
-    "bump_key_epoch",
     "ExecutionBackend",
     "InlineBackend",
     "ProcessPoolBackend",

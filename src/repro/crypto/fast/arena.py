@@ -34,16 +34,6 @@ attaches (:func:`attach_view`) so a worker's tracker traffic cannot
 unlink — or unregister — a segment the parent still owns.  Crashed
 workers hold no unlink rights at all — reclamation is always the
 owner's.
-
-Rekey epoch protocol
---------------------
-Persistent workers keep warm per-key-id state (the AES key-schedule /
-GHASH table LRUs stay hot across dispatches).  The parent tags each
-dispatch with ``(key_id, epoch)`` from :func:`key_epoch`;
-``KeyScheduler.invalidate`` (the rekey path) calls
-:func:`bump_key_epoch`, and :func:`note_key_epoch` on the worker drops
-exactly the rotated key id's warm record when the shipped epoch is
-newer than the one it last saw — other keys' warm state is untouched.
 """
 
 from __future__ import annotations
@@ -52,7 +42,7 @@ import atexit
 import os
 import threading
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 #: Initial slab size.  Two orders of magnitude above a width-32 batch
 #: of 2 KB packets (inputs + aad + result regions), so steady radio
@@ -371,60 +361,6 @@ def detach_all() -> None:
     _ATTACHED.clear()
 
 
-# -- rekey epoch protocol ------------------------------------------------
-
-_EPOCH_LOCK = threading.Lock()
-
-#: Parent-side truth: key id -> rotation epoch (0 = never rotated).
-_KEY_EPOCHS: Dict[object, int] = {}
-
-#: Worker-side record of the freshest ``(epoch, key bytes)`` seen per
-#: key id — the warm state the epoch protocol invalidates.
-_WARM_KEYS: Dict[object, Tuple[int, bytes]] = {}
-
-
-def key_epoch(key_id: object) -> int:
-    """Current rotation epoch of *key_id* (parent side)."""
-    with _EPOCH_LOCK:
-        return _KEY_EPOCHS.get(key_id, 0)
-
-
-def bump_key_epoch(key_id: object) -> int:
-    """Advance *key_id*'s epoch (the ``invalidate``/rekey hook)."""
-    with _EPOCH_LOCK:
-        epoch = _KEY_EPOCHS.get(key_id, 0) + 1
-        _KEY_EPOCHS[key_id] = epoch
-        return epoch
-
-
-def note_key_epoch(key: bytes, key_ref: Optional[Tuple[object, int]]) -> bool:
-    """Worker-side half of the protocol; True when *key_id* rotated.
-
-    Records the shipped ``(key_id, epoch)`` and drops exactly the
-    rotated key id's previous warm record on an epoch change — the old
-    schedule becomes unreachable and ages out of the bounded LRU while
-    every other key id's warm state stays hot.
-    """
-    if key_ref is None:
-        return False
-    key_id, epoch = key_ref
-    seen = _WARM_KEYS.get(key_id)
-    rotated = seen is not None and seen[0] != epoch
-    if seen is None or rotated:
-        _WARM_KEYS[key_id] = (epoch, bytes(key))
-    return rotated
-
-
-def warm_keys() -> Dict[object, Tuple[int, bytes]]:
-    """This process's warm-key records (introspection for tests)."""
-    return dict(_WARM_KEYS)
-
-
-def clear_warm_keys() -> None:
-    """Forget every warm-key record (test isolation / fork hook)."""
-    _WARM_KEYS.clear()
-
-
 # -- process-level hygiene -----------------------------------------------
 
 
@@ -437,13 +373,10 @@ def _close_arenas() -> None:
 
 def _after_fork_in_child() -> None:
     # The child inherits the parent's mappings but must never unlink
-    # them — only the owning process reclaims slabs.  Warm-key records
-    # stay truthful only per process, so the child starts cold (the
-    # crypto LRUs are cleared by repro.crypto.fast's own fork hook).
+    # them — only the owning process reclaims slabs.
     for arena in list(_ARENAS):
         arena._disown()
     _ATTACHED.clear()
-    clear_warm_keys()
 
 
 if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX CI
@@ -457,9 +390,4 @@ __all__ = [
     "Generation",
     "attach_view",
     "detach_all",
-    "key_epoch",
-    "bump_key_epoch",
-    "note_key_epoch",
-    "warm_keys",
-    "clear_warm_keys",
 ]

@@ -96,7 +96,7 @@ from repro.crypto.fast.bulk import (
     _schedule,
     xor_data,
 )
-from repro.crypto.fast.arena import attach_view, note_key_epoch
+from repro.crypto.fast.arena import attach_view
 from repro.crypto.fast.exec import BackendSpec, resolve_backend
 from repro.errors import (
     BackendError,
@@ -311,13 +311,12 @@ def _stage_arena(arena, seal_packets, open_packets, tag_length: int):
     return generation, seal_descs, open_descs
 
 
-def _arena_seal_shard(mode: str, key: bytes, key_ref, slab_name: str,
-                      descs, tag_length: int, fault=None):
+def _arena_seal_shard(mode: str, key: bytes, slab_name: str, descs,
+                      tag_length: int, fault=None):
     """One seal span of an arena dispatch; results written in place."""
     with _faults.executing(fault):
         cache_info = expand_key_cached.cache_info
         before = cache_info().misses
-        note_key_epoch(key, key_ref)
         view = attach_view(slab_name)
         packets = [
             (nonce, view[d:d + dl], view[a:a + al])
@@ -332,13 +331,12 @@ def _arena_seal_shard(mode: str, key: bytes, key_ref, slab_name: str,
         return cache_info().misses - before, None
 
 
-def _arena_open_shard(mode: str, key: bytes, key_ref, slab_name: str,
-                      descs, fault=None):
+def _arena_open_shard(mode: str, key: bytes, slab_name: str, descs,
+                      fault=None):
     """One open span; plaintext in place, auth verdicts on the wire."""
     with _faults.executing(fault):
         cache_info = expand_key_cached.cache_info
         before = cache_info().misses
-        note_key_epoch(key, key_ref)
         view = attach_view(slab_name)
         packets = [
             (nonce, view[d:d + dl], tag, view[a:a + al])
@@ -402,9 +400,8 @@ def _arena_packets(generation, seal_descs, open_descs):
     return seals, opens
 
 
-def _arena_submit(backend, arena, mode: str, key: bytes, key_ref,
-                  seal_packets, open_packets, tag_length: int,
-                  isolate: bool):
+def _arena_submit(backend, arena, mode: str, key: bytes, seal_packets,
+                  open_packets, tag_length: int, isolate: bool):
     """Launch one descriptor dispatch; None when it would not shard."""
     seal_spans = backend.shard_spans(len(seal_packets))
     open_spans = backend.shard_spans(len(open_packets))
@@ -424,14 +421,14 @@ def _arena_submit(backend, arena, mode: str, key: bytes, key_ref,
     calls = [
         _call(
             _arena_seal_shard,
-            (mode, key, key_ref, slab, seal_descs[start:stop], tag_length),
+            (mode, key, slab, seal_descs[start:stop], tag_length),
             seal_descs[start][0],
         )
         for start, stop in seal_spans
     ] + [
         _call(
             _arena_open_shard,
-            (mode, key, key_ref, slab, open_descs[start:stop]),
+            (mode, key, slab, open_descs[start:stop]),
             open_descs[start][0],
         )
         for start, stop in open_spans
@@ -500,7 +497,6 @@ def seal_open_many(
     tag_length: int = 16,
     backend: BackendSpec = None,
     isolate: bool = False,
-    key_ref: Optional[Tuple[object, int]] = None,
 ) -> Tuple[List[Tuple[bytes, bytes]], List[Optional[bytes]]]:
     """Seal one list and open another under one key, one backend pass.
 
@@ -520,14 +516,10 @@ def seal_open_many(
     batchmates keep their byte-identical results.  Backend
     infrastructure errors still propagate (after the backend's own
     retry machinery has given up on them).
-
-    *key_ref* — an optional ``(key_id, epoch)`` pair from
-    :mod:`repro.crypto.fast.arena` — tags the dispatch for the warm
-    workers' rekey invalidation protocol; it never affects results.
     """
     return seal_open_submit(
         mode, key, seal_packets, open_packets, tag_length,
-        backend=backend, isolate=isolate, key_ref=key_ref,
+        backend=backend, isolate=isolate,
     ).result()
 
 
@@ -563,11 +555,10 @@ def _seal_open_whole(dispatches: Sequence[_Dispatch]):
 class SealOpenHandle:
     """One submitted :func:`seal_open_many` dispatch (futures form).
 
-    Returned by :func:`seal_open_submit`; ``done()`` is non-blocking,
-    ``result()`` waits and yields the same
-    ``(sealed, opened)`` pair — byte-identical to the blocking call,
-    memoized, with the same ``isolate=True`` quarantine semantics
-    applied at collection time.  The dataplane-specific halves ride in
+    Returned by :func:`seal_open_submit`; ``result()`` waits and
+    yields the same ``(sealed, opened)`` pair — byte-identical to the
+    blocking call, memoized, with the same ``isolate=True`` quarantine
+    semantics applied at collection time.  The dataplane-specific halves ride in
     as callables: *collect* turns the backend's shard results into the
     pair, *quarantine* (None = not isolating) rebuilds the pair from
     the original packets when a packet-level error surfaces, and
@@ -591,10 +582,6 @@ class SealOpenHandle:
         self._result = None
         #: The inline work (:data:`_Dispatch`); None on an arena handle.
         self._dispatch = dispatch
-
-    def done(self) -> bool:
-        """Non-blocking: would :meth:`result` still wait on workers?"""
-        return self._handle.done()
 
     def result(self):
         """The ``(sealed, opened)`` pair, in submission order (memoized)."""
@@ -649,7 +636,6 @@ def seal_open_submit(
     tag_length: int = 16,
     backend: BackendSpec = None,
     isolate: bool = False,
-    key_ref: Optional[Tuple[object, int]] = None,
 ) -> SealOpenHandle:
     """Launch a mixed dispatch without waiting; a :class:`SealOpenHandle`.
 
@@ -674,8 +660,7 @@ def seal_open_submit(
     faults the same wherever its dispatch computes: an inline
     non-isolating dispatch raises :class:`InjectedFault` right away,
     an isolating one sets the packet's :class:`QuarantinedPacketError`
-    aside.  *key_ref* (``(key_id, epoch)``) rides along to the warm
-    workers' rekey protocol.
+    aside.
     """
     if mode not in _SEAL_MANY:
         raise ValueError(f"unknown batch mode {mode!r}; valid: gcm, ccm")
@@ -684,7 +669,7 @@ def seal_open_submit(
     arena = _dispatch_arena(backend)
     if arena is not None:
         handle = _arena_submit(
-            backend, arena, mode, key, key_ref,
+            backend, arena, mode, key,
             list(seal_packets), list(open_packets), tag_length, isolate,
         )
         if handle is not None:

@@ -37,8 +37,7 @@ crypto, MCCP and radio layers.
 Asynchronous half: :meth:`ExecutionBackend.submit` is the futures
 form of :meth:`ExecutionBackend.run` — it hands the calls to the pool
 *without waiting* and returns a :class:`BatchHandle` whose
-``done()`` probes completion and whose ``result()`` drains
-the span (applying the same recovery machinery, so
+``result()`` drains the span (applying the same recovery machinery, so
 ``backend.run(calls)`` and ``backend.submit(calls).result()`` are
 byte-identical — ``run`` is literally implemented that way).  This is
 what lets the simulated dataplane overlap sim-event processing with
@@ -157,10 +156,8 @@ def _serial_outcomes(calls: Sequence[Tuple[Callable, tuple]]) -> List[object]:
 class BatchHandle:
     """One in-flight backend span: the futures half of the API.
 
-    Returned by :meth:`ExecutionBackend.submit`.  ``done()`` reports,
-    without blocking, whether ``result()``
-    would still have to wait on remote workers; ``result()`` waits for
-    the span, runs the same retry/watchdog/degradation machinery the
+    Returned by :meth:`ExecutionBackend.submit`.  ``result()`` waits
+    for the span, runs the same retry/watchdog/degradation machinery the
     blocking :meth:`ExecutionBackend.run` applies, and returns the
     per-call results in submission order — byte-identical to what
     ``run()`` on the same calls would have returned.
@@ -197,21 +194,6 @@ class BatchHandle:
         handle._results = results
         return handle
 
-    def done(self) -> bool:
-        """True when :meth:`result` will not block on in-flight work.
-
-        Non-blocking.  An unlaunched handle (no async capability — see
-        :meth:`ExecutionBackend.submit`) reports True: its ``result()``
-        computes in the calling thread, it never *waits*.  Note that a
-        True here does not promise the recovery machinery will not run
-        — a collected failure may still retry inside ``result()``.
-        """
-        if self._results is not None or self._error is not None:
-            return True
-        if self._token is None:
-            return True
-        return self._backend._token_done(self._token)
-
     def result(self) -> List[object]:
         """Wait for the span; results in submission order (memoized).
 
@@ -234,10 +216,6 @@ class BatchHandle:
                 self._error = exc
                 raise
         return self._results
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.done() else "in-flight"
-        return f"<BatchHandle {len(self._calls)} call(s), {state}>"
 
 
 class ExecutionBackend(ABC):
@@ -317,14 +295,9 @@ class ExecutionBackend(ABC):
         None means this backend has nothing to launch (no pool, one
         worker, a serial-sized span): the calls run in the calling
         thread instead.  A non-None token is backend-private state for
-        :meth:`_token_done` / :meth:`_token_collect` (for the pool:
-        the futures list).
+        :meth:`_token_collect` (for the pool: the futures list).
         """
         return None
-
-    def _token_done(self, token: object) -> bool:
-        """Non-blocking: has every launched call finished (or died)?"""
-        return all(future.done() for future in token)
 
     def _token_collect(
         self, token: object, timeout: Optional[float]

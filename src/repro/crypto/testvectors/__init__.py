@@ -15,7 +15,7 @@ literals.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple
+from typing import List, NamedTuple
 
 from repro.crypto.testvectors import generated, published
 
@@ -94,11 +94,3 @@ def ctr_vectors() -> List[CtrVector]:
 def whirlpool_vectors() -> List[HashVector]:
     """The ISO Whirlpool known-answer vectors."""
     return [HashVector(m.encode(), _h(d)) for m, d in published.WHIRLPOOL]
-
-
-def iter_all_aead() -> Iterator[tuple]:
-    """Iterate over (mode_name, vector) pairs for GCM and CCM."""
-    for v in gcm_vectors():
-        yield ("gcm", v)
-    for v in ccm_vectors():
-        yield ("ccm", v)

@@ -70,8 +70,6 @@ def _configs(quick: bool) -> List[ChannelConfig]:
                 deterministic_bytes(key_bytes, 41 + index),
                 TrafficPattern.SATURATING,
                 packets=packets,
-                rx_fraction=0.4,
-                corrupt_rate=0.2,
             )
         )
     return configs
@@ -105,6 +103,8 @@ def _run_cell(configs, seed, plan, backend, dataplane):
                 dataplane=dataplane,
                 flush_policy=FlushPolicy(coalesce_limit=32, flush_deadline=8192),
                 backend=backend,
+                rx_fraction=0.4,
+                corrupt_rate=0.2,
             )
         )
         transfers: Dict[Tuple[int, int], Tuple[bytes, Optional[bytes], bool]] = {}

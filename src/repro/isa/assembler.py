@@ -97,10 +97,6 @@ def _split_operands(rest: str) -> List[str]:
     return [p.strip() for p in rest.split(",")] if rest.strip() else []
 
 
-class _Statement(Tuple):
-    pass
-
-
 def _tokenize(
     source: str,
 ) -> Tuple[List[Tuple[int, str, List[str], str]], Dict[str, int], Dict[str, int]]:

@@ -120,28 +120,6 @@ class WindowStats:
     #: 2 = bulk), sorted for stable serialization.
     class_mix: Tuple[Tuple[int, int], ...] = ()
 
-    @property
-    def realized_width(self) -> float:
-        """Mean jobs per dispatch inside the window (0 if none ran)."""
-        if self.dispatches == 0:
-            return 0.0
-        return self.dispatched_jobs / self.dispatches
-
-    @property
-    def mean_packet_bytes(self) -> float:
-        """Mean payload size of the window's enqueued jobs."""
-        if self.jobs == 0:
-            return 0.0
-        return self.bytes / self.jobs
-
-    @property
-    def arrival_rate(self) -> float:
-        """Jobs per simulated cycle across the window."""
-        span = self.end_cycle - self.start_cycle
-        if span <= 0:
-            return 0.0
-        return self.jobs / span
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-safe form for decision traces and sweep artifacts."""
         return {

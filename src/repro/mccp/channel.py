@@ -45,17 +45,15 @@ DEFAULT_FLUSH_DEADLINE = 8192
 class FlushPolicy:
     """When a channel's queued jobs are dispatched.
 
-    **The canonical flush lifecycle** (every flush entry point —
-    ``CommController.flush_now``, ``Mccp.flush_channel``,
-    ``Mccp.flush_batches`` — is one view of this sequence):
+    **The canonical flush lifecycle** (the communication controller's
+    dataplane runs this sequence):
 
     1. **Coalesce** — submitted jobs queue in :attr:`Channel.pending`,
        in submission order, until a trigger fires.
     2. **Trigger** — either the *size threshold* (``coalesce_limit``
        queued jobs), the *idle deadline* (``flush_deadline`` cycles
        after the oldest queued job), or an *explicit force*
-       (``flush_now`` / the zero-sim-time ``flush_channel`` /
-       ``flush_batches`` drains).
+       (``CommController.flush_now``).
     3. **Dispatch** — jobs pop :attr:`Channel.coalesce_limit` at a
        time (never more per batch) and run through the batch engine;
        while a popped batch is computing it is accounted in

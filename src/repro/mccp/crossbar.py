@@ -45,11 +45,6 @@ class Crossbar:
             moved += fifo.moved(run)
         return moved
 
-    @property
-    def granted_core(self) -> Optional[int]:
-        """Index of the core currently granted external I/O (None = none)."""
-        return self._granted
-
     def grant(self, core_index: int) -> None:
         """Connect *core_index* to the external port."""
         self._granted = core_index

@@ -44,10 +44,6 @@ class KeyMemory:
             raise KeyStoreError(f"key must be 16/24/32 bytes, got {len(key)}")
         self._keys[key_id] = bytes(key)
 
-    def erase_key(self, key_id: int) -> None:
-        """Zeroise one key (main controller only)."""
-        self._keys.pop(key_id, None)
-
     def seal(self) -> None:
         """Lock the memory against further writes (mission start)."""
         self._sealed = True

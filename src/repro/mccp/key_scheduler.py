@@ -51,19 +51,10 @@ class KeyScheduler:
 
         Rewriting key material in the key memory must be paired with
         this, or subsequent loads would install the *old* round keys
-        from the memo.  Returns whether a memo entry existed.
-
-        Also bumps the key's arena epoch
-        (:func:`repro.crypto.fast.arena.bump_key_epoch`): subsequent
-        dispatches carry the new ``(key_id, epoch)`` tag and the
-        process backend's persistent workers drop exactly this key's
-        warm schedule record — the software restatement of the paper's
-        key-cache invalidation on rekey, extended across worker
-        processes.
+        from the memo.  Returns whether a memo entry existed.  The
+        batch engine's schedule and GHASH caches need no such hook:
+        they are keyed by key bytes, so new key material misses them.
         """
-        from repro.crypto.fast.arena import bump_key_epoch
-
-        bump_key_epoch(key_id)
         return self._memo.pop(key_id, None) is not None
 
     def load_sync(self, key_id: int, cache: KeyCache) -> int:

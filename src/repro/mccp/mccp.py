@@ -11,31 +11,28 @@ scheduler, crossbar, task scheduler — and exposes both interfaces:
   used by the communication controller and the benchmarks.
 
 It also exposes the **batched submission path** (:meth:`enqueue_job` /
-:meth:`enqueue_packet` / :meth:`dispatch_jobs` / :meth:`flush_channel`
-/ :meth:`flush_batches`): same-key :class:`repro.mccp.channel
+:meth:`dispatch_jobs_async`): same-key :class:`repro.mccp.channel
 .PacketJob` records queue on their channel and drain
 :attr:`Channel.coalesce_limit` at a time through the multi-packet
 batch engine (:mod:`repro.crypto.fast.batch`) — lane-parallel CBC-MAC,
 fused counter sweeps, H-power GHASH.  This layer is the functional
 software analogue of the paper's many-channel pipelining, not the
 cycle model: it produces the same bytes the simulated cores would
-(:meth:`submit` runs the cycle-accurate core path).  Simulated time
-for batched dispatches is charged by the communication controller's
-dataplane (:mod:`repro.radio.comm_controller`), which pops batches
-under the channel's :class:`repro.mccp.channel.FlushPolicy` and calls
-:meth:`dispatch_jobs_async` per dispatch; the synchronous
-:meth:`flush_channel` / :meth:`flush_batches` remain the zero-sim-time
-entry points.
+(:meth:`submit` runs the cycle-accurate core path).  Its one caller is
+the communication controller's dataplane
+(:mod:`repro.radio.comm_controller`): it pops batches under the
+channel's :class:`repro.mccp.channel.FlushPolicy`, charges their
+simulated time, and calls :meth:`dispatch_jobs_async` per dispatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.crypto_core import CryptoCore
 from repro.core.params import Algorithm, Direction
-from repro.crypto.fast.exec import BackendSpec, resolve_backend
+from repro.crypto.fast.exec import BackendSpec
 from repro.crypto.modes.ccm import _check_params as _ccm_check_params
 from repro.crypto.modes.gcm import VALID_TAG_LENGTHS as _GCM_VALID_TAG_LENGTHS
 from repro.errors import (
@@ -101,16 +98,13 @@ KEY_FETCH_ATTEMPTS = 3
 
 
 class DispatchHandle:
-    """One in-flight :meth:`Mccp.dispatch_jobs` batch (futures form).
+    """One in-flight batch dispatch (futures form).
 
-    Returned by :meth:`Mccp.dispatch_jobs_async`.  ``done()`` probes
-    the underlying backend span without blocking; ``result()``
-    waits, stamps every job's :attr:`PacketJob.result`, updates the
-    channel counters, and returns the :class:`BatchResult` list —
-    byte-identical to what the blocking :meth:`Mccp.dispatch_jobs`
-    returns for the same batch, and memoized.  A batch that
-    dead-lettered at submit time (unreadable key) comes back as an
-    already-completed handle.
+    Returned by :meth:`Mccp.dispatch_jobs_async`.  ``result()`` waits,
+    stamps every job's :attr:`PacketJob.result`, updates the channel
+    counters, and returns the :class:`BatchResult` list (memoized).
+    A batch that dead-lettered at submit time (unreadable key) comes
+    back as an already-completed handle.
 
     An inline dispatch computes nothing when submitted: it stays
     :attr:`deferred` until its own ``result()`` computes it alone, or
@@ -163,12 +157,6 @@ class DispatchHandle:
         handle = cls(None, None, (), (), (), None)
         handle._members = list(handles)
         return handle
-
-    def done(self) -> bool:
-        """Non-blocking: would :meth:`result` still wait on workers?"""
-        if self._results is not None:
-            return True
-        return self._handle.done()
 
     @property
     def deferred(self) -> bool:
@@ -236,18 +224,12 @@ class Mccp:
         policy=None,
         trace: Optional[TraceRecorder] = None,
         key_memory: Optional[KeyMemory] = None,
-        backend: BackendSpec = None,
         max_channels: Optional[int] = None,
     ):
         if core_count < 1:
             raise ProtocolError("MCCP needs at least one core")
         self.sim = sim
         self.timing = timing
-        #: Where batched dispatches execute (:mod:`repro.crypto.fast
-        #: .exec`): an :class:`ExecutionBackend`, a spec string, or
-        #: None for the process default (``REPRO_BACKEND``).  Per-call
-        #: ``backend=`` arguments override it.
-        self.backend = backend
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
 
         self.cores: List[CryptoCore] = [
@@ -370,32 +352,6 @@ class Mccp:
 
     # -- batched submission path (software multi-packet fast path) -----------------
 
-    def enqueue_packet(
-        self,
-        channel_id: int,
-        data: bytes,
-        aad: bytes = b"",
-        direction: Direction = Direction.ENCRYPT,
-        nonce: Optional[bytes] = None,
-        tag: Optional[bytes] = None,
-    ) -> int:
-        """Queue one packet for batched dispatch; returns queue depth.
-
-        Convenience wrapper over :meth:`enqueue_job` for callers that
-        deal in raw bytes rather than :class:`PacketJob` records (the
-        communication controller builds jobs directly).
-        """
-        return self.enqueue_job(
-            channel_id,
-            PacketJob(
-                direction=direction,
-                nonce=b"" if nonce is None else bytes(nonce),
-                data=bytes(data),
-                aad=bytes(aad),
-                tag=None if tag is None else bytes(tag),
-            ),
-        )
-
     def enqueue_job(self, channel_id: int, job: PacketJob) -> int:
         """Queue one :class:`PacketJob` for batched dispatch.
 
@@ -439,62 +395,42 @@ class Mccp:
         job.channel_id = channel_id
         return channel.enqueue(job)
 
-    def dispatch_jobs(
-        self,
-        channel_id: int,
-        jobs: Sequence[PacketJob],
-        backend: BackendSpec = None,
-    ) -> List[BatchResult]:
-        """Run one already-dequeued batch of *jobs* through the engine.
-
-        The blocking form of the dataplane's inner step (the
-        communication controller pops a batch, charges its modelled
-        control/transfer time, then submits it through
-        :meth:`dispatch_jobs_async`).  Each job's :attr:`PacketJob.result`
-        is stamped; channel statistics (``packets_processed``,
-        ``bytes_processed``, ``auth_failures``, ``stats['batches']``)
-        update as the paper's per-channel counters would.  *backend*
-        (default: the device's :attr:`backend`) decides where the
-        seal/open sweeps execute; results are byte-identical and
-        identically ordered whichever backend runs them.
-
-        Implemented as submit-then-drain over
-        :meth:`dispatch_jobs_async`, so the two can never diverge.
-        """
-        return self.dispatch_jobs_async(channel_id, jobs, backend).result()
-
     def dispatch_jobs_async(
         self,
         channel_id: int,
         jobs: Sequence[PacketJob],
         backend: BackendSpec = None,
     ) -> DispatchHandle:
-        """Submit one batch without waiting; a :class:`DispatchHandle`.
+        """Submit one already-dequeued batch of *jobs*; a :class:`DispatchHandle`.
 
-        The futures form of :meth:`dispatch_jobs`: the key fetch (with
-        its retry loop) and the backend submission happen here, then
-        the caller gets the handle back while process workers
-        run the crypto — a pipelined drain keeps coalescing the *next*
+        The communication controller pops a batch, charges its modelled
+        control/transfer time, then submits it here.  The key fetch
+        (with its retry loop) and the backend submission happen now,
+        then the caller gets the handle back while process workers run
+        the crypto — a pipelined drain keeps coalescing the *next*
         batch meanwhile.  An inline dispatch computes nothing yet: it
         is :attr:`DispatchHandle.deferred` until its ``result()``, or a
         barrier over many dispatches (:meth:`DispatchHandle.gather`),
         computes it.  Which packets quarantine is decided here,
-        whenever the bytes are computed.  Job stamping,
-        channel counters and the quarantine/dead-letter routing all run
-        inside ``handle.result()``; an unreadable key dead-letters the
-        whole batch immediately and returns an already-completed
-        handle.
+        whenever the bytes are computed.
+
+        ``handle.result()`` stamps each job's :attr:`PacketJob.result`
+        and updates the channel statistics (``packets_processed``,
+        ``bytes_processed``, ``auth_failures``, ``stats['batches']``)
+        as the paper's per-channel counters would, routing quarantined
+        packets to the dead-letter queue.  *backend* (None: the process
+        default) decides where the seal/open sweeps execute; results
+        are byte-identical and identically ordered whichever backend
+        runs them.  An unreadable key dead-letters the whole batch
+        immediately and returns an already-completed handle.
         """
         channel = self.scheduler.get_channel(channel_id)
-        resolved = resolve_backend(
-            backend if backend is not None else self.backend
-        )
         key, key_error = self._fetch_key_resilient(channel, jobs)
         if key is None:
             results = self._dead_letter_batch(channel, jobs, key_error)
             channel.stats["batches"] += 1
             return DispatchHandle.completed(results)
-        return self._start_batch(channel, key, jobs, resolved)
+        return self._start_batch(channel, key, jobs, backend)
 
     def _fetch_key_resilient(
         self, channel: Channel, jobs: Sequence[PacketJob]
@@ -542,52 +478,6 @@ class Mccp:
         _resilience_stats.add("dead_lettered", len(jobs))
         return results
 
-    def flush_channel(
-        self, channel_id: int, backend: BackendSpec = None
-    ) -> List[BatchResult]:
-        """Drain one channel's queue through the batch engine.
-
-        One entry point into the canonical flush lifecycle documented
-        on :class:`repro.mccp.channel.FlushPolicy` — specifically the
-        *explicit force* trigger, taken with zero simulated time.
-        Packets dispatch in submission order, :attr:`Channel
-        .coalesce_limit` per batch; results come back in the same
-        order.  The simulated dataplane
-        (:class:`repro.radio.comm_controller.CommController`) drives
-        :meth:`dispatch_jobs_async` itself so it can charge scheduler and
-        crossbar time per dispatch; its force-drain is ``flush_now``.
-        """
-        channel = self.scheduler.get_channel(channel_id)
-        results: List[BatchResult] = []
-        while channel.pending:
-            results.extend(
-                self.dispatch_jobs(channel_id, channel.take_batch(), backend)
-            )
-        return results
-
-    def flush_batches(
-        self, backend: BackendSpec = None
-    ) -> Dict[int, List[BatchResult]]:
-        """Flush every channel with queued packets; id -> results.
-
-        The all-channels form of :meth:`flush_channel` — the same
-        *explicit force* trigger of the canonical flush lifecycle
-        documented on :class:`repro.mccp.channel.FlushPolicy`, applied
-        to every non-empty queue in channel-id order.  Channels drain
-        sequentially; a process backend parallelises inside each
-        dispatch.
-        """
-        resolved = resolve_backend(backend if backend is not None else self.backend)
-        pending_ids = [
-            channel_id
-            for channel_id, channel in sorted(self.scheduler.channels.items())
-            if channel.pending
-        ]
-        return {
-            channel_id: self.flush_channel(channel_id, resolved)
-            for channel_id in pending_ids
-        }
-
     def _start_batch(
         self,
         channel: Channel,
@@ -610,16 +500,8 @@ class Mccp:
         results stay byte-identical to the fault-free run.  Only
         genuine tag-verification failures count toward
         :attr:`Channel.auth_failures`.
-
-        The dispatch is tagged with ``key_ref=(key_id, epoch)`` so the
-        arena dataplane's persistent workers can keep their per-key
-        warm caches honest: :meth:`repro.mccp.key_scheduler
-        .KeyScheduler.invalidate` bumps the epoch on rekey, and workers
-        drop exactly the rotated key's warm record (results never
-        depend on this — it is purely a cache-invalidation signal).
         """
         from repro.crypto.fast import batch as fast_batch
-        from repro.crypto.fast.arena import key_epoch
 
         plan = _faults.active_plan()
         if plan is not None:
@@ -650,7 +532,6 @@ class Mccp:
             channel.tag_length,
             backend=backend,
             isolate=True,
-            key_ref=(channel.key_id, key_epoch(channel.key_id)),
         )
         return DispatchHandle(
             self, channel, list(batch), seal_indices, open_indices, handle

@@ -26,8 +26,8 @@ accounted here (never as auth failures or dead letters) and the exact
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.mccp.channel import Channel
 from repro.sim.kernel import Delay

@@ -51,11 +51,6 @@ class FormattedTask:
     #: Bytes of real payload (for output parsing / throughput math).
     payload_bytes: int = 0
 
-    @property
-    def input_words(self) -> int:
-        """Total 32-bit words pushed to the core's input FIFO."""
-        return 4 * len(self.input_blocks)
-
 
 def _final_block_bytes(length: int) -> int:
     return ((length - 1) % BLOCK_BYTES) + 1 if length else BLOCK_BYTES

@@ -33,9 +33,9 @@ Both dataplanes secure every packet under the same deterministic
 per-(channel, sequence) nonce, so they produce byte-identical secured
 packets — the equivalence the dataplane test suite pins.
 
-Receive-side traffic: a channel (or the whole run) may declare an
-``rx_fraction`` — that share of its packets arrive as *secured*
-packets off the air and flow through the dataplane as DECRYPT jobs.
+Receive-side traffic: a run may declare an ``rx_fraction`` — that
+share of each AEAD channel's packets arrive as *secured* packets off
+the air and flow through the dataplane as DECRYPT jobs.
 The platform plays the peer radio: it pre-seals the payload under the
 channel key and the deterministic per-(channel, sequence) nonce, then
 degrades the transmission per the channel model — ``loss_rate``
@@ -97,36 +97,10 @@ class ChannelConfig:
     packets: int = 8
     priority: int = 1
     two_core_ccm: bool = False
-    #: Per-channel flush-policy override for the batched dataplane
-    #: (None = the run_workload-level policy, or the channel default).
-    flush_policy: Optional[FlushPolicy] = None
-    #: Fraction of this channel's packets that are receive-side
-    #: (DECRYPT) traffic; 0.0 defers to the run_workload-level knob.
-    #: Only AEAD channels generate rx traffic (CTR streams have no tag
-    #: to verify and keep transmitting).
-    rx_fraction: float = 0.0
-    #: Channel model for the rx share: fraction of secured packets
-    #: lost before arrival (never submitted, counted in the report).
-    loss_rate: float = 0.0
-    #: Fraction of *arriving* rx packets whose tag is corrupted in
-    #: flight (fails authentication; the dataplane must reject it
-    #: without disturbing batch-mates).
-    corrupt_rate: float = 0.0
-    #: High watermark of this channel's coalescing queue (None = the
-    #: run-level :attr:`WorkloadSpec.queue_capacity`, or unbounded).
-    #: A bounded queue raises :class:`repro.errors.BackpressureError`
-    #: at the mark and feeds the admission controller's shed logic.
-    queue_capacity: Optional[int] = None
     #: Payload size of every packet (None: the standard's nominal size).
     payload_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.queue_capacity is not None and self.queue_capacity < 1:
-            raise ValueError(
-                f"queue_capacity must be >= 1 or None, got {self.queue_capacity}"
-            )
-        if self.flush_policy is not None:
-            self.flush_policy.check_capacity(self.queue_capacity, "ChannelConfig")
         if self.payload_bytes is not None and not 0 <= self.payload_bytes <= MAX_PAYLOAD_BYTES:
             raise ValueError(
                 f"payload_bytes must be in 0..{MAX_PAYLOAD_BYTES}, got {self.payload_bytes}"
@@ -149,21 +123,31 @@ class WorkloadSpec:
     limit: int = 2_000_000_000
     #: ``"cores"``, ``"batched"`` or ``"pipelined"`` (module docstring).
     dataplane: str = "cores"
-    #: Run-level flush-policy override (per-config policies win).
+    #: Every channel's flush policy for the batched dataplanes (None:
+    #: the channel default).
     flush_policy: Optional[FlushPolicy] = None
     #: Where batched dispatches' crypto sweeps execute for this run
     #: (:mod:`repro.crypto.fast.exec`; None keeps the platform's own).
     backend: BackendSpec = None
-    #: Run-level receive-side traffic mix (per-config non-zero wins).
+    #: Fraction of each channel's packets that are receive-side
+    #: (DECRYPT) traffic.  Only AEAD channels generate rx traffic (CTR
+    #: streams have no tag to verify and keep transmitting).
     rx_fraction: float = 0.0
+    #: Channel model for the rx share: fraction of secured packets
+    #: lost before arrival (never submitted, counted in the report).
     loss_rate: float = 0.0
+    #: Fraction of *arriving* rx packets whose tag is corrupted in
+    #: flight (fails authentication; the dataplane must reject it
+    #: without disturbing batch-mates).
     corrupt_rate: float = 0.0
     #: Dispatches a channel may keep in flight under the pipelined
     #: dataplane before its drain blocks to reap the oldest (the other
     #: dataplanes run at depth 0; see :func:`_comm_pipeline_depth`).
     pipeline_depth: int = 2
-    #: Run-level bounded-queue high watermark (per-config capacities
-    #: win; None = unbounded queues, the historical behaviour).
+    #: High watermark of every channel's coalescing queue (None =
+    #: unbounded queues, the historical behaviour).  A bounded queue
+    #: raises :class:`repro.errors.BackpressureError` at the mark and
+    #: feeds the admission controller's shed logic.
     queue_capacity: Optional[int] = None
     #: Admission-control policy for the run (None = admit everything;
     #: bounded queues then surface as BackpressureError retries).
@@ -184,13 +168,8 @@ class WorkloadSpec:
                 f"queue_capacity must be >= 1 or None, got "
                 f"{self.queue_capacity}"
             )
-        for index, config in enumerate(self.configs):
-            policy = config.flush_policy or self.flush_policy
-            if policy is not None:
-                capacity = config.queue_capacity
-                if capacity is None:
-                    capacity = self.queue_capacity
-                policy.check_capacity(capacity, f"WorkloadSpec channel {index}")
+        if self.flush_policy is not None:
+            self.flush_policy.check_capacity(self.queue_capacity, "WorkloadSpec")
 
 
 def _comm_pipeline_depth(dataplane: str, pipeline_depth: int) -> int:
@@ -401,12 +380,10 @@ class SdrPlatform:
         for config in configs:
             channel, profile = self.provision_channel(config)
             channels.append(channel)
-            policy = config.flush_policy or flush_policy
-            if policy is not None:
-                channel.flush_policy = replace(policy)
-            capacity = config.queue_capacity or queue_capacity
-            if capacity is not None:
-                channel.capacity = capacity
+            if flush_policy is not None:
+                channel.flush_policy = replace(flush_policy)
+            if queue_capacity is not None:
+                channel.capacity = queue_capacity
             if config.payload_bytes is not None:
                 profile = replace(profile, payload_bytes=config.payload_bytes)
             generator = TrafficGenerator(
@@ -417,17 +394,13 @@ class SdrPlatform:
                 priority=config.priority,
             )
             launches.append((config, channel, generator.generate(config.packets)))
+        rates = (
+            _check_rate("rx_fraction", rx_fraction),
+            _check_rate("loss_rate", loss_rate),
+            _check_rate("corrupt_rate", corrupt_rate),
+        )
         all_plans = self._rx_plans([
-            (
-                channel,
-                schedule,
-                _check_rate("rx_fraction", config.rx_fraction or rx_fraction),
-                _check_rate("loss_rate", config.loss_rate or loss_rate),
-                _check_rate(
-                    "corrupt_rate", config.corrupt_rate or corrupt_rate
-                ),
-            )
-            for config, channel, schedule in launches
+            (channel, schedule, *rates) for _config, channel, schedule in launches
         ])
         for (config, channel, schedule), plans in zip(launches, all_plans):
             finished = self.sim.event(f"chan{channel.channel_id}.drained")

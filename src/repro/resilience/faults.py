@@ -33,7 +33,7 @@ Sites
     The cycle-accurate core path stalls :attr:`FaultPlan.stall_cycles`
     simulated cycles before executing a job.
 ``key_error``
-    ``Mccp.dispatch_jobs``'s key-memory read raises; the scheduler
+    ``Mccp.dispatch_jobs_async``'s key-memory read raises; the scheduler
     retries and, on exhaustion, dead-letters the whole batch.
 
 Worker-side delivery: the batch layer attaches a :class:`FaultPoint`
@@ -55,7 +55,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Set, Tuple
 
-from repro.errors import InjectedFault, WorkerCrashError
+from repro.errors import WorkerCrashError
 from repro.resilience import stats
 
 #: Every named injection site, in stack order (backend -> batch ->

@@ -488,12 +488,6 @@ class WordFifo:
         """Remove and return the oldest word now; raises on underflow."""
         return self._pop_now(1)[0]
 
-    def peek_word(self) -> Optional[int]:
-        """The oldest word without removing it (None when empty)."""
-        self.sync()
-        words = self._flow.words
-        return words[0] if words else None
-
     def push_block(self, block: bytes) -> None:
         """Push a 16-byte block as four big-endian words."""
         if len(block) != 16:

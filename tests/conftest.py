@@ -11,7 +11,9 @@ import pytest
 
 from repro.core.crypto_core import CryptoCore
 from repro.core.harness import run_task
+from repro.core.params import Direction
 from repro.crypto.aes import expand_key
+from repro.mccp.channel import PacketJob
 from repro.sim.kernel import Simulator
 from repro.sim.tracing import TraceRecorder
 from repro.unit.timing import DEFAULT_TIMING
@@ -41,6 +43,27 @@ def run_single_core(task, key=None, trace=None):
         core.key_cache.install(expand_key(key), 8 * len(key))
     run = run_task(sim, core, task)
     return run, core, sim
+
+
+def enqueue(device, channel_id, data, aad=b"", direction=Direction.ENCRYPT,
+            nonce=b"", tag=None):
+    """Queue one packet on an MCCP channel as a :class:`PacketJob`;
+    returns the queue depth."""
+    return device.enqueue_job(
+        channel_id, PacketJob(direction, nonce, data, aad, tag)
+    )
+
+
+def drain(device, channel_id, backend=None):
+    """Dispatch a channel's queue batch by batch; the results in order."""
+    channel = device.scheduler.get_channel(channel_id)
+    results = []
+    while channel.pending:
+        handle = device.dispatch_jobs_async(
+            channel_id, channel.take_batch(), backend
+        )
+        results.extend(handle.result())
+    return results
 
 
 @pytest.fixture

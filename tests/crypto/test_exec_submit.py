@@ -1,10 +1,10 @@
-"""The asynchronous backend half: submit()/done()/result().
+"""The asynchronous backend half: submit()/result().
 
 The contract under test is :class:`repro.crypto.fast.exec.BatchHandle`:
 ``submit()`` returns immediately, ``result()`` blocks and returns
 exactly what ``run()`` would have (same results in submission order,
-same exceptions, same recovery behaviour), ``done()`` never
-blocks, and both results and errors are memoized — one execution no
+same exceptions, same recovery behaviour), and both results and
+errors are memoized — one execution no
 matter how often the handle is drained.  ``seal_open_submit`` rides the
 same contract at the batch-AEAD layer.
 """
@@ -94,7 +94,6 @@ def test_submit_matches_run_in_submission_order(any_backend):
 
 def test_empty_submit_is_immediately_done(any_backend):
     handle = any_backend.submit([])
-    assert handle.done()
     assert handle.result() == []
 
 
@@ -109,12 +108,11 @@ def test_result_is_memoized_single_execution():
     assert handle.result() == [1, 2]
     assert handle.result() == [1, 2]
     assert counter["calls"] == 2  # one execution per call, not per drain
-    assert handle.done()
 
 
 def test_serial_guard_defers_single_calls_to_result(process_backend):
-    """A one-call batch is never launched: done() reports True (nothing
-    in flight) and result() computes in the draining thread."""
+    """A one-call batch is never launched: result() computes it in the
+    draining thread."""
     ident = {}
 
     def record(value):
@@ -122,19 +120,9 @@ def test_serial_guard_defers_single_calls_to_result(process_backend):
         return value
 
     handle = process_backend.submit([(record, (7,))])
-    assert handle.done()  # unlaunched — nothing to wait on
-    assert "thread" not in ident  # ...and nothing ran yet
+    assert "thread" not in ident  # nothing ran yet
     assert handle.result() == [7]
     assert ident["thread"] == threading.get_ident()
-
-
-def test_done_transitions_without_blocking(process_backend, tmp_path):
-    gate = str(tmp_path / "release")
-    handle = process_backend.submit([(_wait_for, (gate, 1)), (_wait_for, (gate, 2))])
-    assert not handle.done()
-    open(gate, "w").close()
-    assert handle.result() == [1, 2]
-    assert handle.done()
 
 
 def test_errors_are_memoized_and_reraised(process_backend):
@@ -143,7 +131,6 @@ def test_errors_are_memoized_and_reraised(process_backend):
         handle.result()
     with pytest.raises(ValueError, match="non-retryable"):
         handle.result()  # memoized, not re-executed
-    assert handle.done()
 
 
 def test_recovery_runs_inside_result(process_backend, tmp_path):
@@ -177,7 +164,6 @@ def test_overlap_with_submitting_thread(process_backend, tmp_path):
     # all proves the caller was not made to wait for them.
     handle = process_backend.submit([(_wait_for, (gate, 1)), (_wait_for, (gate, 2))])
     assert time.monotonic() - started < 10
-    assert not handle.done()
     open(gate, "w").close()
     assert handle.result() == [1, 2]
 
@@ -200,7 +186,6 @@ def test_seal_open_submit_matches_sync(any_backend):
     )
     assert handle.result() == expected
     assert handle.result() == expected  # memoized
-    assert handle.done()
 
 
 def test_seal_open_submit_single_packet_serial(any_backend):

@@ -1,8 +1,8 @@
 """Backend plumbing through the MCCP batched submission path.
 
-dispatch_jobs/flush_channel/flush_batches must produce identical
-results and result ordering whichever execution backend carries the
-sweeps — including the mixed seal+open single-pass dispatch.
+``Mccp.dispatch_jobs_async`` must produce identical results and
+result ordering whichever execution backend carries the sweeps —
+including the mixed seal+open single-pass dispatch.
 """
 
 import random
@@ -12,9 +12,9 @@ import pytest
 from repro.core.params import Algorithm, Direction
 from repro.crypto.fast.exec import ProcessPoolBackend
 from repro.crypto.modes.gcm import gcm_encrypt
-from repro.mccp.channel import PacketJob
 from repro.mccp.mccp import Mccp
 from repro.sim.kernel import Simulator
+from tests.conftest import drain, enqueue
 
 KEY = bytes(range(16))
 
@@ -31,8 +31,8 @@ def pooled_backend(request, process_backend):
     return process_backend
 
 
-def _device(backend=None):
-    device = Mccp(Simulator(), backend=backend)
+def _device():
+    device = Mccp(Simulator())
     device.load_session_key(1, KEY)
     return device
 
@@ -47,8 +47,8 @@ def _enqueue_mixed(device, channel, count=24, seed=0xD15):
         if index % 3 == 2:
             ciphertext, tag = gcm_encrypt(KEY, nonce, payload, b"", 16, True)
             forged = index % 6 == 5
-            device.enqueue_packet(
-                channel.channel_id,
+            enqueue(
+                device, channel.channel_id,
                 ciphertext,
                 direction=Direction.DECRYPT,
                 nonce=nonce,
@@ -56,7 +56,7 @@ def _enqueue_mixed(device, channel, count=24, seed=0xD15):
             )
             expected.append((False, b"") if forged else (True, payload))
         else:
-            device.enqueue_packet(channel.channel_id, payload, nonce=nonce)
+            enqueue(device, channel.channel_id, payload, nonce=nonce)
             expected.append(
                 (True, gcm_encrypt(KEY, nonce, payload, b"", 16, True))
             )
@@ -71,12 +71,12 @@ def test_mixed_direction_dispatch_matches_inline(pooled_backend):
     inline_device = _device()
     channel = inline_device.open_channel(Algorithm.GCM, 1)
     _enqueue_mixed(inline_device, channel)
-    inline = _flatten(inline_device.flush_channel(channel.channel_id))
+    inline = _flatten(drain(inline_device, channel.channel_id, "inline"))
 
-    device = _device(backend=pooled_backend)
+    device = _device()
     channel = device.open_channel(Algorithm.GCM, 1)
     expected = _enqueue_mixed(device, channel)
-    results = device.flush_channel(channel.channel_id)
+    results = drain(device, channel.channel_id, pooled_backend)
     assert _flatten(results) == inline
     for (ok, payload), result in zip(expected, results):
         assert result.ok is ok
@@ -88,9 +88,9 @@ def test_mixed_direction_dispatch_matches_inline(pooled_backend):
             assert result.payload == payload
 
 
-def test_flush_batches_on_process_backend_matches_inline(process_backend):
-    def build(backend=None):
-        device = _device(backend=backend)
+def test_multi_channel_drain_on_process_backend_matches_inline(process_backend):
+    def run(backend):
+        device = _device()
         channels = [
             device.open_channel(Algorithm.GCM, 1),
             device.open_channel(Algorithm.CCM, 1, tag_length=8),
@@ -100,50 +100,18 @@ def test_flush_batches_on_process_backend_matches_inline(process_backend):
         for channel in channels:
             nbytes = 13 if channel.algorithm is Algorithm.CCM else 12
             for index in range(10):
-                device.enqueue_packet(
-                    channel.channel_id,
+                enqueue(
+                    device, channel.channel_id,
                     rng.randbytes(rng.choice((16, 300, 2048))),
                     nonce=(index + 1).to_bytes(nbytes, "big"),
                 )
-        return device, channels
+        results = [
+            _flatten(drain(device, channel.channel_id, backend))
+            for channel in channels
+        ]
+        for channel in channels:
+            assert channel.pending_count == 0
+            assert channel.stats["batches"] >= 1
+        return results
 
-    sequential_device, _ = build()
-    sequential = {
-        cid: _flatten(results)
-        for cid, results in sequential_device.flush_batches().items()
-    }
-    pooled_device, channels = build(backend=process_backend)
-    pooled = {
-        cid: _flatten(results)
-        for cid, results in pooled_device.flush_batches().items()
-    }
-    assert pooled == sequential
-    assert list(pooled) == sorted(pooled)
-    for channel in channels:
-        assert channel.pending_count == 0
-        assert channel.stats["batches"] >= 1
-    assert pooled_device.flush_batches() == {}
-
-
-def test_device_default_backend_used_by_dispatch(process_backend):
-    """Mccp(backend=...) applies when no per-call backend is given."""
-    device = _device(backend=process_backend)
-    channel = device.open_channel(Algorithm.GCM, 1)
-    rng = random.Random(0xF2)
-    payloads = [rng.randbytes(64) for _ in range(12)]
-    jobs = [
-        PacketJob(
-            direction=Direction.ENCRYPT,
-            nonce=(i + 1).to_bytes(12, "big"),
-            data=payload,
-            sequence=i,
-        )
-        for i, payload in enumerate(payloads)
-    ]
-    for job in jobs:
-        device.enqueue_job(channel.channel_id, job)
-    results = device.dispatch_jobs(channel.channel_id, channel.take_batch())
-    for i, (payload, result) in enumerate(zip(payloads, results)):
-        expected = gcm_encrypt(KEY, (i + 1).to_bytes(12, "big"), payload, b"", 16, True)
-        assert (result.payload, result.tag) == expected
-        assert jobs[i].result is result
+    assert run(process_backend) == run("inline")

@@ -29,6 +29,7 @@ from repro.radio.standards import STANDARD_PROFILES, RadioStandard
 from repro.radio.traffic import TrafficPattern
 from repro.resilience import FaultPlan, set_fault_plan
 from repro.sim.kernel import Simulator
+from tests.conftest import enqueue
 
 #: Key memory: three AES-128 keys, one AES-256 key, one GCM key.
 KEYS = (bytes([1]) * 16, bytes([2]) * 16, bytes([3]) * 16, bytes([4]) * 32, bytes([5]) * 16)
@@ -75,10 +76,8 @@ def _nonce(channel, sequence):
 
 
 def _device(packets=6):
-    """An inline device with every channel's batch queued (mixed
-    directions).  Arena dispatches are never deferred, so the device
-    names its backend instead of taking the process-wide default."""
-    device = Mccp(Simulator(), backend="inline")
+    """A device with every channel's batch queued (mixed directions)."""
+    device = Mccp(Simulator())
     for key_id, key in enumerate(KEYS):
         device.load_session_key(key_id, key)
     channels = []
@@ -91,13 +90,13 @@ def _device(packets=6):
             nonce = _nonce(channel, sequence)
             data = rng.randbytes(rng.choice((0, 17, 64, 300)))
             if sequence % 3 != 2:
-                device.enqueue_packet(channel.channel_id, data, b"hdr", nonce=nonce)
+                enqueue(device, channel.channel_id, data, b"hdr", nonce=nonce)
                 continue
             ciphertext, tag = seal(KEYS[key_id], nonce, data, b"hdr", tag_length)
             if sequence % 6 == 5:
                 tag = bytes(tag_length)  # forged
-            device.enqueue_packet(
-                channel.channel_id, ciphertext, b"hdr",
+            enqueue(
+                device, channel.channel_id, ciphertext, b"hdr",
                 Direction.DECRYPT, nonce=nonce, tag=tag,
             )
     return device, channels
@@ -115,7 +114,9 @@ def _run(fused, plan=None, extra_job=None):
     so it always resolves alone.  *extra_job* ``(index, job)`` appends
     a job to one channel's batch after the queue's checks.  The plan
     is active only while the batches are submitted: which packets
-    quarantine is decided there.
+    quarantine is decided there.  Arena dispatches are never deferred,
+    so every dispatch names the inline backend instead of taking the
+    process-wide default.
     """
     device, channels = _device()
     batches = [channel.take_batch() for channel in channels]
@@ -127,12 +128,12 @@ def _run(fused, plan=None, extra_job=None):
     try:
         if fused:
             handles = [
-                device.dispatch_jobs_async(channel.channel_id, jobs)
+                device.dispatch_jobs_async(channel.channel_id, jobs, "inline")
                 for channel, jobs in zip(channels, batches)
             ]
         else:
             results = [
-                device.dispatch_jobs(channel.channel_id, jobs)
+                device.dispatch_jobs_async(channel.channel_id, jobs, "inline").result()
                 for channel, jobs in zip(channels, batches)
             ]
     finally:
@@ -258,13 +259,11 @@ def test_interrupted_drain_releases_its_arena_generation(process_backend):
     if arena is None:
         pytest.skip(f"process backend runs inline: {process_backend.inline_reason}")
     sim = Simulator()
-    device = Mccp(sim, backend=process_backend)
+    device = Mccp(sim)
     device.load_session_key(0, KEYS[0])
     channel = device.open_channel(Algorithm.CCM, 0)
     for sequence in range(16):
-        device.enqueue_packet(
-            channel.channel_id, bytes(100), nonce=_nonce(channel, sequence)
-        )
+        enqueue(device, channel.channel_id, bytes(100), nonce=_nonce(channel, sequence))
     comm = CommController(sim, device, backend=process_backend)
     drain = comm._drain_channel(channel, force=True, cause="forced")
     next(drain)  # submitted; asleep in the control charge

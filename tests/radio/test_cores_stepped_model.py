@@ -77,14 +77,16 @@ def _ccm_channels():
         ChannelConfig(RadioStandard.WIFI, bytes([7]) * 16, TrafficPattern.SATURATING,
                       packets=3, two_core_ccm=True),
         ChannelConfig(RadioStandard.WIMAX, bytes([9]) * 16, TrafficPattern.SATURATING,
-                      packets=3, corrupt_rate=0.5),
+                      packets=3),
         ChannelConfig(RadioStandard.UMTS_LIKE, bytes([5]) * 16, TrafficPattern.SATURATING,
                       packets=3),
     ]
 
 
-def _hand_written(configs, rx_fraction: float):
-    return lambda: WorkloadSpec(configs(), dataplane="cores", rx_fraction=rx_fraction)
+def _hand_written(configs, rx_fraction: float, corrupt_rate: float = 0.0):
+    return lambda: WorkloadSpec(
+        configs(), dataplane="cores", rx_fraction=rx_fraction, corrupt_rate=corrupt_rate
+    )
 
 
 def _generated(seed: int):
@@ -95,7 +97,7 @@ def _generated(seed: int):
 #: cover 0 B and off-block payloads, rx, loss, corruption and two-core CCM.
 SHAPES = {
     "gcm_4x1": (_hand_written(_gcm_channels, 0.25), 3),
-    "ccm_mix": (_hand_written(_ccm_channels, 0.5), 3),
+    "ccm_mix": (_hand_written(_ccm_channels, 0.5, 0.5), 3),
     **{f"generated_{seed}": (_generated(seed), seed) for seed in (3, 4, 7, 13, 44, 49)},
 }
 

@@ -1,5 +1,5 @@
 """A size-only flush policy over a queue smaller than one batch is rejected,
-and so is a per-channel queue capacity below one.
+and so is a queue capacity below one.
 
 ``FlushPolicy(coalesce_limit=n, flush_deadline=None)`` dispatches only
 when n jobs are queued.  A bounded queue holding fewer never gets
@@ -24,33 +24,16 @@ def _config(**kwargs):
 
 def test_workload_spec_rejects_the_run_level_trap():
     # The shape that used to exceed its cycle limit waiting for 'chan0.drained'.
-    with pytest.raises(ValueError, match="WorkloadSpec channel 0.*never flushes"):
+    with pytest.raises(ValueError, match="WorkloadSpec.*never flushes"):
         WorkloadSpec([_config()], dataplane="batched", flush_policy=SIZE_ONLY,
                      queue_capacity=4, limit=2_000_000)
 
 
-def test_workload_spec_rejects_a_channel_capacity_under_the_run_policy():
-    with pytest.raises(ValueError, match="WorkloadSpec channel 1"):
-        WorkloadSpec([_config(), _config(queue_capacity=2)], dataplane="batched",
-                     flush_policy=SIZE_ONLY)
-
-
-def test_workload_spec_rejects_a_channel_policy_over_the_run_capacity():
-    with pytest.raises(ValueError, match="WorkloadSpec channel 0"):
-        WorkloadSpec([_config(flush_policy=SIZE_ONLY)], dataplane="batched", queue_capacity=4)
-
-
-def test_channel_config_rejects_its_own_trap():
-    with pytest.raises(ValueError, match="ChannelConfig"):
-        _config(flush_policy=SIZE_ONLY, queue_capacity=7)
-
-
 @pytest.mark.parametrize("capacity", [0, -1])
-def test_channel_config_rejects_a_capacity_below_one(capacity):
-    # -1 used to back the producer off until the cycle limit; 0 silently
-    # fell back to the run-level capacity.
+def test_workload_spec_rejects_a_capacity_below_one(capacity):
+    # -1 used to back the producer off until the cycle limit.
     with pytest.raises(ValueError, match="queue_capacity must be >= 1"):
-        _config(queue_capacity=capacity)
+        WorkloadSpec([_config()], dataplane="batched", queue_capacity=capacity)
 
 
 def test_session_workload_rejects_the_trap():

@@ -216,18 +216,15 @@ class TestSpecValidation:
             WorkloadSpec(configs=(), queue_capacity=0)
 
 
-class TestPerConfigCapacity:
-    """Per-config queue capacities under the pipelined dataplane."""
+class TestPipelinedCapacity:
+    """Bounded queues under the pipelined dataplane."""
 
-    def test_pipelined_run_holds_per_config_watermarks(self):
-        configs = [
-            replace(config, queue_capacity=CAPACITY)
-            for config in _configs("saturating", PACKETS)
-        ]
+    def test_pipelined_run_holds_the_watermark(self):
         spec = WorkloadSpec(
-            configs,
+            _configs("saturating", PACKETS),
             dataplane="pipelined",
             flush_policy=FlushPolicy(coalesce_limit=4, flush_deadline=4096),
+            queue_capacity=CAPACITY,
         )
         _, report = _run(spec)
         _, again = _run(spec)

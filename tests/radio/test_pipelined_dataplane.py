@@ -47,8 +47,6 @@ def _configs(packets=24, channels=3):
                 key,
                 TrafficPattern.SATURATING,
                 packets=packets,
-                rx_fraction=0.3,
-                corrupt_rate=0.1,
             )
         )
     return configs
@@ -79,6 +77,8 @@ def _spec(dataplane, backend=None, depth=2, configs=None):
         flush_policy=FLUSH,
         backend=backend,
         pipeline_depth=depth,
+        rx_fraction=0.3,
+        corrupt_rate=0.1,
     )
 
 

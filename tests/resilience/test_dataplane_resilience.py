@@ -9,8 +9,6 @@ the reason recorded, never vanish and never take batch-mates down.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.crypto.fast.exec import ProcessPoolBackend, ResiliencePolicy
 from repro.mccp.channel import FlushPolicy
 from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
@@ -34,8 +32,6 @@ def _configs(packets=24):
                 key,
                 TrafficPattern.SATURATING,
                 packets=packets,
-                rx_fraction=0.3,
-                corrupt_rate=0.1,
             )
         )
     return configs
@@ -51,6 +47,8 @@ def _run(plan, configs=None, backend=None, dataplane="batched", seed=17):
                 dataplane=dataplane,
                 flush_policy=FLUSH,
                 backend=backend,
+                rx_fraction=0.3,
+                corrupt_rate=0.1,
             )
         )
         transfers = {

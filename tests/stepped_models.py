@@ -376,10 +376,6 @@ class SteppedWordFifo:
         self._fire_hooks(self._pop_hooks)
         return word
 
-    def peek_word(self) -> Optional[int]:
-        """The oldest word without removing it (None when empty)."""
-        return self._words[0] if self._words else None
-
     # -- 128-bit block convenience ------------------------------------------
 
     def push_block(self, block: bytes) -> None:
@@ -744,11 +740,6 @@ class SteppedCrossbar:
         self._granted: Optional[int] = None
         #: Total words moved through the external port (both directions).
         self.words_moved = 0
-
-    @property
-    def granted_core(self) -> Optional[int]:
-        """Index of the core currently granted external I/O (None = none)."""
-        return self._granted
 
     def grant(self, core_index: int) -> None:
         """Connect *core_index* to the external port."""
