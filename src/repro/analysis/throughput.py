@@ -121,16 +121,6 @@ class WorkloadReport:
     #: Typed :class:`repro.errors.BackpressureError` signals bounded
     #: channel queues raised during the run.
     backpressure_signals: int = 0
-    # -- adaptive flush controller (FlushPolicy(mode="auto")) -----------
-    #: Knob changes the adaptive controllers applied across channels
-    #: (window decisions that actually moved a knob; holds not counted).
-    autotune_adjustments: int = 0
-    #: Per-channel decision traces — every closed observation window as
-    #: a JSON-safe dict (window stats in, knobs before/after, cause).
-    #: Identical across repeats and execution backends for the same
-    #: seed, so "why did it widen here" is answerable offline from any
-    #: sweep artifact.
-    autotune_traces: Dict[int, List[dict]] = field(default_factory=dict)
     # -- session layer --------------------------------------------------
     #: Sessions the session manager started / ran to teardown.
     sessions_started: int = 0

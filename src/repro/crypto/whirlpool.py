@@ -22,7 +22,6 @@ from typing import List, Sequence
 
 ROUNDS = 10
 BLOCK_BYTES = 64
-DIGEST_BYTES = 64
 
 WP_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
 

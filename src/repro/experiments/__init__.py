@@ -7,8 +7,7 @@ experiment campaigns:
   the ``@register`` decorator and the global registry;
 - :mod:`repro.experiments.scenarios` — the built-in library (paper
   tables, scheduling, scaling, ablation, mixed radio traffic, mode
-  mixes, key churn, reconfiguration storms, chaos, overload and the
-  adaptive flush controller);
+  mixes, key churn, reconfiguration storms, chaos and overload);
 - :mod:`repro.experiments.runner` — the multiprocessing sweep runner
   with per-case derived seeds (serial == parallel, guaranteed);
 - :mod:`repro.experiments.artifacts` — JSON/CSV artifacts.

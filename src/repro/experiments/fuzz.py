@@ -92,8 +92,6 @@ class FuzzCase:
 
 
 def _flush_policy(rng: random.Random, queue_capacity: Optional[int]) -> FlushPolicy:
-    if rng.random() < 0.2:
-        return FlushPolicy(mode="auto")
     limit = rng.randint(1, 8)
     deadlines = (None, 0, 300, 2_000, 8_000)
     if queue_capacity is not None and queue_capacity < limit:

@@ -7,7 +7,6 @@ registry is identical under fork and spawn start methods.
 """
 
 from repro.experiments.scenarios import (  # noqa: F401  (registration imports)
-    autotune,
     chaos,
     overload,
     platform,

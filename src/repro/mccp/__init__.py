@@ -18,7 +18,6 @@ from repro.mccp.instructions import (
     TransferDoneInstr,
     decode_instruction,
 )
-from repro.mccp.autotune import AutotuneConfig, FlushController
 from repro.mccp.key_memory import KeyMemory
 from repro.mccp.key_scheduler import KeyScheduler
 from repro.mccp.crossbar import Crossbar
@@ -36,8 +35,6 @@ __all__ = [
     "ReturnCode",
     "TransferDoneInstr",
     "decode_instruction",
-    "AutotuneConfig",
-    "FlushController",
     "KeyMemory",
     "KeyScheduler",
     "Crossbar",

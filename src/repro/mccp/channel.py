@@ -41,7 +41,7 @@ DEFAULT_COALESCE_LIMIT = 32
 DEFAULT_FLUSH_DEADLINE = 8192
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlushPolicy:
     """When a channel's queued jobs are dispatched.
 
@@ -72,21 +72,12 @@ class FlushPolicy:
     ``0`` dispatches on the enqueueing cycle (still coalescing jobs
     that arrive within the same cycle).
 
-    ``mode`` names the policy flavour.  ``"fixed"`` applies the two
-    static knobs above verbatim for the whole run.  ``"auto"`` starts
-    from the same two knobs but hands them to the adaptive controller
-    (:class:`repro.mccp.autotune.FlushController`, attached lazily by
-    the communication controller at first submission): the controller
-    observes windowed per-channel statistics in simulated cycles and
-    retunes ``coalesce_limit``/``flush_deadline`` at window
-    boundaries, recording every decision in a trace.  Auto never
-    changes payload bytes — only batching geometry, and therefore
-    latency/throughput.
+    A policy is frozen: it holds for the whole run, and one instance
+    may be shared by every channel it configures.
     """
 
     coalesce_limit: int = DEFAULT_COALESCE_LIMIT
     flush_deadline: Optional[int] = DEFAULT_FLUSH_DEADLINE
-    mode: str = "fixed"
 
     def __post_init__(self) -> None:
         if self.coalesce_limit < 0:
@@ -97,28 +88,22 @@ class FlushPolicy:
             )
         if self.coalesce_limit == 0:
             # Documented floor: "dispatch immediately" callers write 0.
-            self.coalesce_limit = 1
+            object.__setattr__(self, "coalesce_limit", 1)
         if self.flush_deadline is not None and self.flush_deadline < 0:
             raise ValueError(
                 f"flush_deadline must be >= 0 or None, got {self.flush_deadline}"
-            )
-        if self.mode not in ("fixed", "auto"):
-            raise ValueError(
-                f"unknown FlushPolicy mode {self.mode!r}; valid: 'fixed' "
-                "(static knobs) or 'auto' (adaptive controller)"
             )
 
     def check_capacity(self, queue_capacity: Optional[int], where: str) -> None:
         """Reject a queue this policy can never flush.
 
-        A fixed size-only policy (``flush_deadline=None``) dispatches
+        A size-only policy (``flush_deadline=None``) dispatches
         only at ``coalesce_limit`` queued jobs; a bounded queue that
         holds fewer never gets there, and its producer backs off
         forever.  *where* names the configuration in the error.
         """
         if (
-            self.mode == "fixed"
-            and self.flush_deadline is None
+            self.flush_deadline is None
             and queue_capacity is not None
             and queue_capacity < self.coalesce_limit
         ):
@@ -208,11 +193,6 @@ class PacketJob:
         self._transfer = weakref.ref(record)
 
 
-#: Pre-dataplane name for a queued batch-path packet; the job carries
-#: the same crypto fields, so old constructor calls keep working.
-QueuedPacket = PacketJob
-
-
 class ChannelState(enum.Enum):
     """Lifecycle of a channel."""
 
@@ -267,27 +247,11 @@ class Channel:
     low_watermark: Optional[int] = None
     #: Sticky overload flag (see :attr:`low_watermark`).
     under_pressure: bool = False
-    #: The adaptive controller driving this channel's knobs when its
-    #: policy is ``mode="auto"`` (:class:`repro.mccp.autotune
-    #: .FlushController`, attached lazily by the communication
-    #: controller); None on fixed-policy channels.
-    autotune: Optional[Any] = None
 
     @property
     def coalesce_limit(self) -> int:
         """Max jobs coalesced into one dispatch (flush-policy view)."""
         return self.flush_policy.coalesce_limit
-
-    @coalesce_limit.setter
-    def coalesce_limit(self, value: int) -> None:
-        # Route through FlushPolicy validation: a negative width raises
-        # the constructor's pointed error instead of silently clamping;
-        # 0 keeps its documented "dispatch immediately" floor of 1.
-        from dataclasses import replace
-
-        self.flush_policy = replace(
-            self.flush_policy, coalesce_limit=int(value)
-        )
 
     @property
     def is_open(self) -> bool:

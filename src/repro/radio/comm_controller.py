@@ -49,7 +49,6 @@ from typing import Deque, Dict, Iterator, List, Optional, Set
 
 from repro.core.params import Algorithm, Direction
 from repro.errors import ProtocolError
-from repro.mccp.autotune import AutotuneConfig, FlushController
 from repro.mccp.channel import Channel, PacketJob
 from repro.mccp.mccp import BATCHABLE_ALGORITHMS, DispatchHandle, Mccp
 from repro.mccp.task_scheduler import PendingRequest
@@ -227,12 +226,6 @@ class CommController:
         #: Peak number of concurrently in-flight dispatches across all
         #: channels (reported by ``run_workload`` as pipeline overlap).
         self.pipeline_in_flight_peak = 0
-        # -- adaptive flush controller ---------------------------------
-        #: Tuning envelope handed to every lazily-attached
-        #: :class:`repro.mccp.autotune.FlushController` (channels whose
-        #: policy is ``mode="auto"``).  Replace before traffic flows to
-        #: retune windows/bounds for a run.
-        self.autotune_config = AutotuneConfig()
 
     # -- per-run dataplane state -------------------------------------------------
 
@@ -271,28 +264,6 @@ class CommController:
                 yield counters
         finally:
             self.backend, self.pipeline_depth = saved
-
-    # -- adaptive flush controller -------------------------------------------------
-
-    def _autotuner(self, channel: Channel) -> Optional[FlushController]:
-        """The channel's controller, attached lazily on auto policies."""
-        if channel.flush_policy.mode != "auto":
-            return None
-        controller = channel.autotune
-        if controller is None:
-            controller = FlushController(
-                channel.channel_id,
-                seed=self._seed,
-                config=self.autotune_config,
-            )
-            channel.autotune = controller
-        return controller
-
-    def _observe_flush(self, channel: Channel, cause: str, width: int) -> None:
-        """Feed one dispatched batch to the channel's controller."""
-        controller = self._autotuner(channel)
-        if controller is not None:
-            controller.observe_flush(channel, cause, width, self.sim.now)
 
     # -- nonce management -------------------------------------------------------
 
@@ -369,11 +340,6 @@ class CommController:
             else self.sim.event(f"job.ch{channel.channel_id}.s{packet.sequence}")
         )
         self.mccp.enqueue_job(channel.channel_id, job)
-        controller = self._autotuner(channel)
-        if controller is not None:
-            # Observed before the policy applies, so a window that
-            # closes here retunes the knobs the policy reads next.
-            controller.observe_enqueue(channel, job, self.sim.now)
         self._note_enqueue(channel)
         return job
 
@@ -474,8 +440,6 @@ class CommController:
         self._drain_done[cid] = self.sim.event(f"dataplane.drained.ch{cid}")
         queue = self._inflight.setdefault(cid, deque())
         try:
-            # The limit is re-read each iteration: the adaptive
-            # controller may widen it at a window boundary mid-drain.
             while channel.pending and (
                 force
                 or channel.pending_count >= channel.flush_policy.coalesce_limit
@@ -500,7 +464,6 @@ class CommController:
                     raise
                 queue.append(_InflightDispatch(handle, batch, self.sim.now))
                 channel.stats[f"flush_{cause}"] += 1
-                self._observe_flush(channel, cause, len(batch))
                 if self.pipeline_depth:
                     # Overlap exists only when dispatches may stay in
                     # flight; a synchronous run reports a peak of 0.

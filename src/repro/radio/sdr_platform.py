@@ -255,11 +255,6 @@ def _fill_report(
                 report.flush_causes[cause] = (
                     report.flush_causes.get(cause, 0) + count
                 )
-        if channel.autotune is not None:
-            report.autotune_adjustments += channel.autotune.adjustments
-            report.autotune_traces[channel.channel_id] = (
-                channel.autotune.trace_dicts()
-            )
     if controller is not None:
         report.admitted_by_class = dict(controller.admitted)
         report.shed_by_class = controller.shed_by_class()
@@ -381,7 +376,7 @@ class SdrPlatform:
             channel, profile = self.provision_channel(config)
             channels.append(channel)
             if flush_policy is not None:
-                channel.flush_policy = replace(flush_policy)
+                channel.flush_policy = flush_policy
             if queue_capacity is not None:
                 channel.capacity = queue_capacity
             if config.payload_bytes is not None:

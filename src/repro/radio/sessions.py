@@ -35,7 +35,7 @@ import enum
 import hashlib
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.throughput import WorkloadReport
@@ -413,9 +413,7 @@ class SessionManager:
                     std.algorithm, key_id, tag_length=std.tag_length or 16
                 )
                 if self.workload.flush_policy is not None:
-                    # A copy per channel: an auto policy's controller
-                    # retunes its own channel's knobs in place.
-                    channel.flush_policy = replace(self.workload.flush_policy)
+                    channel.flush_policy = self.workload.flush_policy
                 if self.workload.queue_capacity is not None:
                     channel.capacity = self.workload.queue_capacity
                 self.channels[(plan.sid, seg.segment)] = channel

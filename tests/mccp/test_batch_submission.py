@@ -7,6 +7,7 @@ does.
 """
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.crypto.modes.ccm import ccm_encrypt
 from repro.crypto.modes.gcm import gcm_encrypt
 from repro.crypto.modes.gmac import gmac
 from repro.errors import ChannelError, ProtocolError
+from repro.mccp.channel import DEFAULT_COALESCE_LIMIT, FlushPolicy
 from repro.mccp.mccp import Mccp
 from repro.sim.kernel import Simulator
 from tests.conftest import drain, enqueue
@@ -44,7 +46,7 @@ def test_batch_matches_reference_and_coalesces(algorithm, key_bytes, tag_length,
     device = Mccp(Simulator())
     device.load_session_key(1, key)
     channel = device.open_channel(algorithm, 1, tag_length=tag_length)
-    channel.coalesce_limit = 4
+    channel.flush_policy = FlushPolicy(coalesce_limit=4)
     rng = random.Random(0xA0)
     payloads = [rng.randbytes(rng.choice((0, 60, 300, 2048))) for _ in range(11)]
     for index, payload in enumerate(payloads):
@@ -247,17 +249,19 @@ def test_discarded_dispatch_stamps_nothing(mccp):
 
 def test_coalesce_limit_property_tracks_flush_policy(mccp):
     channel = mccp.open_channel(Algorithm.GCM, 1)
-    channel.coalesce_limit = 4
-    assert channel.flush_policy.coalesce_limit == 4
-    channel.flush_policy.coalesce_limit = 9
-    assert channel.coalesce_limit == 9
-    channel.coalesce_limit = 0  # documented "dispatch immediately" floor
+    assert channel.coalesce_limit == DEFAULT_COALESCE_LIMIT
+    channel.flush_policy = FlushPolicy(coalesce_limit=4, flush_deadline=123)
+    assert channel.coalesce_limit == 4
+    channel.flush_policy = FlushPolicy(coalesce_limit=0)  # "dispatch immediately"
     assert channel.coalesce_limit == 1
-    # The setter routes through FlushPolicy validation: a negative
-    # width raises the constructor's pointed error instead of silently
-    # clamping, and the rest of the policy survives the round-trip.
-    channel.flush_policy.flush_deadline = 123
     with pytest.raises(ValueError, match="coalesce_limit must be >= 0"):
-        channel.coalesce_limit = -3
-    assert channel.coalesce_limit == 1
-    assert channel.flush_policy.flush_deadline == 123
+        FlushPolicy(coalesce_limit=-3)
+
+
+@pytest.mark.parametrize("field", ["coalesce_limit", "flush_deadline"])
+def test_flush_policy_is_frozen(field):
+    """A policy holds for the whole run, so channels may share one."""
+    policy = FlushPolicy(coalesce_limit=4, flush_deadline=123)
+    with pytest.raises(FrozenInstanceError):
+        setattr(policy, field, 9)
+    assert policy == FlushPolicy(coalesce_limit=4, flush_deadline=123)

@@ -71,8 +71,16 @@ def test_generator_never_builds_a_rejected_spec():
     for seed in range(400):
         shape = generate_case(seed).shape
         policy, capacity = shape.flush_policy, shape.queue_capacity
-        if policy.mode == "fixed" and policy.flush_deadline is None and capacity:
+        if policy.flush_deadline is None and capacity:
             assert capacity >= policy.coalesce_limit, seed
+
+
+def test_generator_draws_every_flush_shape():
+    """Size-only, zero-deadline and timed policies, over every width."""
+    policies = [generate_case(seed).shape.flush_policy for seed in range(400)]
+    deadlines = {policy.flush_deadline for policy in policies}
+    assert None in deadlines and 0 in deadlines and max(deadlines - {None}) > 0
+    assert {policy.coalesce_limit for policy in policies} == set(range(1, 9))
 
 
 def test_cli_runs_cores_cases(capsys):

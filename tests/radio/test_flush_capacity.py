@@ -45,12 +45,22 @@ def test_session_workload_rejects_the_trap():
     "policy,capacity",
     [
         (FlushPolicy(8, 300), 4),  # a deadline flushes the short queue
-        (FlushPolicy(8, None, mode="auto"), 4),  # the controller retunes
+        (FlushPolicy(8, 0), 4),  # so does dispatching on the enqueue cycle
         (SIZE_ONLY, 8),  # the queue holds a whole batch
         (SIZE_ONLY, None),  # unbounded
     ],
-    ids=["deadline", "auto", "capacity_fits", "unbounded"],
+    ids=["deadline", "zero_deadline", "capacity_fits", "unbounded"],
 )
 def test_flushable_shapes_are_accepted(policy, capacity):
     WorkloadSpec([_config()], dataplane="batched", flush_policy=policy, queue_capacity=capacity)
     SessionWorkload(sessions=2, flush_policy=policy, queue_capacity=capacity)
+
+
+@pytest.mark.parametrize("capacity,rejected", [(7, True), (8, False)])
+def test_check_capacity_boundary_is_one_whole_batch(capacity, rejected):
+    """A size-only queue must hold exactly one batch; one slot short never flushes."""
+    if rejected:
+        with pytest.raises(ValueError, match="here: a size-only flush policy"):
+            SIZE_ONLY.check_capacity(capacity, "here")
+    else:
+        SIZE_ONLY.check_capacity(capacity, "here")

@@ -303,13 +303,3 @@ class TestWorkloadSpec:
             WorkloadSpec(pipeline_depth=0)
         spec = WorkloadSpec(dataplane="pipelined", pipeline_depth=3)
         assert replace(spec, dataplane="batched").pipeline_depth == 3
-
-    def test_flush_policy_mode_validation(self):
-        assert FlushPolicy(coalesce_limit=4, mode="fixed").mode == "fixed"
-        # "auto" is a real mode since the adaptive controller shipped:
-        # it constructs with the same knob validation as "fixed".
-        auto = FlushPolicy(coalesce_limit=4, mode="auto")
-        assert auto.mode == "auto"
-        assert auto.coalesce_limit == 4
-        with pytest.raises(ValueError, match="unknown FlushPolicy mode"):
-            FlushPolicy(coalesce_limit=4, mode="turbo")

@@ -10,7 +10,7 @@ must hold under any ``REPRO_BACKEND``.  The three runs cover:
 
 - a batched replay with injected ``key_error`` and ``batch_error``
   faults, rx traffic with losses and corrupted tags, bounded queues,
-  admission control and the adaptive flush controller;
+  and admission control;
 - a small session storm with rekeys, handoffs and admission control;
 - a ``cores`` replay on two cores, so core-path retries and
   auth failures show up.
@@ -26,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.mccp.autotune import AutotuneConfig
 from repro.mccp.channel import FlushPolicy
 from repro.radio.admission import AdmissionPolicy
 from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
@@ -53,13 +52,12 @@ def _faulted_batched():
     ]
     plan = FaultPlan(seed=6, rates={"key_error": 0.3, "batch_error": 0.1})
     platform = SdrPlatform(seed=5)
-    platform.comm.autotune_config = AutotuneConfig(window_cycles=1024)
     with injected_faults(plan):
         return platform.run_workload(
             WorkloadSpec(
                 configs,
                 dataplane="batched",
-                flush_policy=FlushPolicy(mode="auto"),
+                flush_policy=FlushPolicy(),
                 backend="inline",
                 rx_fraction=0.3,
                 loss_rate=0.2,
@@ -119,7 +117,7 @@ def test_golden_runs_exercise_their_counters():
     for field in ("faults_injected", "retries", "quarantined", "dead_lettered",
                   "auth_failures", "rx_lost", "deferrals"):
         assert faulted[field] > 0, field
-    assert faulted["shed_by_class"] and faulted["autotune_traces"]
+    assert faulted["shed_by_class"]
     storm = golden["session_storm"]
     assert storm["rekeys"] > 0 and storm["handoffs"] > 0
     cores = golden["cores"]

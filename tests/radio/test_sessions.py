@@ -163,19 +163,17 @@ class TestProvisioning:
             for key, channel in throttled.channels.items()
         }
 
-    def test_an_auto_flush_policy_is_each_channels_own(self):
-        """Regression found by the dataplane fuzzer: every session channel
-        used to share the workload's policy object, so one channel's
-        flush controller retuned them all and a replay of the same
-        workload started from the last run's knobs."""
-        workload = replace(
-            STORM, flush_policy=FlushPolicy(mode="auto"), queue_capacity=6
-        )
+    def test_every_channel_runs_the_workloads_policy(self):
+        """The workload's frozen policy reaches every session channel, and
+        running it leaves nothing for a replay to inherit."""
+        policy = FlushPolicy(coalesce_limit=3, flush_deadline=600)
+        workload = replace(STORM, flush_policy=policy, queue_capacity=6)
         first = SessionManager.provisioned(workload, seed=SEED)
-        policies = [channel.flush_policy for channel in first.channels.values()]
-        assert len({id(policy) for policy in policies}) == len(policies)
+        assert all(
+            channel.flush_policy is policy for channel in first.channels.values()
+        )
         report = first.run()
-        assert workload.flush_policy == FlushPolicy(mode="auto")
+        assert report.flush_causes
         again = SessionManager.provisioned(workload, seed=SEED).run()
         assert again == report
 
