@@ -12,12 +12,13 @@ The same kernel runs the lane-parallel CBC-MAC of
 :mod:`repro.crypto.fast.batch`, which calls it once per block step with
 only a few dozen lanes.  There the cost is numpy's per-call dispatch,
 not the arithmetic, so a round is a fixed handful of array operations
-whatever the lane count: one fancy-index read of the state's bytes
-(ShiftRows built into the index), one gather from the four T-tables
-laid end to end, one XOR reduction and one round-key XOR.  The
+whatever the lane count.  Two pair tables of 65,536 words each,
+:data:`PA` and :data:`PB`, fold two T-table lookups into one: an output
+column is two gathers with 16-bit indices, each index two state bytes
+picked across columns (ShiftRows) by a strided byte copy.  The
 round-key XOR takes either one schedule broadcast over every lane or
-one schedule per lane, so the CBC-MAC chains of several channels'
-keys run as the lanes of one sweep and pay that per-call cost once.
+one schedule per lane, so the CBC-MAC chains of several channels' keys
+run as the lanes of one sweep and pay that per-call cost once.
 
 numpy is optional: :data:`HAVE_NUMPY` gates the path and the bulk APIs
 in :mod:`repro.crypto.fast.bulk` fall back to the scalar T-table loop,
@@ -41,28 +42,27 @@ HAVE_NUMPY = _np is not None
 MIN_VECTOR_BLOCKS = 4
 
 
-def _byte_offset(shift: int) -> int:
-    """Memory offset of bits ``[shift, shift + 8)`` in a native uint32."""
-    return shift // 8 if sys.byteorder == "little" else 3 - shift // 8
+def _byte_offset(shift: int, width: int = 4) -> int:
+    """Memory offset of bits ``[shift, shift + 8)`` in a native unsigned
+    integer of *width* bytes."""
+    return shift // 8 if sys.byteorder == "little" else width - 1 - shift // 8
 
 
 if HAVE_NUMPY:
     from repro.crypto.aes_tables import SBOX
     from repro.crypto.fast.aes_ttable import TE0, TE1, TE2, TE3
 
-    #: TE0..TE3 end to end: T-table *k* starts at ``256 * k``.
-    _TE = _np.array(TE0 + TE1 + TE2 + TE3, dtype=_np.uint32)
+    _TE_ARRAYS = [_np.array(table, dtype=_np.uint32) for table in (TE0, TE1, TE2, TE3)]
+    #: Pair tables: ``PA[x << 8 | y] = TE0[x] ^ TE1[y]`` and
+    #: ``PB[x << 8 | y] = TE2[x] ^ TE3[y]`` (256 KB each).
+    PA = (_TE_ARRAYS[0][:, None] ^ _TE_ARRAYS[1]).ravel()
+    PB = (_TE_ARRAYS[2][:, None] ^ _TE_ARRAYS[3]).ravel()
     _SBOX = _np.array(SBOX, dtype=_np.uint8)
-    #: Round input for output word *c*, table *k*: the byte at bit
-    #: ``24 - 8k`` of state row ``(c + k) % 4`` (ShiftRows), read from
-    #: the ``(4, N, 4)`` byte view as ``bytes[_ROWS, :, _BYTES]``.
-    _ROWS = _np.array([[(c + k) % 4 for k in range(4)] for c in range(4)])
-    _BYTES = _np.array([[_byte_offset(24 - 8 * k) for k in range(4)]] * 4)
-    _TABLE_OFFSETS = (256 * _np.arange(4, dtype=_np.intp)).reshape(1, 4, 1)
-    #: The last round reads the same bytes, reordered by the memory
-    #: offset each S-box output takes in its output word.
-    _FINAL = _np.argsort(_BYTES[0])
-    _FINAL_ROWS, _FINAL_BYTES = _ROWS[:, _FINAL], _BYTES[:, _FINAL]
+    #: Memory offsets of a uint16 index's high and low byte.
+    _INDEX_HIGH, _INDEX_LOW = _byte_offset(8, 2), _byte_offset(0, 2)
+    #: Memory offset of the byte at bit ``24 - 8k`` of a state word: a
+    #: round reads it from state row ``c + k`` for output column *c*.
+    _STATE_BYTES = tuple(_byte_offset(24 - 8 * k) for k in range(4))
 
 #: Capacity of the round-key-array memo (mirrors ``expand_key_cached``).
 ROUND_KEY_ARRAY_SLOTS = 256
@@ -102,14 +102,16 @@ def encrypt_state_vector(state, round_keys):
     different keys can thus share one sweep; they must share the
     round count.
 
-    Each round is five numpy operations whatever *N*: one fancy-index
-    read of the state's ``(4, N, 4)`` byte view that applies ShiftRows
-    and picks the four input bytes of every output word (``(4, 4, N)``),
-    one offset add into the concatenated T-table, one gather, one XOR
-    reduction over the four tables and one round-key XOR.  The final
-    round gathers uint8 S-box bytes in output-memory order instead.
-    The byte offsets follow the host's byte order, so the result does
-    not depend on it.
+    The state is kept row-doubled, ``(8, N)`` with rows 4-7 a copy of
+    rows 0-3, so the rows ``c + k`` that output column *c* reads for
+    its *k*-th byte are one strided view for every *c*.  Each round is
+    nine numpy operations whatever *N*: four strided byte copies build
+    the ``(2, 4, N)`` uint16 indices into :data:`PA` (bytes 0 and 1)
+    and :data:`PB` (bytes 2 and 3), two gathers, two XORs (the second
+    adds the round key) and one copy refills the doubled rows.  The
+    final round copies the same bytes into output-memory order and
+    gathers them from the S-box.  Byte positions follow the host's byte
+    order, so the result does not depend on it.
     """
     if isinstance(round_keys, _np.ndarray):
         rk = round_keys
@@ -118,16 +120,34 @@ def encrypt_state_vector(state, round_keys):
             round_keys = tuple(tuple(words) for words in round_keys)
         rk = _round_keys_array(round_keys)
     rounds = len(rk) - 1
-    s = _np.ascontiguousarray(state, dtype=_np.uint32) ^ rk[0]
-    lanes = s.shape[1]
+    lanes = state.shape[1]
+    doubled = _np.empty((8, lanes), dtype=_np.uint32)
+    head, tail = doubled[:4], doubled[4:]
+    _np.bitwise_xor(state, rk[0], out=head)
+    tail[...] = head
+    state_bytes = doubled.view(_np.uint8).reshape(8, lanes, 4)
+    picks = [state_bytes[k : k + 4, :, b] for k, b in enumerate(_STATE_BYTES)]
+    pick0, pick1, pick2, pick3 = picks
+    index = _np.empty((2, 4, lanes), dtype=_np.uint16)
+    index_bytes = index.view(_np.uint8).reshape(2, 4, lanes, 2)
+    slot0, slot1 = index_bytes[0, :, :, _INDEX_HIGH], index_bytes[0, :, :, _INDEX_LOW]
+    slot2, slot3 = index_bytes[1, :, :, _INDEX_HIGH], index_bytes[1, :, :, _INDEX_LOW]
+    index_a, index_b = index
     for r in range(1, rounds):
-        picked = s.view(_np.uint8).reshape(4, lanes, 4)[_ROWS, :, _BYTES]
-        s = _np.bitwise_xor.reduce(
-            _TE.take(picked + _TABLE_OFFSETS), axis=1
-        ) ^ rk[r]
-    picked = s.view(_np.uint8).reshape(4, lanes, 4)[_FINAL_ROWS, :, _FINAL_BYTES]
-    out = _np.ascontiguousarray(_SBOX[picked].transpose(0, 2, 1))
-    return out.view(_np.uint32).reshape(4, lanes) ^ rk[rounds]
+        slot0[...] = pick0
+        slot1[...] = pick1
+        slot2[...] = pick2
+        slot3[...] = pick3
+        out = PA.take(index_a)
+        out ^= PB.take(index_b)
+        _np.bitwise_xor(out, rk[r], out=head)
+        tail[...] = head
+    out_bytes = _np.empty((4, lanes, 4), dtype=_np.uint8)
+    for b, pick in zip(_STATE_BYTES, picks):
+        out_bytes[:, :, b] = pick
+    out = _SBOX.take(out_bytes).view(_np.uint32).reshape(4, lanes)
+    out ^= rk[rounds]
+    return out
 
 
 def state_to_bytes(state) -> bytes:

@@ -9,9 +9,11 @@ core busy on one session key's packet stream.  Four mechanisms:
   feedback chain cannot batch across blocks, but N packets' chains are
   mutually independent, so they run as N lanes of one packed ``(4, N)``
   T-table state (:func:`repro.crypto.fast.aes_vector
-  .encrypt_state_vector`): every AES round is five numpy operations
-  across all lanes, and each lane may carry its own key.  This is the software restatement of the paper's
-  two-core CCM split — the MAC half stops serialising the batch.
+  .encrypt_state_vector`): every AES round is nine numpy operations
+  across all lanes, two of them gathers from 16-bit pair tables, and
+  each lane may carry its own key.  This is the software restatement
+  of the paper's two-core CCM split — the MAC half stops serialising
+  the batch.
   Ragged batches sort lanes by block count so shorter packets simply
   retire early.  Without numpy, lanes run round-robin through the
   scalar T-table round, preserving the ragged-lane structure.
@@ -119,31 +121,33 @@ HAVE_NUMPY = _np is not None
 
 #: Batches narrower than this run the scalar paths (numpy dispatch
 #: overhead beats the lane win below it).  Scalar time over vector time
-#: for one CBC-MAC sweep of 32 blocks per lane, as the range over 3-5
-#: runs (2 vCPU, Python 3.11, numpy 2.4; > 1 means the vector path wins):
+#: for one CBC-MAC sweep of 32 blocks per lane, as the range over 20
+#: runs, each the best of 5 calls (2 vCPU, Python 3.11, numpy 2.4; > 1
+#: means the vector path wins):
 #:
-#:   lanes                  4          6          7          8          16
-#:   AES-128            0.61-0.75  0.90-1.13  1.07-1.30  1.22-1.50  2.40-2.77
-#:   AES-256            0.64-0.78  0.91-1.11  1.07-1.29  1.20-1.49  2.45-2.48
-#:   AES-128, per-lane  0.50-0.92  0.88-1.17  1.12-1.37  1.18-1.51  2.13-2.87
-#:   AES-256, per-lane  0.69-1.27  1.04-1.17  0.80-1.50  1.23-1.50  1.58-3.67
+#:   lanes                  4          5          6          7          8          16
+#:   AES-128            0.61-1.41  0.98-1.39  0.91-3.02  1.35-2.84  1.49-2.43  2.83-6.01
+#:   AES-256            0.51-1.87  0.80-1.97  1.18-1.98  1.24-3.04  1.20-2.84  2.64-5.35
+#:   AES-128, per-lane  0.70-1.64  0.81-1.62  0.85-4.03  1.42-3.05  1.42-2.49  2.55-5.91
+#:   AES-256, per-lane  0.74-1.66  1.00-2.20  1.12-2.21  1.43-1.81  1.45-1.98  3.06-4.85
 #:
 #: The per-lane rows deal four keys round-robin over the lanes, as a
 #: multi-key sweep of :func:`_ccm_seal_open_groups` does, and include
-#: building the per-lane round-key array (10 runs).  With the former
-#: 17-operation AES round the vector path still lost at 8 lanes
-#: (0.60-0.66) and broke even at about 12.  Now it overtakes between 6
-#: and 7 lanes, with one key or one per lane; 8 keeps a margin of about
-#: 1.2x, so run to run noise never turns the switch into a loss.  The
-#: same bound gates the fused counter sweep (:func:`_fused_keystream`).
+#: building the per-lane round-key array.  With the pair-table round
+#: the vector path breaks even at 4 to 5 lanes, but at 6 a run can still
+#: lose (0.85); from 7 lanes every run wins by 1.24x or more.  8 keeps
+#: that margin, so run to run noise never turns the switch into a loss.
+#: The same bound gates the fused counter sweep (:func:`_fused_keystream`).
 MIN_LANES = 8
 
 #: Counter blocks one keystream sweep (:func:`_fused_keystream`) covers
 #: at most; longer spec lists split into several sweeps.  A sweep's
-#: numpy working set is ~400 bytes per block (the state, per-lane round
-#: keys and the round's gather temporaries), about 1.6 MB here — the
-#: size of one 32-packet dispatch of 2 KB packets — however many
-#: dispatches the barrier (:func:`resolve_deferred`) computes at once.
+#: numpy working set peaks at ~275 bytes per block under one schedule,
+#: ~450-515 with per-lane round keys (``tracemalloc``: the counters, the
+#: doubled state, the gathers' indices and their intp copies), about
+#: 1.1-2.1 MB here — the size of one 32-packet dispatch of 2 KB packets
+#: — however many dispatches the barrier (:func:`resolve_deferred`)
+#: computes at once.
 #: The barrier's other arrays (CBC-MAC chains, GHASH messages) are one
 #: copy of the packets themselves, whose inputs and outputs the run
 #: holds anyway.
@@ -942,31 +946,30 @@ def _fused_keystream(
 def _keystream_sweep(
     schedules: Sequence[Schedule], specs: Sequence[_CounterSpec]
 ) -> List[bytes]:
-    """One vector sweep over every counter block of *specs*."""
-    total = sum(spec[2] for spec in specs)
-    state = _np.empty((4, total), dtype=_np.uint32)
-    offset = 0
-    for c0, inc_bits, nblocks in specs:
-        if nblocks == 0:
-            continue
-        mask = (1 << inc_bits) - 1
-        hi = c0 >> inc_bits << inc_bits
-        lows = _np.uint64(c0 & mask) + _np.arange(nblocks, dtype=_np.uint64)
-        if inc_bits < 64:
-            lows &= _np.uint64(mask)
-        lane = slice(offset, offset + nblocks)
-        state[0, lane] = (hi >> 96) & 0xFFFFFFFF
-        state[1, lane] = (hi >> 64) & 0xFFFFFFFF
-        if inc_bits <= 32:
-            state[2, lane] = (hi >> 32) & 0xFFFFFFFF
-            state[3, lane] = _np.uint32(hi & 0xFFFFFFFF) | lows.astype(_np.uint32)
-        else:
-            state[2, lane] = _np.uint32((hi >> 32) & 0xFFFFFFFF) | (
-                lows >> _np.uint64(32)
-            ).astype(_np.uint32)
-            state[3, lane] = lows.astype(_np.uint32)
-        offset += nblocks
+    """One vector sweep over every counter block of *specs*.
+
+    The counters are built in one pass: each spec's top 64 bits, the
+    fixed bits of its low 64, its start value less its first lane and
+    its increment mask are spread over its blocks by ``np.repeat``; a
+    block's low 64 bits are then the fixed bits or'ed with its lane
+    number plus that base, masked to the increment field (uint64 sums
+    wrap, so a 64-bit field wraps too).
+    """
     counts = [spec[2] for spec in specs]
+    fields = []
+    first = 0
+    for c0, inc_bits, nblocks in specs:
+        mask = (1 << inc_bits) - 1
+        low = c0 & ((1 << 64) - 1)
+        fields.append((c0 >> 64, low & ~mask, (low - first) & mask, mask))
+        first += nblocks
+    top, fixed, base, mask = _np.repeat(
+        _np.array(fields, dtype=_np.uint64), counts, axis=0
+    ).T
+    counters = _np.empty((first, 2), dtype=">u8")
+    counters[:, 0] = top
+    counters[:, 1] = fixed | ((base + _np.arange(first, dtype=_np.uint64)) & mask)
+    state = counters.view(">u4").T
     raw = aes_vector.state_to_bytes(
         aes_vector.encrypt_state_vector(state, _lane_keys(schedules, counts))
     )

@@ -28,11 +28,19 @@ off-block lengths included — on ``cores`` and on ``batched``: each
 channel's completions must carry the same bytes and ``ok`` flags in the
 same order, and both runs must conserve packets.
 
+A third check (:func:`check_numpy_case`) replays a :func:`generate_case`
+case with the numpy fast paths and again with every one of them turned
+off (``HAVE_NUMPY`` false in :mod:`~repro.crypto.fast.batch`,
+:mod:`~repro.crypto.fast.aes_vector` and
+:mod:`~repro.crypto.fast.ghash_hpower`): the pure-Python arm must
+produce the same completion records, dead letters and report.
+
 The technique is differential testing (McKeeman, "Differential
 Testing for Software", 1998).  A failing seed becomes a committed
 regression test.  Run as a module for a longer sweep::
 
     PYTHONPATH=src python -m repro.experiments.fuzz --cases 200 --cores-cases 60 --seed 0
+    PYTHONPATH=src python -m repro.experiments.fuzz --cases 0 --numpy-cases 40 --seed 2000
 """
 
 from __future__ import annotations
@@ -41,13 +49,13 @@ import argparse
 import dataclasses
 import random
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 from unittest import mock
 
 from repro.core.params import Algorithm, Direction
-from repro.crypto.fast import batch, bulk
+from repro.crypto.fast import aes_vector, batch, bulk, ghash_hpower
 from repro.errors import AuthenticationFailure
 from repro.mccp.channel import FlushPolicy
 from repro.radio.admission import AdmissionPolicy
@@ -348,18 +356,32 @@ def _invariants(outcome: _Outcome) -> List[str]:
     return errors
 
 
+def _differ(first: str, one: _Outcome, second: str, other: _Outcome) -> List[str]:
+    """Each arm's own broken invariants, then every difference between
+    their completion records and reports."""
+    errors = [f"{first}: {e}" for e in one.errors + _invariants(one)]
+    errors += [f"{second}: {e}" for e in other.errors + _invariants(other)]
+    if one.rows != other.rows:
+        errors.append(f"completion records differ between {first} and {second}")
+    changed = sorted(name for name, value in one.report.items() if other.report[name] != value)
+    if changed:
+        errors.append(f"reports differ between {first} and {second}: {changed}")
+    return errors
+
+
 def check_case(case: FuzzCase) -> List[str]:
     """Replay *case* through both arms; every broken invariant, or []."""
-    barrier = _run(case, alone=False)
-    alone = _run(case, alone=True)
-    errors = [f"barrier: {e}" for e in barrier.errors + _invariants(barrier)]
-    errors += [f"alone: {e}" for e in alone.errors + _invariants(alone)]
-    if barrier.rows != alone.rows:
-        errors.append("completion records differ between barrier and alone")
-    changed = sorted(name for name, value in barrier.report.items() if alone.report[name] != value)
-    if changed:
-        errors.append(f"reports differ between barrier and alone: {changed}")
-    return errors
+    return _differ("barrier", _run(case, alone=False), "alone", _run(case, alone=True))
+
+
+def check_numpy_case(case: FuzzCase) -> List[str]:
+    """Replay *case* with numpy and without; every broken invariant, or []."""
+    with_numpy = _run(case, alone=False)
+    with ExitStack() as stack:
+        for module in (batch, aes_vector, ghash_hpower):
+            stack.enter_context(mock.patch.object(module, "HAVE_NUMPY", False))
+        pure_python = _run(case, alone=False)
+    return _differ("numpy", with_numpy, "pure-Python", pure_python)
 
 
 def _per_channel(outcome: _Outcome) -> Dict[int, List[tuple]]:
@@ -401,11 +423,13 @@ def _sweep(kind: str, generate, check, first: int, count: int) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Check ``--cases`` dataplane and ``--cores-cases`` cores-vs-batched
-    consecutive seeds; non-zero exit on any failure."""
+    """Check ``--cases`` dataplane, ``--cores-cases`` cores-vs-batched and
+    ``--numpy-cases`` numpy-vs-pure-Python consecutive seeds; non-zero
+    exit on any failure."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--cases", type=int, default=200)
     parser.add_argument("--cores-cases", type=int, default=0)
+    parser.add_argument("--numpy-cases", type=int, default=0)
     parser.add_argument("--seed", type=int, default=0, help="first case seed")
     args = parser.parse_args(argv)
     failed = _sweep("", generate_case, check_case, args.seed, args.cases)
@@ -413,6 +437,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         failed += _sweep(
             "cores ", generate_cores_case, check_cores_case, args.seed, args.cores_cases
         )
+    if args.numpy_cases:
+        failed += _sweep("numpy ", generate_case, check_numpy_case, args.seed, args.numpy_cases)
     return 1 if failed else 0
 
 

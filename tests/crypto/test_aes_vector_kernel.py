@@ -8,7 +8,8 @@ callers hand it: C-ordered, Fortran-ordered, a column slice of a wider
 state and a big-endian ``>u4`` view.  With a ``(rounds + 1, 4, N)``
 round-key array each lane runs under its own key: lane by lane it must
 match the scalar encryption under that lane's schedule, also when the
-key array is a column slice of a wider one.
+key array is a column slice of a wider one.  The pair tables the round
+gathers from must fold two T-tables for every 16-bit index.
 """
 
 import random
@@ -142,3 +143,15 @@ def test_one_shared_schedule_equals_it_repeated_per_lane():
     np, round_keys, _wide, state, expected = _case(24, 33)
     per_lane = np.repeat(np.array(round_keys, dtype=np.uint32)[:, :, None], 33, axis=2)
     assert np.array_equal(aes_vector.encrypt_state_vector(state, per_lane), expected)
+
+
+def test_pair_tables_fold_two_t_tables():
+    import numpy as np
+
+    from repro.crypto.fast.aes_ttable import TE0, TE1, TE2, TE3
+
+    x, y = np.divmod(np.arange(1 << 16), 256)
+    for table, high, low in ((aes_vector.PA, TE0, TE1), (aes_vector.PB, TE2, TE3)):
+        high, low = np.array(high, dtype=np.uint32), np.array(low, dtype=np.uint32)
+        assert table.shape == (1 << 16,) and table.dtype == np.uint32
+        assert np.array_equal(table, high[x] ^ low[y])

@@ -6,9 +6,11 @@ with every dispatch computed alone; both must match the per-packet
 one-call path, each other, packet conservation, per-channel completion
 order and the fault plan's dead-letter set.  A second pair replays
 small workloads on the cycle-level ``cores`` dataplane and on
-``batched``.  CI runs 200 + 60 cases (``python -m
-repro.experiments.fuzz --cases 200 --cores-cases 60``); these slices
-keep tier-1 within a few seconds.
+``batched``, and a third replays a dataplane case with numpy and with
+every numpy fast path turned off.  CI runs 200 + 60 cases (``python -m
+repro.experiments.fuzz --cases 200 --cores-cases 60``) and 40 numpy
+cases (``--cases 0 --numpy-cases 40 --seed 2000``); these slices keep
+tier-1 within a few seconds.
 """
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from repro.experiments.fuzz import (
     check_case,
     check_cores_case,
+    check_numpy_case,
     generate_case,
     generate_cores_case,
     main,
@@ -42,6 +45,22 @@ def test_generated_case_holds_every_invariant(seed):
 def test_cli_reports_the_cases_it_ran(capsys):
     assert main(["--cases", "2", "--seed", "100"]) == 0
     assert "2 cases from seed 100: 0 failed" in capsys.readouterr().out
+
+
+#: Seeds of the tier-1 numpy-vs-pure-Python slice: a workload and a
+#: session storm, faulted, whose CCM chains, counter runs and GHASH tags
+#: reach the vector kernels (lane CBC-MAC, keystream and GHASH sweeps).
+NUMPY_SEEDS = (1, 2, 9)
+
+
+@pytest.mark.parametrize("seed", NUMPY_SEEDS)
+def test_pure_python_case_matches_numpy(seed):
+    assert check_numpy_case(generate_case(seed)) == []
+
+
+def test_cli_runs_the_numpy_pair(capsys):
+    assert main(["--cases", "0", "--numpy-cases", "1", "--seed", "4"]) == 0
+    assert "1 numpy cases from seed 4: 0 failed" in capsys.readouterr().out
 
 
 #: Seeds of the tier-1 ``cores``-vs-``batched`` slice.
