@@ -109,7 +109,7 @@ def test_key_scheduler_invalidate_installs_the_rewritten_key():
     assert ks.load_sync(0, cache) == 128 and ks.expansions == 1
     assert ks.invalidate(0) is True
     assert ks.load_sync(0, cache) == 192 and ks.expansions == 2
-    assert cache.round_keys() == expand_key(bytes(range(24)))
+    assert cache.round_keys() == tuple(map(tuple, expand_key(bytes(range(24)))))
 
 
 # -- device protocol --------------------------------------------------------------------
