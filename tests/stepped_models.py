@@ -26,6 +26,7 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.core.crypto_core import CoreResult, CryptoCore
 from repro.core.harness import TaskRun
+from repro.core.key_cache import RoundKeys
 from repro.core.params import Direction
 from repro.errors import ExecutionError, FifoError, UnitError
 from repro.isa import Controller8, Op
@@ -529,7 +530,7 @@ class SteppedCryptoUnit:
         self,
         sim: Simulator,
         io,
-        key_provider: "Callable[[], list]",
+        key_provider: "Callable[[], RoundKeys]",
         timing: TimingModel,
         trace: Optional[TraceRecorder] = None,
         name: str = "cu",

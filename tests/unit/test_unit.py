@@ -122,7 +122,7 @@ def make_unit(key=bytes(16)):
     in_f = WordFifo(sim, 64, "in")
     out_f = WordFifo(sim, 64, "out")
     io = IoCore(in_f, out_f)
-    schedule = expand_key(key)
+    schedule = tuple(map(tuple, expand_key(key)))
     unit = CryptoUnit(sim, io, lambda: schedule, DEFAULT_TIMING, name="cu")
     return sim, unit, in_f, out_f
 
@@ -218,7 +218,8 @@ def test_intercore_transfer(rb):
     sim, a, _, _ = make_unit()
     in_f = WordFifo(sim, 16, "b.in")
     out_f = WordFifo(sim, 16, "b.out")
-    b = CryptoUnit(sim, IoCore(in_f, out_f), lambda: expand_key(bytes(16)), DEFAULT_TIMING, name="b")
+    schedule = tuple(map(tuple, expand_key(bytes(16))))
+    b = CryptoUnit(sim, IoCore(in_f, out_f), lambda: schedule, DEFAULT_TIMING, name="b")
     a.ic_out = b.ic_in
     b.ic_out = a.ic_in
     block, reply = _int(rb(16)), _int(rb(16))
