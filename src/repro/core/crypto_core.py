@@ -115,7 +115,6 @@ class CryptoCore:
         self.params: Optional[TaskParams] = None
         self.busy = False
         self.task_done: Optional[Event] = None
-        self.last_result: Optional[CoreResult] = None
         self._task_start_cycle = 0
         #: Completed-task counter.
         self.tasks_completed = 0
@@ -237,7 +236,6 @@ class CryptoCore:
             start_cycle=self._task_start_cycle,
             end_cycle=self.sim.now,
         )
-        self.last_result = result
         self.busy = False
         self.tasks_completed += 1
         self.controller.stop()

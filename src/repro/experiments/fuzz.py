@@ -24,7 +24,8 @@ alone — and returns every broken invariant:
 A second pair (:func:`generate_cores_case`, :func:`check_cores_case`)
 replays small workloads the cycle-level ``cores`` dataplane supports —
 at most 8 packets per channel and 512-byte payloads, 0 bytes and
-off-block lengths included — on ``cores`` and on ``batched``: each
+off-block lengths included, on a platform of 1, 2 or 4 cores — on
+``cores`` and on ``batched``: each
 channel's completions must carry the same bytes and ``ok`` flags in the
 same order, and both runs must conserve packets.
 
@@ -97,6 +98,8 @@ class FuzzCase:
     shape: Union[WorkloadSpec, SessionWorkload]
     #: ``batch_error`` probability of the case's fault plan (0 = none).
     batch_error_rate: float = 0.0
+    #: Cores of the case's platform (workload shapes only).
+    core_count: int = 4
 
 
 def _flush_policy(rng: random.Random, queue_capacity: Optional[int]) -> FlushPolicy:
@@ -180,7 +183,12 @@ def generate_case(seed: int) -> FuzzCase:
 
 
 def generate_cores_case(seed: int) -> FuzzCase:
-    """The ``cores``-vs-``batched`` case of *seed*: a pure function of it."""
+    """The ``cores``-vs-``batched`` case of *seed*: a pure function of it.
+
+    The platform's core count is drawn last, so the rest of a seed's
+    shape does not depend on it, and from (2, 4) when a channel splits
+    CCM over two cores.
+    """
     rng = random.Random(f"cores-fuzz|{seed}")
     configs = []
     for _ in range(rng.randint(1, 3)):
@@ -204,7 +212,8 @@ def generate_cores_case(seed: int) -> FuzzCase:
         loss_rate=rng.choice((0.0, 0.1)),
         corrupt_rate=rng.choice((0.0, 0.2, 0.5)),
     )
-    return FuzzCase(seed, spec)
+    two_core = any(config.two_core_ccm for config in configs)
+    return FuzzCase(seed, spec, core_count=rng.choice((2, 4) if two_core else (1, 2, 4)))
 
 
 @dataclass
@@ -233,7 +242,7 @@ def _run(case: FuzzCase, alone: bool) -> _Outcome:
         plan = FaultPlan(seed=case.seed, rates={"batch_error": case.batch_error_rate})
     with injected_faults(plan), _alone() if alone else nullcontext():
         if isinstance(case.shape, WorkloadSpec):
-            platform = SdrPlatform(seed=case.seed)
+            platform = SdrPlatform(seed=case.seed, core_count=case.core_count)
             report = platform.run_workload(case.shape)
             offered = sum(config.packets for config in case.shape.configs)
             channels = sorted(platform.mccp.scheduler.channels.values(), key=lambda c: c.key_id)

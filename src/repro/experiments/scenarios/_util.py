@@ -11,8 +11,10 @@ import random
 from typing import Optional, Tuple
 
 from repro.core.crypto_core import CryptoCore
-from repro.core.harness import drainer_process, feeder_process, run_task
+from repro.core.harness import run_task
 from repro.crypto.aes import expand_key
+from repro.mccp.crossbar import Crossbar
+from repro.radio.formatting import expected_output_words
 from repro.sim.kernel import Simulator
 from repro.unit.timing import DEFAULT_TIMING
 
@@ -58,10 +60,10 @@ def run_two_core_ccm(mac_task, ctr_task, key: bytes) -> int:
     c1.unit.ic_out = c0.unit.ic_in
     for core in (c0, c1):
         core.key_cache.install(expand_key(key), 8 * len(key))
-    sim.add_process(feeder_process(c0, mac_task.input_blocks))
-    sim.add_process(feeder_process(c1, ctr_task.input_blocks))
-    sink = []
-    sim.add_process(drainer_process(c1, sink))
+    crossbar = Crossbar(DEFAULT_TIMING)
+    crossbar.upload_blocks(c0, mac_task.input_blocks)
+    crossbar.upload_blocks(c1, ctr_task.input_blocks)
+    crossbar.download_words(c1, [], expected_output_words(ctr_task))
     c0.assign_task(mac_task.params)
     done = c1.assign_task(ctr_task.params)
     result = sim.run_until_event(done, limit=100_000_000)

@@ -317,12 +317,26 @@ class SdrPlatform:
         depth / backpressure statistics of the batched pipeline, the
         rx loss/auth-failure tallies, and the pipelined dataplane's
         in-flight overlap peak.
+
+        Raises :class:`ValueError` for a channel that splits CCM over
+        two cores on a one-core platform: no core pair ever frees.
         """
         if not isinstance(spec, WorkloadSpec):
             raise TypeError(
                 f"run_workload needs a WorkloadSpec, got {type(spec).__name__}"
             )
         configs = spec.configs
+        cores = len(self.mccp.cores)
+        for index, config in enumerate(configs):
+            if (
+                config.two_core_ccm
+                and cores < 2
+                and STANDARD_PROFILES[config.standard].algorithm is Algorithm.CCM
+            ):
+                raise ValueError(
+                    f"channel {index} ({config.standard.name}) splits CCM over two "
+                    f"cores, but the platform has {cores}"
+                )
         dataplane = spec.dataplane
         flush_policy = spec.flush_policy
         backend = spec.backend

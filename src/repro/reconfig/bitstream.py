@@ -69,8 +69,6 @@ class BitstreamStore:
         self.kind = kind
         self.clock_hz = clock_hz
         self._bitstreams: Dict[str, Bitstream] = dict(MODULE_LIBRARY)
-        #: Bytes read from the store (wear/egress statistics).
-        self.bytes_read = 0
 
     def add(self, bitstream: Bitstream) -> None:
         """Register an extra module bitstream."""
@@ -90,5 +88,4 @@ class BitstreamStore:
 
     def load_cycles(self, name: str) -> int:
         """Reconfiguration time in MCCP clock cycles."""
-        self.bytes_read += self.get(name).size_bytes
         return int(self.load_seconds(name) * self.clock_hz)

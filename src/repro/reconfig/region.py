@@ -31,8 +31,6 @@ class ReconfigurableRegion:
         self.slices = slices
         self.brams = brams
         self.loaded: Optional[Bitstream] = None
-        #: Number of successful reconfigurations.
-        self.reconfig_count = 0
 
     def check_fit(self, bitstream: Bitstream) -> None:
         """Raise unless *bitstream* fits the region."""
@@ -47,7 +45,6 @@ class ReconfigurableRegion:
         """Install *bitstream* (capacity already checked by the manager)."""
         self.check_fit(bitstream)
         self.loaded = bitstream
-        self.reconfig_count += 1
 
     @property
     def utilisation(self) -> float:

@@ -17,7 +17,7 @@ cycles.
 
 from repro.sim.kernel import Delay, Event, Process, Simulator
 from repro.sim.fifo import WordFifo
-from repro.sim.signals import Signal, PulseWire
+from repro.sim.signals import PulseWire
 from repro.sim.tracing import TraceRecorder, TraceEvent
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "Process",
     "Simulator",
     "WordFifo",
-    "Signal",
     "PulseWire",
     "TraceRecorder",
     "TraceEvent",

@@ -23,12 +23,17 @@ it on access (catch-up on access, see :mod:`repro.sim.kernel`):
 - a *producer run* (:meth:`WordFifo.stream_in`: words, start cycle,
   cycles per word) tries one push per word period; at a full FIFO it
   stalls, and the pop that frees space restarts it on that pop's cycle;
-- a *consumer run* (:meth:`WordFifo.drain_out`) tries one pop per word
-  period; at an empty FIFO it waits, and the next push restarts it on
-  that push's cycle;
+- a *consumer run* (:meth:`WordFifo.drain_out`: a word count, start
+  cycle, cycles per word) tries one pop per word period; at an empty
+  FIFO it waits, and the next push restarts it on that push's cycle;
 - *claims* are the block pops and pushes the Cryptographic Unit has
   promised for cycles it already knows (a ``LOAD`` or ``STORE`` whose
   completion is computed at issue; :meth:`claim_pop`/:meth:`claim_push`).
+
+Runs are how words cross the crossbar, for the device and for the
+single-core harness alike.  A run moves a known number of words, and
+once its last word has moved the FIFO takes the next run, even before
+the finished run's ``done`` fires.
 
 These are the rules of a process stepping word by word, keyed like the
 kernel entries it would have scheduled, so every count a reader sees
@@ -36,14 +41,14 @@ kernel entries it would have scheduled, so every count a reader sees
 value at the reader's position.  One order is not tracked: a reader
 whose own kernel entry has the same cycle and stamp as a run's attempt
 (a process stepping with exactly the run's period) sees the attempt
-first, where the stepped order would follow the two processes' starts.  The one kernel event a run needs is
-its end — the ``done`` event of the transfer — and it is scheduled as
-soon as the known schedule fixes that cycle: at once for a run that
-fits, or when the claim that unblocks its last word arrives.
+first, where the stepped order would follow the two processes' starts.
+The one kernel event a run needs is its end — the ``done`` event of
+the transfer — and it is scheduled as soon as the known schedule fixes
+that cycle: at once for a run that fits, or when the claim that
+unblocks its last word arrives.
 
 Immediate operations (``push_word``, ``pop_word``, ``purge``, ...)
-apply at the caller's position.  The ``wait_*`` events and push/pop
-hooks observe immediate operations only.
+apply at the caller's position.
 """
 
 from __future__ import annotations
@@ -82,8 +87,8 @@ class Transfer:
         self.sink: Optional[list] = sink
         #: Words moved so far (up to the FIFO's replayed position).
         self.moved = 0
-        #: Words to move (None: a consumer that never ends).
-        self.total: Optional[int] = total
+        #: Words to move.
+        self.total: int = total
         #: Key of the next attempt.
         self.cycle, self.stamp, self.seq = key
         #: Key of the attempt that scheduled it (None: a start or a
@@ -358,9 +363,7 @@ class _Flow:
         src = self.src
         # As for _push_run: a stalled producer restarts on the first pop.
         cap = 1 if src is not None and src.waiting else self.count
-        n = min(attempts, cap)
-        if run.total is not None:
-            n = min(n, run.total - run.moved)
+        n = min(attempts, cap, run.total - run.moved)
         if self.words is not None:
             popleft = self.words.popleft
             run.sink.extend([popleft() for _ in range(n)])
@@ -387,11 +390,9 @@ def _restart(run: Optional[Transfer], cycle: int, seq: int) -> None:
 class WordFifo:
     """A bounded FIFO of 32-bit words with an arrival schedule.
 
-    Producers/consumers are expected to police capacity via
+    Immediate operations are expected to police capacity via
     :meth:`can_push` / :meth:`can_pop` (as the hardware handshake does);
-    violating it raises :class:`FifoError`.  ``wait_not_empty`` /
-    ``wait_not_full`` return latched events for process-style waiting
-    on immediate operations.
+    violating it raises :class:`FifoError`.
     """
 
     def __init__(
@@ -406,10 +407,6 @@ class WordFifo:
         self.name = name
         self.depth_words = depth_words
         self._flow = _Flow(depth_words)
-        self._not_empty_waiters: List[Event] = []
-        self._not_full_waiters: List[Event] = []
-        self._push_hooks: List = []
-        self._pop_hooks: List = []
         #: Called (once) when the schedule gains words or room.
         self._watchers: List[Callable[[], None]] = []
         self.purge_count = 0
@@ -510,8 +507,6 @@ class WordFifo:
         now, stamp, seq = self.sim.position()
         for word in words:
             flow._apply_claim(Claim(now, stamp, seq, 1, (word,)))
-            self._wake(self._not_empty_waiters)
-            self._fire_hooks(self._push_hooks)
         self._changed(replan=True)
 
     def _pop_now(self, nwords: int) -> List[int]:
@@ -525,77 +520,49 @@ class WordFifo:
             claim = Claim(now, stamp, seq, -1)
             flow._apply_claim(claim)
             out.extend(claim.words)
-            self._wake(self._not_full_waiters)
-            self._fire_hooks(self._pop_hooks)
         self._changed(replan=True)
         return out
 
     # -- runs ------------------------------------------------------------------
 
-    def stream_in(
-        self, words: List[int], cycles_per_word: int = 1, in_step: bool = False
-    ) -> Transfer:
+    def stream_in(self, words: List[int], cycles_per_word: int = 1) -> Transfer:
         """Start a producer run pushing *words*, one per *cycles_per_word*.
 
-        The first attempt is ordered as a process started now would be,
-        or, with *in_step*, made by the calling process step itself;
+        The first attempt is ordered as a process started now would be;
         ``done`` triggers one period after the last push.
         """
         self.sync()
         flow = self._flow
-        if flow.src is not None:
+        if flow.src is not None and flow.src.end is None:
             raise FifoError(f"{self.name}: a producer run is already attached")
-        run = self._new_run(list(words), None, len(words), cycles_per_word, in_step)
+        run = self._new_run(list(words), None, len(words), cycles_per_word)
         flow.src = run
         self._changed(replan=False)
         return run
 
-    def drain_out(
-        self,
-        sink: list,
-        nwords: Optional[int] = None,
-        cycles_per_word: int = 1,
-        in_step: bool = False,
-    ) -> Transfer:
-        """Start a consumer run popping into *sink*, one word per period.
-
-        With *nwords* the run ends after that many words (``done``
-        triggers one period after the last pop); without, it drains
-        until :meth:`stop_drain`.  *in_step* as for :meth:`stream_in`.
-        """
+    def drain_out(self, sink: list, nwords: int, cycles_per_word: int = 1) -> Transfer:
+        """Start a consumer run popping *nwords* words into *sink*, one
+        per *cycles_per_word*; ``done`` triggers one period after the
+        last pop.  Ordered as :meth:`stream_in`."""
         self.sync()
         flow = self._flow
-        if flow.dst is not None:
+        if flow.dst is not None and flow.dst.end is None:
             raise FifoError(f"{self.name}: a consumer run is already attached")
-        run = self._new_run(None, sink, nwords, cycles_per_word, in_step)
+        run = self._new_run(None, sink, nwords, cycles_per_word)
         flow.dst = run
         self._changed(replan=False)
         return run
 
-    def stop_drain(self) -> None:
-        """Detach the consumer run; nothing after the caller's position pops."""
-        self.sync()
-        run = self._flow.dst
-        if run is not None and run.entry is not None:
-            self.sim.cancel(run.entry)
-        self._flow.dst = None
-
-    def moved(self, run: Transfer) -> int:
-        """Words *run* has moved by the caller's position."""
-        self.sync()
-        return run.moved
-
-    def _new_run(self, values, sink, total, period, in_step) -> Transfer:
+    def _new_run(self, values, sink, total, period) -> Transfer:
         if period < 1:
             raise FifoError(f"{self.name}: cycles per word must be >= 1")
         sim = self.sim
-        done = sim.event(f"{self.name}.transfer")
-        if in_step:  # keyed as the running entry
-            key = (sim.now, sim._stamp, sim._order)
-        else:  # as a process started now: after the running entry
-            key = (sim.now, sim.now, sim._seq)
-        run = Transfer(values, sink, total, key, period, done)
-        if not total and total is not None:
+        # Keyed as a process started now: after the running entry.
+        run = Transfer(
+            values, sink, total, (sim.now, sim.now, sim._seq), period,
+            sim.event(f"{self.name}.transfer"),
+        )
+        if not total:
             run.end = (sim.now, sim.now)
         return run
 
@@ -624,12 +591,12 @@ class WordFifo:
         run.entry = None
         self.sync()
         flow = self._flow
+        # A run whose last word has moved may already have made way for
+        # the next one.
         if flow.src is run:
             flow.src = None
         elif flow.dst is run:
             flow.dst = None
-        else:  # stopped meanwhile
-            return
         run.done.trigger(self.sim.now)
 
     def _changed(self, replan: bool) -> None:
@@ -640,7 +607,7 @@ class WordFifo:
         """
         flow = self._flow
         for run in (flow.src, flow.dst):
-            if run is None or run.total is None:
+            if run is None:
                 continue
             if replan and run.entry is not None:
                 self.sim.cancel(run.entry)
@@ -720,44 +687,6 @@ class WordFifo:
         """Run *callback* once, when the schedule next gains words or room."""
         self._watchers.append(callback)
 
-    # -- events (immediate operations) -------------------------------------------
-
-    def wait_not_empty(self) -> Event:
-        """Event that fires when at least one word is present."""
-        ev = self.sim.event(f"{self.name}.not_empty")
-        if len(self):
-            ev.trigger()
-        else:
-            self._not_empty_waiters.append(ev)
-        return ev
-
-    def wait_not_full(self) -> Event:
-        """Event that fires when at least one word of space exists."""
-        ev = self.sim.event(f"{self.name}.not_full")
-        if self.can_push():
-            ev.trigger()
-        else:
-            self._not_full_waiters.append(ev)
-        return ev
-
-    def _wake(self, waiters: List[Event]) -> None:
-        while waiters:
-            waiters.pop(0).trigger()
-
-    def add_push_hook(self, callback) -> None:
-        """One-shot callback on the next immediate push (level-change edge)."""
-        self._push_hooks.append(callback)
-
-    def add_pop_hook(self, callback) -> None:
-        """One-shot callback on the next immediate pop."""
-        self._pop_hooks.append(callback)
-
-    def _fire_hooks(self, hooks: List) -> None:
-        if hooks:
-            ready, hooks[:] = list(hooks), []
-            for cb in ready:
-                cb()
-
     # -- security ---------------------------------------------------------
 
     def purge(self) -> int:
@@ -774,7 +703,6 @@ class WordFifo:
         self.purge_count += 1
         # As the stepped producer, woken by the purge's not-full edge.
         _restart(flow.src, self.sim.now, self.sim._seq)
-        self._wake(self._not_full_waiters)
         self._changed(replan=True)
         return dropped
 

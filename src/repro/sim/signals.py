@@ -1,58 +1,16 @@
-"""Level signals and pulse wires.
+"""Pulse wires.
 
-:class:`Signal` models a level (e.g. ``Data Available`` to the
-communication controller): it holds a value and lets processes wait for
-a particular level.  :class:`PulseWire` models edge-style strobes
-(``start``/``done`` handshakes): every pulse creates a fresh one-shot
-event, and a *latch* flag absorbs the pulse-before-wait race the paper's
-custom HALT instruction must also handle.
+:class:`PulseWire` models edge-style strobes (``start``/``done``
+handshakes): every pulse creates a fresh one-shot event, and a *latch*
+flag absorbs the pulse-before-wait race the paper's custom HALT
+instruction must also handle.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.sim.kernel import Event, Simulator
-
-
-class Signal:
-    """A named level with change notification."""
-
-    def __init__(self, sim: Simulator, name: str = "signal", initial: Any = 0):
-        self.sim = sim
-        self.name = name
-        self._value = initial
-        self._waiters: List[Tuple[Any, Event]] = []
-        #: (cycle, value) change history — cheap and invaluable in tests.
-        self.history: List[Tuple[int, Any]] = [(sim.now, initial)]
-
-    @property
-    def value(self) -> Any:
-        """Current level."""
-        return self._value
-
-    def set(self, value: Any) -> None:
-        """Drive a new level; waiters for that level fire this cycle."""
-        if value == self._value:
-            return
-        self._value = value
-        self.history.append((self.sim.now, value))
-        still_waiting = []
-        for wanted, ev in self._waiters:
-            if wanted == value:
-                ev.trigger(value)
-            else:
-                still_waiting.append((wanted, ev))
-        self._waiters = still_waiting
-
-    def wait_for(self, value: Any) -> Event:
-        """Event firing when the signal equals *value* (now or later)."""
-        ev = self.sim.event(f"{self.name}=={value!r}")
-        if self._value == value:
-            ev.trigger(value)
-        else:
-            self._waiters.append((value, ev))
-        return ev
 
 
 class PulseWire:

@@ -26,7 +26,7 @@ from repro.core.firmware.builder import (
     STATUS_CU_BUSY_BIT,
 )
 from repro.core.firmware.library import FIRMWARE_LIBRARY
-from repro.core.harness import drainer_process, feeder_process, run_task
+from repro.core.harness import run_task
 from repro.core.params import Algorithm, CcmRole, Direction
 from repro.crypto import AES, cbc_mac, ccm_encrypt, gcm_encrypt
 from repro.crypto.aes import expand_key
@@ -34,6 +34,7 @@ from repro.errors import SimulationError
 from repro.isa import Controller8, Op, assemble
 from repro.isa.controller import SYNC_OPS, SYNC_QUANTUM
 from repro.radio import (
+    expected_output_words,
     format_cbc_mac,
     format_ccm_single,
     format_ccm_two_core,
@@ -45,6 +46,7 @@ from repro.sim.kernel import Delay, Simulator
 from repro.sim.tracing import TraceRecorder
 from repro.unit.isa import CuOp, cu_encode
 from repro.unit.timing import DEFAULT_TIMING
+from repro.utils.bits import bytes_to_words32
 from stepped_models import (
     SteppedController8,
     stepped_core,
@@ -84,11 +86,28 @@ def _core(sim, trace, stepped, index=0, key=None, fifo_depth_words=512):
     return core
 
 
+def _upload(core, blocks, word_cycles=1):
+    return core.in_fifo.stream_in(bytes_to_words32(b"".join(blocks)), word_cycles)
+
+
+def _download(core, sink, nwords, word_cycles=1):
+    return core.out_fifo.drain_out(sink, nwords, word_cycles)
+
+
+def _stepped_upload(core, blocks, word_cycles=1):
+    return core.sim.add_process(stepped_feeder(core, blocks, word_cycles))
+
+
+def _stepped_download(core, sink, nwords, word_cycles=1):
+    return core.sim.add_process(stepped_drainer(core, sink, nwords, word_cycles))
+
+
 def _harness(stepped):
-    """(feeder, drainer, run_task) of the model *stepped* selects."""
+    """(upload, download, run_task) of the model *stepped* selects: the
+    transfers start bounded runs on the FIFOs, or stepped processes."""
     if stepped == ALL:
-        return stepped_feeder, stepped_drainer, stepped_run_task
-    return feeder_process, drainer_process, run_task
+        return _stepped_upload, _stepped_download, stepped_run_task
+    return _upload, _download, run_task
 
 
 def _observe(sim, trace, cores, words, results, per_component=False):
@@ -234,21 +253,21 @@ def _two_core_ccm(direction):
 
     def scenario(stepped):
         sim, trace = Simulator(), TraceRecorder()
-        feeder, drainer, _run = _harness(stepped)
+        upload, download, _run = _harness(stepped)
         mac = _core(sim, trace, stepped, index=0, key=key)
         ctr = _core(sim, trace, stepped, index=1, key=key)
         mac.unit.ic_out, ctr.unit.ic_out = ctr.unit.ic_in, mac.unit.ic_in
-        sim.add_process(feeder(mac, mac_task.input_blocks))
-        sim.add_process(feeder(ctr, ctr_task.input_blocks))
-        sink = []
+        runs = [upload(mac, mac_task.input_blocks), upload(ctr, ctr_task.input_blocks)]
+        sink, nwords = [], expected_output_words(ctr_task)
         if direction is Direction.ENCRYPT:
-            sim.add_process(drainer(ctr, sink))
+            runs.append(download(ctr, sink, nwords))
         done_mac = mac.assign_task(mac_task.params)
         done_ctr = ctr.assign_task(ctr_task.params)
         results = [sim.run_until_event(done_ctr), sim.run_until_event(done_mac)]
-        sim.run(until=sim.now + 4000)
-        while ctr.out_fifo.can_pop():
-            sink.append(ctr.out_fifo.pop_word())
+        if direction is Direction.DECRYPT:
+            runs.append(download(ctr, sink, nwords))
+        for run in runs:
+            sim.run_until_event(run.done)
         return _observe(sim, trace, [mac, ctr], sink, results, per_component=True)
 
     return scenario
@@ -309,11 +328,11 @@ def _fifo_backpressure():
 
     def scenario(stepped):
         sim, trace = Simulator(), TraceRecorder()
-        feeder, drainer, _run = _harness(stepped)
+        upload, download, _run = _harness(stepped)
         core = _core(sim, trace, stepped, key=key, fifo_depth_words=16)
-        sim.add_process(feeder(core, task.input_blocks))
+        upload(core, task.input_blocks)
         sink = []
-        sim.add_process(drainer(core, sink, word_cycles=37))
+        download(core, sink, expected_output_words(task), word_cycles=37)
         result = sim.run_until_event(core.assign_task(task.params))
         sim.run()
         return _observe(sim, trace, [core], sink, [result])
@@ -335,14 +354,14 @@ def _back_to_back(stepped):
     key = _rb(21, 16)
     tasks = [_gcm_task(key, size, Direction.ENCRYPT, seed=size) for size in (40, 64, 1)]
     sim, trace = Simulator(), TraceRecorder()
-    feeder, drainer, _run = _harness(stepped)
+    upload, download, _run = _harness(stepped)
     core = _core(sim, trace, stepped, key=key)
     sink, results = [], []
-    sim.add_process(drainer(core, sink))
+    download(core, sink, sum(expected_output_words(task) for task in tasks))
 
     def driver():
         for task in tasks:
-            sim.add_process(feeder(core, task.input_blocks))
+            upload(core, task.input_blocks)
             results.append((yield core.assign_task(task.params)))
 
     sim.add_process(driver())
@@ -364,8 +383,8 @@ def _custom_run(program, stepped, word_cycles):
     task = format_ctr(128, _rb(14, 16), _rb(15, 16))
     sim, trace = Simulator(), TraceRecorder()
     core = _core(sim, trace, stepped, key=key)
-    feeder = _harness(stepped)[0]
-    sim.add_process(feeder(core, task.input_blocks, word_cycles=word_cycles))
+    upload = _harness(stepped)[0]
+    upload(core, task.input_blocks, word_cycles=word_cycles)
     result = sim.run_until_event(core.assign_task(task.params, assemble(program)))
     words = []
     while core.out_fifo.can_pop():

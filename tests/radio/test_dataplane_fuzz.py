@@ -67,8 +67,10 @@ def test_cli_runs_the_numpy_pair(capsys):
     assert "1 numpy cases from seed 4: 0 failed" in capsys.readouterr().out
 
 
-#: Seeds of the tier-1 ``cores``-vs-``batched`` slice.
-CORES_SEEDS = (*range(8), 14, 34)
+#: Seeds of the tier-1 ``cores``-vs-``batched`` slice; 81 (two cores)
+#: starts a download on a core whose previous download ended on that
+#: cycle, before its ``done`` fired.
+CORES_SEEDS = (*range(8), 14, 34, 81)
 #: Slice seeds whose GCM or two-core CCM counter runs are long enough
 #: for the AES core to read ahead, so the pair checks readahead blocks.
 READAHEAD_SEEDS = (7, 14, 34)
@@ -98,6 +100,19 @@ def test_cores_cases_stay_in_the_cores_envelope():
             assert config.packets <= 8 and config.payload_bytes <= 512
             sizes.add(config.payload_bytes)
     assert 0 in sizes and any(size % 16 for size in sizes)
+
+
+def test_cores_cases_draw_the_core_count():
+    """One, two and four cores; two-core CCM only on two or more."""
+    cases = [generate_cores_case(seed) for seed in range(40)]
+    assert {case.core_count for case in cases} == {1, 2, 4}
+    for case in cases:
+        if case.core_count < 2:
+            assert not any(config.two_core_ccm for config in case.shape.configs)
+    assert any(
+        config.two_core_ccm for case in cases if case.core_count >= 2
+        for config in case.shape.configs
+    )
 
 
 def test_generator_never_builds_a_rejected_spec():

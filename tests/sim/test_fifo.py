@@ -1,5 +1,6 @@
-"""FIFO: capacity, ordering, purge, events, hooks (hypothesis), and the
-arrival schedule against the word-stepped FIFO of ``tests/stepped_models.py``."""
+"""FIFO: capacity, ordering, purge (hypothesis), and the arrival
+schedule's bounded runs against the word-stepped FIFO and transfer
+processes of ``tests/stepped_models.py``."""
 
 from types import SimpleNamespace
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.core.harness import drainer_process, feeder_process
 from repro.errors import FifoError
 from repro.sim.fifo import WordFifo
 from repro.sim.kernel import Delay, Simulator
@@ -76,35 +76,6 @@ def test_statistics(rb):
     assert f.high_watermark == 4
 
 
-def test_wait_events():
-    sim = Simulator()
-    f = WordFifo(sim, 4, "w")
-    ev = f.wait_not_empty()
-    assert not ev.triggered
-    f.push_word(1)
-    assert ev.triggered
-    # Fill, then wait for space.
-    for i in range(3):
-        f.push_word(i)
-    full_ev = f.wait_not_full()
-    assert not full_ev.triggered
-    f.pop_word()
-    assert full_ev.triggered
-
-
-def test_push_pop_hooks_fire_once():
-    f = make()
-    hits = []
-    f.add_push_hook(lambda: hits.append("push"))
-    f.push_word(1)
-    f.push_word(2)
-    assert hits == ["push"]
-    f.add_pop_hook(lambda: hits.append("pop"))
-    f.pop_word()
-    f.pop_word()
-    assert hits == ["push", "pop"]
-
-
 @given(st.lists(st.integers(0, 0xFFFFFFFF), max_size=40))
 @settings(max_examples=30, deadline=None)
 def test_fifo_invariant_random_traffic(words):
@@ -152,25 +123,23 @@ def _probe(sim, fifo, rows, cycles, offset):
 
 def _scenario(stepped, depth, producer_wc, nwords, consumer=None, consumer_wc=1,
               pops_at=(), purge_at=(), cycles=400):
-    """Run one FIFO with a producer run and a consumer (a drain run, or
-    block pops and purges by a process), probing it every cycle."""
+    """Run one FIFO with a producer and a consumer (a drain of every
+    word, or block pops and purges by a process), probing it every
+    cycle.  The producer and the drain are bounded runs, or on the
+    stepped FIFO the stepped transfer processes."""
     sim = Simulator()
     fifo = (SteppedWordFifo if stepped else WordFifo)(sim, depth, "f")
-    blocks = _blocks(nwords)[0]
+    blocks, words = _blocks(nwords)
     port = SimpleNamespace(in_fifo=fifo, out_fifo=fifo, sim=sim)
-    ends = []
-
-    feeder, drainer = (
-        (stepped_feeder, stepped_drainer) if stepped else (feeder_process, drainer_process)
-    )
-
-    def produce():
-        ends.append((yield from feeder(port, blocks, producer_wc)))
-
-    sim.add_process(produce())
     sink = []
-    if consumer == "drain":
-        sim.add_process(drainer(port, sink, consumer_wc))
+    if stepped:
+        producer = sim.add_process(stepped_feeder(port, blocks, producer_wc))
+        if consumer == "drain":
+            sim.add_process(stepped_drainer(port, sink, nwords, consumer_wc))
+    else:
+        producer = fifo.stream_in(words, producer_wc)
+        if consumer == "drain":
+            fifo.drain_out(sink, nwords, consumer_wc)
     purged = []
 
     def poke():
@@ -187,9 +156,8 @@ def _scenario(stepped, depth, producer_wc, nwords, consumer=None, consumer_wc=1,
     sim.add_process(_probe(sim, fifo, rows, cycles, 0))
     sim.add_process(_probe(sim, fifo, rows, cycles, 1))
     sim.run()
-    residue = len(fifo)  # a read brings a drain run's sink up to date
-    return {"rows": sorted(rows), "residue": residue, "ends": ends, "sink": list(sink), "purged": purged,
-            "purges": fifo.purge_count, "now": sim.now}
+    return {"rows": sorted(rows), "residue": len(fifo), "ends": [producer.done.value],
+            "sink": list(sink), "purged": purged, "purges": fifo.purge_count, "now": sim.now}
 
 
 def _assert_matches_stepped(**kwargs):
@@ -228,3 +196,30 @@ def test_sixteen_word_fifo_with_a_slow_drainer():
                                   consumer_wc=37, cycles=2500)
     assert out["sink"] == _blocks(64)[1]
     assert max(row[5] for row in out["rows"]) == 16
+
+
+def test_a_finished_run_makes_way_before_its_done_fires():
+    """A run whose last word has moved no longer holds the FIFO: the next
+    run may start on the cycle the first one's ``done`` fires, before
+    that event has run, and the first ``done`` still fires."""
+    sim = Simulator()
+    fifo = WordFifo(sim, 8, "f")
+    first, second, log = [], [], []
+    producer = fifo.stream_in([1, 2])  # pushes at 0 and 1, ends at 2
+    consumer = fifo.drain_out(first, 2)  # pops at 0 and 1, ends at 2
+
+    def next_runs():
+        yield Delay(2)  # keyed before both ends on cycle 2
+        log.append((producer.done.triggered, consumer.done.triggered))
+        log.append(fifo.stream_in([3, 4]))
+        log.append(fifo.drain_out(second, 2))
+
+    sim.add_process(next_runs())
+    sim.run()
+    assert log[0] == (False, False)
+    assert producer.done.value == consumer.done.value == 2
+    assert log[1].done.value == log[2].done.value == 4
+    assert first == [1, 2] and second == [3, 4]
+    fifo.drain_out([], 1)  # waits on the empty FIFO
+    with pytest.raises(FifoError, match="consumer run is already attached"):
+        fifo.drain_out([], 1)

@@ -1,29 +1,8 @@
-"""Signals and pulse wires (done-latch semantics)."""
+"""Pulse wires (done-latch semantics) and the trace recorder."""
 
 from repro.sim.kernel import Simulator
-from repro.sim.signals import PulseWire, Signal
+from repro.sim.signals import PulseWire
 from repro.sim.tracing import TraceRecorder
-
-
-def test_signal_levels_and_history():
-    sim = Simulator()
-    s = Signal(sim, "s", initial=0)
-    s.set(1)
-    s.set(1)  # no duplicate history entry
-    s.set(2)
-    assert s.value == 2
-    assert [v for _, v in s.history] == [0, 1, 2]
-
-
-def test_signal_wait_for_current_and_future():
-    sim = Simulator()
-    s = Signal(sim, "s", initial=0)
-    now_ev = s.wait_for(0)
-    assert now_ev.triggered
-    later = s.wait_for(3)
-    assert not later.triggered
-    s.set(3)
-    assert later.triggered
 
 
 def test_pulse_wire_wakes_waiter():

@@ -1,5 +1,5 @@
-"""Every function, method, class and module-level name in ``src/`` has a
-reader.
+"""Every function, method, class, module-level name and attribute in
+``src/`` has a reader.
 
 The scan parses the five Python trees of the repository (``src``,
 ``tests``, ``examples``, ``benchmarks``, ``perfbench``) and collects
@@ -16,6 +16,12 @@ Dunders count as used (the interpreter calls them), and so do
 definitions under a registering decorator such as ``atexit.register``.
 Descriptor decorators (``property``, ``staticmethod``, ...) register
 nothing, so a property still needs a reader.
+
+An attribute that ``src/`` stores (``self.count = 0``, ``count += 1``)
+is write-only, and fails the test, when no tree reads an attribute of
+that name and no string constant is exactly the name.  A name declared
+in a class body (a dataclass field, a class attribute) counts as read:
+the generated ``__init__``, ``__repr__`` and ``__eq__`` read fields.
 """
 
 from __future__ import annotations
@@ -57,7 +63,9 @@ def _registered(node):
 
 
 def _referenced_names(root):
-    names = set()
+    """Every name referred to, and the attribute names that are read
+    (string constants count as both)."""
+    names, read = set(), set()
     for tree in TREES:
         for path in _python_files(root, tree):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -65,13 +73,16 @@ def _referenced_names(root):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
+                    if not isinstance(node.ctx, ast.Store):
+                        read.add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.add(node.name.rpartition(".")[2])
                     if node.asname:
                         names.add(node.asname)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     names.add(node.value)
-    return names
+                    read.add(node.value)
+    return names, read
 
 
 def _assigned_names(statement):
@@ -102,20 +113,43 @@ def _definitions(root):
                 yield relative, node.lineno, node.id, False
 
 
+def _stored_attributes(root):
+    """``(path, line, name)`` for every attribute store in ``src/``, and
+    the names class bodies declare."""
+    stores, declared = [], set()
+    for path in _python_files(root, "src"):
+        relative = path.relative_to(root)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stores.append((relative, node.lineno, node.attr))
+            elif isinstance(node, ast.ClassDef):
+                for statement in node.body:
+                    declared.update(name.id for name in _assigned_names(statement))
+    return stores, declared
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _dead_definitions(root):
-    referenced = _referenced_names(root)
-    return [
+    referenced, read = _referenced_names(root)
+    dead = [
         f"{path}:{line} {name}"
         for path, line, name, registered in _definitions(root)
-        if name not in referenced
-        and not (name.startswith("__") and name.endswith("__"))
-        and not registered
+        if name not in referenced and not _dunder(name) and not registered
     ]
+    stores, declared = _stored_attributes(root)
+    write_only = {}
+    for path, line, name in stores:
+        if name not in read and name not in declared and not _dunder(name):
+            write_only.setdefault(name, f"{path}:{line} {name}")
+    return dead + list(write_only.values())
 
 
 def test_every_src_definition_is_referenced():
     dead = _dead_definitions(ROOT)
-    assert dead == [], "definitions nothing refers to:\n" + "\n".join(dead)
+    assert dead == [], "definitions and attributes nothing reads:\n" + "\n".join(dead)
 
 
 # -- the scan's own rules, on a two-file repository ---------------------------
@@ -131,6 +165,10 @@ def target():
 
 
 class Holder:
+    def __init__(self):
+        self.level = 0
+        self.level += 1
+
     def __repr__(self):
         return "a holder"
 
@@ -148,25 +186,34 @@ def _hook():
 @pytest.mark.parametrize(
     "caller, dead",
     [
-        ("", {"LIMIT", "target", "Holder", "reading"}),
-        ("from pkg.mod import Holder\nHolder()\ntarget()\n", {"LIMIT", "reading"}),
-        ("import pkg.mod\npkg.mod.target\n", {"LIMIT", "Holder", "reading"}),
-        ("from pkg.mod import target as alias\n", {"LIMIT", "Holder", "reading"}),
-        ("getattr(object, 'target')\n", {"LIMIT", "Holder", "reading"}),
-        ("print('target is mentioned in prose')\n", {"LIMIT", "target", "Holder", "reading"}),
-        ("def use(holder):\n    return holder.reading\n", {"LIMIT", "target", "Holder"}),
-        ("def use():\n    return LIMIT\n", {"target", "Holder", "reading"}),
-        ("import pkg.mod\nprint(pkg.mod.LIMIT)\n", {"target", "Holder", "reading"}),
-        ("LIMIT = 5\nLIMIT += 1\n", {"LIMIT", "target", "Holder", "reading"}),
+        ("", {"LIMIT", "target", "Holder", "reading", "level"}),
+        ("from pkg.mod import Holder\nHolder()\ntarget()\n", {"LIMIT", "reading", "level"}),
+        ("import pkg.mod\npkg.mod.target\n", {"LIMIT", "Holder", "reading", "level"}),
+        ("from pkg.mod import target as alias\n", {"LIMIT", "Holder", "reading", "level"}),
+        ("getattr(object, 'target')\n", {"LIMIT", "Holder", "reading", "level"}),
+        ("print('target is mentioned in prose')\n",
+         {"LIMIT", "target", "Holder", "reading", "level"}),
+        ("def use(holder):\n    return holder.reading\n", {"LIMIT", "target", "Holder", "level"}),
+        ("def use():\n    return LIMIT\n", {"target", "Holder", "reading", "level"}),
+        ("import pkg.mod\nprint(pkg.mod.LIMIT)\n", {"target", "Holder", "reading", "level"}),
+        ("LIMIT = 5\nLIMIT += 1\n", {"LIMIT", "target", "Holder", "reading", "level"}),
+        ("def use(holder):\n    holder.level = 2\n    return holder.level\n",
+         {"LIMIT", "target", "Holder", "reading"}),
+        ("def use(holder):\n    holder.level = 2\n    del holder\n",
+         {"LIMIT", "target", "Holder", "reading", "level"}),
+        ("getattr(object, 'level')\n", {"LIMIT", "target", "Holder", "reading"}),
     ],
     ids=["nothing", "name", "attribute", "import-alias", "string", "prose", "property",
-         "module-name-read", "module-name-attribute", "module-name-store"],
+         "module-name-read", "module-name-attribute", "module-name-store",
+         "attribute-read", "attribute-store", "attribute-string"],
 )
 def test_scan_rules(tmp_path, caller, dead):
     """Names that are read, attributes, import aliases and whole strings
     keep a definition; prose and assignments do not.  Dunders and
     registered hooks are kept by themselves; a property is kept only by
-    a reader, and a module-level name only by a read."""
+    a reader, and a module-level name only by a read.  An attribute
+    ``src/`` stores (``level``) is kept by an attribute read or a whole
+    string, not by more stores."""
     (tmp_path / "src" / "pkg").mkdir(parents=True)
     (tmp_path / "src" / "pkg" / "mod.py").write_text(_DEFINED)
     (tmp_path / "tests").mkdir()
