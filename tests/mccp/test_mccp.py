@@ -50,6 +50,13 @@ def test_decode_rejects_bad_words():
         decode_instruction(1 << 33)
 
 
+def test_execute_rejects_unknown_instruction():
+    from repro.errors import ProtocolError
+
+    with pytest.raises(ProtocolError):
+        Mccp(Simulator()).execute_instruction(object())
+
+
 # -- key memory -----------------------------------------------------------------------
 
 def test_key_memory_write_protection_and_reads():
