@@ -27,7 +27,11 @@ at most 8 packets per channel and 512-byte payloads, 0 bytes and
 off-block lengths included, on a platform of 1, 2 or 4 cores — on
 ``cores`` and on ``batched``: each
 channel's completions must carry the same bytes and ``ok`` flags in the
-same order, and both runs must conserve packets.
+same order, and both runs must conserve packets.  The ``cores`` run is
+traced, and every task of at least :data:`LOOP_MIN_BLOCKS` data blocks
+must loop at section VII.A's period (:func:`loop_period_errors`): an
+oracle that shares no code with the device model, its firmware or its
+timing calibration.
 
 A third check (:func:`check_numpy_case`) replays a :func:`generate_case`
 case with the numpy fast paths and again with every one of them turned
@@ -50,12 +54,14 @@ import argparse
 import dataclasses
 import random
 import sys
+from collections import Counter
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 from unittest import mock
 
-from repro.core.params import Algorithm, Direction
+from repro.analysis.cycles import PAPER_T_CBC_128, PAPER_T_GCM_128, paper_loop_cycles
+from repro.core.params import Algorithm, CcmRole, Direction
 from repro.crypto.fast import aes_vector, batch, bulk, ghash_hpower
 from repro.errors import AuthenticationFailure
 from repro.mccp.channel import FlushPolicy
@@ -231,18 +237,102 @@ class _Outcome:
     errors: List[str]
 
 
+#: Tasks shorter than this many data blocks have no steady loop to check.
+LOOP_MIN_BLOCKS = 16
+#: Most SAES issue intervals of one task (one block pair for one-core
+#: CCM) that may differ from its loop period: the prologue (E(0), E(J0)
+#: or B0 and the first counter) and the final, masked block.
+LOOP_OUTLIERS = 4
+#: The paper's T_XOR (T_CBC - T_CTR): a CCM decrypt block chains one
+#: more XOR than an encrypt block (plaintext must exist before it enters
+#: the CBC chain).  Section VII.A gives encryption periods only.
+PAPER_T_XOR = PAPER_T_CBC_128 - PAPER_T_GCM_128
+
+_PAPER_MODES = {Algorithm.GCM: "gcm", Algorithm.CTR: "ctr", Algorithm.CBC_MAC: "cbc"}
+
+
+def _paper_period(params) -> int:
+    """Section VII.A's loop period of *params*' task (of its core pair
+    for two-core CCM)."""
+    if params.algorithm is not Algorithm.CCM:
+        return paper_loop_cycles(_PAPER_MODES[params.algorithm], params.key_bits)
+    mode = "ccm1" if params.role is CcmRole.SINGLE else "ccm2"
+    extra = PAPER_T_XOR if params.direction is Direction.DECRYPT else 0
+    return paper_loop_cycles(mode, params.key_bits) + extra
+
+
+def _saes_intervals(cycles: List[int], stride: int) -> List[int]:
+    return [b - a for a, b in zip(cycles[::stride], cycles[stride::stride])]
+
+
+def loop_period_errors(mccp) -> List[str]:
+    """Every task of >= :data:`LOOP_MIN_BLOCKS` data blocks in *mccp*'s
+    trace that does not loop at the paper's period.
+
+    Each CU's ``issue`` rows are split by task at the core's
+    ``task_start`` rows, and the task's parameters are those of the
+    request that assigned it (requests assign their cores in submit
+    order).  A task's modal SAES issue interval (stride 2 for one-core
+    CCM, which issues two SAES per block) must equal
+    :func:`~repro.analysis.cycles.paper_loop_cycles` for its mode and key
+    size, with at most :data:`LOOP_OUTLIERS` other intervals.  A
+    two-core CCM pair loops at the slower core's period, which must be
+    T_CBC.
+    """
+    assigned: Dict[int, List[Tuple[int, object]]] = {}
+    for request in mccp.scheduler.requests.values():
+        for core, task in zip(request.core_indices, request.tasks):
+            assigned.setdefault(core, []).append((request.request_id, task.params))
+    names = {core.name: core.index for core in mccp.cores}
+    units = {f"{core.name}.cu": core.index for core in mccp.cores}
+    started: Dict[int, int] = {}
+    saes: Dict[Tuple[int, int], List[int]] = {}
+    for event in mccp.trace.events:
+        if event.kind == "task_start" and event.component in names:
+            core = names[event.component]
+            started[core] = started.get(core, -1) + 1
+            saes[core, started[core]] = []
+        elif event.kind == "issue" and event.details.get("op") == "SAES":
+            core = units[event.component]
+            saes[core, started[core]].append(event.cycle)
+    errors: List[str] = []
+    pairs: Dict[int, List[Tuple[int, int]]] = {}
+    for (core, index), cycles in sorted(saes.items()):
+        request_id, params = assigned[core][index]
+        if params.data_blocks < LOOP_MIN_BLOCKS:
+            continue
+        label = f"request {request_id} on core {core}"
+        stride = 2 if params.algorithm is Algorithm.CCM and params.role is CcmRole.SINGLE else 1
+        counts = Counter(_saes_intervals(cycles, stride))
+        period, hits = counts.most_common(1)[0] if counts else (None, 0)
+        others = sum(counts.values()) - hits
+        if others > LOOP_OUTLIERS:
+            errors.append(f"{label}: {others} SAES intervals off the loop period {period}")
+        if params.role is CcmRole.SINGLE:
+            if period != _paper_period(params):
+                errors.append(f"{label}: loop period {period}, paper {_paper_period(params)}")
+        else:
+            pairs.setdefault(request_id, []).append((period, _paper_period(params)))
+    for request_id, periods in sorted(pairs.items()):
+        loop, paper = max(periods)
+        if len(periods) == 2 and loop != paper:
+            errors.append(f"request {request_id}: two-core CCM loops at {loop}, paper {paper}")
+    return errors
+
+
 def _alone():
     """Every deferred dispatch computes alone: no shared engine call."""
     return mock.patch.object(batch, "resolve_deferred", lambda handles: None)
 
 
-def _run(case: FuzzCase, alone: bool) -> _Outcome:
+def _run(case: FuzzCase, alone: bool, traced: bool = False) -> _Outcome:
     plan = None
     if case.batch_error_rate:
         plan = FaultPlan(seed=case.seed, rates={"batch_error": case.batch_error_rate})
     with injected_faults(plan), _alone() if alone else nullcontext():
         if isinstance(case.shape, WorkloadSpec):
             platform = SdrPlatform(seed=case.seed, core_count=case.core_count)
+            platform.mccp.trace.enabled = traced
             report = platform.run_workload(case.shape)
             offered = sum(config.packets for config in case.shape.configs)
             channels = sorted(platform.mccp.scheduler.channels.values(), key=lambda c: c.key_id)
@@ -258,6 +348,8 @@ def _run(case: FuzzCase, alone: bool) -> _Outcome:
         transfers = list(platform.comm.completed.values())
     channels = {channel.channel_id: channel for channel in channels}
     outcome = _Outcome(dataclasses.asdict(report), [], offered, set(), [])
+    if traced:
+        outcome.errors += loop_period_errors(platform.mccp)
     for transfer in transfers:
         job = transfer.job
         dead = transfer.extra.get("dead_letter")
@@ -403,9 +495,9 @@ def _per_channel(outcome: _Outcome) -> Dict[int, List[tuple]]:
 
 
 def check_cores_case(case: FuzzCase) -> List[str]:
-    """Replay *case* on ``cores`` and on ``batched``; every broken
-    invariant, or []."""
-    cores = _run(case, alone=False)
+    """Replay *case* on ``cores`` (traced, for the loop periods) and on
+    ``batched``; every broken invariant, or []."""
+    cores = _run(case, alone=False, traced=True)
     batched = _run(
         dataclasses.replace(case, shape=dataclasses.replace(case.shape, dataplane="batched")),
         alone=False,
