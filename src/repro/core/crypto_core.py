@@ -148,13 +148,29 @@ class CryptoCore:
             return self.params.port_value(port)
         return 0
 
-    def writer(self, port: int) -> Callable[[int], None]:
-        """The controller's ``OUTPUT`` handler for *port*: a CU issue goes
-        straight to the unit (:meth:`_wire_unit` rebinds it on a swap)."""
+    def writer(self, port: int) -> Callable[[int, int, int], bool]:
+        """The controller's ``OUTPUT`` handler for *port*, called with the
+        value, the write's cycle and how far that lies ahead of the
+        kernel (see :class:`~repro.isa.controller.PortDevice`).  A CU
+        issue and a mask write go straight to the unit, which takes them
+        ahead when they are private (:meth:`_wire_unit` rebinds them on
+        a swap); every other port waits for the kernel."""
+        unit = self.active_unit
         if port == P_CU:
-            return self.active_unit.start
+            return unit.start
+        if port == P_MASK_LO:
+            return unit.set_mask_low
+        if port == P_MASK_HI:
+            return unit.set_mask_high
         core = weakref.proxy(self)  # held weakly, as the controller holds the core
-        return lambda value: core.write_port(port, value)
+
+        def write(value: int, cycle: int, ahead: int) -> bool:
+            if ahead:
+                return False
+            core.write_port(port, value)
+            return True
+
+        return write
 
     def write_port(self, port: int, value: int) -> None:
         """Controller OUTPUT dispatch."""

@@ -28,50 +28,67 @@ flags, scratchpad, PC and call stack): the ALU ops, ``LOAD``, ``NOP``,
 jumps, ``CALL``/``RETURN`` and ``STORE``/``FETCH``.  :meth:`Controller8.run`
 executes these in place and adds their 2 cycles to a local ``pending``
 count instead of yielding a ``Delay`` per instruction — the
-loosely-timed technique of SystemC TLM-2.0 (IEEE 1666-2011).  It
-yields one ``Delay(pending)`` before every instruction that must meet
-the rest of the model at its own cycle: ``INPUT*``, ``OUTPUT*``,
-``HALT``, ``EINT``/``DINT``/``RETURNI*``, and every instruction while
-interrupts are enabled, which then runs on a real instruction boundary.
+loosely-timed technique of SystemC TLM-2.0 (IEEE 1666-2011): the
+controller runs ahead of the kernel's clock, within a quantum.
+
+An immediate ``OUTPUT`` runs ahead too when the device can take it
+there.  The device's handler for the port (``PortDevice.writer``,
+resolved once per port) gets the value, the write's cycle (``sim.now +
+pending``) and how far that lies ahead of the kernel (``pending``).  A
+Cryptographic Core hands a CU issue and a mask write straight to the
+unit, which takes an instruction that touches only its own core (the
+FIXED and ENGINE timing classes) when the unit's state at that cycle is
+already known; see :meth:`repro.unit.unit.LooselyTimedUnit.start`.  The
+handler declines everything else — a ``LOAD``/``STORE`` (FIFO claims),
+an ``ICSEND``/``ICRECV`` (the neighbour's mailbox), a result or debug
+write — and the controller then yields ``Delay(pending)`` and writes at
+the kernel.  It also yields before every ``INPUT*``, ``OUTPUT_R``,
+``EINT``/``DINT``/``RETURNI*`` and every instruction while interrupts
+are enabled, which then runs on a real instruction boundary.  A
+``HALT`` yields only to sleep (below).
 
 Nor does it interpret instructions one by one.  Each program is
 translated on its first run into one entry per PC, memoised on the
 program (:func:`translation`; Shade's translation cache, Cmelik &
-Keppel, SIGMETRICS 1994): a *block*, the private instructions from
-that PC through a jump, ``CALL`` or ``RETURN`` or up to a
-synchronising instruction, compiled from per-op templates into one
-Python function that indexes the registers directly, writes the flags
-once and has a constant cycle count; and a *step*, the PC's one
-instruction.  A block that ends before an ``OUTPUT`` to an immediate
-port is a superinstruction (Proebsting, POPL 1995; Ertl & Gregg, PLDI
-2003): the loop follows it with the catch-up yield and the write,
-through a handler the device resolved once for that port
-(``PortDevice.writer``).  So the builder's ``LOAD s2, k; OUTPUT s2,
-P_CU; NOP`` idiom is one entry, and the write still lands on the
-``OUTPUT``'s own cycle.  A block runs only if ``pending`` plus its
-cycles stays below :data:`SYNC_QUANTUM`; otherwise, and while
-interrupts are enabled, the loop runs steps.  A ``stop()`` from the
-controller's own ``OUTPUT`` takes effect right after it, one from
-elsewhere at the next synchronisation, and a top-level ``RETURN``
-ends the run.
+Keppel, SIGMETRICS 1994): a *block*, the instructions from that PC
+through a jump, ``CALL`` or ``RETURN`` or up to a synchronising
+instruction, compiled from per-op templates into one Python function
+that indexes the registers directly, writes the flags once and has a
+constant cycle count; and a *step*, the PC's one instruction.  An
+immediate ``OUTPUT`` inside a block calls the port's handler in line
+(a superinstruction: Proebsting, POPL 1995; Ertl & Gregg, PLDI 2003),
+so the builder's ``LOAD s2, k; OUTPUT s2, P_CU; NOP`` idiom is three
+instructions of one block, and a run of CU issues between two FIFO
+transfers is one call.  If the handler declines, the block stops
+before that ``OUTPUT`` (returning its PC complemented) and the loop
+catches up and writes it at the kernel.  A block runs only if
+``pending`` plus its cycles stays below :data:`SYNC_QUANTUM`;
+otherwise, and while interrupts are enabled, the loop runs steps.  A
+write the device takes ahead of the kernel must not stop the
+controller; a ``stop()`` from its own ``OUTPUT`` at the kernel takes
+effect right after it, one from elsewhere at the next synchronisation,
+and a top-level ``RETURN`` ends the run.
 
-No other component can see a private instruction, so every port
-access, CU issue and ``HALT`` lands on the cycle it would land on if
-each instruction yielded by itself: 2 cycles per instruction still
-holds and cycle counts are unchanged.  Each of these yields is
-``Delay(pending, ahead=pending - 2)``, so the kernel orders the
-wake-up among same-cycle events as if the last private instruction
-had scheduled it, as a stepping controller would: a CU completion on
-the cycle of an ``INPUT`` or ``OUTPUT`` still runs first.  Only
-same-cycle events of two different controllers may interleave
-differently.
+No other component can see a private instruction or a write the
+device took ahead, so every port access, CU issue and ``HALT`` lands
+on the cycle it would land on if each instruction yielded by itself:
+2 cycles per instruction still holds and cycle counts are unchanged.
+Each catch-up yield is ``Delay(pending, ahead=pending - 2)``, so the
+kernel orders the wake-up among same-cycle events as if the last
+private instruction had scheduled it, as a stepping controller would:
+a CU completion on the cycle of an ``INPUT`` or ``OUTPUT`` still runs
+first.  Only same-cycle events of two different controllers may
+interleave differently.
 
 A ``HALT`` whose wake-up is already fixed — the done pulse is latched,
 or the unit's last completion has a known cycle (see
-:meth:`repro.sim.signals.PulseWire.fixed_pulse`) — sleeps in one
+:meth:`repro.sim.signals.PulseWire.fixed_pulse`), as seen from the
+``HALT``'s own cycle even ahead of the kernel — sleeps in one
 ``Delay`` to the cycle the wait would have resumed on, ordered as that
 wake-up (a pulse's waiters resume after everything scheduled before
-the pulse on its cycle), instead of a ``Delay`` plus a wait.
+the pulse on its cycle), instead of a catch-up, a ``Delay`` and a
+wait.  So a GCM block meets the kernel three times: its ``LOAD``, its
+``STORE`` and the ``HALT`` on its ``FAES``.
 
 ``pending`` is also yielded before the process returns, so it ends on
 the same cycle, and whenever it reaches :data:`SYNC_QUANTUM` cycles, so
@@ -190,8 +207,19 @@ def _fail(ctrl: "Controller8", message: str) -> None:
     raise ExecutionError(f"{ctrl.name}: {message}")
 
 
+#: An immediate ``OUTPUT`` inside a block: the device's handler takes it
+#: ahead of the kernel (``cycle`` is the block's first cycle, ``ahead``
+#: how far that lies past the kernel's), or the block ends before it,
+#: returning its PC complemented (``~pc``).
+_OUTPUT_AHEAD = (
+    "if not (c._writers.get({port}) or c._writer({port}))(r[{x}], cycle + {k}, ahead + {k}):\n"
+    "    {flags}return {out}"
+)
+
+
 def _function(code: List[Decoded], start: int, stop: int) -> str:
-    """Source of ``f``, which runs ``code[start:stop]`` and returns the next PC."""
+    """Source of ``f``, which runs ``code[start:stop]`` and returns the
+    next PC, or ``~pc`` if the device declined the ``OUTPUT`` at *pc*."""
     body: List[str] = []
     local_flags = False
     for pc in range(start, stop):
@@ -212,20 +240,30 @@ def _function(code: List[Decoded], start: int, stop: int) -> str:
                 body.append("c.zero = z; c.carry = cy")
             body.extend(template.format(**fields).split("\n"))
             break
+        if op is Op.OUTPUT and pc > start:
+            template = _OUTPUT_AHEAD.format(
+                port=decoded.operand,
+                x=decoded.sx,
+                k=CYCLES_PER_INSTRUCTION * (pc - start),
+                flags="c.zero = z; c.carry = cy; " if local_flags else "",
+                out=~pc,
+            )
+            body.extend(template.split("\n"))
+            continue
         body.extend(line for line in _TEMPLATES[op].format(**fields).split("\n") if line)
         local_flags = local_flags or op in _SETS_FLAGS
     else:
         if local_flags:
             body.append("c.zero = z; c.carry = cy")
         body.append(f"return {stop}")
-    return "\n    ".join(["def f(c, r):", *body])
+    return "\n    ".join(["def f(c, r, cycle=0, ahead=0):", *body])
 
 
 #: One translated PC: ``(block, limit, cycles, port, sx, step)``.  The
 #: block (None at a synchronising instruction) runs when ``pending <
-#: limit`` and adds *cycles*; *port*, if not None, is an ``OUTPUT sx,
-#: port`` that follows it (or sits at the PC); *step* runs the PC's
-#: one instruction (None for ``HALT``).
+#: limit`` and adds *cycles*; *port*, if not None, is the port of an
+#: ``OUTPUT sx, port`` at the PC; *step* runs the PC's one instruction
+#: (None for ``HALT``).
 Entry = Tuple[Optional[Callable], int, int, Optional[int], int, Optional[Callable]]
 
 
@@ -251,20 +289,16 @@ def translation(program: Program) -> List[Entry]:
                 code[stop - 1].op not in _FLOW
                 and stop < len(code)
                 and stop - pc < BLOCK_LIMIT
-                and code[stop].op not in SYNC_OPS
+                and (code[stop].op not in SYNC_OPS or code[stop].op is Op.OUTPUT)
             ):
                 stop += 1
-        fused = (
-            stop < len(code)
-            and code[stop].op is Op.OUTPUT
-            and (stop == pc or code[stop - 1].op not in _FLOW)
-        )
-        port, sx = (code[stop].operand, code[stop].sx) if fused else (None, 0)
+        output = decoded.op is Op.OUTPUT
+        port, sx = (decoded.operand, decoded.sx) if output else (None, 0)
         step = None
         if decoded.op is not Op.HALT:
             step = _lazy(entries, code, pc, pc + 1, (0, 5) if stop == pc + 1 else (5,))
         if stop == pc:
-            entries.append((None, SYNC_QUANTUM if fused else 0, 0, port, sx, step))
+            entries.append((None, SYNC_QUANTUM if output else 0, 0, port, sx, step))
         else:
             cycles = CYCLES_PER_INSTRUCTION * (stop - pc)
             block = step if stop == pc + 1 else _lazy(entries, code, pc, stop, (0,))
@@ -279,14 +313,14 @@ def _lazy(
     """A stand-in that compiles ``code[start:stop]`` on its first call,
     puts the function into *slots* of ``entries[start]`` and runs it."""
 
-    def first_call(ctrl: "Controller8", regs: List[int]) -> int:
+    def first_call(ctrl: "Controller8", regs: List[int], *ahead: int) -> int:
         namespace: Dict[str, Callable] = {"_fail": _fail}
         exec(compile(_function(code, start, stop), f"<PC {start:#05x}>", "exec"), namespace)
         entry = list(entries[start])
         for slot in slots:
             entry[slot] = namespace["f"]
         entries[start] = tuple(entry)  # type: ignore[assignment]
-        return namespace["f"](ctrl, regs)
+        return namespace["f"](ctrl, regs, *ahead)
 
     return first_call
 
@@ -302,10 +336,24 @@ class PortDevice(Protocol):
         """Handle ``OUTPUT``: accept *value* written to *port*."""
         ...  # pragma: no cover - protocol
 
-    def writer(self, port: int) -> Callable[[int], None]:
-        """Optional: the handler ``OUTPUT sX, port`` calls with the value,
-        resolved once per port (else the controller calls :meth:`write_port`)."""
+    def writer(self, port: int) -> Callable[[int, int, int], bool]:
+        """Optional: the handler an immediate ``OUTPUT sX, port`` calls,
+        resolved once per port, as ``handler(value, cycle, ahead)``:
+        *cycle* is the write's cycle and *ahead* how many cycles that
+        lies past the kernel's clock.  It returns False, writing
+        nothing, if the write must wait for the kernel (the controller
+        then yields and calls again with *ahead* 0, which must accept).
+        Without it every ``OUTPUT`` waits for the kernel and calls
+        :meth:`write_port`."""
         ...  # pragma: no cover - protocol
+
+
+def _write_at_kernel(device: PortDevice, port: int, value: int, cycle: int, ahead: int) -> bool:
+    """The ``writer`` handler of a device that has none."""
+    if ahead:
+        return False
+    device.write_port(port, value)
+    return True
 
 
 class _NullDevice:
@@ -363,7 +411,7 @@ class Controller8:
         self.halted_cycles = 0
         self._stopped = False
         #: Port -> the device's ``OUTPUT`` handler, resolved on first use.
-        self._writers: Dict[int, Callable[[int], None]] = {}
+        self._writers: Dict[int, Callable[[int, int, int], bool]] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -383,9 +431,9 @@ class Controller8:
         self.pc = start_pc
         self.irq_vector = max(len(program) - 1, 0)
 
-    def _writer(self, port: int) -> Callable[[int], None]:
+    def _writer(self, port: int) -> Callable[[int, int, int], bool]:
         writer = getattr(self.device, "writer", None)
-        handler = writer(port) if writer is not None else partial(self.device.write_port, port)
+        handler = writer(port) if writer is not None else partial(_write_at_kernel, self.device, port)
         self._writers[port] = handler
         return handler
 
@@ -400,7 +448,7 @@ class Controller8:
         """
         if entry is not None:
             self.pc = self.program.label(entry)
-        regs, writers = self.regs, self._writers
+        sim, regs, writers = self.sim, self.regs, self._writers
         program = entries = None
         size = 0
         # Cycles of instructions executed but not yet yielded to the kernel.
@@ -426,48 +474,68 @@ class Controller8:
                 # One instruction: the block would cross the quantum, or
                 # the PC holds a synchronising instruction (no block),
                 # which runs on its own cycle.
+                if step is None:
+                    # HALT: sleep until the wake wire pulses (done-latch
+                    # absorbed inside PulseWire).  Cost: the 2 base
+                    # cycles, plus however long the sleep lasts.  If the
+                    # pulse's cycle is already fixed, even as seen from
+                    # ahead of the kernel, wake where the wait would have
+                    # woken, in one yield; otherwise wait at the kernel.
+                    start = sim.now + pending
+                    pulse = self.wake.fixed_pulse(start, pending)
+                    if pulse is None and pending:
+                        yield _CATCH_UP[pending]
+                        pending = 0
+                        continue
+                    self.pc = pc + 1
+                    self.instructions_retired += 1
+                    if pulse is None:
+                        yield Delay(CYCLES_PER_INSTRUCTION)
+                        yield self.wake.wait()
+                    else:
+                        wake = max(pulse, start + CYCLES_PER_INSTRUCTION) - sim.now
+                        yield Delay(wake, wake)
+                        self.wake.consume()
+                    pending = 0
+                    self.halted_cycles += sim.now - start - CYCLES_PER_INSTRUCTION
+                    continue
                 if pending and (block is None or pending >= SYNC_QUANTUM):
                     yield _CATCH_UP[pending]
                     pending = 0
                     continue
-                if step is not None:
-                    self.instructions_retired += 1
-                    self.pc = step(self, regs)
-                    pending += CYCLES_PER_INSTRUCTION
-                    continue
-                # HALT: sleep until the wake wire pulses (done-latch
-                # absorbed inside PulseWire).  Cost: the 2 base cycles,
-                # plus however long the sleep lasts.
-                self.pc = pc + 1
                 self.instructions_retired += 1
-                start = self.sim.now
-                pulse = self.wake.fixed_pulse()
-                if pulse is None:
-                    yield Delay(CYCLES_PER_INSTRUCTION)
-                    yield self.wake.wait()
-                else:
-                    # The pulse's cycle is already fixed: wake where the
-                    # wait would have woken, in one yield.
-                    sleep = max(pulse, start + CYCLES_PER_INSTRUCTION) - start
-                    yield Delay(sleep, sleep)
-                    self.wake.consume()
-                self.halted_cycles += self.sim.now - start - CYCLES_PER_INSTRUCTION
+                self.pc = step(self, regs)
+                pending += CYCLES_PER_INSTRUCTION
                 continue
             if block is not None:
-                pc = block(self, regs)
-                self.instructions_retired += cycles >> 1
-                pending += cycles
-                if port is None:
+                pc = block(self, regs, sim.now + pending, pending)
+                if pc >= 0:
+                    self.instructions_retired += cycles >> 1
+                    pending += cycles
                     self.pc = pc
                     continue
-            # The superinstruction's OUTPUT sX, port, on its own cycle.
-            self.pc = pc
-            if pending:
-                yield _CATCH_UP[pending]
-                pending = 0
-                if self._stopped or self.program is not program:
+                # The device declined the block's OUTPUT at ~pc ahead of
+                # the kernel; everything before it ran.
+                start, pc = self.pc, ~pc
+                self.instructions_retired += pc - start
+                pending += CYCLES_PER_INSTRUCTION * (pc - start)
+                self.pc = pc
+                _block, _limit, _cycles, port, sx, _step = entries[pc]
+                write = writers[port]
+            else:
+                # The OUTPUT sX, port at the PC: the device takes it
+                # ahead of the kernel, or asks for the kernel first.
+                write = writers.get(port) or self._writer(port)
+                if write(regs[sx], sim.now + pending, pending):
+                    self.pc = pc + 1
+                    self.instructions_retired += 1
+                    pending += CYCLES_PER_INSTRUCTION
                     continue
-            (writers.get(port) or self._writer(port))(regs[sx])
+            yield _CATCH_UP[pending]
+            pending = 0
+            if self._stopped or self.program is not program:
+                continue
+            write(regs[sx], sim.now, 0)
             self.pc = pc + 1
             self.instructions_retired += 1
             pending = CYCLES_PER_INSTRUCTION

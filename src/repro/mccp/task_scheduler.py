@@ -55,7 +55,6 @@ class PendingRequest:
     submit_cycle: int
     state: RequestState = RequestState.RUNNING
     results: List[CoreResult] = field(default_factory=list)
-    complete_cycle: Optional[int] = None
     #: Triggers when the request is done; cleared once it fires.
     done_event: Optional[Event] = None
     #: Triggers when all cores finished (the Data Available edge);
@@ -265,7 +264,6 @@ class TaskScheduler:
         request.results.append(result)
         if len(request.results) == len(request.core_indices):
             request.state = RequestState.DATA_AVAILABLE
-            request.complete_cycle = self.sim.now
             channel = self.channels.get(request.channel_id)
             if channel is not None:
                 channel.packets_processed += 1

@@ -189,7 +189,6 @@ class _RxPlan:
     ciphertext: bytes
     tag: bytes
     lost: bool
-    corrupted: bool
 
 
 def _check_rate(name: str, value: float) -> float:
@@ -498,7 +497,7 @@ class SdrPlatform:
             ):
                 if corrupted:
                     tag = tag[:-1] + bytes([tag[-1] ^ 0xFF])
-                plans[index] = _RxPlan(nonce, ciphertext, tag, lost, corrupted)
+                plans[index] = _RxPlan(nonce, ciphertext, tag, lost)
         return all_plans
 
     def _rx_arrival(

@@ -27,18 +27,16 @@ class PulseWire:
         self.sim = sim
         self.name = name
         #: The loosely timed component that pulses this wire, if any: a
-        #: wait first catches it up (``catch_up()``), and a waiter left
-        #: pending asks it for a real wake-up (``wake_on_completion()``).
+        #: wait first catches it up (``catch_up()``), :meth:`fixed_pulse`
+        #: to the waiter's cycle (``reach()``), and a waiter left pending
+        #: asks it for a real wake-up (``wake_on_completion()``).
         self.driver: Any = None
         self._waiters: List[Event] = []
         self._latched = False
         self._latched_value: Any = None
-        #: Total number of pulses ever sent.
-        self.pulse_count = 0
 
     def pulse(self, value: Any = None) -> None:
         """Fire the strobe."""
-        self.pulse_count += 1
         if self._waiters:
             waiters, self._waiters = self._waiters, []
             for ev in waiters:
@@ -63,18 +61,21 @@ class PulseWire:
                 driver.wake_on_completion()
         return ev
 
-    def fixed_pulse(self) -> Optional[int]:
-        """When a wait started now would be woken, if that is fixed.
+    def fixed_pulse(self, cycle: int, ahead: int) -> Optional[int]:
+        """When a wait started at *cycle* would be woken, if that is fixed.
 
-        ``-1`` if a pulse is latched (the wait returns at once); the
-        cycle of the driver's next pulse if it already knows it
-        (``driver.idle_cycle()``); None otherwise.  A caller that
-        sleeps to that cycle instead of waiting calls :meth:`consume`
-        when it wakes.
+        The caller waits from *cycle*, *ahead* cycles past the kernel's
+        clock; the driver is first caught up to it
+        (``driver.reach(cycle, ahead)``).  Returns ``-1`` if a pulse is
+        latched (the wait returns at once), the cycle of the driver's
+        next pulse if it already knows it (``driver.idle_cycle()``), and
+        None otherwise, or if the driver's state at *cycle* is not known
+        yet.  A caller that sleeps to that cycle instead of waiting
+        calls :meth:`consume` when it wakes.
         """
         driver = self.driver
-        if driver is not None:
-            driver.catch_up()
+        if driver is not None and not driver.reach(cycle, ahead):
+            return None
         if self._latched:
             return -1
         return driver.idle_cycle() if driver is not None else None

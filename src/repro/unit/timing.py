@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.errors import KeySizeError
+from repro.errors import KeySizeError, UnitError
+from repro.isa.controller import CYCLES_PER_INSTRUCTION
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,6 @@ class TimingModel:
     cu_chain_cycles: int = 6
     #: FAES/FGFM completion tail after the background core finishes.
     finalize_tail: int = 5
-    #: Controller cycles per instruction (PicoBlaze: 2).
-    controller_cpi: int = 2
     #: Whirlpool compress busy cycles per 512-bit block (model assumption).
     whirlpool_cycles: int = 90
     #: Crossbar transfer: cycles per 32-bit word moved between the
@@ -62,6 +61,18 @@ class TimingModel:
     #: Task Scheduler software overhead per control instruction
     #: (decode + core selection on the 8-bit scheduler controller).
     scheduler_overhead_cycles: int = 40
+
+    def __post_init__(self) -> None:
+        # A CU instruction outlasts the controller instruction that
+        # issued it: the unit orders its completions against controller
+        # accesses by cycle alone (repro.unit.unit, "Issue ahead of the
+        # kernel"), which needs every completion to land more than one
+        # controller instruction after its issue.
+        for name in ("cu_chain_cycles", "finalize_tail"):
+            if getattr(self, name) <= CYCLES_PER_INSTRUCTION:
+                raise UnitError(
+                    f"{name} must exceed the controller's {CYCLES_PER_INSTRUCTION} cycles per instruction"
+                )
 
     def aes_busy(self, key_bits: int) -> int:
         """AES busy time for *key_bits* (raises on unsupported size)."""

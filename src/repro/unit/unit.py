@@ -38,11 +38,12 @@ classes, and from the FIFO's arrival schedule for LOAD/STORE
 (:mod:`repro.sim.fifo`).  The completion is then only
 recorded, as a virtual entry keyed like the kernel entry the stepped
 CU would have scheduled.  Every access — :meth:`start`,
-:meth:`status_byte`, the mask writes, :meth:`reset_for_packet`,
-:meth:`call_when_idle`, ``busy`` and a wait on ``done`` — first applies
-it if that key is already past (:meth:`catch_up`).  A LOAD's pop and a
-STORE's push are handed to the FIFO as claims for the same key, so the
-FIFO replays them in order without asking the CU.
+:meth:`status_byte`, :meth:`reset_for_packet`, :meth:`call_when_idle`,
+``busy`` and a wait on ``done`` — first applies it if that key is
+already past (:meth:`catch_up`).  The mask writes need not: the mask is
+read only when an XOR or EQU issues.  A LOAD's pop and a STORE's push
+are handed to the FIFO as claims for the same key, so the FIFO replays
+them in order without asking the CU.
 
 A completion becomes a real kernel event, with the stepped key, only
 where a wake-up must happen at its cycle:
@@ -53,13 +54,46 @@ where a wake-up must happen at its cycle:
 
 A LOAD or STORE the known schedule cannot serve yet waits on the FIFO
 (``when_changed``) and computes its completion when the schedule grows.
+
+Issue ahead of the kernel
+-------------------------
+The controller issues at its own cycle, which may lie ahead of the
+kernel's clock (:mod:`repro.isa.controller`), so :meth:`start` takes
+that cycle and how far ahead it lies, and reads nothing of the kernel.
+Ahead of the kernel it issues only an instruction that touches nothing
+outside the core — the FIXED and ENGINE classes (:data:`PRIVATE
+<LooselyTimedUnit.PRIVATE>` bytes): the bank, the AES, GHASH, INC and
+XOR cores, the mask and the equality flag — and only onto a state
+that no kernel event can still change: the unit idle, or its
+in-flight completion virtual, due by the issue's cycle and, for a
+LOAD, with its words already known.  Anything else (a LOAD, STORE,
+ICSEND or ICRECV; a unit busy past that cycle, waiting on its FIFO or
+mailbox, or with a completion that is a kernel event) is declined, and
+the controller issues it at the kernel.  :meth:`reach` does the same
+for a ``HALT`` ahead of the kernel, and the mask writes decline only
+while an instruction is queued.
+
+Against a controller access, completions order by cycle alone: a
+completion lands more than one controller instruction after its issue
+(:class:`~repro.unit.timing.TimingModel` enforces it), so its kernel
+key's stamp is below the stamp of any controller position on its
+cycle, and the kernel would run it first.  A completion on the issue's
+own cycle or earlier is thus past, and with nothing waiting on it (a
+wait would have made it a kernel event, which has run), :meth:`start`
+applies it in line: no ``done`` pulse that the issue would clear at
+once.  A FIXED or ENGINE completion carries sequence number 0, as no
+kernel counter is read: it orders before any kernel entry of its cycle
+and stamp.  Only an access on that very key could tell, and the
+unit's accesses come from its controller, whose positions have the
+higher stamps above; a completion made a kernel event takes the
+kernel's next number.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.core.key_cache import RoundKeys
 from repro.errors import UnitError
@@ -159,15 +193,24 @@ OpRow = Tuple[Timing, Callable]
 IssueRow = Tuple[enum.IntEnum, int, int, Timing, Callable]
 
 
+def private_bytes(issue: Dict[int, IssueRow]) -> FrozenSet[int]:
+    """The instruction bytes of an issue table whose timing is FIXED or
+    ENGINE: they touch nothing outside the core, so they may issue ahead
+    of the kernel (see :meth:`LooselyTimedUnit.start`)."""
+    return frozenset(byte for byte, row in issue.items() if row[3] in (Timing.FIXED, Timing.ENGINE))
+
+
 class LooselyTimedUnit:
     """Issue queue and catch-up-on-access timing of a CU personality.
 
     A subclass supplies ``ISSUE`` (instruction byte -> :data:`IssueRow`,
-    built once at import), ``decode`` (which raises on a byte missing
-    from it) and its functional state beyond the bank register.
+    built once at import) and its ``PRIVATE`` bytes, ``decode`` (which
+    raises on a byte missing from ``ISSUE``) and its functional state
+    beyond the bank register.
     """
 
     ISSUE: Dict[int, IssueRow] = {}
+    PRIVATE: FrozenSet[int] = frozenset()
 
     def __init__(
         self,
@@ -193,6 +236,8 @@ class LooselyTimedUnit:
         #: Key ``(cycle, stamp, seq)`` of the in-flight completion once known.
         self._due: Optional[Tuple[int, int, int]] = None
         self._effect: Optional[Callable[[], None]] = None
+        #: The in-flight LOAD's claim while its words are still to arrive.
+        self._claim = None
         #: The kernel entry when that completion is a real event.
         self._entry = None
         sim.add_timeline(self)
@@ -210,6 +255,22 @@ class LooselyTimedUnit:
             now = self.sim.now
             if due[0] < now or (due[0] == now and due < self.sim.position()):
                 self._complete()
+
+    def reach(self, cycle: int, ahead: int) -> bool:
+        """Catch up to *cycle*, a controller access *ahead* cycles past
+        the kernel: False, changing nothing, if the unit's state there
+        depends on the kernel (see :meth:`start`)."""
+        due = self._due
+        if ahead:
+            if self._entry is not None:
+                return False
+            if due is None:
+                return not self._busy
+            if due[0] <= cycle and self._claim is not None:
+                return False
+        if due is not None and due[0] <= cycle:
+            self._complete()
+        return True
 
     def horizon(self) -> int:
         """Cycle of a pending virtual completion (see ``Simulator.add_timeline``)."""
@@ -267,8 +328,8 @@ class LooselyTimedUnit:
 
     # -- controller-facing API ---------------------------------------------
 
-    def start(self, instr_byte: int) -> None:
-        """Issue an instruction (controller write strobe).
+    def start(self, instr_byte: int, cycle: Optional[int] = None, ahead: int = 0) -> bool:
+        """Issue an instruction (controller write strobe) at *cycle*.
 
         If the unit is still finishing earlier instructions (including a
         FIFO-stalled LOAD/STORE) the new one queues and issues at the
@@ -276,17 +337,45 @@ class LooselyTimedUnit:
         handshake timing.  The ``done`` wire pulses only when the unit
         goes *idle* (completion with an empty queue) — the condition the
         controller's HALT waits for.
+
+        The controller passes *cycle* and *ahead*, the cycles *cycle*
+        lies past the kernel's clock (see "Issue ahead of the kernel" in
+        the module docstring).  Ahead of it the unit takes only a
+        private instruction onto a state it already knows; otherwise it
+        issues nothing and returns False, and the controller catches the
+        kernel up and calls again with *ahead* 0, which always issues.
+        Without *cycle* the issue lands at the kernel's position.
         """
-        due = self._due
-        if due is not None:  # catch_up(), inlined on the hottest path
-            now = self.sim.now
-            if due[0] < now or (due[0] == now and due < self.sim.position()):
-                self._complete()
+        if cycle is None:
+            self.catch_up()
+            cycle = self.sim.now
+        else:
+            due = self._due
+            if ahead and (
+                instr_byte not in self.PRIVATE
+                or self._entry is not None
+                or (self._busy if due is None else due[0] > cycle or self._claim is not None)
+            ):
+                return False
+            if due is not None and due[0] <= cycle:
+                # The in-flight instruction completed by *cycle*, and
+                # nothing waits on it (a wait would have made it a
+                # kernel event, already fired): apply it.  Its done
+                # pulse would latch and this issue clear it at once, so
+                # the wire is left alone.
+                effect = self._effect
+                self._due = self._effect = self._claim = None
+                if effect is not None:
+                    effect()
+                self._busy = False
+                if self.trace.enabled:
+                    self.trace.record(due[0], self.name, "complete")
         if self._busy or self._queue:
             self._queue.append(instr_byte)
             self.wake_on_completion()
-            return
-        self._issue(instr_byte)
+        else:
+            self._issue(instr_byte, cycle)
+        return True
 
     def _reset_check(self) -> None:
         self.catch_up()
@@ -299,27 +388,33 @@ class LooselyTimedUnit:
     def _record_issue(self, now: int, op, a: int, b: int) -> None:
         self.trace.record(now, self.name, "issue", op=op.name, a=a, b=b)
 
-    def _issue(self, instr_byte: int) -> None:
-        """Start *instr_byte* now (always at a real kernel position)."""
+    def _issue(self, instr_byte: int, now: int) -> None:
+        """Start *instr_byte* at cycle *now*: the kernel's, or for a
+        private instruction, a cycle the controller runs ahead to."""
         row = self.ISSUE.get(instr_byte)
         if row is None:
             self.decode(instr_byte)  # raises DecodeError for this byte
         op, a, b, timing, handler = row
-        now = self.sim.now
         self._busy = True
         self.done.clear_latch()
         if self.trace.enabled:
             self._record_issue(now, op, a, b)
         result = handler(self, a, b, now)
         if timing is _FIXED:
-            self._finish(now + self.timing.cu_chain_cycles, now, result)
+            self._effect = result
+            self._due = (now + self.timing.cu_chain_cycles, now, 0)
         elif timing is _ENGINE:
-            effect, cycle = result
-            self._finish(cycle, now, effect)
-        elif timing is _INPUT:
-            self._await_input(result)
-        elif timing is _OUTPUT:
-            self._await_output(result)
+            self._effect, cycle = result
+            self._due = (cycle, now, 0)
+        else:
+            if timing is _INPUT:
+                self._await_input(result)
+            elif timing is _OUTPUT:
+                self._await_output(result)
+            return
+        # Only a wait on it makes the completion a kernel event.
+        if self._queue or self._idle_callbacks or self.done.waiting:
+            self.wake_on_completion()
 
     def _finish(
         self,
@@ -347,6 +442,10 @@ class LooselyTimedUnit:
         cycle, seq = ready + self.timing.cu_chain_cycles, self.sim._seq
         claim = io.claim_load(cycle, ready, seq)
         regs = self._regs
+        if claim.words is None:
+            # The words arrive later: only the FIFO, caught up to the
+            # claim, can tell them (see start()).
+            self._claim = claim
 
         def load() -> None:
             regs[a] = io.loaded(claim)
@@ -371,7 +470,7 @@ class LooselyTimedUnit:
     def _complete(self) -> None:
         cycle = self._due[0]
         effect = self._effect
-        self._due = self._effect = None
+        self._due = self._effect = self._claim = None
         if self._entry is not None:  # pragma: no cover - caught up before firing
             self.sim.cancel(self._entry)
             self._entry = None
@@ -381,7 +480,7 @@ class LooselyTimedUnit:
         if self.trace.enabled:
             self.trace.record(cycle, self.name, "complete")
         if self._queue:
-            self._issue(self._queue.pop(0))
+            self._issue(self._queue.pop(0), cycle)
         else:
             self.done.pulse()
             if self._idle_callbacks:
@@ -496,6 +595,7 @@ class CryptoUnit(LooselyTimedUnit):
     """The AES-personality Cryptographic Unit."""
 
     ISSUE = CU_ISSUE
+    PRIVATE = private_bytes(CU_ISSUE)
     decode = staticmethod(cu_decode)
 
     def __init__(
@@ -527,15 +627,21 @@ class CryptoUnit(LooselyTimedUnit):
         self.catch_up()
         self.mask = mask
 
-    def set_mask_low(self, byte: int) -> None:
-        """Write the low mask byte (controller port 0x01)."""
-        self.catch_up()
+    def set_mask_low(self, byte: int, cycle: Optional[int] = None, ahead: int = 0) -> bool:
+        """Write the low mask byte (controller port 0x01); *cycle* and
+        *ahead* as for :meth:`start`."""
+        if ahead and self._queue:
+            return False
         self.mask = (self.mask & 0xFF00) | (byte & 0xFF)
+        return True
 
-    def set_mask_high(self, byte: int) -> None:
-        """Write the high mask byte (controller port 0x02)."""
-        self.catch_up()
+    def set_mask_high(self, byte: int, cycle: Optional[int] = None, ahead: int = 0) -> bool:
+        """Write the high mask byte (controller port 0x02); *cycle* and
+        *ahead* as for :meth:`start`."""
+        if ahead and self._queue:
+            return False
         self.mask = ((byte & 0xFF) << 8) | (self.mask & 0x00FF)
+        return True
 
     def status_byte(self) -> int:
         """Status for the controller: equ, AES-busy, GHASH-busy, CU-busy."""

@@ -31,7 +31,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.tracing import TraceRecorder
 from repro.unit.cores.io_core import IoCore
 from repro.unit.timing import TimingModel
-from repro.unit.unit import LooselyTimedUnit, Timing
+from repro.unit.unit import LooselyTimedUnit, Timing, private_bytes
 
 
 class WpOp(enum.IntEnum):
@@ -130,6 +130,7 @@ class WhirlpoolUnit(LooselyTimedUnit):
     """Drop-in CU replacement after Whirlpool reconfiguration."""
 
     ISSUE = WP_ISSUE
+    PRIVATE = private_bytes(WP_ISSUE)
     decode = staticmethod(wp_decode)
 
     def __init__(
@@ -151,11 +152,13 @@ class WhirlpoolUnit(LooselyTimedUnit):
 
     # -- controller-facing API (same shape as CryptoUnit) -------------------
 
-    def set_mask_low(self, byte: int) -> None:
+    def set_mask_low(self, byte: int, cycle: Optional[int] = None, ahead: int = 0) -> bool:
         """Masks are meaningless in this personality; accepted, ignored."""
+        return True
 
-    def set_mask_high(self, byte: int) -> None:
+    def set_mask_high(self, byte: int, cycle: Optional[int] = None, ahead: int = 0) -> bool:
         """Masks are meaningless in this personality; accepted, ignored."""
+        return True
 
     def status_byte(self) -> int:
         """Bit 2 = compress busy, bit 3 = CU busy (equ/AES bits absent)."""

@@ -14,6 +14,9 @@ from repro.core.harness import run_task
 from repro.core.params import Direction
 from repro.crypto.aes import expand_key
 from repro.mccp.channel import PacketJob
+from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
+from repro.radio.standards import RadioStandard
+from repro.radio.traffic import TrafficPattern
 from repro.sim.kernel import Simulator
 from repro.sim.tracing import TraceRecorder
 from repro.unit.timing import DEFAULT_TIMING
@@ -43,6 +46,27 @@ def run_single_core(task, key=None, trace=None):
         core.key_cache.install(expand_key(key), 8 * len(key))
     run = run_task(sim, core, task)
     return run, core, sim
+
+
+def cores_replay(seed: int = 1, packets: int = 3):
+    """A traced ``cores`` replay shaped like perfbench's ``cores_cycle``
+    input: four GCM-256 SATCOM channels on four cores, a quarter of the
+    packets received (some with corrupted tags); returns the platform."""
+    configs = [
+        ChannelConfig(
+            RadioStandard.SATCOM,
+            bytes([index + 1]) * 32,
+            TrafficPattern.SATURATING,
+            packets=packets,
+        )
+        for index in range(4)
+    ]
+    platform = SdrPlatform(seed=seed)
+    platform.mccp.trace.enabled = True
+    platform.run_workload(
+        WorkloadSpec(configs, dataplane="cores", rx_fraction=0.25, corrupt_rate=0.02)
+    )
+    return platform
 
 
 def enqueue(device, channel_id, data, aad=b"", direction=Direction.ENCRYPT,

@@ -19,6 +19,7 @@ import pytest
 from repro.core.crypto_core import P_DEBUG, CryptoCore
 from repro.core.firmware.builder import (
     P_CU,
+    P_MASK_HI,
     P_MASK_LO,
     P_RESULT,
     P_STATUS,
@@ -27,7 +28,7 @@ from repro.core.firmware.builder import (
 )
 from repro.core.firmware.library import FIRMWARE_LIBRARY
 from repro.core.harness import run_task
-from repro.core.params import Algorithm, CcmRole, Direction
+from repro.core.params import Algorithm, CcmRole, Direction, TaskParams
 from repro.crypto import AES, cbc_mac, ccm_encrypt, gcm_encrypt
 from repro.crypto.aes import expand_key
 from repro.errors import SimulationError
@@ -470,6 +471,44 @@ def test_mask_write_matches_stepped_model(padding):
     _assert_same_as_stepped_model(lambda stepped: _custom_run(program, stepped, 4))
 
 
+def _past_a_stalled_load_program(padding, access):
+    nops = "\n".join(["NOP"] * padding)
+    return f"""
+        LOAD   s2, {cu_encode(CuOp.LOAD, 1)}
+        OUTPUT s2, {P_CU}
+        {nops}
+        {access}
+        LOAD   s2, {cu_encode(CuOp.STORE, 1)}
+        OUTPUT s2, {P_CU}
+        LOAD   s2, {cu_encode(CuOp.NOP)}
+        OUTPUT s2, {P_CU}
+        HALT
+        LOAD   s3, {RESULT_OK}
+        OUTPUT s3, {P_RESULT}
+        RETURN
+    """
+
+
+#: What the controller does once it has run past the stalled LOAD's
+#: completion without meeting the kernel.
+PAST_THE_LOAD = {
+    "issue": f"LOAD s2, {cu_encode(CuOp.INC, 1)}\nOUTPUT s2, {P_CU}",
+    "halt": "HALT",
+    "mask": f"LOAD s4, 0x0F\nOUTPUT s4, {P_MASK_LO}",
+}
+
+
+@pytest.mark.parametrize("padding", [10, 25, 40])
+@pytest.mark.parametrize("access", sorted(PAST_THE_LOAD))
+def test_access_past_a_stalled_load_matches_stepped(access, padding):
+    """A ``LOAD`` whose words trickle in, then enough private
+    instructions to run past its completion ahead of the kernel: the
+    next access must see the loaded words as with stepping."""
+    program = _past_a_stalled_load_program(padding, PAST_THE_LOAD[access])
+    _assert_same(lambda stepped: _custom_run(program, stepped, 10))
+    _assert_same_as_stepped_model(lambda stepped: _custom_run(program, stepped, 10))
+
+
 IRQ_PROGRAM = """
     EINT
     LOAD s0, 1
@@ -679,6 +718,154 @@ def test_generated_programs_cover_the_translator():
     assert private <= ops
     assert {Op.OUTPUT, Op.OUTPUT_R, Op.INPUT, Op.INPUT_R, Op.EINT, Op.RETURNI_E} <= ops
     assert quantum and irq and top_return
+
+
+# -- generated programs on a core: CU issues, masks, polls, HALTs, interrupts ---
+
+
+class _CuProgram:
+    """Seeded random firmware for a real core: CU issues of every timing
+    class (fixed, engine, LOAD/STORE), mask writes, ``INPUT P_STATUS``
+    reads and polls, ``HALT``s and debug writes, with random padding so
+    that issues, completions and port accesses meet on shared cycles,
+    and stretches with interrupts enabled.
+
+    It keeps the unit's rules: one SAES before each FAES, LOADH only
+    first, a HALT only right after an issue (whose done pulse it waits
+    for); the harness uploads a block per LOAD and drains a block per
+    STORE.
+    """
+
+    FIXED = [CuOp.NOP, CuOp.INC, CuOp.XOR, CuOp.EQU, CuOp.SGFM]
+
+    def __init__(self, seed: int):
+        rng = self.rng = random.Random(f"cu-program|{seed}")
+        self.blocks = [_rb(seed * 100 + i, 16) for i in range(rng.randint(2, 8))]
+        self.in_cycles = rng.choice([1, 3, 7, 29])
+        self.out_cycles = rng.choice([1, 5, 23])
+        self.depth = rng.choice([8, 16, 512])
+        self.loads = self.stores = 0
+        self.aes_open = False
+        self.labels = 0
+        irq = rng.random() < 0.5
+        self.irq_cycles = sorted(rng.sample(range(20, 1500), 8)) if irq else []
+        self.lines = [*self.issue(CuOp.LOADH, halt=False)]
+        enabled = False
+        for _ in range(rng.randint(10, 40)):
+            if irq and rng.random() < 0.15:
+                enabled = not enabled
+                self.lines.append("EINT" if enabled else "DINT")
+            # Mostly a few instructions; sometimes enough to run past a
+            # stalled LOAD's completion before the next access.
+            stretch = rng.randint(0, 3) if rng.random() < 0.8 else rng.randint(10, 70)
+            padding = ["NOP", "ADD s8, 1", "XOR s9, s8", "STORE s8, 3", "FETCH s9, 3"]
+            self.lines += [rng.choice(padding) for _ in range(stretch)]
+            self.lines += self.item()
+        if self.aes_open:
+            self.lines += self.issue(CuOp.FAES, halt=True)
+        # The drain fence and the result, as the firmware builder emits them.
+        self.lines += self.issue(CuOp.NOP, halt=True) + self.poll()
+        self.lines += [f"LOAD s3, {RESULT_OK}", f"OUTPUT s3, {P_RESULT}", "RETURN"]
+        self.lines += ["isr:", "ADD sA, 1", f"OUTPUT sA, {P_DEBUG}"]
+        self.lines += [f"RETURNI {rng.choice(['ENABLE', 'DISABLE'])}"]
+
+    def issue(self, op, a=None, b=None, halt=None):
+        rng = self.rng
+        a = rng.randint(0, 3) if a is None else a
+        b = rng.randint(0, 3) if b is None else b
+        lines = [f"LOAD s2, {cu_encode(op, a, b)}", f"OUTPUT s2, {P_CU}"]
+        if halt if halt is not None else rng.random() < 0.3:
+            lines += ["NOP"] * rng.randint(0, 4) + ["HALT"]
+        return lines
+
+    def poll(self):
+        label = f"poll{self.labels}"
+        self.labels += 1
+        return [f"{label}:", f"INPUT s3, {P_STATUS}", f"AND s3, {STATUS_CU_BUSY_BIT}", f"JUMP NZ, {label}"]
+
+    def item(self):
+        rng = self.rng
+        kind = rng.choice(["fixed"] * 4 + ["aes", "fgfm", "load", "store", "mask", "status", "poll", "debug"])
+        if kind == "aes":
+            op, self.aes_open = (CuOp.FAES, False) if self.aes_open else (CuOp.SAES, True)
+            return self.issue(op)
+        if kind == "fgfm":
+            return self.issue(CuOp.FGFM)
+        if kind == "load" and self.loads < len(self.blocks):
+            self.loads += 1
+            return self.issue(CuOp.LOAD)
+        if kind == "store":
+            self.stores += 1
+            return self.issue(CuOp.STORE)
+        if kind == "mask":
+            port = rng.choice([P_MASK_LO, P_MASK_HI])
+            return [f"LOAD s4, {rng.randint(0, 255)}", f"OUTPUT s4, {port}"]
+        if kind == "status":
+            return [f"INPUT s5, {P_STATUS}", f"OUTPUT s5, {P_DEBUG}"]
+        if kind == "poll":
+            return self.poll()
+        if kind == "debug":
+            return [f"OUTPUT s{rng.choice([5, 8, 9, 10]):X}, {P_DEBUG}"]
+        return self.issue(rng.choice(self.FIXED))
+
+    def source(self) -> str:
+        return "\n".join(self.lines) + "\n"
+
+
+def _run_cu_program(seed: int, stepped) -> dict:
+    generated = _CuProgram(seed)
+    program = assemble(generated.source())
+    sim, trace = Simulator(), TraceRecorder()
+    upload, download, _run = _harness(stepped)
+    core = _core(sim, trace, stepped, key=_rb(seed, 16), fifo_depth_words=generated.depth)
+    runs = [upload(core, generated.blocks[: generated.loads], generated.in_cycles)]
+    sink = []
+    runs.append(download(core, sink, 4 * generated.stores, generated.out_cycles))
+    done = core.assign_task(TaskParams(Algorithm.CTR, data_blocks=1), program)
+    core.controller.irq_vector = program.label("isr")
+
+    def irq():
+        for cycle in generated.irq_cycles:
+            yield Delay(cycle - sim.now)
+            core.controller.post_irq()
+
+    sim.add_process(irq())
+    results = [sim.run_until_event(done)]
+    for run in runs:
+        sim.run_until_event(run.done)
+    return _observe(sim, trace, [core], sink, results)
+
+
+CU_PROGRAM_SEEDS = range(40)
+
+
+@pytest.mark.parametrize("seed", CU_PROGRAM_SEEDS)
+def test_generated_cu_program_matches_stepped(seed):
+    """Cycle for cycle and row for row: the decoupled controller (CU
+    issues and mask writes ahead of the kernel) against the
+    per-instruction controller on the same unit, and against the whole
+    stepped model."""
+    observed = _run_cu_program(seed, False)
+    assert observed == _run_cu_program(seed, True)
+    assert observed == _run_cu_program(seed, ALL)
+
+
+def test_generated_cu_programs_cover_the_issue_paths():
+    """The set issues every fixed and engine op, LOADs and STOREs that
+    stall, writes both masks, polls status and HALTs, with interrupts
+    taken while enabled."""
+    ops, kinds, irqs = set(), set(), 0
+    for seed in CU_PROGRAM_SEEDS:
+        generated = _CuProgram(seed)
+        text = generated.source()
+        irqs += "EINT" in text and bool(generated.irq_cycles)
+        kinds.update(k for k in ("HALT", "poll", f"s4, {P_MASK_LO}", f"s4, {P_MASK_HI}") if k in text)
+        observed = _run_cu_program(seed, False)
+        ops.update(row[3]["op"] for row in observed["trace"] if row[2] == "issue")
+    fixed_and_engine = {op.name for op in _CuProgram.FIXED} | {"LOADH", "SAES", "FAES", "FGFM"}
+    assert fixed_and_engine | {"LOAD", "STORE"} <= ops
+    assert {"HALT", "poll", f"s4, {P_MASK_LO}", f"s4, {P_MASK_HI}"} <= kinds
+    assert irqs >= 10
 
 
 # -- the runaway guard: without the sync quantum a loop with no I/O never

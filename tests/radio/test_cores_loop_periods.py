@@ -2,37 +2,17 @@
 
 ``tests/core/test_timing_periods.py`` measures the loop periods on one
 core running one packet.  This test measures them on the device the
-``cores_cycle`` benchmark replays: four GCM-256 SATCOM channels on four
-cores, a quarter of the packets received (some with corrupted tags),
-with the crossbar, the Task Scheduler and FIFO contention in the loop.
-The oracle is the paper's equations (:func:`repro.experiments.fuzz.
-loop_period_errors`), which share no code with the controller, the
-firmware or the timing calibration they check.
+``cores_cycle`` benchmark replays (:func:`tests.conftest.cores_replay`):
+four GCM-256 channels on four cores with received and corrupted
+packets, with the crossbar, the Task Scheduler and FIFO contention in
+the loop.  The oracle is the paper's equations
+(:func:`repro.experiments.fuzz.loop_period_errors`), which share no code
+with the controller, the firmware or the timing calibration they check.
 """
 
 from repro.experiments.fuzz import LOOP_MIN_BLOCKS, loop_period_errors
-from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
-from repro.radio.standards import RadioStandard
-from repro.radio.traffic import TrafficPattern
 
-
-def cores_replay(seed: int = 1, packets: int = 3) -> SdrPlatform:
-    """A traced replay shaped like perfbench's ``cores_cycle`` input."""
-    configs = [
-        ChannelConfig(
-            RadioStandard.SATCOM,
-            bytes([index + 1]) * 32,
-            TrafficPattern.SATURATING,
-            packets=packets,
-        )
-        for index in range(4)
-    ]
-    platform = SdrPlatform(seed=seed)
-    platform.mccp.trace.enabled = True
-    platform.run_workload(
-        WorkloadSpec(configs, dataplane="cores", rx_fraction=0.25, corrupt_rate=0.02)
-    )
-    return platform
+from tests.conftest import cores_replay
 
 
 def test_cores_replay_loops_at_the_paper_period():

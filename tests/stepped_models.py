@@ -724,6 +724,9 @@ class SteppedCryptoUnit:
     def catch_up(self) -> None:
         return None
 
+    def reach(self, cycle: int, ahead: int) -> bool:
+        return not ahead
+
     def wake_on_completion(self) -> None:
         return None
 
@@ -938,6 +941,7 @@ class SteppedWhirlpoolUnit:
                     fn()
 
     catch_up = SteppedCryptoUnit.catch_up
+    reach = SteppedCryptoUnit.reach
     wake_on_completion = SteppedCryptoUnit.wake_on_completion
     idle_cycle = SteppedCryptoUnit.idle_cycle
     queued = SteppedCryptoUnit.queued

@@ -1,0 +1,108 @@
+"""Every checker is shown to fail: a catalogue of planted faults.
+
+A check that cannot fail passes whatever the model does, and is found
+only by hand.  Each fault below is a context manager that breaks the
+model in one small, named way; each test plants one and asserts that the
+checks claiming to cover it report a failure.  The checks are the
+suite's own: a test function of another module is imported as pytest
+imports it and called under the fault.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from repro.core.firmware.library import FIRMWARE_LIBRARY
+from repro.core.params import Algorithm, CcmRole, Direction
+from repro.experiments.fuzz import check_cores_case, generate_cores_case, loop_period_errors
+from repro.unit.timing import DEFAULT_TIMING
+from repro.unit.unit import LooselyTimedUnit
+
+from tests.conftest import cores_replay
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _test_module(path: str):
+    """The test module at *path* (under ``tests/``), imported the way
+    pytest's default import mode does: by file name, its directory first
+    on ``sys.path``, so a module pytest already collected is reused."""
+    directory = str((TESTS / path).parent)
+    if directory not in sys.path:
+        sys.path.insert(0, directory)
+    return importlib.import_module(Path(path).stem)
+
+
+# -- the faults ------------------------------------------------------------------
+
+
+@contextmanager
+def aes256_one_cycle_slower():
+    """AES-256 takes one cycle more than the paper's 60 per block."""
+    cycles = DEFAULT_TIMING.aes_cycles
+    with mock.patch.dict(cycles, {256: cycles[256] + 1}):
+        yield
+
+
+@contextmanager
+def private_issue_one_cycle_late():
+    """A CU instruction the controller issues ahead of the kernel lands
+    one cycle after its ``OUTPUT``."""
+    start = LooselyTimedUnit.start
+
+    def late(self, instr_byte, cycle=None, ahead=0):
+        if ahead and instr_byte in self.PRIVATE:
+            cycle, ahead = cycle + 1, ahead + 1
+        return start(self, instr_byte, cycle, ahead)
+
+    with mock.patch.object(LooselyTimedUnit, "start", late):
+        yield
+
+
+# -- the checks under them ---------------------------------------------------------
+
+#: A tier-1 cores fuzz seed with GCM-256 tasks of 21 blocks.
+GCM256_CORES_SEED = 1
+
+
+def test_loop_periods_catch_a_slower_aes256():
+    with aes256_one_cycle_slower():
+        errors = loop_period_errors(cores_replay().mccp)
+    # Every one of the 12 tasks loops at 66, not the paper's 65.
+    assert len(errors) == 12
+    assert all("loop period 66, paper 65" in error for error in errors)
+
+
+def test_cores_fuzz_catches_a_slower_aes256():
+    case = generate_cores_case(GCM256_CORES_SEED)
+    with aes256_one_cycle_slower():
+        errors = check_cores_case(case)
+    assert errors and all("paper 65" in error for error in errors)
+
+
+def test_stepped_oracle_catches_a_late_private_issue():
+    decoupled = _test_module("isa/test_decoupled_controller.py")
+    gcm = next(
+        key
+        for key in FIRMWARE_LIBRARY
+        if key.algorithm is Algorithm.GCM
+        and key.direction is Direction.ENCRYPT
+        and key.role is CcmRole.SINGLE
+    )
+    with private_issue_one_cycle_late():
+        with pytest.raises(AssertionError):
+            decoupled.test_library_firmware_matches_stepped_model(gcm)
+        with pytest.raises(AssertionError):
+            decoupled.test_generated_cu_program_matches_stepped(0)
+
+
+def test_cycle_pins_catch_a_late_private_issue():
+    pins = _test_module("radio/test_cores_cycle_pins.py")
+    with private_issue_one_cycle_late(), pytest.raises(AssertionError):
+        pins.test_cores_dataplane_cycles_are_pinned()

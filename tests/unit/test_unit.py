@@ -14,7 +14,7 @@ from repro.unit.cores.inc_core import inc16
 from repro.unit.isa import CU_DECODE_TABLE
 from repro.unit.cores.io_core import IoCore
 from repro.unit.cores.xor_core import mask_for_bytes, masked_equal, masked_xor
-from repro.unit.timing import DEFAULT_TIMING
+from repro.unit.timing import DEFAULT_TIMING, TimingModel
 
 
 def _int(block: bytes) -> int:
@@ -125,6 +125,15 @@ def make_unit(key=bytes(16)):
     schedule = tuple(map(tuple, expand_key(key)))
     unit = CryptoUnit(sim, io, lambda: schedule, DEFAULT_TIMING, name="cu")
     return sim, unit, in_f, out_f
+
+
+@pytest.mark.parametrize("field", ["cu_chain_cycles", "finalize_tail"])
+def test_timing_rejects_a_cu_instruction_within_one_controller_instruction(field):
+    """Completions order against the controller's accesses by cycle
+    alone only if each lands more than 2 cycles after its issue."""
+    with pytest.raises(UnitError):
+        TimingModel(**{field: 2})
+    assert getattr(TimingModel(**{field: 3}), field) == 3
 
 
 def test_saes_faes_value_and_timing(rb):
