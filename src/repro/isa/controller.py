@@ -343,6 +343,8 @@ class PortDevice(Protocol):
         lies past the kernel's clock.  It returns False, writing
         nothing, if the write must wait for the kernel (the controller
         then yields and calls again with *ahead* 0, which must accept).
+        A write it takes ahead must be invisible outside the device
+        until the kernel gets there, and must not stop the controller.
         Without it every ``OUTPUT`` waits for the kernel and calls
         :meth:`write_port`."""
         ...  # pragma: no cover - protocol

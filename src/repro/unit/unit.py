@@ -370,11 +370,35 @@ class LooselyTimedUnit:
                 self._busy = False
                 if self.trace.enabled:
                     self.trace.record(due[0], self.name, "complete")
-        if self._busy or self._queue:
+        if self._busy:
+            # Only a busy unit has a queue: each completion issues the next.
             self._queue.append(instr_byte)
             self.wake_on_completion()
+            return True
+        row = self.ISSUE.get(instr_byte)
+        if row is None:
+            self.decode(instr_byte)  # raises DecodeError for this byte
+        op, a, b, timing, handler = row
+        self._busy = True
+        self.done.clear_latch()
+        if self.trace.enabled:
+            self._record_issue(cycle, op, a, b)
+        result = handler(self, a, b, cycle)
+        if timing is _FIXED:
+            self._effect = result
+            self._due = (cycle + self.timing.cu_chain_cycles, cycle, 0)
+        elif timing is _ENGINE:
+            self._effect, due_cycle = result
+            self._due = (due_cycle, cycle, 0)
         else:
-            self._issue(instr_byte, cycle)
+            if timing is _INPUT:
+                self._await_input(result)
+            elif timing is _OUTPUT:
+                self._await_output(result)
+            return True
+        # Only a wait on it makes the completion a kernel event.
+        if self._queue or self._idle_callbacks or self.done.waiting:
+            self.wake_on_completion()
         return True
 
     def _reset_check(self) -> None:
@@ -387,34 +411,6 @@ class LooselyTimedUnit:
 
     def _record_issue(self, now: int, op, a: int, b: int) -> None:
         self.trace.record(now, self.name, "issue", op=op.name, a=a, b=b)
-
-    def _issue(self, instr_byte: int, now: int) -> None:
-        """Start *instr_byte* at cycle *now*: the kernel's, or for a
-        private instruction, a cycle the controller runs ahead to."""
-        row = self.ISSUE.get(instr_byte)
-        if row is None:
-            self.decode(instr_byte)  # raises DecodeError for this byte
-        op, a, b, timing, handler = row
-        self._busy = True
-        self.done.clear_latch()
-        if self.trace.enabled:
-            self._record_issue(now, op, a, b)
-        result = handler(self, a, b, now)
-        if timing is _FIXED:
-            self._effect = result
-            self._due = (now + self.timing.cu_chain_cycles, now, 0)
-        elif timing is _ENGINE:
-            self._effect, cycle = result
-            self._due = (cycle, now, 0)
-        else:
-            if timing is _INPUT:
-                self._await_input(result)
-            elif timing is _OUTPUT:
-                self._await_output(result)
-            return
-        # Only a wait on it makes the completion a kernel event.
-        if self._queue or self._idle_callbacks or self.done.waiting:
-            self.wake_on_completion()
 
     def _finish(
         self,
@@ -480,7 +476,7 @@ class LooselyTimedUnit:
         if self.trace.enabled:
             self.trace.record(cycle, self.name, "complete")
         if self._queue:
-            self._issue(self._queue.pop(0), cycle)
+            self.start(self._queue.pop(0), cycle)
         else:
             self.done.pulse()
             if self._idle_callbacks:
