@@ -58,10 +58,11 @@ constant cycle count; and a *step*, the PC's one instruction.  An
 immediate ``OUTPUT`` inside a block calls the port's handler in line
 (a superinstruction: Proebsting, POPL 1995; Ertl & Gregg, PLDI 2003),
 so the builder's ``LOAD s2, k; OUTPUT s2, P_CU; NOP`` idiom is three
-instructions of one block, and a run of CU issues between two FIFO
-transfers is one call.  If the handler declines, the block stops
-before that ``OUTPUT`` (returning its PC complemented) and the loop
-catches up and writes it at the kernel.  A block runs only if
+instructions of one block, and the CU issues between two FIFO
+transfers are usually one call (a block stops at
+:data:`BLOCK_LIMIT` instructions).  If the handler declines, the
+block stops before that ``OUTPUT`` (returning its PC complemented)
+and the loop catches up and writes it at the kernel.  A block runs only if
 ``pending`` plus its cycles stays below :data:`SYNC_QUANTUM`;
 otherwise, and while interrupts are enabled, the loop runs steps.  A
 write the device takes ahead of the kernel must not stop the
