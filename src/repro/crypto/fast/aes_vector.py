@@ -9,10 +9,11 @@ modes parallelise freely while feedback modes do not (section II.B) —
 here the "parallel cores" are SIMD lanes instead of FPGA slices.
 
 The same kernel runs the lane-parallel CBC-MAC of
-:mod:`repro.crypto.fast.batch`, which calls it once per block step with
-only a few dozen lanes.  There the cost is numpy's per-call dispatch,
-not the arithmetic, so a round is a fixed handful of array operations
-whatever the lane count.  Two pair tables of 65,536 words each,
+:mod:`repro.crypto.fast.batch`, which steps it once per block with
+only a few dozen lanes (:class:`LaneStepper`, which keeps one sweep's
+buffers across the steps).  There the cost is numpy's per-call
+dispatch, not the arithmetic, so a round is a fixed handful of array
+operations whatever the lane count.  Two pair tables of 65,536 words each,
 :data:`PA` and :data:`PB`, fold two T-table lookups into one: an output
 column is two gathers with 16-bit indices, each index two state bytes
 picked across columns (ShiftRows) by a strided byte copy.  The
@@ -71,12 +72,8 @@ if HAVE_NUMPY:
 
     @lru_cache(maxsize=ROUND_KEY_ARRAY_SLOTS)
     def _round_keys_array(round_keys):
-        """uint32 ``(rounds + 1, 4, 1)`` view of a schedule, memoized.
-
-        The lane-parallel CBC-MAC calls :func:`encrypt_state_vector` once
-        per block step under one unchanging schedule, so the tuple->array
-        conversion must not sit inside that loop.
-        """
+        """uint32 ``(rounds + 1, 4, 1)`` view of a schedule, memoized:
+        a warm key's sweeps skip the tuple->array conversion."""
         return _np.array(round_keys, dtype=_np.uint32)[:, :, None]
 
 
@@ -101,6 +98,18 @@ def encrypt_state_vector(state, round_keys):
     ``(rounds + 1, 4, 1)`` array is shared by every lane).  Lanes under
     different keys can thus share one sweep; they must share the
     round count.
+    """
+    if isinstance(round_keys, _np.ndarray):
+        rk = round_keys
+    else:
+        if not isinstance(round_keys, tuple):
+            round_keys = tuple(tuple(words) for words in round_keys)
+        rk = _round_keys_array(round_keys)
+    return _Sweep(state.shape[1]).run(state, rk)
+
+
+class _Sweep:
+    """The buffers and views of one sweep over N lanes, reusable.
 
     The state is kept row-doubled, ``(8, N)`` with rows 4-7 a copy of
     rows 0-3, so the rows ``c + k`` that output column *c* reads for
@@ -113,41 +122,86 @@ def encrypt_state_vector(state, round_keys):
     gathers them from the S-box.  Byte positions follow the host's byte
     order, so the result does not depend on it.
     """
-    if isinstance(round_keys, _np.ndarray):
-        rk = round_keys
-    else:
-        if not isinstance(round_keys, tuple):
-            round_keys = tuple(tuple(words) for words in round_keys)
-        rk = _round_keys_array(round_keys)
-    rounds = len(rk) - 1
-    lanes = state.shape[1]
-    doubled = _np.empty((8, lanes), dtype=_np.uint32)
-    head, tail = doubled[:4], doubled[4:]
-    _np.bitwise_xor(state, rk[0], out=head)
-    tail[...] = head
-    state_bytes = doubled.view(_np.uint8).reshape(8, lanes, 4)
-    picks = [state_bytes[k : k + 4, :, b] for k, b in enumerate(_STATE_BYTES)]
-    pick0, pick1, pick2, pick3 = picks
-    index = _np.empty((2, 4, lanes), dtype=_np.uint16)
-    index_bytes = index.view(_np.uint8).reshape(2, 4, lanes, 2)
-    slot0, slot1 = index_bytes[0, :, :, _INDEX_HIGH], index_bytes[0, :, :, _INDEX_LOW]
-    slot2, slot3 = index_bytes[1, :, :, _INDEX_HIGH], index_bytes[1, :, :, _INDEX_LOW]
-    index_a, index_b = index
-    for r in range(1, rounds):
-        slot0[...] = pick0
-        slot1[...] = pick1
-        slot2[...] = pick2
-        slot3[...] = pick3
-        out = PA.take(index_a)
-        out ^= PB.take(index_b)
-        _np.bitwise_xor(out, rk[r], out=head)
+
+    __slots__ = (
+        "lanes", "doubled", "head", "tail", "picks", "slots", "index_a", "index_b",
+        "gathered", "out_bytes", "out", "out_sbox",
+    )
+
+    def __init__(self, lanes: int):
+        self.lanes = lanes
+        self.doubled = _np.empty((8, lanes), dtype=_np.uint32)
+        self.head, self.tail = self.doubled[:4], self.doubled[4:]
+        state_bytes = self.doubled.view(_np.uint8).reshape(8, lanes, 4)
+        self.picks = [state_bytes[k : k + 4, :, b] for k, b in enumerate(_STATE_BYTES)]
+        index = _np.empty((2, 4, lanes), dtype=_np.uint16)
+        index_bytes = index.view(_np.uint8).reshape(2, 4, lanes, 2)
+        self.slots = (
+            index_bytes[0, :, :, _INDEX_HIGH],
+            index_bytes[0, :, :, _INDEX_LOW],
+            index_bytes[1, :, :, _INDEX_HIGH],
+            index_bytes[1, :, :, _INDEX_LOW],
+        )
+        self.index_a, self.index_b = index
+        self.gathered = _np.empty((2, 4, lanes), dtype=_np.uint32)
+        self.out_bytes = _np.empty((4, lanes, 4), dtype=_np.uint8)
+        self.out = _np.empty((4, lanes), dtype=_np.uint32)
+        self.out_sbox = self.out.view(_np.uint8).reshape(4, lanes, 4)
+
+    def run(self, state, rk):
+        """Encrypt *state* under round keys *rk* (see
+        :func:`encrypt_state_vector`); returns the sweep's own output
+        array, which the next run overwrites."""
+        rounds = len(rk) - 1
+        head, tail = self.head, self.tail
+        pick0, pick1, pick2, pick3 = picks = self.picks
+        slot0, slot1, slot2, slot3 = self.slots
+        index_a, index_b = self.index_a, self.index_b
+        gathered_a, gathered_b = self.gathered
+        _np.bitwise_xor(state, rk[0], out=head)
         tail[...] = head
-    out_bytes = _np.empty((4, lanes, 4), dtype=_np.uint8)
-    for b, pick in zip(_STATE_BYTES, picks):
-        out_bytes[:, :, b] = pick
-    out = _SBOX.take(out_bytes).view(_np.uint32).reshape(4, lanes)
-    out ^= rk[rounds]
-    return out
+        for r in range(1, rounds):
+            slot0[...] = pick0
+            slot1[...] = pick1
+            slot2[...] = pick2
+            slot3[...] = pick3
+            PA.take(index_a, out=gathered_a, mode="clip")
+            PB.take(index_b, out=gathered_b, mode="clip")
+            gathered_a ^= gathered_b
+            _np.bitwise_xor(gathered_a, rk[r], out=head)
+            tail[...] = head
+        out_bytes = self.out_bytes
+        for b, pick in zip(_STATE_BYTES, picks):
+            out_bytes[:, :, b] = pick
+        _SBOX.take(out_bytes, out=self.out_sbox, mode="clip")
+        out = self.out
+        out ^= rk[rounds]
+        return out
+
+
+class LaneStepper:
+    """Encrypts a packed state of lanes step after step under per-lane
+    round keys, as the lane-parallel CBC-MAC does once per block.
+
+    *round_keys* is a ``(rounds + 1, 4, N)`` uint32 array, one schedule
+    per lane.  Each :meth:`encrypt` takes the first *n* lanes' state
+    (lanes retire from the right, so *n* only falls) and returns their
+    ciphertext in an array the next call overwrites.  The sweep's
+    buffers are built once per lane count, not once per step.
+    """
+
+    def __init__(self, round_keys):
+        self._round_keys = round_keys
+        self._sweep: Optional[_Sweep] = None
+        self._keys = None
+
+    def encrypt(self, state):
+        lanes = state.shape[1]
+        sweep = self._sweep
+        if sweep is None or sweep.lanes != lanes:
+            sweep = self._sweep = _Sweep(lanes)
+            self._keys = self._round_keys[:, :, :lanes]
+        return sweep.run(state, self._keys)
 
 
 def state_to_bytes(state) -> bytes:

@@ -799,12 +799,12 @@ def _cbc_mac_lanes_vector(
         lanes,
         axis=1,
     )
+    stepper = aes_vector.LaneStepper(round_keys)
     for step in range(max_blocks):
         active = bisect_left(sorted_negated, -step)
-        state[:, :active] = aes_vector.encrypt_state_vector(
-            state[:, :active] ^ blocks[step, :, :active],
-            round_keys[:, :, :active],
-        )
+        chains = state[:, :active]
+        chains ^= blocks[step, :, :active]
+        chains[...] = stepper.encrypt(chains)
     raw = aes_vector.state_to_bytes(state)
     macs: List[Optional[bytes]] = [None] * lanes
     for rank, index in enumerate(order):

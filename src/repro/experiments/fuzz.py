@@ -31,7 +31,11 @@ same order, and both runs must conserve packets.  The ``cores`` run is
 traced, and every task of at least :data:`LOOP_MIN_BLOCKS` data blocks
 must loop at section VII.A's period (:func:`loop_period_errors`): an
 oracle that shares no code with the device model, its firmware or its
-timing calibration.
+timing calibration.  A third replay runs ``cores`` with every
+controller stepping at the kernel (interrupts enabled, none raised: no
+CU issue, FIFO claim or ``HALT`` sleep ahead of the kernel); it must
+match the first cycle for cycle: completion records, report and each
+controller's instruction and halted-cycle counts.
 
 A third check (:func:`check_numpy_case`) replays a :func:`generate_case`
 case with the numpy fast paths and again with every one of them turned
@@ -235,6 +239,8 @@ class _Outcome:
     poisoned: Set[Tuple[int, int]]
     #: Per-packet oracle failures of this arm.
     errors: List[str]
+    #: ``(instructions_retired, halted_cycles)`` of each core's controller.
+    controllers: List[tuple] = dataclasses.field(default_factory=list)
 
 
 #: Tasks shorter than this many data blocks have no steady loop to check.
@@ -325,7 +331,7 @@ def _alone():
     return mock.patch.object(batch, "resolve_deferred", lambda handles: None)
 
 
-def _run(case: FuzzCase, alone: bool, traced: bool = False) -> _Outcome:
+def _run(case: FuzzCase, alone: bool, traced: bool = False, stepping: bool = False) -> _Outcome:
     plan = None
     if case.batch_error_rate:
         plan = FaultPlan(seed=case.seed, rates={"batch_error": case.batch_error_rate})
@@ -333,6 +339,11 @@ def _run(case: FuzzCase, alone: bool, traced: bool = False) -> _Outcome:
         if isinstance(case.shape, WorkloadSpec):
             platform = SdrPlatform(seed=case.seed, core_count=case.core_count)
             platform.mccp.trace.enabled = traced
+            if stepping:
+                # Interrupts on, and none ever raised: a controller then
+                # runs each instruction on its own kernel entry.
+                for core in platform.mccp.cores:
+                    core.controller.interrupts_enabled = True
             report = platform.run_workload(case.shape)
             offered = sum(config.packets for config in case.shape.configs)
             channels = sorted(platform.mccp.scheduler.channels.values(), key=lambda c: c.key_id)
@@ -348,6 +359,10 @@ def _run(case: FuzzCase, alone: bool, traced: bool = False) -> _Outcome:
         transfers = list(platform.comm.completed.values())
     channels = {channel.channel_id: channel for channel in channels}
     outcome = _Outcome(dataclasses.asdict(report), [], offered, set(), [])
+    outcome.controllers = [
+        (core.controller.instructions_retired, core.controller.halted_cycles)
+        for core in platform.mccp.cores
+    ]
     if traced:
         outcome.errors += loop_period_errors(platform.mccp)
     for transfer in transfers:
@@ -495,15 +510,20 @@ def _per_channel(outcome: _Outcome) -> Dict[int, List[tuple]]:
 
 
 def check_cores_case(case: FuzzCase) -> List[str]:
-    """Replay *case* on ``cores`` (traced, for the loop periods) and on
+    """Replay *case* on ``cores`` (traced, for the loop periods), on
+    ``cores`` with every controller stepping at the kernel, and on
     ``batched``; every broken invariant, or []."""
     cores = _run(case, alone=False, traced=True)
+    stepping = _run(case, alone=False, stepping=True)
     batched = _run(
         dataclasses.replace(case, shape=dataclasses.replace(case.shape, dataplane="batched")),
         alone=False,
     )
     errors = [f"cores: {e}" for e in cores.errors + _invariants(cores)]
     errors += [f"batched: {e}" for e in batched.errors + _invariants(batched)]
+    stepped = (stepping.rows, stepping.report, stepping.controllers)
+    if (cores.rows, cores.report, cores.controllers) != stepped:
+        errors.append("cores: cycles differ from a replay with its controllers stepping")
     cores_rows, batched_rows = _per_channel(cores), _per_channel(batched)
     for channel in sorted(set(cores_rows) | set(batched_rows)):
         if cores_rows.get(channel) != batched_rows.get(channel):

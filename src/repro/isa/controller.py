@@ -36,16 +36,18 @@ there.  The device's handler for the port (``PortDevice.writer``,
 resolved once per port) gets the value, the write's cycle (``sim.now +
 pending``) and how far that lies ahead of the kernel (``pending``).  A
 Cryptographic Core hands a CU issue and a mask write straight to the
-unit, which takes an instruction that touches only its own core (the
-FIXED and ENGINE timing classes) when the unit's state at that cycle is
-already known; see :meth:`repro.unit.unit.LooselyTimedUnit.start`.  The
-handler declines everything else — a ``LOAD``/``STORE`` (FIFO claims),
+unit, which takes an instruction when its state at that cycle is
+already known: the FIXED and ENGINE timing classes, and a ``LOAD`` or
+``STORE`` whose FIFO block the FIFO's schedule already places; see
+:meth:`repro.unit.unit.LooselyTimedUnit.start`.  The handler declines
+everything else — a ``LOAD``/``STORE`` the schedule cannot place yet,
 an ``ICSEND``/``ICRECV`` (the neighbour's mailbox), a result or debug
 write — and the controller then yields ``Delay(pending)`` and writes at
 the kernel.  It also yields before every ``INPUT*``, ``OUTPUT_R``,
 ``EINT``/``DINT``/``RETURNI*`` and every instruction while interrupts
-are enabled, which then runs on a real instruction boundary.  A
-``HALT`` yields only to sleep (below).
+are enabled, which then runs on a real instruction boundary, a ``HALT``
+included, which then waits at the kernel.  Otherwise a ``HALT`` yields
+only to sleep (below).
 
 Nor does it interpret instructions one by one.  Each program is
 translated on its first run into one entry per PC, memoised on the
@@ -55,20 +57,21 @@ through a jump, ``CALL`` or ``RETURN`` or up to a synchronising
 instruction, compiled from per-op templates into one Python function
 that indexes the registers directly, writes the flags once and has a
 constant cycle count; and a *step*, the PC's one instruction.  An
-immediate ``OUTPUT`` inside a block calls the port's handler in line
-(a superinstruction: Proebsting, POPL 1995; Ertl & Gregg, PLDI 2003),
-so the builder's ``LOAD s2, k; OUTPUT s2, P_CU; NOP`` idiom is three
-instructions of one block, and the CU issues between two FIFO
-transfers are usually one call (a block stops at
-:data:`BLOCK_LIMIT` instructions).  If the handler declines, the
-block stops before that ``OUTPUT`` (returning its PC complemented)
-and the loop catches up and writes it at the kernel.  A block runs only if
-``pending`` plus its cycles stays below :data:`SYNC_QUANTUM`;
-otherwise, and while interrupts are enabled, the loop runs steps.  A
-write the device takes ahead of the kernel must not stop the
-controller; a ``stop()`` from its own ``OUTPUT`` at the kernel takes
-effect right after it, one from elsewhere at the next synchronisation,
-and a top-level ``RETURN`` ends the run.
+immediate ``OUTPUT`` inside a block, or leading one, calls the port's
+handler in line (a superinstruction: Proebsting, POPL 1995; Ertl &
+Gregg, PLDI 2003), so the builder's ``LOAD s2, k; OUTPUT s2, P_CU;
+NOP`` idiom is three instructions of one block, and a GCM loop's CU
+issues after its ``HALT`` are one call (a block stops at
+:data:`BLOCK_LIMIT` instructions).  If the handler declines, or the
+leading ``OUTPUT`` would be at the kernel, the block stops before that
+``OUTPUT`` (returning its PC complemented) and the loop catches up and
+writes it at the kernel.  A block runs only if ``pending`` plus its
+cycles stays below :data:`SYNC_QUANTUM`, and the loop catches up first
+otherwise; while interrupts are enabled it runs steps.  A write the
+device takes ahead of the kernel must not stop the controller; a
+``stop()`` from its own ``OUTPUT`` at the kernel takes effect right
+after it, one from elsewhere at the next synchronisation, and a
+top-level ``RETURN`` ends the run.
 
 No other component can see a private instruction or a write the
 device took ahead, so every port access, CU issue and ``HALT`` lands
@@ -83,17 +86,22 @@ interleave differently.
 
 A ``HALT`` whose wake-up is already fixed — the done pulse is latched,
 or the unit's last completion has a known cycle (see
-:meth:`repro.sim.signals.PulseWire.fixed_pulse`), as seen from the
-``HALT``'s own cycle even ahead of the kernel — sleeps in one
-``Delay`` to the cycle the wait would have resumed on, ordered as that
+:meth:`repro.sim.signals.PulseWire.fixed_wake`), as seen from the
+``HALT``'s own cycle even ahead of the kernel — sleeps inside
+``pending``: the unit is caught up to the wake-up cycle and its pulse
+absorbed (:meth:`~repro.sim.signals.PulseWire.fixed_wake`), and the
+controller adds the sleep to ``pending`` and runs on, so ``pending``
+may be odd.  The next catch-up yield is ordered as that
 wake-up (a pulse's waiters resume after everything scheduled before
-the pulse on its cycle), instead of a catch-up, a ``Delay`` and a
-wait.  So a GCM block meets the kernel three times: its ``LOAD``, its
-``STORE`` and the ``HALT`` on its ``FAES``.
+the pulse on its cycle) if no instruction ran since, ``Delay(pending,
+ahead=pending)``.  A sleep that would take ``pending`` to
+:data:`SYNC_QUANTUM` yields at once, to the wake-up.  So a GCM block,
+its ``LOAD`` and ``STORE`` claims included, meets the kernel not at
+all: a controller in a loop of CU work yields about once a quantum.
 
 ``pending`` is also yielded before the process returns, so it ends on
-the same cycle, and whenever it reaches :data:`SYNC_QUANTUM` cycles, so
-a loop without I/O still lets ``Simulator.run(until=...)`` stop and
+the same cycle, and before it would reach :data:`SYNC_QUANTUM` cycles,
+so a loop without I/O still lets ``Simulator.run(until=...)`` stop and
 ``max_events`` catch a runaway model.
 """
 
@@ -111,16 +119,24 @@ from repro.sim.signals import PulseWire
 CYCLES_PER_INSTRUCTION = 2
 STACK_DEPTH = 30
 SCRATCHPAD_BYTES = 64
-#: Most cycles the controller runs ahead of the kernel clock through
-#: private instructions before it yields anyway.
+#: Port numbers are one byte.
+PORTS = 256
+#: Most cycles the controller runs ahead of the kernel clock (private
+#: instructions, writes the device takes ahead, ``HALT`` sleeps) before
+#: it yields anyway.
 SYNC_QUANTUM = 256
 
-#: The catch-up yields by ``pending`` cycles (``Delay`` is immutable, so
-#: one per count serves every controller).
-_CATCH_UP = {
-    cycles: Delay(cycles, ahead=cycles - CYCLES_PER_INSTRUCTION)
-    for cycles in range(CYCLES_PER_INSTRUCTION, SYNC_QUANTUM + 1, CYCLES_PER_INSTRUCTION)
-}
+#: The catch-up yields by ``pending`` cycles, indexed by ``pending``
+#: (``Delay`` is immutable, so one per count serves every controller):
+#: ordered as scheduled by the last instruction, or, with no instruction
+#: since a ``HALT``'s wake-up, as that wake-up.
+_CATCH_UP = [None, None] + [
+    Delay(cycles, ahead=cycles - CYCLES_PER_INSTRUCTION)
+    for cycles in range(CYCLES_PER_INSTRUCTION, SYNC_QUANTUM)
+]
+_WOKEN = [None, None] + [
+    Delay(cycles, ahead=cycles) for cycles in range(CYCLES_PER_INSTRUCTION, SYNC_QUANTUM)
+]
 
 #: Instructions the controller only executes at their own cycle (see
 #: the module docstring); every other one is private.
@@ -129,7 +145,7 @@ SYNC_OPS = frozenset(
 )
 
 #: Most instructions in one translated block (a longer run chains blocks).
-BLOCK_LIMIT = 16
+BLOCK_LIMIT = 32
 
 # -- per-op templates -----------------------------------------------------------
 #
@@ -213,14 +229,22 @@ def _fail(ctrl: "Controller8", message: str) -> None:
 #: how far that lies past the kernel's), or the block ends before it,
 #: returning its PC complemented (``~pc``).
 _OUTPUT_AHEAD = (
-    "if not (c._writers.get({port}) or c._writer({port}))(r[{x}], cycle + {k}, ahead + {k}):\n"
+    "if not (c._writers[{port}] or c._writer({port}))(r[{x}], cycle + {k}, ahead + {k}):\n"
     "    {flags}return {out}"
+)
+#: An ``OUTPUT`` leading a block: as :data:`_OUTPUT_AHEAD`, but at the
+#: kernel (``ahead`` 0) it is left to the loop, which stops after it if
+#: the write stops the controller.
+_OUTPUT_FIRST = (
+    "if not ahead or not (c._writers[{port}] or c._writer({port}))(r[{x}], cycle, ahead):\n"
+    "    return {out}"
 )
 
 
-def _function(code: List[Decoded], start: int, stop: int) -> str:
+def _function(code: List[Decoded], start: int, stop: int, step: bool = False) -> str:
     """Source of ``f``, which runs ``code[start:stop]`` and returns the
-    next PC, or ``~pc`` if the device declined the ``OUTPUT`` at *pc*."""
+    next PC, or ``~pc`` if the device declined the ``OUTPUT`` at *pc*.
+    A *step* runs its one instruction at the kernel."""
     body: List[str] = []
     local_flags = False
     for pc in range(start, stop):
@@ -241,8 +265,8 @@ def _function(code: List[Decoded], start: int, stop: int) -> str:
                 body.append("c.zero = z; c.carry = cy")
             body.extend(template.format(**fields).split("\n"))
             break
-        if op is Op.OUTPUT and pc > start:
-            template = _OUTPUT_AHEAD.format(
+        if op is Op.OUTPUT and not step:
+            template = (_OUTPUT_AHEAD if pc > start else _OUTPUT_FIRST).format(
                 port=decoded.operand,
                 x=decoded.sx,
                 k=CYCLES_PER_INSTRUCTION * (pc - start),
@@ -261,10 +285,10 @@ def _function(code: List[Decoded], start: int, stop: int) -> str:
 
 
 #: One translated PC: ``(block, limit, cycles, port, sx, step)``.  The
-#: block (None at a synchronising instruction) runs when ``pending <
-#: limit`` and adds *cycles*; *port*, if not None, is the port of an
-#: ``OUTPUT sx, port`` at the PC; *step* runs the PC's one instruction
-#: (None for ``HALT``).
+#: block (None at a synchronising instruction other than ``OUTPUT``)
+#: runs when ``pending < limit`` and adds *cycles*; *port*, if not None,
+#: is the port of an ``OUTPUT sx, port`` at the PC; *step* runs the
+#: PC's one instruction (None for ``HALT``).
 Entry = Tuple[Optional[Callable], int, int, Optional[int], int, Optional[Callable]]
 
 
@@ -284,7 +308,8 @@ def translation(program: Program) -> List[Entry]:
     entries: List[Entry] = []
     for pc, decoded in enumerate(code):
         stop = pc
-        if decoded.op not in SYNC_OPS:
+        output = decoded.op is Op.OUTPUT
+        if output or decoded.op not in SYNC_OPS:
             stop += 1
             while (
                 code[stop - 1].op not in _FLOW
@@ -293,16 +318,15 @@ def translation(program: Program) -> List[Entry]:
                 and (code[stop].op not in SYNC_OPS or code[stop].op is Op.OUTPUT)
             ):
                 stop += 1
-        output = decoded.op is Op.OUTPUT
         port, sx = (decoded.operand, decoded.sx) if output else (None, 0)
         step = None
         if decoded.op is not Op.HALT:
-            step = _lazy(entries, code, pc, pc + 1, (0, 5) if stop == pc + 1 else (5,))
+            step = _lazy(entries, code, pc, pc + 1, (0, 5) if stop == pc + 1 and not output else (5,))
         if stop == pc:
-            entries.append((None, SYNC_QUANTUM if output else 0, 0, port, sx, step))
+            entries.append((None, 0, 0, port, sx, step))
         else:
             cycles = CYCLES_PER_INSTRUCTION * (stop - pc)
-            block = step if stop == pc + 1 else _lazy(entries, code, pc, stop, (0,))
+            block = step if stop == pc + 1 and not output else _lazy(entries, code, pc, stop, (0,))
             entries.append((block, SYNC_QUANTUM - cycles, cycles, port, sx, step))
     program._translation = entries  # type: ignore[attr-defined]
     return entries
@@ -316,7 +340,8 @@ def _lazy(
 
     def first_call(ctrl: "Controller8", regs: List[int], *ahead: int) -> int:
         namespace: Dict[str, Callable] = {"_fail": _fail}
-        exec(compile(_function(code, start, stop), f"<PC {start:#05x}>", "exec"), namespace)
+        source = _function(code, start, stop, step=5 in slots)
+        exec(compile(source, f"<PC {start:#05x}>", "exec"), namespace)
         entry = list(entries[start])
         for slot in slots:
             entry[slot] = namespace["f"]
@@ -414,7 +439,7 @@ class Controller8:
         self.halted_cycles = 0
         self._stopped = False
         #: Port -> the device's ``OUTPUT`` handler, resolved on first use.
-        self._writers: Dict[int, Callable[[int, int, int], bool]] = {}
+        self._writers: List[Optional[Callable[[int, int, int], bool]]] = [None] * PORTS
 
     # -- helpers ------------------------------------------------------------
 
@@ -456,12 +481,14 @@ class Controller8:
         size = 0
         # Cycles of instructions executed but not yet yielded to the kernel.
         pending = 0
+        # ``pending`` right after a HALT's wake-up inside it (-1: none).
+        woken = -1
         while not self._stopped:
             stepping = self.interrupts_enabled
             if stepping:
                 if pending:
-                    yield _CATCH_UP[pending]
-                    pending = 0
+                    yield (_WOKEN if pending == woken else _CATCH_UP)[pending]
+                    pending, woken = 0, -1
                     continue
                 if self._irq_pending:
                     self._take_irq()
@@ -473,82 +500,83 @@ class Controller8:
             if pc >= size:
                 break
             block, limit, cycles, port, sx, step = entries[pc]
-            if stepping or pending >= limit:
-                # One instruction: the block would cross the quantum, or
-                # the PC holds a synchronising instruction (no block),
-                # which runs on its own cycle.
-                if step is None:
-                    # HALT: sleep until the wake wire pulses (done-latch
-                    # absorbed inside PulseWire).  Cost: the 2 base
-                    # cycles, plus however long the sleep lasts.  If the
-                    # pulse's cycle is already fixed, even as seen from
-                    # ahead of the kernel, wake where the wait would have
-                    # woken, in one yield; otherwise wait at the kernel.
-                    start = sim.now + pending
-                    pulse = self.wake.fixed_pulse(start, pending)
-                    if pulse is None and pending:
-                        yield _CATCH_UP[pending]
-                        pending = 0
-                        continue
-                    self.pc = pc + 1
-                    self.instructions_retired += 1
-                    if pulse is None:
-                        yield Delay(CYCLES_PER_INSTRUCTION)
-                        yield self.wake.wait()
-                    else:
-                        wake = max(pulse, start + CYCLES_PER_INSTRUCTION) - sim.now
-                        yield Delay(wake, wake)
-                        self.wake.consume()
-                    pending = 0
-                    self.halted_cycles += sim.now - start - CYCLES_PER_INSTRUCTION
+            if block is not None and not stepping:
+                if pending >= limit:
+                    # The block would cross the quantum: catch up first.
+                    yield (_WOKEN if pending == woken else _CATCH_UP)[pending]
+                    pending, woken = 0, -1
                     continue
-                if pending and (block is None or pending >= SYNC_QUANTUM):
-                    yield _CATCH_UP[pending]
-                    pending = 0
-                    continue
-                self.instructions_retired += 1
-                self.pc = step(self, regs)
-                pending += CYCLES_PER_INSTRUCTION
-                continue
-            if block is not None:
                 pc = block(self, regs, sim.now + pending, pending)
                 if pc >= 0:
                     self.instructions_retired += cycles >> 1
                     pending += cycles
                     self.pc = pc
                     continue
-                # The device declined the block's OUTPUT at ~pc ahead of
-                # the kernel; everything before it ran.
+                # The block stopped before the OUTPUT at ~pc: the device
+                # declined it ahead of the kernel, or it is at the
+                # kernel.  Everything before it ran.
                 start, pc = self.pc, ~pc
                 self.instructions_retired += pc - start
                 pending += CYCLES_PER_INSTRUCTION * (pc - start)
                 self.pc = pc
+                if pending:
+                    yield (_WOKEN if pending == woken else _CATCH_UP)[pending]
+                    pending, woken = 0, -1
+                    if self._stopped or self.program is not program:
+                        continue
                 _block, _limit, _cycles, port, sx, _step = entries[pc]
-                write = writers[port]
-            else:
-                # The OUTPUT sX, port at the PC: the device takes it
-                # ahead of the kernel, or asks for the kernel first.
-                write = writers.get(port) or self._writer(port)
-                if write(regs[sx], sim.now + pending, pending):
-                    self.pc = pc + 1
-                    self.instructions_retired += 1
-                    pending += CYCLES_PER_INSTRUCTION
-                    continue
-            yield _CATCH_UP[pending]
-            pending = 0
-            if self._stopped or self.program is not program:
+                (writers[port] or self._writer(port))(regs[sx], sim.now, 0)
+                self.pc = pc + 1
+                self.instructions_retired += 1
+                pending = CYCLES_PER_INSTRUCTION
                 continue
-            write(regs[sx], sim.now, 0)
-            self.pc = pc + 1
+            if step is None:
+                # HALT: sleep until the wake wire pulses (done-latch
+                # absorbed inside PulseWire).  Cost: the 2 base cycles,
+                # plus however long the sleep lasts.  If the pulse's
+                # cycle is already fixed, even as seen from ahead of the
+                # kernel, sleep inside ``pending`` to where the wait
+                # would have woken; otherwise, and while stepping, wait
+                # at the kernel.
+                start = sim.now + pending
+                wake = None
+                if not stepping:
+                    wake = self.wake.fixed_wake(start + CYCLES_PER_INSTRUCTION, pending)
+                if wake is None and pending:
+                    yield (_WOKEN if pending == woken else _CATCH_UP)[pending]
+                    pending, woken = 0, -1
+                    continue
+                self.pc = pc + 1
+                self.instructions_retired += 1
+                if wake is None:
+                    yield Delay(CYCLES_PER_INSTRUCTION)
+                    yield self.wake.wait()
+                    wake = sim.now
+                else:
+                    pending = wake - sim.now
+                    if pending < SYNC_QUANTUM:
+                        woken = pending
+                    else:
+                        yield Delay(pending, pending)
+                        pending, woken = 0, -1
+                self.halted_cycles += wake - start - CYCLES_PER_INSTRUCTION
+                continue
+            # A synchronising instruction, or any while stepping: at the
+            # kernel, on its own cycle.
+            if pending:
+                yield (_WOKEN if pending == woken else _CATCH_UP)[pending]
+                pending, woken = 0, -1
+                continue
             self.instructions_retired += 1
+            self.pc = step(self, regs)
             pending = CYCLES_PER_INSTRUCTION
         if pending:
-            yield _CATCH_UP[pending]
+            yield (_WOKEN if pending == woken else _CATCH_UP)[pending]
         return None
 
     def rebind_ports(self) -> None:
         """Forget the resolved ``OUTPUT`` handlers (the device's ports changed)."""
-        self._writers.clear()
+        self._writers[:] = [None] * PORTS
 
     def post_irq(self) -> None:
         """Raise the interrupt line (taken before the next fetch)."""

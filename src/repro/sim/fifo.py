@@ -20,20 +20,31 @@ Words cross the crossbar at a fixed rate, so a FIFO does not need a
 kernel event per word.  It holds its future as a schedule and replays
 it on access (catch-up on access, see :mod:`repro.sim.kernel`):
 
-- a *producer run* (:meth:`WordFifo.stream_in`: words, start cycle,
-  cycles per word) tries one push per word period; at a full FIFO it
-  stalls, and the pop that frees space restarts it on that pop's cycle;
-- a *consumer run* (:meth:`WordFifo.drain_out`: a word count, start
-  cycle, cycles per word) tries one pop per word period; at an empty
-  FIFO it waits, and the next push restarts it on that push's cycle;
-- *claims* are the block pops and pushes the Cryptographic Unit has
-  promised for cycles it already knows (a ``LOAD`` or ``STORE`` whose
-  completion is computed at issue; :meth:`claim_pop`/:meth:`claim_push`).
+- one *run*, the crossbar's transfer: a producer run
+  (:meth:`WordFifo.stream_in`: words, start cycle, cycles per word)
+  tries one push per word period; at a full FIFO it stalls, and the pop
+  that frees space restarts it on that pop's cycle.  A consumer run
+  (:meth:`WordFifo.drain_out`: a word count, start cycle, cycles per
+  word) tries one pop per word period; at an empty FIFO it waits, and
+  the next push restarts it on that push's cycle;
+- *claims*, on the run's other side: the block pops (input FIFO) or
+  pushes (output FIFO) the Cryptographic Unit has promised for cycles
+  it already knows (a ``LOAD`` or ``STORE`` whose completion is
+  computed at issue; :meth:`claim_pop`/:meth:`claim_push`).
 
-Runs are how words cross the crossbar, for the device and for the
-single-core harness alike.  A run moves a known number of words, and
-once its last word has moved the FIFO takes the next run, even before
-the finished run's ``done`` fires.
+A run moves a known number of words, and once its last word has moved
+the FIFO takes the next run, even before the finished run's ``done``
+fires; it cannot be replaced before that.  So, with the claims on its
+other side, nothing the kernel has still to run can change the
+schedule a claim sees, except a run not started yet, which moves words
+only after every known one: :meth:`pop_ready` and :meth:`push_ready`
+answer for a position ahead of the kernel too, where a unit may claim.
+
+The replay moves counts, not words.  The FIFO keeps every word it has
+been given or is scheduled to get, in push order — a producer run's
+words when the run starts, a claimed push's when it is claimed — and
+reads them by index: a claimed pop takes its words when it is claimed,
+a consumer run when it is replayed.
 
 These are the rules of a process stepping word by word, keyed like the
 kernel entries it would have scheduled, so every count a reader sees
@@ -53,9 +64,9 @@ apply at the caller's position.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
-from typing import Callable, Deque, List, Optional, Tuple
+from bisect import bisect_left
+from copy import copy
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import FifoError
 from repro.sim.kernel import Event, Simulator
@@ -69,6 +80,15 @@ WORDS_PER_BLOCK = 4
 #: A key later than every position (projections run to exhaustion).
 _NEVER = (1 << 62, 1 << 62, 1 << 62)
 
+#: Goals of a projection (see :meth:`_Flow.replay`).
+_PUSHED, _ROOM, _END = 1, 2, 3
+
+#: Words already popped that the FIFO keeps before dropping them.
+_KEEP = DEFAULT_DEPTH_WORDS
+
+#: A kernel key ``(cycle, stamp, seq)``.
+Key = Tuple[int, int, int]
+
 
 class Transfer:
     """A producer or consumer run on one FIFO (see the module docs).
@@ -78,313 +98,228 @@ class Transfer:
     """
 
     __slots__ = (
-        "values", "sink", "moved", "total", "cycle", "stamp", "seq", "prev",
-        "period", "waiting", "end", "done", "entry",
+        "push", "sink", "moved", "total", "key", "prev", "period", "end", "stalled", "done", "entry",
     )
 
-    def __init__(self, values, sink, total, key, period, done):
-        self.values: Optional[List[int]] = values
-        self.sink: Optional[list] = sink
+    def __init__(self, push: bool, sink: Optional[list], total: int, key: Key, period: int, done):
+        #: A producer (True) or consumer run.
+        self.push = push
+        self.sink = sink
         #: Words moved so far (up to the FIFO's replayed position).
         self.moved = 0
         #: Words to move.
-        self.total: int = total
-        #: Key of the next attempt.
-        self.cycle, self.stamp, self.seq = key
-        #: Key of the attempt that scheduled it (None: a start or a
-        #: restart, ordered by ``seq`` alone).
-        self.prev = None
+        self.total = total
+        #: Key of the next attempt; None while the run waits at a full
+        #: (producer) or empty (consumer) FIFO, and once it has ended.
+        self.key: Optional[Key] = key
+        #: Key of the attempt that scheduled the next one (None: a start
+        #: or a restart, ordered by its ``seq``).
+        self.prev: Optional[Key] = None
         self.period = period
-        #: Stalled at a full (producer) or empty (consumer) FIFO.
-        self.waiting = False
         #: ``(cycle, stamp)`` of the end once the last word has moved.
         self.end: Optional[Tuple[int, int]] = None
+        #: Cycle of the attempt that found the FIFO blocked, while waiting.
+        self.stalled = 0
         self.done: Event = done
         self.entry = None
 
-    def clone(self) -> "Transfer":
-        other = Transfer.__new__(Transfer)
-        other.values = other.sink = None
-        other.moved, other.total = self.moved, self.total
-        other.cycle, other.stamp, other.seq = self.cycle, self.stamp, self.seq
-        other.prev = self.prev
-        other.period, other.waiting, other.end = self.period, self.waiting, self.end
-        other.done = other.entry = None
-        return other
 
-    @property
-    def active(self) -> bool:
-        return not self.waiting and self.end is None
-
-
-class Claim:
-    """A block push (``size`` > 0) or pop promised for one kernel key."""
-
-    __slots__ = ("cycle", "stamp", "seq", "size", "words", "created")
-
-    def __init__(self, cycle: int, stamp: int, seq: int, size: int, words=None, created=None):
-        self.cycle, self.stamp, self.seq = cycle, stamp, seq
-        self.size = size
-        #: Position the claim was made at: a run attempt keyed like the
-        #: claim was scheduled by the step before it, and runs first iff
-        #: that step ran before the claim was made.
-        self.created = created
-        #: Pushed words, or (for a pop) the popped words once replayed.
-        self.words = words
-
-
-def _claim_first(claim: Claim, run: Transfer) -> bool:
-    """Whether *claim* comes before *run*'s next attempt.
-
-    Keys decide, except between an attempt and a claim sharing cycle
-    and stamp: the attempt was scheduled by the run's previous step, so
-    it comes first iff that step ran before the claim was made.
-    """
-    if claim.cycle != run.cycle:
-        return claim.cycle < run.cycle
-    if claim.stamp != run.stamp:
-        return claim.stamp < run.stamp
-    if run.prev is None or claim.created is None:
-        return claim.seq < run.seq
-    return not run.prev < claim.created
-
-
-class _Flow:
-    """FIFO occupancy plus its schedule, replayed in key order.
-
-    The live flow moves word values; a projection (:meth:`sketch`)
-    replays counts only, to find the cycle a future condition is met.
-    """
-
-    __slots__ = (
-        "depth", "count", "pushed", "popped", "high", "words",
-        "src", "dst", "claims", "next_claim", "pending_pops", "pending_pushes",
-        "last",
-    )
-
-    def __init__(self, depth: int):
-        self.depth = depth
-        self.count = self.pushed = self.popped = self.high = 0
-        #: Words in claims not replayed yet.
-        self.pending_pops = self.pending_pushes = 0
-        self.words: Optional[Deque[int]] = deque()
-        self.src: Optional[Transfer] = None
-        self.dst: Optional[Transfer] = None
-        self.claims: List[Claim] = []
-        self.next_claim = 0
-        #: Latest cycle of any attempt replayed (projections only).
-        self.last = 0
-
-    def sketch(self) -> "_Flow":
-        other = _Flow.__new__(_Flow)
-        other.depth, other.count = self.depth, self.count
-        other.pushed, other.popped, other.high = self.pushed, self.popped, self.high
-        other.words = None
-        other.src = self.src.clone() if self.src is not None else None
-        other.dst = self.dst.clone() if self.dst is not None else None
-        other.claims, other.next_claim, other.last = self.claims, self.next_claim, 0
-        other.pending_pops, other.pending_pushes = self.pending_pops, self.pending_pushes
-        return other
-
-    def replay(self, bound, goal=None, target: int = 0):
-        """Apply every scheduled step keyed below *bound*.
-
-        With a *goal* the replay stops once it is met and returns its
-        cycle: ``"pushed"`` (``pushed >= target``), ``"room"`` (``count
-        <= depth - target``), or ``"end"``, the end ``(cycle, stamp)`` of
-        the producer (*target* 1) or consumer (*target* 2) run.  Returns
-        None when the schedule runs out first.
-        """
-        claims = self.claims
-        while True:
-            # The earliest scheduled step, and the next one after it.
-            src, dst = self.src, self.dst
-            run = other = None
-            if src is not None and src.active:
-                run = src
-            if dst is not None and dst.active:
-                if run is None:
-                    run = dst
-                elif (dst.cycle, dst.stamp, dst.seq) < (run.cycle, run.stamp, run.seq):
-                    run, other = dst, run
-                else:
-                    other = dst
-            claim = claims[self.next_claim] if self.next_claim < len(claims) else None
-            if claim is not None and (run is None or _claim_first(claim, run)):
-                key, kind = (claim.cycle, claim.stamp, claim.seq), 3
-                limit = (run.cycle, run.stamp, run.seq) if run is not None else None
-                limit_claim = None
-            elif run is not None:
-                key, kind = (run.cycle, run.stamp, run.seq), 1 if run is src else 2
-                limit, limit_claim = None, None
-                if other is not None:
-                    limit = (other.cycle, other.stamp, other.seq)
-                if claim is not None and (limit is None or _claim_first(claim, other)):
-                    limit, limit_claim = (claim.cycle, claim.stamp, claim.seq), claim
-            else:
-                return None
-            if not key < bound:
-                return None
-            if limit is None or not limit < bound:
-                limit, limit_claim = bound, None
-            hit = None
-            if kind == 3:
-                self.next_claim += 1
-                if claim.cycle > self.last:
-                    self.last = claim.cycle
-                if claim.size > 0:
-                    self.pending_pushes -= claim.size
-                else:
-                    self.pending_pops += claim.size
-                self._apply_claim(claim)
-                if goal == "pushed" and self.pushed >= target:
-                    hit = claim.cycle
-                elif goal == "room" and self.count <= self.depth - target:
-                    hit = claim.cycle
-            elif kind == 1:
-                hit = self._push_run(src, limit, limit_claim, goal, target)
-            else:
-                hit = self._pop_run(dst, limit, limit_claim, goal, target)
-            if goal == "end":
-                run = self.src if target == 1 else self.dst
-                hit = run.end
-            if hit is not None:
-                return hit
-
-    def _apply_claim(self, claim: Claim) -> None:
-        size = claim.size
-        if size > 0:
-            if self.count + size > self.depth:
-                raise FifoError("claimed push overflows the FIFO")
-            if self.words is not None:
-                self.words.extend(claim.words)
-            self.count += size
-            self.pushed += size
-            if self.count > self.high:
-                self.high = self.count
-            _restart(self.dst, claim.cycle, claim.seq)
-        else:
-            if self.count < -size:
-                raise FifoError("claimed pop underflows the FIFO")
-            if self.words is not None:
-                popleft = self.words.popleft
-                popped = [popleft() for _ in range(-size)]
-                if claim.words is None:
-                    claim.words = popped
-            self.count += size
-            self.popped -= size
-            _restart(self.src, claim.cycle, claim.seq)
-
-    @staticmethod
-    def _attempts_before(run: Transfer, limit, claim: Optional[Claim]) -> int:
-        """How many of *run*'s next attempts come before *limit*.
-
-        The first attempt is at the run's key; attempt j >= 1 is at
-        ``(cycle + j*period, cycle + (j-1)*period)``, a ``Delay`` taken
-        by the previous one.  The first is known to come first.  If
-        *limit* is *claim*'s key, an attempt keyed like it is ordered by
-        :func:`_claim_first`.
-        """
-        if limit is _NEVER:
-            return 1 << 40
-        cycle, period = run.cycle, run.period
-        lcycle, lstamp, lseq = limit
-        if lcycle <= cycle:
-            return 1
-        j = (lcycle - cycle - 1) // period
-        if cycle + (j + 1) * period == lcycle:
-            stamp = lcycle - period
-            if stamp < lstamp:
-                j += 1
-            elif stamp == lstamp:
-                if claim is None or claim.created is None:
-                    if lseq > -1:
-                        j += 1
-                else:
-                    prev = (
-                        (run.cycle, run.stamp, run.seq)
-                        if j == 0
-                        else (cycle + j * period, cycle + (j - 1) * period, -1)
-                    )
-                    if prev < claim.created:
-                        j += 1
-        return j + 1
-
-    def _advance(self, run: Transfer, n: int, attempts: int, blocked: bool) -> int:
-        """Move *run* past *n* successful attempts; returns the cycle of
-        the first.  If an attempt before the limit follows them and finds
-        the FIFO *blocked* (full or empty), the run waits."""
-        first, period = run.cycle, run.period
-        last = first + (n - 1) * period
-        run.moved += n
-        if run.moved == run.total:
-            run.end = (last + period, last)
-        else:
-            run.prev = (first, run.stamp, run.seq) if n == 1 else (last, last - period, -1)
-            run.cycle, run.stamp, run.seq = last + period, last, -1
-            if n < attempts and blocked:
-                run.waiting = True
-                last = run.cycle
-        if last > self.last:
-            self.last = last
-        return first
-
-    def _push_run(self, run: Transfer, limit, claim, goal, target):
-        room = self.depth - self.count
-        if room == 0:
-            run.waiting = True
-            self.last = max(self.last, run.cycle)
-            return None
-        attempts = self._attempts_before(run, limit, claim)
-        dst = self.dst
-        # A waiting consumer restarts on the first push's cycle, before
-        # the producer's next attempt.
-        cap = 1 if dst is not None and dst.waiting else room
-        n = min(attempts, cap, run.total - run.moved)
-        if self.words is not None:
-            self.words.extend(run.values[run.moved : run.moved + n])
-        hit = None
-        if goal == "pushed" and self.pushed < target <= self.pushed + n:
-            hit = run.cycle + (target - self.pushed - 1) * run.period
-        self.count += n
-        self.pushed += n
-        if self.count > self.high:
-            self.high = self.count
-        first = self._advance(run, n, attempts, self.count == self.depth)
-        _restart(dst, first, -1)
-        return hit
-
-    def _pop_run(self, run: Transfer, limit, claim, goal, target):
-        if self.count == 0:
-            run.waiting = True
-            self.last = max(self.last, run.cycle)
-            return None
-        attempts = self._attempts_before(run, limit, claim)
-        src = self.src
-        # As for _push_run: a stalled producer restarts on the first pop.
-        cap = 1 if src is not None and src.waiting else self.count
-        n = min(attempts, cap, run.total - run.moved)
-        if self.words is not None:
-            popleft = self.words.popleft
-            run.sink.extend([popleft() for _ in range(n)])
-        hit = None
-        free = self.depth - self.count
-        if goal == "room" and free < target <= free + n:
-            hit = run.cycle + (target - free - 1) * run.period
-        self.count -= n
-        self.popped += n
-        first = self._advance(run, n, attempts, self.count == 0)
-        _restart(src, first, -1)
-        return hit
+#: Stands for a FIFO with no run in a replay: never attempts, never wakes.
+_NO_RUN = Transfer(True, None, 0, None, 1, None)
+_NO_RUN.end = (0, 0)
 
 
 def _restart(run: Optional[Transfer], cycle: int, seq: int) -> None:
     """Restart *run* if it waits: woken on *cycle* by a push or pop keyed
     ``(cycle, ..., seq)``, as the stepped process's wake-up would be."""
-    if run is not None and run.waiting:
-        run.waiting = False
-        run.cycle = run.stamp = cycle
-        run.seq, run.prev = seq, None
+    if run is not None and run.key is None and run.end is None:
+        run.key, run.prev = (cycle, cycle, seq), None
+
+
+def _claim_first(claim, run: Transfer) -> bool:
+    """Whether *claim* comes before *run*'s next attempt, keyed on the
+    same cycle and stamp: the attempt was scheduled by the run's previous
+    step, so it comes first iff that step ran before the claim was made
+    (a start or a restart is ordered by its ``seq``)."""
+    if run.prev is None:
+        return claim[0][2] < run.key[2]
+    return not run.prev < claim[2]
+
+
+def _attempt_first(run: Transfer, tied: int, limit: Key, created: Optional[Key]) -> bool:
+    """Whether *run*'s attempt number *tied* (>= 1), on *limit*'s cycle
+    and stamp, comes before *limit*.
+
+    Attempt j >= 1 is at ``(cycle + j*period, cycle + (j-1)*period)``, a
+    ``Delay`` taken by attempt j - 1, the first one being at the run's
+    key.  If *limit* is a claim's key, made at position *created*, the
+    attempt is ordered as in :func:`_claim_first`; before a position it
+    comes first.
+    """
+    if created is None:
+        return limit[2] > -1
+    cycle, period = run.key[0], run.period
+    j = tied - 1
+    prev = run.key if j == 0 else (cycle + j * period, cycle + (j - 1) * period, -1)
+    return prev < created
+
+
+class _Flow:
+    """FIFO occupancy plus its schedule, replayed in key order.
+
+    Claims are ``(key, claimed, created)``: keyed *key*, made at
+    position *created*, and *claimed* the running total of claimed words
+    after it (a push adds its words, a pop subtracts them).  The claims
+    pending at any time are all pushes or all pops, so a run of them
+    moves the count one way.  The live flow also hands a consumer run
+    its words; a projection (:meth:`sketch`) replays counts only, to
+    find the cycle a future condition is met.
+    """
+
+    __slots__ = (
+        "depth", "count", "pushed", "popped", "high", "run", "claims", "next_claim",
+        "claimed", "applied", "words", "base",
+    )
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        self.count = self.pushed = self.popped = self.high = 0
+        self.run: Optional[Transfer] = None
+        self.claims: list = []
+        self.next_claim = 0
+        #: The claimed total of every claim made, and of those replayed:
+        #: their difference is the words claims have still to move.
+        self.claimed = self.applied = 0
+        #: Every word pushed or scheduled to be, in push order, from the
+        #: push numbered ``base`` (None in a projection).
+        self.words: Optional[List[int]] = []
+        self.base = 0
+
+    def sketch(self) -> "_Flow":
+        other = copy(self)
+        other.run = copy(self.run) if self.run is not None else None
+        other.words = None
+        return other
+
+    def replay(self, bound: Key, goal: int = 0, target: int = 0) -> Optional[int]:
+        """Apply every scheduled step keyed below *bound*.
+
+        With a *goal* the replay stops once it is met and returns its
+        cycle: ``_PUSHED`` (``pushed >= target``), ``_ROOM`` (``count <=
+        depth - target``), or ``_END``, the end ``(cycle, stamp)`` of the
+        run.  Returns None when the schedule runs out first.
+        """
+        claims, run = self.claims, self.run or _NO_RUN
+        i, last, depth = self.next_claim, len(claims), self.depth
+        hit = None
+        while True:
+            attempt = run.key
+            if i < last:
+                claim = claims[i]
+                key = claim[0]
+                if attempt is None or (
+                    key < attempt
+                    if key[0] != attempt[0] or key[1] != attempt[1]
+                    else _claim_first(claim, run)
+                ):
+                    if not key < bound:
+                        break
+                    # Claims move counts alone: every one below the bound
+                    # when no run attempt can come between them, else this
+                    # one (which may wake a waiting run).
+                    i += 1
+                    if attempt is None and run.end is not None and not goal:
+                        i = bisect_left(claims, (bound,), i, last)
+                    claimed = claims[i - 1][1]
+                    moved, self.applied = claimed - self.applied, claimed
+                    count = self.count + moved
+                    if moved > 0:
+                        if count > depth:
+                            raise FifoError("claimed push overflows the FIFO")
+                        self.pushed += moved
+                        if count > self.high:
+                            self.high = count
+                    elif count < 0:
+                        raise FifoError("claimed pop underflows the FIFO")
+                    else:
+                        self.popped -= moved
+                    self.count = count
+                    if goal and (
+                        (goal == _PUSHED and self.pushed >= target)
+                        or (goal == _ROOM and count <= depth - target)
+                    ):
+                        hit = key[0]
+                        break
+                    if attempt is None and run.end is None:
+                        # The run waits on the FIFO: it wakes on the claim's cycle.
+                        run.key, run.prev = (key[0], key[0], key[2]), None
+                    continue
+                if key < bound:
+                    limit, created = key, claim[2]
+                else:
+                    limit, created = bound, None
+            elif attempt is None:
+                break
+            else:
+                limit, created = bound, None
+            if not attempt < bound:
+                break
+            # The run's attempts before *limit*: each moves a word while
+            # the FIFO has room (producer) or words (consumer); one that
+            # finds it blocked leaves the run waiting.
+            first, period, count = attempt[0], run.period, self.count
+            movable = depth - count if run.push else count
+            if movable == 0:
+                run.key, run.stalled = None, first
+                continue
+            # How many come before *limit*: the first one does.
+            lcycle = limit[0]
+            if lcycle <= first:
+                attempts = 1
+            else:
+                attempts = (lcycle - first - 1) // period + 1
+                if first + attempts * period == lcycle:
+                    # The next one is on the limit's cycle.
+                    stamp = lcycle - period
+                    if stamp < limit[1] or (
+                        stamp == limit[1] and _attempt_first(run, attempts, limit, created)
+                    ):
+                        attempts += 1
+            n = min(attempts, movable, run.total - run.moved)
+            if run.push:
+                if goal == _PUSHED and self.pushed < target <= self.pushed + n:
+                    hit = first + (target - self.pushed - 1) * period
+                self.pushed += n
+                self.count = count = count + n
+                if count > self.high:
+                    self.high = count
+                blocked = count == depth
+            else:
+                if self.words is not None:
+                    start = self.pushed - count - self.base
+                    run.sink.extend(self.words[start : start + n])
+                if goal == _ROOM and depth - count < target <= depth - count + n:
+                    hit = first + (target - depth + count - 1) * period
+                self.popped += n
+                self.count = count = count - n
+                blocked = count == 0
+            cycle = first + (n - 1) * period
+            run.moved += n
+            if run.moved == run.total:
+                run.key, run.end = None, (cycle + period, cycle)
+            else:
+                run.prev = attempt if n == 1 else (cycle, cycle - period, -1)
+                if n < attempts and blocked:
+                    # The next attempt finds the FIFO blocked: the run waits.
+                    run.key, run.stalled = None, cycle + period
+                else:
+                    run.key = (cycle + period, cycle, -1)
+            if goal == _END:
+                hit = run.end
+            if hit is not None:
+                break
+        self.next_claim = i
+        return hit
 
 
 class WordFifo:
@@ -424,12 +359,24 @@ class WordFifo:
         elif flow.next_claim > 64:
             del flow.claims[: flow.next_claim]
             flow.next_claim = 0
+        gone = flow.pushed - flow.count - flow.base
+        if gone > _KEEP:
+            del flow.words[:gone]
+            flow.base += gone
 
     def horizon(self) -> int:
-        """Cycle of the last scheduled attempt (see ``Simulator.add_timeline``)."""
-        sketch = self._flow.sketch()
+        """Cycle of the last scheduled step (see ``Simulator.add_timeline``):
+        the last claim, or the run's last attempt (its last word's, or the
+        one that found the FIFO blocked)."""
+        flow = self._flow
+        sketch = flow.sketch()
         sketch.replay(_NEVER)
-        return sketch.last
+        run = sketch.run
+        cycle = 0 if run is None else run.end[1] if run.end is not None else run.stalled
+        if flow.next_claim < len(flow.claims):
+            # Claims come in key order: the last one is the latest.
+            cycle = max(cycle, flow.claims[-1][0][0])
+        return cycle
 
     # -- capacity ----------------------------------------------------------
 
@@ -504,9 +451,16 @@ class WordFifo:
         flow = self._flow
         if flow.count + len(words) > self.depth_words:
             raise FifoError(f"{self.name}: overflow (depth {self.depth_words})")
-        now, stamp, seq = self.sim.position()
-        for word in words:
-            flow._apply_claim(Claim(now, stamp, seq, 1, (word,)))
+        if flow.claimed < flow.applied:
+            raise FifoError(f"{self.name}: immediate push with claimed pops pending")
+        # Before the words still to come: a producer run's, claimed pushes.
+        at = flow.pushed - flow.base
+        flow.words[at:at] = words
+        flow.count += len(words)
+        flow.pushed += len(words)
+        flow.high = max(flow.high, flow.count)
+        now, _stamp, seq = self.sim.position()
+        _restart(flow.run, now, seq)
         self._changed(replan=True)
 
     def _pop_now(self, nwords: int) -> List[int]:
@@ -514,14 +468,16 @@ class WordFifo:
         flow = self._flow
         if flow.count < nwords:
             raise FifoError(f"{self.name}: underflow")
-        now, stamp, seq = self.sim.position()
-        out = []
-        for _ in range(nwords):
-            claim = Claim(now, stamp, seq, -1)
-            flow._apply_claim(claim)
-            out.extend(claim.words)
+        if flow.claimed < flow.applied:
+            raise FifoError(f"{self.name}: immediate pop with claimed pops pending")
+        first = flow.pushed - flow.count - flow.base
+        words = flow.words[first : first + nwords]
+        flow.count -= nwords
+        flow.popped += nwords
+        now, _stamp, seq = self.sim.position()
+        _restart(flow.run, now, seq)
         self._changed(replan=True)
-        return out
+        return words
 
     # -- runs ------------------------------------------------------------------
 
@@ -531,12 +487,13 @@ class WordFifo:
         The first attempt is ordered as a process started now would be;
         ``done`` triggers one period after the last push.
         """
-        self.sync()
-        flow = self._flow
-        if flow.src is not None and flow.src.end is None:
-            raise FifoError(f"{self.name}: a producer run is already attached")
-        run = self._new_run(list(words), None, len(words), cycles_per_word)
-        flow.src = run
+        flow = self._attach()
+        if flow.claimed > flow.applied:
+            raise FifoError(f"{self.name}: a producer run with claimed pushes pending")
+        words = list(words)
+        run = self._new_run(True, None, len(words), cycles_per_word)
+        flow.words.extend(words)
+        flow.run = run
         self._changed(replan=False)
         return run
 
@@ -544,46 +501,50 @@ class WordFifo:
         """Start a consumer run popping *nwords* words into *sink*, one
         per *cycles_per_word*; ``done`` triggers one period after the
         last pop.  Ordered as :meth:`stream_in`."""
-        self.sync()
-        flow = self._flow
-        if flow.dst is not None and flow.dst.end is None:
-            raise FifoError(f"{self.name}: a consumer run is already attached")
-        run = self._new_run(None, sink, nwords, cycles_per_word)
-        flow.dst = run
+        flow = self._attach()
+        if flow.claimed < flow.applied:
+            raise FifoError(f"{self.name}: a consumer run with claimed pops pending")
+        run = self._new_run(False, sink, nwords, cycles_per_word)
+        flow.run = run
         self._changed(replan=False)
         return run
 
-    def _new_run(self, values, sink, total, period) -> Transfer:
+    def _attach(self) -> _Flow:
+        self.sync()
+        flow = self._flow
+        run = flow.run
+        if run is not None and run.end is None:
+            kind = "producer" if run.push else "consumer"
+            raise FifoError(f"{self.name}: a {kind} run is already attached")
+        return flow
+
+    def _new_run(self, push, sink, total, period) -> Transfer:
         if period < 1:
             raise FifoError(f"{self.name}: cycles per word must be >= 1")
         sim = self.sim
         # Keyed as a process started now: after the running entry.
         run = Transfer(
-            values, sink, total, (sim.now, sim.now, sim._seq), period,
+            push, sink, total, (sim.now, sim.now, sim._seq), period,
             sim.event(f"{self.name}.transfer"),
         )
         if not total:
-            run.end = (sim.now, sim.now)
+            run.key, run.end = None, (sim.now, sim.now)
         return run
 
     def _plan(self, run: Transfer) -> None:
         """Schedule *run*'s ``done`` once the known schedule fixes its end."""
-        if run.entry is not None:
-            return
         end = run.end
         if end is None:
             flow = self._flow
             left = run.total - run.moved
-            if run is flow.src:
-                # Without a consumer only claimed pops make room.
-                if flow.dst is None and left > flow.depth - flow.count + flow.pending_pops:
+            # Only claims on the other side move the words it waits for.
+            if run.push:
+                if left > flow.depth - flow.count + flow.applied - flow.claimed:
                     return
-                side = 1
-            else:
-                if flow.src is None and left > flow.count + flow.pending_pushes:
-                    return
-                side = 2
-            end = flow.sketch().replay(_NEVER, "end", side)
+            elif left > flow.count + flow.claimed - flow.applied:
+                return
+            self.sync()
+            end = flow.sketch().replay(_NEVER, _END)
         if end is not None:
             run.entry = self.sim.call_stamped(end[0], end[1], self._finish_run, run)
 
@@ -593,26 +554,23 @@ class WordFifo:
         flow = self._flow
         # A run whose last word has moved may already have made way for
         # the next one.
-        if flow.src is run:
-            flow.src = None
-        elif flow.dst is run:
-            flow.dst = None
+        if flow.run is run:
+            flow.run = None
         run.done.trigger(self.sim.now)
 
     def _changed(self, replan: bool) -> None:
-        """The schedule gained words or room: re-plan runs, wake watchers.
+        """The schedule gained words or room: re-plan the run, wake watchers.
 
         Claims only add steps after every known one and cannot move a
         planned end; immediate operations and purges can (*replan*).
         """
-        flow = self._flow
-        for run in (flow.src, flow.dst):
-            if run is None:
-                continue
+        run = self._flow.run
+        if run is not None:
             if replan and run.entry is not None:
                 self.sim.cancel(run.entry)
                 run.entry = None
-            self._plan(run)
+            if run.entry is None:
+                self._plan(run)
         if self._watchers:
             watchers, self._watchers = self._watchers, []
             for callback in watchers:
@@ -620,68 +578,83 @@ class WordFifo:
 
     # -- claims (the Cryptographic Unit's promised block moves) ---------------
 
-    def pop_ready(self, nwords: int = WORDS_PER_BLOCK) -> Optional[int]:
-        """Cycle by which *nwords* unclaimed words will have arrived.
-
-        The caller's cycle if they are already resident; None if the
-        known schedule never delivers them.
-        """
+    def pop_ready(self, at: Key, nwords: int = WORDS_PER_BLOCK) -> Optional[int]:
+        """First cycle from position *at* (a kernel key, which may lie
+        ahead of the kernel) on which *nwords* unclaimed words are
+        resident; None if the known schedule never delivers them."""
         flow = self._flow
-        # Without a consumer run the replayed count only grows: if it
-        # already covers the claimed pops, no catch-up is needed.
-        if flow.dst is None and flow.count - flow.pending_pops >= nwords:
-            return self.sim.now
-        self.sync()
-        short = nwords - (flow.count - flow.pending_pops)
+        # Only pushes change the unclaimed count, so the replayed state
+        # need not be current.
+        short = nwords - flow.count + flow.applied - flow.claimed
         if short <= 0:
-            return self.sim.now
-        return flow.sketch().replay(_NEVER, "pushed", flow.pushed + short)
-
-    def claim_pop(self, cycle: int, stamp: int, seq: int, nwords: int = WORDS_PER_BLOCK) -> Claim:
-        """Promise a pop of *nwords* at key ``(cycle, stamp, seq)``.
-
-        The popped words are in the claim's ``words`` once the FIFO has
-        replayed past that key (:meth:`claimed_words`).
-        """
-        flow = self._flow
-        claim = Claim(cycle, stamp, seq, -nwords, created=self.sim.position())
-        if flow.dst is None and flow.count - flow.pending_pops >= nwords:
-            # The words are resident already: read them now.
-            skip = flow.pending_pops
-            claim.words = list(islice(flow.words, skip, skip + nwords))
-        flow.claims.append(claim)
-        flow.pending_pops += nwords
-        self._changed(replan=False)
-        return claim
-
-    def claimed_words(self, claim: Claim) -> List[int]:
-        """The words a past :meth:`claim_pop` removed, oldest first."""
-        if claim.words is None:
+            return at[0]
+        run = flow.run
+        if run is not None and run.push and run.key is not None and short <= min(
+            flow.depth - flow.count, run.total - run.moved
+        ):
+            # The run pushes them in its next attempts: no room runs out.
+            ready = run.key[0] + (short - 1) * run.period
+        else:
             self.sync()
-            if claim.words is None:
-                raise FifoError(f"{self.name}: claimed pop not reached yet")
-        return claim.words
+            short = nwords - flow.count + flow.applied - flow.claimed
+            if short <= 0:
+                return at[0]
+            ready = flow.sketch().replay(_NEVER, _PUSHED, flow.pushed + short)
+            if ready is None:
+                return None
+        return ready if ready > at[0] else at[0]
 
-    def push_ready(self, nwords: int = WORDS_PER_BLOCK) -> Optional[int]:
-        """Cycle by which *nwords* of room will be free (None: never known)."""
+    def claim_pop(self, key: Key, created: Key, nwords: int = WORDS_PER_BLOCK) -> List[int]:
+        """Promise a pop of *nwords* at *key*, made at position *created*;
+        returns the words it will pop, oldest first."""
         flow = self._flow
+        run = flow.run
+        if (run is not None and not run.push and run.end is None) or flow.claimed > flow.applied:
+            raise FifoError(f"{self.name}: claimed pop on the side of a run or of claimed pushes")
+        first = flow.pushed - flow.count + flow.applied - flow.claimed - flow.base
+        words = flow.words[first : first + nwords]
+        flow.claimed -= nwords
+        flow.claims.append((key, flow.claimed, created))
+        if run is not None and run.entry is None:
+            self._plan(run)
+        if self._watchers:
+            self._changed(replan=False)
+        return words
+
+    def push_ready(self, at: Key, nwords: int = WORDS_PER_BLOCK) -> Optional[int]:
+        """First cycle from position *at* (a kernel key, which may lie
+        ahead of the kernel) on which *nwords* words of room are free;
+        None if the known schedule never frees them."""
+        flow = self._flow
+        room = self.depth_words - nwords
+        run = flow.run
         # Without a producer run the replayed count plus every claimed
         # push bounds the count from above.
-        if flow.src is None and flow.count + flow.pending_pushes <= self.depth_words - nwords:
-            return self.sim.now
+        if flow.count + flow.claimed - flow.applied <= room and (run is None or not run.push):
+            return at[0]
         self.sync()
-        if flow.count <= self.depth_words - nwords:
-            return self.sim.now
-        return flow.sketch().replay(_NEVER, "room", nwords)
+        sketch = flow.sketch()
+        sketch.replay(at)
+        if sketch.count <= room:
+            return at[0]
+        return sketch.replay(_NEVER, _ROOM, nwords)
 
-    def claim_push(self, cycle: int, stamp: int, seq: int, words: Tuple[int, ...]) -> None:
-        """Promise a push of *words* at key ``(cycle, stamp, seq)``."""
+    def claim_push(self, key: Key, created: Key, words: Tuple[int, ...]) -> None:
+        """Promise a push of *words* at *key*, made at position *created*."""
         flow = self._flow
-        flow.claims.append(
-            Claim(cycle, stamp, seq, len(words), words, created=self.sim.position())
-        )
-        flow.pending_pushes += len(words)
-        self._changed(replan=False)
+        run = flow.run
+        if (run is not None and run.push and run.end is None) or flow.claimed < flow.applied:
+            raise FifoError(f"{self.name}: claimed push on the side of a run or of claimed pops")
+        flow.words.extend(words)
+        flow.claimed += len(words)
+        flow.claims.append((key, flow.claimed, created))
+        # A consumer run's end is fixed once claims cover its words.
+        if run is not None and run.entry is None and (
+            run.total - run.moved <= flow.count + flow.claimed - flow.applied
+        ):
+            self._plan(run)
+        if self._watchers:
+            self._changed(replan=False)
 
     def when_changed(self, callback: Callable[[], None]) -> None:
         """Run *callback* once, when the schedule next gains words or room."""
@@ -698,15 +671,17 @@ class WordFifo:
         self.sync()
         flow = self._flow
         dropped = flow.count
-        flow.words.clear()
         flow.count = 0
         self.purge_count += 1
         # As the stepped producer, woken by the purge's not-full edge.
-        _restart(flow.src, self.sim.now, self.sim._seq)
+        if flow.run is not None and flow.run.push:
+            _restart(flow.run, self.sim.now, self.sim._seq)
         self._changed(replan=True)
         return dropped
 
     def snapshot(self) -> List[int]:
         """Copy of current contents, oldest first (for tests/debug)."""
         self.sync()
-        return list(self._flow.words)
+        flow = self._flow
+        first = flow.pushed - flow.count - flow.base
+        return flow.words[first : first + flow.count]

@@ -27,22 +27,26 @@ class PulseWire:
         self.sim = sim
         self.name = name
         #: The loosely timed component that pulses this wire, if any: a
-        #: wait first catches it up (``catch_up()``), :meth:`fixed_pulse`
-        #: to the waiter's cycle (``reach()``), and a waiter left pending
-        #: asks it for a real wake-up (``wake_on_completion()``).
+        #: wait first catches it up (``catch_up()``), :meth:`fixed_wake`
+        #: asks it for the wake-up (``sleep()``), and a waiter left
+        #: pending asks it for a real wake-up (``wake_on_completion()``).
         self.driver: Any = None
-        self._waiters: List[Event] = []
-        self._latched = False
+        #: Pending waits: the next pulse wakes them.
+        self.waiters: List[Event] = []
+        #: A pulse arrived with no one waiting (its value is kept).
+        self.latched = False
         self._latched_value: Any = None
+        #: Cycle of the last wake-up :meth:`fixed_wake` fixed (see there).
+        self.woke = -1
 
     def pulse(self, value: Any = None) -> None:
         """Fire the strobe."""
-        if self._waiters:
-            waiters, self._waiters = self._waiters, []
+        if self.waiters:
+            waiters, self.waiters = self.waiters, []
             for ev in waiters:
                 ev.trigger(value)
         else:
-            self._latched = True
+            self.latched = True
             self._latched_value = value
 
     def wait(self) -> Event:
@@ -51,48 +55,37 @@ class PulseWire:
         if driver is not None:
             driver.catch_up()
         ev = self.sim.event(f"{self.name}.pulse")
-        if self._latched:
-            self._latched = False
+        if self.latched:
+            self.latched = False
             value, self._latched_value = self._latched_value, None
             ev.trigger(value)
         else:
-            self._waiters.append(ev)
+            self.waiters.append(ev)
             if driver is not None:
                 driver.wake_on_completion()
         return ev
 
-    def fixed_pulse(self, cycle: int, ahead: int) -> Optional[int]:
-        """When a wait started at *cycle* would be woken, if that is fixed.
+    def fixed_wake(self, earliest: int, ahead: int) -> Optional[int]:
+        """Where a wait that cannot end before *earliest* wakes, if that
+        is already fixed, ahead of the kernel's clock by *ahead* cycles.
 
-        The caller waits from *cycle*, *ahead* cycles past the kernel's
-        clock; the driver is first caught up to it
-        (``driver.reach(cycle, ahead)``).  Returns ``-1`` if a pulse is
-        latched (the wait returns at once), the cycle of the driver's
-        next pulse if it already knows it (``driver.idle_cycle()``), and
-        None otherwise, or if the driver's state at *cycle* is not known
-        yet.  A caller that sleeps to that cycle instead of waiting
-        calls :meth:`consume` when it wakes.
+        A latched pulse ends it at *earliest*.  A driver answers for
+        itself (``driver.sleep(earliest, ahead)``): it knows its next
+        pulse, or not yet.  A caller that gets a cycle sleeps to it
+        instead of waiting: the driver has been caught up to it and the
+        pulse absorbed, and the cycle is kept in :attr:`woke`, so that
+        an access the sleeper makes on it is ordered as its wake-up.
         """
         driver = self.driver
-        if driver is not None and not driver.reach(cycle, ahead):
+        if driver is not None:
+            return driver.sleep(earliest, ahead)
+        if not self.latched:
             return None
-        if self._latched:
-            return -1
-        return driver.idle_cycle() if driver is not None else None
-
-    def consume(self) -> None:
-        """Absorb the pulse a :meth:`fixed_pulse` sleeper woke for."""
-        if self.driver is not None:
-            self.driver.catch_up()
-        self._latched = False
-        self._latched_value = None
-
-    @property
-    def waiting(self) -> bool:
-        """Whether a wait is pending (the next pulse wakes someone)."""
-        return bool(self._waiters)
+        self.clear_latch()
+        self.woke = earliest
+        return earliest
 
     def clear_latch(self) -> None:
         """Explicitly drop a pending latched pulse."""
-        self._latched = False
+        self.latched = False
         self._latched_value = None

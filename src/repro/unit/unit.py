@@ -43,7 +43,8 @@ CU would have scheduled.  Every access — :meth:`start`,
 already past (:meth:`catch_up`).  The mask writes need not: the mask is
 read only when an XOR or EQU issues.  A LOAD's pop and a STORE's push
 are handed to the FIFO as claims for the same key, so the FIFO replays
-them in order without asking the CU.
+them in order without asking the CU; a LOAD's words are known once it
+is claimed.
 
 A completion becomes a real kernel event, with the stepped key, only
 where a wake-up must happen at its cycle:
@@ -59,19 +60,28 @@ Issue ahead of the kernel
 -------------------------
 The controller issues at its own cycle, which may lie ahead of the
 kernel's clock (:mod:`repro.isa.controller`), so :meth:`start` takes
-that cycle and how far ahead it lies, and reads nothing of the kernel.
-Ahead of the kernel it issues only an instruction that touches nothing
-outside the core — the FIXED and ENGINE classes (:data:`PRIVATE
-<LooselyTimedUnit.PRIVATE>` bytes): the bank, the AES, GHASH, INC and
-XOR cores, the mask and the equality flag — and only onto a state
-that no kernel event can still change: the unit idle, or its
-in-flight completion virtual, due by the issue's cycle and, for a
-LOAD, with its words already known.  Anything else (a LOAD, STORE,
-ICSEND or ICRECV; a unit busy past that cycle, waiting on its FIFO or
-mailbox, or with a completion that is a kernel event) is declined, and
-the controller issues it at the kernel.  :meth:`reach` does the same
-for a ``HALT`` ahead of the kernel, and the mask writes decline only
-while an instruction is queued.
+that cycle and how far ahead it lies.  Ahead of the kernel it issues
+an instruction only onto a state that no kernel event can still
+change: the unit idle, or its in-flight completion virtual and due by
+the issue's cycle.  A FIXED or ENGINE instruction touches nothing
+outside the core (the bank, the AES, GHASH, INC and XOR cores, the
+mask and the equality flag).  A LOAD or STORE claims a FIFO block
+whose cycle the FIFO's known schedule already fixes
+(:meth:`~repro.sim.fifo.WordFifo.pop_ready` and ``push_ready`` return a
+cycle): the FIFO's one crossbar run is on the other side of the
+unit's claims and cannot be replaced before it ends, so nothing the
+kernel has still to run moves that cycle.  The claim is keyed as the
+controller's access would be at the kernel: stamped two cycles before
+it by the instruction before it, or on the cycle of a ``HALT``'s
+wake-up if it is the first access after one (``done.woke``).
+Anything else (an ICSEND or ICRECV; a LOAD whose words are in no known
+schedule, a STORE the known schedule never makes room for; a unit busy
+past that cycle, waiting on its FIFO or mailbox, or with a completion
+that is a kernel event) is declined, and the controller issues it at
+the kernel.  :meth:`sleep` does the same for a ``HALT``: it catches
+the unit up to a wake-up it already knows, which the controller then
+sleeps to inside its lead, or sends the ``HALT`` to wait at the
+kernel.  The mask writes decline only while an instruction is queued.
 
 Against a controller access, completions order by cycle alone: a
 completion lands more than one controller instruction after its issue
@@ -86,14 +96,15 @@ kernel counter is read: it orders before any kernel entry of its cycle
 and stamp.  Only an access on that very key could tell, and the
 unit's accesses come from its controller, whose positions have the
 higher stamps above; a completion made a kernel event takes the
-kernel's next number.
+kernel's next number.  A claim made ahead takes the kernel's next
+number, as if the controller had yielded at the access.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import partial
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.key_cache import RoundKeys
 from repro.errors import UnitError
@@ -180,7 +191,9 @@ class Timing(enum.Enum):
 
 # An enum member lookup (``Timing.FIXED``) costs ~0.1 us on CPython 3.11;
 # the issue path compares against module-level aliases instead.
-_FIXED, _ENGINE, _INPUT, _OUTPUT = Timing.FIXED, Timing.ENGINE, Timing.INPUT, Timing.OUTPUT
+_FIXED, _ENGINE, _INPUT, _OUTPUT, _MAILBOX = (
+    Timing.FIXED, Timing.ENGINE, Timing.INPUT, Timing.OUTPUT, Timing.MAILBOX
+)
 
 #: A row of an op table: the timing class and the issue handler
 #: ``handler(unit, a, b, now)``.  It applies the issue-time effects and
@@ -193,24 +206,15 @@ OpRow = Tuple[Timing, Callable]
 IssueRow = Tuple[enum.IntEnum, int, int, Timing, Callable]
 
 
-def private_bytes(issue: Dict[int, IssueRow]) -> FrozenSet[int]:
-    """The instruction bytes of an issue table whose timing is FIXED or
-    ENGINE: they touch nothing outside the core, so they may issue ahead
-    of the kernel (see :meth:`LooselyTimedUnit.start`)."""
-    return frozenset(byte for byte, row in issue.items() if row[3] in (Timing.FIXED, Timing.ENGINE))
-
-
 class LooselyTimedUnit:
     """Issue queue and catch-up-on-access timing of a CU personality.
 
     A subclass supplies ``ISSUE`` (instruction byte -> :data:`IssueRow`,
-    built once at import) and its ``PRIVATE`` bytes, ``decode`` (which
-    raises on a byte missing from ``ISSUE``) and its functional state
-    beyond the bank register.
+    built once at import), ``decode`` (which raises on a byte missing
+    from ``ISSUE``) and its functional state beyond the bank register.
     """
 
     ISSUE: Dict[int, IssueRow] = {}
-    PRIVATE: FrozenSet[int] = frozenset()
 
     def __init__(
         self,
@@ -223,6 +227,8 @@ class LooselyTimedUnit:
         self.sim = sim
         self.io = io
         self.timing = timing
+        self._chain_cycles = timing.cu_chain_cycles
+        self._issue = self.ISSUE
         # An empty TraceRecorder is falsy (it has __len__), so compare to None.
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.name = name
@@ -236,8 +242,6 @@ class LooselyTimedUnit:
         #: Key ``(cycle, stamp, seq)`` of the in-flight completion once known.
         self._due: Optional[Tuple[int, int, int]] = None
         self._effect: Optional[Callable[[], None]] = None
-        #: The in-flight LOAD's claim while its words are still to arrive.
-        self._claim = None
         #: The kernel entry when that completion is a real event.
         self._entry = None
         sim.add_timeline(self)
@@ -256,34 +260,48 @@ class LooselyTimedUnit:
             if due[0] < now or (due[0] == now and due < self.sim.position()):
                 self._complete()
 
-    def reach(self, cycle: int, ahead: int) -> bool:
-        """Catch up to *cycle*, a controller access *ahead* cycles past
-        the kernel: False, changing nothing, if the unit's state there
-        depends on the kernel (see :meth:`start`)."""
+    def sleep(self, earliest: int, ahead: int) -> Optional[int]:
+        """Where a ``HALT`` waiting on ``done`` wakes, if already fixed.
+
+        The wait could end no earlier than *earliest*, which lies ahead
+        of the kernel's clock (by *ahead* cycles and the ``HALT``'s own).
+        If a pulse by then, or the unit's next one, is already known —
+        latched, or a virtual completion with nothing queued behind it —
+        the unit is caught up to that cycle, its pulse absorbed, and the
+        cycle returned.  None, changing nothing, if the unit's state
+        there depends on the kernel (see :meth:`start`: a completion that
+        is a kernel event, or a wait on the FIFO or mailbox), or if the
+        pulse is not known yet.
+        """
         due = self._due
-        if ahead:
-            if self._entry is not None:
-                return False
-            if due is None:
-                return not self._busy
-            if due[0] <= cycle and self._claim is not None:
-                return False
-        if due is not None and due[0] <= cycle:
+        if self._entry is not None or (due is None and self._busy):
+            return None
+        done = self.done
+        if due is not None and due[0] <= earliest:
             self._complete()
-        return True
+            due = self._due
+        if done.latched:
+            done.clear_latch()
+        elif due is None or self._entry is not None or self._queue:
+            return None
+        else:
+            # The completion's pulse is the one the wait wakes on, and
+            # it absorbs it: apply the rest in line.
+            earliest = due[0]
+            effect = self._effect
+            self._due = self._effect = None
+            if effect is not None:
+                effect()
+            self._busy = False
+            if self.trace.enabled:
+                self.trace.record(earliest, self.name, "complete")
+        done.woke = earliest
+        return earliest
 
     def horizon(self) -> int:
         """Cycle of a pending virtual completion (see ``Simulator.add_timeline``)."""
         due = self._due
         return due[0] if due is not None and self._entry is None else 0
-
-    def idle_cycle(self) -> Optional[int]:
-        """Cycle the unit next goes idle (pulsing ``done``), if already
-        fixed: a virtual completion with nothing queued behind it."""
-        due = self._due
-        if due is None or self._entry is not None or self._queue:
-            return None
-        return due[0]
 
     def wake_on_completion(self) -> None:
         """Make the in-flight completion a real event (someone waits on it)."""
@@ -340,31 +358,76 @@ class LooselyTimedUnit:
 
         The controller passes *cycle* and *ahead*, the cycles *cycle*
         lies past the kernel's clock (see "Issue ahead of the kernel" in
-        the module docstring).  Ahead of it the unit takes only a
-        private instruction onto a state it already knows; otherwise it
-        issues nothing and returns False, and the controller catches the
-        kernel up and calls again with *ahead* 0, which always issues.
-        Without *cycle* the issue lands at the kernel's position.
+        the module docstring).  Ahead of it the unit takes only an
+        instruction whose issue and completion it already knows;
+        otherwise it issues nothing and returns False, and the
+        controller catches the kernel up and calls again with *ahead*
+        0, which always issues.  Without *cycle* the issue lands at the
+        kernel's position.
         """
+        if ahead:
+            due = self._due
+            if self._entry is not None or (self._busy if due is None else due[0] > cycle):
+                return False
+            row = self._issue.get(instr_byte)
+            if row is None:
+                return False  # the issue at the kernel raises
+            op, a, b, timing, handler = row
+            if timing is not _FIXED and timing is not _ENGINE:
+                if timing is _MAILBOX:
+                    return False
+                # Keyed as the controller's access at *cycle* would be:
+                # scheduled by the instruction before it, or by a HALT's
+                # wake-up on that cycle.
+                at = (cycle, cycle if cycle == self.done.woke else cycle - 2, self.sim._seq)
+                io = self.io
+                ready = io.in_fifo.pop_ready(at) if timing is _INPUT else io.out_fifo.push_ready(at)
+                if ready is None:
+                    return False
+            if due is not None:
+                # Completed by *cycle*, with nothing waiting on it (a
+                # wait would have made it a kernel event): apply it.  Its
+                # done pulse would latch and this issue clear it at once,
+                # so the wire is left alone.
+                effect = self._effect
+                if effect is not None:
+                    effect()
+                if self.trace.enabled:
+                    self.trace.record(due[0], self.name, "complete")
+            self._busy = True
+            done = self.done
+            done.latched = False
+            if self.trace.enabled:
+                self._record_issue(cycle, op, a, b)
+            result = handler(self, a, b, cycle)
+            if timing is _FIXED:
+                self._effect = result
+                self._due = (cycle + self._chain_cycles, cycle, 0)
+            elif timing is _ENGINE:
+                self._effect, due_cycle = result
+                self._due = (due_cycle, cycle, 0)
+            else:
+                # A block move the FIFO's schedule has fixed.
+                self._due = key = (ready + self._chain_cycles, ready, at[2])
+                if timing is _INPUT:
+                    self._effect = partial(self._regs.__setitem__, result, io.claim_load(key, at))
+                else:
+                    io.claim_store(key, at, result)
+                    self._effect = None
+            # Idle before the issue, so nothing is queued and no idle
+            # callback pends; a wait on ``done`` makes it a kernel event.
+            if done.waiters:
+                self.wake_on_completion()
+            return True
         if cycle is None:
             self.catch_up()
             cycle = self.sim.now
         else:
             due = self._due
-            if ahead and (
-                instr_byte not in self.PRIVATE
-                or self._entry is not None
-                or (self._busy if due is None else due[0] > cycle or self._claim is not None)
-            ):
-                return False
             if due is not None and due[0] <= cycle:
-                # The in-flight instruction completed by *cycle*, and
-                # nothing waits on it (a wait would have made it a
-                # kernel event, already fired): apply it.  Its done
-                # pulse would latch and this issue clear it at once, so
-                # the wire is left alone.
+                # As above; at the kernel, any wait has woken already.
                 effect = self._effect
-                self._due = self._effect = self._claim = None
+                self._due = self._effect = None
                 if effect is not None:
                     effect()
                 self._busy = False
@@ -375,18 +438,18 @@ class LooselyTimedUnit:
             self._queue.append(instr_byte)
             self.wake_on_completion()
             return True
-        row = self.ISSUE.get(instr_byte)
+        row = self._issue.get(instr_byte)
         if row is None:
             self.decode(instr_byte)  # raises DecodeError for this byte
         op, a, b, timing, handler = row
         self._busy = True
-        self.done.clear_latch()
+        self.done.latched = False
         if self.trace.enabled:
             self._record_issue(cycle, op, a, b)
         result = handler(self, a, b, cycle)
         if timing is _FIXED:
             self._effect = result
-            self._due = (cycle + self.timing.cu_chain_cycles, cycle, 0)
+            self._due = (cycle + self._chain_cycles, cycle, 0)
         elif timing is _ENGINE:
             self._effect, due_cycle = result
             self._due = (due_cycle, cycle, 0)
@@ -397,7 +460,7 @@ class LooselyTimedUnit:
                 self._await_output(result)
             return True
         # Only a wait on it makes the completion a kernel event.
-        if self._queue or self._idle_callbacks or self.done.waiting:
+        if self._queue or self._idle_callbacks or self.done.waiters:
             self.wake_on_completion()
         return True
 
@@ -412,52 +475,33 @@ class LooselyTimedUnit:
     def _record_issue(self, now: int, op, a: int, b: int) -> None:
         self.trace.record(now, self.name, "issue", op=op.name, a=a, b=b)
 
-    def _finish(
-        self,
-        cycle: int,
-        stamp: int,
-        effect: Optional[Callable[[], None]],
-        real: bool = False,
-        seq: Optional[int] = None,
-    ) -> None:
-        """The in-flight instruction completes at *cycle*, keyed as if
-        scheduled at cycle *stamp* now (or with the given *seq*)."""
+    def _finish(self, key: Tuple[int, int, int], effect, real: bool = False) -> None:
+        """The in-flight instruction completes at kernel key *key*."""
         self._effect = effect
-        self._due = (cycle, stamp, self.sim._seq if seq is None else seq)
-        if real or self._queue or self._idle_callbacks or self.done.waiting:
+        self._due = key
+        if real or self._queue or self._idle_callbacks or self.done.waiters:
             self.wake_on_completion()
 
     def _await_input(self, a: int) -> None:
-        io = self.io
-        fifo = io.in_fifo
-        ready = fifo.pop_ready()
+        fifo = self.io.in_fifo
+        at = self.sim.position()
+        ready = fifo.pop_ready(at)
         if ready is None:
             fifo.when_changed(lambda: self._await_input(a))
             return
-        ready = max(ready, self.sim.now)
-        cycle, seq = ready + self.timing.cu_chain_cycles, self.sim._seq
-        claim = io.claim_load(cycle, ready, seq)
-        regs = self._regs
-        if claim.words is None:
-            # The words arrive later: only the FIFO, caught up to the
-            # claim, can tell them (see start()).
-            self._claim = claim
-
-        def load() -> None:
-            regs[a] = io.loaded(claim)
-
-        self._finish(cycle, ready, load, seq=seq)
+        key = (ready + self._chain_cycles, ready, self.sim._seq)
+        self._finish(key, partial(self._regs.__setitem__, a, self.io.claim_load(key, at)))
 
     def _await_output(self, value: int) -> None:
         fifo = self.io.out_fifo
-        ready = fifo.push_ready()
+        at = self.sim.position()
+        ready = fifo.push_ready(at)
         if ready is None:
             fifo.when_changed(lambda: self._await_output(value))
             return
-        ready = max(ready, self.sim.now)
-        cycle, seq = ready + self.timing.cu_chain_cycles, self.sim._seq
-        self.io.claim_store(cycle, ready, seq, value)
-        self._finish(cycle, ready, None, seq=seq)
+        key = (ready + self._chain_cycles, ready, self.sim._seq)
+        self.io.claim_store(key, at, value)
+        self._finish(key, None)
 
     def _fire(self, _arg) -> None:
         self._entry = None
@@ -466,7 +510,7 @@ class LooselyTimedUnit:
     def _complete(self) -> None:
         cycle = self._due[0]
         effect = self._effect
-        self._due = self._effect = self._claim = None
+        self._due = self._effect = None
         if self._entry is not None:  # pragma: no cover - caught up before firing
             self.sim.cancel(self._entry)
             self._entry = None
@@ -541,27 +585,23 @@ def _equ(cu, a, b, now):
     cu.equ_flag = masked_equal(regs[a], regs[b], cu.mask)
 
 
+def _mailbox_finish(cu, effect) -> None:
+    sim = cu.sim
+    cu._finish((sim.now + cu._chain_cycles, sim.now, sim._seq), effect, real=True)
+
+
 def _icsend(cu, a, b, now):
     if cu.ic_out is None:
         raise UnitError(f"{cu.name}: ICSEND with no neighbour wired")
     block = cu._regs[a]
-    chain = cu.timing.cu_chain_cycles
-    cu.ic_out.when_space(
-        lambda: cu._finish(
-            cu.sim.now + chain, cu.sim.now, lambda: cu.ic_out.put(block), real=True
-        )
-    )
+    cu.ic_out.when_space(lambda: _mailbox_finish(cu, lambda: cu.ic_out.put(block)))
 
 
 def _icrecv(cu, a, b, now):
-    chain = cu.timing.cu_chain_cycles
-
     def receive() -> None:
         cu._regs[a] = cu.ic_in.take()
 
-    cu.ic_in.when_data(
-        lambda: cu._finish(cu.sim.now + chain, cu.sim.now, receive, real=True)
-    )
+    cu.ic_in.when_data(lambda: _mailbox_finish(cu, receive))
 
 
 #: Opcode -> (timing class, issue handler); see :data:`OpRow`.
@@ -591,7 +631,6 @@ class CryptoUnit(LooselyTimedUnit):
     """The AES-personality Cryptographic Unit."""
 
     ISSUE = CU_ISSUE
-    PRIVATE = private_bytes(CU_ISSUE)
     decode = staticmethod(cu_decode)
 
     def __init__(

@@ -31,7 +31,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.tracing import TraceRecorder
 from repro.unit.cores.io_core import IoCore
 from repro.unit.timing import TimingModel
-from repro.unit.unit import LooselyTimedUnit, Timing, private_bytes
+from repro.unit.unit import LooselyTimedUnit, Timing
 
 
 class WpOp(enum.IntEnum):
@@ -130,7 +130,6 @@ class WhirlpoolUnit(LooselyTimedUnit):
     """Drop-in CU replacement after Whirlpool reconfiguration."""
 
     ISSUE = WP_ISSUE
-    PRIVATE = private_bytes(WP_ISSUE)
     decode = staticmethod(wp_decode)
 
     def __init__(

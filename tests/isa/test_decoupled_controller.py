@@ -13,6 +13,8 @@ two cores' rows on one cycle may interleave differently.
 from __future__ import annotations
 
 import random
+from contextlib import ExitStack
+from unittest import mock
 
 import pytest
 
@@ -43,7 +45,10 @@ from repro.radio import (
     format_gcm,
     format_whirlpool,
 )
+from repro.sim import fifo
+from repro.sim.fifo import WordFifo
 from repro.sim.kernel import Delay, Simulator
+from repro.sim.signals import PulseWire
 from repro.sim.tracing import TraceRecorder
 from repro.unit.isa import CuOp, cu_encode
 from repro.unit.timing import DEFAULT_TIMING
@@ -733,7 +738,11 @@ class _CuProgram:
     It keeps the unit's rules: one SAES before each FAES, LOADH only
     first, a HALT only right after an issue (whose done pulse it waits
     for); the harness uploads a block per LOAD and drains a block per
-    STORE.
+    STORE.  Some feeders or drainers move a word every 2 or 6 cycles,
+    the period of the controller's steps and of a CU instruction, so
+    that claims tie with their attempts; some feeds and drains start
+    late, so that LOADs find no words in any schedule and STOREs a full
+    FIFO with no drain yet.
     """
 
     FIXED = [CuOp.NOP, CuOp.INC, CuOp.XOR, CuOp.EQU, CuOp.SGFM]
@@ -768,6 +777,13 @@ class _CuProgram:
         self.lines += [f"LOAD s3, {RESULT_OK}", f"OUTPUT s3, {P_RESULT}", "RETURN"]
         self.lines += ["isr:", "ADD sA, 1", f"OUTPUT sA, {P_DEBUG}"]
         self.lines += [f"RETURNI {rng.choice(['ENABLE', 'DISABLE'])}"]
+        # Drawn last, so that the programs above stay as they were.
+        if rng.random() < 0.3:
+            self.in_cycles = rng.choice([2, 6])
+        if rng.random() < 0.3:
+            self.out_cycles = rng.choice([2, 6])
+        self.feed_at = rng.choice([0, 0, 0, 300, 900])
+        self.drain_at = rng.choice([0, 0, 0, 300, 900])
 
     def issue(self, op, a=None, b=None, halt=None):
         rng = self.rng
@@ -785,7 +801,9 @@ class _CuProgram:
 
     def item(self):
         rng = self.rng
-        kind = rng.choice(["fixed"] * 4 + ["aes", "fgfm", "load", "store", "mask", "status", "poll", "debug"])
+        kind = rng.choice(
+            ["fixed"] * 4 + ["aes", "fgfm", "load", "store", "mask", "status", "poll", "debug", "prefetch"]
+        )
         if kind == "aes":
             op, self.aes_open = (CuOp.FAES, False) if self.aes_open else (CuOp.SAES, True)
             return self.issue(op)
@@ -806,6 +824,17 @@ class _CuProgram:
             return self.poll()
         if kind == "debug":
             return [f"OUTPUT s{rng.choice([5, 8, 9, 10]):X}, {P_DEBUG}"]
+        if kind == "prefetch":
+            # The builder's fin_pre idiom: the next issue, a FIFO block
+            # move here, is written on the done edge the HALT wakes on.
+            if self.loads < len(self.blocks) and rng.random() < 0.5:
+                self.loads += 1
+                nxt = CuOp.LOAD
+            else:
+                self.stores += 1
+                nxt = CuOp.STORE
+            lines = self.issue(rng.choice(self.FIXED), halt=False)
+            return lines + [f"LOAD s2, {cu_encode(nxt, rng.randint(0, 3))}", "HALT", f"OUTPUT s2, {P_CU}"]
         return self.issue(rng.choice(self.FIXED))
 
     def source(self) -> str:
@@ -818,9 +847,17 @@ def _run_cu_program(seed: int, stepped) -> dict:
     sim, trace = Simulator(), TraceRecorder()
     upload, download, _run = _harness(stepped)
     core = _core(sim, trace, stepped, key=_rb(seed, 16), fifo_depth_words=generated.depth)
-    runs = [upload(core, generated.blocks[: generated.loads], generated.in_cycles)]
     sink = []
-    runs.append(download(core, sink, 4 * generated.stores, generated.out_cycles))
+
+    def feed():
+        yield Delay(generated.feed_at)
+        return (yield upload(core, generated.blocks[: generated.loads], generated.in_cycles).done)
+
+    def drain():
+        yield Delay(generated.drain_at)
+        return (yield download(core, sink, 4 * generated.stores, generated.out_cycles).done)
+
+    runs = [sim.add_process(feed()), sim.add_process(drain())]
     done = core.assign_task(TaskParams(Algorithm.CTR, data_blocks=1), program)
     core.controller.irq_vector = program.label("isr")
 
@@ -853,19 +890,74 @@ def test_generated_cu_program_matches_stepped(seed):
 def test_generated_cu_programs_cover_the_issue_paths():
     """The set issues every fixed and engine op, LOADs and STOREs that
     stall, writes both masks, polls status and HALTs, with interrupts
-    taken while enabled."""
+    taken while enabled.  Ahead of the kernel it reaches every path that
+    declines: a LOAD whose words are in no known schedule, a STORE on a
+    full FIFO with no drain, a HALT that must still yield; and the ones
+    that take it: a HALT sleeping inside the quantum, a claim keyed on
+    a HALT's wake-up, a claim tied on cycle and stamp with an attempt of
+    a 2- or 6-cycle feeder or drainer."""
+    seen = set()
+
+    def halt(method):
+        def wrapper(self, *args):
+            wake = method(self, *args)
+            if wake is None:
+                seen.add("halt yields")
+            elif wake - self.sim.now < SYNC_QUANTUM:
+                seen.add("halt in quantum")
+            return wake
+
+        return wrapper
+
+    def claim(kind, method):
+        def wrapper(self, at, *args):
+            ready = method(self, at, *args)
+            if at[0] > self.sim.now:  # ahead of the kernel
+                if at[1] == at[0]:
+                    seen.add("claim on a wake-up")
+                run = self._flow.run
+                if ready is None and kind == "load":
+                    seen.add("load declined")
+                elif ready is None and (run is None or run.end is not None):
+                    seen.add("store declined, no drain")
+            return ready
+
+        return wrapper
+
+    def tie(function):
+        def wrapper(run, *args):
+            if args[-1] is not None:  # ordered against a claim, not a reader
+                seen.add(f"tie with a {run.period}-cycle run")
+            return function(run, *args)
+
+        return wrapper
+
+    def claim_tie(claim, run):
+        seen.add(f"tie with a {run.period}-cycle run")
+        return claim_first(claim, run)
+
+    claim_first = fifo._claim_first
     ops, kinds, irqs = set(), set(), 0
-    for seed in CU_PROGRAM_SEEDS:
-        generated = _CuProgram(seed)
-        text = generated.source()
-        irqs += "EINT" in text and bool(generated.irq_cycles)
-        kinds.update(k for k in ("HALT", "poll", f"s4, {P_MASK_LO}", f"s4, {P_MASK_HI}") if k in text)
-        observed = _run_cu_program(seed, False)
-        ops.update(row[3]["op"] for row in observed["trace"] if row[2] == "issue")
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(WordFifo, "pop_ready", claim("load", WordFifo.pop_ready)))
+        stack.enter_context(mock.patch.object(WordFifo, "push_ready", claim("store", WordFifo.push_ready)))
+        stack.enter_context(mock.patch.object(PulseWire, "fixed_wake", halt(PulseWire.fixed_wake)))
+        stack.enter_context(mock.patch.object(fifo, "_claim_first", claim_tie))
+        stack.enter_context(mock.patch.object(fifo, "_attempt_first", tie(fifo._attempt_first)))
+        for seed in CU_PROGRAM_SEEDS:
+            generated = _CuProgram(seed)
+            text = generated.source()
+            irqs += "EINT" in text and bool(generated.irq_cycles)
+            kinds.update(k for k in ("HALT", "poll", f"s4, {P_MASK_LO}", f"s4, {P_MASK_HI}") if k in text)
+            observed = _run_cu_program(seed, False)
+            ops.update(row[3]["op"] for row in observed["trace"] if row[2] == "issue")
     fixed_and_engine = {op.name for op in _CuProgram.FIXED} | {"LOADH", "SAES", "FAES", "FGFM"}
     assert fixed_and_engine | {"LOAD", "STORE"} <= ops
     assert {"HALT", "poll", f"s4, {P_MASK_LO}", f"s4, {P_MASK_HI}"} <= kinds
     assert irqs >= 10
+    assert {"load declined", "store declined, no drain", "halt yields", "halt in quantum"} <= seen
+    assert "claim on a wake-up" in seen
+    assert seen & {"tie with a 2-cycle run", "tie with a 6-cycle run"}
 
 
 # -- the runaway guard: without the sync quantum a loop with no I/O never

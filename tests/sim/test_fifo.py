@@ -1,6 +1,7 @@
 """FIFO: capacity, ordering, purge (hypothesis), and the arrival
-schedule's bounded runs against the word-stepped FIFO and transfer
-processes of ``tests/stepped_models.py``."""
+schedule's bounded runs, against immediate operations and against
+claimed block moves on the run's other side, compared to the
+word-stepped FIFO and transfer processes of ``tests/stepped_models.py``."""
 
 from types import SimpleNamespace
 
@@ -121,25 +122,66 @@ def _probe(sim, fifo, rows, cycles, offset):
         yield Delay(2)
 
 
+def _claim_blocks(sim, fifo, stepped, period, blocks, pop):
+    """A process that moves one block every *period* cycles while the
+    FIFO can take the move: a pop (*pop*) or a push of the next block.
+
+    On the stepped FIFO the words move at once; on the FIFO with an
+    arrival schedule the move is a claim keyed like the process's own
+    kernel entry and made where that entry was scheduled (as a ``LOAD``
+    or ``STORE`` claims its completion's move at its issue).
+    """
+    moved = []
+    for block in blocks:
+        while True:
+            scheduled = sim.position()
+            yield Delay(period)
+            if fifo.can_pop(4) if pop else fifo.can_push(4):
+                break
+        if stepped:
+            if pop:
+                moved.extend(fifo.pop_word() for _ in range(4))
+            else:
+                for word in block:
+                    fifo.push_word(word)
+        else:
+            now, stamp, seq = sim.position()
+            key = (now, stamp, seq - 1)  # the running entry's own key
+            if pop:
+                moved.extend(fifo.claim_pop(key, scheduled))
+            else:
+                fifo.claim_push(key, scheduled, tuple(block))
+    return moved
+
+
 def _scenario(stepped, depth, producer_wc, nwords, consumer=None, consumer_wc=1,
               pops_at=(), purge_at=(), cycles=400):
-    """Run one FIFO with a producer and a consumer (a drain of every
-    word, or block pops and purges by a process), probing it every
-    cycle.  The producer and the drain are bounded runs, or on the
-    stepped FIFO the stepped transfer processes."""
+    """Run one FIFO with a run and what it meets, probing it every cycle:
+    a producer run with block pops and purges at given cycles by a
+    process, or with claimed block pops every *consumer_wc* cycles
+    (*consumer* ``"claims"``); or (*consumer* ``"drain"``) a consumer
+    run of every word, one per *consumer_wc* cycles, with claimed block
+    pushes every *producer_wc* cycles.  The runs are bounded runs, or on
+    the stepped FIFO the stepped transfer processes."""
     sim = Simulator()
     fifo = (SteppedWordFifo if stepped else WordFifo)(sim, depth, "f")
     blocks, words = _blocks(nwords)
     port = SimpleNamespace(in_fifo=fifo, out_fifo=fifo, sim=sim)
     sink = []
-    if stepped:
-        producer = sim.add_process(stepped_feeder(port, blocks, producer_wc))
-        if consumer == "drain":
-            sim.add_process(stepped_drainer(port, sink, nwords, consumer_wc))
+    split = [words[i : i + 4] for i in range(0, nwords, 4)]
+    if consumer == "drain":
+        if stepped:
+            run = sim.add_process(stepped_drainer(port, sink, nwords, consumer_wc))
+        else:
+            run = fifo.drain_out(sink, nwords, consumer_wc)
+        claims = sim.add_process(_claim_blocks(sim, fifo, stepped, producer_wc, split, False))
     else:
-        producer = fifo.stream_in(words, producer_wc)
-        if consumer == "drain":
-            fifo.drain_out(sink, nwords, consumer_wc)
+        if stepped:
+            run = sim.add_process(stepped_feeder(port, blocks, producer_wc))
+        else:
+            run = fifo.stream_in(words, producer_wc)
+        if consumer == "claims":
+            claims = sim.add_process(_claim_blocks(sim, fifo, stepped, consumer_wc, split, True))
     purged = []
 
     def poke():
@@ -156,7 +198,9 @@ def _scenario(stepped, depth, producer_wc, nwords, consumer=None, consumer_wc=1,
     sim.add_process(_probe(sim, fifo, rows, cycles, 0))
     sim.add_process(_probe(sim, fifo, rows, cycles, 1))
     sim.run()
-    return {"rows": sorted(rows), "residue": len(fifo), "ends": [producer.done.value],
+    if consumer == "claims":
+        sink.extend(claims.done.value)
+    return {"rows": sorted(rows), "residue": len(fifo), "ends": [run.done.value],
             "sink": list(sink), "purged": purged, "purges": fifo.purge_count, "now": sim.now}
 
 
@@ -187,11 +231,27 @@ def test_purge_with_a_stream_pending_restarts_it():
     "producer_wc,consumer_wc,depth", [(1, 1, 8), (3, 5, 6), (4, 4, 4), (5, 3, 12), (1, 37, 5)]
 )
 def test_statistics_at_every_cycle_match_the_stepped_fifo(producer_wc, consumer_wc, depth):
-    _assert_matches_stepped(depth=depth, producer_wc=producer_wc, nwords=40,
-                            consumer="drain", consumer_wc=consumer_wc)
+    """A producer run against claimed block pops (an input FIFO)."""
+    out = _assert_matches_stepped(depth=depth, producer_wc=producer_wc, nwords=40,
+                                  consumer="claims", consumer_wc=consumer_wc)
+    assert out["sink"] == _blocks(40)[1]
+
+
+@pytest.mark.parametrize(
+    "producer_wc,consumer_wc,depth", [(2, 1, 8), (3, 5, 6), (4, 7, 4), (5, 3, 12), (1, 37, 5)]
+)
+def test_drain_statistics_at_every_cycle_match_the_stepped_fifo(producer_wc, consumer_wc, depth):
+    """A consumer run against claimed block pushes (an output FIFO).
+    The pushing process steps with another period than the run: a
+    reader keyed like a run's attempt sees the attempt first (module
+    docs)."""
+    out = _assert_matches_stepped(depth=depth, producer_wc=producer_wc, nwords=40,
+                                  consumer="drain", consumer_wc=consumer_wc)
+    assert out["sink"] == _blocks(40)[1]
 
 
 def test_sixteen_word_fifo_with_a_slow_drainer():
+    """STOREs every cycle they fit against a drain of 37 cycles a word."""
     out = _assert_matches_stepped(depth=16, producer_wc=1, nwords=64, consumer="drain",
                                   consumer_wc=37, cycles=2500)
     assert out["sink"] == _blocks(64)[1]
@@ -204,22 +264,47 @@ def test_a_finished_run_makes_way_before_its_done_fires():
     that event has run, and the first ``done`` still fires."""
     sim = Simulator()
     fifo = WordFifo(sim, 8, "f")
-    first, second, log = [], [], []
+    sink, log = [], []
     producer = fifo.stream_in([1, 2])  # pushes at 0 and 1, ends at 2
-    consumer = fifo.drain_out(first, 2)  # pops at 0 and 1, ends at 2
 
     def next_runs():
-        yield Delay(2)  # keyed before both ends on cycle 2
-        log.append((producer.done.triggered, consumer.done.triggered))
+        yield Delay(2)  # keyed before the end on cycle 2
+        log.append(producer.done.triggered)
         log.append(fifo.stream_in([3, 4]))
-        log.append(fifo.drain_out(second, 2))
+        yield log[-1].done
+        log.append(fifo.drain_out(sink, 4))
 
     sim.add_process(next_runs())
     sim.run()
-    assert log[0] == (False, False)
-    assert producer.done.value == consumer.done.value == 2
-    assert log[1].done.value == log[2].done.value == 4
-    assert first == [1, 2] and second == [3, 4]
+    assert log[0] is False
+    assert producer.done.value == 2
+    assert log[1].done.value == 4 and log[2].done.value == 8
+    assert sink == [1, 2, 3, 4]
     fifo.drain_out([], 1)  # waits on the empty FIFO
     with pytest.raises(FifoError, match="consumer run is already attached"):
-        fifo.drain_out([], 1)
+        fifo.stream_in([5])
+
+
+def test_claims_stay_on_the_other_side_of_the_run():
+    """A FIFO replays one run against claims on its other side, the
+    claims pending at once all move words one way, and immediate moves
+    that would reorder claimed words are refused."""
+    sim = Simulator()
+    fifo = WordFifo(sim, 8, "f")
+    fifo.stream_in([1, 2, 3, 4, 5, 6, 7, 8], 2)
+    key = (20, 14, 0)
+    with pytest.raises(FifoError, match="claimed push on the side of a run"):
+        fifo.claim_push(key, sim.position(), (9, 9, 9, 9))
+    assert fifo.claim_pop(key, sim.position()) == [1, 2, 3, 4]
+    sim.run(until=17)  # every word pushed, the claim still ahead
+    with pytest.raises(FifoError, match="immediate pop with claimed pops pending"):
+        fifo.pop_word()
+    sim.run()
+    assert fifo.snapshot() == [5, 6, 7, 8]
+    out = WordFifo(sim, 8, "out")
+    out.claim_push((sim.now + 6, sim.now, 0), sim.position(), (1, 2, 3, 4))
+    with pytest.raises(FifoError, match="claimed pop on the side of a run or of claimed pushes"):
+        out.claim_pop((sim.now + 12, sim.now, 0), sim.position())
+    out.drain_out([], 4)
+    with pytest.raises(FifoError, match="claimed pop on the side of a run"):
+        out.claim_pop((sim.now + 12, sim.now, 0), sim.position())

@@ -724,13 +724,10 @@ class SteppedCryptoUnit:
     def catch_up(self) -> None:
         return None
 
-    def reach(self, cycle: int, ahead: int) -> bool:
-        return not ahead
-
-    def wake_on_completion(self) -> None:
+    def sleep(self, earliest: int, ahead: int) -> None:
         return None
 
-    def idle_cycle(self) -> None:
+    def wake_on_completion(self) -> None:
         return None
 
     @property
@@ -941,9 +938,8 @@ class SteppedWhirlpoolUnit:
                     fn()
 
     catch_up = SteppedCryptoUnit.catch_up
-    reach = SteppedCryptoUnit.reach
+    sleep = SteppedCryptoUnit.sleep
     wake_on_completion = SteppedCryptoUnit.wake_on_completion
-    idle_cycle = SteppedCryptoUnit.idle_cycle
     queued = SteppedCryptoUnit.queued
 
 

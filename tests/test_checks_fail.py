@@ -21,8 +21,11 @@ import pytest
 from repro.core.firmware.library import FIRMWARE_LIBRARY
 from repro.core.params import Algorithm, CcmRole, Direction
 from repro.experiments.fuzz import check_cores_case, generate_cores_case, loop_period_errors
+from repro.isa.controller import SYNC_QUANTUM
+from repro.sim.fifo import WordFifo
+from repro.sim.signals import PulseWire
 from repro.unit.timing import DEFAULT_TIMING
-from repro.unit.unit import LooselyTimedUnit
+from repro.unit.unit import LooselyTimedUnit, Timing
 
 from tests.conftest import cores_replay
 
@@ -57,11 +60,48 @@ def private_issue_one_cycle_late():
     start = LooselyTimedUnit.start
 
     def late(self, instr_byte, cycle=None, ahead=0):
-        if ahead and instr_byte in self.PRIVATE:
+        row = self.ISSUE.get(instr_byte)
+        if ahead and row is not None and row[3] in (Timing.FIXED, Timing.ENGINE):
             cycle, ahead = cycle + 1, ahead + 1
         return start(self, instr_byte, cycle, ahead)
 
     with mock.patch.object(LooselyTimedUnit, "start", late):
+        yield
+
+
+@contextmanager
+def ahead_claim_one_cycle_late():
+    """A ``LOAD`` or ``STORE`` issued ahead of the kernel claims its FIFO
+    block one cycle after the cycle the FIFO's schedule fixes."""
+
+    def late(ready):
+        def wrapper(self, at, nwords=4):
+            cycle = ready(self, at, nwords)
+            if cycle is not None and at[0] > self.sim.now:
+                cycle += 1
+            return cycle
+
+        return wrapper
+
+    with mock.patch.object(WordFifo, "pop_ready", late(WordFifo.pop_ready)), mock.patch.object(
+        WordFifo, "push_ready", late(WordFifo.push_ready)
+    ):
+        yield
+
+
+@contextmanager
+def in_quantum_halt_one_cycle_early():
+    """A ``HALT`` that sleeps inside the controller's quantum wakes one
+    cycle before the unit's done pulse."""
+    fixed_wake = PulseWire.fixed_wake
+
+    def early(self, earliest, ahead):
+        wake = fixed_wake(self, earliest, ahead)
+        if wake is not None and wake > earliest and wake - 1 - self.sim.now < SYNC_QUANTUM:
+            wake -= 1
+        return wake
+
+    with mock.patch.object(PulseWire, "fixed_wake", early):
         yield
 
 
@@ -86,18 +126,21 @@ def test_cores_fuzz_catches_a_slower_aes256():
     assert errors and all("paper 65" in error for error in errors)
 
 
-def test_stepped_oracle_catches_a_late_private_issue():
-    decoupled = _test_module("isa/test_decoupled_controller.py")
-    gcm = next(
+def _gcm_encrypt_firmware():
+    return next(
         key
         for key in FIRMWARE_LIBRARY
         if key.algorithm is Algorithm.GCM
         and key.direction is Direction.ENCRYPT
         and key.role is CcmRole.SINGLE
     )
+
+
+def test_stepped_oracle_catches_a_late_private_issue():
+    decoupled = _test_module("isa/test_decoupled_controller.py")
     with private_issue_one_cycle_late():
         with pytest.raises(AssertionError):
-            decoupled.test_library_firmware_matches_stepped_model(gcm)
+            decoupled.test_library_firmware_matches_stepped_model(_gcm_encrypt_firmware())
         with pytest.raises(AssertionError):
             decoupled.test_generated_cu_program_matches_stepped(0)
 
@@ -106,3 +149,38 @@ def test_cycle_pins_catch_a_late_private_issue():
     pins = _test_module("radio/test_cores_cycle_pins.py")
     with private_issue_one_cycle_late(), pytest.raises(AssertionError):
         pins.test_cores_dataplane_cycles_are_pinned()
+
+
+#: Faults in what the controller and its unit do ahead of the kernel.
+AHEAD_FAULTS = {
+    "late_private_issue": private_issue_one_cycle_late,
+    "late_ahead_claim": ahead_claim_one_cycle_late,
+    "early_in_quantum_halt": in_quantum_halt_one_cycle_early,
+}
+
+
+@pytest.mark.parametrize("fault", ["late_ahead_claim", "early_in_quantum_halt"])
+def test_stepped_oracle_catches_an_ahead_fault(fault):
+    decoupled = _test_module("isa/test_decoupled_controller.py")
+    with AHEAD_FAULTS[fault]():
+        with pytest.raises(AssertionError):
+            decoupled.test_library_firmware_matches_stepped_model(_gcm_encrypt_firmware())
+        with pytest.raises(AssertionError):
+            decoupled.test_generated_cu_program_matches_stepped(2)
+
+
+@pytest.mark.parametrize("fault", ["late_ahead_claim", "early_in_quantum_halt"])
+def test_cycle_pins_catch_an_ahead_fault(fault):
+    pins = _test_module("radio/test_cores_cycle_pins.py")
+    with AHEAD_FAULTS[fault](), pytest.raises(AssertionError):
+        pins.test_cores_dataplane_cycles_are_pinned()
+
+
+@pytest.mark.parametrize("fault", sorted(AHEAD_FAULTS))
+def test_cores_fuzz_catches_an_ahead_fault(fault):
+    """Loop periods hide these faults (the firmware's slack absorbs a
+    cycle); the replay whose controllers step at the kernel does not."""
+    case = generate_cores_case(GCM256_CORES_SEED)
+    with AHEAD_FAULTS[fault]():
+        errors = check_cores_case(case)
+    assert "cores: cycles differ from a replay with its controllers stepping" in errors
