@@ -286,15 +286,9 @@ class LooselyTimedUnit:
             return None
         else:
             # The completion's pulse is the one the wait wakes on, and
-            # it absorbs it: apply the rest in line.
+            # the wait absorbs it.
             earliest = due[0]
-            effect = self._effect
-            self._due = self._effect = None
-            if effect is not None:
-                effect()
-            self._busy = False
-            if self.trace.enabled:
-                self.trace.record(earliest, self.name, "complete")
+            self._retire()
         done.woke = earliest
         return earliest
 
@@ -426,13 +420,7 @@ class LooselyTimedUnit:
             due = self._due
             if due is not None and due[0] <= cycle:
                 # As above; at the kernel, any wait has woken already.
-                effect = self._effect
-                self._due = self._effect = None
-                if effect is not None:
-                    effect()
-                self._busy = False
-                if self.trace.enabled:
-                    self.trace.record(due[0], self.name, "complete")
+                self._retire()
         if self._busy:
             # Only a busy unit has a queue: each completion issues the next.
             self._queue.append(instr_byte)
@@ -507,18 +495,24 @@ class LooselyTimedUnit:
         self._entry = None
         self._complete()
 
-    def _complete(self) -> None:
+    def _retire(self) -> None:
+        """Apply the in-flight completion: the unit goes idle.  Its done
+        pulse, or the next queued issue, is the caller's."""
         cycle = self._due[0]
         effect = self._effect
         self._due = self._effect = None
-        if self._entry is not None:  # pragma: no cover - caught up before firing
-            self.sim.cancel(self._entry)
-            self._entry = None
         if effect is not None:
             effect()
         self._busy = False
         if self.trace.enabled:
             self.trace.record(cycle, self.name, "complete")
+
+    def _complete(self) -> None:
+        cycle = self._due[0]
+        if self._entry is not None:  # pragma: no cover - caught up before firing
+            self.sim.cancel(self._entry)
+            self._entry = None
+        self._retire()
         if self._queue:
             self.start(self._queue.pop(0), cycle)
         else:
