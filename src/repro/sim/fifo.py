@@ -44,7 +44,12 @@ The replay moves counts, not words.  The FIFO keeps every word it has
 been given or is scheduled to get, in push order — a producer run's
 words when the run starts, a claimed push's when it is claimed — and
 reads them by index: a claimed pop takes its words when it is claimed,
-a consumer run when it is replayed.
+a consumer run when it is replayed.  The claims pending at once all
+move words one way, so a stretch of them with no run attempt between
+applies as one count.  Whatever would break these rules — a claim on
+its run's side or beside pending claims of the other kind, a run
+started against pending claims on its side, an immediate move while
+claimed pops are pending — raises :class:`FifoError`.
 
 These are the rules of a process stepping word by word, keyed like the
 kernel entries it would have scheduled, so every count a reader sees
