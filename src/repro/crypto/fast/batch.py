@@ -772,7 +772,8 @@ def _lane_keys(schedules: Sequence[Schedule], counts=None):
     lanes = _np.array([index[id(s)][0] for s in schedules], dtype=_np.intp)
     if counts is not None:
         lanes = _np.repeat(lanes, counts)
-    return stacked[:, :, lanes]
+    # C-contiguous, so each round key's XOR reads its lanes in a row.
+    return stacked.take(lanes, axis=2)
 
 
 def _cbc_mac_lanes_vector(

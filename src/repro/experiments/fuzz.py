@@ -48,7 +48,7 @@ The technique is differential testing (McKeeman, "Differential
 Testing for Software", 1998).  A failing seed becomes a committed
 regression test.  Run as a module for a longer sweep::
 
-    PYTHONPATH=src python -m repro.experiments.fuzz --cases 200 --cores-cases 60 --seed 0
+    PYTHONPATH=src python -m repro.experiments.fuzz --cases 200 --cores-cases 240 --seed 0
     PYTHONPATH=src python -m repro.experiments.fuzz --cases 0 --numpy-cases 40 --seed 2000
 """
 

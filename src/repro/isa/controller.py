@@ -55,18 +55,20 @@ program (:func:`translation`; Shade's translation cache, Cmelik &
 Keppel, SIGMETRICS 1994): a *block*, the instructions from that PC
 through a jump, ``CALL`` or ``RETURN`` or up to a synchronising
 instruction, compiled from per-op templates into one Python function
-that indexes the registers directly, writes the flags once and has a
-constant cycle count; and a *step*, the PC's one instruction.  An
-immediate ``OUTPUT`` inside a block, or leading one, calls the port's
-handler in line (a superinstruction: Proebsting, POPL 1995; Ertl &
-Gregg, PLDI 2003), so the builder's ``LOAD s2, k; OUTPUT s2, P_CU;
-NOP`` idiom is three instructions of one block, and a GCM loop's CU
-issues after its ``HALT`` are one call (a block stops at
-:data:`BLOCK_LIMIT` instructions).  If the handler declines, or the
-leading ``OUTPUT`` would be at the kernel, the block stops before that
-``OUTPUT`` (returning its PC complemented) and the loop catches up and
-writes it at the kernel.  A block runs only if ``pending`` plus its
-cycles stays below :data:`SYNC_QUANTUM`, and the loop catches up first
+that indexes the registers directly, writes the flags once and, unless
+it spans a ``HALT`` (below), has a constant cycle count; and a *step*, the PC's one instruction.  An
+immediate ``OUTPUT`` inside a block calls the port's handler in line
+(a superinstruction: Proebsting, POPL 1995; Ertl & Gregg, PLDI 2003),
+looked up once per call; it passes a register that a ``LOAD`` earlier
+in the block set to a constant as that constant (the block writes
+such a register back only where it stops or reads it).  So the builder's
+``LOAD s2, k; OUTPUT s2, P_CU; NOP`` idiom is three instructions of
+one block (a block stops at :data:`BLOCK_LIMIT` instructions).  If the
+handler declines, the block stops before that ``OUTPUT`` (returning
+its PC complemented) and the loop catches up and writes it at the
+kernel; an ``OUTPUT`` leading a block at the kernel the loop writes
+without the block.  A block runs only if ``pending`` plus its cycles
+stays below :data:`SYNC_QUANTUM`, and the loop catches up first
 otherwise; while interrupts are enabled it runs steps.  A write the
 device takes ahead of the kernel must not stop the controller; a
 ``stop()`` from its own ``OUTPUT`` at the kernel takes effect right
@@ -95,9 +97,20 @@ may be odd.  The next catch-up yield is ordered as that
 wake-up (a pulse's waiters resume after everything scheduled before
 the pulse on its cycle) if no instruction ran since, ``Delay(pending,
 ahead=pending)``.  A sleep that would take ``pending`` to
-:data:`SYNC_QUANTUM` yields at once, to the wake-up.  So a GCM block,
+:data:`SYNC_QUANTUM` yields at once, to the wake-up.
+
+A block spans such a ``HALT``: it sleeps in place, counting the sleep
+in the cycles it reports and in ``halted_cycles``, and runs on into the
+instructions after it, grouped as a block at that PC would group them.
+It stops before the ``HALT``, the way it stops before a declined
+``OUTPUT``, if the wake-up is not fixed (the loop then catches up and
+asks again at the kernel), and after it if the rest of the block would
+cross the quantum.  A block whose closing jump targets its own start
+runs again in place while the quantum allows (superblock formation, as
+in Dynamo: Bala et al., PLDI 2000).  So a GCM block, its ``HALT`` and
 its ``LOAD`` and ``STORE`` claims included, meets the kernel not at
-all: a controller in a loop of CU work yields about once a quantum.
+all, and the main loop is one call per quantum: a controller in a loop
+of CU work yields about once a quantum.
 
 ``pending`` is also yielded before the process returns, so it ends on
 the same cycle, and before it would reach :data:`SYNC_QUANTUM` cycles,
@@ -181,32 +194,16 @@ _TEMPLATES.update(
     {Op[f"{op.name}_R"]: text for op, text in _TEMPLATES.items() if f"{op.name}_R" in Op.__members__}
 )
 _SETS_FLAGS = frozenset(op for op, text in _TEMPLATES.items() if "\nz = " in text)
+_WRITES_X = frozenset(op for op, text in _TEMPLATES.items() if "r[{x}] =" in text)
 
-#: Flow-control templates: ``{cond}`` is the flag test, ``{t}`` the
-#: target and ``{n}`` the fall-through PC.  Each one ends its function.
-_FLOW_TEMPLATES = {
-    "JUMP": "if {cond}: return {t}\nreturn {n}",
-    "CALL": (
-        "if {cond}:\n"
-        f"    if len(c.stack) >= {STACK_DEPTH}: _fail(c, 'call stack overflow')\n"
-        "    c.stack.append({n})\n"
-        "    return {t}\n"
-        "return {n}"
-    ),
-    "RETURN": (
-        "if {cond}:\n"
-        "    if c.stack: return c.stack.pop()\n"
-        "    c._stopped = True\n"  # returning from the top level ends the run
-        "return {n}"
-    ),
-}
 _CONDITIONS = {Cond.ALWAYS: "True", Cond.Z: "{z}", Cond.NZ: "not {z}", Cond.C: "{cy}", Cond.NC: "not {cy}"}
-#: Flow-control opcode -> (template, condition).
+#: Flow-control opcode -> (kind, condition).
 _FLOW: Dict[Op, Tuple[str, str]] = {
-    op: (_FLOW_TEMPLATES[kind], _CONDITIONS[cond])
-    for kind, variants in FLOW_VARIANTS.items()
-    for cond, op in variants.items()
+    op: (kind, _CONDITIONS[cond]) for kind, variants in FLOW_VARIANTS.items() for cond, op in variants.items()
 }
+_FLOW.update({op: ("RETURNI", "True") for op in (Op.RETURNI_E, Op.RETURNI_D)})
+_JUMPS = frozenset(FLOW_VARIANTS["JUMP"].values())
+#: ``RETURNI`` is synchronising, so it only ever runs as a step.
 _RETURNI = (
     "if not c.stack: _fail(c, 'RETURNI with empty stack')\n"
     "t = c.stack.pop()\n"
@@ -215,80 +212,183 @@ _RETURNI = (
     "c.interrupts_enabled = {enable}\n"
     "return t"
 )
-_FLOW.update(
-    {op: (_RETURNI.replace("{enable}", str(op is Op.RETURNI_E)), "True") for op in (Op.RETURNI_E, Op.RETURNI_D)}
-)
 
 
 def _fail(ctrl: "Controller8", message: str) -> None:
     raise ExecutionError(f"{ctrl.name}: {message}")
 
 
-#: An immediate ``OUTPUT`` inside a block: the device's handler takes it
-#: ahead of the kernel (``cycle`` is the block's first cycle, ``ahead``
-#: how far that lies past the kernel's), or the block ends before it,
-#: returning its PC complemented (``~pc``).
-_OUTPUT_AHEAD = (
-    "if not (c._writers[{port}] or c._writer({port}))(r[{x}], cycle + {k}, ahead + {k}):\n"
-    "    {flags}return {out}"
-)
-#: An ``OUTPUT`` leading a block: as :data:`_OUTPUT_AHEAD`, but at the
-#: kernel (``ahead`` 0) it is left to the loop, which stops after it if
-#: the write stops the controller.
-_OUTPUT_FIRST = (
-    "if not ahead or not (c._writers[{port}] or c._writer({port}))(r[{x}], cycle, ahead):\n"
-    "    return {out}"
-)
+def _indent(lines: List[str]) -> List[str]:
+    return ["    " + line for line in lines]
 
 
-def _function(code: List[Decoded], start: int, stop: int, step: bool = False) -> str:
-    """Source of ``f``, which runs ``code[start:stop]`` and returns the
-    next PC, or ``~pc`` if the device declined the ``OUTPUT`` at *pc*.
-    A *step* runs its one instruction at the kernel."""
+def _segments(code: List[Decoded], pc: int) -> List[Tuple[int, int]]:
+    """The ``(start, stop)`` ranges of ``code`` the block at *pc* runs.
+
+    The first holds the instructions from *pc* through a jump, ``CALL``
+    or ``RETURN``, or up to a synchronising instruction other than
+    ``OUTPUT``, at most :data:`BLOCK_LIMIT` of them.  While a range is
+    followed by a ``HALT``, the next one is the range after it, built
+    the same way (empty if another synchronising instruction follows).
+    """
+    segments: List[Tuple[int, int]] = []
+    begin = pc
+    while True:
+        stop = begin
+        if begin < len(code) and (code[begin].op not in SYNC_OPS or code[begin].op is Op.OUTPUT):
+            stop += 1
+            while (
+                code[stop - 1].op not in _FLOW
+                and stop < len(code)
+                and stop - begin < BLOCK_LIMIT
+                and (code[stop].op not in SYNC_OPS or code[stop].op is Op.OUTPUT)
+            ):
+                stop += 1
+        segments.append((begin, stop))
+        if stop == pc or stop == len(code) or code[stop].op is not Op.HALT or code[stop - 1].op in _FLOW:
+            return segments
+        begin = stop + 1
+
+
+def _function(code: List[Decoded], segments: List[Tuple[int, int]], step: bool = False, loop: bool = False) -> str:
+    """Source of ``f(c, r, cycle, ahead)``, which runs the block of
+    *segments* (see :func:`_segments`) from *cycle*, *ahead* cycles past
+    the kernel's clock.
+
+    A block of one range returns the next PC, or ``~pc`` if the device
+    declined the ``OUTPUT`` at *pc*.  A block that spans a ``HALT``, or
+    whose closing jump to its own start repeats it in place (*loop*),
+    counts its own ``instructions_retired`` and ``halted_cycles`` and
+    returns ``(pc, pending, woken)``: the cycles it has run ahead, and
+    that count again if nothing ran since a ``HALT``'s wake-up, else -1.
+    It stops before a ``HALT`` whose wake-up is not fixed, returning the
+    ``HALT``'s PC.  A *step* runs its one instruction at the kernel.
+    """
+    start = segments[0][0]
+    variable = loop or len(segments) > 1
     body: List[str] = []
     local_flags = False
-    for pc in range(start, stop):
-        decoded = code[pc]
-        op = decoded.op
-        fields = {
-            "x": decoded.sx,
-            "src": f"r[{decoded.operand >> 4}]" if op in REGISTER_FORMS else decoded.operand,
-            "z": "z" if local_flags else "c.zero",
-            "cy": "cy" if local_flags else "c.carry",
-            "t": decoded.addr,
-            "n": pc + 1,
-        }
-        if op in _FLOW:
-            template, cond = _FLOW[op]
-            fields["cond"] = cond.format(**fields)
-            if local_flags:
-                body.append("c.zero = z; c.carry = cy")
-            body.extend(template.format(**fields).split("\n"))
-            break
-        if op is Op.OUTPUT and not step:
-            template = (_OUTPUT_AHEAD if pc > start else _OUTPUT_FIRST).format(
-                port=decoded.operand,
-                x=decoded.sx,
-                k=CYCLES_PER_INSTRUCTION * (pc - start),
-                flags="c.zero = z; c.carry = cy; " if local_flags else "",
-                out=~pc,
-            )
-            body.extend(template.split("\n"))
-            continue
-        body.extend(line for line in _TEMPLATES[op].format(**fields).split("\n") if line)
-        local_flags = local_flags or op in _SETS_FLAGS
-    else:
-        if local_flags:
-            body.append("c.zero = z; c.carry = cy")
-        body.append(f"return {stop}")
+    retired = 0  # instructions of this pass before the current one
+    # Registers holding a constant ``LOAD`` in this pass, those of them
+    # not written back yet (an ``OUTPUT`` writes the constant, a later
+    # ``LOAD`` may replace it), and the ports of the OUTPUTs, whose
+    # handlers are looked up once per call.
+    known: Dict[int, int] = {}
+    unstored: Dict[int, int] = {}
+    ports = sorted({code[pc].operand for b, e in segments for pc in range(b, e) if code[pc].op is Op.OUTPUT})
+
+    def store(regs) -> List[str]:
+        return [f"r[{reg}] = {unstored.pop(reg)}" for reg in sorted(regs) if reg in unstored]
+
+    def leave(target, k: int = 0, woken: bool = False) -> List[str]:
+        """Lines that end the block at *target*, *k* cycles past ``ahead``."""
+        lines = ["c.zero = z; c.carry = cy"] if local_flags else []
+        lines += [f"r[{reg}] = {value}" for reg, value in sorted(unstored.items())]
+        if not variable:
+            return lines + [f"return {target}"]
+        if loop or retired:
+            lines.append(f"c.instructions_retired += {'n + ' if loop else ''}{retired}")
+        pending = f"ahead + {k}" if k else "ahead"
+        return lines + [f"return {target}, {pending}, {'ahead' if woken else -1}"]
+
+    for index, (begin, stop) in enumerate(segments):
+        if index:
+            # The HALT before this range sleeps to a wake-up that is
+            # already fixed, or the block stops before it; and the block
+            # stops after it if the range would cross the quantum.
+            halt, base = begin - 1, segments[index - 1][0]
+            k = CYCLES_PER_INSTRUCTION * (halt - base)
+            body.append(f"w = c.wake.fixed_wake(cycle + {k + CYCLES_PER_INSTRUCTION}, ahead + {k})")
+            body.append("if w is None:")
+            body.extend(_indent(leave(halt, k, woken=index > 1 and halt == base)))
+            body.append(f"c.halted_cycles += w - cycle - {k + CYCLES_PER_INSTRUCTION}")
+            body.append("ahead += w - cycle")
+            body.append("cycle = w")
+            retired += 1
+            if stop > begin or index + 1 < len(segments):
+                body.append(f"if ahead >= {SYNC_QUANTUM - CYCLES_PER_INSTRUCTION * (stop - begin)}:")
+                body.extend(_indent(leave(begin, woken=True)))
+        for pc in range(begin, stop):
+            decoded = code[pc]
+            op = decoded.op
+            k = CYCLES_PER_INSTRUCTION * (pc - begin)
+            fields = {
+                "x": decoded.sx,
+                "src": f"r[{decoded.operand >> 4}]" if op in REGISTER_FORMS else decoded.operand,
+                "z": "z" if local_flags else "c.zero",
+                "cy": "cy" if local_flags else "c.carry",
+            }
+            if op in _FLOW:
+                kind, cond = _FLOW[op]
+                if kind == "RETURNI":
+                    body.extend(_RETURNI.format(enable=op is Op.RETURNI_E).split("\n"))
+                    continue
+                cond = cond.format(**fields)
+                body.extend(store(list(unstored)))
+                if local_flags:
+                    body.append("c.zero = z; c.carry = cy")
+                    local_flags = False
+                retired += 1
+                k += CYCLES_PER_INSTRUCTION
+                if kind == "RETURN":
+                    taken = ["if c.stack:", *_indent(leave("c.stack.pop()", k)), "c._stopped = True"]
+                elif loop and decoded.addr == start:
+                    # Back to the block's start: again, while the quantum allows.
+                    limit = SYNC_QUANTUM - CYCLES_PER_INSTRUCTION * (segments[0][1] - start)
+                    taken = [f"ahead += {k}", f"cycle += {k}", f"n += {retired}"]
+                    taken += [f"if ahead < {limit}: continue", "c.instructions_retired += n"]
+                    taken.append(f"return {start}, ahead, -1")
+                else:
+                    taken = leave(decoded.addr, k)
+                    if kind == "CALL":
+                        overflow = f"if len(c.stack) >= {STACK_DEPTH}: _fail(c, 'call stack overflow')"
+                        taken = [overflow, f"c.stack.append({pc + 1})", *taken]
+                if cond != "True":
+                    taken = [f"if {cond}:", *_indent(taken)]
+                body.extend(taken)
+                if cond != "True" or kind == "RETURN":
+                    body.extend(leave(pc + 1, k))
+                continue  # the block's last instruction
+            if op is Op.OUTPUT and not step:
+                # The device's handler takes it ahead of the kernel, or
+                # the block stops before it.  (The loop writes one that
+                # leads a block at the kernel itself, without the block.)
+                value = known.get(decoded.sx, f"r[{decoded.sx}]")
+                at = f"cycle + {k}, ahead + {k}" if k else "cycle, ahead"
+                body.append(f"if not w{decoded.operand}({value}, {at}):")
+                body.extend(_indent(leave(~pc, k, woken=index > 0 and pc == begin)))
+                retired += 1
+                continue
+            if op is Op.LOAD and not step:
+                known[decoded.sx] = unstored[decoded.sx] = decoded.operand
+                retired += 1
+                continue
+            template = _TEMPLATES[op]
+            body.extend(store([decoded.sx] if "{x}" in template else []))
+            if op in REGISTER_FORMS:
+                body.extend(store([decoded.operand >> 4]))
+            body.extend(line for line in template.format(**fields).split("\n") if line)
+            if op in _WRITES_X:
+                known.pop(decoded.sx, None)
+            local_flags = local_flags or op in _SETS_FLAGS
+            retired += 1
+    begin, stop = segments[-1]
+    if stop == begin or code[stop - 1].op not in _FLOW:
+        body.extend(leave(stop, CYCLES_PER_INSTRUCTION * (stop - begin), woken=len(segments) > 1 and stop == begin))
+    if loop:
+        body = ["n = 0", "while True:", *_indent(body)]
+    if not step:
+        body[:0] = [f"w{port} = c._writers[{port}] or c._writer({port})" for port in ports]
     return "\n    ".join(["def f(c, r, cycle=0, ahead=0):", *body])
 
 
 #: One translated PC: ``(block, limit, cycles, port, sx, step)``.  The
 #: block (None at a synchronising instruction other than ``OUTPUT``)
-#: runs when ``pending < limit`` and adds *cycles*; *port*, if not None,
-#: is the port of an ``OUTPUT sx, port`` at the PC; *step* runs the
-#: PC's one instruction (None for ``HALT``).
+#: runs when ``pending < limit``; it adds *cycles*, or, with *cycles* 0,
+#: spans a ``HALT`` or loops in place and returns its own count (see
+#: :func:`_function`).  *port*, if not None, is the port of an ``OUTPUT
+#: sx, port`` at the PC; *step* runs the PC's one instruction (None for
+#: ``HALT``).
 Entry = Tuple[Optional[Callable], int, int, Optional[int], int, Optional[Callable]]
 
 
@@ -307,40 +407,43 @@ def translation(program: Program) -> List[Entry]:
     code = program.decoded
     entries: List[Entry] = []
     for pc, decoded in enumerate(code):
-        stop = pc
         output = decoded.op is Op.OUTPUT
-        if output or decoded.op not in SYNC_OPS:
-            stop += 1
-            while (
-                code[stop - 1].op not in _FLOW
-                and stop < len(code)
-                and stop - pc < BLOCK_LIMIT
-                and (code[stop].op not in SYNC_OPS or code[stop].op is Op.OUTPUT)
-            ):
-                stop += 1
         port, sx = (decoded.operand, decoded.sx) if output else (None, 0)
         step = None
+        segments = _segments(code, pc)
+        stop = segments[0][1]
+        last = code[segments[-1][1] - 1]
+        loop = segments[-1][1] > segments[-1][0] and last.op in _JUMPS and last.addr == pc
+        single = stop == pc + 1 and not output and len(segments) == 1 and not loop
         if decoded.op is not Op.HALT:
-            step = _lazy(entries, code, pc, pc + 1, (0, 5) if stop == pc + 1 and not output else (5,))
+            step = _lazy(entries, code, [(pc, pc + 1)], (0, 5) if single else (5,), step=True)
+        limit = SYNC_QUANTUM - CYCLES_PER_INSTRUCTION * (stop - pc)
         if stop == pc:
             entries.append((None, 0, 0, port, sx, step))
+        elif len(segments) > 1 or loop:
+            entries.append((_lazy(entries, code, segments, (0,), loop=loop), limit, 0, port, sx, step))
         else:
-            cycles = CYCLES_PER_INSTRUCTION * (stop - pc)
-            block = step if stop == pc + 1 and not output else _lazy(entries, code, pc, stop, (0,))
-            entries.append((block, SYNC_QUANTUM - cycles, cycles, port, sx, step))
+            block = step if single else _lazy(entries, code, segments, (0,))
+            entries.append((block, limit, CYCLES_PER_INSTRUCTION * (stop - pc), port, sx, step))
     program._translation = entries  # type: ignore[attr-defined]
     return entries
 
 
 def _lazy(
-    entries: List[Entry], code: List[Decoded], start: int, stop: int, slots: Tuple[int, ...]
+    entries: List[Entry],
+    code: List[Decoded],
+    segments: List[Tuple[int, int]],
+    slots: Tuple[int, ...],
+    step: bool = False,
+    loop: bool = False,
 ) -> Callable:
-    """A stand-in that compiles ``code[start:stop]`` on its first call,
-    puts the function into *slots* of ``entries[start]`` and runs it."""
+    """A stand-in that compiles the block of *segments* on its first
+    call, puts the function into *slots* of its entry and runs it."""
+    start = segments[0][0]
 
-    def first_call(ctrl: "Controller8", regs: List[int], *ahead: int) -> int:
+    def first_call(ctrl: "Controller8", regs: List[int], *ahead: int):
         namespace: Dict[str, Callable] = {"_fail": _fail}
-        source = _function(code, start, stop, step=5 in slots)
+        source = _function(code, segments, step=step, loop=loop)
         exec(compile(source, f"<PC {start:#05x}>", "exec"), namespace)
         entry = list(entries[start])
         for slot in slots:
@@ -506,18 +609,35 @@ class Controller8:
                     yield (_WOKEN if pending == woken else _CATCH_UP)[pending]
                     pending, woken = 0, -1
                     continue
-                pc = block(self, regs, sim.now + pending, pending)
-                if pc >= 0:
-                    self.instructions_retired += cycles >> 1
-                    pending += cycles
-                    self.pc = pc
-                    continue
-                # The block stopped before the OUTPUT at ~pc: the device
+                if not pending and port is not None:
+                    pass  # an OUTPUT leading the block, at the kernel: written below
+                elif cycles:
+                    pc = block(self, regs, sim.now + pending, pending)
+                    if pc >= 0:
+                        self.instructions_retired += cycles >> 1
+                        pending += cycles
+                        self.pc = pc
+                        continue
+                    start, pc = self.pc, ~pc
+                    self.instructions_retired += pc - start
+                    pending += CYCLES_PER_INSTRUCTION * (pc - start)
+                else:
+                    # A block spanning HALTs or looping in place.  It
+                    # returns ``pending`` unchanged only if nothing ran.
+                    pc, ahead, wake = block(self, regs, sim.now + pending, pending)
+                    if ahead != pending:
+                        pending, woken = ahead, wake
+                    if pc >= 0:
+                        self.pc = pc
+                        if pending >= SYNC_QUANTUM:
+                            # It slept past the quantum: to the wake-up at once.
+                            yield Delay(pending, pending)
+                            pending, woken = 0, -1
+                        continue
+                    pc = ~pc
+                # The block stopped before the OUTPUT at pc: the device
                 # declined it ahead of the kernel, or it is at the
                 # kernel.  Everything before it ran.
-                start, pc = self.pc, ~pc
-                self.instructions_retired += pc - start
-                pending += CYCLES_PER_INSTRUCTION * (pc - start)
                 self.pc = pc
                 if pending:
                     yield (_WOKEN if pending == woken else _CATCH_UP)[pending]

@@ -46,10 +46,15 @@ words when the run starts, a claimed push's when it is claimed — and
 reads them by index: a claimed pop takes its words when it is claimed,
 a consumer run when it is replayed.  The claims pending at once all
 move words one way, so a stretch of them with no run attempt between
-applies as one count.  Whatever would break these rules — a claim on
-its run's side or beside pending claims of the other kind, a run
-started against pending claims on its side, an immediate move while
-claimed pops are pending — raises :class:`FifoError`.
+applies as one count.  So does a stretch of claimed pushes that a
+waiting consumer run drains one claim at a time, each claim's words
+popped and the run waiting again before the next claim's cycle, as the
+crossbar drains an output FIFO's ``STORE`` claims (:meth:`_Flow.drain`);
+ties, a run still busy when a claim lands, and projections to a count
+stay with the general replay.  Whatever would break these rules — a
+claim on its run's side or beside pending claims of the other kind, a
+run started against pending claims on its side, an immediate move
+while claimed pops are pending — raises :class:`FifoError`.
 
 These are the rules of a process stepping word by word, keyed like the
 kernel entries it would have scheduled, so every count a reader sees
@@ -69,8 +74,10 @@ apply at the caller's position.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from copy import copy
+from itertools import repeat
+from operator import add, itemgetter, lt, mul, sub
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import FifoError
@@ -93,6 +100,9 @@ _KEEP = DEFAULT_DEPTH_WORDS
 
 #: A kernel key ``(cycle, stamp, seq)``.
 Key = Tuple[int, int, int]
+
+#: A claim's key, and its claimed total (see :class:`_Flow`).
+_KEY, _CLAIMED = itemgetter(0), itemgetter(1)
 
 
 class Transfer:
@@ -229,6 +239,15 @@ class _Flow:
                 ):
                     if not key < bound:
                         break
+                    if attempt is None and run.end is None and not run.push and goal in (0, _END):
+                        # A waiting consumer run: the claims it drains one at a time.
+                        j = self.drain(run, i, last, bound)
+                        if j > i:
+                            i = j
+                            if goal and run.end is not None:
+                                hit = run.end
+                                break
+                            continue
                     # Claims move counts alone: every one below the bound
                     # when no run attempt can come between them, else this
                     # one (which may wake a waiting run).
@@ -325,6 +344,65 @@ class _Flow:
                 break
         self.next_claim = i
         return hit
+
+    def drain(self, run: Transfer, i: int, last: int, bound: Key) -> int:
+        """Apply at once the claimed pushes from claim *i* that the
+        waiting consumer *run* drains one claim at a time; returns the
+        index after them (*i* if there are none).
+
+        Each claim restarts the run on its cycle, and the run pops the
+        claim's words one a period and tries once more, finding the FIFO
+        empty, before the next claim's cycle and the bound's, so nothing
+        ties with them; the claim with the run's last word ends it
+        instead, after its last pop.  The per-claim arithmetic runs in
+        ``map`` over the candidates.
+        """
+        claims, period, cap = self.claims, run.period, bound[0]
+        applied, left = self.applied, run.total - run.moved
+        # A next claim that lands before the first one is drained: left
+        # to the general replay without the work below (which a replay
+        # that keeps falling back would repeat for every claim).
+        key, claimed, _created = claims[i]
+        if i + 1 < last and key[0] + (claimed - applied) * period >= claims[i + 1][0][0]:
+            return i
+        # Candidates: the claims keyed before the bound's cycle, up to
+        # the one that gives the run its last word.
+        j = bisect_left(claims, ((cap,),), i, last)
+        j = bisect_right(claims, applied + left, i, j, key=_CLAIMED)
+        if j == i:
+            return i
+        stretch = claims[i:j]
+        cycles = list(map(_KEY, map(_KEY, stretch)))
+        totals = list(map(_CLAIMED, stretch))
+        words = list(map(sub, totals, [applied, *totals]))
+        # After each claim's last pop, the run's next attempt (or, for the
+        # claim that ends it, that pop), and the cycle it must come before.
+        afters = list(map(add, cycles, map(mul, words, repeat(period))))
+        ended = totals[-1] == applied + left
+        if ended:
+            afters[-1] -= period
+        limits = cycles[1:]
+        limits.append(min(cap, claims[j][0][0]) if j < last else cap)
+        drained = list(map(lt, afters, limits))
+        n = len(drained) if all(drained) else drained.index(False)
+        high = max(self.high, *words[:n]) if n else 0
+        if not n or high > self.depth:
+            return i  # the general replay raises on an overflowing claim
+        ended = ended and n == len(drained)
+        cycle = afters[n - 1] - (0 if ended else period)
+        moved = totals[n - 1] - applied
+        if self.words is not None:
+            start = self.pushed - self.base
+            run.sink.extend(self.words[start : start + moved])
+        self.pushed += moved
+        self.popped += moved
+        self.applied, self.high = totals[n - 1], high
+        run.moved += moved
+        if ended:
+            run.end = (cycle + period, cycle)
+        else:
+            run.stalled = cycle + period
+        return i + n
 
 
 class WordFifo:

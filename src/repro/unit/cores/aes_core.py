@@ -9,12 +9,17 @@ background between ``SAES`` (sample input, go busy) and ``FAES``
 Blocks are 128-bit ints, as in the bank register.  CTR keystream
 blocks do not depend on each other (section II.B), so a counter run
 (each block ``inc16`` of the last, under one schedule) is read ahead:
-once the run has consumed ``n >= batch.MIN_LANES`` blocks, one
-:func:`~repro.crypto.fast.bulk.ctr_stream` call fills a buffer with
-its next ``max(n, m - n)``, where ``m`` is the length of the core's
-last run that read ahead.  Shorter runs never read ahead and are not
-remembered, so a small packet neither pays for a fill nor shrinks the
-next long run's.  Other blocks run the T-table rounds, or the
+one :func:`~repro.crypto.fast.bulk.ctr_stream` call fills a buffer
+with the run's next blocks.  A run fills at its second block once the
+core remembers a run, the last one longer than ``batch.MIN_LANES``
+blocks: with its next ``max(n, m - n)`` blocks, ``n`` the blocks it
+has consumed and ``m`` the remembered length, so a run as long as the
+last one fills once.  Before that, a run fills once it has consumed
+``n >= batch.MIN_LANES`` blocks, with its next ``n``.  A fill stops
+at the run's :data:`LONGEST_RUN`-th block, the longest run a core
+sees, unless the run is already past it.  A lone block (GCM's H =
+E(0)) never reads ahead; a short packet after a long one reads the
+long one's window.  Other blocks run the T-table rounds, or the
 reference cipher under ``REPRO_FAST=0`` (no readahead then, nor
 without numpy).  Cycles do not depend on the path.
 """
@@ -27,7 +32,7 @@ from repro.core.key_cache import RoundKeys
 from repro.crypto.aes import encrypt_block_with_schedule
 from repro.crypto.fast import aes_ttable, aes_vector, batch, bulk, fast_enabled
 from repro.errors import UnitError
-from repro.unit.cores.inc_core import inc16
+from repro.sim.fifo import DEFAULT_DEPTH_WORDS, WORDS_PER_BLOCK
 from repro.unit.timing import TimingModel
 from repro.utils.bits import WORD32_MASK
 
@@ -49,6 +54,11 @@ def encrypt_block_int(block: int, round_keys: Sequence[Sequence[int]]) -> int:
     return int.from_bytes(out, "big")
 
 
+#: The longest counter run a core sees: a full FIFO's data blocks after
+#: the mode's pre-counter block (GCM's J0, CCM's A0).
+LONGEST_RUN = DEFAULT_DEPTH_WORDS // WORDS_PER_BLOCK + 1
+
+
 class AesCore:
     """Background AES engine with busy-interval bookkeeping."""
 
@@ -68,6 +78,8 @@ class AesCore:
         self._offset = 0
         self._consumed = 0
         self._previous_run = 0
+        #: The busy time under the run's schedule.
+        self._busy_cycles = 0
 
     def start(self, block: int, round_keys: RoundKeys, now: int) -> int:
         """``SAES``: sample *block*, return the completion cycle.
@@ -82,8 +94,10 @@ class AesCore:
             raise UnitError(
                 f"SAES at cycle {now} while AES busy until {self.busy_until}"
             )
-        key_bits = 32 * (len(round_keys) - 1 - 6)  # 10->128, 12->192, 14->256
-        busy = self.timing.aes_busy(key_bits)
+        if round_keys is not self._run_keys:
+            key_bits = 32 * (len(round_keys) - 1 - 6)  # 10->128, 12->192, 14->256
+            self._busy_cycles = self.timing.aes_busy(key_bits)
+        busy = self._busy_cycles
         # Functional result only — the cycle model above is untouched by
         # whether the fast T-table engine or the reference rounds run.
         self._result = self._read_ahead(block, round_keys)
@@ -100,14 +114,18 @@ class AesCore:
             if consumed > batch.MIN_LANES:
                 self._previous_run = consumed
             self._run_keys, self._stream, consumed = round_keys, b"", 0
-        self._next = inc16(block, 1)
+        # inc16(block, 1), in line: the counter the run expects next.
+        self._next = block + 1 if block & 0xFFFF != 0xFFFF else block - 0xFFFF
         self._consumed = consumed + 1
         offset = self._offset
         if offset >= len(self._stream):
+            previous = self._previous_run
             vector = fast_enabled() and aes_vector.HAVE_NUMPY
-            if consumed < batch.MIN_LANES or not vector:
+            if consumed < (1 if previous else batch.MIN_LANES) or not vector:
                 return encrypt_block_int(block, round_keys)
-            window = max(consumed, self._previous_run - consumed)
+            window = max(consumed, previous - consumed)
+            if consumed < LONGEST_RUN:
+                window = min(window, LONGEST_RUN - consumed)
             self._stream = bulk.ctr_stream(round_keys, block.to_bytes(16, "big"), window, 16)
             offset = 0
         self._offset = offset + 16

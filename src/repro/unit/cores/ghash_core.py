@@ -6,8 +6,10 @@ in the background; ``FGFM`` reads the accumulator out.
 
 Subkey, blocks and accumulator are 128-bit ints, as in the bank
 register.  ``LOADH`` fetches the subkey's Shoup rows and each ``SGFM``
-folds the accumulator through them (sixteen lookups, unrolled like
-:func:`repro.crypto.fast.gf128_tables.ghash_blocks_tabulated`); with
+folds the accumulator through them: sixteen lookups, unrolled like
+:func:`repro.crypto.fast.gf128_tables.ghash_blocks_tabulated`, indexed
+by the bytes of one ``to_bytes`` call rather than by shifts and masks
+of the 128-bit int; with
 the fast engine switched off (``REPRO_FAST=0``) ``SGFM`` runs the
 bit-serial reference multiplier.
 """
@@ -64,23 +66,13 @@ class GhashCore:
         else:
             (t0, t1, t2, t3, t4, t5, t6, t7,
              t8, t9, t10, t11, t12, t13, t14, t15) = rows
+            # The table indices are the bytes of the block, most
+            # significant first.
+            (b0, b1, b2, b3, b4, b5, b6, b7,
+             b8, b9, b10, b11, b12, b13, b14, b15) = x.to_bytes(16, "big")
             self._acc = (
-                t0[x >> 120]
-                ^ t1[(x >> 112) & 255]
-                ^ t2[(x >> 104) & 255]
-                ^ t3[(x >> 96) & 255]
-                ^ t4[(x >> 88) & 255]
-                ^ t5[(x >> 80) & 255]
-                ^ t6[(x >> 72) & 255]
-                ^ t7[(x >> 64) & 255]
-                ^ t8[(x >> 56) & 255]
-                ^ t9[(x >> 48) & 255]
-                ^ t10[(x >> 40) & 255]
-                ^ t11[(x >> 32) & 255]
-                ^ t12[(x >> 24) & 255]
-                ^ t13[(x >> 16) & 255]
-                ^ t14[(x >> 8) & 255]
-                ^ t15[x & 255]
+                t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4] ^ t5[b5] ^ t6[b6] ^ t7[b7]
+                ^ t8[b8] ^ t9[b9] ^ t10[b10] ^ t11[b11] ^ t12[b12] ^ t13[b13] ^ t14[b14] ^ t15[b15]
             )
         self.busy_until = start + self.timing.ghash_cycles
         self.blocks_processed += 1

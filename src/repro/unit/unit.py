@@ -63,9 +63,10 @@ kernel's clock (:mod:`repro.isa.controller`), so :meth:`start` takes
 that cycle and how far ahead it lies.  Ahead of the kernel it issues
 an instruction only onto a state that no kernel event can still
 change: the unit idle, or its in-flight completion virtual and due by
-the issue's cycle.  A FIXED or ENGINE instruction touches nothing
-outside the core (the bank, the AES, GHASH, INC and XOR cores, the
-mask and the equality flag).  A LOAD or STORE claims a FIFO block
+the issue's cycle (one field, the first cycle from which the unit may
+take an issue ahead, holds that test).  A FIXED or ENGINE instruction
+touches nothing outside the core (the bank, the AES, GHASH, INC and
+XOR cores, the mask and the equality flag).  A LOAD or STORE claims a FIFO block
 whose cycle the FIFO's known schedule already fixes
 (:meth:`~repro.sim.fifo.WordFifo.pop_ready` and ``push_ready`` return a
 cycle): the FIFO's one crossbar run is on the other side of the
@@ -195,6 +196,14 @@ _FIXED, _ENGINE, _INPUT, _OUTPUT, _MAILBOX = (
     Timing.FIXED, Timing.ENGINE, Timing.INPUT, Timing.OUTPUT, Timing.MAILBOX
 )
 
+#: The ahead-issue row of an undecodable byte: it declines, as a mailbox
+#: instruction does, and the issue at the kernel raises.
+_UNDECODABLE = (None, 0, 0, _MAILBOX, None)
+
+#: :attr:`LooselyTimedUnit._free` while no issue ahead of the kernel may
+#: be taken.
+_NEVER = 1 << 62
+
 #: A row of an op table: the timing class and the issue handler
 #: ``handler(unit, a, b, now)``.  It applies the issue-time effects and
 #: returns the completion effect (FIXED), ``(effect, cycle)`` (ENGINE),
@@ -228,7 +237,9 @@ class LooselyTimedUnit:
         self.io = io
         self.timing = timing
         self._chain_cycles = timing.cu_chain_cycles
-        self._issue = self.ISSUE
+        #: ``ISSUE`` indexed by byte; an undecodable byte's row declines
+        #: ahead of the kernel like a mailbox instruction.
+        self._issue = [self.ISSUE.get(byte, _UNDECODABLE) for byte in range(256)]
         # An empty TraceRecorder is falsy (it has __len__), so compare to None.
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.name = name
@@ -244,6 +255,11 @@ class LooselyTimedUnit:
         self._effect: Optional[Callable[[], None]] = None
         #: The kernel entry when that completion is a real event.
         self._entry = None
+        #: The first cycle from which an issue ahead of the kernel may be
+        #: taken: 0 while idle, the in-flight completion's cycle while it
+        #: is virtual, :data:`_NEVER` while it is a kernel event or not
+        #: known yet (see :meth:`start`).  Kept with the three above.
+        self._free = 0
         sim.add_timeline(self)
 
     def decode(self, instr_byte: int):
@@ -273,10 +289,19 @@ class LooselyTimedUnit:
         is a kernel event, or a wait on the FIFO or mailbox), or if the
         pulse is not known yet.
         """
-        due = self._due
-        if self._entry is not None or (due is None and self._busy):
+        free = self._free
+        if free == _NEVER:
             return None
         done = self.done
+        if free > earliest:
+            # A virtual completion after the earliest wake-up, with
+            # nothing queued behind it (that would make it a kernel
+            # event) and the wire not latched since its issue: its pulse
+            # is the one the wait wakes on, and the wait absorbs it.
+            self._retire()
+            done.woke = free
+            return free
+        due = self._due
         if due is not None and due[0] <= earliest:
             self._complete()
             due = self._due
@@ -294,8 +319,8 @@ class LooselyTimedUnit:
 
     def horizon(self) -> int:
         """Cycle of a pending virtual completion (see ``Simulator.add_timeline``)."""
-        due = self._due
-        return due[0] if due is not None and self._entry is None else 0
+        free = self._free
+        return 0 if free == _NEVER else free
 
     def wake_on_completion(self) -> None:
         """Make the in-flight completion a real event (someone waits on it)."""
@@ -304,6 +329,7 @@ class LooselyTimedUnit:
             cycle, stamp, _seq = due
             self._due = (cycle, stamp, self.sim._seq)
             self._entry = self.sim.call_stamped(cycle, stamp, self._fire)
+            self._free = _NEVER
 
     @property
     def bank(self) -> BankRegister:
@@ -360,13 +386,9 @@ class LooselyTimedUnit:
         kernel's position.
         """
         if ahead:
-            due = self._due
-            if self._entry is not None or (self._busy if due is None else due[0] > cycle):
+            if self._free > cycle:
                 return False
-            row = self._issue.get(instr_byte)
-            if row is None:
-                return False  # the issue at the kernel raises
-            op, a, b, timing, handler = row
+            op, a, b, timing, handler = self._issue[instr_byte]
             if timing is not _FIXED and timing is not _ENGINE:
                 if timing is _MAILBOX:
                     return False
@@ -378,31 +400,36 @@ class LooselyTimedUnit:
                 ready = io.in_fifo.pop_ready(at) if timing is _INPUT else io.out_fifo.push_ready(at)
                 if ready is None:
                     return False
-            if due is not None:
+            due = self._due
+            if due is None:
+                self._busy = True
+                self.done.latched = False
+            else:
                 # Completed by *cycle*, with nothing waiting on it (a
                 # wait would have made it a kernel event): apply it.  Its
                 # done pulse would latch and this issue clear it at once,
-                # so the wire is left alone.
+                # so the wire is left alone: it has not pulsed since the
+                # issue that cleared it.
                 effect = self._effect
                 if effect is not None:
                     effect()
-                if self.trace.enabled:
-                    self.trace.record(due[0], self.name, "complete")
-            self._busy = True
-            done = self.done
-            done.latched = False
             if self.trace.enabled:
+                if due is not None:
+                    self.trace.record(due[0], self.name, "complete")
                 self._record_issue(cycle, op, a, b)
             result = handler(self, a, b, cycle)
             if timing is _FIXED:
                 self._effect = result
-                self._due = (cycle + self._chain_cycles, cycle, 0)
+                self._free = due_cycle = cycle + self._chain_cycles
+                self._due = (due_cycle, cycle, 0)
             elif timing is _ENGINE:
                 self._effect, due_cycle = result
+                self._free = due_cycle
                 self._due = (due_cycle, cycle, 0)
             else:
                 # A block move the FIFO's schedule has fixed.
-                self._due = key = (ready + self._chain_cycles, ready, at[2])
+                self._free = due_cycle = ready + self._chain_cycles
+                self._due = key = (due_cycle, ready, at[2])
                 if timing is _INPUT:
                     self._effect = partial(self._regs.__setitem__, result, io.claim_load(key, at))
                 else:
@@ -410,7 +437,7 @@ class LooselyTimedUnit:
                     self._effect = None
             # Idle before the issue, so nothing is queued and no idle
             # callback pends; a wait on ``done`` makes it a kernel event.
-            if done.waiters:
+            if self.done.waiters:
                 self.wake_on_completion()
             return True
         if cycle is None:
@@ -426,20 +453,23 @@ class LooselyTimedUnit:
             self._queue.append(instr_byte)
             self.wake_on_completion()
             return True
-        row = self._issue.get(instr_byte)
+        row = self.ISSUE.get(instr_byte)
         if row is None:
             self.decode(instr_byte)  # raises DecodeError for this byte
         op, a, b, timing, handler = row
         self._busy = True
+        self._free = _NEVER
         self.done.latched = False
         if self.trace.enabled:
             self._record_issue(cycle, op, a, b)
         result = handler(self, a, b, cycle)
         if timing is _FIXED:
             self._effect = result
-            self._due = (cycle + self._chain_cycles, cycle, 0)
+            self._free = due_cycle = cycle + self._chain_cycles
+            self._due = (due_cycle, cycle, 0)
         elif timing is _ENGINE:
             self._effect, due_cycle = result
+            self._free = due_cycle
             self._due = (due_cycle, cycle, 0)
         else:
             if timing is _INPUT:
@@ -467,6 +497,7 @@ class LooselyTimedUnit:
         """The in-flight instruction completes at kernel key *key*."""
         self._effect = effect
         self._due = key
+        self._free = key[0]
         if real or self._queue or self._idle_callbacks or self.done.waiters:
             self.wake_on_completion()
 
@@ -504,6 +535,7 @@ class LooselyTimedUnit:
         if effect is not None:
             effect()
         self._busy = False
+        self._free = 0
         if self.trace.enabled:
             self.trace.record(cycle, self.name, "complete")
 

@@ -13,6 +13,7 @@ two cores' rows on one cycle may interleave differently.
 from __future__ import annotations
 
 import random
+import sys
 from contextlib import ExitStack
 from unittest import mock
 
@@ -958,6 +959,55 @@ def test_generated_cu_programs_cover_the_issue_paths():
     assert {"load declined", "store declined, no drain", "halt yields", "halt in quantum"} <= seen
     assert "claim on a wake-up" in seen
     assert seen & {"tie with a 2-cycle run", "tie with a 6-cycle run"}
+
+
+def test_generated_cu_programs_cover_the_superblocks():
+    """The set reaches every way a translated block meets a ``HALT`` it
+    spans: one that sleeps in the block, one that stops the block (its
+    wake-up not fixed yet), and one whose wake-up leaves the rest of the
+    block past the quantum, so the block stops after it; and both ways
+    a FIFO replays claimed pushes for a waiting consumer run: a stretch
+    drained one block at a time, and claims the general replay takes."""
+    seen = set()
+    fixed_wake, drain = PulseWire.fixed_wake, fifo._Flow.drain
+
+    def in_block(frame) -> bool:
+        return frame.f_code.co_filename.startswith("<PC")
+
+    def halt(self, *args):
+        wake = fixed_wake(self, *args)
+        if in_block(sys._getframe(1)):
+            seen.add("in-block halt sleeps" if wake is not None else "in-block halt stops its block")
+        return wake
+
+    def stretch(self, run, i, *args):
+        j = drain(self, run, i, *args)
+        seen.add("drained stretch" if j > i else "drain left to the general replay")
+        return j
+
+    def block_returns(frame, event, result):
+        if event == "return" and in_block(frame) and isinstance(result, tuple):
+            pc, _pending, woken = result
+            code = frame.f_locals["c"].program.decoded
+            # Right after a HALT's wake-up, before an instruction the
+            # block could have run: it stopped at the quantum.
+            if woken >= 0 and 0 <= pc < len(code) and (code[pc].op not in SYNC_OPS or code[pc].op is Op.OUTPUT):
+                seen.add("in-block halt splits at the quantum")
+
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(PulseWire, "fixed_wake", halt))
+        stack.enter_context(mock.patch.object(fifo._Flow, "drain", stretch))
+        stack.callback(sys.setprofile, None)
+        sys.setprofile(block_returns)
+        for seed in CU_PROGRAM_SEEDS:
+            _run_cu_program(seed, False)
+    assert seen == {
+        "in-block halt sleeps",
+        "in-block halt stops its block",
+        "in-block halt splits at the quantum",
+        "drained stretch",
+        "drain left to the general replay",
+    }
 
 
 # -- the runaway guard: without the sync quantum a loop with no I/O never

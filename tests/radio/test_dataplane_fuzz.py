@@ -7,8 +7,8 @@ one-call path, each other, packet conservation, per-channel completion
 order and the fault plan's dead-letter set.  A second pair replays
 small workloads on the cycle-level ``cores`` dataplane and on
 ``batched``, and a third replays a dataplane case with numpy and with
-every numpy fast path turned off.  CI runs 200 + 60 cases (``python -m
-repro.experiments.fuzz --cases 200 --cores-cases 60``) and 40 numpy
+every numpy fast path turned off.  CI runs 200 + 240 cases (``python -m
+repro.experiments.fuzz --cases 200 --cores-cases 240``) and 40 numpy
 cases (``--cases 0 --numpy-cases 40 --seed 2000``); these slices keep
 tier-1 within a few seconds.
 """

@@ -122,14 +122,17 @@ def _probe(sim, fifo, rows, cycles, offset):
         yield Delay(2)
 
 
-def _claim_blocks(sim, fifo, stepped, period, blocks, pop):
+def _claim_blocks(sim, fifo, stepped, period, blocks, pop, lead=0):
     """A process that moves one block every *period* cycles while the
     FIFO can take the move: a pop (*pop*) or a push of the next block.
 
     On the stepped FIFO the words move at once; on the FIFO with an
     arrival schedule the move is a claim keyed like the process's own
     kernel entry and made where that entry was scheduled (as a ``LOAD``
-    or ``STORE`` claims its completion's move at its issue).
+    or ``STORE`` claims its completion's move at its issue).  With a
+    *lead*, a push lands *lead* cycles after the process decides on it:
+    claimed at the decision, keyed like the entry that pushes it on the
+    stepped FIFO (as a ``STORE`` issued ahead of the kernel claims it).
     """
     moved = []
     for block in blocks:
@@ -138,7 +141,13 @@ def _claim_blocks(sim, fifo, stepped, period, blocks, pop):
             yield Delay(period)
             if fifo.can_pop(4) if pop else fifo.can_push(4):
                 break
-        if stepped:
+        if lead:
+            key = (sim.now + lead, sim.now, sim._seq)
+            if stepped:
+                sim.call_stamped(*key[:2], lambda _arg, words=block: [fifo.push_word(w) for w in words])
+            else:
+                fifo.claim_push(key, sim.position(), tuple(block))
+        elif stepped:
             if pop:
                 moved.extend(fifo.pop_word() for _ in range(4))
             else:
@@ -155,14 +164,15 @@ def _claim_blocks(sim, fifo, stepped, period, blocks, pop):
 
 
 def _scenario(stepped, depth, producer_wc, nwords, consumer=None, consumer_wc=1,
-              pops_at=(), purge_at=(), cycles=400):
+              pops_at=(), purge_at=(), cycles=400, lead=0):
     """Run one FIFO with a run and what it meets, probing it every cycle:
     a producer run with block pops and purges at given cycles by a
     process, or with claimed block pops every *consumer_wc* cycles
     (*consumer* ``"claims"``); or (*consumer* ``"drain"``) a consumer
     run of every word, one per *consumer_wc* cycles, with claimed block
-    pushes every *producer_wc* cycles.  The runs are bounded runs, or on
-    the stepped FIFO the stepped transfer processes."""
+    pushes every *producer_wc* cycles, landing *lead* cycles later.  The
+    runs are bounded runs, or on the stepped FIFO the stepped transfer
+    processes."""
     sim = Simulator()
     fifo = (SteppedWordFifo if stepped else WordFifo)(sim, depth, "f")
     blocks, words = _blocks(nwords)
@@ -174,7 +184,7 @@ def _scenario(stepped, depth, producer_wc, nwords, consumer=None, consumer_wc=1,
             run = sim.add_process(stepped_drainer(port, sink, nwords, consumer_wc))
         else:
             run = fifo.drain_out(sink, nwords, consumer_wc)
-        claims = sim.add_process(_claim_blocks(sim, fifo, stepped, producer_wc, split, False))
+        claims = sim.add_process(_claim_blocks(sim, fifo, stepped, producer_wc, split, False, lead))
     else:
         if stepped:
             run = sim.add_process(stepped_feeder(port, blocks, producer_wc))
@@ -247,6 +257,19 @@ def test_drain_statistics_at_every_cycle_match_the_stepped_fifo(producer_wc, con
     docs)."""
     out = _assert_matches_stepped(depth=depth, producer_wc=producer_wc, nwords=40,
                                   consumer="drain", consumer_wc=consumer_wc)
+    assert out["sink"] == _blocks(40)[1]
+
+
+@pytest.mark.parametrize("producer_wc,lead,consumer_wc", [(13, 6, 1), (17, 6, 3), (9, 4, 1), (5, 6, 3)])
+def test_pushes_claimed_ahead_match_the_stepped_fifo(producer_wc, lead, consumer_wc):
+    """A consumer run against block pushes claimed *lead* cycles before
+    they land.  In the first three the run drains each block before the
+    next lands, so its end is projected through a drained stretch (see
+    ``_Flow.drain``); in the last one the blocks land faster than it
+    drains them (the FIFO holds every word: the claims do not look for
+    room)."""
+    out = _assert_matches_stepped(depth=64, producer_wc=producer_wc, nwords=40,
+                                  consumer="drain", consumer_wc=consumer_wc, lead=lead)
     assert out["sink"] == _blocks(40)[1]
 
 

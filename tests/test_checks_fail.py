@@ -22,7 +22,7 @@ from repro.core.firmware.library import FIRMWARE_LIBRARY
 from repro.core.params import Algorithm, CcmRole, Direction
 from repro.experiments.fuzz import check_cores_case, generate_cores_case, loop_period_errors
 from repro.isa.controller import SYNC_QUANTUM
-from repro.sim.fifo import WordFifo
+from repro.sim.fifo import WordFifo, _Flow
 from repro.sim.signals import PulseWire
 from repro.unit.timing import DEFAULT_TIMING
 from repro.unit.unit import LooselyTimedUnit, Timing
@@ -105,6 +105,41 @@ def in_quantum_halt_one_cycle_early():
         yield
 
 
+@contextmanager
+def in_block_halt_one_cycle_long():
+    """A ``HALT`` inside a translated block sleeps one cycle past the
+    wake-up the unit fixed."""
+    fixed_wake = PulseWire.fixed_wake
+
+    def late(self, earliest, ahead):
+        wake = fixed_wake(self, earliest, ahead)
+        if wake is not None and sys._getframe(1).f_code.co_filename.startswith("<PC"):
+            wake += 1
+        return wake
+
+    with mock.patch.object(PulseWire, "fixed_wake", late):
+        yield
+
+
+@contextmanager
+def drained_stretch_one_cycle_late():
+    """The FIFO's closed-form drain pops a stretch's last word one cycle
+    late, so the run ends, or tries its next pop, a cycle late."""
+    drain = _Flow.drain
+
+    def late(self, run, i, last, bound):
+        j = drain(self, run, i, last, bound)
+        if j > i:
+            if run.end is not None:
+                run.end = (run.end[0] + 1, run.end[1] + 1)
+            else:
+                run.stalled += 1
+        return j
+
+    with mock.patch.object(_Flow, "drain", late):
+        yield
+
+
 # -- the checks under them ---------------------------------------------------------
 
 #: A tier-1 cores fuzz seed with GCM-256 tasks of 21 blocks.
@@ -156,10 +191,11 @@ AHEAD_FAULTS = {
     "late_private_issue": private_issue_one_cycle_late,
     "late_ahead_claim": ahead_claim_one_cycle_late,
     "early_in_quantum_halt": in_quantum_halt_one_cycle_early,
+    "long_in_block_halt": in_block_halt_one_cycle_long,
 }
 
 
-@pytest.mark.parametrize("fault", ["late_ahead_claim", "early_in_quantum_halt"])
+@pytest.mark.parametrize("fault", ["late_ahead_claim", "early_in_quantum_halt", "long_in_block_halt"])
 def test_stepped_oracle_catches_an_ahead_fault(fault):
     decoupled = _test_module("isa/test_decoupled_controller.py")
     with AHEAD_FAULTS[fault]():
@@ -169,7 +205,7 @@ def test_stepped_oracle_catches_an_ahead_fault(fault):
             decoupled.test_generated_cu_program_matches_stepped(2)
 
 
-@pytest.mark.parametrize("fault", ["late_ahead_claim", "early_in_quantum_halt"])
+@pytest.mark.parametrize("fault", ["late_ahead_claim", "early_in_quantum_halt", "long_in_block_halt"])
 def test_cycle_pins_catch_an_ahead_fault(fault):
     pins = _test_module("radio/test_cores_cycle_pins.py")
     with AHEAD_FAULTS[fault](), pytest.raises(AssertionError):
@@ -184,3 +220,19 @@ def test_cores_fuzz_catches_an_ahead_fault(fault):
     with AHEAD_FAULTS[fault]():
         errors = check_cores_case(case)
     assert "cores: cycles differ from a replay with its controllers stepping" in errors
+
+
+def test_stepped_fifo_catches_a_late_drained_stretch():
+    """Only a run's end shows the fault: a drained stretch is followed
+    by a wait, which the next claim ends on its own cycle.  In a cores
+    replay each download ends before the communication controller,
+    done with the task's result, waits for it, so neither the cycle
+    pins nor the cores fuzz can see it; the FIFO against the stepped
+    FIFO, and a generated program whose drain ends after its task, do."""
+    fifo_tests = _test_module("sim/test_fifo.py")
+    decoupled = _test_module("isa/test_decoupled_controller.py")
+    with drained_stretch_one_cycle_late():
+        with pytest.raises(AssertionError):
+            fifo_tests.test_pushes_claimed_ahead_match_the_stepped_fifo(13, 6, 1)
+        with pytest.raises(AssertionError):
+            decoupled.test_generated_cu_program_matches_stepped(13)

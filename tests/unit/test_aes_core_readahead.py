@@ -1,11 +1,14 @@
 """The AES core's counter-run readahead.
 
-Once a counter run has consumed ``n >= MIN_LANES`` blocks
-(:data:`repro.crypto.fast.batch.MIN_LANES`) and its buffer is used up,
-the core fills the buffer with its next ``max(n, m - n)`` blocks in
-one :func:`repro.crypto.fast.bulk.ctr_stream` call, ``m`` being the
-length of the last run that read ahead.  Every result must equal the
-block encrypted alone, whatever the run's shape.
+A counter run fills its buffer, once used up, with its next
+``max(n, m - n)`` blocks in one :func:`repro.crypto.fast.bulk.ctr_stream`
+call, ``n`` being the blocks it has consumed and ``m`` the length of
+the core's last run longer than ``MIN_LANES``
+(:data:`repro.crypto.fast.batch.MIN_LANES`) blocks: from its second
+block once the core has such a run, else from ``n >= MIN_LANES``.  No
+fill reads past the run's :data:`~repro.unit.cores.aes_core.LONGEST_RUN`-th
+block.  Every result must equal the block encrypted alone, whatever the
+run's shape.
 """
 
 from types import SimpleNamespace
@@ -17,7 +20,7 @@ from repro.crypto.aes import expand_key
 from repro.crypto.fast import aes_vector, bulk, set_fast
 from repro.crypto.fast.batch import MIN_LANES
 from repro.unit.cores import aes_core
-from repro.unit.cores.aes_core import AesCore, encrypt_block_int
+from repro.unit.cores.aes_core import LONGEST_RUN, AesCore, encrypt_block_int
 from repro.unit.cores.inc_core import inc16
 from repro.unit.timing import DEFAULT_TIMING
 
@@ -64,8 +67,8 @@ def test_run_across_the_16_bit_wrap(fills):
     _run(core, COUNTER | 0xFFF4, 40)
     _run(core, COUNTER | 0xFFF4, 40)
     # The first fill (0xFFFC..0x0003) wraps; the second run reads its
-    # last 32 blocks at once.
-    assert fills == [8, 16, 32, 32]
+    # last 39 blocks at once, from its second block.
+    assert fills == [8, 16, 32, 39]
     assert core.blocks_processed == 80
 
 
@@ -84,8 +87,9 @@ def test_a_key_install_mid_run_serves_no_stale_block(fills):
         keys = cache.round_keys()
         assert _encrypt(core, block, keys) == encrypt_block_int(block, keys)
         block = inc16(block, 1)
-    # The second run read 12 ahead, sized by the first (20 blocks).
-    assert fills == [8, 16, 12]
+    # The second run read 19 ahead from its second block, sized by the
+    # first (20 blocks); the third 11, sized by the second (12 blocks).
+    assert fills == [8, 16, 19, 11]
 
 
 @pytest.mark.parametrize("stride", [2, 3, 4])
@@ -109,13 +113,17 @@ def test_runs_shorter_than_min_lanes_make_no_vector_call(fills):
 @needs_numpy
 def test_a_long_run_after_a_long_run_fills_in_one_call(fills):
     core = AesCore(DEFAULT_TIMING)
-    _run(core, COUNTER, 130)
-    # Short runs between (GCM's H = E(0), a 16-byte packet) neither
-    # read ahead nor change the next window.
+    _run(core, COUNTER, LONGEST_RUN)
+    # The first run doubles its fills, the last one cut at the longest run.
+    assert fills == [8, 16, 32, 64, 1]
+    assert MIN_LANES + sum(fills) == LONGEST_RUN
+    # A lone block between (GCM's H = E(0)) neither reads ahead nor
+    # changes the next window; a short run (a 32-byte packet) reads the
+    # long run's window from its second block and does not change it.
     _run(core, 0, 1)
     _run(core, COUNTER | 0x4000, 3)
-    _run(core, COUNTER | 0x8000, 130)
-    assert fills == [8, 16, 32, 64, 128, 130 - MIN_LANES]
+    _run(core, COUNTER | 0x8000, LONGEST_RUN)
+    assert fills[5:] == [LONGEST_RUN - 1, LONGEST_RUN - 1]
 
 
 @needs_numpy
