@@ -55,19 +55,18 @@ program (:func:`translation`; Shade's translation cache, Cmelik &
 Keppel, SIGMETRICS 1994): a *block*, the instructions from that PC
 through a jump, ``CALL`` or ``RETURN`` or up to a synchronising
 instruction, compiled from per-op templates into one Python function
-that indexes the registers directly, writes the flags once and, unless
-it spans a ``HALT`` (below), has a constant cycle count; and a *step*, the PC's one instruction.  An
-immediate ``OUTPUT`` inside a block calls the port's handler in line
-(a superinstruction: Proebsting, POPL 1995; Ertl & Gregg, PLDI 2003),
-looked up once per call; it passes a register that a ``LOAD`` earlier
-in the block set to a constant as that constant (the block writes
-such a register back only where it stops or reads it).  So the builder's
-``LOAD s2, k; OUTPUT s2, P_CU; NOP`` idiom is three instructions of
-one block (a block stops at :data:`BLOCK_LIMIT` instructions).  If the
-handler declines, the block stops before that ``OUTPUT`` (returning
-its PC complemented) and the loop catches up and writes it at the
-kernel; an ``OUTPUT`` leading a block at the kernel the loop writes
-without the block.  A block runs only if ``pending`` plus its cycles
+that indexes the registers directly, writes the flags once, counts its
+own retired instructions and returns the next PC with the cycles it
+has run ahead; and a *step*, the PC's one instruction.  An immediate
+``OUTPUT`` inside a block calls the port's handler in line (a
+superinstruction: Proebsting, POPL 1995; Ertl & Gregg, PLDI 2003),
+looked up once per call, so the builder's ``LOAD s2, k; OUTPUT s2,
+P_CU; NOP`` idiom is three instructions of one block (a block stops at
+:data:`BLOCK_LIMIT` instructions).  If the handler declines, the block
+stops before that ``OUTPUT`` (returning its PC complemented) and the
+loop catches up and writes it at the kernel; an ``OUTPUT`` leading a
+block at the kernel the loop writes without the block.  A block runs
+only if ``pending`` plus the cycles up to its first ``HALT`` or jump
 stays below :data:`SYNC_QUANTUM`, and the loop catches up first
 otherwise; while interrupts are enabled it runs steps.  A write the
 device takes ahead of the kernel must not stop the controller; a
@@ -100,7 +99,7 @@ ahead=pending)``.  A sleep that would take ``pending`` to
 :data:`SYNC_QUANTUM` yields at once, to the wake-up.
 
 A block spans such a ``HALT``: it sleeps in place, counting the sleep
-in the cycles it reports and in ``halted_cycles``, and runs on into the
+in the cycles it returns and in ``halted_cycles``, and runs on into the
 instructions after it, grouped as a block at that PC would group them.
 It stops before the ``HALT``, the way it stops before a declined
 ``OUTPUT``, if the wake-up is not fixed (the loop then catches up and
@@ -194,7 +193,6 @@ _TEMPLATES.update(
     {Op[f"{op.name}_R"]: text for op, text in _TEMPLATES.items() if f"{op.name}_R" in Op.__members__}
 )
 _SETS_FLAGS = frozenset(op for op, text in _TEMPLATES.items() if "\nz = " in text)
-_WRITES_X = frozenset(op for op, text in _TEMPLATES.items() if "r[{x}] =" in text)
 
 _CONDITIONS = {Cond.ALWAYS: "True", Cond.Z: "{z}", Cond.NZ: "not {z}", Cond.C: "{cy}", Cond.NC: "not {cy}"}
 #: Flow-control opcode -> (kind, condition).
@@ -255,36 +253,26 @@ def _function(code: List[Decoded], segments: List[Tuple[int, int]], step: bool =
     *segments* (see :func:`_segments`) from *cycle*, *ahead* cycles past
     the kernel's clock.
 
-    A block of one range returns the next PC, or ``~pc`` if the device
-    declined the ``OUTPUT`` at *pc*.  A block that spans a ``HALT``, or
-    whose closing jump to its own start repeats it in place (*loop*),
-    counts its own ``instructions_retired`` and ``halted_cycles`` and
-    returns ``(pc, pending, woken)``: the cycles it has run ahead, and
-    that count again if nothing ran since a ``HALT``'s wake-up, else -1.
-    It stops before a ``HALT`` whose wake-up is not fixed, returning the
-    ``HALT``'s PC.  A *step* runs its one instruction at the kernel.
+    It counts its own ``instructions_retired`` and ``halted_cycles`` and
+    returns ``(pc, pending, woken)``: the next PC, the cycles it has run
+    ahead, and that count again if nothing ran since a ``HALT``'s
+    wake-up, else -1.  It returns ``~pc`` if the device declined the
+    ``OUTPUT`` at *pc*, and the ``HALT``'s PC if it stopped before a
+    ``HALT`` whose wake-up is not fixed.  With *loop*, its closing jump
+    to its own start repeats it in place.  A *step* runs its one
+    instruction at the kernel and returns the next PC alone.
     """
     start = segments[0][0]
-    variable = loop or len(segments) > 1
     body: List[str] = []
     local_flags = False
     retired = 0  # instructions of this pass before the current one
-    # Registers holding a constant ``LOAD`` in this pass, those of them
-    # not written back yet (an ``OUTPUT`` writes the constant, a later
-    # ``LOAD`` may replace it), and the ports of the OUTPUTs, whose
-    # handlers are looked up once per call.
-    known: Dict[int, int] = {}
-    unstored: Dict[int, int] = {}
+    # The ports of the OUTPUTs, whose handlers are looked up once per call.
     ports = sorted({code[pc].operand for b, e in segments for pc in range(b, e) if code[pc].op is Op.OUTPUT})
-
-    def store(regs) -> List[str]:
-        return [f"r[{reg}] = {unstored.pop(reg)}" for reg in sorted(regs) if reg in unstored]
 
     def leave(target, k: int = 0, woken: bool = False) -> List[str]:
         """Lines that end the block at *target*, *k* cycles past ``ahead``."""
         lines = ["c.zero = z; c.carry = cy"] if local_flags else []
-        lines += [f"r[{reg}] = {value}" for reg, value in sorted(unstored.items())]
-        if not variable:
+        if step:
             return lines + [f"return {target}"]
         if loop or retired:
             lines.append(f"c.instructions_retired += {'n + ' if loop else ''}{retired}")
@@ -324,7 +312,6 @@ def _function(code: List[Decoded], segments: List[Tuple[int, int]], step: bool =
                     body.extend(_RETURNI.format(enable=op is Op.RETURNI_E).split("\n"))
                     continue
                 cond = cond.format(**fields)
-                body.extend(store(list(unstored)))
                 if local_flags:
                     body.append("c.zero = z; c.carry = cy")
                     local_flags = False
@@ -353,23 +340,12 @@ def _function(code: List[Decoded], segments: List[Tuple[int, int]], step: bool =
                 # The device's handler takes it ahead of the kernel, or
                 # the block stops before it.  (The loop writes one that
                 # leads a block at the kernel itself, without the block.)
-                value = known.get(decoded.sx, f"r[{decoded.sx}]")
                 at = f"cycle + {k}, ahead + {k}" if k else "cycle, ahead"
-                body.append(f"if not w{decoded.operand}({value}, {at}):")
+                body.append(f"if not w{decoded.operand}(r[{decoded.sx}], {at}):")
                 body.extend(_indent(leave(~pc, k, woken=index > 0 and pc == begin)))
                 retired += 1
                 continue
-            if op is Op.LOAD and not step:
-                known[decoded.sx] = unstored[decoded.sx] = decoded.operand
-                retired += 1
-                continue
-            template = _TEMPLATES[op]
-            body.extend(store([decoded.sx] if "{x}" in template else []))
-            if op in REGISTER_FORMS:
-                body.extend(store([decoded.operand >> 4]))
-            body.extend(line for line in template.format(**fields).split("\n") if line)
-            if op in _WRITES_X:
-                known.pop(decoded.sx, None)
+            body.extend(line for line in _TEMPLATES[op].format(**fields).split("\n") if line)
             local_flags = local_flags or op in _SETS_FLAGS
             retired += 1
     begin, stop = segments[-1]
@@ -382,14 +358,12 @@ def _function(code: List[Decoded], segments: List[Tuple[int, int]], step: bool =
     return "\n    ".join(["def f(c, r, cycle=0, ahead=0):", *body])
 
 
-#: One translated PC: ``(block, limit, cycles, port, sx, step)``.  The
-#: block (None at a synchronising instruction other than ``OUTPUT``)
-#: runs when ``pending < limit``; it adds *cycles*, or, with *cycles* 0,
-#: spans a ``HALT`` or loops in place and returns its own count (see
-#: :func:`_function`).  *port*, if not None, is the port of an ``OUTPUT
-#: sx, port`` at the PC; *step* runs the PC's one instruction (None for
-#: ``HALT``).
-Entry = Tuple[Optional[Callable], int, int, Optional[int], int, Optional[Callable]]
+#: One translated PC: ``(block, limit, port, sx, step)``.  The block
+#: (None at a synchronising instruction other than ``OUTPUT``) runs
+#: when ``pending < limit`` (see :func:`_function`).  *port*, if not
+#: None, is the port of an ``OUTPUT sx, port`` at the PC; *step* runs
+#: the PC's one instruction (None for ``HALT``).
+Entry = Tuple[Optional[Callable], int, Optional[int], int, Optional[Callable]]
 
 
 def translation(program: Program) -> List[Entry]:
@@ -407,24 +381,19 @@ def translation(program: Program) -> List[Entry]:
     code = program.decoded
     entries: List[Entry] = []
     for pc, decoded in enumerate(code):
-        output = decoded.op is Op.OUTPUT
-        port, sx = (decoded.operand, decoded.sx) if output else (None, 0)
+        port, sx = (decoded.operand, decoded.sx) if decoded.op is Op.OUTPUT else (None, 0)
         step = None
+        if decoded.op is not Op.HALT:
+            step = _lazy(entries, code, [(pc, pc + 1)], 4, step=True)
         segments = _segments(code, pc)
         stop = segments[0][1]
+        if stop == pc:
+            entries.append((None, 0, port, sx, step))
+            continue
         last = code[segments[-1][1] - 1]
         loop = segments[-1][1] > segments[-1][0] and last.op in _JUMPS and last.addr == pc
-        single = stop == pc + 1 and not output and len(segments) == 1 and not loop
-        if decoded.op is not Op.HALT:
-            step = _lazy(entries, code, [(pc, pc + 1)], (0, 5) if single else (5,), step=True)
         limit = SYNC_QUANTUM - CYCLES_PER_INSTRUCTION * (stop - pc)
-        if stop == pc:
-            entries.append((None, 0, 0, port, sx, step))
-        elif len(segments) > 1 or loop:
-            entries.append((_lazy(entries, code, segments, (0,), loop=loop), limit, 0, port, sx, step))
-        else:
-            block = step if single else _lazy(entries, code, segments, (0,))
-            entries.append((block, limit, CYCLES_PER_INSTRUCTION * (stop - pc), port, sx, step))
+        entries.append((_lazy(entries, code, segments, 0, loop=loop), limit, port, sx, step))
     program._translation = entries  # type: ignore[attr-defined]
     return entries
 
@@ -433,12 +402,12 @@ def _lazy(
     entries: List[Entry],
     code: List[Decoded],
     segments: List[Tuple[int, int]],
-    slots: Tuple[int, ...],
+    slot: int,
     step: bool = False,
     loop: bool = False,
 ) -> Callable:
     """A stand-in that compiles the block of *segments* on its first
-    call, puts the function into *slots* of its entry and runs it."""
+    call, puts the function into *slot* of its entry and runs it."""
     start = segments[0][0]
 
     def first_call(ctrl: "Controller8", regs: List[int], *ahead: int):
@@ -446,8 +415,7 @@ def _lazy(
         source = _function(code, segments, step=step, loop=loop)
         exec(compile(source, f"<PC {start:#05x}>", "exec"), namespace)
         entry = list(entries[start])
-        for slot in slots:
-            entry[slot] = namespace["f"]
+        entry[slot] = namespace["f"]
         entries[start] = tuple(entry)  # type: ignore[assignment]
         return namespace["f"](ctrl, regs, *ahead)
 
@@ -602,28 +570,15 @@ class Controller8:
             pc = self.pc
             if pc >= size:
                 break
-            block, limit, cycles, port, sx, step = entries[pc]
+            block, limit, port, sx, step = entries[pc]
             if block is not None and not stepping:
                 if pending >= limit:
                     # The block would cross the quantum: catch up first.
                     yield (_WOKEN if pending == woken else _CATCH_UP)[pending]
                     pending, woken = 0, -1
                     continue
-                if not pending and port is not None:
-                    pass  # an OUTPUT leading the block, at the kernel: written below
-                elif cycles:
-                    pc = block(self, regs, sim.now + pending, pending)
-                    if pc >= 0:
-                        self.instructions_retired += cycles >> 1
-                        pending += cycles
-                        self.pc = pc
-                        continue
-                    start, pc = self.pc, ~pc
-                    self.instructions_retired += pc - start
-                    pending += CYCLES_PER_INSTRUCTION * (pc - start)
-                else:
-                    # A block spanning HALTs or looping in place.  It
-                    # returns ``pending`` unchanged only if nothing ran.
+                if pending or port is None:
+                    # It returns ``pending`` unchanged only if nothing ran.
                     pc, ahead, wake = block(self, regs, sim.now + pending, pending)
                     if ahead != pending:
                         pending, woken = ahead, wake
@@ -635,6 +590,7 @@ class Controller8:
                             pending, woken = 0, -1
                         continue
                     pc = ~pc
+                # else an OUTPUT leading the block, at the kernel: written below.
                 # The block stopped before the OUTPUT at pc: the device
                 # declined it ahead of the kernel, or it is at the
                 # kernel.  Everything before it ran.
@@ -644,7 +600,7 @@ class Controller8:
                     pending, woken = 0, -1
                     if self._stopped or self.program is not program:
                         continue
-                _block, _limit, _cycles, port, sx, _step = entries[pc]
+                _block, _limit, port, sx, _step = entries[pc]
                 (writers[port] or self._writer(port))(regs[sx], sim.now, 0)
                 self.pc = pc + 1
                 self.instructions_retired += 1

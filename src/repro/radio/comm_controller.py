@@ -87,7 +87,9 @@ class CompletedTransfer:
     ``request`` is set for jobs that ran on the simulated cores;
     batch-engine jobs carry ``request=None`` and reference their
     :class:`PacketJob` instead.  ``channel_id``/``sequence`` identify
-    the packet either way.
+    the packet either way.  ``download_done_cycle`` is when the job
+    finished; on the cores, ``download_end_cycle`` is when the
+    crossbar's download of its output ended (0 if nothing was read).
 
     A batch-engine transfer may be *deferred*: its dispatch was reaped
     — completion cycle stamped, completion event fired — before any
@@ -104,7 +106,7 @@ class CompletedTransfer:
 
     __slots__ = (
         "request", "job", "channel_id", "sequence", "_payload", "_tag",
-        "_ok", "download_done_cycle", "extra", "_resolver", "__weakref__",
+        "_ok", "download_done_cycle", "download_end_cycle", "extra", "_resolver", "__weakref__",
     )
 
     def __init__(
@@ -126,6 +128,7 @@ class CompletedTransfer:
         self._tag = tag
         self._ok = ok
         self.download_done_cycle = download_done_cycle
+        self.download_end_cycle = 0
         self.extra: dict = {}
         #: The controller whose barrier computes this transfer's
         #: outputs; None once they are final.
@@ -716,7 +719,7 @@ class CommController:
                     self.mccp.cores[request.output_core_index], sink, nwords
                 )
             if download is not None:
-                yield download.done
+                transfer.download_end_cycle = yield download.done
             transfer.payload, transfer.tag = parse_output(
                 out_task, words32_to_bytes(sink)
             )

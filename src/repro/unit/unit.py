@@ -196,8 +196,8 @@ _FIXED, _ENGINE, _INPUT, _OUTPUT, _MAILBOX = (
     Timing.FIXED, Timing.ENGINE, Timing.INPUT, Timing.OUTPUT, Timing.MAILBOX
 )
 
-#: The ahead-issue row of an undecodable byte: it declines, as a mailbox
-#: instruction does, and the issue at the kernel raises.
+#: The issue row of an undecodable byte: ahead of the kernel it
+#: declines, as a mailbox instruction does; at the kernel it raises.
 _UNDECODABLE = (None, 0, 0, _MAILBOX, None)
 
 #: :attr:`LooselyTimedUnit._free` while no issue ahead of the kernel may
@@ -237,8 +237,8 @@ class LooselyTimedUnit:
         self.io = io
         self.timing = timing
         self._chain_cycles = timing.cu_chain_cycles
-        #: ``ISSUE`` indexed by byte; an undecodable byte's row declines
-        #: ahead of the kernel like a mailbox instruction.
+        #: ``ISSUE`` indexed by byte, :data:`_UNDECODABLE` where it has
+        #: no row.
         self._issue = [self.ISSUE.get(byte, _UNDECODABLE) for byte in range(256)]
         # An empty TraceRecorder is falsy (it has __len__), so compare to None.
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
@@ -298,22 +298,14 @@ class LooselyTimedUnit:
             # nothing queued behind it (that would make it a kernel
             # event) and the wire not latched since its issue: its pulse
             # is the one the wait wakes on, and the wait absorbs it.
+            earliest = free
             self._retire()
-            done.woke = free
-            return free
-        due = self._due
-        if due is not None and due[0] <= earliest:
-            self._complete()
-            due = self._due
-        if done.latched:
-            done.clear_latch()
-        elif due is None or self._entry is not None or self._queue:
-            return None
         else:
-            # The completion's pulse is the one the wait wakes on, and
-            # the wait absorbs it.
-            earliest = due[0]
-            self._retire()
+            if free:
+                self._complete()  # due by then: its pulse latches
+            if not done.latched:
+                return None
+            done.clear_latch()
         done.woke = earliest
         return earliest
 
@@ -453,10 +445,9 @@ class LooselyTimedUnit:
             self._queue.append(instr_byte)
             self.wake_on_completion()
             return True
-        row = self.ISSUE.get(instr_byte)
-        if row is None:
+        if not 0 <= instr_byte < 256 or self._issue[instr_byte] is _UNDECODABLE:
             self.decode(instr_byte)  # raises DecodeError for this byte
-        op, a, b, timing, handler = row
+        op, a, b, timing, handler = self._issue[instr_byte]
         self._busy = True
         self._free = _NEVER
         self.done.latched = False

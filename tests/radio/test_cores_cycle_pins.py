@@ -3,8 +3,9 @@
 Other tests pin the device model's figures only relative to each other
 (batched == pipelined) or through the sweep baseline's tolerance.  This
 one pins exact simulated cycles for a small ``gcm_4x1``-style workload,
-so any change to the controller, the CU or the kernel's event order that
-moves a single completion cycle fails here.
+so any change to the controller, the CU, the FIFOs or the kernel's event
+order that moves a single completion cycle, or the end of a single
+download, fails here.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from repro.radio.traffic import TrafficPattern
 
 #: 4 x GCM-256 SATCOM channels, 2 packets each, a quarter of them rx.
 TOTAL_CYCLES = 18044
-TRANSFERS_SHA256 = "6288908459fc9a4ae4bdcc040aa20ac28d6061cc343071bc1fca75e710a5e2ba"
+TRANSFERS_SHA256 = "448bf3bae204e59b3d7ab77e98fd5e03e58b83a541068ebb660fdda1befabead"
 
 
 def test_cores_dataplane_cycles_are_pinned():
@@ -33,7 +34,7 @@ def test_cores_dataplane_cycles_are_pinned():
         WorkloadSpec(configs, dataplane="cores", rx_fraction=0.25)
     )
     rows = sorted(
-        (t.channel_id, t.sequence, t.ok, t.download_done_cycle)
+        (t.channel_id, t.sequence, t.ok, t.download_done_cycle, t.download_end_cycle)
         for t in platform.comm.completed.values()
     )
     assert len(rows) == report.packets_done == 8

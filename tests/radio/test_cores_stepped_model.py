@@ -3,11 +3,12 @@
 Every core and the crossbar of one platform are swapped for the stepped
 copies in ``tests/stepped_models.py`` (one kernel event per instruction,
 per CU completion and per word moved).  The loosely timed platform must
-reproduce every transfer's bytes, outcome and download cycle, the run's
-total cycles, the crossbar's word count, every FIFO's statistics and
-every core's instruction and halted-cycle counts: on two hand-written
-mixes and on shapes drawn by the ``cores`` fuzz generator (0 B and
-off-block payloads, rx, loss, corruption, two-core CCM).
+reproduce every transfer's bytes, outcome, completion cycle and
+download end, the run's total cycles, the crossbar's word count, every
+FIFO's statistics and every core's instruction and halted-cycle counts:
+on two hand-written mixes and on shapes drawn by the ``cores`` fuzz
+generator (0 B and off-block payloads, rx, loss, corruption, two-core
+CCM).
 """
 
 from types import SimpleNamespace
@@ -29,7 +30,7 @@ def _run(make_spec, stepped: bool, seed: int):
         step_platform(platform)
     report = platform.run_workload(make_spec())
     transfers = sorted(
-        (t.channel_id, t.sequence, t.ok, t.download_done_cycle, t.payload, t.tag)
+        (t.channel_id, t.sequence, t.ok, t.download_done_cycle, t.download_end_cycle, t.payload, t.tag)
         for t in platform.comm.completed.values()
     )
     fifos = [

@@ -224,15 +224,24 @@ def test_cores_fuzz_catches_an_ahead_fault(fault):
 
 def test_stepped_fifo_catches_a_late_drained_stretch():
     """Only a run's end shows the fault: a drained stretch is followed
-    by a wait, which the next claim ends on its own cycle.  In a cores
-    replay each download ends before the communication controller,
-    done with the task's result, waits for it, so neither the cycle
-    pins nor the cores fuzz can see it; the FIFO against the stepped
-    FIFO, and a generated program whose drain ends after its task, do."""
+    by a wait, which the next claim ends on its own cycle.  The FIFO
+    against the stepped FIFO, a generated program whose drain ends after
+    its task, and a cores replay against the stepped model, whose
+    transfers record where each download ended, see it."""
     fifo_tests = _test_module("sim/test_fifo.py")
     decoupled = _test_module("isa/test_decoupled_controller.py")
+    platform = _test_module("radio/test_cores_stepped_model.py")
     with drained_stretch_one_cycle_late():
         with pytest.raises(AssertionError):
             fifo_tests.test_pushes_claimed_ahead_match_the_stepped_fifo(13, 6, 1)
         with pytest.raises(AssertionError):
             decoupled.test_generated_cu_program_matches_stepped(13)
+        with pytest.raises(AssertionError):
+            platform.test_cores_dataplane_matches_stepped_model("gcm_4x1")
+
+
+def test_cycle_pins_catch_a_late_drained_stretch():
+    pins = _test_module("radio/test_cores_cycle_pins.py")
+    with drained_stretch_one_cycle_late(), pytest.raises(AssertionError):
+        pins.test_cores_dataplane_cycles_are_pinned()
+
