@@ -70,10 +70,7 @@ def clear_caches() -> None:
     table sets are warm-path optimisations shared by every workload in
     a process.  All of them are bounded LRUs (see the ``*_SLOTS``
     constants next to each cache), so key churn cannot grow memory
-    without limit; this hook additionally empties them outright.  The
-    experiment sweep runner calls it before timing-tagged cases so
-    measured ops/s never depend on which earlier cases happened to
-    share the worker.
+    without limit; this hook additionally empties them outright.
     """
     expand_key_cached.cache_clear()
     ghash_tables.cache_clear()

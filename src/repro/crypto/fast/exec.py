@@ -561,7 +561,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
         if multiprocessing.current_process().daemon:
             # Children of daemonic pool workers are forbidden; e.g. a
-            # bench kernel running inside the sweep runner's pool.
+            # dispatch inside a multiprocessing.Pool worker.
             self._go_inline("daemonic process cannot spawn workers")
             return None
         try:
@@ -776,7 +776,7 @@ _INHERITED_BACKENDS: list = []
 
 
 def _forget_inherited_backends() -> None:
-    # A forked child (e.g. a sweep-runner pool worker) that submitted
+    # A forked child (e.g. a multiprocessing.Pool worker) that submitted
     # to its parent's pool would wait forever.  It re-resolves the
     # default and spec strings on first use, so a daemonic child falls
     # back to inline as _ensure_pool intends.

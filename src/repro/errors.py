@@ -142,8 +142,10 @@ class SimulationError(ReproError):
 
 
 class ExperimentError(ReproError):
-    """Raised by the experiment-sweep subsystem (unknown scenario,
-    malformed grid/metrics, baseline-comparison misuse)."""
+    """Raised by a scenario of :mod:`repro.experiments` whose output or
+    invariant is wrong (a secured packet that is not the gold model's,
+    a chaos survivor that differs from the fault-free run, a broken
+    overload SLA)."""
 
 
 class ResilienceError(ReproError):

@@ -1,46 +1,15 @@
-"""Parallel scenario-sweep subsystem.
+"""Experiments: the paper's measurements and the dataplane's invariants.
 
-Turns the repo's one-off benchmarks into declarative, reproducible
-experiment campaigns:
+- :mod:`repro.experiments.scenarios` — plain functions of their grid
+  values: the paper tables, scheduling, scaling and the CCM mapping
+  ablation report figures; mode mixes, key churn, reconfiguration
+  storms, fault injection (chaos) and overload control raise
+  :class:`repro.errors.ExperimentError` on a broken invariant.  The
+  tier-1 suite runs every grid: ``tests/experiments/`` and the radio
+  and reconfiguration tests assert on them.
+- :mod:`repro.experiments.fuzz` — differential fuzzing of the batched
+  and cycle-level dataplanes.
 
-- :mod:`repro.experiments.scenario` — the :class:`Scenario` dataclass,
-  the ``@register`` decorator and the global registry;
-- :mod:`repro.experiments.scenarios` — the built-in library (paper
-  tables, scheduling, scaling, ablation, mixed radio traffic, mode
-  mixes, key churn, reconfiguration storms, chaos and overload);
-- :mod:`repro.experiments.runner` — the multiprocessing sweep runner
-  with per-case derived seeds (serial == parallel, guaranteed);
-- :mod:`repro.experiments.artifacts` — JSON/CSV artifacts.
-
-Scenarios that check outputs or invariants raise inside the sweep;
-host speed is measured by ``perfbench/`` alone.
-
-CLI::
-
-    python -m repro.experiments list
-    python -m repro.experiments run all --quick --parallel 4
+``python -m repro.experiments`` prints Tables II-IV next to the
+paper's values.  Host speed is measured by ``perfbench/`` alone.
 """
-
-from repro.experiments.artifacts import write_artifact
-from repro.experiments.runner import run_sweep
-from repro.experiments.scenario import (
-    REGISTRY,
-    Scenario,
-    case_seed,
-    get,
-    names,
-    register,
-    resolve,
-)
-
-__all__ = [
-    "REGISTRY",
-    "Scenario",
-    "case_seed",
-    "get",
-    "names",
-    "register",
-    "resolve",
-    "run_sweep",
-    "write_artifact",
-]

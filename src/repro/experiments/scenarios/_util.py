@@ -1,8 +1,7 @@
 """Shared helpers for the built-in scenarios.
 
-They live in the library, not in a test tree, because sweep worker
-processes only get ``src`` on their path.  ``deterministic_bytes`` is
-also the payload generator of ``benchmarks/bench_reference_crypto.py``.
+``deterministic_bytes`` is also the payload generator of
+``benchmarks/bench_reference_crypto.py``.
 """
 
 from __future__ import annotations

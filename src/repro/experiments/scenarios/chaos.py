@@ -1,7 +1,7 @@
 """Chaos sweep: the fault-injection matrix over the self-healing dataplane.
 
-One case = one (site, rate, backend) cell: the same mixed-standard
-radio workload runs twice — once fault-free, once under a seeded
+One cell = one injection site: the same mixed-standard radio workload
+runs twice — once fault-free, once under a seeded
 :class:`repro.resilience.FaultPlan` injecting at that site — and the
 scenario *hard-fails* (raises :class:`repro.errors.ExperimentError`)
 unless the resilience invariant holds:
@@ -13,13 +13,13 @@ unless the resilience invariant holds:
 * per-channel completion order is preserved.
 
 The ``crash_storm`` site scripts a worker crash on *every* attempt, so
-the case can only complete by the process backend going inline; the
+the cell can only complete by the process backend going inline; the
 scenario additionally asserts that degradation was recorded.  The
-case reports its recovery counters; retries, degradations, watchdog
-fires, faults injected and the run's cycle count depend on pool
-scheduling and on whether the harness itself runs the case in a
-daemonic sweep worker, while quarantines and dead letters follow the
-fault plan alone.
+cell reports its recovery counters; retries, degradations, watchdog
+fires, faults injected and the run's cycle count depend on how the
+process pool schedules the shards, while quarantines and dead letters
+follow the fault plan alone.  ``tests/experiments/test_chaos_sweep.py``
+runs every site and checks that each one moved its counter.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.fast.exec import ResiliencePolicy, make_backend
 from repro.errors import ExperimentError
-from repro.experiments.scenario import register
 from repro.experiments.scenarios._util import deterministic_bytes
 from repro.mccp.channel import FlushPolicy
 from repro.radio.sdr_platform import ChannelConfig, SdrPlatform, WorkloadSpec
@@ -50,15 +49,17 @@ CHAOS_SITES = (
     "crash_storm",
 )
 
+#: Fault rate of the rate-driven sites.
+CHAOS_RATE = 0.25
+
 #: Wall-clock watchdog for the hang leg (the injected hang sleeps
 #: longer than this, so the watchdog — not patience — must recover).
 _WATCHDOG_SECONDS = 0.1
 _HANG_SECONDS = 0.3
 
 
-def _configs(quick: bool) -> List[ChannelConfig]:
+def _configs() -> List[ChannelConfig]:
     """Three mixed-standard channels with rx traffic and corruption."""
-    packets = 16 if quick else 36
     configs = []
     for index, standard in enumerate(
         (RadioStandard.WIFI, RadioStandard.SATCOM, RadioStandard.WIMAX)
@@ -69,13 +70,13 @@ def _configs(quick: bool) -> List[ChannelConfig]:
                 standard,
                 deterministic_bytes(key_bytes, 41 + index),
                 TrafficPattern.SATURATING,
-                packets=packets,
+                packets=36,
             )
         )
     return configs
 
 
-def _plan(site: str, rate: float, seed: int) -> Optional[FaultPlan]:
+def _plan(site: str, seed: int) -> Optional[FaultPlan]:
     """The fault plan for one grid cell (None for the control leg)."""
     if site == "none":
         return None
@@ -85,7 +86,7 @@ def _plan(site: str, rate: float, seed: int) -> Optional[FaultPlan]:
         )
     return FaultPlan(
         seed=seed,
-        rates={site: rate},
+        rates={site: CHAOS_RATE},
         hang_seconds=_HANG_SECONDS,
         slow_seconds=0.002,
         stall_cycles=4096,
@@ -142,37 +143,17 @@ def _check_invariant(site, baseline, faulted, base_order, fault_order):
             )
 
 
-@register(
-    name="chaos_sweep",
-    title="Fault-injection chaos matrix: site x rate x backend",
-    description="The same mixed-standard radio workload fault-free and "
-    "under seeded injection at each site; hard-fails unless survivors "
-    "are byte-identical, completion order is preserved, and the "
-    "crash-storm leg completes via backend degradation.",
-    grid={
-        "site": list(CHAOS_SITES),
-        "rate": [0.25],
-        "backend": ["process"],
-    },
-    quick_grid={
-        "site": ["none", "worker_crash", "batch_error", "crash_storm"],
-        "rate": [0.3],
-        "backend": ["process"],
-    },
-    tags=("resilience", "chaos", "radio"),
-)
-def chaos_sweep(params, seed, quick):
+def chaos_sweep(site: str, seed: int):
     """One chaos cell: run, compare against fault-free, count recovery."""
-    site = params["site"]
-    configs = _configs(quick)
+    configs = _configs()
     dataplane = "cores" if site == "core_stall" else "batched"
-    plan = _plan(site, params["rate"], seed)
+    plan = _plan(site, seed)
 
     _, baseline, base_order = _run_cell(configs, seed, None, None, dataplane)
     # Pin two workers: on a 1-CPU host the default worker count
     # collapses to 1 and the sharded path (the injection surface)
     # would never engage, silently shrinking the matrix.
-    backend = make_backend(f"{params['backend']}:2")
+    backend = make_backend("process:2")
     backend.resilience = ResiliencePolicy(
         max_retries=2,
         backoff_base=0.0,
@@ -187,9 +168,9 @@ def chaos_sweep(params, seed, quick):
         backend.close()
 
     _check_invariant(site, baseline, faulted, base_order, fault_order)
-    # A backend that went inline before the storm (daemonic sweep
-    # worker, no pool) runs everything where worker crashes are inert,
-    # so the degradation assertion only applies when a pool existed:
+    # A backend that went inline before the storm (the host could not
+    # start a pool) runs everything where worker crashes are inert, so
+    # the degradation assertion only applies when a pool existed:
     # running out of retries always records a degradation.
     if (
         site == "crash_storm"

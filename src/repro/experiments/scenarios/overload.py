@@ -1,6 +1,6 @@
 """Overload sweep: admission control and load shedding under pressure.
 
-One case = one (arrival, capacity, backend) cell: a three-class
+One cell = one (arrival, capacity, backend) combination: a three-class
 mixed-standard workload (control > interactive > bulk priorities)
 offered at a sustained multiple of what four cores can drain, replayed
 four ways — unthrottled (the byte baseline), throttled on the batched
@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.throughput import ClassSla, SlaSpec, WorkloadReport
 from repro.errors import ExperimentError
-from repro.experiments.scenario import register
 from repro.experiments.scenarios._util import deterministic_bytes
 from repro.mccp.channel import FlushPolicy
 from repro.radio.admission import AdmissionPolicy
@@ -130,9 +129,8 @@ def run_overload_cell(
     """One grid cell: baseline + two throttled dataplanes + invariants.
 
     Raises :class:`ExperimentError` on any violated invariant; returns
-    the cell's metrics otherwise.  Shared with
-    ``benchmarks/gate_overload.py`` so the CI gate and the sweep can
-    never disagree about what the invariant is.
+    the cell's metrics otherwise.  ``tests/radio/test_overload.py``
+    runs every (arrival, capacity, backend) cell.
     """
     configs = _configs(arrival, packets)
     offered = len(configs) * packets
@@ -238,35 +236,3 @@ def run_overload_cell(
         "baseline_cycles": base_report.total_cycles,
         "overload_factor": round(overload_factor, 3),
     }
-
-
-@register(
-    name="overload_sweep",
-    title="Overload protection: arrival x capacity x backend",
-    description="A three-class workload offered over capacity on bounded "
-    "channels, throttled by admission control; hard-fails unless shed "
-    "packets stay out of the auth-failure and dead-letter budgets, the "
-    "shed set reproduces across dataplanes and repeats, admitted "
-    "packets match the unthrottled bytes and order, and the SLA holds "
-    "(control protected, bulk absorbs the shedding).",
-    grid={
-        "arrival": list(ARRIVALS),
-        "capacity": [4, 8],
-        "backend": ["inline", "process"],
-    },
-    quick_grid={
-        "arrival": ["saturating", "bursty"],
-        "capacity": [4],
-        "backend": ["inline", "process"],
-    },
-    tags=("overload", "admission", "sla", "radio"),
-)
-def overload_sweep(params, seed, quick):
-    """One overload cell (see :func:`run_overload_cell`)."""
-    return run_overload_cell(
-        params["arrival"],
-        params["capacity"],
-        params["backend"],
-        seed,
-        packets=24 if quick else 40,
-    )

@@ -1,8 +1,10 @@
-"""Full-platform scenarios: scheduling, scaling, mapping, mixed radio.
+"""Full-platform scenarios: scheduling, scaling and the CCM mapping.
 
 Everything here drives :class:`repro.radio.sdr_platform.SdrPlatform`
 (or the raw MCCP) end to end, so the metrics are simulated-cycle
-deterministic: same params + seed = same numbers, serial or parallel.
+deterministic: the same arguments give the same numbers.
+``tests/experiments/test_paper_claims.py`` asserts the paper's claims
+on them.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from repro.analysis.latency import latency_stats
 from repro.core.params import Algorithm, Direction
 from repro.errors import NoResourceError
-from repro.experiments.scenario import register
 from repro.experiments.scenarios._util import CLOCK_HZ, deterministic_bytes
 from repro.mccp.mccp import Mccp
 from repro.radio.comm_controller import CommController
@@ -32,8 +33,8 @@ _POLICIES = {
 _BULK_CHANNELS = 4
 
 
-def _report_metrics(report, latencies=None):
-    stats = latency_stats(latencies if latencies is not None else report.latencies)
+def _report_metrics(report):
+    stats = latency_stats(report.latencies)
     return {
         "aggregate_mbps": round(report.throughput_mbps(), 2),
         "packets_done": report.packets_done,
@@ -44,15 +45,7 @@ def _report_metrics(report, latencies=None):
     }
 
 
-@register(
-    name="scheduling_policies",
-    title="Scheduling policies under mixed voice + bulk load",
-    description="First-idle vs round-robin vs priority-reserve on a "
-    "latency-critical voice channel sharing the MCCP with bulk traffic.",
-    grid={"policy": ["first_idle", "round_robin", "priority_reserve"]},
-    tags=("scheduling",),
-)
-def scheduling_policies(params, seed, quick):
+def scheduling_policies(policy: str):
     """One policy's aggregate throughput and voice-channel latency.
 
     Four saturating bulk channels are provisioned ahead of the voice
@@ -60,15 +53,14 @@ def scheduling_policies(params, seed, quick):
     and voice latency counts from the packet's creation: the wait for
     a core is the part a mapping policy changes.
     """
-    voice_packets, bulk_packets = (3, 2) if quick else (6, 5)
-    platform = SdrPlatform(core_count=4, policy=_POLICIES[params["policy"]](), seed=seed)
+    platform = SdrPlatform(core_count=4, policy=_POLICIES[policy]())
     configs = [
         *[
             ChannelConfig(
                 RadioStandard.WIMAX,
                 bytes(16),
                 TrafficPattern.SATURATING,
-                packets=bulk_packets,
+                packets=5,
                 priority=2,
             )
             for _ in range(_BULK_CHANNELS)
@@ -77,7 +69,7 @@ def scheduling_policies(params, seed, quick):
             RadioStandard.TACTICAL_VOICE,
             bytes(16),
             TrafficPattern.CBR,
-            packets=voice_packets,
+            packets=6,
             priority=0,
         ),
     ]
@@ -94,26 +86,15 @@ def scheduling_policies(params, seed, quick):
     return metrics
 
 
-@register(
-    name="core_scaling",
-    title="Core-count scalability, saturating GCM load",
-    description="Aggregate throughput on 1..8-core devices under one "
-    "saturating AES-256-GCM channel per core.",
-    grid={"cores": [1, 2, 4, 8]},
-    quick_grid={"cores": [1, 2, 4]},
-    tags=("scaling",),
-)
-def core_scaling(params, seed, quick):
+def core_scaling(cores: int):
     """Saturating per-core GCM traffic on an N-core device."""
-    cores = params["cores"]
-    packets = 3 if quick else 6
-    platform = SdrPlatform(core_count=cores, seed=seed)
+    platform = SdrPlatform(core_count=cores)
     configs = [
         ChannelConfig(
             RadioStandard.SATCOM,
             bytes(32),
             TrafficPattern.SATURATING,
-            packets=packets,
+            packets=6,
         )
         for _ in range(cores)
     ]
@@ -121,25 +102,17 @@ def core_scaling(params, seed, quick):
     return _report_metrics(report)
 
 
-@register(
-    name="ablation_mapping",
-    title="CCM mapping ablation: 4x1 vs 2x2 cores",
-    description="Section VII.A's throughput/latency trade-off, measured "
-    "with identical 2 KB CCM packets on a 4-core device.",
-    grid={"mapping": ["4x1", "2x2"]},
-    tags=("ablation",),
-)
-def ablation_mapping(params, seed, quick):
+def ablation_mapping(mapping: str):
     """One mapping's aggregate throughput and mean packet latency."""
-    two_core = params["mapping"] == "2x2"
-    packet_count = 2 if quick else 4
-    payload = deterministic_bytes(2048, seed)
+    two_core = mapping == "2x2"
+    packet_count = 4
+    payload = deterministic_bytes(2048, 0)
     key = bytes(range(16))
     sim = Simulator()
     mccp = Mccp(sim, core_count=4)
     mccp.load_session_key(0, key)
     channel = mccp.open_channel(Algorithm.CCM, 0, tag_length=8)
-    comm = CommController(sim, mccp, seed=seed & 0xFFFF)
+    comm = CommController(sim, mccp)
     done_events = []
     for i in range(packet_count):
         event = sim.event(f"p{i}")
@@ -172,60 +145,3 @@ def ablation_mapping(params, seed, quick):
         "packets_done": len(latencies),
         "total_cycles": sim.now,
     }
-
-
-#: Channel mixes for the heterogeneous-traffic scenario; each entry is
-#: (standard, pattern, packets-weight) — packet sizes range 160 B
-#: (voice GCM) through 640 B (UMTS CTR) to 2048 B (SATCOM GCM).
-_MIXES = {
-    "balanced": (
-        (RadioStandard.WIFI, TrafficPattern.SATURATING, 1.0),
-        (RadioStandard.WIMAX, TrafficPattern.BURSTY, 1.0),
-        (RadioStandard.UMTS_LIKE, TrafficPattern.CBR, 1.0),
-        (RadioStandard.SATCOM, TrafficPattern.SATURATING, 1.0),
-        (RadioStandard.TACTICAL_VOICE, TrafficPattern.CBR, 1.0),
-    ),
-    "bulk_heavy": (
-        (RadioStandard.SATCOM, TrafficPattern.SATURATING, 2.0),
-        (RadioStandard.WIMAX, TrafficPattern.SATURATING, 2.0),
-        (RadioStandard.TACTICAL_VOICE, TrafficPattern.CBR, 0.5),
-    ),
-    "small_packet": (
-        (RadioStandard.TACTICAL_VOICE, TrafficPattern.CBR, 2.0),
-        (RadioStandard.UMTS_LIKE, TrafficPattern.CBR, 2.0),
-        (RadioStandard.WIFI, TrafficPattern.BURSTY, 1.0),
-    ),
-}
-
-
-@register(
-    name="mixed_channel_radio",
-    title="Mixed-channel radio traffic, heterogeneous packet sizes",
-    description="Concurrent channels spanning CCM/GCM/CTR standards with "
-    "160 B..2048 B payloads sharing four cores.",
-    grid={"mix": ["balanced", "bulk_heavy", "small_packet"]},
-    tags=("radio", "workload"),
-)
-def mixed_channel_radio(params, seed, quick):
-    """One channel mix replayed to completion on a 4-core device."""
-    base_packets = 3 if quick else 6
-    platform = SdrPlatform(core_count=4, seed=seed)
-    configs = []
-    for standard, pattern, weight in _MIXES[params["mix"]]:
-        packets = max(1, int(base_packets * weight))
-        configs.append(
-            ChannelConfig(
-                standard,
-                deterministic_bytes(
-                    32 if standard is RadioStandard.SATCOM else 16,
-                    seed + len(configs),
-                ),
-                pattern,
-                packets=packets,
-                priority=0 if standard is RadioStandard.TACTICAL_VOICE else 1,
-            )
-        )
-    report = platform.run_workload(WorkloadSpec(configs))
-    metrics = _report_metrics(report)
-    metrics["channels"] = len(configs)
-    return metrics

@@ -1,9 +1,10 @@
-"""Paper-table scenarios: Tables II, III and IV as sweepable grids.
+"""Paper-table scenarios: one reproduced cell of Tables II, III and IV.
 
-Each case reports one reproduced cell next to the published value.
-The tier-1 suite asserts the bounds: Table II's full grid runs in
+Each function reports one cell next to the published value, and
+``python -m repro.experiments`` prints the three tables.  The tier-1
+suite asserts the bounds: Table II's cells in
 ``tests/experiments/test_paper_claims.py``, and the Table III and IV
-models are checked by ``tests/analysis/test_analysis.py`` and
+models in ``tests/analysis/test_analysis.py`` and
 ``tests/reconfig/test_reconfig.py``.
 """
 
@@ -13,7 +14,6 @@ from repro.analysis.area import AreaModel
 from repro.analysis.throughput import PAPER_TABLE2, theoretical_mbps
 from repro.baselines import mccp_entry
 from repro.core.params import Direction
-from repro.experiments.scenario import register
 from repro.experiments.scenarios._util import (
     KEYS,
     deterministic_bytes,
@@ -25,7 +25,7 @@ from repro.radio import format_ccm_single, format_ccm_two_core, format_gcm
 from repro.reconfig import MODULE_LIBRARY, BitstreamStore, StoreKind
 
 #: Paper Table IV, for the per-cell reference columns.
-_PAPER_TABLE4_MS = {
+PAPER_TABLE4_MS = {
     ("aes", "cf"): 380,
     ("aes", "ram"): 63,
     ("whirlpool", "cf"): 416,
@@ -33,22 +33,18 @@ _PAPER_TABLE4_MS = {
 }
 
 
-@register(
-    name="table2_throughput",
-    title="Table II: MCCP encryption throughputs at 190 MHz",
-    description="Single-core GCM/CCM and two-core CCM, 2 KB packets, "
-    "against the published theoretical and packet columns.",
-    grid={"config": ["gcm_1", "ccm_1", "ccm_2"], "key_bits": [128, 192, 256]},
-    quick_grid={"config": ["gcm_1", "ccm_1"], "key_bits": [128]},
-    tags=("paper", "throughput"),
-)
-def table2_throughput(params, seed, quick):
+#: Table II's measured configurations: one GCM core, one CCM core and
+#: the two-core CCM split.  The 4x1 and 2x2 rows are whole packets on
+#: disjoint cores, exact multiples of these.
+TABLE2_CONFIGS = ("gcm_1", "ccm_1", "ccm_2")
+
+
+def table2_throughput(config: str, key_bits: int):
     """Reproduce one Table II cell pair from a simulated 2 KB packet."""
-    config, key_bits = params["config"], params["key_bits"]
     key = KEYS[key_bits]
-    payload = deterministic_bytes(2048, seed)
-    nonce12 = deterministic_bytes(12, seed + 1)
-    nonce13 = deterministic_bytes(13, seed + 2)
+    payload = deterministic_bytes(2048, 0)
+    nonce12 = deterministic_bytes(12, 1)
+    nonce13 = deterministic_bytes(13, 2)
     if config == "gcm_1":
         task = format_gcm(key_bits, nonce12, b"", payload, Direction.ENCRYPT)
         run, _, _ = run_single_core(task, key)
@@ -75,14 +71,7 @@ def table2_throughput(params, seed, quick):
     }
 
 
-@register(
-    name="table3_comparison",
-    title="Table III: comparison with the literature",
-    description="MCCP Mbps/MHz recomputed from the timing model, plus "
-    "the area totals.",
-    tags=("paper",),
-)
-def table3_comparison(params, seed, quick):
+def table3_comparison():
     """Recompute the MCCP row of Table III."""
     gcm_row = mccp_entry(algorithm="GCM")
     ccm_row = mccp_entry(algorithm="CCM")
@@ -95,23 +84,14 @@ def table3_comparison(params, seed, quick):
     }
 
 
-@register(
-    name="table4_reconfig",
-    title="Table IV: partial reconfiguration load times",
-    description="Bitstream load times per module and store, against the "
-    "paper's CompactFlash and RAM columns.",
-    grid={"module": ["aes", "whirlpool"], "store": ["cf", "ram"]},
-    tags=("paper", "reconfig"),
-)
-def table4_reconfig(params, seed, quick):
+def table4_reconfig(module: str, store_name: str):
     """Reproduce one Table IV timing cell from the bandwidth model."""
-    module, store_name = params["module"], params["store"]
     store = BitstreamStore(
         StoreKind.COMPACT_FLASH if store_name == "cf" else StoreKind.RAM
     )
     bitstream = MODULE_LIBRARY[module]
     ours_ms = store.load_seconds(module) * 1000
-    paper_ms = _PAPER_TABLE4_MS[(module, store_name)]
+    paper_ms = PAPER_TABLE4_MS[(module, store_name)]
     return {
         "load_ms": round(ours_ms, 2),
         "paper_ms": paper_ms,

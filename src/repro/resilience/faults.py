@@ -77,7 +77,7 @@ CRASH_EXIT_CODE = 113
 #: initializer).  An injected crash hard-exits there — producing a
 #: genuine BrokenProcessPool for the parent to recover from — and
 #: raises WorkerCrashError anywhere else, so it can never kill the
-#: test runner or an outer sweep worker.
+#: test runner or an outer pool worker.
 _IS_EXEC_WORKER = False
 
 

@@ -5,10 +5,9 @@ from the :class:`WorkloadReport` the caller sees; so does the arena
 collect, which tallies the key-schedule expansions its workers
 reported.  Each site adds into every counter scope open on the calling
 thread, and :func:`counting` opens one for a ``with`` block:
-``CommController.run_state`` opens a scope per run and the sweep
-runner one per case, so every count belongs to the run that produced
-it.  Nothing is kept outside a scope; a site with no scope open counts
-nothing.
+``CommController.run_state`` opens a scope per run, so every count
+belongs to the run that produced it.  Nothing is kept outside a scope;
+a site with no scope open counts nothing.
 
 Process-pool caveat: events inside a shared-nothing worker land in
 the *worker's* scopes (none) and are lost.  The parent-side machinery
@@ -22,7 +21,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 #: The counters a scope reports, named after the ``WorkloadReport``
 #: fields they fill.
@@ -45,12 +44,6 @@ class RunCounters(Counter):
     def __init__(self) -> None:
         super().__init__()
         self.degradation_reasons: List[str] = []
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-safe copy: every counter (zeros included) and the reasons."""
-        data: Dict[str, object] = {name: self[name] for name in COUNTERS}
-        data["degradation_reasons"] = list(self.degradation_reasons)
-        return data
 
 
 def _open_scopes() -> Tuple[RunCounters, ...]:

@@ -396,18 +396,29 @@ class TestWarmWorkers:
                 ).result()
             return counters["key_schedule_expansions"]
 
+        def warm(key, expanded=0):
+            """Dispatch under *key* until every worker has expanded it.
+
+            Workers start cold and expand a key once each, so the
+            expansions add up to the worker count exactly when every
+            worker holds the schedule; a dispatch that returns 0 may
+            have been served by one warm worker alone.
+            """
+            for _ in range(200):
+                if expanded == backend.workers:
+                    return
+                expanded += dispatch(key)
+            pytest.fail(f"{expanded} of {backend.workers} workers expanded the key")
+
         try:
-            dispatch(key_a)  # warm both keys in both workers
-            dispatch(key_b)
-            while dispatch(key_a) or dispatch(key_b):
-                pass  # drain until every worker is warm on both keys
+            warm(key_a)
+            warm(key_b)
             # Rekey channel a: new material.
             key_a2 = bytes(range(0x10, 0x20))
             cost = dispatch(key_a2)
             assert 0 < cost <= backend.workers
             assert dispatch(key_b) == 0  # sibling stayed warm
-            while dispatch(key_a2):
-                pass  # remaining workers warm the new schedule
+            warm(key_a2, cost)  # remaining workers warm the new schedule
             assert dispatch(key_a2) == 0
         finally:
             backend.close()

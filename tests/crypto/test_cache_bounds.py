@@ -3,7 +3,7 @@
 Key-churn workloads cycle through arbitrarily many session keys; every
 process-global memo in ``repro.crypto.fast`` must therefore be a
 bounded LRU (eviction, not growth) and must be dropped wholesale by
-``clear_caches`` (the sweep runner's isolation hook).
+``clear_caches`` (the isolation hook forked workers run).
 """
 
 import random

@@ -113,7 +113,7 @@ def _default_backend_probe():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
 def test_forked_pool_worker_does_not_submit_to_the_parents_pool(monkeypatch):
     """A daemonic worker forked while the parent's default backend has
-    live workers (a sweep runner's pool worker, say) builds its own
+    live workers (a multiprocessing.Pool worker, say) builds its own
     default from ``REPRO_BACKEND``, which runs inline there, rather than
     waiting on the parent's pool forever."""
     expected = _worker_cache_probe(KEY)[1]

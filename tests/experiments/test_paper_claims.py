@@ -1,7 +1,7 @@
 """The paper's measured figures, checked on the simulated device.
 
-One sweep runs the full grids of the paper scenarios, and each test
-below asserts one published claim against its cells:
+Each test below runs the full grid of a paper scenario and asserts one
+published claim against its cells:
 
 - Table II's 2 KB-packet column and the abstract's 1.7 Gbps headline;
 - near-linear core-count scaling (section III.A);
@@ -21,15 +21,13 @@ from repro.analysis.throughput import (
     PAPER_TABLE2,
     theoretical_mbps,
 )
-from repro.experiments import run_sweep
-from repro.experiments.scenarios._util import packet_mbps
-
-PAPER_SCENARIOS = (
-    "table2_throughput",
-    "core_scaling",
-    "scheduling_policies",
-    "ablation_mapping",
+from repro.experiments.scenarios._util import KEYS, packet_mbps
+from repro.experiments.scenarios.platform import (
+    ablation_mapping,
+    core_scaling,
+    scheduling_policies,
 )
+from repro.experiments.scenarios.tables import TABLE2_CONFIGS, table2_throughput
 
 #: Table II row -> (the measured one-packet config, packets in flight).
 #: The 4x1 and 2x2 rows run whole packets side by side on disjoint
@@ -45,28 +43,22 @@ TABLE2_ROWS = {
 
 
 @pytest.fixture(scope="module")
-def cells():
-    """Scenario name -> {tuple of the case's param values: metrics}."""
-    artifact = run_sweep(PAPER_SCENARIOS)
+def table2_cycles():
+    """(config, key_bits) -> cycles of one 2 KB packet, every measured cell."""
     return {
-        name: {tuple(case["params"].values()): case["metrics"] for case in block["cases"]}
-        for name, block in artifact["scenarios"].items()
+        (config, key_bits): table2_throughput(config, key_bits)["cycles"]
+        for config in TABLE2_CONFIGS
+        for key_bits in KEYS
     }
 
 
-def by_param(cells, name: str):
-    """A one-parameter scenario's cells keyed by that parameter."""
-    return {value: metrics for (value,), metrics in cells[name].items()}
-
-
-def table2_mbps(cells, config: str, key_bits: int) -> float:
+def table2_mbps(table2_cycles, config: str, key_bits: int) -> float:
     base, packets = TABLE2_ROWS[config]
-    cycles = cells["table2_throughput"][(base, key_bits)]["cycles"]
-    return packets * packet_mbps(2048, cycles)
+    return packets * packet_mbps(2048, table2_cycles[(base, key_bits)])
 
 
 @pytest.mark.parametrize("config,key_bits", sorted(PAPER_TABLE2))
-def test_table2_packet_column(cells, config, key_bits):
+def test_table2_packet_column(table2_cycles, config, key_bits):
     """Each 2 KB-packet cell sits at or up to 12% above the paper's and
     never above theory.
 
@@ -77,42 +69,43 @@ def test_table2_packet_column(cells, config, key_bits):
     a published value entered too high fail, where a symmetric 12%
     let most such typos pass.
     """
-    measured = table2_mbps(cells, config, key_bits)
+    measured = table2_mbps(table2_cycles, config, key_bits)
     _, paper_packet = PAPER_TABLE2[(config, key_bits)]
     assert paper_packet <= measured <= 1.12 * paper_packet
     assert measured <= theoretical_mbps(config, key_bits) * 1.001
 
 
-def test_headline_throughput_above_1_7_gbps(cells):
+def test_headline_throughput_above_1_7_gbps(table2_cycles):
     """The abstract's 1.7 Gbps: four cores each sealing 2 KB GCM-128
     packets."""
-    assert table2_mbps(cells, "gcm_4x1", 128) > PAPER_MAX_THROUGHPUT_MBPS
+    assert table2_mbps(table2_cycles, "gcm_4x1", 128) > PAPER_MAX_THROUGHPUT_MBPS
 
 
-def test_core_scaling_is_near_linear(cells):
-    scaling = by_param(cells, "core_scaling")
-    mbps = {cores: metrics["aggregate_mbps"] for cores, metrics in scaling.items()}
+def test_core_scaling_is_near_linear():
+    mbps = {cores: core_scaling(cores)["aggregate_mbps"] for cores in (1, 2, 4, 8)}
     assert mbps[2] > 1.7 * mbps[1]
     assert mbps[4] > 3.2 * mbps[1]
     assert mbps[8] > mbps[4]
 
 
-def test_priority_reserve_keeps_voice_latency(cells):
+def test_priority_reserve_keeps_voice_latency():
     """Every policy completes the mixed load, and reserving a core for
     the voice channel lowers its p99 below first-idle's, where the
     voice packets wait for a core the bulk channels hold."""
-    policies = by_param(cells, "scheduling_policies")
+    policies = {
+        policy: scheduling_policies(policy)
+        for policy in ("first_idle", "round_robin", "priority_reserve")
+    }
     for policy, metrics in policies.items():
         assert metrics["packets_done"] == 26, policy
     reserved = policies["priority_reserve"]["voice_p99_us"]
     assert reserved < policies["first_idle"]["voice_p99_us"]
 
 
-def test_ccm_4x1_trades_latency_for_throughput(cells):
+def test_ccm_4x1_trades_latency_for_throughput():
     """Section VII.A: 4x1 wins throughput, and its latency is "almost
     two times greater" than 2x2's."""
-    mappings = by_param(cells, "ablation_mapping")
-    one_core, two_core = mappings["4x1"], mappings["2x2"]
+    one_core, two_core = ablation_mapping("4x1"), ablation_mapping("2x2")
     assert one_core["aggregate_mbps"] > two_core["aggregate_mbps"]
     assert two_core["mean_latency_us"] < 0.75 * one_core["mean_latency_us"]
     ratio = one_core["mean_latency_us"] / two_core["mean_latency_us"]

@@ -1,7 +1,7 @@
 """Overload protection: bounded queues, admission control, SLA budgets.
 
-The invariant under test (pinned again in CI by ``overload_sweep`` and
-``benchmarks/gate_overload.py``): at sustained >= 4x overload on
+The invariant under test (``run_overload_cell`` checks it on every cell
+of the overload grid, the last test here): at sustained >= 4x overload on
 bounded channels the workload still completes without unbounded queue
 growth; admitted packets are byte-identical to the same packets run
 unthrottled; the shed set reproduces across repeats, dataplanes and
@@ -17,6 +17,7 @@ import pytest
 
 from repro.errors import BackpressureError
 from repro.experiments.scenarios.overload import (
+    ARRIVALS,
     _configs,
     _spec,
     _transfers,
@@ -234,3 +235,15 @@ class TestPipelinedCapacity:
         assert report.packets_done == again.packets_done == 3 * PACKETS
         assert report.total_cycles == again.total_cycles
         assert report.latencies == again.latencies
+
+
+@pytest.mark.parametrize("backend", ["inline", "process"])
+@pytest.mark.parametrize("capacity", [4, 8])
+@pytest.mark.parametrize("arrival", ARRIVALS)
+def test_overload_grid_cell_holds_the_invariant(arrival, capacity, backend):
+    """Every (arrival, capacity, backend) cell, 40 packets per channel:
+    ``run_overload_cell`` raises on any broken invariant, and no cell
+    sheds control traffic."""
+    metrics = run_overload_cell(arrival, capacity, backend, SEED)
+    assert metrics["admitted"] + metrics["shed"] == metrics["offered"] == 120
+    assert metrics["shed_control"] == 0

@@ -108,18 +108,16 @@ def test_other_cores_keep_working_during_reconfig(rb):
     assert cores[0].active_unit is cores[0].whirlpool_unit
 
 
-def test_reconfig_under_load_full_grid():
-    """The storm scenario's full grid: six personality swaps from
-    CompactFlash push the clock past 200 M cycles while core 1 keeps
-    sealing packets, each checked against the gold model inside the
-    scenario."""
-    from repro.experiments import run_sweep
+@pytest.mark.parametrize("swaps", [2, 6])
+def test_reconfig_under_load_full_grid(swaps):
+    """The storm scenario's full grid: core 1 keeps sealing packets,
+    each checked against the gold model inside the scenario, while
+    core 0 swaps personality; six swaps from CompactFlash push the
+    clock past 200 M cycles."""
+    from repro.experiments.scenarios.stress import reconfig_under_load
 
-    artifact = run_sweep(["reconfig_under_load"])
-    cases = {
-        case["params"]["swaps"]: case["metrics"]
-        for case in artifact["scenarios"]["reconfig_under_load"]["cases"]
-    }
-    assert cases[6]["total_cycles"] > 200_000_000
-    assert cases[6]["packets_during_reconfig"] == 24
-    assert cases[6]["cached_swaps"] == 4
+    metrics = reconfig_under_load(swaps)
+    assert metrics["packets_during_reconfig"] == 4 * swaps
+    if swaps == 6:
+        assert metrics["total_cycles"] > 200_000_000
+        assert metrics["cached_swaps"] == 4

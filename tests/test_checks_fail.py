@@ -18,14 +18,19 @@ from unittest import mock
 
 import pytest
 
+import repro.core.harness as harness
+import repro.radio.comm_controller as comm_controller
 from repro.core.firmware.library import FIRMWARE_LIBRARY
 from repro.core.params import Algorithm, CcmRole, Direction
+from repro.crypto.fast import bulk as fast_bulk
+from repro.errors import ExperimentError
 from repro.experiments.fuzz import check_cores_case, generate_cores_case, loop_period_errors
 from repro.isa.controller import SYNC_QUANTUM
 from repro.sim.fifo import WordFifo, _Flow
 from repro.sim.signals import PulseWire
 from repro.unit.timing import DEFAULT_TIMING
 from repro.unit.unit import LooselyTimedUnit, Timing
+from repro.utils.bits import words32_to_bytes
 
 from tests.conftest import cores_replay
 
@@ -140,6 +145,36 @@ def drained_stretch_one_cycle_late():
         yield
 
 
+def _flip_first_bit(data: bytes) -> bytes:
+    return bytes([data[0] ^ 0x80]) + data[1:]
+
+
+@contextmanager
+def fast_gcm_tag_bit_flipped():
+    """The fast one-call GCM seal returns a tag with one bit flipped."""
+    seal = fast_bulk.gcm_seal
+
+    def flipped(*args, **kwargs):
+        ciphertext, tag = seal(*args, **kwargs)
+        return ciphertext, _flip_first_bit(tag)
+
+    with mock.patch.object(fast_bulk, "gcm_seal", flipped):
+        yield
+
+
+@contextmanager
+def device_output_bit_flipped():
+    """A core's output reaches its caller with the first bit flipped,
+    through the task harness and through the communication controller."""
+
+    def flipped(words):
+        return _flip_first_bit(words32_to_bytes(words))
+
+    with mock.patch.object(harness, "words32_to_bytes", flipped):
+        with mock.patch.object(comm_controller, "words32_to_bytes", flipped):
+            yield
+
+
 # -- the checks under them ---------------------------------------------------------
 
 #: A tier-1 cores fuzz seed with GCM-256 tasks of 21 blocks.
@@ -245,3 +280,18 @@ def test_cycle_pins_catch_a_late_drained_stretch():
     with drained_stretch_one_cycle_late(), pytest.raises(AssertionError):
         pins.test_cores_dataplane_cycles_are_pinned()
 
+
+def test_mode_mix_catches_a_flipped_fast_gcm_bit():
+    stress = _test_module("experiments/test_stress_scenarios.py")
+    with fast_gcm_tag_bit_flipped(), pytest.raises(ExperimentError, match="not the reference"):
+        stress.test_mode_mix_fast_path_equals_reference("gcm")
+
+
+def test_gold_model_scenarios_catch_a_flipped_device_output_bit():
+    stress = _test_module("experiments/test_stress_scenarios.py")
+    reconfig = _test_module("reconfig/test_reconfig.py")
+    with device_output_bit_flipped():
+        with pytest.raises(ExperimentError, match="key_churn: round 0"):
+            stress.test_key_churn_device_output_is_the_gold_model(2)
+        with pytest.raises(ExperimentError, match="reconfig_under_load: packet 0"):
+            reconfig.test_reconfig_under_load_full_grid(2)

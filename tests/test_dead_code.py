@@ -13,9 +13,10 @@ functions, methods, classes and the names a module's top-level
 assignments bind.
 
 Dunders count as used (the interpreter calls them), and so do
-definitions under a registering decorator such as ``atexit.register``.
-Descriptor decorators (``property``, ``staticmethod``, ...) register
-nothing, so a property still needs a reader.
+definitions under ``atexit.register``, which the interpreter calls at
+exit.  Every other decorator (``property``, ``lru_cache``,
+``contextmanager``, ...) registers nothing, so the definition still
+needs a reader.
 
 An attribute that ``src/`` stores (``self.count = 0``, ``count += 1``)
 is write-only, and fails the test, when no tree reads an attribute of
@@ -34,32 +35,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "tests", "examples", "benchmarks", "perfbench")
 
-#: Decorators that wrap a definition without registering it anywhere.
-TRANSPARENT_DECORATORS = frozenset(
-    {"property", "staticmethod", "classmethod", "abstractmethod", "cached_property",
-     "setter", "getter", "deleter"}
-)
-
 
 def _python_files(root, tree):
     return sorted((root / tree).rglob("*.py"))
 
 
-def _decorator_name(node):
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _registered(node):
-    return any(
-        _decorator_name(decorator) not in TRANSPARENT_DECORATORS
-        for decorator in node.decorator_list
-    )
+    return any(ast.unparse(decorator) == "atexit.register" for decorator in node.decorator_list)
 
 
 def _referenced_names(root):
@@ -237,3 +219,23 @@ def test_scan_finds_every_module_level_binding(tmp_path, binding, dead):
     (tmp_path / "src" / "mod.py").write_text(binding)
     found = {entry.rpartition(" ")[2] for entry in _dead_definitions(tmp_path)}
     assert found == dead
+
+
+@pytest.mark.parametrize(
+    "decorator, imports",
+    [
+        ("@functools.lru_cache(maxsize=4)", "import functools\n"),
+        ("@functools.lru_cache", "import functools\n"),
+        ("@contextmanager", "from contextlib import contextmanager\n"),
+    ],
+    ids=["lru_cache-call", "lru_cache", "contextmanager"],
+)
+def test_a_wrapping_decorator_keeps_nothing_alive(tmp_path, decorator, imports):
+    """Only ``atexit.register`` hands a definition to something that
+    calls it; an unread cached or context-manager function is dead."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(
+        f"{imports}\n\n{decorator}\ndef unread():\n    yield\n"
+    )
+    found = {entry.rpartition(" ")[2] for entry in _dead_definitions(tmp_path)}
+    assert found == {"unread"}

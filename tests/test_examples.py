@@ -21,7 +21,6 @@ def test_examples_exist():
         "multichannel_radio.py",
         "reconfiguration.py",
         "scheduling_policies.py",
-        "experiment_sweep.py",
     }
 
 
