@@ -14,24 +14,12 @@ the MCCP uses:
 The device model (``repro.unit`` / ``repro.core`` / ``repro.mccp``) is
 validated bit-for-bit against this layer, which is itself validated
 against the embedded NIST/ISO test vectors in
-:mod:`repro.crypto.testvectors`.
+:mod:`repro.crypto.testvectors`.  None of it runs engine code: the
+engine the system runs is :mod:`repro.crypto.fast`, checked against
+these names.
 """
 
 from repro.crypto.aes import AES, aes_encrypt_block, expand_key
-# (The live switch state is read through fast_enabled() — re-exporting
-# the FAST_ENABLED constant would snapshot it at import time and go
-# stale the moment set_fast() rebinds it.)
-from repro.crypto.fast import (
-    ccm_open,
-    ccm_seal,
-    ctr_stream,
-    expand_key_cached,
-    fast_enabled,
-    gcm_open,
-    gcm_seal,
-    gf128_mul_tabulated,
-    set_fast,
-)
 from repro.crypto.ghash import GHash, ghash
 from repro.crypto.gf128 import gf128_mul, gf128_mul_digit_serial, gf128_pow
 from repro.crypto.whirlpool import Whirlpool, whirlpool
@@ -50,28 +38,19 @@ __all__ = [
     "AES",
     "aes_encrypt_block",
     "expand_key",
-    "expand_key_cached",
-    "fast_enabled",
-    "set_fast",
     "GHash",
     "ghash",
     "gf128_mul",
     "gf128_mul_digit_serial",
-    "gf128_mul_tabulated",
     "gf128_pow",
     "Whirlpool",
     "whirlpool",
     "cbc_mac",
     "ccm_decrypt",
     "ccm_encrypt",
-    "ccm_seal",
-    "ccm_open",
     "ctr_keystream",
-    "ctr_stream",
     "ctr_xcrypt",
     "gcm_decrypt",
     "gcm_encrypt",
-    "gcm_seal",
-    "gcm_open",
     "gmac",
 ]

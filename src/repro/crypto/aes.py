@@ -182,28 +182,21 @@ def decrypt_block_with_schedule(block: bytes, round_keys: Sequence[Sequence[int]
     return _bytes_from_state(state)
 
 
-def aes_encrypt_block(key: bytes, block: bytes, use_fast: "bool | None" = None) -> bytes:
-    """One-shot single-block encryption (memoized expansion on the fast path)."""
-    from repro.crypto.fast import encrypt_block_dispatch, expand_key_dispatch, fast_enabled
-
-    fast = fast_enabled(use_fast)
-    return encrypt_block_dispatch(block, expand_key_dispatch(key, fast), fast)
+def aes_encrypt_block(key: bytes, block: bytes) -> bytes:
+    """One-shot single-block encryption."""
+    return encrypt_block_with_schedule(block, expand_key(key))
 
 
 class AES:
     """AES cipher object holding an expanded key schedule.
 
-    By default the object rides the fast T-table engine
-    (:mod:`repro.crypto.fast`) with an LRU-memoized key expansion;
-    ``use_fast=False`` (or ``REPRO_FAST=0`` in the environment) pins it
-    to the readable reference rounds.  Both paths are byte-identical.
+    Runs the reference rounds on the FIPS-197 schedule; the engine's
+    T-table rounds are the ``fast`` subpackage's ``encrypt_block_tt``.
 
     Parameters
     ----------
     key:
         16-, 24- or 32-byte secret key.
-    use_fast:
-        Tri-state fast-path override (None = follow the global switch).
 
     Examples
     --------
@@ -211,16 +204,9 @@ class AES:
     '66e94bd4ef8a2c3b884cfa59ca342b2e'
     """
 
-    def __init__(self, key: bytes, use_fast: "bool | None" = None):
-        from repro.crypto.fast import expand_key_dispatch, fast_enabled
-        from repro.crypto.fast.aes_ttable import encrypt_block_tt
-
+    def __init__(self, key: bytes):
         key = bytes(key)
-        self._use_fast = fast_enabled(use_fast)
-        self._round_keys = expand_key_dispatch(key, self._use_fast)
-        self._encrypt = (
-            encrypt_block_tt if self._use_fast else encrypt_block_with_schedule
-        )
+        self._round_keys = expand_key(key)
         self.key_bits = len(key) * 8
         self.rounds = len(self._round_keys) - 1
 
@@ -229,14 +215,9 @@ class AES:
         """The expanded schedule (list of rounds, each 4x 32-bit words)."""
         return [list(rk) for rk in self._round_keys]
 
-    @property
-    def schedule(self) -> Sequence[Sequence[int]]:
-        """The internal schedule, uncopied (for the bulk fast engine)."""
-        return self._round_keys
-
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt a single 16-byte block."""
-        return self._encrypt(block, self._round_keys)
+        return encrypt_block_with_schedule(block, self._round_keys)
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt a single 16-byte block (reference-model only)."""

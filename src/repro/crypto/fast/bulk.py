@@ -1,8 +1,8 @@
 """One-call bulk APIs: whole-message CTR, GCM, CCM and CBC-MAC.
 
-These are the entry points the mode layer, the baselines and the
-firmware reference checks route through when the fast engine is
-enabled.  Each call takes a raw key (memoized expansion) or a
+The engine's per-packet entry points: the library API, the per-packet
+oracle of the dataplane fuzzer and perfbench, and the AES core's
+counter-run readahead call them by name.  Each call takes a raw key (memoized expansion) or a
 pre-expanded schedule, runs the batched counter engine plus the
 tabulated GHASH, and returns exactly the bytes the reference
 implementations in :mod:`repro.crypto.modes` produce.

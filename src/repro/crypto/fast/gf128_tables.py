@@ -88,55 +88,6 @@ def gf128_mul_tabulated(x: int, y: int) -> int:
     return z
 
 
-#: Lazily built global tables for the squaring map (Frobenius).
-_SQUARE_TABLES = None
-
-
-def _square_tables():
-    """Byte tables for squaring: ``tables[i][b]`` is the square of the
-    element whose only nonzero byte is *b* at byte position *i*.
-
-    Squaring is GF(2)-linear, so these 16 x 256 entries — built once
-    per process — turn any square into sixteen lookups.  They derive
-    from ``x^(2k)`` for k = 0..127, walked out by repeated
-    multiply-by-x^2.
-    """
-    global _SQUARE_TABLES
-    if _SQUARE_TABLES is None:
-        sq_single = [0] * 128
-        cur = 1 << 127  # the identity element x^0
-        for k in range(128):
-            sq_single[k] = cur
-            for _ in range(2):  # advance x^(2k) -> x^(2k+2)
-                cur = (cur >> 1) ^ (R_POLY if cur & 1 else 0)
-        tables = []
-        for i in range(16):
-            row = [0] * 256
-            for j in range(8):
-                # Byte i, bit j holds the coefficient of x^(8i + 7 - j).
-                row[1 << j] = sq_single[8 * i + 7 - j]
-            for b in range(1, 256):
-                low = b & -b
-                if b != low:
-                    row[b] = row[low] ^ row[b ^ low]
-            tables.append(row)
-        _SQUARE_TABLES = tables
-    return _SQUARE_TABLES
-
-
-def gf128_sqr_tabulated(z: int) -> int:
-    """Square *z* via the global Frobenius tables (16 lookups)."""
-    if not 0 <= z <= MASK128:
-        raise ValueError("operand must be a 128-bit non-negative integer")
-    tables = _square_tables()
-    out = 0
-    shift = 120
-    for row in tables:
-        out ^= row[(z >> shift) & 255]
-        shift -= 8
-    return out
-
-
 def ghash_blocks_tabulated(h: int, acc: int, data: bytes) -> int:
     """Absorb whole 16-byte blocks of *data* into accumulator *acc*.
 

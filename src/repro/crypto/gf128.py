@@ -94,32 +94,10 @@ def gf128_mul_digit_serial(
     return z, steps
 
 
-def gf128_pow(x: int, n: int, use_fast: "bool | None" = None) -> int:
-    """Raise *x* to the *n*-th power by square-and-multiply.
-
-    The fast path runs left-to-right so the multiplicand is always the
-    fixed base *x*: one cached Shoup table for *x* serves every
-    multiply step, and squarings use the global tabulated Frobenius
-    map (squaring is GF(2)-linear) — no per-step table builds.
-    ``use_fast=False`` pins the bit-serial reference.
-    """
+def gf128_pow(x: int, n: int) -> int:
+    """Raise *x* to the *n*-th power by square-and-multiply."""
     if n < 0:
         raise ValueError("negative exponents are not supported")
-    # Imported lazily: the fast package builds its tables from this module.
-    from repro.crypto.fast import fast_enabled
-
-    if fast_enabled(use_fast) and n:
-        from repro.crypto.fast.gf128_tables import (
-            gf128_mul_tabulated,
-            gf128_sqr_tabulated,
-        )
-
-        result = ONE
-        for i in range(n.bit_length() - 1, -1, -1):
-            result = gf128_sqr_tabulated(result)
-            if (n >> i) & 1:
-                result = gf128_mul_tabulated(result, x)
-        return result
     result = ONE
     base = x
     while n:

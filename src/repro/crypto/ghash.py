@@ -11,10 +11,11 @@ cycles), ``FGFM`` reads the accumulator out.
 from __future__ import annotations
 
 from repro.errors import BlockSizeError
-from repro.crypto.fast import fast_enabled
-from repro.crypto.fast.gf128_tables import ghash_blocks_tabulated
-from repro.crypto.fast.ghash_hpower import ghash_blocks_hpower
 from repro.crypto.gf128 import HW_DIGIT_BITS, gf128_mul, gf128_mul_digit_serial
+
+# Unused here: perfbench's layer table looks these two names up on this module.
+from repro.crypto.fast.gf128_tables import ghash_blocks_tabulated  # noqa: F401
+from repro.crypto.fast.ghash_hpower import ghash_blocks_hpower  # noqa: F401
 
 BLOCK_BYTES = 16
 
@@ -22,10 +23,10 @@ BLOCK_BYTES = 16
 class GHash:
     """Incremental GHASH mirroring the hardware core's LOADH/SGFM/FGFM.
 
-    The functional math rides the tabulated Shoup multiplier
-    (:mod:`repro.crypto.fast.gf128_tables`) unless the fast engine is
-    switched off; the digit-serial path — the hardware *cycle model* —
-    always runs the stepped multiplier so :attr:`cycles` stays faithful.
+    Each block runs the bit-serial reference multiplier, or with
+    *digit_serial* the stepped multiplier of the hardware *cycle
+    model*, so :attr:`cycles` stays faithful.  Both give the same
+    digest.
 
     Parameters
     ----------
@@ -34,17 +35,14 @@ class GHash:
     digit_serial:
         When true, each absorbed block uses the digit-serial multiplier
         and :attr:`cycles` accumulates the hardware cycle count.
-    use_fast:
-        Tri-state fast-path override (None = follow the global switch).
     """
 
-    def __init__(self, h: bytes, digit_serial: bool = False, use_fast: "bool | None" = None):
+    def __init__(self, h: bytes, digit_serial: bool = False):
         if len(h) != BLOCK_BYTES:
             raise BlockSizeError(f"GHASH subkey must be 16 bytes, got {len(h)}")
         self._h = int.from_bytes(h, "big")
         self._acc = 0
         self._digit_serial = digit_serial
-        self._use_fast = (not digit_serial) and fast_enabled(use_fast)
         #: Total hardware multiplier cycles consumed so far.
         self.cycles = 0
         #: Number of blocks absorbed.
@@ -56,14 +54,11 @@ class GHash:
             raise BlockSizeError(
                 f"GHASH blocks must be 16 bytes, got {len(block)}"
             )
+        x = self._acc ^ int.from_bytes(block, "big")
         if self._digit_serial:
-            x = self._acc ^ int.from_bytes(block, "big")
             self._acc, steps = gf128_mul_digit_serial(x, self._h, HW_DIGIT_BITS)
             self.cycles += steps
-        elif self._use_fast:
-            self._acc = ghash_blocks_tabulated(self._h, self._acc, block)
         else:
-            x = self._acc ^ int.from_bytes(block, "big")
             self._acc = gf128_mul(x, self._h)
         self.blocks += 1
         return self
@@ -74,12 +69,6 @@ class GHash:
             raise BlockSizeError(
                 f"data length {len(data)} is not a multiple of 16"
             )
-        if self._use_fast:
-            # Long absorbs fold k blocks per step over H-power tables;
-            # short ones stay on the serial tabulated chain.
-            self._acc = ghash_blocks_hpower(self._h, self._acc, data)
-            self.blocks += len(data) // BLOCK_BYTES
-            return self
         for i in range(0, len(data), BLOCK_BYTES):
             self.update(data[i : i + BLOCK_BYTES])
         return self

@@ -10,8 +10,6 @@ for fixed-length messages, which is exactly how the radio uses it.
 from __future__ import annotations
 
 from repro.crypto.aes import AES
-from repro.crypto.fast import fast_enabled
-from repro.crypto.fast.bulk import cbc_mac_fast
 from repro.errors import BlockSizeError
 from repro.utils.bytesops import xor_bytes
 
@@ -22,7 +20,6 @@ def cbc_mac(
     cipher: AES,
     data: bytes,
     iv: bytes = b"\x00" * BLOCK_BYTES,
-    use_fast: "bool | None" = None,
 ) -> bytes:
     """Compute the CBC-MAC of *data* (a whole number of 16-byte blocks).
 
@@ -31,12 +28,7 @@ def cbc_mac(
     iv:
         Chaining start value; all-zero per FIPS-113.  CCM effectively
         starts the chain at zero and feeds ``B_0`` as the first block.
-    use_fast:
-        Tri-state fast-path override; the fast path keeps the chaining
-        state as words (:func:`repro.crypto.fast.bulk.cbc_mac_fast`).
     """
-    if fast_enabled(use_fast):
-        return cbc_mac_fast(cipher.schedule, data, iv)
     if len(data) % BLOCK_BYTES != 0:
         raise BlockSizeError(
             f"CBC-MAC input length {len(data)} is not a multiple of 16"

@@ -19,7 +19,6 @@ import hmac
 from typing import Tuple
 
 from repro.crypto.aes import AES
-from repro.crypto.fast import fast_enabled
 from repro.crypto.modes.cbc_mac import cbc_mac
 from repro.errors import AuthenticationFailure, NonceError, TagError
 from repro.utils.bytesops import pad_zeros, xor_bytes
@@ -103,19 +102,12 @@ def ccm_encrypt(
     plaintext: bytes,
     aad: bytes = b"",
     tag_length: int = 16,
-    use_fast: "bool | None" = None,
 ) -> Tuple[bytes, bytes]:
     """CCM authenticated encryption.
 
     Returns ``(ciphertext, tag)`` with ``len(tag) == tag_length``.
-    Routes through :func:`repro.crypto.fast.bulk.ccm_seal` unless the
-    fast engine is switched off.
     """
-    if fast_enabled(use_fast):
-        from repro.crypto.fast.bulk import ccm_seal
-
-        return ccm_seal(key, nonce, plaintext, aad, tag_length)
-    cipher = AES(key, use_fast=False)
+    cipher = AES(key)
     _check_params(nonce, tag_length, len(plaintext))
 
     b = (
@@ -123,7 +115,7 @@ def ccm_encrypt(
         + format_associated_data(aad)
         + pad_zeros(plaintext, BLOCK_BYTES)
     )
-    t_full = cbc_mac(cipher, b, use_fast=False)
+    t_full = cbc_mac(cipher, b)
 
     nblocks = -(-len(plaintext) // BLOCK_BYTES)
     stream = _ctr_stream(cipher, nonce, nblocks)
@@ -140,7 +132,6 @@ def ccm_decrypt(
     ciphertext: bytes,
     tag: bytes,
     aad: bytes = b"",
-    use_fast: "bool | None" = None,
 ) -> bytes:
     """CCM authenticated decryption.
 
@@ -151,11 +142,7 @@ def ccm_decrypt(
         released on failure (the hardware analogue re-initialises the
         output FIFO, paper section IV.C).
     """
-    if fast_enabled(use_fast):
-        from repro.crypto.fast.bulk import ccm_open
-
-        return ccm_open(key, nonce, ciphertext, tag, aad)
-    cipher = AES(key, use_fast=False)
+    cipher = AES(key)
     tag_length = len(tag)
     _check_params(nonce, tag_length, len(ciphertext))
 
@@ -170,7 +157,7 @@ def ccm_decrypt(
         + format_associated_data(aad)
         + pad_zeros(plaintext, BLOCK_BYTES)
     )
-    t_full = cbc_mac(cipher, b, use_fast=False)
+    t_full = cbc_mac(cipher, b)
     s0 = cipher.encrypt_block(format_counter_block(nonce, 0))
     expected = xor_bytes(t_full, s0)[:tag_length]
 

@@ -12,9 +12,8 @@ configurable for standard-compliant wider counters.
 from __future__ import annotations
 
 from repro.crypto.aes import AES
-from repro.crypto.fast import fast_enabled
-from repro.crypto.fast.bulk import ctr_stream, xor_data
 from repro.errors import BlockSizeError
+from repro.utils.bytesops import xor_bytes
 
 BLOCK_BYTES = 16
 
@@ -43,17 +42,12 @@ def ctr_keystream(
     initial_counter: bytes,
     nblocks: int,
     inc_bits: int = 16,
-    use_fast: "bool | None" = None,
 ) -> bytes:
     """Generate *nblocks* 16-byte keystream blocks from *initial_counter*.
 
     The first keystream block is ``E_K(initial_counter)``; each
-    subsequent block encrypts the incremented counter.  When the fast
-    engine is enabled the whole run is generated by the bulk counter
-    engine (:func:`repro.crypto.fast.bulk.ctr_stream`) in one call.
+    subsequent block encrypts the incremented counter.
     """
-    if fast_enabled(use_fast):
-        return ctr_stream(cipher.schedule, initial_counter, nblocks, inc_bits)
     if len(initial_counter) != BLOCK_BYTES:
         raise BlockSizeError(
             f"initial counter must be 16 bytes, got {len(initial_counter)}"
@@ -73,7 +67,6 @@ def ctr_xcrypt(
     initial_counter: bytes,
     data: bytes,
     inc_bits: int = 16,
-    use_fast: "bool | None" = None,
 ) -> bytes:
     """Encrypt or decrypt *data* in CTR mode (the operation is its own inverse).
 
@@ -82,5 +75,5 @@ def ctr_xcrypt(
     if not data:
         return b""
     nblocks = -(-len(data) // BLOCK_BYTES)
-    stream = ctr_keystream(cipher, initial_counter, nblocks, inc_bits, use_fast)
-    return xor_data(data, stream)
+    stream = ctr_keystream(cipher, initial_counter, nblocks, inc_bits)
+    return xor_bytes(data, stream[: len(data)])

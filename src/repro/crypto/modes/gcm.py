@@ -14,8 +14,6 @@ import hmac
 from typing import Tuple
 
 from repro.crypto.aes import AES
-from repro.crypto.fast import bulk as fast_bulk
-from repro.crypto.fast import fast_enabled
 from repro.crypto.ghash import GHash
 from repro.errors import AuthenticationFailure, NonceError, TagError
 from repro.utils.bytesops import pad_zeros, xor_bytes
@@ -32,7 +30,7 @@ def inc32(block: bytes, by: int = 1) -> bytes:
     return block[:12] + low.to_bytes(4, "big")
 
 
-def gcm_j0(cipher: AES, iv: bytes, use_fast: "bool | None" = None) -> bytes:
+def gcm_j0(cipher: AES, iv: bytes) -> bytes:
     """Derive the pre-counter block ``J_0`` from the IV.
 
     The 96-bit IV fast path appends ``0^31 || 1``; other IV lengths run
@@ -43,7 +41,7 @@ def gcm_j0(cipher: AES, iv: bytes, use_fast: "bool | None" = None) -> bytes:
     if len(iv) == 12:
         return iv + b"\x00\x00\x00\x01"
     h = cipher.encrypt_block(b"\x00" * BLOCK_BYTES)
-    g = GHash(h, use_fast=use_fast)
+    g = GHash(h)
     g.update_blocks(pad_zeros(iv, BLOCK_BYTES))
     g.update((0).to_bytes(8, "big") + (8 * len(iv)).to_bytes(8, "big"))
     return g.digest()
@@ -75,9 +73,8 @@ def _ghash_tag(
     aad: bytes,
     ciphertext: bytes,
     tag_length: int,
-    use_fast: "bool | None" = None,
 ) -> bytes:
-    g = GHash(h, use_fast=use_fast)
+    g = GHash(h)
     if aad:
         g.update_blocks(pad_zeros(aad, BLOCK_BYTES))
     if ciphertext:
@@ -93,25 +90,17 @@ def gcm_encrypt(
     plaintext: bytes,
     aad: bytes = b"",
     tag_length: int = 16,
-    use_fast: "bool | None" = None,
 ) -> Tuple[bytes, bytes]:
-    """GCM authenticated encryption; returns ``(ciphertext, tag)``.
-
-    Routes through the bulk fast engine
-    (:func:`repro.crypto.fast.bulk.gcm_seal`) unless the fast path is
-    switched off, in which case the block-at-a-time reference runs.
-    """
+    """GCM authenticated encryption; returns ``(ciphertext, tag)``."""
     if tag_length not in VALID_TAG_LENGTHS:
         raise TagError(
             f"GCM tag length must be one of {VALID_TAG_LENGTHS}, got {tag_length}"
         )
-    if fast_enabled(use_fast):
-        return fast_bulk.gcm_seal(key, iv, plaintext, aad, tag_length)
-    cipher = AES(key, use_fast=False)
+    cipher = AES(key)
     h = cipher.encrypt_block(b"\x00" * BLOCK_BYTES)
-    j0 = gcm_j0(cipher, iv, use_fast=False)
+    j0 = gcm_j0(cipher, iv)
     ciphertext = _gctr(cipher, inc32(j0), plaintext)
-    tag = _ghash_tag(cipher, h, j0, aad, ciphertext, tag_length, use_fast=False)
+    tag = _ghash_tag(cipher, h, j0, aad, ciphertext, tag_length)
     return ciphertext, tag
 
 
@@ -121,7 +110,6 @@ def gcm_decrypt(
     ciphertext: bytes,
     tag: bytes,
     aad: bytes = b"",
-    use_fast: "bool | None" = None,
 ) -> bytes:
     """GCM authenticated decryption.
 
@@ -132,12 +120,10 @@ def gcm_decrypt(
     """
     if len(tag) not in VALID_TAG_LENGTHS:
         raise TagError(f"GCM tag length {len(tag)} is invalid")
-    if fast_enabled(use_fast):
-        return fast_bulk.gcm_open(key, iv, ciphertext, tag, aad)
-    cipher = AES(key, use_fast=False)
+    cipher = AES(key)
     h = cipher.encrypt_block(b"\x00" * BLOCK_BYTES)
-    j0 = gcm_j0(cipher, iv, use_fast=False)
-    expected = _ghash_tag(cipher, h, j0, aad, ciphertext, len(tag), use_fast=False)
+    j0 = gcm_j0(cipher, iv)
+    expected = _ghash_tag(cipher, h, j0, aad, ciphertext, len(tag))
     if not hmac.compare_digest(expected, tag):
         raise AuthenticationFailure("GCM tag verification failed")
     return _gctr(cipher, inc32(j0), ciphertext)

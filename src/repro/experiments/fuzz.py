@@ -28,6 +28,11 @@ off-block lengths included, on a platform of 1, 2 or 4 cores — on
 ``cores`` and on ``batched``: each
 channel's completions must carry the same bytes and ``ok`` flags in the
 same order, and both runs must conserve packets.  The ``cores`` run is
+checked against the reference modes of :mod:`repro.crypto.modes`
+(sealed bytes and tag equal ``gcm_encrypt``/``ccm_encrypt``, an
+accepted rx packet opens with ``gcm_decrypt``/``ccm_decrypt``, a
+rejected one makes it raise), which share no kernel with the engine
+that ``batched`` and the device run.  It is also
 traced, and every task of at least :data:`LOOP_MIN_BLOCKS` data blocks
 must loop at section VII.A's period (:func:`loop_period_errors`): an
 oracle that shares no code with the device model, its firmware or its
@@ -67,6 +72,8 @@ from unittest import mock
 from repro.analysis.cycles import PAPER_T_CBC_128, PAPER_T_GCM_128, paper_loop_cycles
 from repro.core.params import Algorithm, CcmRole, Direction
 from repro.crypto.fast import aes_vector, batch, bulk, ghash_hpower
+from repro.crypto.modes.ccm import ccm_decrypt, ccm_encrypt
+from repro.crypto.modes.gcm import gcm_decrypt, gcm_encrypt
 from repro.errors import AuthenticationFailure
 from repro.mccp.channel import FlushPolicy
 from repro.radio.admission import AdmissionPolicy
@@ -331,7 +338,13 @@ def _alone():
     return mock.patch.object(batch, "resolve_deferred", lambda handles: None)
 
 
-def _run(case: FuzzCase, alone: bool, traced: bool = False, stepping: bool = False) -> _Outcome:
+def _run(
+    case: FuzzCase,
+    alone: bool,
+    traced: bool = False,
+    stepping: bool = False,
+    reference: bool = False,
+) -> _Outcome:
     plan = None
     if case.batch_error_rate:
         plan = FaultPlan(seed=case.seed, rates={"batch_error": case.batch_error_rate})
@@ -384,7 +397,7 @@ def _run(case: FuzzCase, alone: bool, traced: bool = False, stepping: bool = Fal
             outcome.poisoned.add((transfer.channel_id, transfer.sequence))
         if dead is None:
             channel = channels[job.channel_id]
-            _check_one(outcome.errors, transfer, key_of(transfer), channel)
+            _check_one(outcome.errors, transfer, key_of(transfer), channel, reference)
     return outcome
 
 
@@ -425,18 +438,21 @@ def _session_keys(manager: SessionManager, case: FuzzCase) -> Callable:
     return key_of
 
 
-def _check_one(errors: List[str], transfer, key: bytes, channel) -> None:
-    """One completion against the per-packet one-call path."""
+def _check_one(errors: List[str], transfer, key: bytes, channel, reference: bool) -> None:
+    """One completion against the per-packet one-call path, or with
+    *reference* against the reference modes."""
     job = transfer.job
     label = f"channel {job.channel_id} seq {job.sequence}"
-    if channel.algorithm is Algorithm.GCM:
-        seal, open_ = bulk.gcm_seal, bulk.gcm_open
+    gcm = channel.algorithm is Algorithm.GCM
+    if reference:
+        seal, open_ = (gcm_encrypt, gcm_decrypt) if gcm else (ccm_encrypt, ccm_decrypt)
     else:
-        seal, open_ = bulk.ccm_seal, bulk.ccm_open
+        seal, open_ = (bulk.gcm_seal, bulk.gcm_open) if gcm else (bulk.ccm_seal, bulk.ccm_open)
     if job.direction is Direction.ENCRYPT:
         expected = seal(key, job.nonce, job.data, job.aad, channel.tag_length)
         if not transfer.ok or (transfer.payload, transfer.tag) != expected:
-            errors.append(f"{label}: sealed output differs from the bulk path")
+            oracle = "the reference" if reference else "the bulk path"
+            errors.append(f"{label}: sealed output differs from {oracle}")
         return
     try:
         opened = open_(key, job.nonce, job.data, job.tag, job.aad)
@@ -510,10 +526,11 @@ def _per_channel(outcome: _Outcome) -> Dict[int, List[tuple]]:
 
 
 def check_cores_case(case: FuzzCase) -> List[str]:
-    """Replay *case* on ``cores`` (traced, for the loop periods), on
-    ``cores`` with every controller stepping at the kernel, and on
-    ``batched``; every broken invariant, or []."""
-    cores = _run(case, alone=False, traced=True)
+    """Replay *case* on ``cores`` (traced, for the loop periods, and
+    checked against the reference modes), on ``cores`` with every
+    controller stepping at the kernel, and on ``batched``; every broken
+    invariant, or []."""
+    cores = _run(case, alone=False, traced=True, reference=True)
     stepping = _run(case, alone=False, stepping=True)
     batched = _run(
         dataclasses.replace(case, shape=dataclasses.replace(case.shape, dataplane="batched")),

@@ -15,8 +15,9 @@ import random
 from repro.core.crypto_core import CryptoCore
 from repro.core.harness import run_task
 from repro.core.params import Algorithm, Direction
-from repro.crypto import ccm_encrypt, gcm_decrypt, gcm_encrypt, whirlpool
+from repro.crypto import ccm_encrypt, gcm_encrypt, whirlpool
 from repro.crypto.aes import expand_key
+from repro.crypto.fast import bulk
 from repro.errors import ExperimentError
 from repro.experiments.scenarios._util import deterministic_bytes
 from repro.mccp.mccp import Mccp
@@ -33,8 +34,9 @@ _MODE_MIX_SIZES = (64, 256, 1024, 2048)
 
 def mode_mix(mode: str, seed: int):
     """One mode's batch of randomized messages with heterogeneous sizes
-    and key widths: every fast-path output must equal the reference
-    path's, and the outputs fold into a digest."""
+    and key widths: every engine output (``bulk.gcm_seal``/``ccm_seal``)
+    must equal the reference mode's, and the outputs fold into a
+    digest."""
     rng = random.Random(seed)
     messages = 12
     digest = hashlib.sha256()
@@ -50,21 +52,21 @@ def mode_mix(mode: str, seed: int):
         total_bytes += size
         if this_mode == "gcm":
             iv = bytes(rng.getrandbits(8) for _ in range(12))
-            fast = gcm_encrypt(key, iv, payload, aad, 16, True)
-            reference = gcm_encrypt(key, iv, payload, aad, 16, False)
+            fast = bulk.gcm_seal(key, iv, payload, aad, 16)
+            reference = gcm_encrypt(key, iv, payload, aad, 16)
         elif this_mode == "ccm":
             nonce = bytes(rng.getrandbits(8) for _ in range(13))
-            fast = ccm_encrypt(key, nonce, payload, aad, 8, True)
-            reference = ccm_encrypt(key, nonce, payload, aad, 8, False)
+            fast = bulk.ccm_seal(key, nonce, payload, aad, 8)
+            reference = ccm_encrypt(key, nonce, payload, aad, 8)
         else:  # gmac: authentication only, empty plaintext
             iv = bytes(rng.getrandbits(8) for _ in range(12))
-            fast = gcm_encrypt(key, iv, b"", payload, 16, True)
-            reference = gcm_encrypt(key, iv, b"", payload, 16, False)
+            fast = bulk.gcm_seal(key, iv, b"", payload, 16)
+            reference = gcm_encrypt(key, iv, b"", payload, 16)
         if fast != reference:
             raise ExperimentError(
                 f"mode_mix[{mode}]: {this_mode} message {index} is not the reference"
             )
-        if this_mode == "gcm" and gcm_decrypt(key, iv, fast[0], fast[1], aad) != payload:
+        if this_mode == "gcm" and bulk.gcm_open(key, iv, fast[0], fast[1], aad) != payload:
             raise ExperimentError(f"mode_mix[{mode}]: gcm message {index} does not open")
         digest.update(fast[0])
         digest.update(fast[1])

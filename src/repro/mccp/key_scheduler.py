@@ -20,10 +20,9 @@ from typing import Dict, Tuple
 
 from repro.core.key_cache import KeyCache
 from repro.crypto.aes import ROUNDS_BY_KEY_BYTES
-# Dispatched expansion: LRU-memoized T-table-engine schedule when the
-# fast path is on, plain FIPS-197 reference otherwise.  The *charged*
-# cycles are unaffected — only the host-side computation is memoized.
-from repro.crypto.fast import expand_key_dispatch as expand_key
+# The engine's LRU-memoized expansion.  The *charged* cycles are
+# unaffected — only the host-side computation is memoized.
+from repro.crypto.fast import expand_key_cached
 from repro.mccp.key_memory import KeyMemory
 from repro.unit.timing import TimingModel
 
@@ -69,7 +68,7 @@ class KeyScheduler:
             round_keys, key_bits = self._memo[key_id]
         else:
             key = self.key_memory.fetch_for_scheduler(key_id)
-            round_keys = expand_key(key)
+            round_keys = expand_key_cached(key)
             key_bits = 8 * len(key)
             self._memo[key_id] = (round_keys, key_bits)
             self.expansions += 1

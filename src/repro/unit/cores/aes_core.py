@@ -19,9 +19,8 @@ last one fills once.  Before that, a run fills once it has consumed
 at the run's :data:`LONGEST_RUN`-th block, the longest run a core
 sees, unless the run is already past it.  A lone block (GCM's H =
 E(0)) never reads ahead; a short packet after a long one reads the
-long one's window.  Other blocks run the T-table rounds, or the
-reference cipher under ``REPRO_FAST=0`` (no readahead then, nor
-without numpy).  Cycles do not depend on the path.
+long one's window.  Other blocks, and every block without numpy, run
+the T-table rounds.  Cycles do not depend on the path.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.key_cache import RoundKeys
-from repro.crypto.aes import encrypt_block_with_schedule
-from repro.crypto.fast import aes_ttable, aes_vector, batch, bulk, fast_enabled
+from repro.crypto.fast import aes_ttable, aes_vector, batch, bulk
 from repro.errors import UnitError
 from repro.sim.fifo import DEFAULT_DEPTH_WORDS, WORDS_PER_BLOCK
 from repro.unit.timing import TimingModel
@@ -39,19 +37,16 @@ from repro.utils.bits import WORD32_MASK
 
 def encrypt_block_int(block: int, round_keys: Sequence[Sequence[int]]) -> int:
     """AES of the 128-bit *block* under the expanded *round_keys*."""
-    if fast_enabled():
-        # Looked up on its module, so a wrapper installed there (the
-        # ``kernels.aes_scalar`` seam of perfbench's layer table) sees it.
-        o0, o1, o2, o3 = aes_ttable.encrypt_words_tt(
-            block >> 96,
-            (block >> 64) & WORD32_MASK,
-            (block >> 32) & WORD32_MASK,
-            block & WORD32_MASK,
-            round_keys,
-        )
-        return (o0 << 96) | (o1 << 64) | (o2 << 32) | o3
-    out = encrypt_block_with_schedule(block.to_bytes(16, "big"), round_keys)
-    return int.from_bytes(out, "big")
+    # Looked up on its module, so a wrapper installed there (the
+    # ``kernels.aes_scalar`` seam of perfbench's layer table) sees it.
+    o0, o1, o2, o3 = aes_ttable.encrypt_words_tt(
+        block >> 96,
+        (block >> 64) & WORD32_MASK,
+        (block >> 32) & WORD32_MASK,
+        block & WORD32_MASK,
+        round_keys,
+    )
+    return (o0 << 96) | (o1 << 64) | (o2 << 32) | o3
 
 
 #: The longest counter run a core sees: a full FIFO's data blocks after
@@ -99,7 +94,7 @@ class AesCore:
             self._busy_cycles = self.timing.aes_busy(key_bits)
         busy = self._busy_cycles
         # Functional result only — the cycle model above is untouched by
-        # whether the fast T-table engine or the reference rounds run.
+        # whether the block was read ahead.
         self._result = self._read_ahead(block, round_keys)
         self.busy_until = now + busy
         self.blocks_processed += 1
@@ -120,8 +115,7 @@ class AesCore:
         offset = self._offset
         if offset >= len(self._stream):
             previous = self._previous_run
-            vector = fast_enabled() and aes_vector.HAVE_NUMPY
-            if consumed < (1 if previous else batch.MIN_LANES) or not vector:
+            if consumed < (1 if previous else batch.MIN_LANES) or not aes_vector.HAVE_NUMPY:
                 return encrypt_block_int(block, round_keys)
             window = max(consumed, previous - consumed)
             if consumed < LONGEST_RUN:

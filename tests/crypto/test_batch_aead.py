@@ -60,7 +60,7 @@ def test_gcm_batch_equivalence(i):
     sealed = gcm_seal_many(key, packets)
     assert sealed == [gcm_seal(key, iv, d, a) for iv, d, a in packets]
     assert sealed == [
-        gcm_encrypt(key, iv, d, a, 16, use_fast=False) for iv, d, a in packets
+        gcm_encrypt(key, iv, d, a, 16) for iv, d, a in packets
     ]
     opened = gcm_open_many(
         key,
@@ -78,7 +78,7 @@ def test_ccm_batch_equivalence(i):
         ccm_seal(key, nonce, d, a, tag_length) for nonce, d, a in packets
     ]
     assert sealed == [
-        ccm_encrypt(key, nonce, d, a, tag_length, use_fast=False)
+        ccm_encrypt(key, nonce, d, a, tag_length)
         for nonce, d, a in packets
     ]
     opened = ccm_open_many(
@@ -215,23 +215,20 @@ def test_hpower_fold_matches_serial_chain(nblocks):
             assert _fold_vector(h, acc, data, fold) == expected
 
 
-def test_ghash_update_blocks_rides_hpower():
+def test_hpower_split_absorbs_match_one_shot():
     # Split absorbs must equal one-shot absorbs across the fold
-    # boundary (the GHash class chains acc through hpower calls).
+    # boundary (the accumulator chains through hpower calls).
     from repro.crypto.ghash import GHash
 
     rng = random.Random(0x3AA)
     h = rng.randbytes(16)
     data = rng.randbytes(16 * 70)
-    one_shot = GHash(h, use_fast=True).update_blocks(data).digest()
-    split = (
-        GHash(h, use_fast=True)
-        .update_blocks(data[: 16 * 3])
-        .update_blocks(data[16 * 3 :])
-        .digest()
-    )
-    reference = GHash(h, use_fast=False).update_blocks(data).digest()
-    assert one_shot == split == reference
+    h_int = int.from_bytes(h, "big")
+    one_shot = ghash_blocks_hpower(h_int, 0, data)
+    head = ghash_blocks_hpower(h_int, 0, data[: 16 * 3])
+    split = ghash_blocks_hpower(h_int, head, data[16 * 3 :])
+    reference = GHash(h).update_blocks(data).digest()
+    assert one_shot.to_bytes(16, "big") == split.to_bytes(16, "big") == reference
 
 
 # -- decrypt early-reject (verify-first GCM opens) -------------------------------

@@ -61,7 +61,7 @@ def test_batch_seal_open_pure_python(no_numpy):
 
     sealed = batch_module.gcm_seal_many(key, packets)
     assert sealed == [
-        gcm_encrypt(key, iv, d, a, 16, use_fast=False) for iv, d, a in packets
+        gcm_encrypt(key, iv, d, a, 16) for iv, d, a in packets
     ]
     bad_tag = bytes(16)
     opened = batch_module.gcm_open_many(
@@ -81,7 +81,7 @@ def test_batch_seal_open_pure_python(no_numpy):
     cpackets = [(rng.randbytes(13), d, a) for _, d, a in packets]
     csealed = batch_module.ccm_seal_many(key, cpackets, 8)
     assert csealed == [
-        ccm_encrypt(key, nonce, d, a, 8, use_fast=False) for nonce, d, a in cpackets
+        ccm_encrypt(key, nonce, d, a, 8) for nonce, d, a in cpackets
     ]
     copened = batch_module.ccm_open_many(
         key,

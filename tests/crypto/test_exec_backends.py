@@ -16,7 +16,6 @@ import random
 import pytest
 
 from repro.crypto.fast import batch as fast_batch
-from repro.crypto.fast import set_fast
 from repro.crypto.fast.batch import (
     ccm_open_many,
     ccm_seal_many,
@@ -162,7 +161,7 @@ def test_gcm_seal_matrix(pooled_backend):
     )
     assert sealed == inline
     for (iv, data, aad), got in zip(packets, inline):
-        assert got == gcm_encrypt(KEY, iv, data, aad, 16, False)
+        assert got == gcm_encrypt(KEY, iv, data, aad, 16)
 
 
 def test_gcm_open_matrix_with_forged_tags(pooled_backend):
@@ -188,7 +187,7 @@ def test_ccm_seal_open_matrix_with_forged_tag(pooled_backend):
     sealed, _ = seal_open_many("ccm", KEY, packets, [], 8, backend=pooled_backend)
     assert sealed == inline
     for (nonce, data, aad), got in zip(packets, inline):
-        assert got == ccm_encrypt(KEY, nonce, data, aad, 8, False)
+        assert got == ccm_encrypt(KEY, nonce, data, aad, 8)
     opens = [
         (nonce, ct, bytes(8) if i == 5 else tag, aad)
         for i, ((nonce, _, aad), (ct, tag)) in enumerate(zip(packets, inline))
@@ -231,21 +230,6 @@ def test_seal_open_many_mixes_directions_in_one_pass(pooled_backend):
     assert opened == [data for _, data, _ in packets]
     with pytest.raises(ValueError, match="unknown batch mode"):
         seal_open_many("ctr", KEY, [], [], 16)
-
-
-def test_matrix_under_reference_fast_switch(pooled_backend):
-    """REPRO_FAST=0 (reference dispatch) must not change batch bytes."""
-    packets = _gcm_packets(count=9)
-    baseline = gcm_seal_many(KEY, packets, 16)
-    previous = set_fast(False)
-    try:
-        assert gcm_seal_many(KEY, packets, 16) == baseline
-        sealed, _ = seal_open_many(
-            "gcm", KEY, packets, [], 16, backend=pooled_backend
-        )
-        assert sealed == baseline
-    finally:
-        set_fast(previous)
 
 
 def test_matrix_degrades_gracefully_without_numpy(monkeypatch):

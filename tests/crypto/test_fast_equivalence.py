@@ -1,10 +1,10 @@
-"""Fast engine vs reference: byte-identical on every path.
+"""Engine vs reference: byte-identical on every path.
 
-The fast T-table / tabulated-GHASH / bulk engine must be a pure
-restatement of the reference crypto.  This suite pins that down three
-ways: every published and pinned vector through both paths, a
-randomized matrix (200 message/key/nonce combinations across all three
-AES key sizes), and the ``REPRO_FAST`` switch itself.
+The T-table / tabulated-GHASH / bulk engine (:mod:`repro.crypto.fast`)
+must be a pure restatement of the reference crypto (:mod:`repro.crypto`),
+which runs none of its code.  This suite pins that down two ways: every
+published and pinned vector through both, and a randomized matrix (200
+message/key/nonce combinations across all three AES key sizes).
 """
 
 import random
@@ -14,19 +14,20 @@ import pytest
 from repro.crypto import testvectors as tv
 from repro.crypto.aes import AES, expand_key
 from repro.crypto.fast import (
+    bulk,
     cbc_mac_fast,
     ccm_open,
     ccm_seal,
     ctr_stream,
     encrypt_block_tt,
     expand_key_cached,
-    fast_enabled,
     gcm_open,
     gcm_seal,
-    set_fast,
+    ghash_blocks_hpower,
 )
 from repro.crypto.fast.aes_vector import HAVE_NUMPY, encrypt_blocks_vector
 from repro.crypto.fast.bulk import ctr_xcrypt_bulk, ecb_encrypt_blocks
+from repro.crypto.fast.gf128_tables import ghash_blocks_tabulated
 from repro.crypto.ghash import GHash
 from repro.crypto.modes.cbc_mac import cbc_mac
 from repro.crypto.modes.ccm import ccm_decrypt, ccm_encrypt
@@ -38,22 +39,14 @@ from repro.errors import AuthenticationFailure, TagError
 KEY_SIZES = (16, 24, 32)
 
 
-@pytest.fixture
-def reference_only():
-    """Temporarily disable the global fast switch."""
-    previous = set_fast(False)
-    yield
-    set_fast(previous)
-
-
-# -- published / pinned vectors through the fast path ---------------------
+# -- published / pinned vectors through the engine ------------------------
 
 
 @pytest.mark.parametrize("vec", tv.aes_vectors(), ids=lambda v: v.key.hex()[:12])
 def test_aes_vectors_fast(vec):
     assert encrypt_block_tt(vec.plaintext, expand_key(vec.key)) == vec.ciphertext
-    assert AES(vec.key, use_fast=True).encrypt_block(vec.plaintext) == vec.ciphertext
-    assert AES(vec.key, use_fast=False).encrypt_block(vec.plaintext) == vec.ciphertext
+    assert encrypt_block_tt(vec.plaintext, expand_key_cached(vec.key)) == vec.ciphertext
+    assert AES(vec.key).encrypt_block(vec.plaintext) == vec.ciphertext
 
 
 @pytest.mark.parametrize("vec", tv.gcm_vectors(), ids=lambda v: v.iv.hex()[:12])
@@ -95,7 +88,7 @@ def _combo(i: int):
 def test_random_gcm_equivalence(i):
     rng, key, data, aad = _combo(i)
     iv = rng.randbytes(12 if i % 2 else rng.randrange(1, 24))
-    ref = gcm_encrypt(key, iv, data, aad, use_fast=False)
+    ref = gcm_encrypt(key, iv, data, aad)
     fast = gcm_seal(key, iv, data, aad)
     assert ref == fast
     assert gcm_decrypt(key, iv, fast[0], fast[1], aad) == data
@@ -106,7 +99,7 @@ def test_random_ccm_equivalence(i):
     rng, key, data, aad = _combo(i)
     nonce = rng.randbytes(rng.randrange(7, 14))
     tag_length = rng.choice((4, 6, 8, 10, 12, 14, 16))
-    ref = ccm_encrypt(key, nonce, data, aad, tag_length, use_fast=False)
+    ref = ccm_encrypt(key, nonce, data, aad, tag_length)
     fast = ccm_seal(key, nonce, data, aad, tag_length)
     assert ref == fast
     assert ccm_decrypt(key, nonce, fast[0], fast[1], aad) == data
@@ -117,29 +110,29 @@ def test_random_ctr_equivalence(i):
     rng, key, data, _ = _combo(i)
     icb = rng.randbytes(16)
     inc_bits = rng.choice((8, 16, 32, 48, 64, 128))
-    cipher = AES(key, use_fast=False)
-    ref = ctr_xcrypt(cipher, icb, data, inc_bits, use_fast=False)
+    cipher = AES(key)
+    ref = ctr_xcrypt(cipher, icb, data, inc_bits)
     assert ctr_xcrypt_bulk(key, icb, data, inc_bits) == ref
     nblocks = rng.randrange(0, 24)
-    assert ctr_stream(key, icb, nblocks, inc_bits) == ctr_keystream(
-        cipher, icb, nblocks, inc_bits, use_fast=False
-    )
+    assert ctr_stream(key, icb, nblocks, inc_bits) == ctr_keystream(cipher, icb, nblocks, inc_bits)
 
 
 @pytest.mark.parametrize("i", range(3, 200, 4))
 def test_random_mac_and_ghash_equivalence(i):
     rng, key, data, aad = _combo(i)
-    cipher = AES(key, use_fast=False)
+    cipher = AES(key)
     blocks = rng.randbytes(16 * rng.randrange(1, 10))
-    assert cbc_mac_fast(key, blocks) == cbc_mac(cipher, blocks, use_fast=False)
+    assert cbc_mac_fast(key, blocks) == cbc_mac(cipher, blocks)
     h = rng.randbytes(16)
     payload = rng.randbytes(16 * rng.randrange(1, 10))
-    fast_digest = GHash(h, use_fast=True).update_blocks(payload).digest()
-    ref_digest = GHash(h, use_fast=False).update_blocks(payload).digest()
+    h_int = int.from_bytes(h, "big")
+    hpower = ghash_blocks_hpower(h_int, 0, payload).to_bytes(16, "big")
+    tabulated = ghash_blocks_tabulated(h_int, 0, payload).to_bytes(16, "big")
+    ref_digest = GHash(h).update_blocks(payload).digest()
     digit_digest = GHash(h, digit_serial=True).update_blocks(payload).digest()
-    assert fast_digest == ref_digest == digit_digest
+    assert hpower == tabulated == ref_digest == digit_digest
     iv = rng.randbytes(12)
-    assert gmac(key, iv, aad) == gcm_encrypt(key, iv, b"", aad, use_fast=False)[1]
+    assert gmac(key, iv, aad) == bulk.gcm_seal(key, iv, b"", aad)[1]
     assert gmac_verify(key, iv, aad, gmac(key, iv, aad))
 
 
@@ -148,12 +141,10 @@ def test_random_mac_and_ghash_equivalence(i):
 
 def test_ctr_wraps_like_reference():
     key = bytes(range(16))
-    cipher = AES(key, use_fast=False)
+    cipher = AES(key)
     icb = b"\xff" * 16  # low field wraps immediately
     for inc_bits in (8, 16, 32, 64):
-        assert ctr_stream(key, icb, 6, inc_bits) == ctr_keystream(
-            cipher, icb, 6, inc_bits, use_fast=False
-        )
+        assert ctr_stream(key, icb, 6, inc_bits) == ctr_keystream(cipher, icb, 6, inc_bits)
 
 
 def test_scalar_and_vector_paths_agree():
@@ -178,17 +169,7 @@ def test_ecb_bulk_matches_scalar():
     assert encrypt_blocks_vector(blocks, rks) == expected
 
 
-# -- the switch itself ----------------------------------------------------
-
-
-def test_switch_falls_back_to_reference(reference_only):
-    assert not fast_enabled()
-    key, iv, data = bytes(16), bytes(12), b"switchback"
-    assert not AES(key)._use_fast
-    ct, tag = gcm_encrypt(key, iv, data)
-    set_fast(True)
-    assert fast_enabled()
-    assert gcm_encrypt(key, iv, data) == (ct, tag)
+# -- rejection and isolation ---------------------------------------------
 
 
 def test_fast_open_rejects_bad_tag():
@@ -219,35 +200,54 @@ def test_fast_open_rejects_invalid_tag_lengths():
 
 def test_fast_ctr_rejects_invalid_inc_bits_like_reference():
     key, icb = bytes(16), bytes(16)
-    cipher = AES(key, use_fast=False)
+    cipher = AES(key)
     for inc_bits in (0, -8, 12, 136):
         with pytest.raises(ValueError):
             ctr_stream(key, icb, 4, inc_bits)
         with pytest.raises(ValueError):
-            ctr_keystream(cipher, icb, 4, inc_bits, use_fast=False)
+            ctr_keystream(cipher, icb, 4, inc_bits)
 
 
 def test_ccm_reference_path_never_calls_fast_mac(monkeypatch):
-    # use_fast=False must pin the WHOLE chain, including the CBC-MAC
-    # half, or the "reference" baseline silently runs fast-engine code.
-    # (The submodule attribute is shadowed by the function export, so
-    # resolve the module through sys.modules.)
-    import sys
-
-    cbc_mac_module = sys.modules["repro.crypto.modes.cbc_mac"]
-
+    # The reference CCM must run the whole chain, the CBC-MAC half
+    # included, without engine code, or the gold model silently checks
+    # the engine against itself.
     calls = []
-    real = cbc_mac_module.cbc_mac_fast
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def spy(name):
+        real = getattr(bulk, name)
 
-    monkeypatch.setattr(cbc_mac_module, "cbc_mac_fast", spy)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("cbc_mac_fast", "ccm_seal", "ccm_open"):
+        monkeypatch.setattr(bulk, name, spy(name))
     key, nonce = bytes(16), bytes(range(13))
-    ct, tag = ccm_encrypt(key, nonce, b"payload" * 10, b"hdr", 8, use_fast=False)
-    ccm_decrypt(key, nonce, ct, tag, b"hdr", use_fast=False)
+    ct, tag = ccm_encrypt(key, nonce, b"payload" * 10, b"hdr", 8)
+    assert ccm_decrypt(key, nonce, ct, tag, b"hdr") == b"payload" * 10
     assert not calls
+
+
+def test_reference_modules_import_no_engine_code():
+    """Nothing the reference modules hold comes from the engine, apart
+    from the two GHASH kernels ``repro.crypto.ghash`` keeps for
+    perfbench's layer table."""
+    import importlib
+
+    seam = {"ghash_blocks_hpower", "ghash_blocks_tabulated"}
+    for name in ("aes", "gf128", "ghash", "modes.ctr", "modes.cbc_mac", "modes.ccm", "modes.gcm"):
+        module = importlib.import_module(f"repro.crypto.{name}")
+        engine = {
+            attribute
+            for attribute, value in vars(module).items()
+            if (getattr(value, "__module__", None) or getattr(value, "__name__", "")).startswith(
+                "repro.crypto.fast"
+            )
+        }
+        assert engine == (seam if name == "ghash" else set()), name
 
 
 def test_expand_key_cached_is_shared_and_correct():

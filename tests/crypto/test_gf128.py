@@ -124,22 +124,11 @@ def test_tables_memoized_per_subkey():
     assert ghash_tables(0xDEADBEEF) is ghash_tables(0xDEADBEEF)
 
 
-@given(elements, st.integers(min_value=0, max_value=512))
+@given(elements, st.integers(min_value=0, max_value=64))
 @settings(max_examples=25, deadline=None)
-def test_pow_fast_matches_reference(a, n):
-    assert gf128_pow(a, n, use_fast=True) == gf128_pow(a, n, use_fast=False)
-
-
-@given(elements)
-@settings(max_examples=50, deadline=None)
-def test_tabulated_square_matches_mul(a):
-    from repro.crypto.fast.gf128_tables import gf128_sqr_tabulated
-
-    assert gf128_sqr_tabulated(a) == gf128_mul(a, a)
-
-
-def test_tabulated_square_validation():
-    from repro.crypto.fast.gf128_tables import gf128_sqr_tabulated
-
-    with pytest.raises(ValueError):
-        gf128_sqr_tabulated(1 << 128)
+def test_pow_matches_repeated_tabulated_product(a, n):
+    """The reference square-and-multiply against n engine products."""
+    expected = ONE
+    for _ in range(n):
+        expected = gf128_mul_tabulated(expected, a)
+    assert gf128_pow(a, n) == expected

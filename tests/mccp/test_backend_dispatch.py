@@ -10,8 +10,8 @@ import random
 import pytest
 
 from repro.core.params import Algorithm, Direction
+from repro.crypto.fast import bulk
 from repro.crypto.fast.exec import ProcessPoolBackend
-from repro.crypto.modes.gcm import gcm_encrypt
 from repro.mccp.mccp import Mccp
 from repro.sim.kernel import Simulator
 from tests.conftest import drain, enqueue
@@ -45,7 +45,7 @@ def _enqueue_mixed(device, channel, count=24, seed=0xD15):
         nonce = (index + 1).to_bytes(12, "big")
         payload = rng.randbytes(rng.choice((0, 33, 256, 2048)))
         if index % 3 == 2:
-            ciphertext, tag = gcm_encrypt(KEY, nonce, payload, b"", 16, True)
+            ciphertext, tag = bulk.gcm_seal(KEY, nonce, payload, b"", 16)
             forged = index % 6 == 5
             enqueue(
                 device, channel.channel_id,
@@ -58,7 +58,7 @@ def _enqueue_mixed(device, channel, count=24, seed=0xD15):
         else:
             enqueue(device, channel.channel_id, payload, nonce=nonce)
             expected.append(
-                (True, gcm_encrypt(KEY, nonce, payload, b"", 16, True))
+                (True, bulk.gcm_seal(KEY, nonce, payload, b"", 16))
             )
     return expected
 

@@ -12,6 +12,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from repro.core.params import Algorithm, Direction
+from repro.crypto.fast import bulk
 from repro.crypto.modes.ccm import ccm_encrypt
 from repro.crypto.modes.gcm import gcm_encrypt
 from repro.crypto.modes.gmac import gmac
@@ -61,7 +62,7 @@ def test_batch_matches_reference_and_coalesces(algorithm, key_bytes, tag_length,
     encrypt = gcm_encrypt if algorithm is Algorithm.GCM else ccm_encrypt
     for index, (payload, result) in enumerate(zip(payloads, results)):
         nonce = _nonce(index, nonce_bytes)
-        expected = encrypt(key, nonce, payload, b"hdr", tag_length, False)
+        expected = encrypt(key, nonce, payload, b"hdr", tag_length)
         assert result.ok and (result.payload, result.tag) == expected
     assert channel.packets_processed == 11
     assert channel.bytes_processed == sum(len(p) for p in payloads)
@@ -94,7 +95,7 @@ def test_decrypt_batch_isolates_tampered_packet(mccp):
 def test_mixed_direction_batch_keeps_submission_order(mccp):
     channel = mccp.open_channel(Algorithm.GCM, 1)
     plaintext = b"interleaved"
-    ct, tag = gcm_encrypt(KEY, _nonce(100, 12), plaintext, b"", 16, True)
+    ct, tag = bulk.gcm_seal(KEY, _nonce(100, 12), plaintext, b"", 16)
     enqueue(mccp, channel.channel_id, b"first", nonce=_nonce(0, 12))
     enqueue(
         mccp, channel.channel_id,
@@ -106,11 +107,11 @@ def test_mixed_direction_batch_keeps_submission_order(mccp):
     enqueue(mccp, channel.channel_id, b"third", nonce=_nonce(2, 12))
     first, second, third = drain(mccp, channel.channel_id)
     assert (first.payload, first.tag) == gcm_encrypt(
-        KEY, _nonce(0, 12), b"first", b"", 16, False
+        KEY, _nonce(0, 12), b"first", b"", 16
     )
     assert second.ok and second.payload == plaintext and second.tag is None
     assert (third.payload, third.tag) == gcm_encrypt(
-        KEY, _nonce(2, 12), b"third", b"", 16, False
+        KEY, _nonce(2, 12), b"third", b"", 16
     )
 
 
@@ -141,7 +142,7 @@ def test_enqueue_validation(mccp):
 def test_enqueue_rejects_truncated_decrypt_tag(mccp):
     """A forger must not get to pick a shorter (weaker) tag length."""
     channel = mccp.open_channel(Algorithm.GCM, 1)
-    ciphertext, tag = gcm_encrypt(KEY, bytes(12), b"payload", b"", 16, False)
+    ciphertext, tag = gcm_encrypt(KEY, bytes(12), b"payload", b"", 16)
     with pytest.raises(ProtocolError, match="16-byte tags, got 4"):
         enqueue(
             mccp, channel.channel_id,
@@ -207,7 +208,7 @@ def test_enqueue_job_and_dispatch_jobs_async_stamp_results(mccp):
     results = mccp.dispatch_jobs_async(channel.channel_id, batch).result()
     for job, result in zip(jobs, results):
         assert job.result is result and result.ok
-        expected = gcm_encrypt(KEY, job.nonce, job.data, b"", 16, False)
+        expected = gcm_encrypt(KEY, job.nonce, job.data, b"", 16)
         assert (result.payload, result.tag) == expected
     assert channel.stats["batches"] == 1
     assert channel.stats["queue_peak"] == 3

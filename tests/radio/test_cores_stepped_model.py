@@ -11,8 +11,6 @@ generator (0 B and off-block payloads, rx, loss, corruption, two-core
 CCM).
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.experiments.fuzz import generate_cores_case
@@ -102,50 +100,3 @@ def test_cores_dataplane_matches_stepped_model(shape):
     stepped, loose = _run(make_spec, True, seed), _run(make_spec, False, seed)
     assert loose["transfers"]
     assert loose == stepped
-
-
-@pytest.mark.parametrize("shape", ["gcm_4x1", "ccm_mix"])
-def test_reference_arithmetic_matches_fast_path(shape, monkeypatch):
-    """``REPRO_FAST=0`` routes SAES to the reference cipher and SGFM to
-    the bit-serial multiplier; transfers and cycles must not move.  The
-    fast arm of ``gcm_4x1`` reads its counter runs ahead, so the
-    equality also covers the readahead."""
-    from repro.crypto.fast import aes_vector, set_fast
-    from repro.unit.cores import aes_core, ghash_core
-
-    calls = {"aes": 0, "gf128": 0, "readahead": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(
-        aes_core, "encrypt_block_with_schedule",
-        counted("aes", aes_core.encrypt_block_with_schedule),
-    )
-    monkeypatch.setattr(ghash_core, "gf128_mul", counted("gf128", ghash_core.gf128_mul))
-    readahead = SimpleNamespace(ctr_stream=counted("readahead", aes_core.bulk.ctr_stream))
-    monkeypatch.setattr(aes_core, "bulk", readahead)
-    make_spec, seed = SHAPES[shape]
-
-    def arm(enabled: bool):
-        previous = set_fast(enabled)
-        try:
-            return _run(make_spec, False, seed)
-        finally:
-            set_fast(previous)
-
-    fast = arm(True)
-    assert calls["aes"] == calls["gf128"] == 0
-    if shape == "gcm_4x1" and aes_vector.HAVE_NUMPY:
-        assert calls["readahead"] >= 1
-    fills = calls["readahead"]
-    reference = arm(False)
-    assert calls["readahead"] == fills
-    assert calls["aes"] > 0
-    assert (calls["gf128"] > 0) == (shape == "gcm_4x1")  # only GCM runs SGFM
-    assert fast["transfers"]
-    assert reference == fast

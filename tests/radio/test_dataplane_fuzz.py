@@ -17,7 +17,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.crypto.fast import aes_vector, fast_enabled
+from repro.core.params import Algorithm, Direction
+from repro.crypto.fast import aes_vector
+from repro.crypto.modes.gcm import gcm_encrypt
+from repro.experiments import fuzz
 from repro.experiments.fuzz import (
     check_case,
     check_cores_case,
@@ -87,7 +90,7 @@ def test_cores_case_matches_batched(seed, monkeypatch):
 
     monkeypatch.setattr(aes_core, "bulk", SimpleNamespace(ctr_stream=counted))
     assert check_cores_case(generate_cores_case(seed)) == []
-    if seed in READAHEAD_SEEDS and fast_enabled() and aes_vector.HAVE_NUMPY:
+    if seed in READAHEAD_SEEDS and aes_vector.HAVE_NUMPY:
         assert fills
 
 
@@ -137,3 +140,28 @@ def test_generator_draws_every_flush_shape():
 def test_cli_runs_cores_cases(capsys):
     assert main(["--cases", "0", "--cores-cases", "2", "--seed", "5"]) == 0
     assert "2 cores cases from seed 5: 0 failed" in capsys.readouterr().out
+
+
+#: One wrong completion per kind, against a GCM-128 channel, and the
+#: error the reference oracle must report for it.
+KEY, NONCE = bytes(range(16)), bytes(12)
+SEALED = gcm_encrypt(KEY, NONCE, b"payload", b"hdr")
+WRONG_COMPLETIONS = {
+    "sealed": (Direction.ENCRYPT, b"payload", bytes(16), True, SEALED[0], "from the reference"),
+    "forged": (Direction.DECRYPT, SEALED[0], bytes(16), True, b"payload", "forged rx packet"),
+    "clean": (Direction.DECRYPT, SEALED[0], SEALED[1], False, b"", "did not open"),
+}
+
+
+@pytest.mark.parametrize("kind", WRONG_COMPLETIONS)
+def test_reference_oracle_flags_a_wrong_completion(kind):
+    direction, data, tag, ok, payload, message = WRONG_COMPLETIONS[kind]
+    job = SimpleNamespace(
+        channel_id=0, sequence=0, direction=direction, nonce=NONCE, data=data, aad=b"hdr", tag=tag
+    )
+    # A sealed packet carries the device's tag, here the all-zero one.
+    transfer = SimpleNamespace(job=job, ok=ok, payload=payload, tag=tag)
+    channel = SimpleNamespace(algorithm=Algorithm.GCM, tag_length=16)
+    errors = []
+    fuzz._check_one(errors, transfer, KEY, channel, reference=True)
+    assert len(errors) == 1 and message in errors[0]

@@ -10,9 +10,10 @@ imports it and called under the fault.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +23,7 @@ import repro.core.harness as harness
 import repro.radio.comm_controller as comm_controller
 from repro.core.firmware.library import FIRMWARE_LIBRARY
 from repro.core.params import Algorithm, CcmRole, Direction
+from repro.crypto.fast import aes_ttable, clear_caches
 from repro.crypto.fast import bulk as fast_bulk
 from repro.errors import ExperimentError
 from repro.experiments.fuzz import check_cores_case, generate_cores_case, loop_period_errors
@@ -163,6 +165,33 @@ def fast_gcm_tag_bit_flipped():
 
 
 @contextmanager
+def last_round_key_bit_flipped():
+    """The engine's key expansion returns a schedule whose last round
+    key has one bit flipped, in every module that imports it by name:
+    the key scheduler, the one-call path and the batch engine alike."""
+    original = aes_ttable.expand_key_cached
+
+    @functools.lru_cache(maxsize=None)
+    def flipped(key):
+        *rounds, last = original(key)
+        return (*rounds, (last[0] ^ 1, *last[1:]))
+
+    modules = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.startswith("repro") and getattr(module, "expand_key_cached", None) is original
+    ]
+    with ExitStack() as stack:
+        for module in modules:
+            stack.enter_context(mock.patch.object(module, "expand_key_cached", flipped))
+        # No schedule, table or key-array memo built before the fault
+        # may serve under it, nor one built under it after.
+        stack.callback(clear_caches)
+        clear_caches()
+        yield
+
+
+@contextmanager
 def device_output_bit_flipped():
     """A core's output reaches its caller with the first bit flipped,
     through the task harness and through the communication controller."""
@@ -194,6 +223,16 @@ def test_cores_fuzz_catches_a_slower_aes256():
     with aes256_one_cycle_slower():
         errors = check_cores_case(case)
     assert errors and all("paper 65" in error for error in errors)
+
+
+def test_cores_fuzz_catches_a_flipped_round_key_bit():
+    """The device, the batch engine and the one-call path all expand
+    keys through the engine, so only the reference modes see this."""
+    case = generate_cores_case(GCM256_CORES_SEED)
+    with last_round_key_bit_flipped():
+        errors = check_cores_case(case)
+    assert any("sealed output differs from the reference" in error for error in errors)
+    assert all(error.startswith("cores: ") for error in errors)
 
 
 def _gcm_encrypt_firmware():

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.key_cache import KeyCache
 from repro.crypto.aes import expand_key
-from repro.crypto.fast import aes_vector, bulk, set_fast
+from repro.crypto.fast import aes_vector, bulk
 from repro.crypto.fast.batch import MIN_LANES
 from repro.unit.cores import aes_core
 from repro.unit.cores.aes_core import LONGEST_RUN, AesCore, encrypt_block_int
@@ -31,7 +31,7 @@ COUNTER = 0x0123456789ABCDEF_01234567_00000000
 
 @pytest.fixture
 def fills(monkeypatch):
-    """The window of every readahead fill, in order; the fast engine on."""
+    """The window of every readahead fill, in order."""
     windows = []
 
     def ctr_stream(round_keys, counter, nblocks, inc_bits):
@@ -40,9 +40,7 @@ def fills(monkeypatch):
         return bulk.ctr_stream(round_keys, counter, nblocks, inc_bits)
 
     monkeypatch.setattr(aes_core, "bulk", SimpleNamespace(ctr_stream=ctr_stream))
-    previous = set_fast(True)
-    yield windows
-    set_fast(previous)
+    return windows
 
 
 needs_numpy = pytest.mark.skipif(not aes_vector.HAVE_NUMPY, reason="readahead needs numpy")
@@ -127,14 +125,10 @@ def test_a_long_run_after_a_long_run_fills_in_one_call(fills):
 
 
 @needs_numpy
-@pytest.mark.parametrize("switch", ["fast", "numpy"])
-def test_no_readahead_without_the_fast_engine_or_numpy(fills, monkeypatch, switch):
+def test_no_readahead_without_numpy(fills, monkeypatch):
     core = AesCore(DEFAULT_TIMING)
     _run(core, COUNTER, 40)
     del fills[:]
-    if switch == "fast":
-        set_fast(False)
-    else:
-        monkeypatch.setattr(aes_vector, "HAVE_NUMPY", False)
+    monkeypatch.setattr(aes_vector, "HAVE_NUMPY", False)
     _run(core, COUNTER | 0x4000, 40)
     assert fills == []

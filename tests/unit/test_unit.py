@@ -10,6 +10,7 @@ from repro.errors import BankAddressError, DecodeError, UnitError
 from repro.sim.fifo import WordFifo
 from repro.sim.kernel import Simulator
 from repro.unit import BankRegister, CryptoUnit, CuOp, WpOp, cu_decode, cu_encode, wp_encode
+from repro.unit.cores.ghash_core import GhashCore
 from repro.unit.cores.inc_core import inc16
 from repro.unit.isa import CU_DECODE_TABLE
 from repro.unit.cores.io_core import IoCore
@@ -161,6 +162,16 @@ def test_ghash_pipeline(rb):
     unit.start(cu_encode(CuOp.FGFM, 2))
     sim.run()
     assert unit.bank.read(2) == _int(ghash(h, x1 + x2))
+
+
+@pytest.mark.parametrize("instruction", ["SGFM", "FGFM"])
+def test_ghash_core_needs_its_subkey(instruction):
+    core = GhashCore(DEFAULT_TIMING)
+    with pytest.raises(UnitError, match=f"{instruction} before LOADH"):
+        if instruction == "SGFM":
+            core.absorb(1, 0)
+        else:
+            core.finalize(0)
 
 
 def test_load_store_roundtrip(rb):
