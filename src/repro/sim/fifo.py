@@ -8,8 +8,7 @@ The FIFO is word-granular (32-bit entries) like the hardware, and the
 device model only ever moves words through it: the crossbar turns a
 packet's bytes into words, and the drained words back into bytes, once
 per packet, and the Cryptographic Unit's ``LOAD``/``STORE`` claim the
-four words of a 128-bit bank register.  ``push_block``/``pop_block``
-are byte conveniences for tests and tools.  Overflow/underflow raise
+four words of a 128-bit bank register.  Overflow/underflow raise
 instead of silently corrupting, and the security-relevant ``purge``
 models the hardware re-initialisation on authentication failure
 (section IV.C).
@@ -53,8 +52,8 @@ crossbar drains an output FIFO's ``STORE`` claims (:meth:`_Flow.drain`);
 ties, a run still busy when a claim lands, and projections to a count
 stay with the general replay.  Whatever would break these rules — a
 claim on its run's side or beside pending claims of the other kind, a
-run started against pending claims on its side, an immediate move
-while claimed pops are pending — raises :class:`FifoError`.
+run started against pending claims on its side — raises
+:class:`FifoError`.
 
 These are the rules of a process stepping word by word, keyed like the
 kernel entries it would have scheduled, so every count a reader sees
@@ -63,13 +62,14 @@ value at the reader's position.  One order is not tracked: a reader
 whose own kernel entry has the same cycle and stamp as a run's attempt
 (a process stepping with exactly the run's period) sees the attempt
 first, where the stepped order would follow the two processes' starts.
+Nor is a run the kernel starts on a ``HALT``'s wake-up cycle ordered
+against a claim its controller made ahead of the kernel on that
+wake-up: at a tie the claim comes first.
 The one kernel event a run needs is its end — the ``done`` event of
 the transfer — and it is scheduled as soon as the known schedule fixes
 that cycle: at once for a run that fits, or when the claim that
-unblocks its last word arrives.
-
-Immediate operations (``push_word``, ``pop_word``, ``purge``, ...)
-apply at the caller's position.
+unblocks its last word arrives.  A :meth:`~WordFifo.purge` applies at
+the caller's position and plans that end again.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.errors import FifoError
 from repro.sim.kernel import Event, Simulator
-from repro.utils.bits import bytes_to_words32, words32_to_bytes
 
 #: Depth in 32-bit words (512 x 32 bits == 2 KB).
 DEFAULT_DEPTH_WORDS = 512
@@ -154,11 +153,14 @@ def _restart(run: Optional[Transfer], cycle: int, seq: int) -> None:
 def _claim_first(claim, run: Transfer) -> bool:
     """Whether *claim* comes before *run*'s next attempt, keyed on the
     same cycle and stamp: the attempt was scheduled by the run's previous
-    step, so it comes first iff that step ran before the claim was made
-    (a start or a restart is ordered by its ``seq``)."""
+    step, so it comes first iff that step ran before the claim was made.
+    A start or a restart is ordered by its ``seq``, and wins a tie: a run
+    an earlier claim restarted carries that claim's number, which a claim
+    made ahead of the kernel since may share, and it stepped before the
+    earlier claim's completion woke the controller."""
     if run.prev is None:
         return claim[0][2] < run.key[2]
-    return not run.prev < claim[2]
+    return run.prev > claim[2]
 
 
 def _attempt_first(run: Transfer, tied: int, limit: Key, created: Optional[Key]) -> bool:
@@ -176,7 +178,7 @@ def _attempt_first(run: Transfer, tied: int, limit: Key, created: Optional[Key])
     cycle, period = run.key[0], run.period
     j = tied - 1
     prev = run.key if j == 0 else (cycle + j * period, cycle + (j - 1) * period, -1)
-    return prev < created
+    return prev <= created
 
 
 class _Flow:
@@ -359,12 +361,6 @@ class _Flow:
         """
         claims, period, cap = self.claims, run.period, bound[0]
         applied, left = self.applied, run.total - run.moved
-        # A next claim that lands before the first one is drained: left
-        # to the general replay without the work below (which a replay
-        # that keeps falling back would repeat for every claim).
-        key, claimed, _created = claims[i]
-        if i + 1 < last and key[0] + (claimed - applied) * period >= claims[i + 1][0][0]:
-            return i
         # Candidates: the claims keyed before the bound's cycle, up to
         # the one that gives the run its last word.
         j = bisect_left(claims, ((cap,),), i, last)
@@ -406,12 +402,9 @@ class _Flow:
 
 
 class WordFifo:
-    """A bounded FIFO of 32-bit words with an arrival schedule.
-
-    Immediate operations are expected to police capacity via
-    :meth:`can_push` / :meth:`can_pop` (as the hardware handshake does);
-    violating it raises :class:`FifoError`.
-    """
+    """A bounded FIFO of 32-bit words with an arrival schedule: one
+    run (:meth:`stream_in` or :meth:`drain_out`) against the claims on
+    its other side (:meth:`claim_pop`, :meth:`claim_push`)."""
 
     def __init__(
         self,
@@ -485,82 +478,9 @@ class WordFifo:
         self.sync()
         return self._flow.high
 
-    @property
-    def free_words(self) -> int:
-        """Remaining capacity in words."""
-        return self.depth_words - len(self)
-
-    def can_push(self, nwords: int = 1) -> bool:
-        """Whether *nwords* more words fit."""
-        return self.free_words >= nwords
-
     def can_pop(self, nwords: int = 1) -> bool:
         """Whether *nwords* words are available."""
         return len(self) >= nwords
-
-    @property
-    def blocks_available(self) -> int:
-        """How many whole 128-bit blocks can currently be popped."""
-        return len(self) // WORDS_PER_BLOCK
-
-    # -- immediate word operations ------------------------------------------
-
-    def push_word(self, word: int) -> None:
-        """Append one 32-bit word now; raises on overflow."""
-        if not 0 <= word <= 0xFFFFFFFF:
-            raise FifoError(f"{self.name}: word {word:#x} exceeds 32 bits")
-        self._push_now([word])
-
-    def pop_word(self) -> int:
-        """Remove and return the oldest word now; raises on underflow."""
-        return self._pop_now(1)[0]
-
-    def push_block(self, block: bytes) -> None:
-        """Push a 16-byte block as four big-endian words."""
-        if len(block) != 16:
-            raise FifoError(f"{self.name}: block must be 16 bytes, got {len(block)}")
-        if not self.can_push(WORDS_PER_BLOCK):
-            raise FifoError(f"{self.name}: overflow pushing block")
-        self._push_now(bytes_to_words32(block))
-
-    def pop_block(self) -> bytes:
-        """Pop four words and return them as a 16-byte block."""
-        if not self.can_pop(WORDS_PER_BLOCK):
-            raise FifoError(f"{self.name}: underflow popping block")
-        return words32_to_bytes(self._pop_now(WORDS_PER_BLOCK))
-
-    def _push_now(self, words) -> None:
-        self.sync()
-        flow = self._flow
-        if flow.count + len(words) > self.depth_words:
-            raise FifoError(f"{self.name}: overflow (depth {self.depth_words})")
-        if flow.claimed < flow.applied:
-            raise FifoError(f"{self.name}: immediate push with claimed pops pending")
-        # Before the words still to come: a producer run's, claimed pushes.
-        at = flow.pushed - flow.base
-        flow.words[at:at] = words
-        flow.count += len(words)
-        flow.pushed += len(words)
-        flow.high = max(flow.high, flow.count)
-        now, _stamp, seq = self.sim.position()
-        _restart(flow.run, now, seq)
-        self._changed(replan=True)
-
-    def _pop_now(self, nwords: int) -> List[int]:
-        self.sync()
-        flow = self._flow
-        if flow.count < nwords:
-            raise FifoError(f"{self.name}: underflow")
-        if flow.claimed < flow.applied:
-            raise FifoError(f"{self.name}: immediate pop with claimed pops pending")
-        first = flow.pushed - flow.count - flow.base
-        words = flow.words[first : first + nwords]
-        flow.count -= nwords
-        flow.popped += nwords
-        now, _stamp, seq = self.sim.position()
-        _restart(flow.run, now, seq)
-        self._changed(replan=True)
-        return words
 
     # -- runs ------------------------------------------------------------------
 
@@ -645,7 +565,7 @@ class WordFifo:
         """The schedule gained words or room: re-plan the run, wake watchers.
 
         Claims only add steps after every known one and cannot move a
-        planned end; immediate operations and purges can (*replan*).
+        planned end; a purge can (*replan*).
         """
         run = self._flow.run
         if run is not None:
@@ -761,10 +681,3 @@ class WordFifo:
             _restart(flow.run, self.sim.now, self.sim._seq)
         self._changed(replan=True)
         return dropped
-
-    def snapshot(self) -> List[int]:
-        """Copy of current contents, oldest first (for tests/debug)."""
-        self.sync()
-        flow = self._flow
-        first = flow.pushed - flow.count - flow.base
-        return flow.words[first : first + flow.count]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.errors import BankAddressError
-from repro.utils.bits import WORD32_MASK, WORD128_MASK
+from repro.utils.bits import WORD128_MASK
 
 NUM_REGISTERS = 4
 
@@ -44,28 +44,6 @@ class BankRegister:
             raise BankAddressError(f"bank register value {value:#x} exceeds 128 bits")
         self.regs[index] = value
 
-    def _shift(self, index: int, sub: int) -> int:
-        self._check(index)
-        if not 0 <= sub <= 3:
-            raise BankAddressError(f"sub-word index {sub} out of range")
-        return 32 * (3 - sub)
-
-    def read_subword(self, index: int, sub: int) -> int:
-        """One 32-bit sub-word (sub 0 = most significant)."""
-        shift = self._shift(index, sub)
-        return (self.regs[index] >> shift) & WORD32_MASK
-
-    def write_subword(self, index: int, sub: int, word: int) -> None:
-        """Replace one 32-bit sub-word."""
-        shift = self._shift(index, sub)
-        if not 0 <= word <= WORD32_MASK:
-            raise BankAddressError(f"sub-word {word:#x} exceeds 32 bits")
-        self.regs[index] = self.regs[index] & ~(WORD32_MASK << shift) | (word << shift)
-
     def clear(self) -> None:
         """Zero all registers (channel teardown hygiene), in place."""
         self.regs[:] = [0] * NUM_REGISTERS
-
-    def snapshot(self) -> List[int]:
-        """Copies of all four registers."""
-        return list(self.regs)

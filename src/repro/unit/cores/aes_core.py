@@ -15,12 +15,10 @@ core remembers a run, the last one longer than ``batch.MIN_LANES``
 blocks: with its next ``max(n, m - n)`` blocks, ``n`` the blocks it
 has consumed and ``m`` the remembered length, so a run as long as the
 last one fills once.  Before that, a run fills once it has consumed
-``n >= batch.MIN_LANES`` blocks, with its next ``n``.  A fill stops
-at the run's :data:`LONGEST_RUN`-th block, the longest run a core
-sees, unless the run is already past it.  A lone block (GCM's H =
-E(0)) never reads ahead; a short packet after a long one reads the
-long one's window.  Other blocks, and every block without numpy, run
-the T-table rounds.  Cycles do not depend on the path.
+``n >= batch.MIN_LANES`` blocks, with its next ``n``.  A lone block
+(GCM's H = E(0)) never reads ahead; a short packet after a long one
+reads the long one's window.  Other blocks, and every block without
+numpy, run the T-table rounds.  Cycles do not depend on the path.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from typing import Optional, Sequence
 from repro.core.key_cache import RoundKeys
 from repro.crypto.fast import aes_ttable, aes_vector, batch, bulk
 from repro.errors import UnitError
-from repro.sim.fifo import DEFAULT_DEPTH_WORDS, WORDS_PER_BLOCK
 from repro.unit.timing import TimingModel
 from repro.utils.bits import WORD32_MASK
 
@@ -47,11 +44,6 @@ def encrypt_block_int(block: int, round_keys: Sequence[Sequence[int]]) -> int:
         round_keys,
     )
     return (o0 << 96) | (o1 << 64) | (o2 << 32) | o3
-
-
-#: The longest counter run a core sees: a full FIFO's data blocks after
-#: the mode's pre-counter block (GCM's J0, CCM's A0).
-LONGEST_RUN = DEFAULT_DEPTH_WORDS // WORDS_PER_BLOCK + 1
 
 
 class AesCore:
@@ -118,8 +110,6 @@ class AesCore:
             if consumed < (1 if previous else batch.MIN_LANES) or not aes_vector.HAVE_NUMPY:
                 return encrypt_block_int(block, round_keys)
             window = max(consumed, previous - consumed)
-            if consumed < LONGEST_RUN:
-                window = min(window, LONGEST_RUN - consumed)
             self._stream = bulk.ctr_stream(round_keys, block.to_bytes(16, "big"), window, 16)
             offset = 0
         self._offset = offset + 16

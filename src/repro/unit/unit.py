@@ -672,13 +672,6 @@ class CryptoUnit(LooselyTimedUnit):
 
     # -- controller-facing API ---------------------------------------------
 
-    def set_mask(self, mask: int) -> None:
-        """Install the 16-bit byte mask used by XOR/EQU."""
-        if not 0 <= mask <= 0xFFFF:
-            raise UnitError(f"mask {mask:#x} exceeds 16 bits")
-        self.catch_up()
-        self.mask = mask
-
     def set_mask_low(self, byte: int, cycle: Optional[int] = None, ahead: int = 0) -> bool:
         """Write the low mask byte (controller port 0x01); *cycle* and
         *ahead* as for :meth:`start`."""

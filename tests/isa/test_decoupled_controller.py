@@ -394,8 +394,9 @@ def _custom_run(program, stepped, word_cycles):
     upload(core, task.input_blocks, word_cycles=word_cycles)
     result = sim.run_until_event(core.assign_task(task.params, assemble(program)))
     words = []
-    while core.out_fifo.can_pop():
-        words.append(core.out_fifo.pop_word())
+    if len(core.out_fifo):
+        download = _harness(stepped)[1]
+        sim.run_until_event(download(core, words, len(core.out_fifo)).done)
     return _observe(sim, trace, [core], words, [result])
 
 
@@ -785,6 +786,19 @@ class _CuProgram:
             self.out_cycles = rng.choice([2, 6])
         self.feed_at = rng.choice([0, 0, 0, 300, 900])
         self.drain_at = rng.choice([0, 0, 0, 300, 900])
+        if self.out_cycles == 6 and rng.random() < 0.75:
+            # Behind a 6-cycle drainer, a STORE whose done edge a HALT
+            # wakes on and the next STORE, written on that edge: the
+            # drainer waits on the empty FIFO, so the first STORE's words
+            # restart it on the wake-up's cycle, and the second STORE's
+            # push ties with its next attempt.  After a long stretch the
+            # rest of the block crosses the quantum, so the second STORE
+            # is written at the kernel, right after the controller's
+            # catch-up to the wake-up.
+            stretch = rng.choice([0, 1, 2]) if rng.random() < 0.5 else rng.randint(90, 120)
+            pair = ["NOP"] * stretch + self.issue(CuOp.STORE, halt=False) + ["HALT", f"OUTPUT s2, {P_CU}"]
+            self.lines[2:2] = pair  # after the LOADH
+            self.stores += 2
 
     def issue(self, op, a=None, b=None, halt=None):
         rng = self.rng
@@ -896,8 +910,11 @@ def test_generated_cu_programs_cover_the_issue_paths():
     full FIFO with no drain, a HALT that must still yield; and the ones
     that take it: a HALT sleeping inside the quantum, a claim keyed on
     a HALT's wake-up, a claim tied on cycle and stamp with an attempt of
-    a 2- or 6-cycle feeder or drainer."""
-    seen = set()
+    a 2- or 6-cycle feeder or drainer.  A claim made on a wake-up's cycle
+    ties with a 6-cycle run that the completion the HALT woke on
+    restarted there: made ahead of the kernel, and made at the kernel
+    right after the controller caught up to the wake-up."""
+    seen, ahead = set(), set()
 
     def halt(method):
         def wrapper(self, *args):
@@ -914,6 +931,7 @@ def test_generated_cu_programs_cover_the_issue_paths():
         def wrapper(self, at, *args):
             ready = method(self, at, *args)
             if at[0] > self.sim.now:  # ahead of the kernel
+                ahead.add(at)
                 if at[1] == at[0]:
                     seen.add("claim on a wake-up")
                 run = self._flow.run
@@ -925,16 +943,26 @@ def test_generated_cu_programs_cover_the_issue_paths():
 
         return wrapper
 
+    def on_a_wake_up(created, step, run):
+        """A claim made on a wake-up against a run (re)started there."""
+        if created[1] == created[0] == step[0] == step[1] and run.period == 6:
+            where = "ahead" if created in ahead else "at the kernel"
+            seen.add(f"wake-up claim ties with a restarted 6-cycle run, {where}")
+
     def tie(function):
-        def wrapper(run, *args):
-            if args[-1] is not None:  # ordered against a claim, not a reader
+        def wrapper(run, tied, limit, created):
+            if created is not None:  # ordered against a claim, not a reader
                 seen.add(f"tie with a {run.period}-cycle run")
-            return function(run, *args)
+                if tied == 1:
+                    on_a_wake_up(created, run.key, run)
+            return function(run, tied, limit, created)
 
         return wrapper
 
     def claim_tie(claim, run):
         seen.add(f"tie with a {run.period}-cycle run")
+        if run.prev is not None:  # a restart's own attempt is never tied
+            on_a_wake_up(claim[2], run.prev, run)
         return claim_first(claim, run)
 
     claim_first = fifo._claim_first
@@ -959,6 +987,10 @@ def test_generated_cu_programs_cover_the_issue_paths():
     assert {"load declined", "store declined, no drain", "halt yields", "halt in quantum"} <= seen
     assert "claim on a wake-up" in seen
     assert seen & {"tie with a 2-cycle run", "tie with a 6-cycle run"}
+    assert {
+        "wake-up claim ties with a restarted 6-cycle run, ahead",
+        "wake-up claim ties with a restarted 6-cycle run, at the kernel",
+    } <= seen
 
 
 def test_generated_cu_programs_cover_the_superblocks():

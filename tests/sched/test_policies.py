@@ -3,6 +3,7 @@
 from repro import Algorithm, Direction, Mccp, Simulator
 from repro.radio import format_gcm
 from repro.sched import FirstIdlePolicy, PriorityReservePolicy, RoundRobinPolicy
+from repro.utils.bits import bytes_to_words32
 
 
 def make(policy, cores=4):
@@ -18,8 +19,7 @@ def submit_one(mccp, chan, rb, priority=1, feed=False):
     request = mccp.submit(chan.channel_id, [task], priority)
     if feed:
         core = mccp.cores[request.core_indices[0]]
-        for block in task.input_blocks:
-            core.in_fifo.push_block(block)
+        core.in_fifo.stream_in(bytes_to_words32(b"".join(task.input_blocks)))
     return request
 
 

@@ -1,7 +1,7 @@
-"""FIFO: capacity, ordering, purge (hypothesis), and the arrival
-schedule's bounded runs, against immediate operations and against
-claimed block moves on the run's other side, compared to the
-word-stepped FIFO and transfer processes of ``tests/stepped_models.py``."""
+"""FIFO: ordering, capacity, purge (hypothesis), and the arrival
+schedule's bounded runs against claimed block moves on the run's other
+side, compared to the word-stepped FIFO and transfer processes of
+``tests/stepped_models.py``."""
 
 from types import SimpleNamespace
 
@@ -16,84 +16,73 @@ from repro.utils.bits import words32_to_bytes
 from stepped_models import SteppedWordFifo, stepped_drainer, stepped_feeder
 
 
-def make(depth=8):
-    return WordFifo(Simulator(), depth_words=depth, name="t")
+def _filled(words, depth=8):
+    """A FIFO holding *words*, pushed by a run that has ended."""
+    sim = Simulator()
+    fifo = WordFifo(sim, depth_words=depth, name="t")
+    sim.run_until_event(fifo.stream_in(words).done)
+    return sim, fifo
 
 
-def test_fifo_order_preserved():
-    f = make()
-    for i in range(5):
-        f.push_word(i)
-    assert [f.pop_word() for _ in range(5)] == list(range(5))
-
-
-def test_overflow_underflow():
-    f = make(depth=2)
-    f.push_word(1)
-    f.push_word(2)
-    with pytest.raises(FifoError):
-        f.push_word(3)
-    f.pop_word()
-    f.pop_word()
-    with pytest.raises(FifoError):
-        f.pop_word()
-
-
-def test_word_range_checked():
-    f = make()
-    with pytest.raises(FifoError):
-        f.push_word(1 << 32)
-
-
-def test_block_roundtrip(rb):
-    f = make(depth=8)
-    block = rb(16)
-    f.push_block(block)
-    assert f.blocks_available == 1
-    assert f.pop_block() == block
-
-
-def test_block_size_checked(rb):
-    f = make()
-    with pytest.raises(FifoError):
-        f.push_block(rb(15))
-
-
-def test_purge_clears_and_counts(rb):
-    f = make()
-    f.push_block(rb(16))
+def test_purge_clears_and_counts():
+    _sim, f = _filled([1, 2, 3, 4])
     dropped = f.purge()
     assert dropped == 4
     assert len(f) == 0
     assert f.purge_count == 1
 
 
-def test_statistics(rb):
-    f = make(depth=8)
-    f.push_block(rb(16))
-    f.pop_block()
+def test_statistics():
+    sim, f = _filled([1, 2, 3, 4])
+    sink = []
+    sim.run_until_event(f.drain_out(sink, 4).done)
+    assert sink == [1, 2, 3, 4]
     assert f.total_pushed == 4
     assert f.total_popped == 4
     assert f.high_watermark == 4
 
 
-@given(st.lists(st.integers(0, 0xFFFFFFFF), max_size=40))
+def test_claimed_overflow_and_underflow_raise():
+    """The replay refuses a claimed push past the depth and a claimed pop
+    of words the FIFO does not hold."""
+    sim, f = _filled([1, 2, 3, 4], depth=6)
+    f.claim_push((sim.now + 1, sim.now, 0), sim.position(), (5, 6, 7, 8))
+    sim.run(until=sim.now + 2)
+    with pytest.raises(FifoError, match="claimed push overflows"):
+        len(f)
+    sim = Simulator()
+    f = WordFifo(sim, depth_words=8)
+    f.claim_pop((1, 0, 0), sim.position())
+    sim.run(until=2)
+    with pytest.raises(FifoError, match="claimed pop underflows"):
+        len(f)
+
+
+@given(
+    st.lists(st.integers(0, 0xFFFFFFFF), max_size=40),
+    st.integers(1, 16),
+    st.integers(1, 5),
+    st.integers(1, 5),
+)
 @settings(max_examples=30, deadline=None)
-def test_fifo_invariant_random_traffic(words):
-    """Pushed == popped + resident, order preserved, never negative."""
-    f = WordFifo(Simulator(), depth_words=16)
-    popped = []
-    for w in words:
-        if f.can_push():
-            f.push_word(w)
-        if len(f) > 8 and f.can_pop():
-            popped.append(f.pop_word())
-    popped += [f.pop_word() for _ in range(len(f))]
-    pushed_count = f.total_pushed
-    assert len(popped) == pushed_count
-    # Order: popped must be a prefix-order subsequence of pushed words.
-    expected = [w for w in words][:pushed_count]
-    assert popped == expected[: len(popped)]
+def test_fifo_invariant_random_traffic(words, depth, producer_wc, consumer_wc):
+    """Producer and consumer runs in turn, each fill as large as fits and
+    each drain taking half the words: every word arrives once, in order,
+    pushed == popped + resident, never above the depth."""
+    sim = Simulator()
+    f = WordFifo(sim, depth_words=depth)
+    sink, rest = [], list(words)
+    while rest:
+        room = depth - len(f)
+        sim.run_until_event(f.stream_in(rest[:room], producer_wc).done)
+        rest = rest[room:]
+        assert f.total_pushed == f.total_popped + len(f)
+        sim.run_until_event(f.drain_out(sink, (len(f) + 1) // 2, consumer_wc).done)
+    if len(f):
+        sim.run_until_event(f.drain_out(sink, len(f), consumer_wc).done)
+    assert sink == words
+    assert f.total_pushed == f.total_popped == len(words)
+    assert f.high_watermark <= depth
 
 
 # -- the arrival schedule against the word-stepped FIFO -----------------------------
@@ -116,8 +105,7 @@ def _probe(sim, fifo, rows, cycles, offset):
     yield Delay(offset)
     for _ in range(offset, cycles, 2):
         rows.append(
-            (sim.now, len(fifo), fifo.blocks_available, fifo.total_pushed,
-             fifo.total_popped, fifo.high_watermark, fifo.free_words)
+            (sim.now, len(fifo), fifo.total_pushed, fifo.total_popped, fifo.high_watermark)
         )
         yield Delay(2)
 
@@ -139,7 +127,7 @@ def _claim_blocks(sim, fifo, stepped, period, blocks, pop, lead=0):
         while True:
             scheduled = sim.position()
             yield Delay(period)
-            if fifo.can_pop(4) if pop else fifo.can_push(4):
+            if fifo.can_pop(4) if pop else len(fifo) <= fifo.depth_words - 4:
                 break
         if lead:
             key = (sim.now + lead, sim.now, sim._seq)
@@ -167,12 +155,13 @@ def _scenario(stepped, depth, producer_wc, nwords, consumer=None, consumer_wc=1,
               pops_at=(), purge_at=(), cycles=400, lead=0):
     """Run one FIFO with a run and what it meets, probing it every cycle:
     a producer run with block pops and purges at given cycles by a
-    process, or with claimed block pops every *consumer_wc* cycles
-    (*consumer* ``"claims"``); or (*consumer* ``"drain"``) a consumer
-    run of every word, one per *consumer_wc* cycles, with claimed block
-    pushes every *producer_wc* cycles, landing *lead* cycles later.  The
-    runs are bounded runs, or on the stepped FIFO the stepped transfer
-    processes."""
+    process (claimed pops keyed like its entry, made where it slept),
+    or with claimed block pops every *consumer_wc* cycles (*consumer*
+    ``"claims"``); or (*consumer* ``"drain"``) a consumer run of every
+    word, one per *consumer_wc* cycles, with claimed block pushes every
+    *producer_wc* cycles, landing *lead* cycles later.  The runs are
+    bounded runs, or on the stepped FIFO the stepped transfer processes,
+    whose pops are immediate."""
     sim = Simulator()
     fifo = (SteppedWordFifo if stepped else WordFifo)(sim, depth, "f")
     blocks, words = _blocks(nwords)
@@ -197,9 +186,13 @@ def _scenario(stepped, depth, producer_wc, nwords, consumer=None, consumer_wc=1,
     def poke():
         events = sorted([(c, "pop") for c in pops_at] + [(c, "purge") for c in purge_at])
         for cycle, what in events:
+            scheduled = sim.position()
             yield Delay(cycle - sim.now)
-            if what == "pop":
+            if what == "pop" and stepped:
                 sink.extend([fifo.pop_word() for _ in range(4)])
+            elif what == "pop":
+                now, stamp, seq = sim.position()
+                sink.extend(fifo.claim_pop((now, stamp, seq - 1), scheduled))
             else:
                 purged.append(fifo.purge())
 
@@ -225,9 +218,9 @@ def test_backpressure_stalls_and_restarts_on_the_pop_cycle():
     out = _assert_matches_stepped(depth=8, producer_wc=1, nwords=20, pops_at=(30, 50, 70))
     rows = {row[0]: row for row in out["rows"]}
     # Eight words by cycle 7, then stalled until the pop at 30 frees four.
-    assert rows[29][1] == 8 and rows[29][3] == 8
-    assert rows[34][3] == 12  # pushed at 30, 31, 32, 33
-    assert rows[49][3] == 12  # full again until the pop at 50
+    assert rows[29][1] == 8 and rows[29][2] == 8
+    assert rows[34][2] == 12  # pushed at 30, 31, 32, 33
+    assert rows[49][2] == 12  # full again until the pop at 50
     assert out["ends"] == [74]  # the last four pushed at 70..73
 
 
@@ -278,7 +271,7 @@ def test_sixteen_word_fifo_with_a_slow_drainer():
     out = _assert_matches_stepped(depth=16, producer_wc=1, nwords=64, consumer="drain",
                                   consumer_wc=37, cycles=2500)
     assert out["sink"] == _blocks(64)[1]
-    assert max(row[5] for row in out["rows"]) == 16
+    assert max(row[4] for row in out["rows"]) == 16
 
 
 def test_a_finished_run_makes_way_before_its_done_fires():
@@ -309,9 +302,8 @@ def test_a_finished_run_makes_way_before_its_done_fires():
 
 
 def test_claims_stay_on_the_other_side_of_the_run():
-    """A FIFO replays one run against claims on its other side, the
-    claims pending at once all move words one way, and immediate moves
-    that would reorder claimed words are refused."""
+    """A FIFO replays one run against claims on its other side, and the
+    claims pending at once all move words one way."""
     sim = Simulator()
     fifo = WordFifo(sim, 8, "f")
     fifo.stream_in([1, 2, 3, 4, 5, 6, 7, 8], 2)
@@ -319,11 +311,10 @@ def test_claims_stay_on_the_other_side_of_the_run():
     with pytest.raises(FifoError, match="claimed push on the side of a run"):
         fifo.claim_push(key, sim.position(), (9, 9, 9, 9))
     assert fifo.claim_pop(key, sim.position()) == [1, 2, 3, 4]
-    sim.run(until=17)  # every word pushed, the claim still ahead
-    with pytest.raises(FifoError, match="immediate pop with claimed pops pending"):
-        fifo.pop_word()
     sim.run()
-    assert fifo.snapshot() == [5, 6, 7, 8]
+    rest = []
+    sim.run_until_event(fifo.drain_out(rest, 4).done)
+    assert rest == [5, 6, 7, 8]
     out = WordFifo(sim, 8, "out")
     out.claim_push((sim.now + 6, sim.now, 0), sim.position(), (1, 2, 3, 4))
     with pytest.raises(FifoError, match="claimed pop on the side of a run or of claimed pushes"):

@@ -397,11 +397,6 @@ class SteppedWordFifo:
             raise FifoError(f"{self.name}: underflow popping block")
         return words32_to_bytes([self.pop_word() for _ in range(WORDS_PER_BLOCK)])
 
-    @property
-    def blocks_available(self) -> int:
-        """How many whole 128-bit blocks can currently be popped."""
-        return len(self._words) // WORDS_PER_BLOCK
-
     # -- events --------------------------------------------------------------
 
     def wait_not_empty(self) -> Event:
@@ -458,10 +453,6 @@ class SteppedWordFifo:
         self.purge_count += 1
         self._wake(self._not_full_waiters)
         return dropped
-
-    def snapshot(self) -> List[int]:
-        """Copy of current contents, oldest first (for tests/debug)."""
-        return list(self._words)
 
 
 class SteppedIoCore:
@@ -575,12 +566,6 @@ class SteppedCryptoUnit:
             self._idle_callbacks.append(fn)
 
     # -- controller-facing API ---------------------------------------------
-
-    def set_mask(self, mask: int) -> None:
-        """Install the 16-bit byte mask used by XOR/EQU."""
-        if not 0 <= mask <= 0xFFFF:
-            raise UnitError(f"mask {mask:#x} exceeds 16 bits")
-        self.mask = mask
 
     def set_mask_low(self, byte: int) -> None:
         """Write the low mask byte (controller port 0x01)."""

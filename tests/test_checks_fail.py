@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import re
 import sys
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -20,16 +21,20 @@ from unittest import mock
 import pytest
 
 import repro.core.harness as harness
+import repro.isa.controller as controller
 import repro.radio.comm_controller as comm_controller
+import repro.sim.fifo as fifo
 from repro.core.firmware.library import FIRMWARE_LIBRARY
 from repro.core.params import Algorithm, CcmRole, Direction
-from repro.crypto.fast import aes_ttable, clear_caches
+from repro.crypto.fast import aes_ttable, aes_vector, clear_caches
 from repro.crypto.fast import bulk as fast_bulk
 from repro.errors import ExperimentError
 from repro.experiments.fuzz import check_cores_case, generate_cores_case, loop_period_errors
 from repro.isa.controller import SYNC_QUANTUM
 from repro.sim.fifo import WordFifo, _Flow
 from repro.sim.signals import PulseWire
+from repro.unit.cores import aes_core
+from repro.unit.cores.inc_core import inc16
 from repro.unit.timing import DEFAULT_TIMING
 from repro.unit.unit import LooselyTimedUnit, Timing
 from repro.utils.bits import words32_to_bytes
@@ -144,6 +149,116 @@ def drained_stretch_one_cycle_late():
         return j
 
     with mock.patch.object(_Flow, "drain", late):
+        yield
+
+
+@contextmanager
+def wake_up_claim_stamped_as_an_instruction():
+    """A ``LOAD`` or ``STORE`` claimed ahead of the kernel on a ``HALT``'s
+    wake-up is keyed as if the instruction before it had scheduled the
+    access, not the wake-up: the unit forgets the wake-up it fixed."""
+    sleep = LooselyTimedUnit.sleep
+
+    def forgetful(self, earliest, ahead):
+        wake = sleep(self, earliest, ahead)
+        self.done.woke = -1
+        return wake
+
+    with mock.patch.object(LooselyTimedUnit, "sleep", forgetful):
+        yield
+
+
+@contextmanager
+def woken_catch_up_stamped_as_an_instruction():
+    """The controller's catch-up right after an in-quantum ``HALT``'s
+    wake-up is ordered as if the last instruction had scheduled it."""
+    with mock.patch.object(controller, "_WOKEN", controller._CATCH_UP):
+        yield
+
+
+@contextmanager
+def claim_and_attempt_ties_inverted():
+    """A claim and a run's attempt on one cycle and stamp run in the
+    opposite order."""
+    claim_first, attempt_first = fifo._claim_first, fifo._attempt_first
+
+    def attempt(run, tied, limit, created):
+        first = attempt_first(run, tied, limit, created)
+        return first if created is None else not first
+
+    with mock.patch.object(fifo, "_claim_first", lambda claim, run: not claim_first(claim, run)):
+        with mock.patch.object(fifo, "_attempt_first", attempt):
+            yield
+
+
+@contextmanager
+def tied_restart_after_the_claim():
+    """A claim made with the number of the claim that restarted a run
+    comes before the run's next attempt."""
+    claim_first, attempt_first = fifo._claim_first, fifo._attempt_first
+
+    def claim(claim, run):
+        return claim_first(claim, run) or run.prev == claim[2]
+
+    def attempt(run, tied, limit, created):
+        return attempt_first(run, tied, limit, created) and not (tied == 1 and run.key == created)
+
+    with mock.patch.object(fifo, "_claim_first", claim), mock.patch.object(fifo, "_attempt_first", attempt):
+        yield
+
+
+@contextmanager
+def in_block_halt_runs_past_the_quantum():
+    """A translated block runs on past a ``HALT`` whose wake-up leaves its
+    rest beyond the quantum.  Programs translate afresh under the fault,
+    and their memoised translations are kept out of it."""
+    function, translation = controller._function, controller.translation
+
+    def unchecked(*args, **kwargs):
+        return re.sub(r"(cycle = w\n\s+if )(ahead >= )", r"\1False and \2", function(*args, **kwargs))
+
+    def fresh(program):
+        saved = program.__dict__.pop("_translation", None)
+        try:
+            return translation(program)
+        finally:
+            if saved is None:
+                program.__dict__.pop("_translation", None)
+            else:
+                program._translation = saved
+
+    with mock.patch.object(controller, "_function", unchecked):
+        with mock.patch.object(controller, "translation", fresh):
+            yield
+
+
+@contextmanager
+def drained_stretch_past_its_bound():
+    """The FIFO's closed-form drain applies claimed pushes keyed past the
+    position it replays to."""
+    drain = _Flow.drain
+
+    def unbounded(self, run, i, last, bound):
+        return drain(self, run, i, last, fifo._NEVER)
+
+    with mock.patch.object(_Flow, "drain", unbounded):
+        yield
+
+
+@contextmanager
+def remembered_window_one_block_late():
+    """A counter run that reads ahead from its second block, in a window
+    sized by the core's last long run, fills from one counter too far."""
+    bulk = aes_core.bulk
+
+    class Shifted:
+        @staticmethod
+        def ctr_stream(round_keys, counter, nblocks, inc_bits):
+            if sys._getframe(1).f_locals["consumed"] < aes_core.batch.MIN_LANES:
+                counter = inc16(int.from_bytes(counter, "big"), 1).to_bytes(16, "big")
+            return bulk.ctr_stream(round_keys, counter, nblocks, inc_bits)
+
+    with mock.patch.object(aes_core, "bulk", Shifted):
         yield
 
 
@@ -334,3 +449,47 @@ def test_gold_model_scenarios_catch_a_flipped_device_output_bit():
             stress.test_key_churn_device_output_is_the_gold_model(2)
         with pytest.raises(ExperimentError, match="reconfig_under_load: packet 0"):
             reconfig.test_reconfig_under_load_full_grid(2)
+
+
+# -- the ahead protocol's rules, each pinned on a generated case -------------------
+
+#: Faults in a rule of the ahead protocol, each with a generated CU
+#: program (``_CuProgram``) that the stepped oracle fails under it.
+PROTOCOL_FAULTS = {
+    "wake_up_claim_stamp": (wake_up_claim_stamped_as_an_instruction, 5),
+    "woken_catch_up_stamp": (woken_catch_up_stamped_as_an_instruction, 1),
+    "ties_inverted": (claim_and_attempt_ties_inverted, 34),
+    "tied_restart_after_the_claim": (tied_restart_after_the_claim, 5),
+    "drained_stretch_past_its_bound": (drained_stretch_past_its_bound, 15),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PROTOCOL_FAULTS))
+def test_stepped_oracle_catches_a_protocol_fault(fault):
+    decoupled = _test_module("isa/test_decoupled_controller.py")
+    plant, seed = PROTOCOL_FAULTS[fault]
+    decoupled.test_generated_cu_program_matches_stepped(seed)
+    with plant(), pytest.raises(AssertionError):
+        decoupled.test_generated_cu_program_matches_stepped(seed)
+
+
+#: A cores fuzz seed whose GCM tasks split a translated block at a
+#: ``HALT`` near the quantum's end.
+QUANTUM_SPLIT_CORES_SEED = 7
+
+
+def test_cores_fuzz_catches_an_in_block_halt_past_the_quantum():
+    """The rest of the block runs past the quantum, and the controller's
+    next catch-up finds no yield for so many cycles."""
+    case = generate_cores_case(QUANTUM_SPLIT_CORES_SEED)
+    with in_block_halt_runs_past_the_quantum(), pytest.raises(IndexError):
+        check_cores_case(case)
+    assert check_cores_case(case) == []
+
+
+@pytest.mark.skipif(not aes_vector.HAVE_NUMPY, reason="the AES core reads ahead with numpy")
+def test_cores_fuzz_catches_a_late_remembered_window():
+    case = generate_cores_case(GCM256_CORES_SEED)
+    with remembered_window_one_block_late():
+        errors = check_cores_case(case)
+    assert any("sealed output differs from the reference" in error for error in errors)

@@ -23,11 +23,16 @@ is write-only, and fails the test, when no tree reads an attribute of
 that name and no string constant is exactly the name.  A name declared
 in a class body (a dataclass field, a class attribute) counts as read:
 the generated ``__init__``, ``__repr__`` and ``__eq__`` read fields.
+
+The cycle model's files (:data:`CYCLE_MODEL`) are held to more: a
+definition there that only ``tests/`` reads fails too, unless
+:data:`READ_BY_TESTS` names it with the reason it stays.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -44,26 +49,41 @@ def _registered(node):
     return any(ast.unparse(decorator) == "atexit.register" for decorator in node.decorator_list)
 
 
-def _referenced_names(root):
-    """Every name referred to, and the attribute names that are read
-    (string constants count as both)."""
+@functools.lru_cache(maxsize=None)
+def _parse(path):
+    return ast.parse(path.read_text(), str(path))
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_names(root, tree):
+    """Every name referred to in *tree*, and the attribute names that
+    are read (string constants count as both)."""
     names, read = set(), set()
-    for tree in TREES:
-        for path in _python_files(root, tree):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                    if not isinstance(node.ctx, ast.Store):
-                        read.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name.rpartition(".")[2])
-                    if node.asname:
-                        names.add(node.asname)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.add(node.value)
-                    read.add(node.value)
+    for path in _python_files(root, tree):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+                if not isinstance(node.ctx, ast.Store):
+                    read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+                if node.asname:
+                    names.add(node.asname)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+                read.add(node.value)
+    return frozenset(names), frozenset(read)
+
+
+def _referenced_names(root, trees):
+    """Every name referred to in *trees*, and the attribute names read."""
+    names, read = set(), set()
+    for tree in trees:
+        tree_names, tree_read = _tree_names(root, tree)
+        names |= tree_names
+        read |= tree_read
     return names, read
 
 
@@ -85,7 +105,7 @@ def _definitions(root):
     """``(path, line, name, registered)`` for every definition in ``src/``."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for path in _python_files(root, "src"):
-        module = ast.parse(path.read_text(), str(path))
+        module = _parse(path)
         relative = path.relative_to(root)
         for node in ast.walk(module):
             if isinstance(node, kinds):
@@ -101,7 +121,7 @@ def _stored_attributes(root):
     stores, declared = [], set()
     for path in _python_files(root, "src"):
         relative = path.relative_to(root)
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
                 stores.append((relative, node.lineno, node.attr))
             elif isinstance(node, ast.ClassDef):
@@ -114,8 +134,8 @@ def _dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def _dead_definitions(root):
-    referenced, read = _referenced_names(root)
+def _dead_definitions(root, trees=TREES):
+    referenced, read = _referenced_names(root, trees)
     dead = [
         f"{path}:{line} {name}"
         for path, line, name, registered in _definitions(root)
@@ -132,6 +152,49 @@ def _dead_definitions(root):
 def test_every_src_definition_is_referenced():
     dead = _dead_definitions(ROOT)
     assert dead == [], "definitions and attributes nothing reads:\n" + "\n".join(dead)
+
+
+#: The cycle model: the core's FIFOs, pulse wires, Cryptographic Unit,
+#: bank register and controller.
+CYCLE_MODEL = (
+    "src/repro/sim/fifo.py",
+    "src/repro/sim/signals.py",
+    "src/repro/unit/unit.py",
+    "src/repro/unit/bank.py",
+    "src/repro/isa/controller.py",
+)
+
+#: Names in :data:`CYCLE_MODEL` that the scan finds read only by tests,
+#: and why each stays.
+READ_BY_TESTS = {
+    "total_pushed": "a FIFO count the stepped oracles compare",
+    "total_popped": "a FIFO count the stepped oracles compare",
+    "high_watermark": "a FIFO count the stepped oracles compare",
+    "purge_count": "a FIFO count the stepped oracles compare",
+    "bank": "the unit's bank register, caught up: how a test reads it",
+    "post_irq": "the controller's interrupt input: no device raises it, tests do",
+    "read_port": "read by the translated blocks, whose code is a template string",
+    "scratchpad": "read by the translated blocks, whose code is a template string",
+    "_preserved_flags": "read by the translated blocks, whose code is a template string",
+}
+
+
+def _read_only_by_tests(root, files):
+    """Definitions in *files* that only ``tests/`` reads, as ``path:line name``."""
+    anywhere = set(_dead_definitions(root))
+    return [
+        entry
+        for entry in _dead_definitions(root, tuple(tree for tree in TREES if tree != "tests"))
+        if entry.partition(":")[0] in files and entry not in anywhere
+    ]
+
+
+def test_no_cycle_model_definition_is_read_only_by_tests():
+    found = {entry.rpartition(" ")[2]: entry for entry in _read_only_by_tests(ROOT, CYCLE_MODEL)}
+    unlisted = sorted(entry for name, entry in found.items() if name not in READ_BY_TESTS)
+    assert unlisted == [], "read only by tests, and not listed:\n" + "\n".join(unlisted)
+    # The list holds nothing that something besides the tests reads.
+    assert sorted(found) == sorted(READ_BY_TESTS)
 
 
 # -- the scan's own rules, on a two-file repository ---------------------------
@@ -202,6 +265,21 @@ def test_scan_rules(tmp_path, caller, dead):
     (tmp_path / "tests" / "test_caller.py").write_text(caller)
     found = {entry.rpartition(" ")[2] for entry in _dead_definitions(tmp_path)}
     assert found == dead
+
+
+def test_a_definition_read_only_by_tests_is_found(tmp_path):
+    """In the files held to it, a definition that only ``tests/`` reads
+    is reported; one another tree reads, or nothing reads, is not."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "model.py").write_text(
+        "def for_src():\n    pass\n\n\ndef for_tests():\n    pass\n\n\ndef unread():\n    pass\n"
+    )
+    (tmp_path / "src" / "user.py").write_text("from model import for_src\nfor_src()\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_model.py").write_text("from model import for_src, for_tests\n")
+    found = _read_only_by_tests(tmp_path, ("src/model.py",))
+    assert [entry.rpartition(" ")[2] for entry in found] == ["for_tests"]
+    assert _read_only_by_tests(tmp_path, ("src/user.py",)) == []
 
 
 @pytest.mark.parametrize(

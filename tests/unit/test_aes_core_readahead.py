@@ -5,10 +5,9 @@ A counter run fills its buffer, once used up, with its next
 call, ``n`` being the blocks it has consumed and ``m`` the length of
 the core's last run longer than ``MIN_LANES``
 (:data:`repro.crypto.fast.batch.MIN_LANES`) blocks: from its second
-block once the core has such a run, else from ``n >= MIN_LANES``.  No
-fill reads past the run's :data:`~repro.unit.cores.aes_core.LONGEST_RUN`-th
-block.  Every result must equal the block encrypted alone, whatever the
-run's shape.
+block once the core has such a run, else from ``n >= MIN_LANES``.
+Every result must equal the block encrypted alone, whatever the run's
+shape.
 """
 
 from types import SimpleNamespace
@@ -20,11 +19,14 @@ from repro.crypto.aes import expand_key
 from repro.crypto.fast import aes_vector, bulk
 from repro.crypto.fast.batch import MIN_LANES
 from repro.unit.cores import aes_core
-from repro.unit.cores.aes_core import LONGEST_RUN, AesCore, encrypt_block_int
+from repro.unit.cores.aes_core import AesCore, encrypt_block_int
 from repro.unit.cores.inc_core import inc16
 from repro.unit.timing import DEFAULT_TIMING
 
 SCHEDULE = tuple(tuple(rk) for rk in expand_key(bytes(range(32))))
+#: The longest counter run a core sees: a full FIFO's 128 data blocks
+#: after the mode's pre-counter block (GCM's J0, CCM's A0).
+LONGEST_RUN = 129
 #: A counter block with its 16-bit counting field clear.
 COUNTER = 0x0123456789ABCDEF_01234567_00000000
 
@@ -112,9 +114,9 @@ def test_runs_shorter_than_min_lanes_make_no_vector_call(fills):
 def test_a_long_run_after_a_long_run_fills_in_one_call(fills):
     core = AesCore(DEFAULT_TIMING)
     _run(core, COUNTER, LONGEST_RUN)
-    # The first run doubles its fills, the last one cut at the longest run.
-    assert fills == [8, 16, 32, 64, 1]
-    assert MIN_LANES + sum(fills) == LONGEST_RUN
+    # The first run doubles its fills; the last one reads 127 blocks past
+    # the run's end.
+    assert fills == [8, 16, 32, 64, 128]
     # A lone block between (GCM's H = E(0)) neither reads ahead nor
     # changes the next window; a short run (a 32-byte packet) reads the
     # long run's window from its second block and does not change it.

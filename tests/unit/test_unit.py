@@ -1,5 +1,7 @@
 """Cryptographic Unit: ISA, bank, cores, timing, instruction semantics."""
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -16,6 +18,7 @@ from repro.unit.isa import CU_DECODE_TABLE
 from repro.unit.cores.io_core import IoCore
 from repro.unit.cores.xor_core import mask_for_bytes, masked_equal, masked_xor
 from repro.unit.timing import DEFAULT_TIMING, TimingModel
+from repro.utils.bits import bytes_to_words32, words32_to_bytes
 
 
 def _int(block: bytes) -> int:
@@ -57,19 +60,6 @@ def test_issue_rejects_undecodable_bytes(byte):
 
 # -- bank register ---------------------------------------------------------------
 
-def test_bank_read_write_subwords(rb):
-    bank = BankRegister()
-    block = rb(16)
-    bank.write(2, _int(block))
-    assert bank.read(2) == _int(block)
-    words = [bank.read_subword(2, i) for i in range(4)]
-    assert b"".join(w.to_bytes(4, "big") for w in words) == block
-    bank.write_subword(2, 1, 0xDEADBEEF)
-    assert bank.read(2).to_bytes(16, "big")[4:8] == bytes.fromhex("deadbeef")
-    assert bank.read(2).to_bytes(16, "big")[:4] == block[:4]
-    assert bank.read(2).to_bytes(16, "big")[8:] == block[8:]
-
-
 def test_bank_bounds():
     bank = BankRegister()
     with pytest.raises(BankAddressError):
@@ -78,12 +68,6 @@ def test_bank_bounds():
         bank.write(0, 1 << 128)
     with pytest.raises(BankAddressError):
         bank.write(0, -1)
-    with pytest.raises(BankAddressError):
-        bank.read_subword(0, 4)
-    with pytest.raises(BankAddressError):
-        bank.read_subword(4, 0)
-    with pytest.raises(BankAddressError):
-        bank.write_subword(0, 0, 1 << 32)
 
 
 # -- functional cores --------------------------------------------------------------
@@ -117,6 +101,18 @@ def test_inc16_semantics():
 
 
 # -- the unit end to end ------------------------------------------------------------
+
+def _feed(sim, fifo, words):
+    """Push *words* through a producer run, run to its end."""
+    sim.run_until_event(fifo.stream_in(list(words)).done)
+
+
+def _drain(sim, fifo, nwords):
+    """Pop *nwords* words through a consumer run, run to its end."""
+    sink = []
+    sim.run_until_event(fifo.drain_out(sink, nwords).done)
+    return sink
+
 
 def make_unit(key=bytes(16)):
     sim = Simulator()
@@ -177,11 +173,11 @@ def test_ghash_core_needs_its_subkey(instruction):
 def test_load_store_roundtrip(rb):
     sim, unit, in_f, out_f = make_unit()
     block = rb(16)
-    in_f.push_block(block)
+    _feed(sim, in_f, bytes_to_words32(block))
     unit.start(cu_encode(CuOp.LOAD, 3))
     unit.start(cu_encode(CuOp.STORE, 3))
     sim.run()
-    assert out_f.pop_block() == block
+    assert words32_to_bytes(_drain(sim, out_f, 4)) == block
 
 
 def test_load_stalls_until_data(rb):
@@ -190,7 +186,7 @@ def test_load_stalls_until_data(rb):
     sim.run()
     assert unit.busy  # stalled
     block = rb(16)
-    in_f.push_block(block)
+    in_f.stream_in(bytes_to_words32(block))
     sim.run()
     assert not unit.busy
     assert unit.bank.read(0) == _int(block)
@@ -217,7 +213,7 @@ def test_status_byte_and_reset(rb):
     unit.start(cu_encode(CuOp.FAES, 0))
     sim.run()
     unit.reset_for_packet()
-    assert unit.bank.snapshot() == [0, 0, 0, 0]
+    assert unit.bank.regs == [0, 0, 0, 0]
     assert unit.mask == 0xFFFF
 
 
@@ -306,7 +302,8 @@ def test_xor_and_equ_under_masks(rb, mask):
     sim, unit, _, _ = make_unit()
     a, b = rb(16), rb(16)
     enabled = [bool((mask >> (15 - i)) & 1) for i in range(16)]
-    unit.set_mask(mask)
+    unit.set_mask_high(mask >> 8)
+    unit.set_mask_low(mask & 0xFF)
     unit.bank.write(0, _int(a))
     unit.bank.write(1, _int(b))
     _run_one(unit, sim, cu_encode(CuOp.XOR, 0, 1))
@@ -331,14 +328,12 @@ def test_xor_and_equ_under_masks(rb, mask):
 def test_load_store_keeps_subword_order():
     sim, unit, in_f, out_f = make_unit()
     words = [0x00112233, 0x44556677, 0x8899AABB, 0xCCDDEEFF]
-    for word in words:
-        in_f.push_word(word)
+    _feed(sim, in_f, words)
     _run_one(unit, sim, cu_encode(CuOp.LOAD, 3))
     # The first word popped is the most significant sub-word.
     assert unit.bank.read(3) == 0x00112233_44556677_8899AABB_CCDDEEFF
-    assert [unit.bank.read_subword(3, i) for i in range(4)] == words
     _run_one(unit, sim, cu_encode(CuOp.STORE, 3))
-    assert [out_f.pop_word() for _ in range(4)] == words
+    assert _drain(sim, out_f, 4) == words
 
 
 def test_whirlpool_unit_matches_stepped_unit(rb):
@@ -346,7 +341,13 @@ def test_whirlpool_unit_matches_stepped_unit(rb):
     same bank values, output words and completion cycle."""
     from repro.crypto.whirlpool import compress
     from repro.unit.whirlpool_unit import WhirlpoolUnit
-    from stepped_models import SteppedIoCore, SteppedWhirlpoolUnit, SteppedWordFifo
+    from stepped_models import (
+        SteppedIoCore,
+        SteppedWhirlpoolUnit,
+        SteppedWordFifo,
+        stepped_drainer,
+        stepped_feeder,
+    )
 
     message = rb(64)
     program = [wp_encode(WpOp.LOAD, i) for i in range(4)]
@@ -360,13 +361,23 @@ def test_whirlpool_unit_matches_stepped_unit(rb):
         in_f, out_f = fifo(sim, 64, "in"), fifo(sim, 64, "out")
         io = (SteppedIoCore if stepped else IoCore)(in_f, out_f)
         unit = (SteppedWhirlpoolUnit if stepped else WhirlpoolUnit)(sim, io, DEFAULT_TIMING)
-        for i in range(0, 64, 16):
-            in_f.push_block(message[i : i + 16])
+        # The message is in the FIFO before the first issue.
+        port = SimpleNamespace(in_fifo=in_f, out_fifo=out_f, sim=sim)
+        blocks = [message[i : i + 16] for i in range(0, 64, 16)]
+        if stepped:
+            sim.run_until_event(sim.add_process(stepped_feeder(port, blocks)).done)
+        else:
+            _feed(sim, in_f, bytes_to_words32(message))
         for byte in program:
             unit.start(byte)
         sim.run()
-        bank = unit.bank.snapshot()
-        return bank, [out_f.pop_word() for _ in range(16)], sim.now
+        bank, end = list(unit.bank.regs), sim.now
+        if stepped:
+            words = []
+            sim.run_until_event(sim.add_process(stepped_drainer(port, words, 16)).done)
+        else:
+            words = _drain(sim, out_f, 16)
+        return bank, words, end
 
     loose, stepped = run(False), run(True)
     assert loose == stepped
